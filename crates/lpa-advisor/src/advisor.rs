@@ -143,8 +143,8 @@ impl Advisor {
     }
 
     /// Batched inference: greedy rollouts for many frequency mixes,
-    /// advanced in lockstep with every rollout's candidate actions at each
-    /// step coalesced into one batched Q-network forward. Bit-identical to
+    /// advanced step by step together, with every rollout's candidate
+    /// actions at each step coalesced into one batched Q-network forward. Bit-identical to
     /// calling [`Self::suggest`] once per mix: each output row of a batched
     /// matmul depends only on its own input row, the [`greedy_argmax`]
     /// tie-break is the same one [`DqnAgent::select_action`] uses, and the
@@ -161,7 +161,7 @@ impl Advisor {
         let pool = Pool::current();
         let s0 = self.env.initial_partitioning().clone();
         // `reset` under a `Fixed` sampler is exactly this construction
-        // (no RNG is drawn), so each lockstep rollout starts from the same
+        // (no RNG is drawn), so each coalesced rollout starts from the same
         // state sequential `suggest` would.
         let mut trajs: Vec<Trajectory<EnvState>> = freqs
             .iter()
@@ -398,7 +398,7 @@ mod tests {
         );
     }
 
-    /// The tentpole equivalence: coalesced lockstep rollouts must be
+    /// The tentpole equivalence: coalesced rollouts must be
     /// bit-identical to one sequential `suggest` per mix — same
     /// partitionings, same reward bits, same best-step indices.
     #[test]

@@ -86,9 +86,9 @@ impl Committee {
         best
     }
 
-    /// Shared prelude of [`Self::train`] and [`Self::train_lockstep`]:
-    /// derive the references and build, per subspace, a fresh environment
-    /// plus the deterministic mix pool its expert trains on.
+    /// Prelude of [`Self::train`]: derive the references and build, per
+    /// subspace, a fresh environment plus the deterministic mix pool its
+    /// expert trains on.
     #[allow(clippy::type_complexity)]
     fn expert_inputs(
         naive: &mut Advisor,
@@ -164,8 +164,7 @@ impl Committee {
     /// Parallelism is coarse: one task per expert. Each expert's RNG
     /// stream is derived from `(seed, expert_id)`, so its trajectory does
     /// not depend on how many experts run concurrently, and the experts
-    /// come back in subspace order. When there are fewer experts than
-    /// threads, [`Self::train_lockstep`] keeps the pool busy instead.
+    /// come back in subspace order.
     pub fn train(
         naive: &mut Advisor,
         expert_cfg: DqnConfig,
@@ -178,45 +177,6 @@ impl Committee {
             expert.train_episodes(expert_cfg.episodes, |_| {});
             expert
         });
-        Committee {
-            references: refs,
-            experts,
-        }
-    }
-
-    /// [`Self::train`] with the experts advanced in lockstep instead of
-    /// one-task-per-expert: every expert steps through the same
-    /// episode/step schedule and all experts' Q-network work — selection
-    /// forwards, target forwards, backward passes — is stacked into
-    /// grouped kernels ([`lpa_rl::train_lockstep`]), one pooled dispatch
-    /// per network stage instead of one tiny dispatch per expert.
-    ///
-    /// Produces bit-identical experts to [`Self::train`]: the experts are
-    /// constructed by the same code, and the lockstep driver is proven
-    /// bit-equal to the sequential per-expert loop. Prefer this path when
-    /// experts are few relative to threads (each expert's minibatch is too
-    /// small to occupy a wide pool on its own); with many experts the
-    /// coarse per-expert parallelism of [`Self::train`] is already
-    /// saturating and either path performs alike.
-    pub fn train_lockstep(
-        naive: &mut Advisor,
-        expert_cfg: DqnConfig,
-        make_env: impl FnMut() -> AdvisorEnv,
-    ) -> Committee {
-        let (refs, inputs) = Self::expert_inputs(naive, &expert_cfg, make_env);
-        let naive_policy = naive.snapshot();
-        let mut experts: Vec<Advisor> = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(expert_id, (env, vectors))| {
-                Self::make_expert(&naive_policy, &expert_cfg, expert_id, env, vectors)
-            })
-            .collect();
-        {
-            let mut members: Vec<(&mut lpa_rl::DqnAgent<AdvisorEnv>, &mut AdvisorEnv)> =
-                experts.iter_mut().map(|e| e.agent_env_mut()).collect();
-            lpa_rl::train_lockstep(&mut members, expert_cfg.episodes, |_, _| {});
-        }
         Committee {
             references: refs,
             experts,
@@ -239,7 +199,7 @@ impl Committee {
     /// Committee inference over a batch of mixes: each mix is routed to
     /// its subspace expert exactly as [`Self::suggest`] would, then every
     /// expert serves its whole request group through one coalesced
-    /// lockstep rollout ([`Advisor::suggest_coalesced`]) — one batched
+    /// rollout ([`Advisor::suggest_coalesced`]) — one batched
     /// Q-network forward per rollout step per expert instead of one tiny
     /// forward per candidate action. Results come back in input order and
     /// are bit-identical to calling [`Self::suggest`] per mix.
@@ -285,7 +245,7 @@ impl Committee {
                 *slot = Some(naive.suggest(f));
             }
         }
-        // Every request was either grouped or sent to the fallback, so the
+        // Every request was either routed to an expert or sent to the fallback, so the
         // unwrap_or fills nothing in practice; a naive suggestion for the
         // uniform-equivalent of "no answer" would still be wrong, so keep
         // the defensive shape cheap: re-ask the naive advisor.
@@ -406,73 +366,5 @@ mod tests {
             assert_eq!(b.step, s.step);
         }
         assert!(committee.suggest_batch(&mut naive, &[]).is_empty());
-    }
-
-    fn mk_env() -> AdvisorEnv {
-        let schema = lpa_schema::microbench::schema(1.0).expect("schema builds");
-        let workload = lpa_workload::microbench::workload(&schema).expect("workload builds");
-        let sampler = MixSampler::uniform(&workload);
-        AdvisorEnv::new(
-            schema,
-            workload,
-            RewardBackend::cost_model(NetworkCostModel::new(CostParams::standard())),
-            sampler,
-            true,
-            99,
-        )
-    }
-
-    /// The lockstep committee contract: grouped cross-expert training
-    /// produces, for every expert, exactly the networks the
-    /// one-task-per-expert path produces — at one and at eight threads —
-    /// and therefore identical suggestions.
-    #[test]
-    fn lockstep_committee_matches_parallel_committee_bitwise() {
-        use lpa_par::with_threads;
-        let mut naive_ref = offline_naive();
-        let mut reference =
-            with_threads(1, || Committee::train(&mut naive_ref, quick_cfg(), mk_env));
-        let ref_bits: Vec<(Vec<u32>, Vec<u32>, f64)> = reference
-            .experts
-            .iter()
-            .map(|e| {
-                (
-                    lpa_nn::reference::mlp_bits(e.agent().q_network()),
-                    lpa_nn::reference::mlp_bits(e.agent().target_network()),
-                    e.agent().epsilon(),
-                )
-            })
-            .collect();
-        let slots = naive_ref.env.workload.slots();
-        let uniform = FrequencyVector::uniform(slots);
-        for threads in [1usize, 8] {
-            let mut naive = offline_naive();
-            let mut committee = with_threads(threads, || {
-                Committee::train_lockstep(&mut naive, quick_cfg(), mk_env)
-            });
-            assert_eq!(committee.references, reference.references);
-            assert_eq!(committee.experts.len(), ref_bits.len());
-            for (k, (expert, (q, t, eps))) in committee.experts.iter().zip(&ref_bits).enumerate() {
-                assert_eq!(
-                    &lpa_nn::reference::mlp_bits(expert.agent().q_network()),
-                    q,
-                    "threads {threads} expert {k}: q-net diverged"
-                );
-                assert_eq!(
-                    &lpa_nn::reference::mlp_bits(expert.agent().target_network()),
-                    t,
-                    "threads {threads} expert {k}: target net diverged"
-                );
-                assert_eq!(expert.agent().epsilon(), *eps);
-            }
-            // Identical networks must serve identical suggestions.
-            let mut naive2 = offline_naive();
-            let s = committee.suggest(&mut naive2, &uniform);
-            let mut naive3 = offline_naive();
-            let sr = reference.suggest(&mut naive3, &uniform);
-            assert_eq!(s.partitioning, sr.partitioning);
-            assert_eq!(s.reward.to_bits(), sr.reward.to_bits());
-            assert_eq!(s.step, sr.step);
-        }
     }
 }

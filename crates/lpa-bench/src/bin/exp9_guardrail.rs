@@ -17,7 +17,7 @@
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
-use lpa_bench::{bar, figure, save_json};
+use lpa_bench::{bar, figure, save_json, SeededChaos};
 use lpa_cluster::{GuardrailAccounting, GuardrailConfig, GuardrailEvent};
 use lpa_service::{Benchmark, Fleet, FleetConfig, JournalRecord, TenantSpec};
 use serde_json::json;
@@ -66,18 +66,26 @@ fn specs() -> Vec<TenantSpec> {
                 900 + i as u64,
             );
             spec.episodes = 2;
-            if i % POISON_STRIDE == 0 {
-                spec.poison_from_round = Some(POISON_FROM);
-            }
             spec
         })
         .collect()
+}
+
+/// Every `POISON_STRIDE`-th tenant is fed poisoned advice from
+/// `POISON_FROM` on.
+fn poison() -> SeededChaos {
+    (0..TENANTS)
+        .step_by(POISON_STRIDE)
+        .fold(SeededChaos::new(guard_seed()), |chaos, tenant| {
+            chaos.poison(tenant, POISON_FROM)
+        })
 }
 
 /// Run one arm to completion, returning (wall seconds, merged ledger,
 /// journal, total simulated seconds across tenant clusters).
 fn run_arm(guardrail: GuardrailConfig) -> (f64, GuardrailAccounting, Vec<JournalRecord>, f64) {
     let mut fleet = Fleet::new(cfg(guardrail));
+    fleet.set_hook(Box::new(poison()));
     for spec in specs() {
         fleet.admit(spec).unwrap();
     }

@@ -11,9 +11,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod accuracy;
+pub mod chaos;
 pub mod report;
 pub mod setup;
 
 pub use accuracy::{accuracy, Approach};
+pub use chaos::SeededChaos;
 pub use report::{bar, figure, save_json, Series};
 pub use setup::{Benchmark, ExperimentScale};

@@ -859,7 +859,7 @@ pub fn l014(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 "L014",
                 rel_path,
                 t.line,
-                "direct `.tenants` field access outside the fleet module bypasses the quarantine funnel; use `Fleet`'s accessors (`tenant_count()`, `tenant_advisor()`, `report()`, …) instead",
+                "direct `.tenants` field access outside the fleet module bypasses the quarantine funnel; use `Fleet`'s accessors (`tenant_count()`, `tenant_service()`, `report()`, …) instead",
             ));
         }
     }

@@ -14,14 +14,12 @@
 
 pub mod adam;
 pub mod dense;
-pub mod grouped;
 pub mod matrix;
 pub mod mlp;
 pub mod reference;
 
 pub use adam::Adam;
 pub use dense::Dense;
-pub use grouped::{copy_predictions, forward_group, train_scalar_group, GroupForward, GroupTrain};
 pub use matrix::{route_pool, with_naive_kernels, Matrix};
 pub use mlp::{Mlp, MlpScratch};
 

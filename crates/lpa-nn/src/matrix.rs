@@ -299,27 +299,6 @@ fn matmul_band<const RELU: bool>(
     }
 }
 
-/// [`matmul_band`] with the ReLU flag resolved at runtime — the entry
-/// point for the grouped trainer ([`crate::grouped`]), which stacks bands
-/// from *different* networks into one pool dispatch and therefore cannot
-/// pick the const-generic instantiation at compile time. Delegates to the
-/// same kernel, so every cell's bits match the per-network path exactly.
-pub(crate) fn matmul_band_dyn(
-    relu: bool,
-    x: &Matrix,
-    w: &Matrix,
-    bias: &[f32],
-    b0: usize,
-    band_data: &mut [f32],
-    out_cols: usize,
-) {
-    if relu {
-        matmul_band::<true>(x, w, bias, b0, band_data, out_cols);
-    } else {
-        matmul_band::<false>(x, w, bias, b0, band_data, out_cols);
-    }
-}
-
 /// Dot product with eight independent accumulators so LLVM can vectorize
 /// and pipeline despite floating-point non-associativity.
 #[inline]

@@ -25,13 +25,12 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Default)]
 pub struct MlpScratch {
     /// Per-layer outputs of the most recent forward pass (`outs[i]` is the
-    /// post-activation output of layer `i`). `pub(crate)` so the grouped
-    /// trainer ([`crate::grouped`]) can split borrows across members.
-    pub(crate) outs: Vec<Matrix>,
-    pub(crate) delta: Matrix,
-    pub(crate) prev_delta: Matrix,
-    pub(crate) dw: Matrix,
-    pub(crate) db: Vec<f32>,
+    /// post-activation output of layer `i`).
+    outs: Vec<Matrix>,
+    delta: Matrix,
+    prev_delta: Matrix,
+    dw: Matrix,
+    db: Vec<f32>,
 }
 
 impl MlpScratch {
@@ -68,13 +67,6 @@ impl Mlp {
 
     pub fn layers(&self) -> &[Dense] {
         &self.layers
-    }
-
-    /// Mutable layer access for the grouped trainer (same crate only —
-    /// external callers mutate weights through the optimizer/soft-update
-    /// API, which keeps the layer-dim chaining invariant).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
-        &mut self.layers
     }
 
     /// Rebuild a network from checkpointed layers (weights restored

@@ -20,14 +20,8 @@ pub fn greedy_argmax<A: Clone>(qs: &[f32], actions: &[A]) -> Option<A> {
         .map(|(_, a)| a.clone())
 }
 
-/// Borrowed pieces of one staged network forward, in the order
-/// [`lpa_nn::GroupForward`] consumes them: network, pre-encoded input
-/// rows, network scratch, output vector.
-pub(crate) type ForwardParts<'a> = (&'a Mlp, &'a Matrix, &'a mut MlpScratch, &'a mut Vec<f32>);
-
-/// Borrowed pieces of one staged backward pass, in the order
-/// [`lpa_nn::GroupTrain`] consumes them: network, encoded training rows,
-/// targets, optimizer, Huber delta (`None` = MSE), network scratch.
+/// Borrowed pieces of one staged backward pass: network, encoded training
+/// rows, targets, optimizer, Huber delta (`None` = MSE), network scratch.
 pub(crate) type BackwardParts<'a> = (
     &'a mut Mlp,
     &'a Matrix,
@@ -165,37 +159,11 @@ impl<E: QEnvironment> DqnAgent<E> {
             .predict_batch_into(pool, inputs, &mut self.scratch.mlp, out);
     }
 
-    /// ε-greedy action selection (greedy when `explore` is false).
+    /// ε-greedy action selection (greedy when `explore` is false):
+    /// enumerate candidates into the scratch arena, take the ε draw, and —
+    /// on the greedy path — encode the candidate rows, run one Q forward
+    /// over them and take the [`greedy_argmax`].
     pub fn select_action(&mut self, env: &E, state: &E::State, explore: bool) -> E::Action {
-        if let Some(a) = self.select_begin(env, state, explore) {
-            return a;
-        }
-        let pool = Pool::current();
-        let t0 = profile::start();
-        {
-            let Self { q, scratch, .. } = self;
-            q.predict_batch_into(pool, &scratch.input, &mut scratch.mlp, &mut scratch.q_out);
-        }
-        profile::stop(t0, Phase::Nn);
-        self.select_finish()
-    }
-
-    /// First stage of action selection: enumerate candidates into the
-    /// scratch arena, take the ε draw, and — on the greedy path — encode
-    /// the candidate rows into `scratch.input`. Returns the chosen action
-    /// directly when exploration fires; otherwise returns `None` and
-    /// leaves the encoded rows staged for a Q forward (whose results
-    /// [`Self::select_finish`] turns into an action). Splitting selection
-    /// this way lets the lockstep committee driver run *one grouped
-    /// forward across every expert* between the two stages; the
-    /// RNG draws and encode order are exactly those of
-    /// [`Self::select_action`], so staging never changes a decision.
-    pub(crate) fn select_begin(
-        &mut self,
-        env: &E,
-        state: &E::State,
-        explore: bool,
-    ) -> Option<E::Action> {
         let s = &mut self.scratch;
         s.sel_actions.clear();
         let t0 = profile::start();
@@ -208,7 +176,7 @@ impl<E: QEnvironment> DqnAgent<E> {
         if explore && self.rng.gen::<f64>() < self.epsilon {
             let i = self.rng.gen_range(0..s.sel_actions.len());
             if let Some(a) = s.sel_actions.get(i) {
-                return Some(a.clone());
+                return a.clone();
             }
         }
         let dim = env.input_dim();
@@ -223,23 +191,12 @@ impl<E: QEnvironment> DqnAgent<E> {
         }
         env.encode_batch(state, &s.sel_actions, s.input.data_mut());
         profile::stop(t1, Phase::Encode);
-        None
-    }
-
-    /// Second stage of staged selection: greedy argmax over the Q values
-    /// a forward pass left in `scratch.q_out` (same tie-breaking as the
-    /// sequential path — it routes through [`greedy_argmax`] too).
-    pub(crate) fn select_finish(&self) -> E::Action {
-        let s = &self.scratch;
+        let pool = Pool::current();
+        let t2 = profile::start();
+        self.q
+            .predict_batch_into(pool, &s.input, &mut s.mlp, &mut s.q_out);
+        profile::stop(t2, Phase::Nn);
         greedy_argmax(&s.q_out, &s.sel_actions).unwrap_or_else(|| s.sel_actions[0].clone())
-    }
-
-    /// Borrow the parts of a staged greedy selection the grouped forward
-    /// needs: Q-net, encoded candidate rows, network scratch and the
-    /// output vector ([`Self::select_finish`] reads the latter).
-    pub(crate) fn select_forward_parts(&mut self) -> ForwardParts<'_> {
-        let Self { q, scratch, .. } = self;
-        (&*q, &scratch.input, &mut scratch.mlp, &mut scratch.q_out)
     }
 
     /// Store a transition in the replay buffer.
@@ -315,7 +272,7 @@ impl<E: QEnvironment> DqnAgent<E> {
         Some(loss)
     }
 
-    /// Stage 1 of a (possibly lockstep-grouped) train step: sample the
+    /// Stage 1 of a train step: sample the
     /// minibatch, enumerate and encode every next-state candidate row and
     /// every `(state, action)` training row into the scratch arenas.
     /// Returns `false` (staging nothing) while the buffer is smaller than
@@ -384,42 +341,6 @@ impl<E: QEnvironment> DqnAgent<E> {
         true
     }
 
-    /// Candidate rows staged by [`Self::train_begin`] (0 = terminal-only).
-    pub(crate) fn staged_total(&self) -> usize {
-        self.scratch.total
-    }
-
-    /// Whether the staged step also needs an online-net forward.
-    pub(crate) fn staged_use_online(&self) -> bool {
-        self.scratch.use_online
-    }
-
-    /// Borrow the target-net forward of a staged train step (fills
-    /// `next_q`). Only meaningful when [`Self::staged_total`] `> 0`.
-    pub(crate) fn target_forward_parts(&mut self) -> ForwardParts<'_> {
-        let Self {
-            target, scratch, ..
-        } = self;
-        (
-            &*target,
-            &scratch.next_inputs,
-            &mut scratch.mlp,
-            &mut scratch.next_q,
-        )
-    }
-
-    /// Borrow the online-net forward of a staged train step (fills
-    /// `next_q_online`, double DQN only).
-    pub(crate) fn online_forward_parts(&mut self) -> ForwardParts<'_> {
-        let Self { q, scratch, .. } = self;
-        (
-            &*q,
-            &scratch.next_inputs,
-            &mut scratch.mlp,
-            &mut scratch.next_q_online,
-        )
-    }
-
     /// Stage 3: fold the staged forwards into Bellman targets — the exact
     /// per-transition loop of the monolithic step (including the
     /// last-max-wins `total_cmp` tie-breaking of double DQN).
@@ -452,8 +373,8 @@ impl<E: QEnvironment> DqnAgent<E> {
         }
     }
 
-    /// Borrow everything the grouped backward pass needs for this agent's
-    /// staged minibatch: online net, encoded rows, targets, optimizer,
+    /// Borrow everything the backward pass needs for this agent's staged
+    /// minibatch: online net, encoded rows, targets, optimizer,
     /// Huber delta (`None` = MSE) and network scratch.
     pub(crate) fn train_backward_parts(&mut self) -> BackwardParts<'_> {
         let Self {

@@ -15,7 +15,6 @@ pub mod agent;
 pub mod buffer;
 pub mod config;
 pub mod env;
-pub mod lockstep;
 pub mod profile;
 pub mod train;
 
@@ -23,5 +22,4 @@ pub use agent::{greedy_argmax, AgentSnapshot, DqnAgent};
 pub use buffer::{ReplayBuffer, Transition};
 pub use config::{DqnConfig, QLoss};
 pub use env::{EnvCounters, QEnvironment};
-pub use lockstep::train_lockstep;
 pub use train::{rollout, train, train_from, EpisodeStats, Trajectory};

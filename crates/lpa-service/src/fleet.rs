@@ -2,9 +2,12 @@
 //!
 //! The paper trains one advisor per deployment; the production control
 //! plane serves thousands of tenant databases from a single process. Each
-//! tenant owns a schema, a workload, a simulated cluster, and a DQN
-//! advisor; the [`Fleet`] interleaves per-tenant training/advice *slices*
-//! under a fixed [`RoundRobin`] schedule (admissions fold in only at round
+//! tenant *is* a [`PartitioningService`] — advisor, cluster, SQL monitor,
+//! forecaster and deployment guardrail, closing its windows through the
+//! same [`PartitioningService::close_window`] a standalone service uses;
+//! the [`Fleet`] adds only scheduling, admission, quarantine and budgets,
+//! interleaving per-tenant training/advice *slices* under a fixed
+//! [`RoundRobin`] schedule (admissions fold in only at round
 //! boundaries), so the whole fleet advances bit-identically at any
 //! `LPA_THREADS` — parallelism lives *inside* a slice (the NN kernels),
 //! never in the slice order.
@@ -25,7 +28,7 @@
 //!   by the scheduler to the next round boundary so an in-flight round is
 //!   never reordered.
 //! * **Salted randomness.** Every per-tenant random stream — agent seed,
-//!   fault plan, injected step errors — is derived via
+//!   fault plan, the chaos a [`SliceHook`] injects — is derived via
 //!   [`lpa_par::derive_stream3`] from `(fleet seed, tenant id, purpose)`,
 //!   so chaos configured for tenant *i* is bit-neutral for tenant *j*.
 //!
@@ -33,19 +36,22 @@
 //! fleet's accessors — lint rule L014 forbids reaching into another
 //! tenant's state from outside this module.
 
+use crate::hook::{NoHook, SliceHook};
+use crate::monitor::Observation;
+use crate::service::{
+    PartitioningService, ServiceConfig, ServiceEvent, ServiceResumeState, WindowReport,
+};
 use lpa_advisor::{Advisor, AdvisorEnv, RewardBackend};
 use lpa_cluster::{
-    CandidateDeploy, Cluster, ClusterConfig, ClusterHealth, ClusterResumeState, EngineProfile,
-    FaultPlan, Guardrail, GuardrailAccounting, GuardrailConfig, GuardrailEvent,
-    GuardrailResumeState, HardwareProfile, QueryOutcome,
+    Cluster, ClusterConfig, ClusterHealth, EngineProfile, FaultPlan, GuardrailAccounting,
+    GuardrailConfig, GuardrailEvent, HardwareProfile,
 };
 use lpa_costmodel::{CostParams, NetworkCostModel};
+use lpa_par::derive_stream3;
 use lpa_par::schedule::RoundRobin;
-use lpa_par::{derive_stream, derive_stream3};
-use lpa_partition::{Partitioning, TableState};
 use lpa_rl::DqnConfig;
-use lpa_schema::{Schema, TableId};
-use lpa_workload::{FrequencyVector, MixSampler, Workload};
+use lpa_schema::Schema;
+use lpa_workload::{MixSampler, Workload};
 
 /// Purpose salts for [`derive_stream3`] — one per independent per-tenant
 /// random stream. Distinctness of the resulting streams over
@@ -90,21 +96,10 @@ pub struct TenantSpec {
     pub episodes: usize,
     /// Base fault plan; salted per tenant before it touches the cluster.
     pub fault_plan: FaultPlan,
-    /// Probability that a slice fails before doing any work (deterministic
-    /// injection, drawn from the tenant's `SALT_STEP_ERR` stream) — the
-    /// fleet's source of step errors for exercising quarantine.
-    pub step_error_rate: f64,
-    /// Adversarial-advice injection: from this round on, every candidate
-    /// the tenant's slice would stage is replaced by a known-bad layout
-    /// derived from the tenant's `SALT_POISON` stream, presented with a
-    /// fabricated predicted benefit that sails through the economic gate.
-    /// The guardrail keystone's way of proving rollbacks fire from
-    /// *observed* evidence. `None` (the default) disables poisoning.
-    pub poison_from_round: Option<u64>,
 }
 
 impl TenantSpec {
-    /// A healthy tenant: no faults, no injected errors.
+    /// A healthy tenant: no faults.
     pub fn new(name: impl Into<String>, benchmark: Benchmark, scale: f64, seed: u64) -> Self {
         Self {
             name: name.into(),
@@ -113,8 +108,6 @@ impl TenantSpec {
             seed,
             episodes: 12,
             fault_plan: FaultPlan::none(),
-            step_error_rate: 0.0,
-            poison_from_round: None,
         }
     }
 }
@@ -279,28 +272,22 @@ pub struct TenantCounters {
     pub degraded_windows: u64,
 }
 
-/// One tenant's state. Private by design: everything outside this module
-/// goes through [`Fleet`] accessors (lint rule L014), so one tenant's code
-/// path can never reach into another tenant's state.
+/// One tenant: scheduling state plus the service that does the work.
+/// Private by design: everything outside this module goes through
+/// [`Fleet`] accessors (lint rule L014), so one tenant's code path can
+/// never reach into another tenant's state.
 #[derive(Debug)]
 struct TenantSlot {
-    name: String,
     spec: TenantSpec,
-    schema: Schema,
-    workload: Workload,
-    advisor: Advisor,
-    cluster: Cluster,
-    /// Uniform mix used for advice; rebuilt deterministically on restore.
-    mix: FrequencyVector,
     /// Next training episode (== episodes completed).
     episode: usize,
     status: TenantStatus,
     /// Errors since admission or the last rejoin — the quarantine budget.
     errors_since_rejoin: u64,
     counters: TenantCounters,
-    /// Safe-deployment state machine; the only path to the tenant's
-    /// cluster deploys.
-    guardrail: Guardrail,
+    /// Advisor, cluster, monitor, forecaster and guardrail — the only path
+    /// to the tenant's cluster deploys.
+    service: PartitioningService,
 }
 
 /// One deployment-journal record: which tenant, which fleet round, what
@@ -423,6 +410,10 @@ pub struct Fleet {
     /// `lpa-store`'s deployment journal).
     journal: Vec<JournalRecord>,
     journal_dropped: u64,
+    /// Fault-injection seam; [`NoHook`] unless a test or experiment
+    /// installs one. Not checkpointed — hooks are pure, so a resumed fleet
+    /// gets the same one installed again.
+    hook: Box<dyn SliceHook>,
 }
 
 impl Fleet {
@@ -435,7 +426,13 @@ impl Fleet {
             stage_rounds: Vec::new(),
             journal: Vec::new(),
             journal_dropped: 0,
+            hook: Box::new(NoHook),
         }
+    }
+
+    /// Install the fault-injection hook the slice loop consults.
+    pub fn set_hook(&mut self, hook: Box<dyn SliceHook>) {
+        self.hook = hook;
     }
 
     pub fn config(&self) -> &FleetConfig {
@@ -449,12 +446,6 @@ impl Fleet {
     /// The round the next issued slice belongs to.
     pub fn round(&self) -> u64 {
         self.scheduler.round()
-    }
-
-    /// `(slots, cursor, round)` of the scheduler — checkpointed so a
-    /// restored fleet resumes the exact slice sequence.
-    pub fn scheduler_parts(&self) -> (usize, usize, u64) {
-        self.scheduler.parts()
     }
 
     /// Restore the scheduler position (crash recovery).
@@ -479,9 +470,11 @@ impl Fleet {
                 budget: self.cfg.max_tenants,
             });
         }
+        // Build first: a spec that fails to build must not leave a
+        // scheduler slot without a tenant behind it.
+        let slot = self.build_tenant(self.tenants.len(), spec)?;
         let id = self.scheduler.admit();
         debug_assert_eq!(id, self.tenants.len());
-        let slot = self.build_tenant(id, spec)?;
         self.tenants.push(slot);
         Ok(id)
     }
@@ -495,6 +488,14 @@ impl Fleet {
             name: spec.name.clone(),
             reason,
         };
+        // The schema builders assert on this; a spec is operator input and
+        // must fail its own admission, not the process.
+        if !(spec.scale.is_finite() && spec.scale > 0.0) {
+            return Err(build_err(format!(
+                "scale factor {} is not positive",
+                spec.scale
+            )));
+        }
         let (schema, workload) = match spec.benchmark {
             Benchmark::Ssb => {
                 let s =
@@ -524,17 +525,18 @@ impl Fleet {
             ..DqnConfig::simulation(spec.episodes.max(1), self.cfg.tmax)
         }
         .with_seed(agent_seed);
+        let sampler = MixSampler::uniform(&workload);
         let env = AdvisorEnv::new(
             schema.clone(),
-            workload.clone(),
+            workload,
             RewardBackend::cost_model(NetworkCostModel::new(CostParams::standard())),
-            MixSampler::uniform(&workload),
+            sampler,
             true,
             cfg.seed,
         );
         let advisor = Advisor::untrained(env, cfg);
         let mut cluster = Cluster::new(
-            schema.clone(),
+            schema,
             ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
         );
         cluster.set_fault_plan(spec.fault_plan.salted(derive_stream3(
@@ -542,63 +544,22 @@ impl Fleet {
             id as u64,
             SALT_FAULTS,
         )));
-        let mix = workload.uniform_frequencies();
-        Ok(TenantSlot {
-            name: spec.name.clone(),
-            spec,
-            schema,
-            workload,
+        let service = PartitioningService::new(
             advisor,
             cluster,
-            mix,
+            ServiceConfig {
+                guardrail: self.cfg.guardrail,
+                ..ServiceConfig::default()
+            },
+        );
+        Ok(TenantSlot {
+            spec,
             episode: 0,
             status: TenantStatus::Active,
             errors_since_rejoin: 0,
             counters: TenantCounters::default(),
-            guardrail: Guardrail::new(self.cfg.guardrail),
+            service,
         })
-    }
-
-    /// The adversarially poisoned candidate for `(tenant, round)`: every
-    /// table moved *away* from its currently deployed state onto a
-    /// salted-stream-chosen partitioning attribute. Scrambling every
-    /// co-partitioning at once forces network joins across the board — a
-    /// known-bad layout by construction — while staying a valid
-    /// [`Partitioning`] the advisor could have suggested. Pure in
-    /// `(fleet seed, tenant, round, deployed)`, so a resumed fleet replays
-    /// the identical poison.
-    fn poison_layout(&self, tenant: usize, round: u64, slot: &TenantSlot) -> Partitioning {
-        let stream = derive_stream3(self.cfg.seed, tenant as u64, SALT_POISON);
-        let deployed = slot.cluster.deployed();
-        let tables = slot
-            .schema
-            .tables()
-            .iter()
-            .enumerate()
-            .map(|(i, table)| {
-                let attrs: Vec<_> = table.partitionable_attrs().collect();
-                let draw = derive_stream(stream ^ round, i as u64) as usize;
-                match deployed.table_state(TableId(i)) {
-                    TableState::PartitionedBy(current) => {
-                        let pool: Vec<_> =
-                            attrs.iter().copied().filter(|a| *a != current).collect();
-                        if pool.is_empty() {
-                            TableState::Replicated
-                        } else {
-                            TableState::PartitionedBy(pool[draw % pool.len()])
-                        }
-                    }
-                    TableState::Replicated => {
-                        if attrs.is_empty() {
-                            TableState::Replicated
-                        } else {
-                            TableState::PartitionedBy(attrs[draw % attrs.len()])
-                        }
-                    }
-                }
-            })
-            .collect();
-        Partitioning::from_states(&slot.schema, tables)
     }
 
     fn slot(&self, tenant: usize) -> Result<&TenantSlot, FleetError> {
@@ -613,25 +574,10 @@ impl Fleet {
             .ok_or(FleetError::UnknownTenant(tenant))
     }
 
-    /// Deterministic injected-step-error draw for `(tenant, round)` —
-    /// pure, so a resumed fleet replays the same failures.
-    fn step_error_fires(&self, tenant: usize, round: u64) -> bool {
-        let Some(slot) = self.tenants.get(tenant) else {
-            return false;
-        };
-        if slot.spec.step_error_rate <= 0.0 {
-            return false;
-        }
-        let stream = derive_stream3(self.cfg.seed, tenant as u64, SALT_STEP_ERR);
-        let draw = derive_stream(stream, round);
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        unit < slot.spec.step_error_rate
-    }
-
     /// Record a tenant error and apply the quarantine policy. Returns the
     /// tenant's status after the error. The fleet never panics on a
     /// tenant error — this is the single funnel every error source
-    /// (injected step errors, store restore/checkpoint failures) goes
+    /// (hook-injected step errors, store restore/checkpoint failures) goes
     /// through.
     pub fn record_tenant_error(
         &mut self,
@@ -694,7 +640,7 @@ impl Fleet {
                 TenantStatus::Active => {}
             }
         }
-        if self.step_error_fires(tenant, round) {
+        if self.hook.step_error(tenant, round) {
             // The slice fails before any work: training, advice and the
             // cluster clock are untouched, so the failure is invisible to
             // every other round of this tenant — and to every other
@@ -703,98 +649,65 @@ impl Fleet {
             let _ = self.record_tenant_error(tenant, TenantErrorKind::Step);
             return;
         }
-        let episodes_per_slice = self.cfg.episodes_per_slice;
-        let probe_queries = self.cfg.probe_queries;
-        let window_seconds = self.cfg.window_seconds;
-        // Fleet-wide aggregate deploy budget, evaluated before the slot is
-        // borrowed: canaries started inside the budget horizon, across all
-        // tenants.
+        // Fleet-wide aggregate deploy budget: canaries started inside the
+        // budget horizon, across all tenants.
         let budget_window = self.cfg.guardrail.budget_window;
         self.stage_rounds.retain(|r| *r + budget_window > round);
         let fleet_budget_ok = (self.stage_rounds.len() as u64) < self.cfg.fleet_budget_deploys;
-        // Poisoned advice is derived while the slot is still borrowed
-        // immutably (the layout depends on the deployed state).
-        let poison = {
-            let Some(slot) = self.tenants.get(tenant) else {
-                return;
-            };
-            match slot.spec.poison_from_round {
-                Some(from) if round >= from && !slot.guardrail.canary_open() => {
-                    Some(self.poison_layout(tenant, round, slot))
-                }
-                _ => None,
-            }
-        };
         let Some(slot) = self.tenants.get_mut(tenant) else {
             return;
         };
         slot.counters.slices_run += 1;
+        let injected = if slot.service.guardrail().canary_open() {
+            None
+        } else {
+            let advisor = slot.service.advisor();
+            let deployed = slot.service.cluster().deployed();
+            self.hook
+                .candidate(tenant, round, &advisor.env.schema, deployed)
+        };
         // Training slice, budgeted. Past the spec's horizon the tenant is
         // fully trained and slices become advice-only.
         if slot.episode < slot.spec.episodes {
-            let end = (slot.episode + episodes_per_slice).min(slot.spec.episodes);
-            slot.advisor
+            let end = (slot.episode + self.cfg.episodes_per_slice).min(slot.spec.episodes);
+            slot.service
+                .advisor_mut()
                 .train_episodes_from(slot.episode, end, |_| {}, |_, _, _| {});
             slot.episode = end;
         }
-        // Advice: greedy rollout (draws no RNG — does not perturb
-        // training). The deploy decision belongs to the guardrail — the
-        // fleet no longer deploys on raw predicted improvement; the same
-        // economic gate, hysteresis, budget and canary protocol the
-        // standalone service applies run here per tenant.
-        let candidate = if slot.guardrail.canary_open() {
-            None
-        } else if let Some(partitioning) = poison {
-            // Fabricated benefit: the point of the poison is that *paper*
-            // numbers lie, and only observed evidence catches the lie.
-            Some(CandidateDeploy {
-                partitioning,
-                benefit_per_run: 1e12,
+        // The decision is the service's: the same monitor → forecast →
+        // advise → guardrail path a standalone service runs. A tenant that
+        // saw no SQL decides on the uniform mix over its workload.
+        let idle_mix = slot.service.advisor().env.workload.uniform_frequencies();
+        let WindowReport { events, .. } =
+            slot.service
+                .close_window(Some(idle_mix), fleet_budget_ok, injected);
+        slot.service.probe(self.cfg.probe_queries);
+        slot.service
+            .cluster_mut()
+            .advance_clock(self.cfg.window_seconds);
+        if !slot.service.cluster().health().healthy() {
+            slot.counters.degraded_windows += 1;
+        }
+        // Only guardrail decisions are journaled; what the monitor absorbed
+        // or dropped stays in the service's own window report.
+        let events: Vec<GuardrailEvent> = events
+            .into_iter()
+            .filter_map(|event| match event {
+                ServiceEvent::Guardrail(event) => Some(event),
+                ServiceEvent::NoTraffic | ServiceEvent::IncrementallyTrained { .. } => None,
             })
-        } else {
-            let suggestion = slot.advisor.suggest(&slot.mix);
-            let current_cost = slot.advisor.cost_of(slot.cluster.deployed(), &slot.mix);
-            let suggested_cost = slot.advisor.cost_of(&suggestion.partitioning, &slot.mix);
-            Some(CandidateDeploy {
-                partitioning: suggestion.partitioning,
-                benefit_per_run: current_cost - suggested_cost,
-            })
-        };
-        let events = slot.guardrail.end_window(
-            &mut slot.cluster,
-            &slot.workload,
-            &slot.mix,
-            candidate,
-            fleet_budget_ok,
-        );
-        let mut staged = false;
+            .collect();
         for event in &events {
             match event {
                 GuardrailEvent::CanaryStarted { .. } => {
-                    staged = true;
+                    self.stage_rounds.push(round);
                     slot.counters.deployments += 1;
                 }
                 // A rollback migrates the previous layout back in.
                 GuardrailEvent::RolledBack { .. } => slot.counters.deployments += 1,
                 _ => {}
             }
-        }
-        // Probe traffic: exercises the fault layer so ClusterHealth
-        // reflects the tenant's storm (or calm). Outcomes are accounted,
-        // never propagated — a failed probe is the fault layer working.
-        for query in slot.workload.queries().iter().take(probe_queries) {
-            match slot.cluster.run_query(query, None) {
-                QueryOutcome::Completed { .. } => {}
-                QueryOutcome::TimedOut { .. } => {}
-                QueryOutcome::Failed { .. } => {}
-            }
-        }
-        slot.cluster.advance_clock(window_seconds);
-        if !slot.cluster.health().healthy() {
-            slot.counters.degraded_windows += 1;
-        }
-        if staged {
-            self.stage_rounds.push(round);
         }
         if self.journal.len() + events.len() > JOURNAL_BUFFER_CAP {
             let drop = (self.journal.len() + events.len()) - JOURNAL_BUFFER_CAP;
@@ -810,6 +723,13 @@ impl Fleet {
             }));
     }
 
+    /// Feed one observed SQL statement to a tenant's workload monitor. A
+    /// tenant that sees SQL closes its windows on the observed (forecast)
+    /// mix instead of the uniform one.
+    pub fn observe_sql(&mut self, tenant: usize, sql: &str) -> Result<Observation, FleetError> {
+        Ok(self.slot_mut(tenant)?.service.observe_sql(sql))
+    }
+
     /// Fleet-wide report: per-tenant fairness counters, health, weight
     /// fingerprints, admission-control totals. Store counters are zero
     /// here; the checkpointing layer fills them in.
@@ -820,13 +740,13 @@ impl Fleet {
             .enumerate()
             .map(|(id, slot)| TenantReport {
                 tenant: id,
-                name: slot.name.clone(),
+                name: slot.spec.name.clone(),
                 status: slot.status,
                 episode: slot.episode,
                 counters: slot.counters,
-                health: slot.cluster.health(),
-                weight_fingerprint: slot.advisor.weight_fingerprint(),
-                guardrail: slot.guardrail.accounting(),
+                health: slot.service.cluster().health(),
+                weight_fingerprint: slot.service.advisor().weight_fingerprint(),
+                guardrail: slot.service.guardrail().accounting(),
             })
             .collect();
         let mut guardrail = GuardrailAccounting::default();
@@ -851,28 +771,22 @@ impl Fleet {
     // ---- per-tenant accessors (the only sanctioned way to tenant state;
     // ---- lint rule L014 forbids bypassing them outside this module) ----
 
-    pub fn tenant_name(&self, tenant: usize) -> Result<&str, FleetError> {
-        Ok(&self.slot(tenant)?.name)
-    }
-
-    pub fn tenant_spec(&self, tenant: usize) -> Result<&TenantSpec, FleetError> {
-        Ok(&self.slot(tenant)?.spec)
+    /// The tenant's service, read-only: advisor, monitor, forecaster and
+    /// guardrail (decisions run inside the slice).
+    pub fn tenant_service(&self, tenant: usize) -> Result<&PartitioningService, FleetError> {
+        Ok(&self.slot(tenant)?.service)
     }
 
     pub fn tenant_schema(&self, tenant: usize) -> Result<&Schema, FleetError> {
-        Ok(&self.slot(tenant)?.schema)
+        Ok(&self.tenant_service(tenant)?.advisor().env.schema)
     }
 
     pub fn tenant_workload(&self, tenant: usize) -> Result<&Workload, FleetError> {
-        Ok(&self.slot(tenant)?.workload)
-    }
-
-    pub fn tenant_advisor(&self, tenant: usize) -> Result<&Advisor, FleetError> {
-        Ok(&self.slot(tenant)?.advisor)
+        Ok(&self.tenant_service(tenant)?.advisor().env.workload)
     }
 
     pub fn tenant_cluster(&self, tenant: usize) -> Result<&Cluster, FleetError> {
-        Ok(&self.slot(tenant)?.cluster)
+        Ok(self.tenant_service(tenant)?.cluster())
     }
 
     pub fn tenant_episode(&self, tenant: usize) -> Result<usize, FleetError> {
@@ -894,12 +808,7 @@ impl Fleet {
     /// Stable fingerprint of the tenant's learned weights (the isolation
     /// tests' currency).
     pub fn tenant_weight_fingerprint(&self, tenant: usize) -> Result<u64, FleetError> {
-        Ok(self.slot(tenant)?.advisor.weight_fingerprint())
-    }
-
-    /// The tenant's guardrail (read-only; decisions run inside the slice).
-    pub fn tenant_guardrail(&self, tenant: usize) -> Result<&Guardrail, FleetError> {
-        Ok(&self.slot(tenant)?.guardrail)
+        Ok(self.tenant_service(tenant)?.advisor().weight_fingerprint())
     }
 
     /// Drain the buffered deployment-journal records (the durable layer's
@@ -921,32 +830,29 @@ impl Fleet {
 
     /// Replace a tenant's live state from checkpointed parts — the crash
     /// recovery path. The tenant must already be admitted (fleets are
-    /// rebuilt from specs, then restored tenant-by-tenant); schema,
-    /// workload and mix are *not* replaced because they are pure functions
-    /// of the spec.
+    /// rebuilt from specs, then restored tenant-by-tenant): the restored
+    /// advisor and service state move into the tenant's existing service,
+    /// which keeps its generated cluster data and the fleet's config.
     #[allow(clippy::too_many_arguments)]
     pub fn restore_tenant(
         &mut self,
         tenant: usize,
         advisor: Advisor,
-        cluster_state: ClusterResumeState,
+        service: ServiceResumeState,
         episode: usize,
         status: TenantStatus,
         errors_since_rejoin: u64,
         counters: TenantCounters,
-        guardrail: GuardrailResumeState,
     ) -> Result<(), FleetError> {
-        let guardrail_cfg = self.cfg.guardrail;
         let slot = self.slot_mut(tenant)?;
-        slot.cluster
-            .restore_resume_state(cluster_state)
+        *slot.service.advisor_mut() = advisor;
+        slot.service
+            .restore_resume_state(service)
             .map_err(|reason| FleetError::RestoreFailed { tenant, reason })?;
-        slot.advisor = advisor;
         slot.episode = episode;
         slot.status = status;
         slot.errors_since_rejoin = errors_since_rejoin;
         slot.counters = counters;
-        slot.guardrail = Guardrail::restore(guardrail_cfg, guardrail);
         Ok(())
     }
 }
@@ -1006,12 +912,15 @@ mod tests {
             },
             ..FleetConfig::default()
         });
-        let sick = fleet
-            .admit(TenantSpec {
-                step_error_rate: 1.0,
-                ..micro_spec("sick", 7)
-            })
-            .unwrap();
+        #[derive(Debug)]
+        struct FailTenant(usize);
+        impl SliceHook for FailTenant {
+            fn step_error(&self, tenant: usize, _round: u64) -> bool {
+                tenant == self.0
+            }
+        }
+        let sick = fleet.admit(micro_spec("sick", 7)).unwrap();
+        fleet.set_hook(Box::new(FailTenant(sick)));
         let healthy = fleet.admit(micro_spec("healthy", 8)).unwrap();
         fleet.run_rounds(4);
         let c = fleet.tenant_counters(sick).unwrap();

@@ -29,6 +29,7 @@
 
 pub mod fleet;
 pub mod forecast;
+pub mod hook;
 pub mod monitor;
 pub mod service;
 
@@ -38,5 +39,8 @@ pub use fleet::{
     TenantStatus,
 };
 pub use forecast::FrequencyForecaster;
+pub use hook::{NoHook, SliceHook};
 pub use monitor::{Observation, WorkloadMonitor};
-pub use service::{PartitioningService, ServiceConfig, ServiceEvent, WindowReport};
+pub use service::{
+    PartitioningService, ServiceConfig, ServiceEvent, ServiceResumeState, WindowReport,
+};

@@ -1,7 +1,7 @@
 //! SQL workload monitoring: map observed statements onto the advisor's
 //! representative query set and count frequencies.
 
-use lpa_schema::{Schema, TableId};
+use lpa_schema::Schema;
 use lpa_sql::parse_query;
 use lpa_workload::{FrequencyVector, Query, QueryId, SelectivityBuckets, Workload};
 use std::collections::HashMap;
@@ -28,8 +28,7 @@ struct Signature {
     buckets: Vec<(usize, usize)>,
 }
 
-fn signature(schema: &Schema, buckets: &SelectivityBuckets, q: &Query) -> Signature {
-    let _ = schema;
+fn signature(buckets: &SelectivityBuckets, q: &Query) -> Signature {
     let mut tables: Vec<usize> = q.tables.iter().map(|t| t.0).collect();
     tables.sort_unstable();
     let mut joins: Vec<(usize, usize, usize, usize)> = q
@@ -81,7 +80,7 @@ impl WorkloadMonitor {
         let buckets = SelectivityBuckets::default_three();
         let mut known = HashMap::new();
         for id in workload.query_ids() {
-            let sig = signature(&schema, &buckets, workload.query(id));
+            let sig = signature(&buckets, workload.query(id));
             known.insert(sig, id);
         }
         Self {
@@ -97,10 +96,9 @@ impl WorkloadMonitor {
     /// Register an additional known query (after incremental training
     /// assigned it a reserved slot).
     pub fn register(&mut self, id: QueryId, query: &Query) {
-        let sig = signature(&self.schema, &self.buckets, query);
+        let sig = signature(&self.buckets, query);
+        self.pending.remove(&sig);
         self.known.insert(sig, id);
-        self.pending
-            .retain(|s, _| *s != signature(&self.schema, &self.buckets, query));
         if self.counts.len() <= id.0 {
             self.counts.resize(id.0 + 1, 0.0);
         }
@@ -113,7 +111,7 @@ impl WorkloadMonitor {
             Err(e) => return Observation::Rejected(e.to_string()),
         };
         self.observed_in_window += 1;
-        let sig = signature(&self.schema, &self.buckets, &q);
+        let sig = signature(&self.buckets, &q);
         if let Some(&id) = self.known.get(&sig) {
             self.counts[id.0] += 1.0;
             return Observation::Known(id);
@@ -139,10 +137,13 @@ impl WorkloadMonitor {
         ))
     }
 
-    /// New queries with their observation counts, hottest first.
-    pub fn pending_queries(&self) -> Vec<(Query, u64)> {
+    /// New queries with their observation counts, hottest first, ties by
+    /// name — the one ordering incremental training (slot assignment, hence
+    /// the encoder layout and every later weight) and checkpoint capture
+    /// both see. It never depends on hash-map iteration order.
+    pub fn pending(&self) -> Vec<(Query, u64)> {
         let mut v: Vec<(Query, u64)> = self.pending.values().cloned().collect();
-        v.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+        v.sort_by(|(a, na), (b, nb)| nb.cmp(na).then_with(|| a.name.cmp(&b.name)));
         v
     }
 
@@ -154,16 +155,6 @@ impl WorkloadMonitor {
     /// Raw per-slot counts of the current window (checkpoint capture).
     pub fn window_counts(&self) -> &[f64] {
         &self.counts
-    }
-
-    /// Pending new queries in a deterministic order (by name, then count) —
-    /// the checkpoint capture path. Unlike [`Self::pending_queries`] the
-    /// order does not depend on hash-map iteration, so re-encoding a
-    /// restored monitor yields identical bytes.
-    pub fn pending_snapshot(&self) -> Vec<(Query, u64)> {
-        let mut v: Vec<(Query, u64)> = self.pending.values().cloned().collect();
-        v.sort_by(|(a, na), (b, nb)| a.name.cmp(&b.name).then(na.cmp(nb)));
-        v
     }
 
     /// Restore the window state captured by a checkpoint. The monitor must
@@ -186,7 +177,7 @@ impl WorkloadMonitor {
         self.observed_in_window = observed_in_window;
         self.pending.clear();
         for (q, n) in pending {
-            let sig = signature(&self.schema, &self.buckets, &q);
+            let sig = signature(&self.buckets, &q);
             self.pending.insert(sig, (q, n));
         }
         Ok(())
@@ -196,21 +187,6 @@ impl WorkloadMonitor {
     pub fn reset_window(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0.0);
         self.observed_in_window = 0;
-    }
-
-    /// Tables touched so far in this window (for diagnostics).
-    pub fn touched_tables(&self, workload: &Workload) -> Vec<TableId> {
-        let mut out = Vec::new();
-        for (i, c) in self.counts.iter().enumerate() {
-            if *c > 0.0 && i < workload.queries().len() {
-                for t in &workload.queries()[i].tables {
-                    if !out.contains(t) {
-                        out.push(*t);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -265,9 +241,46 @@ mod tests {
             );
             assert!(matches!(obs, Observation::New(_)));
         }
-        let pending = m.pending_queries();
+        let pending = m.pending();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].1, 3);
+    }
+
+    /// Equally hot new queries come back in name order whatever order they
+    /// arrived in (and whatever order the hash map happens to iterate in —
+    /// every monitor has its own `RandomState`), hotter ones first.
+    #[test]
+    fn pending_order_is_count_then_name_not_arrival_or_hash_order() {
+        let tied = [
+            "SELECT count(*) FROM customer c, supplier s WHERE c.c_city = s.s_city",
+            "SELECT count(*) FROM part p, lineorder l WHERE l.lo_partkey = p.p_partkey",
+            "SELECT count(*) FROM customer c, lineorder l WHERE l.lo_custkey = c.c_custkey",
+            "SELECT count(*) FROM supplier s, lineorder l WHERE l.lo_suppkey = s.s_suppkey",
+        ];
+        let hot = "SELECT count(*) FROM customer c, supplier s WHERE c.c_nation = s.s_nation";
+        let (_, _, mut forward) = setup();
+        let (_, _, mut backward) = setup();
+        for sql in tied {
+            assert!(matches!(forward.observe(sql), Observation::New(_)));
+        }
+        for sql in tied.iter().rev() {
+            backward.observe(sql);
+        }
+        for m in [&mut forward, &mut backward] {
+            m.observe(hot);
+            m.observe(hot);
+        }
+        let names = |m: &WorkloadMonitor| -> Vec<(String, u64)> {
+            m.pending().into_iter().map(|(q, n)| (q.name, n)).collect()
+        };
+        let order = names(&forward);
+        assert_eq!(order, names(&backward));
+        assert_eq!(order.len(), 5);
+        assert_eq!(order[0].1, 2, "the hottest query leads");
+        assert!(
+            order[1..].windows(2).all(|w| w[0].0 < w[1].0),
+            "ties break by name: {order:?}"
+        );
     }
 
     #[test]

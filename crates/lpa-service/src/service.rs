@@ -6,10 +6,11 @@ use crate::forecast::FrequencyForecaster;
 use crate::monitor::{Observation, WorkloadMonitor};
 use lpa_advisor::{incremental, Advisor};
 use lpa_cluster::{
-    CandidateDeploy, Cluster, Guardrail, GuardrailAccounting, GuardrailConfig, GuardrailEvent,
+    CandidateDeploy, Cluster, ClusterResumeState, Guardrail, GuardrailAccounting, GuardrailConfig,
+    GuardrailEvent, GuardrailResumeState, QueryOutcome,
 };
 use lpa_partition::Partitioning;
-use lpa_workload::FrequencyVector;
+use lpa_workload::{FrequencyVector, Query};
 
 /// Controller knobs.
 #[derive(Clone, Copy, Debug)]
@@ -42,6 +43,9 @@ impl Default for ServiceConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServiceEvent {
     NoTraffic,
+    /// Enough new queries accumulated: `added` took reserved slots and were
+    /// trained in, `skipped` were discarded (no slot left, or the workload
+    /// refused them) — `added: 0` means the whole batch was dropped.
     IncrementallyTrained {
         added: usize,
         skipped: usize,
@@ -65,6 +69,25 @@ pub struct WindowReport {
     pub guardrail: GuardrailAccounting,
 }
 
+/// Checkpointable service state besides the advisor session and the
+/// config (which the owner carries): everything [`PartitioningService::new`]
+/// starts empty and a crash must not lose — captured into snapshots so a
+/// window interrupted mid-way closes bit-identically after a resume.
+#[derive(Clone, Debug)]
+pub struct ServiceResumeState {
+    pub cluster: ClusterResumeState,
+    /// The monitor's per-slot counts of the open window.
+    pub monitor_counts: Vec<f64>,
+    pub monitor_observed: u64,
+    /// Quarantined new queries with their observation counts.
+    pub monitor_pending: Vec<(Query, u64)>,
+    pub forecaster: FrequencyForecaster,
+    pub guardrail: GuardrailResumeState,
+    /// How many queries at the tail of the advisor's workload were absorbed
+    /// from observed SQL rather than built with it.
+    pub absorbed: usize,
+}
+
 /// The advisor wired into a production database.
 #[derive(Debug)]
 pub struct PartitioningService {
@@ -74,6 +97,8 @@ pub struct PartitioningService {
     forecaster: FrequencyForecaster,
     guardrail: Guardrail,
     cfg: ServiceConfig,
+    /// Queries absorbed from observed SQL since the workload was built.
+    absorbed: usize,
 }
 
 impl PartitioningService {
@@ -89,6 +114,7 @@ impl PartitioningService {
             forecaster,
             guardrail: Guardrail::new(cfg.guardrail),
             cfg,
+            absorbed: 0,
         }
     }
 
@@ -103,6 +129,14 @@ impl PartitioningService {
 
     pub fn advisor(&self) -> &Advisor {
         &self.advisor
+    }
+
+    /// Mutable advisor access: training between windows (a fleet spends its
+    /// per-slice episode budget here). A caller that *replaces* the advisor
+    /// must follow with [`Self::restore_resume_state`], which re-indexes
+    /// the monitor against the new workload.
+    pub fn advisor_mut(&mut self) -> &mut Advisor {
+        &mut self.advisor
     }
 
     pub fn monitor(&self) -> &WorkloadMonitor {
@@ -123,48 +157,55 @@ impl PartitioningService {
         &self.guardrail
     }
 
-    /// Borrow every component at once (checkpoint capture by the
-    /// durable-state layer).
-    pub fn parts(
-        &self,
-    ) -> (
-        &Advisor,
-        &Cluster,
-        &WorkloadMonitor,
-        &FrequencyForecaster,
-        &Guardrail,
-        &ServiceConfig,
-    ) {
-        (
-            &self.advisor,
-            &self.cluster,
-            &self.monitor,
-            &self.forecaster,
-            &self.guardrail,
-            &self.cfg,
-        )
+    /// The queries absorbed from observed SQL — the tail of the advisor's
+    /// workload a checkpoint has to carry, because no template rebuilds it.
+    pub fn absorbed_queries(&self) -> &[Query] {
+        let queries = self.advisor.env.workload.queries();
+        &queries[queries.len() - self.absorbed..]
     }
 
-    /// Reassemble a service from restored components — the checkpoint
-    /// restore path. Unlike [`Self::new`] the monitor, forecaster and
-    /// guardrail keep their mid-window state (an open canary survives the
-    /// crash) instead of starting fresh.
-    pub fn from_parts(
-        advisor: Advisor,
-        cluster: Cluster,
-        monitor: WorkloadMonitor,
-        forecaster: FrequencyForecaster,
-        guardrail: Guardrail,
-        cfg: ServiceConfig,
-    ) -> Self {
-        Self {
-            advisor,
-            cluster,
-            monitor,
-            forecaster,
-            guardrail,
-            cfg,
+    /// Capture everything but the advisor session and the config.
+    pub fn resume_state(&self) -> ServiceResumeState {
+        ServiceResumeState {
+            cluster: self.cluster.resume_state(),
+            monitor_counts: self.monitor.window_counts().to_vec(),
+            monitor_observed: self.monitor.window_total(),
+            monitor_pending: self.monitor.pending(),
+            forecaster: self.forecaster.clone(),
+            guardrail: self.guardrail.resume_state(),
+            absorbed: self.absorbed,
         }
+    }
+
+    /// Re-apply a captured state around the current (restored) advisor —
+    /// the crash-recovery path. Unlike [`Self::new`] the monitor,
+    /// forecaster and guardrail keep their mid-window state (an open canary
+    /// survives the crash). The monitor is re-indexed against the advisor's
+    /// workload first, so the counts have to line up with its slots.
+    pub fn restore_resume_state(&mut self, st: ServiceResumeState) -> Result<(), String> {
+        let workload = &self.advisor.env.workload;
+        if st.absorbed > workload.queries().len() {
+            return Err(format!(
+                "{} absorbed queries in a workload of {}",
+                st.absorbed,
+                workload.queries().len()
+            ));
+        }
+        if st.forecaster.level().len() != workload.slots() {
+            return Err(format!(
+                "forecaster slots {} != workload slots {}",
+                st.forecaster.level().len(),
+                workload.slots()
+            ));
+        }
+        let mut monitor = WorkloadMonitor::new(self.advisor.env.schema.clone(), workload);
+        monitor.restore_window(st.monitor_counts, st.monitor_observed, st.monitor_pending)?;
+        self.cluster.restore_resume_state(st.cluster)?;
+        self.monitor = monitor;
+        self.forecaster = st.forecaster;
+        self.guardrail = Guardrail::restore(self.cfg.guardrail, st.guardrail);
+        self.absorbed = st.absorbed;
+        Ok(())
     }
 
     /// Ingest one observed SQL statement.
@@ -172,37 +213,78 @@ impl PartitioningService {
         self.monitor.observe(sql)
     }
 
-    /// Close the current window: update the forecast, re-evaluate the
-    /// partitioning, repartition if it pays off, absorb new queries.
+    /// Run the first `queries` workload queries against the production
+    /// cluster — probe traffic that exercises the fault layer, so
+    /// [`Cluster::health`] reflects the storm (or calm). Outcomes are
+    /// accounted by the cluster, never propagated: a failed probe is the
+    /// fault layer working.
+    pub fn probe(&mut self, queries: usize) {
+        for query in self.advisor.env.workload.queries().iter().take(queries) {
+            match self.cluster.run_query(query, None) {
+                QueryOutcome::Completed { .. } => {}
+                QueryOutcome::TimedOut { .. } => {}
+                QueryOutcome::Failed { .. } => {}
+            }
+        }
+    }
+
+    /// Close the current window as a standalone service: no traffic means
+    /// no decision, and no fleet shares the deploy budget.
     pub fn end_window(&mut self) -> WindowReport {
+        self.close_window(None, true, None)
+    }
+
+    /// Close the current window: absorb new queries, update the forecast,
+    /// re-evaluate the partitioning, repartition if it pays off. The one
+    /// production decision path — a standalone service and a fleet tenant
+    /// differ only in the arguments:
+    ///
+    /// * `idle_mix` — the mix to decide on when neither this window nor
+    ///   the forecaster saw any traffic (`None`: report
+    ///   [`ServiceEvent::NoTraffic`] and leave the guardrail window open).
+    ///   It never passes through the forecaster.
+    /// * `budget_ok` — the fleet-wide aggregate deploy budget's verdict.
+    /// * `injected` — fault injection: a candidate to stage *instead of*
+    ///   asking the advisor (see [`crate::hook::SliceHook`]); `None` in
+    ///   production.
+    pub fn close_window(
+        &mut self,
+        idle_mix: Option<FrequencyVector>,
+        budget_ok: bool,
+        injected: Option<CandidateDeploy>,
+    ) -> WindowReport {
         let mut events = Vec::new();
         let observed = self.monitor.frequencies();
 
         // Absorb new queries first so suggestions can account for them.
-        let pending = self.monitor.pending_queries();
+        let pending = self.monitor.pending();
         if pending.len() >= self.cfg.incremental_threshold {
-            let slots_free = self.advisor.env.workload.reserved_slots();
-            let take = pending.len().min(slots_free);
+            let take = pending
+                .len()
+                .min(self.advisor.env.workload.reserved_slots());
             let queries: Vec<_> = pending.iter().take(take).map(|(q, _)| q.clone()).collect();
-            if take > 0 {
-                // `take` is clamped to the free slots above, so this only
-                // fails if the workload rejects a query; the window then
-                // proceeds without incremental training instead of aborting.
-                if let Ok(report) = incremental::add_queries(
+            // `take` is clamped to the free slots, so training only fails if
+            // the workload rejects a query; the window then proceeds without
+            // it instead of aborting. With no slot free nothing is trained.
+            let trained = take > 0
+                && incremental::add_queries(
                     &mut self.advisor,
                     queries,
                     self.cfg.incremental_episodes,
-                ) {
+                )
+                .map(|report| {
                     for id in &report.new_ids {
                         let q = self.advisor.env.workload.query(*id).clone();
                         self.monitor.register(*id, &q);
                     }
-                    events.push(ServiceEvent::IncrementallyTrained {
-                        added: take,
-                        skipped: pending.len() - take,
-                    });
-                }
-            }
+                })
+                .is_ok();
+            let added = if trained { take } else { 0 };
+            self.absorbed += added;
+            events.push(ServiceEvent::IncrementallyTrained {
+                added,
+                skipped: pending.len() - added,
+            });
             self.monitor.clear_pending();
         }
 
@@ -213,46 +295,44 @@ impl PartitioningService {
                     .forecast(self.cfg.forecast_horizon)
                     .or_else(|| Some(f.clone()))
             }
-            None => self.forecaster.forecast(self.cfg.forecast_horizon),
+            None => self
+                .forecaster
+                .forecast(self.cfg.forecast_horizon)
+                .or(idle_mix),
         };
 
-        let Some(mix) = mix_used.clone() else {
+        if let Some(mix) = &mix_used {
+            // Ask the advisor — unless a canary is already in flight, in
+            // which case the guardrail finishes judging it before a new
+            // candidate is considered — and route the deploy decision
+            // through the guardrail (economics → hysteresis → budget →
+            // baseline → canary).
+            let candidate = if self.guardrail.canary_open() {
+                None
+            } else {
+                injected.or_else(|| {
+                    let suggestion = self.advisor.suggest(mix);
+                    let current_cost = self.advisor.cost_of(self.cluster.deployed(), mix);
+                    let suggested_cost = self.advisor.cost_of(&suggestion.partitioning, mix);
+                    Some(CandidateDeploy {
+                        partitioning: suggestion.partitioning,
+                        benefit_per_run: current_cost - suggested_cost,
+                    })
+                })
+            };
+            let guard_events = self.guardrail.end_window(
+                &mut self.cluster,
+                &self.advisor.env.workload,
+                mix,
+                candidate,
+                budget_ok,
+            );
+            events.extend(guard_events.into_iter().map(ServiceEvent::Guardrail));
+        } else {
             // No traffic, no decision: the guardrail window does not close,
             // so an open canary simply waits for the next busy window.
             events.push(ServiceEvent::NoTraffic);
-            self.monitor.reset_window();
-            return WindowReport {
-                events,
-                deployed: self.cluster.deployed().clone(),
-                mix_used: None,
-                health: self.cluster.health(),
-                guardrail: self.guardrail.accounting(),
-            };
-        };
-
-        // Ask the advisor — unless a canary is already in flight, in which
-        // case the guardrail finishes judging it before a new candidate is
-        // considered — and route the deploy decision through the guardrail
-        // (economics → hysteresis → budget → baseline → canary).
-        let candidate = if self.guardrail.canary_open() {
-            None
-        } else {
-            let suggestion = self.advisor.suggest(&mix);
-            let current_cost = self.advisor.cost_of(self.cluster.deployed(), &mix);
-            let suggested_cost = self.advisor.cost_of(&suggestion.partitioning, &mix);
-            Some(CandidateDeploy {
-                partitioning: suggestion.partitioning,
-                benefit_per_run: current_cost - suggested_cost,
-            })
-        };
-        let guard_events = self.guardrail.end_window(
-            &mut self.cluster,
-            &self.advisor.env.workload,
-            &mix,
-            candidate,
-            true,
-        );
-        events.extend(guard_events.into_iter().map(ServiceEvent::Guardrail));
+        }
 
         self.monitor.reset_window();
         WindowReport {
@@ -437,8 +517,49 @@ mod tests {
             r.events
         );
         assert_eq!(s.advisor().env.workload.queries().len(), queries_before + 2);
-        // The freshly registered queries are now Known.
-        assert!(matches!(s.observe_sql(new_sql), Observation::Known(_)));
+        assert_eq!(s.absorbed_queries().len(), 2);
+        // The freshly registered queries are now Known — and, equally hot,
+        // they took their slots in name order, not in hash-map order.
+        let name = |sql| {
+            lpa_sql::parse_query(&s.advisor().env.schema, sql)
+                .expect("statement parses")
+                .name
+        };
+        let mut by_name = [(name(new_sql), new_sql), (name(new_sql2), new_sql2)];
+        by_name.sort();
+        for (offset, (_, sql)) in by_name.into_iter().enumerate() {
+            assert_eq!(
+                s.observe_sql(sql),
+                Observation::Known(lpa_workload::QueryId(queries_before + offset))
+            );
+        }
+    }
+
+    #[test]
+    fn new_queries_without_a_free_slot_are_reported_as_dropped() {
+        let mut s = service(0);
+        for sql in [
+            "SELECT count(*) FROM customer c, supplier s WHERE c.c_city = s.s_city",
+            "SELECT count(*) FROM part p, lineorder l WHERE l.lo_partkey = p.p_partkey",
+        ] {
+            assert!(matches!(s.observe_sql(sql), Observation::New(_)));
+        }
+        s.observe_sql(Q1_SQL);
+        let queries_before = s.advisor().env.workload.queries().len();
+        let r = s.end_window();
+        assert_eq!(
+            r.events[0],
+            ServiceEvent::IncrementallyTrained {
+                added: 0,
+                skipped: 2
+            },
+            "events: {:?}",
+            r.events
+        );
+        assert_eq!(s.advisor().env.workload.queries().len(), queries_before);
+        assert!(s.monitor().pending().is_empty(), "the batch was discarded");
+        // The window still decided on the known traffic.
+        assert!(r.mix_used.is_some());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! process kill at any moment restores the whole fleet from the last
 //! cadence boundary, bit-identical to the uninterrupted run.
 //!
-//! Failure philosophy (matches [`crate::service::CheckpointedService`]):
-//! durability failures are counted, attributed to the failing tenant
+//! Failure philosophy: durability failures are counted, attributed to the failing tenant
 //! through the fleet's quarantine funnel, and never fatal — one tenant's
 //! corrupt checkpoint quarantines *that tenant*; a corrupt manifest falls
 //! back to per-tenant directory scans; an all-corrupt tenant lineage
@@ -18,7 +17,8 @@
 
 use crate::journal::{DeploymentJournal, JOURNAL_FILE};
 use crate::manifest::{load_manifest, save_manifest, FleetManifest, ManifestEntry};
-use crate::session::{capture_advisor, restore_offline, OfflineTemplate};
+use crate::service::{capture_service, restore_parts};
+use crate::session::OfflineTemplate;
 use crate::snapshot::{Checkpoint, TenantSnapshot};
 use crate::store::CheckpointStore;
 use crate::StoreError;
@@ -28,32 +28,34 @@ use lpa_service::{
 };
 use std::path::{Path, PathBuf};
 
-/// Capture one tenant's complete resumable state. Read-only; safe for
-/// quarantined tenants.
+/// Capture one tenant's complete resumable state: the fleet's scheduling
+/// fields around [`capture_service`] of the tenant's service. Read-only;
+/// safe for quarantined tenants.
 pub fn capture_tenant(
     fleet: &Fleet,
     tenant: usize,
     round: u64,
 ) -> Result<TenantSnapshot, FleetError> {
+    let service =
+        capture_service(round, fleet.tenant_service(tenant)?).map_err(|e| FleetError::Storage {
+            reason: e.to_string(),
+        })?;
     Ok(TenantSnapshot {
         tenant: tenant as u64,
         round,
-        session: capture_advisor(
-            fleet.tenant_episode(tenant)? as u64,
-            fleet.tenant_advisor(tenant)?,
-        ),
-        cluster: fleet.tenant_cluster(tenant)?.resume_state(),
+        episode: fleet.tenant_episode(tenant)? as u64,
         status: fleet.tenant_status(tenant)?,
         errors_since_rejoin: fleet.tenant_errors_since_rejoin(tenant)?,
         counters: fleet.tenant_counters(tenant)?,
-        guardrail: fleet.tenant_guardrail(tenant)?.resume_state(),
+        service,
     })
 }
 
 /// Apply a tenant snapshot to an already-admitted tenant slot. The
-/// advisor's environment is rebuilt from the fleet's schema/workload (pure
-/// functions of the spec) under the fleet's cost-model convention
-/// (`CostParams::standard()`).
+/// advisor's environment is rebuilt from the tenant's schema and workload
+/// (pure functions of the spec — fleet tenants are built without reserved
+/// slots, so the live workload *is* the spec's) under the fleet's
+/// cost-model convention (`CostParams::standard()`).
 pub fn restore_tenant(fleet: &mut Fleet, snap: TenantSnapshot) -> Result<(), StoreError> {
     let tenant = snap.tenant as usize;
     let to_store = |e: FleetError| StoreError::Incompatible(e.to_string());
@@ -62,18 +64,16 @@ pub fn restore_tenant(fleet: &mut Fleet, snap: TenantSnapshot) -> Result<(), Sto
         workload: fleet.tenant_workload(tenant).map_err(to_store)?.clone(),
         model: NetworkCostModel::new(CostParams::standard()),
     };
-    let episode = snap.session.episode as usize;
-    let advisor = restore_offline(snap.session, &template)?;
+    let (advisor, service) = restore_parts(snap.service, template)?;
     fleet
         .restore_tenant(
             tenant,
             advisor,
-            snap.cluster,
-            episode,
+            service,
+            snap.episode as usize,
             snap.status,
             snap.errors_since_rejoin,
             snap.counters,
-            snap.guardrail,
         )
         .map_err(to_store)
 }
@@ -91,7 +91,10 @@ pub struct CheckpointedFleet {
     root: PathBuf,
     /// Checkpoint cadence: snapshot the fleet after every `every` rounds.
     every: u64,
-    stores: Vec<CheckpointStore>,
+    /// One lineage per tenant; `None` when its directory could not be
+    /// opened (counted as a write failure, never fatal — every checkpoint
+    /// of that tenant then fails and is counted in turn).
+    stores: Vec<Option<CheckpointStore>>,
     /// Last sequence durably written per tenant (kept in the manifest even
     /// when a newer write fails).
     last_good: Vec<Option<u64>>,
@@ -131,18 +134,15 @@ impl CheckpointedFleet {
         })
     }
 
-    /// Admit a tenant and open its checkpoint lineage. Admission-control
-    /// rejections pass through; a store that cannot be opened surfaces as
-    /// [`FleetError::Storage`] (and the tenant is not admitted).
+    /// Admit a tenant, then open its checkpoint lineage. Admission control
+    /// goes first, so a rejected (or unbuildable) spec leaves no
+    /// `tenant-NNNN/` directory behind.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, FleetError> {
-        let tenant = self.fleet.tenant_count();
-        let store = CheckpointStore::open(tenant_dir(&self.root, tenant)).map_err(|e| {
-            FleetError::Storage {
-                reason: e.to_string(),
-            }
-        })?;
         let id = self.fleet.admit(spec)?;
-        debug_assert_eq!(id, tenant);
+        let store = CheckpointStore::open(tenant_dir(&self.root, id)).ok();
+        if store.is_none() {
+            self.write_failures += 1;
+        }
         self.stores.push(store);
         self.last_good.push(None);
         Ok(id)
@@ -192,7 +192,9 @@ impl CheckpointedFleet {
         let round = self.fleet.round();
         for tenant in 0..self.fleet.tenant_count() {
             let written = match capture_tenant(&self.fleet, tenant, round) {
-                Ok(snap) => self.stores[tenant].save(&Checkpoint::Tenant(snap)).is_ok(),
+                Ok(snap) => self.stores[tenant]
+                    .as_mut()
+                    .is_some_and(|store| store.save(&Checkpoint::Tenant(snap)).is_ok()),
                 Err(_) => false,
             };
             if written {
@@ -268,10 +270,12 @@ impl CheckpointedFleet {
                     continue;
                 }
             };
-            let snap = match me.stores[tenant].load_latest(&schema) {
-                Ok(Some((seq, ck))) => ck.into_tenant().ok().map(|s| (seq, s)),
-                Ok(None) => None,
-                Err(_) => None,
+            let snap = match me.stores[tenant]
+                .as_mut()
+                .map(|store| store.load_latest(&schema))
+            {
+                Some(Ok(Some((seq, ck)))) => ck.into_tenant().ok().map(|s| (seq, s)),
+                Some(Ok(None)) | Some(Err(_)) | None => None,
             };
             loaded.push(snap);
         }
@@ -314,7 +318,10 @@ impl CheckpointedFleet {
                     // No usable snapshot. Only an error if the manifest
                     // (or leftover files) say there should have been one —
                     // a genuinely new tenant starts fresh silently.
-                    if expected.is_some() || !me.stores[tenant].list().is_empty() {
+                    let leftovers = me.stores[tenant]
+                        .as_ref()
+                        .is_some_and(|store| !store.list().is_empty());
+                    if expected.is_some() || leftovers {
                         failed = true;
                     }
                 }
@@ -339,7 +346,7 @@ impl CheckpointedFleet {
             manifest_fallbacks: self.manifest_fallbacks,
             ..FleetStoreCounters::default()
         };
-        for s in &self.stores {
+        for s in self.stores.iter().flatten() {
             let c = s.counters();
             store.checkpoints_written += c.checkpoints_written;
             store.corruptions_detected += c.checkpoint_corruptions_detected;

@@ -24,8 +24,9 @@
 //! an interrupted run equals the log of the uninterrupted one.
 
 use crate::codec::{crc32, ByteReader, ByteWriter};
+use crate::snapshot::{put_window_observation, take_window_observation};
 use crate::StoreError;
-use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason, WindowObservation};
+use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason};
 use lpa_service::JournalRecord;
 use std::collections::HashSet;
 use std::io::Write;
@@ -54,22 +55,6 @@ fn take_digest(r: &mut ByteReader) -> Result<LayoutDigest, StoreError> {
     Ok(LayoutDigest {
         tables: r.take_u64s()?,
         edges: r.take_bools()?,
-    })
-}
-
-fn put_observation(w: &mut ByteWriter, o: &WindowObservation) {
-    w.put_f64(o.weighted_seconds);
-    w.put_u64(o.clean);
-    w.put_u64(o.degraded);
-    w.put_u64(o.failed);
-}
-
-fn take_observation(r: &mut ByteReader) -> Result<WindowObservation, StoreError> {
-    Ok(WindowObservation {
-        weighted_seconds: r.take_f64()?,
-        clean: r.take_u64()?,
-        degraded: r.take_u64()?,
-        failed: r.take_u64()?,
     })
 }
 
@@ -150,7 +135,7 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
         GuardrailEvent::CanaryObserved { window, observed } => {
             w.put_u8(3);
             w.put_u64(*window);
-            put_observation(&mut w, observed);
+            put_window_observation(&mut w, observed);
         }
         GuardrailEvent::CanaryExtended {
             window,
@@ -214,7 +199,7 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, StoreError> {
         },
         3 => GuardrailEvent::CanaryObserved {
             window: r.take_u64()?,
-            observed: take_observation(&mut r)?,
+            observed: take_window_observation(&mut r)?,
         },
         4 => GuardrailEvent::CanaryExtended {
             window: r.take_u64()?,
@@ -422,6 +407,7 @@ impl DeploymentJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpa_cluster::WindowObservation;
 
     fn rec(tenant: u64, round: u64, window: u64) -> JournalRecord {
         JournalRecord {

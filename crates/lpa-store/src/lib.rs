@@ -20,9 +20,9 @@
 //!   fsync + rename + directory fsync, keeping the previous checkpoint so
 //!   a corrupt newest file falls back to the last good one — detected by
 //!   CRC/length checks, counted, never a panic;
-//! - capture/restore drivers ([`session`], [`service`]) that plug into the
-//!   training loop's episode boundaries and the service's window
-//!   boundaries.
+//! - capture/restore drivers ([`session`], [`service`], [`fleet`]) that
+//!   plug into the training loop's episode boundaries, the service's
+//!   window boundaries and the fleet's round boundaries.
 //!
 //! Everything else in the workspace is forbidden from raw filesystem
 //! writes by lint L008: durable state goes through this crate or not at
@@ -47,7 +47,7 @@ pub use manifest::{
     load_manifest, save_manifest, FleetManifest, ManifestEntry, MANIFEST_FILE, MANIFEST_MAGIC,
     MANIFEST_VERSION,
 };
-pub use service::{capture_service, restore_service, CheckpointedService, ServiceTemplate};
+pub use service::{capture_service, restore_service};
 pub use session::{
     capture_advisor, capture_committee, restore_committee, restore_offline, restore_online,
     train_checkpointed, CheckpointingReport, OfflineTemplate, OnlineTemplate,

@@ -1,27 +1,22 @@
-//! Capture and restore of the end-to-end partitioning service, plus a
-//! wrapper that checkpoints at decision-window boundaries.
+//! Capture and restore of the end-to-end partitioning service — the one
+//! codec path for service state, standalone or as a fleet tenant
+//! ([`crate::fleet`] wraps it with the tenant's scheduling fields).
 
 use crate::session::{restore_offline, OfflineTemplate};
-use crate::snapshot::{Checkpoint, ServiceSnapshot, SessionSnapshot};
-use crate::store::CheckpointStore;
+use crate::snapshot::{ServiceSnapshot, SessionSnapshot};
 use crate::StoreError;
-use lpa_cluster::{Cluster, Guardrail};
-use lpa_costmodel::NetworkCostModel;
-use lpa_rl::EnvCounters;
-use lpa_schema::Schema;
-use lpa_service::{Observation, PartitioningService, WindowReport, WorkloadMonitor};
-use lpa_workload::{load_workload, save_workload, Query};
+use lpa_advisor::Advisor;
+use lpa_cluster::Cluster;
+use lpa_service::{PartitioningService, ServiceConfig, ServiceResumeState};
+use lpa_workload::Query;
 
-/// Reconstruction context for a service restore: the schema, the advisor's
-/// cost model, and a freshly built production cluster (same schema +
-/// config as the original — its mutable state comes from the snapshot).
-/// The workload travels inside the snapshot because incremental training
-/// grows it beyond any template.
-#[derive(Debug)]
-pub struct ServiceTemplate {
-    pub schema: Schema,
-    pub model: NetworkCostModel,
-    pub cluster: Cluster,
+fn query_json(query: &Query) -> Result<String, StoreError> {
+    serde_json::to_string(query)
+        .map_err(|e| StoreError::Incompatible(format!("query does not serialize: {e}")))
+}
+
+fn query_from_json(json: &str) -> Result<Query, StoreError> {
+    serde_json::from_str(json).map_err(|e| StoreError::Corrupt(format!("embedded query: {e}")))
 }
 
 /// Capture a running service at a window boundary (`windows` = decision
@@ -30,189 +25,85 @@ pub fn capture_service(
     windows: u64,
     service: &PartitioningService,
 ) -> Result<ServiceSnapshot, StoreError> {
-    let (advisor, cluster, monitor, forecaster, guardrail, cfg) = service.parts();
-    let session = SessionSnapshot::capture(0, advisor.agent(), &advisor.env);
-    let mut workload_json = Vec::new();
-    save_workload(&advisor.env.workload, &mut workload_json)
-        .map_err(|e| StoreError::Incompatible(format!("workload does not serialize: {e}")))?;
-    let mut monitor_pending = Vec::new();
-    for (query, count) in monitor.pending_snapshot() {
-        let json = serde_json::to_string(&query)
-            .map_err(|e| StoreError::Incompatible(format!("query does not serialize: {e}")))?;
-        monitor_pending.push((json, count));
-    }
-    let (alpha, beta) = forecaster.factors();
+    let advisor = service.advisor();
+    let state = service.resume_state();
+    let absorbed_queries = service
+        .absorbed_queries()
+        .iter()
+        .map(query_json)
+        .collect::<Result<_, _>>()?;
+    let monitor_pending = state
+        .monitor_pending
+        .iter()
+        .map(|(query, count)| Ok((query_json(query)?, *count)))
+        .collect::<Result<_, StoreError>>()?;
     Ok(ServiceSnapshot {
         windows,
-        session,
-        workload_json,
-        cluster: cluster.resume_state(),
-        monitor_counts: monitor.window_counts().to_vec(),
-        monitor_observed: monitor.window_total(),
+        session: SessionSnapshot::capture(0, advisor.agent(), &advisor.env),
+        absorbed_queries,
+        cluster: state.cluster,
+        monitor_counts: state.monitor_counts,
+        monitor_observed: state.monitor_observed,
         monitor_pending,
-        forecast_alpha: alpha,
-        forecast_beta: beta,
-        forecast_level: forecaster.level().to_vec(),
-        forecast_trend: forecaster.trend().to_vec(),
-        forecast_windows: forecaster.windows_seen(),
-        cfg: *cfg,
-        guardrail: guardrail.resume_state(),
+        forecaster: state.forecaster,
+        guardrail: state.guardrail,
     })
 }
 
-/// Restore a service from a snapshot. The advisor must be offline-backed
-/// (the service trains against the cost model between windows); the
-/// monitor is re-indexed against the restored workload and its mid-window
-/// counts, observed total and quarantined queries are re-applied.
+/// Decode a snapshot into what a service is reassembled from. The advisor
+/// must be offline-backed (the service trains against the cost model
+/// between windows); its workload is the template's — the one the service
+/// was *built* with, reserved slots included — plus the absorbed queries,
+/// back in their slots.
+pub(crate) fn restore_parts(
+    snap: ServiceSnapshot,
+    mut template: OfflineTemplate,
+) -> Result<(Advisor, ServiceResumeState), StoreError> {
+    let absorbed = snap.absorbed_queries.len();
+    for json in &snap.absorbed_queries {
+        let query = query_from_json(json)?;
+        query
+            .validate(&template.schema)
+            .map_err(|e| StoreError::Corrupt(format!("absorbed query: {e}")))?;
+        template.workload.add_query(query).map_err(|q| {
+            StoreError::Incompatible(format!(
+                "no reserved slot in the template workload for absorbed query {}",
+                q.name
+            ))
+        })?;
+    }
+    let advisor = restore_offline(snap.session, &template)?;
+    let mut monitor_pending = Vec::with_capacity(snap.monitor_pending.len());
+    for (json, count) in &snap.monitor_pending {
+        monitor_pending.push((query_from_json(json)?, *count));
+    }
+    let state = ServiceResumeState {
+        cluster: snap.cluster,
+        monitor_counts: snap.monitor_counts,
+        monitor_observed: snap.monitor_observed,
+        monitor_pending,
+        forecaster: snap.forecaster,
+        guardrail: snap.guardrail,
+        absorbed,
+    };
+    Ok((advisor, state))
+}
+
+/// Restore a standalone service from a snapshot: the restored advisor
+/// wrapped around `cluster` — freshly built, same schema and config as the
+/// original; its mutable state comes from the snapshot — under the owner's
+/// `cfg`, then the mid-window state (cluster, monitor, forecaster,
+/// guardrail) put back.
 pub fn restore_service(
     snap: ServiceSnapshot,
-    template: ServiceTemplate,
+    template: OfflineTemplate,
+    cluster: Cluster,
+    cfg: ServiceConfig,
 ) -> Result<PartitioningService, StoreError> {
-    let workload = load_workload(&template.schema, &snap.workload_json[..])
-        .map_err(|e| StoreError::Corrupt(format!("embedded workload: {e}")))?;
-    let advisor = restore_offline(
-        snap.session,
-        &OfflineTemplate {
-            schema: template.schema.clone(),
-            workload: workload.clone(),
-            model: template.model,
-        },
-    )?;
-    let mut cluster = template.cluster;
-    cluster
-        .restore_resume_state(snap.cluster)
+    let (advisor, state) = restore_parts(snap, template)?;
+    let mut service = PartitioningService::new(advisor, cluster, cfg);
+    service
+        .restore_resume_state(state)
         .map_err(StoreError::Incompatible)?;
-    let mut monitor = WorkloadMonitor::new(template.schema, &workload);
-    let mut pending = Vec::with_capacity(snap.monitor_pending.len());
-    for (json, count) in snap.monitor_pending {
-        let query: Query = serde_json::from_str(&json)
-            .map_err(|e| StoreError::Corrupt(format!("pending query: {e}")))?;
-        pending.push((query, count));
-    }
-    monitor
-        .restore_window(snap.monitor_counts, snap.monitor_observed, pending)
-        .map_err(StoreError::Corrupt)?;
-    let forecaster = lpa_service::FrequencyForecaster::from_parts(
-        snap.forecast_alpha,
-        snap.forecast_beta,
-        snap.forecast_level,
-        snap.forecast_trend,
-        snap.forecast_windows,
-    )
-    .map_err(StoreError::Corrupt)?;
-    let guardrail = Guardrail::restore(snap.cfg.guardrail, snap.guardrail);
-    Ok(PartitioningService::from_parts(
-        advisor, cluster, monitor, forecaster, guardrail, snap.cfg,
-    ))
-}
-
-/// A [`PartitioningService`] that checkpoints itself every
-/// `checkpoint_every` completed decision windows (`0` disables). Write
-/// failures never interrupt service operation; they are counted and the
-/// last error is retained.
-#[derive(Debug)]
-pub struct CheckpointedService {
-    service: PartitioningService,
-    store: CheckpointStore,
-    checkpoint_every: usize,
-    windows: u64,
-    write_failures: u64,
-    last_error: Option<String>,
-}
-
-impl CheckpointedService {
-    pub fn new(
-        service: PartitioningService,
-        store: CheckpointStore,
-        checkpoint_every: usize,
-    ) -> Self {
-        Self {
-            service,
-            store,
-            checkpoint_every,
-            windows: 0,
-            write_failures: 0,
-            last_error: None,
-        }
-    }
-
-    /// Resume a checkpointed service: restore the newest valid snapshot
-    /// from `store` (falling back past corrupt files), or start fresh with
-    /// `fallback` when the store holds no usable checkpoint.
-    pub fn resume_or(
-        mut store: CheckpointStore,
-        template: ServiceTemplate,
-        checkpoint_every: usize,
-        fallback: impl FnOnce() -> PartitioningService,
-    ) -> Result<Self, StoreError> {
-        let loaded = store.load_latest(&template.schema)?;
-        let (windows, service) = match loaded {
-            Some((seq, ck)) => (seq, restore_service(ck.into_service()?, template)?),
-            None => (0, fallback()),
-        };
-        Ok(Self {
-            service,
-            store,
-            checkpoint_every,
-            windows,
-            write_failures: 0,
-            last_error: None,
-        })
-    }
-
-    pub fn observe_sql(&mut self, sql: &str) -> Observation {
-        self.service.observe_sql(sql)
-    }
-
-    /// Close the window; afterwards, checkpoint if the cadence says so.
-    pub fn end_window(&mut self) -> WindowReport {
-        let report = self.service.end_window();
-        self.windows += 1;
-        if self.checkpoint_every > 0 && self.windows.is_multiple_of(self.checkpoint_every as u64) {
-            match capture_service(self.windows, &self.service)
-                .and_then(|snap| self.store.save(&Checkpoint::Service(snap)))
-            {
-                Ok(_) => {}
-                Err(e) => {
-                    self.write_failures += 1;
-                    self.last_error = Some(e.to_string());
-                }
-            }
-        }
-        report
-    }
-
-    /// Decision windows completed (including any restored count).
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    pub fn service(&self) -> &PartitioningService {
-        &self.service
-    }
-
-    pub fn service_mut(&mut self) -> &mut PartitioningService {
-        &mut self.service
-    }
-
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-
-    /// Checkpoint activity counters plus write-failure diagnostics.
-    pub fn checkpoint_counters(&self) -> EnvCounters {
-        self.store.counters()
-    }
-
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures
-    }
-
-    pub fn last_error(&self) -> Option<&str> {
-        self.last_error.as_deref()
-    }
-
-    pub fn into_inner(self) -> (PartitioningService, CheckpointStore) {
-        (self.service, self.store)
-    }
+    Ok(service)
 }

@@ -25,13 +25,13 @@ use lpa_advisor::{
 };
 use lpa_cluster::{
     CanaryState, ClusterResumeState, FaultAccounting, FaultPlan, GuardrailAccounting,
-    GuardrailConfig, GuardrailResumeState, WindowObservation,
+    GuardrailResumeState, WindowObservation,
 };
 use lpa_nn::{Adam, Dense, Matrix, Mlp};
 use lpa_partition::{Action, InternedKey, KeyInterner, Partitioning, TableState};
 use lpa_rl::{DqnAgent, DqnConfig, EnvCounters, QLoss, ReplayBuffer, Transition};
 use lpa_schema::{AttrId, EdgeId, Schema, TableId};
-use lpa_service::{ServiceConfig, TenantCounters, TenantStatus};
+use lpa_service::{FrequencyForecaster, TenantCounters, TenantStatus};
 use lpa_workload::{FrequencyVector, MixSampler, QueryId};
 
 // ---------------------------------------------------------------------------
@@ -150,35 +150,31 @@ pub fn take_adam(r: &mut ByteReader) -> Result<Adam, StoreError> {
 // ---------------------------------------------------------------------------
 // Partitionings, actions, environment states.
 
-/// One table state per word: `0` = replicated, `attr + 1` = partitioned by
-/// `attr` — the same lossless packing the fingerprint layer uses.
+/// One table state per `u32` word: `0` = replicated, `attr + 1` =
+/// partitioned by `attr` — the same lossless packing the fingerprint layer
+/// uses. (Format v2 spent a `u64` per table; a checkpoint holds two
+/// partitionings per replay transition, so the narrower word more than pays
+/// for the monitor and forecaster state v3 added.)
 pub fn put_partitioning(w: &mut ByteWriter, p: &Partitioning) {
     w.put_usize(p.table_states().len());
     for s in p.table_states() {
-        match s {
-            TableState::Replicated => w.put_u64(0),
-            TableState::PartitionedBy(a) => w.put_u64(a.0 as u64 + 1),
-        }
+        w.put_u32(match s {
+            TableState::Replicated => 0,
+            TableState::PartitionedBy(a) => a.0 as u32 + 1,
+        });
     }
     w.put_bools(p.edge_flags());
 }
 
 pub fn take_partitioning(r: &mut ByteReader, schema: &Schema) -> Result<Partitioning, StoreError> {
-    let packed = {
-        let n = r.take_len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(r.take_u64()?);
-        }
-        v
-    };
-    let mut tables = Vec::with_capacity(packed.len());
-    for word in packed {
-        tables.push(match word {
+    let tables = r
+        .take_u32s()?
+        .into_iter()
+        .map(|word| match word {
             0 => TableState::Replicated,
             a => TableState::PartitionedBy(AttrId((a - 1) as usize)),
-        });
-    }
+        })
+        .collect();
     let edges = r.take_bools()?;
     Partitioning::from_parts(schema, tables, edges)
         .map_err(|e| StoreError::Corrupt(format!("partitioning: {e}")))
@@ -208,14 +204,14 @@ fn take_opt_partitioning(
 // ---------------------------------------------------------------------------
 // Deployment guardrail.
 
-fn put_window_observation(w: &mut ByteWriter, o: &WindowObservation) {
+pub(crate) fn put_window_observation(w: &mut ByteWriter, o: &WindowObservation) {
     w.put_f64(o.weighted_seconds);
     w.put_u64(o.clean);
     w.put_u64(o.degraded);
     w.put_u64(o.failed);
 }
 
-fn take_window_observation(r: &mut ByteReader) -> Result<WindowObservation, StoreError> {
+pub(crate) fn take_window_observation(r: &mut ByteReader) -> Result<WindowObservation, StoreError> {
     Ok(WindowObservation {
         weighted_seconds: r.take_f64()?,
         clean: r.take_u64()?,
@@ -255,32 +251,6 @@ fn take_guardrail_accounting(r: &mut ByteReader) -> Result<GuardrailAccounting, 
         deferred_degraded_baseline: r.take_u64()?,
         deploy_seconds: r.take_f64()?,
         rollback_seconds: r.take_f64()?,
-    })
-}
-
-pub fn put_guardrail_config(w: &mut ByteWriter, c: &GuardrailConfig) {
-    w.put_u32(c.canary_windows);
-    w.put_f64(c.regression_threshold);
-    w.put_f64(c.max_degraded_fraction);
-    w.put_u32(c.max_extensions);
-    w.put_u64(c.cooldown_windows);
-    w.put_u64(c.budget_window);
-    w.put_u32(c.budget_deploys);
-    w.put_f64(c.runs_per_window);
-    w.put_f64(c.amortization_windows);
-}
-
-pub fn take_guardrail_config(r: &mut ByteReader) -> Result<GuardrailConfig, StoreError> {
-    Ok(GuardrailConfig {
-        canary_windows: r.take_u32()?,
-        regression_threshold: r.take_f64()?,
-        max_degraded_fraction: r.take_f64()?,
-        max_extensions: r.take_u32()?,
-        cooldown_windows: r.take_u64()?,
-        budget_window: r.take_u64()?,
-        budget_deploys: r.take_u32()?,
-        runs_per_window: r.take_f64()?,
-        amortization_windows: r.take_f64()?,
     })
 }
 
@@ -1111,32 +1081,29 @@ pub fn restore_engine(
 // ---------------------------------------------------------------------------
 // Service snapshot.
 
-/// The durable state of a running [`lpa_service::PartitioningService`]:
-/// the advisor session, the production cluster, the monitor's mid-window
-/// counts and quarantined new queries, the forecaster and the controller
-/// config — plus the (possibly incrementally grown) workload itself, which
-/// the restored monitor and environment are indexed against.
+/// The durable state of a running [`lpa_service::PartitioningService`] —
+/// standalone or as a fleet tenant: the advisor session, the production
+/// cluster, the monitor's mid-window counts and quarantined new queries,
+/// the forecaster and the guardrail. Of the workload only the queries
+/// absorbed from observed SQL travel with the checkpoint; the rest is
+/// rebuilt from the restore template. The controller config is not
+/// stored: like the guardrail's, it belongs to whoever owns the service.
 #[derive(Debug)]
 pub struct ServiceSnapshot {
     /// Decision windows completed so far.
     pub windows: u64,
     pub session: SessionSnapshot,
-    /// `lpa_workload::save_workload` JSON of the advisor's workload. New
-    /// queries arrive as parsed SQL, so the workload outgrows any template
-    /// — it has to travel with the checkpoint.
-    pub workload_json: Vec<u8>,
+    /// JSON of every query absorbed beyond the template's workload, in
+    /// slot order. New queries arrive as parsed SQL, so no template can
+    /// rebuild them.
+    pub absorbed_queries: Vec<String>,
     pub cluster: ClusterResumeState,
     pub monitor_counts: Vec<f64>,
     pub monitor_observed: u64,
     /// Pending (quarantined) queries as `(query JSON, observed count)`, in
-    /// the monitor's deterministic snapshot order.
+    /// the monitor's deterministic order.
     pub monitor_pending: Vec<(String, u64)>,
-    pub forecast_alpha: f64,
-    pub forecast_beta: f64,
-    pub forecast_level: Vec<f64>,
-    pub forecast_trend: Vec<f64>,
-    pub forecast_windows: u64,
-    pub cfg: ServiceConfig,
+    pub forecaster: FrequencyForecaster,
     /// Deployment-guardrail state: open canary (if any), cooldown,
     /// repartitioning budget history, accounting ledger.
     pub guardrail: GuardrailResumeState,
@@ -1146,7 +1113,10 @@ impl ServiceSnapshot {
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.windows);
         self.session.encode(w);
-        w.put_bytes(&self.workload_json);
+        w.put_usize(self.absorbed_queries.len());
+        for json in &self.absorbed_queries {
+            w.put_str(json);
+        }
         put_cluster_state(w, &self.cluster);
         w.put_f64s(&self.monitor_counts);
         w.put_u64(self.monitor_observed);
@@ -1155,22 +1125,23 @@ impl ServiceSnapshot {
             w.put_str(json);
             w.put_u64(*n);
         }
-        w.put_f64(self.forecast_alpha);
-        w.put_f64(self.forecast_beta);
-        w.put_f64s(&self.forecast_level);
-        w.put_f64s(&self.forecast_trend);
-        w.put_u64(self.forecast_windows);
-        put_guardrail_config(w, &self.cfg.guardrail);
-        w.put_f64(self.cfg.forecast_horizon);
-        w.put_usize(self.cfg.incremental_threshold);
-        w.put_usize(self.cfg.incremental_episodes);
+        let (alpha, beta) = self.forecaster.factors();
+        w.put_f64(alpha);
+        w.put_f64(beta);
+        w.put_f64s(self.forecaster.level());
+        w.put_f64s(self.forecaster.trend());
+        w.put_u64(self.forecaster.windows_seen());
         put_guardrail_state(w, &self.guardrail);
     }
 
     pub fn decode(r: &mut ByteReader, schema: &Schema) -> Result<Self, StoreError> {
         let windows = r.take_u64()?;
         let session = SessionSnapshot::decode(r, schema)?;
-        let workload_json = r.take_bytes()?;
+        let n = r.take_len(8)?;
+        let mut absorbed_queries = Vec::with_capacity(n);
+        for _ in 0..n {
+            absorbed_queries.push(r.take_str()?);
+        }
         let cluster = take_cluster_state(r, schema)?;
         let monitor_counts = r.take_f64s()?;
         let monitor_observed = r.take_u64()?;
@@ -1184,22 +1155,19 @@ impl ServiceSnapshot {
         Ok(Self {
             windows,
             session,
-            workload_json,
+            absorbed_queries,
             cluster,
             monitor_counts,
             monitor_observed,
             monitor_pending,
-            forecast_alpha: r.take_f64()?,
-            forecast_beta: r.take_f64()?,
-            forecast_level: r.take_f64s()?,
-            forecast_trend: r.take_f64s()?,
-            forecast_windows: r.take_u64()?,
-            cfg: ServiceConfig {
-                guardrail: take_guardrail_config(r)?,
-                forecast_horizon: r.take_f64()?,
-                incremental_threshold: r.take_usize()?,
-                incremental_episodes: r.take_usize()?,
-            },
+            forecaster: FrequencyForecaster::from_parts(
+                r.take_f64()?,
+                r.take_f64()?,
+                r.take_f64s()?,
+                r.take_f64s()?,
+                r.take_u64()?,
+            )
+            .map_err(StoreError::Corrupt)?,
             guardrail: take_guardrail_state(r, schema)?,
         })
     }
@@ -1250,27 +1218,24 @@ impl CommitteeSnapshot {
 // ---------------------------------------------------------------------------
 // Tenant snapshot (fleet member).
 
-/// One fleet tenant's complete resumable state: the training session
-/// (agent + environment), the simulated cluster, and the fleet-level
-/// bookkeeping (quarantine status, error budget, fairness counters) that
-/// must survive a process kill for recovery to be bit-identical. Schema,
-/// workload and mix are *not* stored — they are pure functions of the
-/// tenant's spec, rebuilt at restore time.
+/// One fleet tenant's complete resumable state: the fleet-level scheduling
+/// fields (episode budget position, quarantine status, error budget,
+/// fairness counters) around the tenant's [`ServiceSnapshot`] — a tenant
+/// *is* a service, so its advisor session, cluster, monitor, forecaster and
+/// guardrail go through that one codec. Schema and spec-derived workload
+/// are *not* stored; they are rebuilt from the tenant's spec at restore.
 #[derive(Debug)]
 pub struct TenantSnapshot {
     /// Tenant id (slot index) inside the fleet.
     pub tenant: u64,
     /// Fleet round the snapshot was taken at — the store sequence number.
     pub round: u64,
-    pub session: SessionSnapshot,
-    pub cluster: ClusterResumeState,
+    /// Training episodes completed.
+    pub episode: u64,
     pub status: TenantStatus,
     pub errors_since_rejoin: u64,
     pub counters: TenantCounters,
-    /// Per-tenant deployment-guardrail state (open canary, cooldown,
-    /// budget history, accounting) — a kill mid-canary must resume with
-    /// the rollback target and pinned mix intact.
-    pub guardrail: GuardrailResumeState,
+    pub service: ServiceSnapshot,
 }
 
 fn put_tenant_status(w: &mut ByteWriter, s: &TenantStatus) {
@@ -1325,24 +1290,22 @@ impl TenantSnapshot {
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.tenant);
         w.put_u64(self.round);
-        self.session.encode(w);
-        put_cluster_state(w, &self.cluster);
+        w.put_u64(self.episode);
         put_tenant_status(w, &self.status);
         w.put_u64(self.errors_since_rejoin);
         put_tenant_counters(w, &self.counters);
-        put_guardrail_state(w, &self.guardrail);
+        self.service.encode(w);
     }
 
     pub fn decode(r: &mut ByteReader, schema: &Schema) -> Result<Self, StoreError> {
         Ok(Self {
             tenant: r.take_u64()?,
             round: r.take_u64()?,
-            session: SessionSnapshot::decode(r, schema)?,
-            cluster: take_cluster_state(r, schema)?,
+            episode: r.take_u64()?,
             status: take_tenant_status(r)?,
             errors_since_rejoin: r.take_u64()?,
             counters: take_tenant_counters(r)?,
-            guardrail: take_guardrail_state(r, schema)?,
+            service: ServiceSnapshot::decode(r, schema)?,
         })
     }
 }
@@ -1365,13 +1328,6 @@ impl Checkpoint {
             Self::Service(s) => s.windows,
             Self::Committee(_) => 0,
             Self::Tenant(t) => t.round,
-        }
-    }
-
-    pub fn as_session(&self) -> Option<&SessionSnapshot> {
-        match self {
-            Self::Session(s) => Some(s),
-            _ => None,
         }
     }
 

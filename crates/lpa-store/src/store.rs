@@ -39,8 +39,11 @@ use std::path::{Path, PathBuf};
 /// First bytes of every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"LPACKPT\x01";
 /// Current format version; bumped on any layout change. Version 2 added
-/// the deployment-guardrail state to service and tenant snapshots.
-pub const FORMAT_VERSION: u32 = 2;
+/// the deployment-guardrail state to service and tenant snapshots; version
+/// 3 made a tenant snapshot *scheduling fields + a service snapshot* and
+/// cut the service snapshot's embedded workload down to the absorbed
+/// queries. Older files answer [`StoreError::Incompatible`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Serialize a checkpoint into the framed, CRC-guarded file format.
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {

@@ -4,17 +4,22 @@
 //! applies to the library code behind it), and *recovered from* (the store
 //! falls back to the last good file, and says so in its counters).
 //!
-//! Faults injected: truncation at every prefix length, a bit flip at every
-//! bit of the file, a torn rename (stray `*.tmp` left mid-write), and a
-//! corrupt newest checkpoint with a healthy predecessor.
+//! Faults injected: truncation at every prefix length and a bit flip at
+//! every bit — of a checkpoint file *and* of the deployment journal —, a
+//! torn rename (stray `*.tmp` left mid-write), a corrupt newest checkpoint
+//! with a healthy predecessor, and a checkpoint written by the previous
+//! format version.
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
 use lpa_advisor::Advisor;
+use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason, WindowObservation};
 use lpa_costmodel::{CostParams, NetworkCostModel};
 use lpa_rl::DqnConfig;
+use lpa_service::{Benchmark, FleetConfig, JournalRecord, TenantSpec, TenantStatus};
 use lpa_store::{
-    capture_advisor, decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointStore, StoreError,
+    capture_advisor, decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointStore,
+    CheckpointedFleet, DeploymentJournal, StoreError, JOURNAL_FILE,
 };
 use lpa_workload::MixSampler;
 use std::path::PathBuf;
@@ -50,30 +55,159 @@ fn fixture() -> (lpa_schema::Schema, Vec<u8>, Checkpoint) {
     (schema, bytes, ck)
 }
 
+/// One record of every event shape the journal codec knows.
+fn journal_records() -> Vec<JournalRecord> {
+    let digest = |tables: &[u64], edges: &[bool]| LayoutDigest {
+        tables: tables.to_vec(),
+        edges: edges.to_vec(),
+    };
+    let events = vec![
+        GuardrailEvent::KeptCurrent {
+            window: 1,
+            benefit_per_run: 0.1,
+            repartition_cost: 9.0,
+        },
+        GuardrailEvent::StageRejected {
+            window: 2,
+            reason: RejectReason::FleetBudget,
+        },
+        GuardrailEvent::CanaryStarted {
+            window: 3,
+            candidate: digest(&[0, 2, 1], &[true, false]),
+            previous: digest(&[1, 0, 1], &[false, false]),
+            baseline_seconds: 1.5,
+            benefit_per_run: 0.25,
+            repartition_cost: 3.0,
+        },
+        GuardrailEvent::CanaryObserved {
+            window: 4,
+            observed: WindowObservation {
+                weighted_seconds: 2.25,
+                clean: 7,
+                degraded: 1,
+                failed: 0,
+            },
+        },
+        GuardrailEvent::CanaryExtended {
+            window: 5,
+            inconclusive: 2,
+        },
+        GuardrailEvent::Committed {
+            window: 6,
+            mean_observed: 1.0,
+            baseline_seconds: 1.25,
+        },
+        GuardrailEvent::RolledBack {
+            window: 7,
+            reason: RollbackReason::ObservedRegression,
+            mean_observed: 4.0,
+            baseline_seconds: 1.0,
+            rollback_seconds: 2.5,
+            restored: digest(&[3, 0], &[true]),
+        },
+    ];
+    events
+        .into_iter()
+        .enumerate()
+        .map(|(i, event)| JournalRecord {
+            tenant: i as u64 % 3,
+            round: 1 + i as u64 / 2,
+            event,
+        })
+        .collect()
+}
+
+/// One durable file under the bit-flip / truncation harness: its clean
+/// bytes, how many units (checkpoints, journal records) they hold, and the
+/// library's way of reading such a file back — which returns how many units
+/// survived and panics if a unit it *does* return differs from what was
+/// written.
+struct Subject {
+    name: &'static str,
+    bytes: Vec<u8>,
+    units: usize,
+    read: Reader,
+}
+
+type Reader = Box<dyn Fn(&[u8]) -> Result<usize, StoreError>>;
+
+impl Subject {
+    /// Damage is detected when the reader refuses the file or hands back
+    /// strictly less than was written (an append-only log legitimately
+    /// reads as its clean prefix) — never more, never altered, never an I/O
+    /// error, never a panic.
+    fn assert_detected(&self, damaged: &[u8], what: &str) {
+        match (self.read)(damaged) {
+            Err(StoreError::Corrupt(_)) | Err(StoreError::Incompatible(_)) => {}
+            Err(StoreError::Io(e)) => panic!("{}: {what} surfaced as io: {e}", self.name),
+            Ok(units) => assert!(
+                units < self.units,
+                "{}: {what} went undetected ({units} of {} units read back)",
+                self.name,
+                self.units
+            ),
+        }
+    }
+}
+
+/// `tag` keeps concurrently running tests out of each other's scratch file.
+fn subjects(tag: &str) -> Vec<Subject> {
+    let (schema, bytes, _) = fixture();
+    let checkpoint = Subject {
+        name: "checkpoint",
+        bytes,
+        units: 1,
+        read: Box::new(move |bytes| decode_checkpoint(bytes, &schema).map(|_| 1)),
+    };
+
+    let records = journal_records();
+    let path = test_dir(&format!("journal-{tag}")).join(JOURNAL_FILE);
+    DeploymentJournal::open(&path)
+        .unwrap()
+        .append(&records)
+        .unwrap();
+    let journal = Subject {
+        name: "journal",
+        bytes: std::fs::read(&path).unwrap(),
+        units: records.len(),
+        read: Box::new(move |bytes| {
+            std::fs::write(&path, bytes).unwrap();
+            let replayed = DeploymentJournal::open(&path)?.replay()?;
+            assert_eq!(
+                replayed,
+                records[..replayed.len().min(records.len())],
+                "the journal replayed a record that was never written"
+            );
+            Ok(replayed.len())
+        }),
+    };
+    vec![checkpoint, journal]
+}
+
 #[test]
 fn truncation_at_every_length_is_detected() {
-    let (schema, bytes, _) = fixture();
-    assert!(decode_checkpoint(&bytes, &schema).is_ok(), "fixture valid");
-    for len in 0..bytes.len() {
-        match decode_checkpoint(&bytes[..len], &schema) {
-            Err(StoreError::Corrupt(_)) | Err(StoreError::Incompatible(_)) => {}
-            Err(StoreError::Io(e)) => panic!("truncation at {len} surfaced as io: {e}"),
-            Ok(_) => panic!("truncation at {len} decoded successfully"),
+    for subject in subjects("truncation") {
+        assert_eq!(
+            (subject.read)(&subject.bytes).unwrap(),
+            subject.units,
+            "{} fixture valid",
+            subject.name
+        );
+        for len in 0..subject.bytes.len() {
+            subject.assert_detected(&subject.bytes[..len], &format!("truncation at {len}"));
         }
     }
 }
 
 #[test]
 fn every_single_bit_flip_is_detected() {
-    let (schema, bytes, _) = fixture();
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut evil = bytes.clone();
-            evil[byte] ^= 1 << bit;
-            assert!(
-                decode_checkpoint(&evil, &schema).is_err(),
-                "flip of byte {byte} bit {bit} went undetected"
-            );
+    for subject in subjects("bit-flip") {
+        for byte in 0..subject.bytes.len() {
+            for bit in 0..8 {
+                let mut evil = subject.bytes.clone();
+                evil[byte] ^= 1 << bit;
+                subject.assert_detected(&evil, &format!("flip of byte {byte} bit {bit}"));
+            }
         }
     }
 }
@@ -179,5 +313,66 @@ fn retention_prunes_oldest_but_keeps_a_fallback() {
     assert_eq!(listed, vec![3, 4], "keep=2 retains exactly the newest two");
     assert_eq!(store.counters().checkpoints_written, 5);
     assert!(store.load_latest(&schema).unwrap().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tenant checkpoint written by the parent commit (format version 2: the
+/// pre-service tenant layout). This build must say so — `Incompatible`,
+/// never a panic, whatever prefix of the file survived — and a fleet
+/// resuming over such a lineage charges one restore error to that tenant
+/// and to nobody else.
+#[test]
+fn format_v2_tenant_checkpoint_is_refused_and_costs_only_its_tenant() {
+    const V2: &[u8] = include_bytes!("fixtures/tenant_v2.lpa");
+    let schema = lpa_schema::microbench::schema(0.01).unwrap();
+    assert!(matches!(
+        decode_checkpoint(V2, &schema),
+        Err(StoreError::Incompatible(_))
+    ));
+    for len in 0..V2.len() {
+        assert!(decode_checkpoint(&V2[..len], &schema).is_err());
+    }
+
+    // The fleet the fixture was captured from, plus a neighbour.
+    let cfg = || FleetConfig {
+        hidden: vec![4],
+        batch_size: 2,
+        tmax: 2,
+        max_tenants: 2,
+        ..FleetConfig::default()
+    };
+    let specs = || -> Vec<TenantSpec> {
+        ["fixture", "neighbour"]
+            .into_iter()
+            .zip([7, 8])
+            .map(|(name, seed)| TenantSpec {
+                episodes: 2,
+                ..TenantSpec::new(name, Benchmark::Micro, 0.01, seed)
+            })
+            .collect()
+    };
+    let dir = test_dir("v2-lineage");
+    {
+        let mut fleet = CheckpointedFleet::create(cfg(), &dir, 2).unwrap();
+        for spec in specs() {
+            fleet.admit(spec).unwrap();
+        }
+        fleet.run_rounds(2); // one checkpoint each, at round 2
+    }
+    // Tenant 0's lineage is what the previous build left behind.
+    lpa_store::atomic_write(&dir.join("tenant-0000/ckpt-00000002.lpa"), V2).unwrap();
+
+    let resumed = CheckpointedFleet::resume_or(cfg(), specs(), &dir, 2).unwrap();
+    let report = resumed.report();
+    assert_eq!(report.round, 2);
+    let old = &report.per_tenant[0];
+    assert_eq!(old.counters.restore_errors, 1);
+    assert_eq!(old.episode, 0, "an unreadable lineage restarts the tenant");
+    let neighbour = &report.per_tenant[1];
+    assert_eq!(neighbour.counters.restore_errors, 0);
+    assert_eq!(neighbour.episode, 2);
+    assert_eq!(neighbour.status, TenantStatus::Active);
+    assert_eq!(report.store.restores, 1);
+    assert_eq!(report.store.corruptions_detected, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -230,3 +230,98 @@ fn full_session_checkpoint_round_trips_byte_identically() {
     let again = encode_checkpoint(&back);
     assert_eq!(again, bytes, "decode → encode must reproduce the file");
 }
+
+/// The service snapshot carries only what no template rebuilds: a service
+/// that absorbed two new queries from SQL and sits mid-window with a third
+/// quarantined restores — through the bytes — around the workload it was
+/// *built* with, and then closes the window exactly like the original.
+#[test]
+fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
+    use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+    use lpa_service::{PartitioningService, ServiceConfig};
+    use lpa_store::{capture_service, restore_service, OfflineTemplate};
+
+    let schema = lpa_schema::ssb::schema(0.002).unwrap();
+    let base = lpa_workload::ssb::workload(&schema)
+        .unwrap()
+        .with_reserved_slots(2);
+    let model = NetworkCostModel::new(CostParams::standard());
+    let cluster = || {
+        Cluster::new(
+            schema.clone(),
+            ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
+        )
+    };
+    let cfg = DqnConfig {
+        batch_size: 4,
+        hidden: vec![8],
+        ..DqnConfig::simulation(4, 3)
+    }
+    .with_seed(23);
+    let advisor = Advisor::train_offline(
+        schema.clone(),
+        base.clone(),
+        model.clone(),
+        MixSampler::uniform(&base),
+        cfg,
+        true,
+    );
+    let service_cfg = ServiceConfig {
+        incremental_episodes: 2,
+        ..ServiceConfig::default()
+    };
+    let mut service = PartitioningService::new(advisor, cluster(), service_cfg);
+
+    let known = "SELECT sum(lo_revenue) FROM lineorder l, date d \
+        WHERE l.lo_orderdate = d.d_datekey AND d.d_year = 1993 AND l.lo_orderkey < 500";
+    let new_shapes = [
+        "SELECT count(*) FROM customer c, supplier s WHERE c.c_city = s.s_city",
+        "SELECT count(*) FROM part p, lineorder l WHERE l.lo_partkey = p.p_partkey",
+        "SELECT count(*) FROM customer c, lineorder l WHERE l.lo_custkey = c.c_custkey",
+    ];
+    for sql in [new_shapes[0], new_shapes[1], known] {
+        service.observe_sql(sql);
+    }
+    service.end_window(); // absorbs the first two shapes
+    assert_eq!(service.absorbed_queries().len(), 2);
+    for sql in [known, new_shapes[2], known, new_shapes[0]] {
+        service.observe_sql(sql); // ...and the next window is open
+    }
+
+    let bytes = encode_checkpoint(&Checkpoint::Service(capture_service(1, &service).unwrap()));
+    let snapshot = decode_checkpoint(&bytes, &schema)
+        .unwrap()
+        .into_service()
+        .unwrap();
+    assert_eq!(snapshot.absorbed_queries.len(), 2);
+    assert_eq!(snapshot.monitor_pending.len(), 1);
+    let mut restored = restore_service(
+        snapshot,
+        OfflineTemplate {
+            schema: schema.clone(),
+            workload: base.clone(),
+            model,
+        },
+        cluster(),
+        service_cfg,
+    )
+    .unwrap();
+
+    let again = encode_checkpoint(&Checkpoint::Service(capture_service(1, &restored).unwrap()));
+    assert_eq!(
+        again, bytes,
+        "re-capturing the restored service moved a byte"
+    );
+    assert_eq!(
+        restored.advisor().env.workload.queries().len(),
+        base.queries().len() + 2
+    );
+    let (a, b) = (service.end_window(), restored.end_window());
+    assert_eq!(a.events, b.events);
+    assert_eq!(a.mix_used, b.mix_used);
+    assert_eq!(a.deployed.physical_key(), b.deployed.physical_key());
+    assert_eq!(
+        service.advisor().weight_fingerprint(),
+        restored.advisor().weight_fingerprint()
+    );
+}

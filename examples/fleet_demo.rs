@@ -13,6 +13,7 @@
 
 use lpa::prelude::*;
 use lpa::store::CheckpointedFleet;
+use lpa_bench::SeededChaos;
 
 /// Seven specs against a budget of six: admission control rejects the last.
 fn specs() -> Vec<TenantSpec> {
@@ -27,10 +28,10 @@ fn specs() -> Vec<TenantSpec> {
             spec.episodes = 4;
             if i == 2 {
                 // The problem tenant: seeded fault storm on its cluster
-                // plus injected step errors on its slices. Its chaos is
-                // salted per tenant, so it is bit-neutral for everyone else.
+                // (plus injected step errors on its slices, see `chaos`).
+                // Its chaos is salted per tenant, so it is bit-neutral for
+                // everyone else.
                 spec.fault_plan = FaultPlan::storm(0xBAD_5EED);
-                spec.step_error_rate = 0.5;
             }
             spec
         })
@@ -47,6 +48,13 @@ fn config() -> FleetConfig {
         },
         ..FleetConfig::default()
     }
+}
+
+/// Injected step errors on the problem tenant's slices. The hook is pure
+/// in `(seed, tenant, round)` and not checkpointed: the resumed fleet gets
+/// the same one installed again.
+fn chaos() -> Box<SeededChaos> {
+    Box::new(SeededChaos::new(config().seed).step_errors(2, 0.5))
 }
 
 fn report_fingerprints(report: &FleetReport) -> Vec<u64> {
@@ -98,6 +106,7 @@ fn main() {
 
     // Phase 1: admit and run the first half, checkpointing every 2 rounds.
     let mut fleet = CheckpointedFleet::create(config(), &root, 2).expect("fleet root");
+    fleet.fleet_mut().set_hook(chaos());
     for spec in specs() {
         match fleet.admit(spec) {
             Ok(id) => println!("admitted tenant {id}"),
@@ -113,6 +122,7 @@ fn main() {
     // scheduler round, admission counters, every tenant's training state —
     // and finishes the run.
     let mut fleet = CheckpointedFleet::resume_or(config(), specs(), &root, 2).expect("resume");
+    fleet.fleet_mut().set_hook(chaos());
     assert_eq!(
         report_fingerprints(&fleet.report()),
         fingerprints,

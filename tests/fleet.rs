@@ -20,6 +20,7 @@ use lpa::partition::Partitioning;
 use lpa::prelude::*;
 use lpa::service::{TenantCounters, TenantErrorKind};
 use lpa::store::{load_manifest, CheckpointStore, CheckpointedFleet, MANIFEST_FILE};
+use lpa_bench::SeededChaos;
 use std::path::{Path, PathBuf};
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -89,11 +90,23 @@ fn keystone_specs(storms: bool) -> Vec<TenantSpec> {
             };
             if storms && STORM.contains(&i) {
                 spec.fault_plan = FaultPlan::storm(7_700 + i as u64);
-                spec.step_error_rate = 0.5;
             }
             spec
         })
         .collect()
+}
+
+/// The other half of a storm: injected step errors on the `STORM` set's
+/// slices. Pure in `(seed, tenant, round)` and not checkpointed, so a
+/// resumed fleet gets the same hook installed again.
+fn keystone_chaos() -> Box<SeededChaos> {
+    Box::new(
+        STORM
+            .iter()
+            .fold(SeededChaos::new(fleet_seed()), |chaos, &tenant| {
+                chaos.step_errors(tenant, 0.5)
+            }),
+    )
 }
 
 /// Everything observable about one tenant, as raw bits.
@@ -165,6 +178,7 @@ fn keystone_at(threads: usize) -> Vec<TenantFp> {
         // must not perturb the fleet).
         let dir_ref = test_dir("ref", threads);
         let mut reference = CheckpointedFleet::create(keystone_cfg(), &dir_ref, EVERY).unwrap();
+        reference.fleet_mut().set_hook(keystone_chaos());
         admit_all(&mut reference, keystone_specs(true));
         reference.run_rounds(ROUNDS);
         let fp_ref = fingerprints(reference.fleet());
@@ -194,6 +208,7 @@ fn keystone_at(threads: usize) -> Vec<TenantFp> {
         let dir_kill = test_dir("kill", threads);
         {
             let mut victim = CheckpointedFleet::create(keystone_cfg(), &dir_kill, EVERY).unwrap();
+            victim.fleet_mut().set_hook(keystone_chaos());
             admit_all(&mut victim, keystone_specs(true));
             victim.run_rounds(KILL_AFTER);
         } // <- process dies
@@ -207,6 +222,7 @@ fn keystone_at(threads: usize) -> Vec<TenantFp> {
         let mut resumed =
             CheckpointedFleet::resume_or(keystone_cfg(), keystone_specs(true), &dir_kill, EVERY)
                 .unwrap();
+        resumed.fleet_mut().set_hook(keystone_chaos());
         assert_eq!(resumed.fleet().round(), KILL_AFTER);
         resumed.run_rounds(ROUNDS - KILL_AFTER);
         let fp_res = fingerprints(resumed.fleet());
@@ -296,10 +312,12 @@ fn micro_fleet(policy: QuarantinePolicy, step_error_rate: f64) -> Fleet {
     fleet
         .admit(TenantSpec {
             episodes: 3,
-            step_error_rate,
             ..TenantSpec::new("edge", Benchmark::Micro, 0.01, 42)
         })
         .unwrap();
+    fleet.set_hook(Box::new(
+        SeededChaos::new(fleet_seed()).step_errors(0, step_error_rate),
+    ));
     fleet
 }
 
@@ -496,13 +514,15 @@ fn health_rollup_splits_active_tenants_and_excludes_quarantined() {
             ..TenantSpec::new("healthy", Benchmark::Micro, 0.01, 12)
         })
         .unwrap();
-    fleet
+    let doomed = fleet
         .admit(TenantSpec {
             episodes: 2,
-            step_error_rate: 1.0,
             ..TenantSpec::new("doomed", Benchmark::Micro, 0.01, 13)
         })
         .unwrap();
+    fleet.set_hook(Box::new(
+        SeededChaos::new(fleet_seed()).step_errors(doomed, 1.0),
+    ));
     fleet.run_rounds(6);
 
     let report = fleet.report();
@@ -538,4 +558,437 @@ fn health_rollup_splits_active_tenants_and_excludes_quarantined() {
     // Legacy view for contrast: `degraded_tenants()` ignores scheduling
     // status, so it may also count the quarantined tenant.
     assert!(report.degraded_tenants() >= rollup.active_degraded);
+}
+
+// ---------------------------------------------------------------------------
+// Admission leaves no residue.
+
+#[test]
+fn refused_admissions_leave_no_directory_and_ids_stay_indices() {
+    let dir = test_dir("admit", 0);
+    let mut fleet = CheckpointedFleet::create(
+        FleetConfig {
+            max_tenants: 2,
+            ..micro_cfg()
+        },
+        &dir,
+        1,
+    )
+    .unwrap();
+    let lineage = |t: usize| dir.join(format!("tenant-{t:04}"));
+    assert_eq!(fleet.admit(micro_specs(1).remove(0)).unwrap(), 0);
+    // A spec that cannot be built is refused before anything is created...
+    let unbuildable = TenantSpec::new("bad", Benchmark::Micro, 0.0, 1);
+    assert!(matches!(
+        fleet.admit(unbuildable),
+        Err(lpa::service::FleetError::TenantBuild { .. })
+    ));
+    assert!(!lineage(1).exists(), "a refused spec left a lineage behind");
+    // ...so the next successful admission gets the id equal to its index
+    // (and the directory of that index).
+    let id = fleet.admit(micro_specs(2).remove(1)).unwrap();
+    assert_eq!(id, fleet.fleet().tenant_count() - 1);
+    assert!(lineage(id).is_dir());
+    // Admission control rejects past the budget without touching the disk.
+    assert!(matches!(
+        fleet.admit(micro_specs(3).remove(2)),
+        Err(lpa::service::FleetError::AdmissionRejected { .. })
+    ));
+    assert!(!lineage(2).exists(), "a rejected admission left a lineage");
+    fleet.run_rounds(1);
+    assert_eq!(fleet.report().store.checkpoints_written, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// One production loop: a fleet tenant *is* a `PartitioningService`.
+
+use lpa::cluster::{Cluster, ClusterConfig, EngineProfile, GuardrailEvent, HardwareProfile};
+use lpa::service::fleet::{SALT_AGENT, SALT_FAULTS};
+use lpa::service::{Observation, ServiceEvent};
+use lpa::store::{capture_tenant, encode_checkpoint, Checkpoint};
+
+const LO_DATE: &str = "l.lo_orderdate = d.d_datekey";
+const LO_SUPP: &str = "l.lo_suppkey = s.s_suppkey";
+const LO_CUST: &str = "l.lo_custkey = c.c_custkey";
+
+/// Window `w`'s SQL for an SSB tenant: flights 1 and 3 only, flight 1
+/// dominating — a mix skewed onto a subset of the 13 known queries. The
+/// literals move with `w` (same selectivity buckets, different text).
+fn skewed_window(w: u64) -> Vec<String> {
+    let year = 1992 + w % 7;
+    let flight1 = format!(
+        "SELECT sum(l.lo_orderkey) FROM lineorder l, date d WHERE {LO_DATE} \
+         AND d.d_year = {year} AND l.lo_orderkey < {}",
+        500 + w
+    );
+    let flight3 = format!(
+        "SELECT c.c_city, s.s_city, sum(l.lo_orderkey) FROM lineorder l, customer c, \
+         supplier s, date d WHERE {LO_CUST} AND {LO_SUPP} AND {LO_DATE} \
+         AND c.c_nation = {n} AND s.s_nation = {n} AND d.d_year IN (1992, 1993, 1994, 1995, 1996, 1997)",
+        n = w % 25
+    );
+    let mut sql = vec![flight1; 6];
+    sql.extend(vec![flight3; 2]);
+    sql
+}
+
+fn sql_spec() -> TenantSpec {
+    TenantSpec {
+        episodes: 6,
+        ..TenantSpec::new("sql", Benchmark::Ssb, 0.001, 4_242)
+    }
+}
+
+/// The standalone service `Fleet::admit` would build for `spec` in slot 0
+/// — same derived seeds, same substrate, same config.
+fn standalone_twin(cfg: &FleetConfig, spec: &TenantSpec) -> PartitioningService {
+    let schema = lpa::schema::ssb::schema(spec.scale).unwrap();
+    let workload = lpa::workload::ssb::workload(&schema).unwrap();
+    let dqn = DqnConfig {
+        batch_size: cfg.batch_size,
+        hidden: cfg.hidden.clone(),
+        ..DqnConfig::simulation(spec.episodes, cfg.tmax)
+    }
+    .with_seed(lpa::par::derive_stream3(
+        cfg.seed ^ spec.seed,
+        0,
+        SALT_AGENT,
+    ));
+    let sampler = MixSampler::uniform(&workload);
+    let env = AdvisorEnv::new(
+        schema.clone(),
+        workload,
+        RewardBackend::cost_model(NetworkCostModel::new(CostParams::standard())),
+        sampler,
+        true,
+        dqn.seed,
+    );
+    let mut cluster = Cluster::new(
+        schema,
+        ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
+    );
+    cluster.set_fault_plan(spec.fault_plan.salted(lpa::par::derive_stream3(
+        cfg.seed,
+        0,
+        SALT_FAULTS,
+    )));
+    PartitioningService::new(
+        Advisor::untrained(env, dqn),
+        cluster,
+        ServiceConfig {
+            guardrail: cfg.guardrail,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// The one-loop proof: a fleet of one (no hook) and a standalone service
+/// built from the same seed and config, fed the same SQL every window and
+/// driven by the same train/probe/clock calls, make the same decisions.
+#[test]
+fn fleet_of_one_decides_exactly_like_a_standalone_service() {
+    const WINDOWS: u64 = 10;
+    let cfg = FleetConfig {
+        seed: fleet_seed(),
+        max_tenants: 1,
+        ..FleetConfig::default()
+    };
+    let spec = sql_spec();
+    let mut service = standalone_twin(&cfg, &spec);
+    let mut fleet = Fleet::new(cfg.clone());
+    fleet.admit(spec.clone()).unwrap();
+
+    let mut fleet_events = Vec::new();
+    let mut service_events = Vec::new();
+    for w in 0..WINDOWS {
+        for sql in skewed_window(w) {
+            let seen = fleet.observe_sql(0, &sql).unwrap();
+            assert!(matches!(seen, Observation::Known(_)), "{sql}: {seen:?}");
+            assert_eq!(service.observe_sql(&sql), seen);
+        }
+        fleet.run_round();
+        fleet_events.extend(fleet.drain_journal().into_iter().map(|r| r.event));
+
+        let episode = w as usize * cfg.episodes_per_slice;
+        if episode < spec.episodes {
+            let end = (episode + cfg.episodes_per_slice).min(spec.episodes);
+            service
+                .advisor_mut()
+                .train_episodes_from(episode, end, |_| {}, |_, _, _| {});
+        }
+        let report = service.end_window();
+        assert_ne!(
+            report.mix_used.unwrap(),
+            service.advisor().env.workload.uniform_frequencies(),
+            "the window closed on the observed mix"
+        );
+        service_events.extend(report.events.into_iter().map(|e| match e {
+            ServiceEvent::Guardrail(event) => event,
+            other => panic!("a busy window produced {other:?}"),
+        }));
+        service.probe(cfg.probe_queries);
+        service.cluster_mut().advance_clock(cfg.window_seconds);
+    }
+    assert_eq!(fleet_events, service_events);
+    assert!(
+        fleet_events
+            .iter()
+            .any(|e| matches!(e, GuardrailEvent::CanaryStarted { .. })),
+        "ten skewed windows never staged a candidate — the comparison is vacuous"
+    );
+    let tenant = fleet.tenant_service(0).unwrap();
+    assert_eq!(
+        tenant.cluster().deployed().physical_key(),
+        service.cluster().deployed().physical_key()
+    );
+    assert_eq!(
+        tenant.advisor().weight_fingerprint(),
+        service.advisor().weight_fingerprint()
+    );
+    assert_eq!(
+        tenant.cluster().clock().to_bits(),
+        service.cluster().clock().to_bits()
+    );
+    assert_eq!(
+        tenant.guardrail().accounting(),
+        service.guardrail().accounting()
+    );
+}
+
+/// Everything the SQL path can move, as raw bits, for both tenants of
+/// [`sql_fleet`].
+fn sql_fingerprint(fleet: &Fleet) -> Vec<(TenantFp, Vec<u64>, Vec<u64>, u64)> {
+    fingerprints(fleet)
+        .into_iter()
+        .enumerate()
+        .map(|(t, fp)| {
+            let service = fleet.tenant_service(t).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let forecaster = service.forecaster();
+            (
+                fp,
+                bits(forecaster.level()),
+                bits(forecaster.trend()),
+                service.guardrail().accounting().windows,
+            )
+        })
+        .collect()
+}
+
+const SQL_ROUNDS: u64 = 8;
+/// The victim dies in the middle of this round's window.
+const SQL_KILL_ROUND: u64 = 5;
+/// A join shape SSB does not have: with no reserved slot and the default
+/// threshold of two it stays quarantined forever — pending state that has
+/// to survive the checkpoint too.
+const UNKNOWN_SQL: &str = "SELECT count(*) FROM customer c, supplier s WHERE c.c_city = s.s_city";
+
+/// What tenant 0 observes in window `w`: the skewed known traffic plus one
+/// statement of the unknown shape.
+fn window_sql(w: u64) -> Vec<String> {
+    let mut sql = skewed_window(w);
+    sql.insert(1, UNKNOWN_SQL.to_string());
+    sql
+}
+
+/// Tenant 0 sees SQL, tenant 1 (same benchmark) never does.
+fn sql_specs() -> Vec<TenantSpec> {
+    vec![
+        sql_spec(),
+        TenantSpec {
+            name: "quiet".into(),
+            seed: 4_243,
+            ..sql_spec()
+        },
+    ]
+}
+
+fn sql_fleet(dir: &Path) -> CheckpointedFleet {
+    let cfg = FleetConfig {
+        seed: fleet_seed(),
+        max_tenants: 2,
+        ..FleetConfig::default()
+    };
+    // No cadence checkpoints: the only one is the victim's, mid-window.
+    let mut fleet = CheckpointedFleet::create(cfg, dir, u64::MAX).unwrap();
+    for spec in sql_specs() {
+        fleet.admit(spec).unwrap();
+    }
+    fleet
+}
+
+fn feed(fleet: &mut CheckpointedFleet, sql: &[String]) {
+    for statement in sql {
+        fleet.fleet_mut().observe_sql(0, statement).unwrap();
+    }
+}
+
+fn sql_path_at(threads: usize) -> Vec<(TenantFp, Vec<u64>, Vec<u64>, u64)> {
+    lpa::par::with_threads(threads, || {
+        let dir_ref = test_dir("sql-ref", threads);
+        let mut reference = sql_fleet(&dir_ref);
+        for w in 0..SQL_ROUNDS {
+            feed(&mut reference, &window_sql(w));
+            reference.run_round();
+        }
+        let fp_ref = sql_fingerprint(reference.fleet());
+
+        // The SQL tenant decided on what it observed, the quiet one on the
+        // uniform mix — which never went through its forecaster.
+        let horizon = ServiceConfig::default().forecast_horizon;
+        let seen = reference.fleet().tenant_service(0).unwrap();
+        assert_eq!(seen.forecaster().windows_seen(), SQL_ROUNDS);
+        let mix = seen.forecaster().forecast(horizon).unwrap();
+        let uniform = seen.advisor().env.workload.uniform_frequencies();
+        assert_ne!(mix, uniform);
+        assert_eq!(
+            mix.as_slice().iter().filter(|f| **f > 0.0).count(),
+            2,
+            "two of thirteen queries carry the whole mix: {mix:?}"
+        );
+        let quiet = reference.fleet().tenant_service(1).unwrap();
+        assert_eq!(quiet.forecaster().windows_seen(), 0);
+        assert_ne!(
+            fp_ref[0].0.weights, fp_ref[1].0.weights,
+            "different seeds, different tenants"
+        );
+
+        // Victim: killed mid-window, after half of round 5's statements.
+        let dir_kill = test_dir("sql-kill", threads);
+        let mut half_window = window_sql(SQL_KILL_ROUND);
+        let rest = half_window.split_off(4);
+        {
+            let mut victim = sql_fleet(&dir_kill);
+            for w in 0..SQL_KILL_ROUND {
+                feed(&mut victim, &window_sql(w));
+                victim.run_round();
+            }
+            feed(&mut victim, &half_window);
+            victim.checkpoint_now();
+        } // <- process dies with the window open
+
+        let cfg = reference.fleet().config().clone();
+        let mut resumed =
+            CheckpointedFleet::resume_or(cfg, sql_specs(), &dir_kill, u64::MAX).unwrap();
+        assert_eq!(resumed.fleet().round(), SQL_KILL_ROUND);
+        let monitor = resumed.fleet().tenant_service(0).unwrap().monitor();
+        assert_eq!(monitor.window_total(), half_window.len() as u64);
+        assert_eq!(
+            monitor
+                .pending()
+                .iter()
+                .map(|(_, n)| *n)
+                .collect::<Vec<_>>(),
+            vec![SQL_KILL_ROUND + 1],
+            "the quarantined query and its count survived"
+        );
+        feed(&mut resumed, &rest);
+        resumed.run_round();
+        for w in SQL_KILL_ROUND + 1..SQL_ROUNDS {
+            feed(&mut resumed, &window_sql(w));
+            resumed.run_round();
+        }
+        assert_eq!(
+            sql_fingerprint(resumed.fleet()),
+            fp_ref,
+            "the mid-window kill/resume diverged (threads={threads})"
+        );
+        assert_eq!(resumed.report().store.restores, 2);
+
+        let _ = std::fs::remove_dir_all(&dir_ref);
+        let _ = std::fs::remove_dir_all(&dir_kill);
+        fp_ref
+    })
+}
+
+/// A tenant fed SQL closes its windows on the observed mix, bit-identically
+/// at `LPA_THREADS={1,8}` and across a kill/resume taken mid-window.
+#[test]
+fn sql_fed_tenant_is_bit_identical_across_threads_and_mid_window_resume() {
+    let reference = sql_path_at(THREAD_COUNTS[0]);
+    for &threads in &THREAD_COUNTS[1..] {
+        assert_eq!(
+            sql_path_at(threads),
+            reference,
+            "SQL path diverged between {} and {threads} threads",
+            THREAD_COUNTS[0]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned-fleet golden: the slice loop's observable output, captured at the
+// commit before fleet tenants became `PartitioningService`s.
+
+/// SSB + TPC-CH tenants, default `FleetConfig`, 8 rounds. Every input is a
+/// constant; regenerate (only with a change that explains the drift) via
+/// `LPA_UPDATE_GOLDEN=1 cargo test --test fleet pinned_fleet`.
+fn pinned_fleet() -> Fleet {
+    let mut fleet = Fleet::new(FleetConfig::default());
+    for (i, benchmark) in [Benchmark::Ssb, Benchmark::TpcCh].into_iter().enumerate() {
+        let spec = TenantSpec::new(format!("pinned-{i}"), benchmark, 0.001, 77 + i as u64);
+        fleet.admit(spec).unwrap();
+    }
+    fleet.run_rounds(8);
+    fleet
+}
+
+#[test]
+fn pinned_fleet_matches_golden() {
+    let mut fleet = pinned_fleet();
+    let report = fleet.report();
+    let g = report.guardrail;
+    let mut rendered = String::new();
+    for t in 0..fleet.tenant_count() {
+        let fp = fleet.tenant_weight_fingerprint(t).unwrap();
+        rendered.push_str(&format!("tenant {t} weights {fp:016x}\n"));
+    }
+    rendered.push_str(&format!(
+        "guardrail {g:?}\ndeploy_seconds_bits {:016x}\nrollback_seconds_bits {:016x}\n",
+        g.deploy_seconds.to_bits(),
+        g.rollback_seconds.to_bits()
+    ));
+    rendered.push_str(&format!(
+        "journal_records {}\n",
+        fleet.drain_journal().len()
+    ));
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/pinned_fleet.txt");
+    if std::env::var_os("LPA_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "{} missing — run with LPA_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        rendered, golden,
+        "pinned fleet drifted — regenerate with LPA_UPDATE_GOLDEN=1 only \
+         together with the change that explains it"
+    );
+}
+
+/// A tenant that never saw SQL pays for being a service with the monitor
+/// and forecaster vectors (88 + 24 bytes per workload slot) and nothing
+/// else — and format v3 packs table states into `u32` words, which more
+/// than pays for them: the encoded checkpoint must not outgrow what the
+/// same tenants encoded to at the parent commit (format v2, measured there
+/// on this very fleet at round 8; `lpa-perf`'s `fleet_durable` fails on any
+/// rise in bytes on disk), let alone by the 2 % the merge was allowed.
+#[test]
+fn sql_less_tenant_checkpoint_does_not_outgrow_format_v2() {
+    const PARENT_BYTES: [usize; 2] = [30_342, 61_854];
+    let fleet = pinned_fleet();
+    for (tenant, parent) in PARENT_BYTES.into_iter().enumerate() {
+        let snapshot = capture_tenant(&fleet, tenant, fleet.round()).unwrap();
+        let bytes = encode_checkpoint(&Checkpoint::Tenant(snapshot)).len();
+        assert!(
+            bytes <= parent && bytes * 100 >= parent * 95,
+            "tenant {tenant}: {bytes} bytes vs {parent} at the parent commit"
+        );
+    }
 }

@@ -25,6 +25,7 @@ use lpa::partition::Partitioning;
 use lpa::prelude::*;
 use lpa::service::{JournalRecord, TenantCounters};
 use lpa::store::CheckpointedFleet;
+use lpa_bench::SeededChaos;
 use std::path::PathBuf;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -98,26 +99,32 @@ fn keystone_cfg(guardrail: GuardrailConfig) -> FleetConfig {
 }
 
 /// All-SSB population (joins everywhere, so a scrambled co-partitioning
-/// actually hurts), with poisoned advice on the `POISONED` set when
-/// `poison` is true.
-fn keystone_specs(poison: bool) -> Vec<TenantSpec> {
+/// actually hurts).
+fn keystone_specs() -> Vec<TenantSpec> {
     (0..TENANTS)
-        .map(|i| {
-            let mut spec = TenantSpec {
-                episodes: 2,
-                ..TenantSpec::new(
-                    format!("guard-{i:02}"),
-                    Benchmark::Ssb,
-                    0.001,
-                    400 + i as u64,
-                )
-            };
-            if poison && POISONED.contains(&i) {
-                spec.poison_from_round = Some(POISON_FROM);
-            }
-            spec
+        .map(|i| TenantSpec {
+            episodes: 2,
+            ..TenantSpec::new(
+                format!("guard-{i:02}"),
+                Benchmark::Ssb,
+                0.001,
+                400 + i as u64,
+            )
         })
         .collect()
+}
+
+/// Poisoned advice on the `POISONED` set from `POISON_FROM` on. Pure in
+/// `(seed, tenant, round, deployed layout)` and not checkpointed, so a
+/// resumed fleet gets the same hook installed again.
+fn keystone_poison() -> Box<SeededChaos> {
+    Box::new(
+        POISONED
+            .iter()
+            .fold(SeededChaos::new(guard_seed()), |chaos, &tenant| {
+                chaos.poison(tenant, POISON_FROM)
+            }),
+    )
 }
 
 /// Everything observable about one tenant, as raw bits.
@@ -139,7 +146,7 @@ fn fingerprints(fleet: &Fleet) -> Vec<TenantFp> {
             clock: fleet.tenant_cluster(t).unwrap().clock().to_bits(),
             deployed: fleet.tenant_cluster(t).unwrap().deployed().clone(),
             counters: fleet.tenant_counters(t).unwrap(),
-            guardrail: fleet.tenant_guardrail(t).unwrap().accounting(),
+            guardrail: fleet.tenant_service(t).unwrap().guardrail().accounting(),
         })
         .collect()
 }
@@ -160,7 +167,8 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
         let dir_ref = test_dir("ref", threads);
         let mut reference =
             CheckpointedFleet::create(keystone_cfg(guarded()), &dir_ref, EVERY).unwrap();
-        for spec in keystone_specs(true) {
+        reference.fleet_mut().set_hook(keystone_poison());
+        for spec in keystone_specs() {
             reference.admit(spec).unwrap();
         }
         reference.run_rounds(ROUNDS);
@@ -185,7 +193,14 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
             assert_eq!(
                 g.commits + g.rollbacks_regression + g.rollbacks_degraded,
                 g.canaries_started
-                    - u64::from(reference.fleet().tenant_guardrail(i).unwrap().canary_open()),
+                    - u64::from(
+                        reference
+                            .fleet()
+                            .tenant_service(i)
+                            .unwrap()
+                            .guardrail()
+                            .canary_open()
+                    ),
                 "tenant {i}: a closed canary reached no verdict: {g:?}"
             );
             assert!(g.rollback_seconds > 0.0, "rollback migration was free");
@@ -235,7 +250,7 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
         // (2a) Unpoisoned guarded control: genuine advice never triggers
         // a rollback, and nobody's canary protocol misfires.
         let mut unpoisoned = Fleet::new(keystone_cfg(guarded()));
-        admit_all(&mut unpoisoned, keystone_specs(false));
+        admit_all(&mut unpoisoned, keystone_specs());
         unpoisoned.run_rounds(ROUNDS);
         let fp_unp = fingerprints(&unpoisoned);
         let report_unp = unpoisoned.report();
@@ -261,7 +276,7 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
         // healthy tenants' *training trajectories* (weights, episodes)
         // are bitwise unchanged by guarding.
         let mut inert = Fleet::new(keystone_cfg(GuardrailConfig::inert()));
-        admit_all(&mut inert, keystone_specs(false));
+        admit_all(&mut inert, keystone_specs());
         inert.run_rounds(ROUNDS);
         let fp_inert = fingerprints(&inert);
         for i in 0..TENANTS {
@@ -286,7 +301,8 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
         {
             let mut victim =
                 CheckpointedFleet::create(keystone_cfg(guarded()), &dir_kill, EVERY).unwrap();
-            for spec in keystone_specs(true) {
+            victim.fleet_mut().set_hook(keystone_poison());
+            for spec in keystone_specs() {
                 victim.admit(spec).unwrap();
             }
             victim.run_rounds(RESUME_AT);
@@ -295,7 +311,12 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
             // exercising what it claims.
             for &i in &POISONED {
                 assert!(
-                    victim.fleet().tenant_guardrail(i).unwrap().canary_open(),
+                    victim
+                        .fleet()
+                        .tenant_service(i)
+                        .unwrap()
+                        .guardrail()
+                        .canary_open(),
                     "tenant {i}: no canary open at the round-{RESUME_AT} checkpoint"
                 );
             }
@@ -304,15 +325,21 @@ fn keystone_at(threads: usize) -> (Vec<TenantFp>, Vec<JournalRecord>) {
 
         let mut resumed = CheckpointedFleet::resume_or(
             keystone_cfg(guarded()),
-            keystone_specs(true),
+            keystone_specs(),
             &dir_kill,
             EVERY,
         )
         .unwrap();
+        resumed.fleet_mut().set_hook(keystone_poison());
         assert_eq!(resumed.fleet().round(), RESUME_AT);
         for &i in &POISONED {
             assert!(
-                resumed.fleet().tenant_guardrail(i).unwrap().canary_open(),
+                resumed
+                    .fleet()
+                    .tenant_service(i)
+                    .unwrap()
+                    .guardrail()
+                    .canary_open(),
                 "tenant {i}: the open canary did not survive the kill"
             );
         }
@@ -377,11 +404,13 @@ fn fleet_budget_caps_concurrent_canaries_across_tenants() {
         fleet_budget_deploys: 1,
         ..FleetConfig::default()
     });
+    fleet.set_hook(Box::new(
+        SeededChaos::new(guard_seed()).poison(0, 0).poison(1, 0),
+    ));
     for i in 0..2 {
         fleet
             .admit(TenantSpec {
                 episodes: 1,
-                poison_from_round: Some(0),
                 ..TenantSpec::new(format!("b{i}"), Benchmark::Micro, 0.01, 70 + i as u64)
             })
             .unwrap();
@@ -396,8 +425,9 @@ fn fleet_budget_caps_concurrent_canaries_across_tenants() {
     for t in 0..2 {
         assert!(
             fleet
-                .tenant_guardrail(t)
+                .tenant_service(t)
                 .unwrap()
+                .guardrail()
                 .accounting()
                 .canaries_started
                 > 0,
@@ -416,7 +446,8 @@ fn fleet_budget_caps_concurrent_canaries_across_tenants() {
 #[ignore]
 fn debug_poison_dynamics() {
     let mut fleet = Fleet::new(keystone_cfg(guarded()));
-    admit_all(&mut fleet, keystone_specs(true));
+    fleet.set_hook(keystone_poison());
+    admit_all(&mut fleet, keystone_specs());
     for _ in 0..ROUNDS {
         fleet.run_round();
         for rec in fleet.drain_journal() {
