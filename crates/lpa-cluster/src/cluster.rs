@@ -1,18 +1,20 @@
 //! The cluster façade: deployment, query execution, the simulated clock,
 //! sampling and bulk updates.
 
-use crate::datagen::Database;
+use crate::columnar::ExecScratch;
 use crate::engine::EngineProfile;
 use crate::executor::{layout_table, Executor, Layout};
 use crate::faults::{ClusterHealth, FailReason, FaultAccounting, FaultPlan, FaultState};
 use crate::hardware::HardwareProfile;
 use crate::optimizer::OptimizerEstimator;
+use crate::substrate::Substrate;
 use lpa_partition::Partitioning;
 use lpa_schema::{Schema, TableId};
 use lpa_workload::{FrequencyVector, Query, Workload};
+use std::sync::Arc;
 
 /// Configuration of one simulated deployment.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterConfig {
     pub engine: EngineProfile,
     pub hardware: HardwareProfile,
@@ -106,56 +108,73 @@ pub struct ClusterResumeState {
     pub fault_accounting: FaultAccounting,
 }
 
-/// A simulated distributed database cluster holding generated data sharded
-/// by the currently deployed partitioning.
+/// A simulated distributed database cluster: generated data (the shared,
+/// immutable [`Substrate`]) sharded by the currently deployed partitioning.
 #[derive(Debug)]
 pub struct Cluster {
-    base_schema: Schema,
-    schema: Schema,
-    config: ClusterConfig,
-    db: Database,
+    /// Schema, config, rows, the clean-execution memo and the executor
+    /// arenas. Replaced, never mutated, when a bulk update grows the data.
+    substrate: Arc<Substrate>,
     deployed: Partitioning,
     layouts: Vec<Layout>,
     optimizer: OptimizerEstimator,
     clock_seconds: f64,
     stats_epoch: u64,
-    /// Per-table growth multipliers accumulated by bulk updates.
-    growth: Vec<f64>,
     queries_executed: u64,
     tables_repartitioned: u64,
     /// Deterministic fault schedule (inert by default).
     faults: FaultPlan,
     fault_accounting: FaultAccounting,
-    /// Reusable columnar-executor buffers (transient — excluded from
-    /// resume state; contents never outlive one `run_query`).
-    exec_scratch: crate::ExecScratch,
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.substrate.detach();
+    }
 }
 
 impl Cluster {
     /// Generate data for `schema` and deploy the initial partitioning.
     pub fn new(schema: Schema, config: ClusterConfig) -> Self {
-        let n_tables = schema.tables().len();
-        let db = Database::generate(&schema, config.seed);
-        let deployed = Partitioning::initial(&schema);
-        let layouts = Self::compute_layouts(&schema, &db, &config, &deployed);
+        Self::on_substrate(Arc::new(Substrate::new(schema, config)))
+    }
+
+    /// A cluster over already generated data, with the initial
+    /// partitioning deployed. Clusters sharing a substrate share its rows
+    /// and its clean-execution memo, nothing else.
+    pub fn on_substrate(substrate: Arc<Substrate>) -> Self {
+        let deployed = Partitioning::initial(substrate.schema());
+        let layouts = Self::compute_layouts(&substrate, &deployed);
+        let config = substrate.config();
         let optimizer = OptimizerEstimator::new(config.engine, config.hardware);
+        substrate.attach();
         Self {
-            base_schema: schema.clone(),
-            schema,
-            config,
-            db,
+            substrate,
             deployed,
             layouts,
             optimizer,
             clock_seconds: 0.0,
             stats_epoch: 0,
-            growth: vec![1.0; n_tables],
             queries_executed: 0,
             tables_repartitioned: 0,
             faults: FaultPlan::none(),
             fault_accounting: FaultAccounting::default(),
-            exec_scratch: crate::ExecScratch::default(),
         }
+    }
+
+    /// The generated data this cluster runs on.
+    pub fn substrate(&self) -> &Arc<Substrate> {
+        &self.substrate
+    }
+
+    /// Move onto a private substrate at `growth` (copy-on-growth): the
+    /// clusters sharing the old one keep it untouched.
+    fn regrow(&mut self, growth: Vec<f64>) {
+        let grown = Arc::new(self.substrate.grown(growth));
+        grown.attach();
+        self.substrate.detach();
+        self.substrate = grown;
+        self.layouts = Self::compute_layouts(&self.substrate, &self.deployed);
     }
 
     /// The same cluster under a fault schedule (builder style).
@@ -176,7 +195,7 @@ impl Cluster {
     /// The fault state active at the current simulated clock.
     pub fn fault_state(&self) -> FaultState {
         self.faults
-            .state_at(self.clock_seconds, self.config.hardware.nodes)
+            .state_at(self.clock_seconds, self.config().hardware.nodes)
     }
 
     /// Cumulative fault-layer counters (execution-side view).
@@ -188,7 +207,7 @@ impl Cluster {
     pub fn health(&self) -> ClusterHealth {
         let state = self.fault_state();
         ClusterHealth {
-            nodes: self.config.hardware.nodes,
+            nodes: self.config().hardware.nodes,
             nodes_down: state.nodes_down(),
             stragglers: state.stragglers(),
             degraded_links: state.degraded_links(),
@@ -196,35 +215,33 @@ impl Cluster {
         }
     }
 
-    fn compute_layouts(
-        schema: &Schema,
-        db: &Database,
-        config: &ClusterConfig,
-        p: &Partitioning,
-    ) -> Vec<Layout> {
-        (0..schema.tables().len())
-            .map(|t| {
-                layout_table(
-                    db,
-                    &config.engine,
-                    config.hardware.nodes,
-                    TableId(t),
-                    p.table_state(TableId(t)),
-                )
-            })
+    fn compute_layouts(substrate: &Substrate, p: &Partitioning) -> Vec<Layout> {
+        (0..substrate.schema().tables().len())
+            .map(|t| Self::layout(substrate, TableId(t), p))
             .collect()
     }
 
+    fn layout(substrate: &Substrate, t: TableId, p: &Partitioning) -> Layout {
+        let config = substrate.config();
+        layout_table(
+            substrate.db(),
+            &config.engine,
+            config.hardware.nodes,
+            t,
+            p.table_state(t),
+        )
+    }
+
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.substrate.schema()
     }
 
     pub fn config(&self) -> &ClusterConfig {
-        &self.config
+        self.substrate.config()
     }
 
     pub fn engine(&self) -> &EngineProfile {
-        &self.config.engine
+        &self.config().engine
     }
 
     pub fn deployed(&self) -> &Partitioning {
@@ -265,13 +282,7 @@ impl Cluster {
         let mut seconds = 0.0;
         for t in changed {
             seconds += self.repartition_time(t, target);
-            self.layouts[t.0] = layout_table(
-                &self.db,
-                &self.config.engine,
-                self.config.hardware.nodes,
-                t,
-                target.table_state(t),
-            );
+            self.layouts[t.0] = Self::layout(&self.substrate, t, target);
             self.tables_repartitioned += 1;
         }
         self.deployed = target.clone();
@@ -289,19 +300,20 @@ impl Cluster {
     }
 
     fn repartition_time(&self, t: TableId, target: &Partitioning) -> f64 {
-        let bytes = self.schema.table(t).bytes() as f64;
-        let n = self.config.hardware.nodes as f64;
+        let config = self.config();
+        let bytes = self.schema().table(t).bytes() as f64;
+        let n = config.hardware.nodes as f64;
         let move_factor = match target.table_state(t) {
             lpa_partition::TableState::Replicated => n - 1.0,
             lpa_partition::TableState::PartitionedBy(_) => (n - 1.0) / n,
         };
-        let transfer = bytes * move_factor / self.config.hardware.aggregate_net();
+        let transfer = bytes * move_factor / config.hardware.aggregate_net();
         // Disk-based engines rewrite the table on both ends.
-        let rewrite = bytes * self.config.engine.repartition_penalty
-            / if self.config.engine.disk_based {
-                self.config.hardware.disk_scan_bandwidth
+        let rewrite = bytes * config.engine.repartition_penalty
+            / if config.engine.disk_based {
+                config.hardware.disk_scan_bandwidth
             } else {
-                self.config.hardware.mem_scan_bandwidth
+                config.hardware.mem_scan_bandwidth
             };
         transfer + rewrite / n
     }
@@ -323,7 +335,7 @@ impl Cluster {
             .faults
             .transient_failure(self.clock_seconds, self.queries_executed)
         {
-            let seconds = self.config.engine.query_overhead;
+            let seconds = self.config().engine.query_overhead;
             self.clock_seconds += seconds;
             self.fault_accounting.queries_failed += 1;
             self.fault_accounting.transient_failures += 1;
@@ -339,7 +351,7 @@ impl Cluster {
         // on surviving nodes.
         if faults.nodes_down() > 0 {
             if let Some(node) = self.unreachable_shard(query, &faults) {
-                let seconds = self.config.engine.query_overhead;
+                let seconds = self.config().engine.query_overhead;
                 self.clock_seconds += seconds;
                 self.fault_accounting.queries_failed += 1;
                 self.fault_accounting.node_down_failures += 1;
@@ -350,21 +362,36 @@ impl Cluster {
             }
         }
 
-        let plan = self
-            .optimizer
-            .plan(&self.schema, query, &self.deployed, self.stats_epoch);
-        let exec = Executor {
-            schema: &self.schema,
-            db: &self.db,
-            engine: &self.config.engine,
-            hw: &self.config.hardware,
-            layouts: &self.layouts,
-            faults: &faults,
+        let degraded = faults.any_fault();
+        let substrate = &*self.substrate;
+        let execute = |scratch: &mut ExecScratch| {
+            let schema = substrate.schema();
+            let plan = self
+                .optimizer
+                .plan(schema, query, &self.deployed, self.stats_epoch);
+            let exec = Executor {
+                schema,
+                db: substrate.db(),
+                engine: &substrate.config().engine,
+                hw: &substrate.config().hardware,
+                layouts: &self.layouts,
+                faults: &faults,
+            };
+            exec.execute_with(query, &plan, timeout, scratch)
         };
-        match exec.execute_with(query, &plan, timeout, &mut self.exec_scratch) {
+        // A fault-free execution without a budget is a pure function of
+        // the query, its tables' states and the statistics epoch, so the
+        // substrate answers repeats from its memo. Timed executions stay
+        // out: the single-table arm returns without a final budget check,
+        // so a stored runtime cannot say whether it would have timed out.
+        let result = if degraded || timeout.is_some() {
+            substrate.with_scratch(execute)
+        } else {
+            substrate.clean_execution(query, &self.deployed, self.stats_epoch, execute)
+        };
+        match result {
             Some(r) => {
                 self.clock_seconds += r.seconds;
-                let degraded = faults.any_fault();
                 if degraded {
                     self.fault_accounting.degraded_completions += 1;
                 }
@@ -423,13 +450,13 @@ impl Cluster {
     /// baseline's objective). `None` on engines without optimizer access.
     pub fn optimizer_estimate(&self, query: &Query, candidate: &Partitioning) -> Option<f64> {
         self.optimizer
-            .estimate_cost(&self.schema, query, candidate, self.stats_epoch)
+            .estimate_cost(self.schema(), query, candidate, self.stats_epoch)
     }
 
     /// Bulk-load `fraction` more data into every table (statistics change,
     /// the deployed partitioning is preserved).
     pub fn bulk_update(&mut self, fraction: f64) {
-        let all: Vec<TableId> = (0..self.base_schema.tables().len()).map(TableId).collect();
+        let all: Vec<TableId> = (0..self.schema().tables().len()).map(TableId).collect();
         self.bulk_update_tables(fraction, &all);
     }
 
@@ -439,12 +466,11 @@ impl Cluster {
     /// not new customers).
     pub fn bulk_update_tables(&mut self, fraction: f64, tables: &[TableId]) {
         assert!(fraction >= 0.0);
+        let mut growth = self.substrate.growth().to_vec();
         for t in tables {
-            self.growth[t.0] += fraction;
+            growth[t.0] += fraction;
         }
-        self.schema = self.base_schema.clone().scaled_per_table(&self.growth);
-        self.db = Database::generate(&self.schema, self.config.seed);
-        self.layouts = Self::compute_layouts(&self.schema, &self.db, &self.config, &self.deployed);
+        self.regrow(growth);
         self.stats_epoch += 1;
     }
 
@@ -457,7 +483,7 @@ impl Cluster {
             deployed: self.deployed.clone(),
             clock_seconds: self.clock_seconds,
             stats_epoch: self.stats_epoch,
-            growth: self.growth.clone(),
+            growth: self.substrate.growth().to_vec(),
             queries_executed: self.queries_executed,
             tables_repartitioned: self.tables_repartitioned,
             faults: self.faults,
@@ -465,24 +491,41 @@ impl Cluster {
         }
     }
 
-    /// Apply checkpointed state onto a cluster freshly built over the same
-    /// base schema and config. Regenerates data, layouts and statistics;
-    /// `Err` (never panics: this is the recovery path) when the state does
-    /// not fit the schema.
+    /// Apply checkpointed state onto a cluster built over the same base
+    /// schema and config. All or nothing: `Err` (never panics: this is the
+    /// recovery path) when the state does not fit the schema, and the
+    /// cluster is then exactly as it was. Data is regenerated only when the
+    /// growth differs from the substrate's; otherwise just the layouts of
+    /// the tables whose state changes are recomputed.
     pub fn restore_resume_state(&mut self, st: ClusterResumeState) -> Result<(), String> {
-        if st.growth.len() != self.base_schema.tables().len() {
+        let n_tables = self.schema().tables().len();
+        if st.growth.len() != n_tables {
             return Err(format!(
-                "growth vector has {} entries for {} tables",
+                "growth vector has {} entries for {n_tables} tables",
                 st.growth.len(),
-                self.base_schema.tables().len()
             ));
         }
-        self.growth = st.growth;
-        self.schema = self.base_schema.clone().scaled_per_table(&self.growth);
-        st.deployed.check(&self.schema)?;
-        self.db = Database::generate(&self.schema, self.config.seed);
-        self.deployed = st.deployed;
-        self.layouts = Self::compute_layouts(&self.schema, &self.db, &self.config, &self.deployed);
+        if let Some(g) = st.growth.iter().find(|g| !(g.is_finite() && **g > 0.0)) {
+            return Err(format!("growth factor {g} is not positive"));
+        }
+        // Structural (table and edge counts, edge endpoints): growth only
+        // changes row counts, so the current schema decides.
+        st.deployed.check(self.schema())?;
+
+        let same_data = st
+            .growth
+            .iter()
+            .zip(self.substrate.growth())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        if same_data {
+            for t in self.deployed.diff_tables(&st.deployed) {
+                self.layouts[t.0] = Self::layout(&self.substrate, t, &st.deployed);
+            }
+            self.deployed = st.deployed;
+        } else {
+            self.deployed = st.deployed;
+            self.regrow(st.growth);
+        }
         self.clock_seconds = st.clock_seconds;
         self.stats_epoch = st.stats_epoch;
         self.queries_executed = st.queries_executed;
@@ -497,10 +540,18 @@ impl Cluster {
     /// preserved by sampling parents and children together.
     pub fn sampled(&self, fraction: f64) -> Cluster {
         assert!(fraction > 0.0 && fraction <= 1.0);
-        let factors: Vec<f64> = self.growth.iter().map(|g| g * fraction).collect();
+        let factors: Vec<f64> = self
+            .substrate
+            .growth()
+            .iter()
+            .map(|g| g * fraction)
+            .collect();
         let mut sample = Cluster::new(
-            self.base_schema.clone().scaled_per_table(&factors),
-            self.config,
+            self.substrate
+                .base_schema()
+                .clone()
+                .scaled_per_table(&factors),
+            *self.config(),
         );
         // The sample inherits the fault schedule, rescaled to its faster
         // clock so per-query fault density is preserved rather than
@@ -727,6 +778,78 @@ mod tests {
         assert!(c.schema().table(TableId(0)).rows > rows_before);
         let t_after = c.run_query(&w.queries()[0], None).seconds();
         assert!(t_after > t_before, "more data, longer runtime");
+    }
+
+    #[test]
+    fn rejected_restore_leaves_the_cluster_untouched() {
+        let (mut c, w) = micro_cluster();
+        let (mut twin, _) = micro_cluster();
+        c.advance_clock(3.5);
+        twin.advance_clock(3.5);
+        let before = c.resume_state();
+        let substrate = Arc::clone(c.substrate());
+
+        // A layout of another schema fails `check`; the growth and clock
+        // riding along with it must not be applied either.
+        let other = lpa_schema::ssb::schema(0.001).expect("schema builds");
+        let mut bad = c.resume_state();
+        bad.deployed = Partitioning::initial(&other);
+        bad.growth = vec![2.0; before.growth.len()];
+        bad.clock_seconds = 99.0;
+        bad.stats_epoch = 7;
+        assert!(c.restore_resume_state(bad).is_err());
+        // Growth a schema cannot be scaled by is an error, not a panic.
+        for g in [0.0, -1.0, f64::NAN] {
+            let mut bad = c.resume_state();
+            bad.growth[0] = g;
+            assert!(c.restore_resume_state(bad).is_err(), "growth {g}");
+        }
+
+        let after = c.resume_state();
+        assert_eq!(
+            after.clock_seconds.to_bits(),
+            before.clock_seconds.to_bits()
+        );
+        assert_eq!(after.growth, before.growth);
+        assert_eq!(after.deployed, before.deployed);
+        assert_eq!(after.stats_epoch, before.stats_epoch);
+        assert!(Arc::ptr_eq(c.substrate(), &substrate));
+        for q in w.queries() {
+            assert_eq!(
+                c.run_query(q, None),
+                twin.run_query(q, None),
+                "{}: schema, data and layouts still agree",
+                q.name
+            );
+        }
+    }
+
+    #[test]
+    fn restore_with_unchanged_growth_keeps_the_substrate() {
+        let (mut c, w) = micro_cluster();
+        let schema = c.schema().clone();
+        let b = schema.table_by_name("b").unwrap();
+        let repl = Action::Replicate { table: b }
+            .apply(&schema, &Partitioning::initial(&schema))
+            .unwrap();
+        let (mut donor, _) = micro_cluster();
+        donor.deploy(&repl);
+        let st = donor.resume_state();
+        let want = donor.run_query(&w.queries()[0], None);
+
+        let substrate = Arc::clone(c.substrate());
+        c.restore_resume_state(st).unwrap();
+        assert!(Arc::ptr_eq(c.substrate(), &substrate), "no regeneration");
+        assert_eq!(c.deployed(), &repl);
+        assert_eq!(c.run_query(&w.queries()[0], None), want);
+
+        // A restore at another growth leaves for a private substrate.
+        let mut grown = c.resume_state();
+        grown.growth[0] = 1.5;
+        c.restore_resume_state(grown).unwrap();
+        assert!(!Arc::ptr_eq(c.substrate(), &substrate));
+        assert_eq!(substrate.stats().clusters_attached, 0);
+        assert_eq!(c.substrate().stats().clusters_attached, 1);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   according to a deployed [`Partitioning`](lpa_partition::Partitioning),
 //!   charges repartitioning time when the deployment changes, and executes
 //!   queries;
+//! * [`substrate::Substrate`] is the immutable half of that — schema,
+//!   config, rows — shareable between clusters over the same database,
+//!   with a memo of fault-free executions (DESIGN.md §16);
 //! * [`executor`] runs each query's join tree as per-node hash joins with
 //!   real broadcasts and shuffles over the generated keys — locality,
 //!   value skew and straggler effects *emerge* from the data instead of
@@ -43,6 +46,7 @@ pub mod faults;
 pub mod guardrail;
 pub mod hardware;
 pub mod optimizer;
+pub mod substrate;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterResumeState, QueryOutcome};
 pub use columnar::{naive_executor_forced, with_naive_executor, ExecScratch};
@@ -56,3 +60,4 @@ pub use guardrail::{
 };
 pub use hardware::HardwareProfile;
 pub use optimizer::OptimizerEstimator;
+pub use substrate::{Substrate, SubstrateStats};

@@ -33,7 +33,7 @@ pub struct InternedKey(pub u32);
 /// partitioned by `attr`. Lossless for any schema with < 2^32 - 1
 /// attributes per table.
 #[inline]
-fn pack(state: TableState) -> u32 {
+pub fn pack(state: TableState) -> u32 {
     match state {
         TableState::Replicated => 0,
         TableState::PartitionedBy(a) => a.0 as u32 + 1,

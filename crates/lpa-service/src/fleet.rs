@@ -44,7 +44,7 @@ use crate::service::{
 use lpa_advisor::{Advisor, AdvisorEnv, RewardBackend};
 use lpa_cluster::{
     Cluster, ClusterConfig, ClusterHealth, EngineProfile, FaultPlan, GuardrailAccounting,
-    GuardrailConfig, GuardrailEvent, HardwareProfile,
+    GuardrailConfig, GuardrailEvent, HardwareProfile, Substrate, SubstrateStats,
 };
 use lpa_costmodel::{CostParams, NetworkCostModel};
 use lpa_par::derive_stream3;
@@ -52,6 +52,7 @@ use lpa_par::schedule::RoundRobin;
 use lpa_rl::DqnConfig;
 use lpa_schema::Schema;
 use lpa_workload::{MixSampler, Workload};
+use std::sync::Arc;
 
 /// Purpose salts for [`derive_stream3`] — one per independent per-tenant
 /// random stream. Distinctness of the resulting streams over
@@ -394,12 +395,35 @@ impl FleetReport {
     }
 }
 
+/// One generated database in the fleet's pool: what determines the data
+/// (benchmark, scale, and the cluster config's data seed, engine and
+/// hardware) and the substrate every tenant with that spec attaches to.
+#[derive(Debug)]
+struct PooledSubstrate {
+    benchmark: Benchmark,
+    scale_bits: u64,
+    substrate: Arc<Substrate>,
+}
+
+/// One row of [`Fleet::substrates`]: a distinct tenant database, how many
+/// clusters share it and how many executions its memo answered.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SubstrateReport {
+    pub benchmark: Benchmark,
+    pub scale: f64,
+    pub stats: SubstrateStats,
+}
+
 /// The fleet: tenants, scheduler, admission control.
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
     scheduler: RoundRobin,
     tenants: Vec<TenantSlot>,
+    /// Each distinct tenant database, generated once. Owned by the fleet
+    /// and dropped with it; never checkpointed (a resumed fleet rebuilds
+    /// it from the specs, its memo cold).
+    substrates: Vec<PooledSubstrate>,
     rejected_admissions: u64,
     /// Rounds in which any tenant started a canary, pruned to the budget
     /// horizon — the fleet-wide aggregate deploy budget's working set.
@@ -422,6 +446,7 @@ impl Fleet {
             cfg,
             scheduler: RoundRobin::new(0),
             tenants: Vec::new(),
+            substrates: Vec::new(),
             rejected_admissions: 0,
             stage_rounds: Vec::new(),
             journal: Vec::new(),
@@ -483,7 +508,7 @@ impl Fleet {
     /// `(cfg.seed, id, spec)`. The cost model is always
     /// `CostParams::standard()`; checkpointing layers rebuild templates
     /// under the same convention.
-    fn build_tenant(&self, id: usize, spec: TenantSpec) -> Result<TenantSlot, FleetError> {
+    fn build_tenant(&mut self, id: usize, spec: TenantSpec) -> Result<TenantSlot, FleetError> {
         let build_err = |reason: String| FleetError::TenantBuild {
             name: spec.name.clone(),
             reason,
@@ -535,10 +560,14 @@ impl Fleet {
             cfg.seed,
         );
         let advisor = Advisor::untrained(env, cfg);
-        let mut cluster = Cluster::new(
+        let cluster_cfg =
+            ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard());
+        let mut cluster = Cluster::on_substrate(self.pooled_substrate(
+            spec.benchmark,
+            spec.scale,
             schema,
-            ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
-        );
+            cluster_cfg,
+        ));
         cluster.set_fault_plan(spec.fault_plan.salted(derive_stream3(
             self.cfg.seed,
             id as u64,
@@ -560,6 +589,44 @@ impl Fleet {
             counters: TenantCounters::default(),
             service,
         })
+    }
+
+    /// The pool's substrate for this database, generated on first use.
+    fn pooled_substrate(
+        &mut self,
+        benchmark: Benchmark,
+        scale: f64,
+        schema: Schema,
+        cfg: ClusterConfig,
+    ) -> Arc<Substrate> {
+        let scale_bits = scale.to_bits();
+        let pooled = self.substrates.iter().find(|p| {
+            p.benchmark == benchmark && p.scale_bits == scale_bits && *p.substrate.config() == cfg
+        });
+        if let Some(p) = pooled {
+            return Arc::clone(&p.substrate);
+        }
+        let substrate = Arc::new(Substrate::new(schema, cfg));
+        self.substrates.push(PooledSubstrate {
+            benchmark,
+            scale_bits,
+            substrate: Arc::clone(&substrate),
+        });
+        substrate
+    }
+
+    /// One row per distinct tenant database in the pool. A tenant that
+    /// grew its data (bulk update) has left for a private substrate and is
+    /// no longer counted in its row.
+    pub fn substrates(&self) -> Vec<SubstrateReport> {
+        self.substrates
+            .iter()
+            .map(|p| SubstrateReport {
+                benchmark: p.benchmark,
+                scale: f64::from_bits(p.scale_bits),
+                stats: p.substrate.stats(),
+            })
+            .collect()
     }
 
     fn slot(&self, tenant: usize) -> Result<&TenantSlot, FleetError> {

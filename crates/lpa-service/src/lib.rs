@@ -35,8 +35,8 @@ pub mod service;
 
 pub use fleet::{
     Benchmark, Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, HealthRollup,
-    JournalRecord, QuarantinePolicy, TenantCounters, TenantErrorKind, TenantReport, TenantSpec,
-    TenantStatus,
+    JournalRecord, QuarantinePolicy, SubstrateReport, TenantCounters, TenantErrorKind,
+    TenantReport, TenantSpec, TenantStatus,
 };
 pub use forecast::FrequencyForecaster;
 pub use hook::{NoHook, SliceHook};

@@ -100,6 +100,23 @@ fn print_report(when: &str, report: &FleetReport) {
     );
 }
 
+/// One line per distinct tenant database: how many clusters share it and
+/// how many executions its memo answered instead of the executor.
+fn print_substrates(fleet: &Fleet) {
+    for row in fleet.substrates() {
+        let s = row.stats;
+        println!(
+            "  substrate {:?} @ {}: {} cluster(s) attached, {} of {} clean executions answered by the memo ({} entries)",
+            row.benchmark,
+            row.scale,
+            s.clusters_attached,
+            s.memo_hits,
+            s.memo_hits + s.memo_misses,
+            s.memo_entries,
+        );
+    }
+}
+
 fn main() {
     let root = std::env::temp_dir().join(format!("lpa-fleet-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -115,6 +132,7 @@ fn main() {
     }
     fleet.run_rounds(4);
     print_report("before crash", &fleet.report());
+    print_substrates(fleet.fleet());
     let fingerprints = report_fingerprints(&fleet.report());
     drop(fleet); // the "crash": nothing survives but the files under `root`
 
@@ -134,6 +152,9 @@ fn main() {
     );
     fleet.run_rounds(4);
     print_report("after resume", &fleet.report());
+    // The pool is rebuilt from the specs on resume, so these counts start
+    // at the resumed round.
+    print_substrates(fleet.fleet());
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -992,3 +992,274 @@ fn sql_less_tenant_checkpoint_does_not_outgrow_format_v2() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shared substrate (DESIGN.md §16): same-spec tenants hold one generated
+// database and one clean-execution memo. Sharing must be invisible to every
+// tenant, a tenant whose data grows must leave alone, and nothing of it may
+// outlive the fleet.
+
+use lpa::cluster::{GuardrailAccounting, SubstrateStats};
+use lpa::service::JournalRecord;
+use lpa::store::restore_tenant;
+use std::sync::Arc;
+
+const SHARED_ROUNDS: u64 = 6;
+
+fn ssb_tenant(i: usize) -> TenantSpec {
+    TenantSpec {
+        episodes: 4,
+        ..TenantSpec::new(format!("shared-{i}"), Benchmark::Ssb, 0.001, 310 + i as u64)
+    }
+}
+
+/// Tenant 0 plus three neighbours on its database, one of them in a storm.
+fn sharing_specs() -> Vec<TenantSpec> {
+    let mut specs: Vec<TenantSpec> = (0..4).map(ssb_tenant).collect();
+    specs[2].fault_plan = FaultPlan::storm(0x5700);
+    specs
+}
+
+/// Tenant 0 alone on its database: no neighbour has its `(benchmark, scale)`.
+fn solitary_specs() -> Vec<TenantSpec> {
+    let mut specs = sharing_specs();
+    specs[1].benchmark = Benchmark::TpcCh;
+    specs[2].scale = 0.002;
+    specs[3] = TenantSpec {
+        episodes: 4,
+        ..TenantSpec::new("shared-3", Benchmark::Micro, 0.01, 313)
+    };
+    specs
+}
+
+fn shared_cfg() -> FleetConfig {
+    FleetConfig {
+        seed: fleet_seed(),
+        ..FleetConfig::default()
+    }
+}
+
+fn shared_fleet(specs: Vec<TenantSpec>) -> Fleet {
+    let mut fleet = Fleet::new(shared_cfg());
+    for spec in specs {
+        fleet.admit(spec).unwrap();
+    }
+    fleet
+}
+
+/// Everything a neighbour could perturb in one tenant, as raw bits.
+type Observed = (TenantFp, u64, GuardrailAccounting, Vec<JournalRecord>);
+
+fn observed(fleet: &Fleet, journal: &[JournalRecord], tenant: usize) -> Observed {
+    let service = fleet.tenant_service(tenant).unwrap();
+    (
+        fingerprints(fleet).swap_remove(tenant),
+        service.cluster().queries_executed(),
+        service.guardrail().accounting(),
+        journal
+            .iter()
+            .filter(|r| r.tenant == tenant as u64)
+            .cloned()
+            .collect(),
+    )
+}
+
+fn pool_stats(fleet: &Fleet) -> Vec<SubstrateStats> {
+    fleet.substrates().iter().map(|row| row.stats).collect()
+}
+
+/// The pool of a [`sharing_specs`] fleet that has not executed anything:
+/// one database, four clusters on it, an empty memo.
+fn cold_pool() -> [SubstrateStats; 1] {
+    [SubstrateStats {
+        clusters_attached: 4,
+        ..SubstrateStats::default()
+    }]
+}
+
+#[test]
+fn sharing_a_substrate_is_invisible_to_the_tenant() {
+    let mut sharing = shared_fleet(sharing_specs());
+    let mut solitary = shared_fleet(solitary_specs());
+    let attached = |fleet: &Fleet| -> Vec<usize> {
+        pool_stats(fleet)
+            .iter()
+            .map(|s| s.clusters_attached)
+            .collect()
+    };
+    assert_eq!(attached(&sharing), [4], "one database, generated once");
+    assert_eq!(attached(&solitary), [1, 1, 1, 1]);
+    let substrate =
+        |fleet: &Fleet, t: usize| Arc::clone(fleet.tenant_cluster(t).unwrap().substrate());
+    for t in 1..4 {
+        assert!(Arc::ptr_eq(
+            &substrate(&sharing, 0),
+            &substrate(&sharing, t)
+        ));
+        assert!(!Arc::ptr_eq(
+            &substrate(&solitary, 0),
+            &substrate(&solitary, t)
+        ));
+    }
+
+    sharing.run_rounds(SHARED_ROUNDS);
+    solitary.run_rounds(SHARED_ROUNDS);
+    let (journal, journal_alone) = (sharing.drain_journal(), solitary.drain_journal());
+    let got = observed(&sharing, &journal, 0);
+    let want = observed(&solitary, &journal_alone, 0);
+    assert_eq!(
+        got, want,
+        "three neighbours on tenant 0's substrate, one of them in a storm, changed what it did"
+    );
+    assert!(
+        got.2.canaries_started > 0 && !got.3.is_empty(),
+        "tenant 0 never staged a canary — the comparison skips the guardrail's windows"
+    );
+    // ... while the neighbours did answer each other's executions.
+    let shared = pool_stats(&sharing)[0];
+    let alone = pool_stats(&solitary)[0];
+    assert!(
+        shared.memo_hits > alone.memo_hits && shared.memo_entries >= alone.memo_entries,
+        "sharing removed no execution: {shared:?} vs {alone:?}"
+    );
+}
+
+/// Run `query` of the tenant's workload on a fresh observer cluster attached
+/// to `substrate` under the initial layout; the runtime as bits.
+fn observer_runtime(fleet: &Fleet, substrate: &Arc<lpa::cluster::Substrate>, query: usize) -> u64 {
+    let mut observer = Cluster::on_substrate(Arc::clone(substrate));
+    let query = &fleet.tenant_workload(0).unwrap().queries()[query];
+    observer.run_query(query, None).seconds().to_bits()
+}
+
+#[test]
+fn a_tenant_whose_data_grows_leaves_the_shared_substrate_alone() {
+    const GROW_AT: u64 = 3;
+    const GROWN: usize = 1;
+    let mut control = shared_fleet(sharing_specs());
+    let mut fleet = shared_fleet(sharing_specs());
+    control.run_rounds(SHARED_ROUNDS);
+    fleet.run_rounds(GROW_AT);
+
+    let pooled = Arc::clone(fleet.tenant_cluster(0).unwrap().substrate());
+    let before = observer_runtime(&fleet, &pooled, 0);
+
+    // A bulk update on a cluster of the pooled substrate moves that
+    // cluster, and nobody else, onto a private one.
+    let mut loader = Cluster::on_substrate(Arc::clone(&pooled));
+    assert_eq!(pooled.stats().clusters_attached, 5);
+    loader.bulk_update(0.25);
+    assert!(!Arc::ptr_eq(loader.substrate(), &pooled));
+    assert_eq!(pooled.stats().clusters_attached, 4);
+    assert_eq!(loader.substrate().stats().memo_entries, 0);
+
+    // The fleet's way to the same place: a tenant restored from a
+    // checkpoint taken after its data grew.
+    let mut snapshot = capture_tenant(&fleet, GROWN, fleet.round()).unwrap();
+    for g in &mut snapshot.service.cluster.growth {
+        *g += 0.25;
+    }
+    snapshot.service.cluster.stats_epoch += 1;
+    restore_tenant(&mut fleet, snapshot).unwrap();
+    assert_eq!(pooled.stats().clusters_attached, 3);
+    for t in 0..4 {
+        let substrate = fleet.tenant_cluster(t).unwrap().substrate();
+        assert_eq!(Arc::ptr_eq(substrate, &pooled), t != GROWN, "tenant {t}");
+    }
+    let grown = fleet.tenant_cluster(GROWN).unwrap();
+    assert!(
+        grown.schema().table(lpa::schema::TableId(0)).rows
+            > pooled.schema().table(lpa::schema::TableId(0)).rows
+    );
+    assert_eq!(grown.substrate().stats().clusters_attached, 1);
+    assert_eq!(
+        observer_runtime(&fleet, &pooled, 0),
+        before,
+        "the pooled data moved under the tenants that stayed"
+    );
+
+    fleet.run_rounds(SHARED_ROUNDS - GROW_AT);
+    let (journal, journal_ctl) = (fleet.drain_journal(), control.drain_journal());
+    for t in 0..4 {
+        let same = observed(&fleet, &journal, t) == observed(&control, &journal_ctl, t);
+        assert_eq!(
+            same,
+            t != GROWN,
+            "tenant {t} vs the fleet where nothing grew"
+        );
+    }
+}
+
+#[test]
+fn nothing_of_the_memo_outlives_its_fleet() {
+    let run = || {
+        let mut fleet = shared_fleet(sharing_specs());
+        let cold = pool_stats(&fleet);
+        fleet.run_rounds(2);
+        (cold, pool_stats(&fleet))
+    };
+    let (cold, warm) = run();
+    assert_eq!(cold, cold_pool());
+    assert!(warm[0].memo_hits > 0 && warm[0].memo_misses > 0, "{warm:?}");
+    // The same fleet again, same process: it starts as cold as the first
+    // and has to execute exactly as much.
+    assert_eq!(run(), (cold, warm));
+}
+
+/// Kill inside an open canary window: the resumed fleet rebuilds the pool
+/// from the specs with its memo cold, and still finishes bit-identical to
+/// the fleet that never died with its memo warm.
+#[test]
+fn mid_canary_resume_with_a_cold_memo_is_bit_identical() {
+    let start = |dir: &Path| {
+        let mut fleet = CheckpointedFleet::create(shared_cfg(), dir, 1).unwrap();
+        for spec in sharing_specs() {
+            fleet.admit(spec).unwrap();
+        }
+        fleet
+    };
+    let canaries_open = |fleet: &Fleet| {
+        (0..fleet.tenant_count())
+            .filter(|&t| fleet.tenant_service(t).unwrap().guardrail().canary_open())
+            .count()
+    };
+    let dir_ref = test_dir("memo-ref", 0);
+    let mut reference = start(&dir_ref);
+    reference.run_rounds(SHARED_ROUNDS);
+
+    let dir_kill = test_dir("memo-kill", 0);
+    let mut victim = start(&dir_kill);
+    let mut killed_at = 0;
+    while canaries_open(victim.fleet()) == 0 {
+        assert!(killed_at < SHARED_ROUNDS, "no canary ever opened");
+        victim.run_round();
+        killed_at += 1;
+    }
+    assert!(pool_stats(victim.fleet())[0].memo_entries > 0);
+    drop(victim); // <- process dies, the pool and its memo with it
+
+    let mut resumed =
+        CheckpointedFleet::resume_or(shared_cfg(), sharing_specs(), &dir_kill, 1).unwrap();
+    assert_eq!(resumed.fleet().round(), killed_at);
+    assert!(
+        canaries_open(resumed.fleet()) > 0,
+        "the open canary did not survive"
+    );
+    assert_eq!(
+        pool_stats(resumed.fleet()),
+        cold_pool(),
+        "one database generated for four restored tenants, nothing executed yet"
+    );
+    resumed.run_rounds(SHARED_ROUNDS - killed_at);
+    assert_eq!(
+        fingerprints(resumed.fleet()),
+        fingerprints(reference.fleet())
+    );
+    assert_eq!(
+        resumed.journal().unwrap().replay().unwrap(),
+        reference.journal().unwrap().replay().unwrap()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir_ref);
+    let _ = std::fs::remove_dir_all(&dir_kill);
+}
