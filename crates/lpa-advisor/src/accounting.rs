@@ -8,10 +8,8 @@
 //! Repartitioning and how much time could be saved with a particular
 //! Timeout").
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated-seconds ledger of one online-training run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CostAccounting {
     /// Seconds actually charged for executed queries (after timeouts).
     pub actual_query_seconds: f64,

@@ -1,14 +1,10 @@
 //! The advisor: offline training, online refinement, inference.
 
-use crate::env::{AdvisorEnv, EnvState, RewardBackend};
+use crate::env::{AdvisorEnv, RewardBackend};
 use crate::online::OnlineBackend;
 use lpa_costmodel::NetworkCostModel;
-use lpa_nn::Matrix;
-use lpa_par::Pool;
 use lpa_partition::Partitioning;
-use lpa_rl::{
-    greedy_argmax, rollout, train, DqnAgent, DqnConfig, EpisodeStats, QEnvironment, Trajectory,
-};
+use lpa_rl::{rollout, train, DqnAgent, DqnConfig, EpisodeStats, QEnvironment};
 use lpa_schema::Schema;
 use lpa_workload::{FrequencyVector, MixSampler, Workload};
 
@@ -140,110 +136,6 @@ impl Advisor {
         };
         self.env.set_sampler(prev);
         suggestion
-    }
-
-    /// Batched inference: greedy rollouts for many frequency mixes,
-    /// advanced step by step together, with every rollout's candidate
-    /// actions at each step coalesced into one batched Q-network forward. Bit-identical to
-    /// calling [`Self::suggest`] once per mix: each output row of a batched
-    /// matmul depends only on its own input row, the [`greedy_argmax`]
-    /// tie-break is the same one [`DqnAgent::select_action`] uses, and the
-    /// greedy rollout draws no RNG — so the trajectories, rewards and
-    /// returned suggestions match the sequential path bit-for-bit. The
-    /// committee uses this to amortize network cost across each expert's
-    /// request group.
-    pub fn suggest_coalesced(&mut self, freqs: &[&FrequencyVector]) -> Vec<Suggestion> {
-        if freqs.is_empty() {
-            return Vec::new();
-        }
-        let dim = self.env.input_dim();
-        // Ambient pool, resolved once for the whole batch of rollouts.
-        let pool = Pool::current();
-        let s0 = self.env.initial_partitioning().clone();
-        // `reset` under a `Fixed` sampler is exactly this construction
-        // (no RNG is drawn), so each coalesced rollout starts from the same
-        // state sequential `suggest` would.
-        let mut trajs: Vec<Trajectory<EnvState>> = freqs
-            .iter()
-            .map(|f| Trajectory {
-                states: vec![EnvState {
-                    partitioning: s0.clone(),
-                    freqs: (*f).clone(),
-                }],
-                rewards: vec![f64::NEG_INFINITY],
-            })
-            .collect();
-        let mut inputs = Matrix::zeros(0, 0);
-        let mut qs: Vec<f32> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(trajs.len());
-        for _ in 0..self.cfg.tmax {
-            // Coalesce every rollout's candidate actions for this step
-            // into one encode matrix and a single batched forward.
-            ranges.clear();
-            let mut per_traj_actions = Vec::with_capacity(trajs.len());
-            let mut total = 0usize;
-            for traj in &trajs {
-                let acts = match traj.states.last() {
-                    Some(cur) => self.env.actions(cur),
-                    None => Vec::new(),
-                };
-                ranges.push((total, total + acts.len()));
-                total += acts.len();
-                per_traj_actions.push(acts);
-            }
-            inputs.resize_zeroed(total.max(1), dim);
-            let mut row = 0usize;
-            for (traj, acts) in trajs.iter().zip(&per_traj_actions) {
-                let Some(cur) = traj.states.last() else {
-                    continue;
-                };
-                let span = &mut inputs.data_mut()[row * dim..(row + acts.len()) * dim];
-                self.env.encode_batch(cur, acts, span);
-                row += acts.len();
-            }
-            if total > 0 {
-                self.agent.q_forward_batch(pool, &inputs, &mut qs);
-            } else {
-                qs.clear();
-            }
-            for ((traj, acts), &(lo, hi)) in trajs.iter_mut().zip(&per_traj_actions).zip(&ranges) {
-                let Some(cur) = traj.states.last().cloned() else {
-                    continue;
-                };
-                // Same greedy tie-break as `DqnAgent::select_action`.
-                let Some(action) = greedy_argmax(&qs[lo..hi], acts) else {
-                    continue;
-                };
-                let (next, reward) = self.env.step(&cur, &action);
-                traj.states.push(next);
-                traj.rewards.push(reward);
-            }
-        }
-        // Same epilogue as `suggest`: score the initial state so "change
-        // nothing" can win, then take the best state of each rollout.
-        freqs
-            .iter()
-            .zip(trajs.iter_mut())
-            .map(|(f, traj)| {
-                let r0 = self.env.reward_of(&s0, f);
-                if let Some(first) = traj.rewards.first_mut() {
-                    *first = r0;
-                }
-                let i = traj.best_index();
-                match (traj.states.get(i), traj.rewards.get(i)) {
-                    (Some(s), Some(&r)) => Suggestion {
-                        partitioning: s.partitioning.clone(),
-                        reward: r,
-                        step: i,
-                    },
-                    _ => Suggestion {
-                        partitioning: s0.clone(),
-                        reward: r0,
-                        step: 0,
-                    },
-                }
-            })
-            .collect()
     }
 
     /// Reward of an arbitrary partitioning (backend-dependent: cost model
@@ -396,48 +288,6 @@ mod tests {
             "expected a/c co-partitioning or a clear improvement; got {}",
             p.describe(&schema)
         );
-    }
-
-    /// The tentpole equivalence: coalesced rollouts must be
-    /// bit-identical to one sequential `suggest` per mix — same
-    /// partitionings, same reward bits, same best-step indices.
-    #[test]
-    fn coalesced_suggestions_match_sequential_bitwise() {
-        let schema = lpa_schema::microbench::schema(1.0).expect("schema builds");
-        let workload = lpa_workload::microbench::workload(&schema).expect("workload builds");
-        let sampler = MixSampler::uniform(&workload);
-        let cfg = DqnConfig {
-            episodes: 30,
-            tmax: 6,
-            batch_size: 8,
-            hidden: vec![32],
-            ..DqnConfig::paper()
-        }
-        .with_seed(17);
-        let mut advisor = Advisor::train_offline(
-            schema,
-            workload.clone(),
-            NetworkCostModel::new(CostParams::standard()),
-            sampler,
-            cfg,
-            true,
-        );
-        let m = workload.slots();
-        let mixes: Vec<FrequencyVector> = (0..workload.queries().len())
-            .map(|i| FrequencyVector::extreme(m, lpa_workload::QueryId(i), 0.1, 1.0))
-            .chain(std::iter::once(FrequencyVector::uniform(m)))
-            .collect();
-        let sequential: Vec<Suggestion> = mixes.iter().map(|f| advisor.suggest(f)).collect();
-        let refs: Vec<&FrequencyVector> = mixes.iter().collect();
-        let coalesced = advisor.suggest_coalesced(&refs);
-        assert_eq!(coalesced.len(), sequential.len());
-        for (c, s) in coalesced.iter().zip(&sequential) {
-            assert_eq!(c.partitioning, s.partitioning);
-            assert_eq!(c.reward.to_bits(), s.reward.to_bits());
-            assert_eq!(c.step, s.step);
-        }
-        // Empty batch is a no-op, not a panic.
-        assert!(advisor.suggest_coalesced(&[]).is_empty());
     }
 
     #[test]

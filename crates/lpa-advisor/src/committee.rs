@@ -196,65 +196,6 @@ impl Committee {
         }
     }
 
-    /// Committee inference over a batch of mixes: each mix is routed to
-    /// its subspace expert exactly as [`Self::suggest`] would, then every
-    /// expert serves its whole request group through one coalesced
-    /// rollout ([`Advisor::suggest_coalesced`]) — one batched
-    /// Q-network forward per rollout step per expert instead of one tiny
-    /// forward per candidate action. Results come back in input order and
-    /// are bit-identical to calling [`Self::suggest`] per mix.
-    pub fn suggest_batch(
-        &mut self,
-        naive: &mut Advisor,
-        freqs: &[FrequencyVector],
-    ) -> Vec<Suggestion> {
-        // Route every mix first (assignment order matches the sequential
-        // path: one `assign` per request, in input order).
-        let assignments: Vec<usize> = freqs
-            .iter()
-            .map(|f| Self::assign(naive, &self.references, f))
-            .collect();
-        // Group request indices by expert, preserving input order within
-        // each group.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.experts.len()];
-        let mut fallback: Vec<usize> = Vec::new();
-        for (req, &a) in assignments.iter().enumerate() {
-            match groups.get_mut(a) {
-                Some(g) => g.push(req),
-                // `assign` indexes the references, built one-to-one with
-                // the experts; fall back to the naive advisor if that
-                // invariant ever breaks rather than panic during serving.
-                None => fallback.push(req),
-            }
-        }
-        let mut out: Vec<Option<Suggestion>> = vec![None; freqs.len()];
-        for (expert, group) in self.experts.iter_mut().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let batch: Vec<&FrequencyVector> =
-                group.iter().filter_map(|&req| freqs.get(req)).collect();
-            for (&req, s) in group.iter().zip(expert.suggest_coalesced(&batch)) {
-                if let Some(slot) = out.get_mut(req) {
-                    *slot = Some(s);
-                }
-            }
-        }
-        for &req in &fallback {
-            if let (Some(f), Some(slot)) = (freqs.get(req), out.get_mut(req)) {
-                *slot = Some(naive.suggest(f));
-            }
-        }
-        // Every request was either routed to an expert or sent to the fallback, so the
-        // unwrap_or fills nothing in practice; a naive suggestion for the
-        // uniform-equivalent of "no answer" would still be wrong, so keep
-        // the defensive shape cheap: re-ask the naive advisor.
-        out.into_iter()
-            .zip(freqs)
-            .map(|(s, f)| s.unwrap_or_else(|| naive.suggest(f)))
-            .collect()
-    }
-
     pub fn len(&self) -> usize {
         self.experts.len()
     }
@@ -346,25 +287,5 @@ mod tests {
         let s = committee.suggest(&mut naive, &f);
         assert!(s.reward.is_finite());
         s.partitioning.check(&schema).unwrap();
-
-        // Batched committee inference must match routing + sequential
-        // expert suggestions bit-for-bit, in input order.
-        let m = workload.slots();
-        let mixes: Vec<FrequencyVector> = (0..workload.queries().len())
-            .map(|i| FrequencyVector::extreme(m, QueryId(i), F_LOW, F_HIGH))
-            .chain([FrequencyVector::uniform(m), f])
-            .collect();
-        let sequential: Vec<Suggestion> = mixes
-            .iter()
-            .map(|f| committee.suggest(&mut naive, f))
-            .collect();
-        let batch = committee.suggest_batch(&mut naive, &mixes);
-        assert_eq!(batch.len(), sequential.len());
-        for (b, s) in batch.iter().zip(&sequential) {
-            assert_eq!(b.partitioning, s.partitioning);
-            assert_eq!(b.reward.to_bits(), s.reward.to_bits());
-            assert_eq!(b.step, s.step);
-        }
-        assert!(committee.suggest_batch(&mut naive, &[]).is_empty());
     }
 }

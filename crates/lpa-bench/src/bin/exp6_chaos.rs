@@ -92,7 +92,17 @@ fn main() {
             "rl_online_faultfree_s": t_clear,
             "rl_online_storm_s": t_storm,
             "storm_seed": STORM_SEED,
-            "fault_accounting": fa,
+            "fault_accounting": json!({
+                "queries_failed": fa.queries_failed,
+                "node_down_failures": fa.node_down_failures,
+                "transient_failures": fa.transient_failures,
+                "failovers": fa.failovers,
+                "degraded_completions": fa.degraded_completions,
+                "timeouts": fa.timeouts,
+                "retries": fa.retries,
+                "fallbacks": fa.fallbacks,
+                "cache_invalidations": fa.cache_invalidations,
+            }),
             "faultfree_partitioning": p_clear.describe(&schema),
             "storm_partitioning": p_storm.describe(&schema),
         }),

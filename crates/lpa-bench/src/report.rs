@@ -16,10 +16,16 @@ pub fn bar(label: &str, value: f64, unit: &str) {
 }
 
 /// A named series (one line/group of a figure).
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     pub label: String,
     pub points: Vec<(String, f64)>,
+}
+
+impl serde::Serialize for Series {
+    fn to_value(&self) -> Value {
+        serde_json::json!({ "label": self.label, "points": self.points })
+    }
 }
 
 impl Series {

@@ -1,10 +1,8 @@
 //! Engine profiles: the behavioural differences between the two systems
 //! the paper evaluates on.
 
-use serde::{Deserialize, Serialize};
-
 /// Which DBMS the simulator imitates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineKind {
     /// Postgres-XL-like: disk-based storage, optimizer cost estimates are
     /// accessible (EXPLAIN), partitioning only by plain columns.
@@ -18,7 +16,7 @@ pub enum EngineKind {
 }
 
 /// Tunable engine behaviour.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct EngineProfile {
     pub kind: EngineKind,
     /// Whether table scans hit disk (true) or memory (false).

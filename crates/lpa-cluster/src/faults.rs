@@ -17,10 +17,9 @@
 //! bit-identical (see `tests/chaos.rs`).
 
 use lpa_par::derive_stream;
-use serde::{Deserialize, Serialize};
 
 /// Why a query execution failed (see [`crate::QueryOutcome::Failed`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FailReason {
     /// A node holding an unreplicated shard of a scanned table is down and
     /// no replica can serve the data.
@@ -51,7 +50,7 @@ const SALT_TRANSIENT: u64 = 0x7E4A_0004;
 /// `(window, node)` — except `transient_rate`, which is evaluated per query
 /// execution. A plan with every rate at zero is *inert*: it never allocates
 /// a fault state and the cluster behaves exactly as if no plan existed.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FaultPlan {
     /// Root seed; all fault streams derive from it.
     pub seed: u64,
@@ -258,7 +257,7 @@ impl FaultState {
 /// execution-side counters; the online reward backend adds the
 /// training-side ones (retries, fallbacks, invalidations) and merges both
 /// views for `EpisodeStats` and `WindowReport` consumers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FaultAccounting {
     /// Query executions that returned [`crate::QueryOutcome::Failed`].
     pub queries_failed: u64,
@@ -300,7 +299,7 @@ impl FaultAccounting {
 }
 
 /// A snapshot of cluster health for service-level reporting.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ClusterHealth {
     pub nodes: usize,
     pub nodes_down: usize,

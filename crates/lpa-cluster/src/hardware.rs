@@ -1,9 +1,7 @@
 //! Deployment hardware profiles (Experiment 5 varies these).
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware characteristics of one cluster deployment.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct HardwareProfile {
     /// Number of database nodes.
     pub nodes: usize,

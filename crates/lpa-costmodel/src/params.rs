@@ -1,13 +1,11 @@
 //! Hardware parameters of the cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Cluster characteristics the network-centric cost model charges against.
 ///
 /// The defaults correspond to the paper's standard deployment: 4 nodes on a
 /// 10 Gbps interconnect. Experiment 5 varies `net_bandwidth` (0.6 Gbps for
 /// the slow network) and `scan_bandwidth`/`cpu_tuple_cost` (slower compute).
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct CostParams {
     /// Number of database nodes (shards per partitioned table).
     pub nodes: usize,

@@ -2,12 +2,11 @@
 //! benches and `EXPLAIN`-style debugging of advisor decisions.
 
 use lpa_schema::TableId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How one join distributes its inputs (Section 4.1 lists: symmetric
 /// repartitioning join, broadcast of a single table, and co-located join).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum JoinStrategy {
     /// Both inputs already partitioned on the join key — no transfer.
     CoLocated,
@@ -44,7 +43,7 @@ impl fmt::Display for JoinStrategy {
 }
 
 /// One join step of a plan.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PlanStep {
     /// Index into the query's join list of the predicate this step applies.
     pub join_index: usize,
@@ -60,7 +59,7 @@ pub struct PlanStep {
 }
 
 /// A full plan for one query under one partitioning.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct QueryPlan {
     /// The base table the pipeline starts from (left side of the first
     /// step); `None` for single-table queries.

@@ -2,10 +2,9 @@
 
 use crate::dense::Dense;
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer first/second moment estimates.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct LayerState {
     mw: Vec<f32>,
     vw: Vec<f32>,
@@ -14,7 +13,7 @@ struct LayerState {
 }
 
 /// Adam optimizer over a stack of [`Dense`] layers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Adam {
     pub lr: f32,
     pub beta1: f32,

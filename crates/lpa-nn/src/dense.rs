@@ -3,7 +3,6 @@
 use crate::matrix::{matmul_wt_pool, matmul_wt_relu_pool, Matrix};
 use lpa_par::Pool;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Dense layer `y = x·Wᵀ + b`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// contract stays in this one place; `w`/`b` remain `pub` for the
 /// optimizer, soft updates and the checkpoint codec, which all treat them
 /// as flat parameter storage.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dense {
     pub w: Matrix,
     pub b: Vec<f32>,

@@ -30,12 +30,11 @@
 //! lookup.
 
 use lpa_par::Pool;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// Dense row-major matrix. `Default` is the empty 0×0 matrix — the
 /// unwarmed state of scratch buffers.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -15,7 +15,6 @@ use crate::dense::Dense;
 use crate::matrix::{route_pool, Matrix};
 use lpa_par::Pool;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for MLP forward/backward passes: per-layer activation
 /// matrices, the backward deltas and the per-layer gradient buffers. One
@@ -41,7 +40,7 @@ impl MlpScratch {
 
 /// Feed-forward network. The paper's Q-network is `Mlp::new(&[input, 128,
 /// 64, 1], rng)` — ReLU on hidden layers, linear scalar output (Table 1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }

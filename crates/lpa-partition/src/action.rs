@@ -8,11 +8,10 @@
 
 use crate::partitioning::{Partitioning, TableState};
 use lpa_schema::{AttrId, AttrRef, EdgeId, Schema, TableId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One step the DRL agent can take.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Action {
     /// Hash-partition `table` by `attr`.
     Partition { table: TableId, attr: AttrId },

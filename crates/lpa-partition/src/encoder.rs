@@ -11,7 +11,6 @@ use crate::action::Action;
 use crate::partitioning::{Partitioning, TableState};
 use lpa_schema::Schema;
 use lpa_workload::FrequencyVector;
-use serde::{Deserialize, Serialize};
 
 /// Number of action kinds (partition / replicate / activate / deactivate).
 const ACTION_KINDS: usize = 4;
@@ -28,12 +27,11 @@ pub(crate) fn put(out: &mut [f32], i: usize, v: f32) {
 
 /// Precomputed layout of the state/action encodings for one schema and one
 /// workload size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StateEncoder {
     pub(crate) table_offsets: Vec<usize>,
     pub(crate) table_dims: Vec<usize>,
     pub(crate) edge_offset: usize,
-    pub(crate) n_edges: usize,
     pub(crate) freq_offset: usize,
     pub(crate) freq_slots: usize,
     pub(crate) state_dim: usize,
@@ -71,7 +69,6 @@ impl StateEncoder {
             table_offsets,
             table_dims,
             edge_offset,
-            n_edges,
             freq_offset,
             freq_slots,
             state_dim,

@@ -17,16 +17,13 @@
 use crate::action::Action;
 use crate::partitioning::{Partitioning, TableState};
 use lpa_schema::TableId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Dense id of one distinct packed key within a [`KeyInterner`].
 ///
 /// Fixed-width (`u32`), `Copy`, and totally ordered — a `(query, key)`
 /// pair is a two-word `BTreeMap` key with no heap indirection.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct InternedKey(pub u32);
 
 /// Packs one table state into a word: `0` = replicated, `attr + 1` =

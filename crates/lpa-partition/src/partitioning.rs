@@ -2,12 +2,11 @@
 //! which attribute, and which co-partitioning edges are active.
 
 use lpa_schema::{AttrId, EdgeId, Schema, TableId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Partitioning state of a single table (the paper's
 /// `s(T_i) = (r_i, a_i1, …, a_in)` one-hot vector).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum TableState {
     /// Full copy on every node.
     Replicated,
@@ -21,7 +20,7 @@ pub enum TableState {
 ///
 /// Invariant (checked by [`Partitioning::check`]): an active edge forces
 /// both endpoint tables to be partitioned by the edge's attributes.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Partitioning {
     tables: Vec<TableState>,
     edges: Vec<bool>,

@@ -151,14 +151,6 @@ impl<E: QEnvironment> DqnAgent<E> {
         self.q.predict_batch(&batch)
     }
 
-    /// Q-network forward over pre-encoded input rows, reusing the agent's
-    /// scratch — the batched-inference entry point for callers (committee
-    /// coalescing) that assemble their own row batches.
-    pub fn q_forward_batch(&mut self, pool: Pool, inputs: &Matrix, out: &mut Vec<f32>) {
-        self.q
-            .predict_batch_into(pool, inputs, &mut self.scratch.mlp, out);
-    }
-
     /// ε-greedy action selection (greedy when `explore` is false):
     /// enumerate candidates into the scratch arena, take the ε draw, and —
     /// on the greedy path — encode the candidate rows, run one Q forward
@@ -481,8 +473,10 @@ impl<E: QEnvironment> DqnAgent<E> {
     }
 }
 
-/// Persisted form of a trained agent.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// In-memory clone of a trained policy (networks, ε, config) — what the
+/// committee and the weight tests copy an agent through. Durable state goes
+/// through `lpa-store`, which captures the full session instead.
+#[derive(Clone, Debug)]
 pub struct AgentSnapshot {
     pub q: Mlp,
     pub target: Mlp,
@@ -525,10 +519,7 @@ mod tests {
         let cfg = DqnConfig::quick_test().with_seed(8);
         let mut agent: DqnAgent<TwoArm> = DqnAgent::new(env.input_dim(), cfg);
         agent.set_epsilon(0.25);
-        let snap = agent.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let restored: AgentSnapshot = serde_json::from_str(&json).unwrap();
-        let mut back: DqnAgent<TwoArm> = DqnAgent::restore(restored);
+        let mut back: DqnAgent<TwoArm> = DqnAgent::restore(agent.snapshot());
         assert_eq!(back.epsilon(), 0.25);
         // Greedy decisions identical before/after.
         back.set_epsilon(0.0);

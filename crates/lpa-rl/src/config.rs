@@ -1,10 +1,8 @@
 //! DQN hyperparameters (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Loss used for the Q-update. The paper trains with the squared error;
 /// Huber is the standard DQN stabilization offered as an extension.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum QLoss {
     Mse,
     /// Huber loss with the given threshold.
@@ -12,7 +10,7 @@ pub enum QLoss {
 }
 
 /// All DQN knobs. [`DqnConfig::paper`] reproduces Table 1 exactly.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DqnConfig {
     /// Adam learning rate.
     pub learning_rate: f32,

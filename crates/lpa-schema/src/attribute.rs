@@ -1,7 +1,6 @@
 //! Attribute metadata: value domains, skew, partitionability.
 
 use crate::ids::{AttrId, TableId};
-use serde::{Deserialize, Serialize};
 
 /// How the values of an attribute are drawn.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// `lpa-costmodel` both consume this. Foreign keys reference another table
 /// so that generated values always join correctly and the distinct count
 /// scales together with the referenced table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Domain {
     /// Dense primary key `0..rows` of the owning table.
     PrimaryKey,
@@ -31,7 +30,7 @@ pub enum Domain {
 
 /// Value-frequency skew of an attribute, relevant both for generated data
 /// and for shard-size balance when the attribute is used as partition key.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Skew {
     /// All values equally likely.
     Uniform,
@@ -46,7 +45,7 @@ pub enum Skew {
 ///
 /// Compound keys model System-X's ability to partition TPC-CH's `stock`
 /// table by `(warehouse-id, district-id)` to mitigate skew (Section 7.2).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AttrKind {
     Physical,
     /// Indices (within the same table) of the physical columns combined.
@@ -54,7 +53,7 @@ pub enum AttrKind {
 }
 
 /// A table attribute as seen by the partitioning advisor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Attribute {
     pub name: String,
     pub domain: Domain,

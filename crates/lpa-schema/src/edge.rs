@@ -7,14 +7,13 @@
 //! workload's join predicates.
 
 use crate::ids::AttrRef;
-use serde::{Deserialize, Serialize};
 
 /// A candidate co-partitioning edge between two join attributes.
 ///
 /// Edges are stored in normalized form (`left.table < right.table`) so that
 /// the same join predicate always maps to the same edge regardless of the
 /// order it was written in.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct JoinEdge {
     pub left: AttrRef,
     pub right: AttrRef,

@@ -4,19 +4,18 @@
 //! so that downstream crates (state encodings, the simulator's shard maps)
 //! can use plain `Vec`s keyed by id instead of hash maps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a table within its [`Schema`](crate::Schema).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TableId(pub usize);
 
 /// Index of an attribute *within its table* (not global).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AttrId(pub usize);
 
 /// Fully-qualified attribute reference: `(table, attribute)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AttrRef {
     pub table: TableId,
     pub attr: AttrId,
@@ -29,7 +28,7 @@ impl AttrRef {
 }
 
 /// Index of a candidate co-partitioning edge within its schema.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EdgeId(pub usize);
 
 impl fmt::Display for TableId {

@@ -4,7 +4,6 @@ use crate::attribute::{AttrKind, Attribute, Domain};
 use crate::edge::JoinEdge;
 use crate::ids::{AttrRef, EdgeId, TableId};
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -62,7 +61,7 @@ impl std::error::Error for SchemaError {}
 
 /// A complete database schema: tables plus the fixed set of candidate
 /// co-partitioning edges (Section 3.2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schema {
     pub name: String,
     tables: Vec<Table>,

@@ -2,7 +2,6 @@
 
 use crate::attribute::Attribute;
 use crate::ids::AttrId;
-use serde::{Deserialize, Serialize};
 
 /// A base table: name, attributes relevant to partitioning decisions, and
 /// size statistics at the schema's configured scale.
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Only join/partitioning-relevant columns are modeled explicitly; the
 /// remaining payload width is folded into [`Table::row_bytes`] so that
 /// network-transfer estimates stay realistic.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     pub name: String,
     pub attributes: Vec<Attribute>,

@@ -1,24 +1,22 @@
 //! Abstract syntax for the supported `SELECT` subset.
 
-use serde::{Deserialize, Serialize};
-
 /// `table.column` or bare `column` reference (table resolved later via
 /// aliases or column-name search).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ColumnRef {
     pub table: Option<String>,
     pub column: String,
 }
 
 /// A table in the `FROM` list, with optional alias.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TableRef {
     pub name: String,
     pub alias: Option<String>,
 }
 
 /// Literal values in predicates.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Value {
     Number(f64),
     String(String),
@@ -27,7 +25,7 @@ pub enum Value {
 /// A conjunctive predicate (the parser normalizes the `WHERE` clause and
 /// `ON` conditions into one conjunction list; `OR` groups collapse into a
 /// single opaque filter on their columns' tables).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Predicate {
     /// `a.x = b.y` — a join (or a same-table equality, treated as filter).
     ColEq(ColumnRef, ColumnRef),
@@ -58,7 +56,7 @@ pub enum Predicate {
 }
 
 /// A parsed `SELECT` statement.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SelectStmt {
     /// Number of aggregate functions in the projection (drives the CPU
     /// weight of the resolved query).

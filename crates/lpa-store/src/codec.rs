@@ -1,7 +1,8 @@
 //! The byte-level codec: little-endian primitives, length-prefixed
-//! containers and a table-driven CRC-32 — hand-rolled so the hot training
-//! loop never touches a reflection-based serializer and every byte of a
-//! checkpoint is accounted for.
+//! containers, a table-driven CRC-32 and the whole-file envelope
+//! ([`seal`] / [`open`]) — hand-rolled so the hot training loop never
+//! touches a reflection-based serializer and every byte of a checkpoint
+//! is accounted for.
 //!
 //! Writers are infallible (they build a `Vec<u8>`); readers return
 //! [`StoreError::Corrupt`] on any shortfall or malformed length and never
@@ -42,6 +43,70 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// Frame `payload` as one whole file: `magic` · `version` (LE `u32`) ·
+/// `tag` (file-kind bytes, may be empty) · payload length (LE `u64`) ·
+/// payload · CRC-32 over everything before it. The CRC covers the header
+/// too, so a bit flip anywhere fails verification.
+pub fn seal(magic: &[u8; 8], version: u32, tag: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(magic.len() + 4 + tag.len() + 8 + payload.len() + 4);
+    bytes.extend_from_slice(magic);
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(tag);
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Verify a file written by [`seal`] and hand back its `tag_len` tag bytes
+/// and a reader over exactly the payload. Checked in this order: envelope
+/// size, CRC, magic (all [`StoreError::Corrupt`]), version
+/// ([`StoreError::Incompatible`] — an intact file of another format
+/// version), payload length (`Corrupt`). Never panics: this runs on the
+/// recovery path.
+pub fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+    tag_len: usize,
+) -> Result<(&'a [u8], ByteReader<'a>), StoreError> {
+    let envelope = magic.len() + 4 + tag_len + 8 + 4;
+    if bytes.len() < envelope {
+        return Err(StoreError::Corrupt(format!(
+            "file of {} bytes is shorter than the {envelope}-byte envelope",
+            bytes.len()
+        )));
+    }
+    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
+    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(StoreError::Corrupt(format!(
+            "CRC mismatch: stored {stored:08x}, computed {actual:08x}"
+        )));
+    }
+    let mut r = ByteReader::new(body);
+    if r.take(magic.len())? != magic {
+        return Err(StoreError::Corrupt("bad magic".to_string()));
+    }
+    let found = r.take_u32()?;
+    if found != version {
+        return Err(StoreError::Incompatible(format!(
+            "format version {found}, this build reads {version}"
+        )));
+    }
+    let tag = r.take(tag_len)?;
+    let payload_len = r.take_u64()?;
+    if payload_len != r.remaining() as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "payload length {payload_len} but {} bytes present",
+            r.remaining()
+        )));
+    }
+    Ok((tag, r))
 }
 
 /// Append-only byte sink.

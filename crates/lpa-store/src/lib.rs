@@ -7,15 +7,16 @@
 //! exact:
 //!
 //! - a hand-rolled, versioned, length-prefixed binary codec ([`codec`])
-//!   with a CRC-32 over every file — no reflection-based serializer on the
-//!   training path, floats stored by bit pattern so round trips are
+//!   with a CRC-32 over every file — the workspace's one on-disk format
+//!   for state: no reflection-based serializer anywhere below the bench
+//!   harness, every float stored by bit pattern so round trips are
 //!   bit-identical;
 //! - snapshots ([`snapshot`]) of the *complete* session: Q/target
 //!   networks, Adam moments, replay transitions, ε and both RNG streams,
 //!   the workload-mix sampler cursor, the offline delta engine's memo or
 //!   the online backend's cluster + runtime cache (including degraded
-//!   tags and fault accounting), committee membership, and the service's
-//!   window state;
+//!   tags and fault accounting), and the service's window state with the
+//!   queries it absorbed from SQL (as packed words, validated on decode);
 //! - atomic writes and a retention-managed store ([`store`]): temp file +
 //!   fsync + rename + directory fsync, keeping the previous checkpoint so
 //!   a corrupt newest file falls back to the last good one — detected by
@@ -49,12 +50,10 @@ pub use manifest::{
 };
 pub use service::{capture_service, restore_service};
 pub use session::{
-    capture_advisor, capture_committee, restore_committee, restore_offline, restore_online,
-    train_checkpointed, CheckpointingReport, OfflineTemplate, OnlineTemplate,
+    capture_advisor, restore_offline, restore_online, train_checkpointed, CheckpointingReport,
+    OfflineTemplate, OnlineTemplate,
 };
-pub use snapshot::{
-    BackendState, Checkpoint, CommitteeSnapshot, ServiceSnapshot, SessionSnapshot, TenantSnapshot,
-};
+pub use snapshot::{BackendState, Checkpoint, ServiceSnapshot, SessionSnapshot, TenantSnapshot};
 pub use store::{
     atomic_write, decode_checkpoint, encode_checkpoint, CheckpointStore, FORMAT_VERSION, MAGIC,
 };

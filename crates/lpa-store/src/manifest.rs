@@ -4,9 +4,9 @@
 //! sequence of its latest-good checkpoint and records the scheduler
 //! position and admission counters, so a kill of the whole process
 //! restores the entire fleet from a single read. The manifest is framed
-//! exactly like `ckpt-*.lpa` files — magic, version, length-prefixed
-//! payload, CRC-32 over everything — and written with [`atomic_write`],
-//! so a torn write leaves the previous manifest intact.
+//! by the same [`seal`] / [`open`] envelope as `ckpt-*.lpa` files (with no
+//! kind tag) and written with [`atomic_write`], so a torn write leaves the
+//! previous manifest intact.
 //!
 //! The manifest is an *accelerator with a fallback*, never a single point
 //! of failure: a corrupt or missing manifest degrades to per-tenant
@@ -14,7 +14,7 @@
 //! find its own latest-good file), which loses the recorded scheduler
 //! round but not a byte of tenant state.
 
-use crate::codec::{crc32, ByteReader, ByteWriter};
+use crate::codec::{open, seal, ByteWriter};
 use crate::store::atomic_write;
 use crate::StoreError;
 use std::path::Path;
@@ -64,56 +64,11 @@ impl FleetManifest {
             payload.put_u64(e.tenant);
             payload.put_u64(e.sequence);
         }
-        let payload = payload.into_inner();
-        let mut w = ByteWriter::new();
-        for b in MANIFEST_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u32(MANIFEST_VERSION);
-        w.put_u64(payload.len() as u64);
-        let mut bytes = w.into_inner();
-        bytes.extend_from_slice(&payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        seal(&MANIFEST_MAGIC, MANIFEST_VERSION, &[], payload.bytes())
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
-        const HEADER: usize = 8 + 4 + 8;
-        if bytes.len() < HEADER + 4 {
-            return Err(StoreError::Corrupt(format!(
-                "manifest of {} bytes is shorter than the {}-byte envelope",
-                bytes.len(),
-                HEADER + 4
-            )));
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(StoreError::Corrupt(format!(
-                "manifest CRC mismatch: stored {stored:08x}, computed {actual:08x}"
-            )));
-        }
-        let mut r = ByteReader::new(body);
-        for expected in MANIFEST_MAGIC {
-            if r.take_u8()? != expected {
-                return Err(StoreError::Corrupt("bad manifest magic".to_string()));
-            }
-        }
-        let version = r.take_u32()?;
-        if version != MANIFEST_VERSION {
-            return Err(StoreError::Incompatible(format!(
-                "manifest version {version}, this build reads {MANIFEST_VERSION}"
-            )));
-        }
-        let payload_len = r.take_u64()?;
-        if payload_len != r.remaining() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "manifest payload length {payload_len} but {} bytes present",
-                r.remaining()
-            )));
-        }
+        let (_, mut r) = open(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, 0)?;
         let round = r.take_u64()?;
         let rejected_admissions = r.take_u64()?;
         let stage_rounds = r.take_u64s()?;

@@ -8,43 +8,24 @@ use crate::StoreError;
 use lpa_advisor::Advisor;
 use lpa_cluster::Cluster;
 use lpa_service::{PartitioningService, ServiceConfig, ServiceResumeState};
-use lpa_workload::Query;
-
-fn query_json(query: &Query) -> Result<String, StoreError> {
-    serde_json::to_string(query)
-        .map_err(|e| StoreError::Incompatible(format!("query does not serialize: {e}")))
-}
-
-fn query_from_json(json: &str) -> Result<Query, StoreError> {
-    serde_json::from_str(json).map_err(|e| StoreError::Corrupt(format!("embedded query: {e}")))
-}
 
 /// Capture a running service at a window boundary (`windows` = decision
-/// windows completed so far).
+/// windows completed so far). Nothing in the capture can fail; the
+/// `Result` is the shape fleet and bench callers already handle.
 pub fn capture_service(
     windows: u64,
     service: &PartitioningService,
 ) -> Result<ServiceSnapshot, StoreError> {
     let advisor = service.advisor();
     let state = service.resume_state();
-    let absorbed_queries = service
-        .absorbed_queries()
-        .iter()
-        .map(query_json)
-        .collect::<Result<_, _>>()?;
-    let monitor_pending = state
-        .monitor_pending
-        .iter()
-        .map(|(query, count)| Ok((query_json(query)?, *count)))
-        .collect::<Result<_, StoreError>>()?;
     Ok(ServiceSnapshot {
         windows,
         session: SessionSnapshot::capture(0, advisor.agent(), &advisor.env),
-        absorbed_queries,
+        absorbed_queries: service.absorbed_queries().to_vec(),
         cluster: state.cluster,
         monitor_counts: state.monitor_counts,
         monitor_observed: state.monitor_observed,
-        monitor_pending,
+        monitor_pending: state.monitor_pending,
         forecaster: state.forecaster,
         guardrail: state.guardrail,
     })
@@ -60,11 +41,7 @@ pub(crate) fn restore_parts(
     mut template: OfflineTemplate,
 ) -> Result<(Advisor, ServiceResumeState), StoreError> {
     let absorbed = snap.absorbed_queries.len();
-    for json in &snap.absorbed_queries {
-        let query = query_from_json(json)?;
-        query
-            .validate(&template.schema)
-            .map_err(|e| StoreError::Corrupt(format!("absorbed query: {e}")))?;
+    for query in snap.absorbed_queries {
         template.workload.add_query(query).map_err(|q| {
             StoreError::Incompatible(format!(
                 "no reserved slot in the template workload for absorbed query {}",
@@ -73,15 +50,11 @@ pub(crate) fn restore_parts(
         })?;
     }
     let advisor = restore_offline(snap.session, &template)?;
-    let mut monitor_pending = Vec::with_capacity(snap.monitor_pending.len());
-    for (json, count) in &snap.monitor_pending {
-        monitor_pending.push((query_from_json(json)?, *count));
-    }
     let state = ServiceResumeState {
         cluster: snap.cluster,
         monitor_counts: snap.monitor_counts,
         monitor_observed: snap.monitor_observed,
-        monitor_pending,
+        monitor_pending: snap.monitor_pending,
         forecaster: snap.forecaster,
         guardrail: snap.guardrail,
         absorbed,

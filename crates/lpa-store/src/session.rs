@@ -10,13 +10,11 @@
 //! the workload, the cost model, and (online) a freshly built cluster over
 //! the same data seed. Everything mutable comes from the snapshot.
 
-use crate::snapshot::{
-    restore_engine, BackendState, Checkpoint, CommitteeSnapshot, SessionSnapshot,
-};
+use crate::snapshot::{restore_engine, BackendState, Checkpoint, SessionSnapshot};
 use crate::store::CheckpointStore;
 use crate::StoreError;
 use lpa_advisor::{
-    shared_cluster, Advisor, AdvisorEnv, Committee, OnlineBackend, RewardBackend, RuntimeCache,
+    shared_cluster, Advisor, AdvisorEnv, OnlineBackend, RewardBackend, RuntimeCache,
 };
 use lpa_cluster::{Cluster, FaultPlan};
 use lpa_costmodel::NetworkCostModel;
@@ -229,32 +227,4 @@ pub fn train_checkpointed(
         engine.stats.checkpoint_fallbacks = c.checkpoint_fallbacks;
     }
     report
-}
-
-/// Capture a committee: reference partitionings plus one session snapshot
-/// per expert.
-pub fn capture_committee(committee: &Committee) -> CommitteeSnapshot {
-    CommitteeSnapshot {
-        references: committee.references.clone(),
-        experts: committee
-            .experts
-            .iter()
-            .map(|e| capture_advisor(0, e))
-            .collect(),
-    }
-}
-
-/// Restore a committee of offline experts.
-pub fn restore_committee(
-    snap: CommitteeSnapshot,
-    template: &OfflineTemplate,
-) -> Result<Committee, StoreError> {
-    let mut experts = Vec::with_capacity(snap.experts.len());
-    for expert in snap.experts {
-        experts.push(restore_offline(expert, template)?);
-    }
-    Ok(Committee {
-        references: snap.references,
-        experts,
-    })
 }

@@ -30,9 +30,9 @@ use lpa_cluster::{
 use lpa_nn::{Adam, Dense, Matrix, Mlp};
 use lpa_partition::{Action, InternedKey, KeyInterner, Partitioning, TableState};
 use lpa_rl::{DqnAgent, DqnConfig, EnvCounters, QLoss, ReplayBuffer, Transition};
-use lpa_schema::{AttrId, EdgeId, Schema, TableId};
+use lpa_schema::{AttrId, AttrRef, EdgeId, Schema, TableId};
 use lpa_service::{FrequencyForecaster, TenantCounters, TenantStatus};
-use lpa_workload::{FrequencyVector, MixSampler, QueryId};
+use lpa_workload::{FrequencyVector, JoinPred, MixSampler, Query, QueryId};
 
 // ---------------------------------------------------------------------------
 // Leaves: matrices, networks, optimizer.
@@ -535,6 +535,72 @@ fn take_runtime_entries(r: &mut ByteReader) -> Result<Vec<RuntimeEntry>, StoreEr
         entries.push(((q, key), CachedRuntime { seconds, degraded }));
     }
     Ok(entries)
+}
+
+// ---------------------------------------------------------------------------
+// Queries.
+
+fn put_attr_ref(w: &mut ByteWriter, a: AttrRef) {
+    w.put_u32(a.table.0 as u32);
+    w.put_u32(a.attr.0 as u32);
+}
+
+fn take_attr_ref(r: &mut ByteReader) -> Result<AttrRef, StoreError> {
+    Ok(AttrRef {
+        table: TableId(r.take_u32()? as usize),
+        attr: AttrId(r.take_u32()? as usize),
+    })
+}
+
+/// A query learned from observed SQL, which no restore template can
+/// rebuild: name, table ids, each join's attribute pairs as
+/// `(table, attr)` words, selectivities and CPU factor by bit pattern.
+pub fn put_query(w: &mut ByteWriter, q: &Query) {
+    w.put_str(&q.name);
+    let tables: Vec<u32> = q.tables.iter().map(|t| t.0 as u32).collect();
+    w.put_u32s(&tables);
+    w.put_usize(q.joins.len());
+    for join in &q.joins {
+        w.put_usize(join.pairs.len());
+        for &(a, b) in &join.pairs {
+            put_attr_ref(w, a);
+            put_attr_ref(w, b);
+        }
+    }
+    w.put_f64s(&q.selectivity);
+    w.put_f64(q.cpu_factor);
+}
+
+/// Decodes and validates: whatever shape the bytes spell, the query
+/// handed back passed [`Query::validate`] against `schema`.
+pub fn take_query(r: &mut ByteReader, schema: &Schema) -> Result<Query, StoreError> {
+    let name = r.take_str()?;
+    let tables = r
+        .take_u32s()?
+        .into_iter()
+        .map(|t| TableId(t as usize))
+        .collect();
+    let n = r.take_len(8)?;
+    let mut joins = Vec::with_capacity(n);
+    for _ in 0..n {
+        let n = r.take_len(16)?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            pairs.push((take_attr_ref(r)?, take_attr_ref(r)?));
+        }
+        joins.push(JoinPred { pairs });
+    }
+    let query = Query {
+        name,
+        tables,
+        joins,
+        selectivity: r.take_f64s()?,
+        cpu_factor: r.take_f64()?,
+    };
+    query
+        .validate(schema)
+        .map_err(|e| StoreError::Corrupt(format!("query: {e}")))?;
+    Ok(query)
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,16 +1159,16 @@ pub struct ServiceSnapshot {
     /// Decision windows completed so far.
     pub windows: u64,
     pub session: SessionSnapshot,
-    /// JSON of every query absorbed beyond the template's workload, in
-    /// slot order. New queries arrive as parsed SQL, so no template can
-    /// rebuild them.
-    pub absorbed_queries: Vec<String>,
+    /// Every query absorbed beyond the template's workload, in slot
+    /// order. New queries arrive as parsed SQL, so no template can rebuild
+    /// them.
+    pub absorbed_queries: Vec<Query>,
     pub cluster: ClusterResumeState,
     pub monitor_counts: Vec<f64>,
     pub monitor_observed: u64,
-    /// Pending (quarantined) queries as `(query JSON, observed count)`, in
-    /// the monitor's deterministic order.
-    pub monitor_pending: Vec<(String, u64)>,
+    /// Pending (quarantined) queries as `(query, observed count)`, in the
+    /// monitor's deterministic order.
+    pub monitor_pending: Vec<(Query, u64)>,
     pub forecaster: FrequencyForecaster,
     /// Deployment-guardrail state: open canary (if any), cooldown,
     /// repartitioning budget history, accounting ledger.
@@ -1114,15 +1180,15 @@ impl ServiceSnapshot {
         w.put_u64(self.windows);
         self.session.encode(w);
         w.put_usize(self.absorbed_queries.len());
-        for json in &self.absorbed_queries {
-            w.put_str(json);
+        for query in &self.absorbed_queries {
+            put_query(w, query);
         }
         put_cluster_state(w, &self.cluster);
         w.put_f64s(&self.monitor_counts);
         w.put_u64(self.monitor_observed);
         w.put_usize(self.monitor_pending.len());
-        for (json, n) in &self.monitor_pending {
-            w.put_str(json);
+        for (query, n) in &self.monitor_pending {
+            put_query(w, query);
             w.put_u64(*n);
         }
         let (alpha, beta) = self.forecaster.factors();
@@ -1137,20 +1203,20 @@ impl ServiceSnapshot {
     pub fn decode(r: &mut ByteReader, schema: &Schema) -> Result<Self, StoreError> {
         let windows = r.take_u64()?;
         let session = SessionSnapshot::decode(r, schema)?;
-        let n = r.take_len(8)?;
+        let n = r.take_len(40)?;
         let mut absorbed_queries = Vec::with_capacity(n);
         for _ in 0..n {
-            absorbed_queries.push(r.take_str()?);
+            absorbed_queries.push(take_query(r, schema)?);
         }
         let cluster = take_cluster_state(r, schema)?;
         let monitor_counts = r.take_f64s()?;
         let monitor_observed = r.take_u64()?;
-        let n = r.take_len(16)?;
+        let n = r.take_len(48)?;
         let mut monitor_pending = Vec::with_capacity(n);
         for _ in 0..n {
-            let json = r.take_str()?;
+            let query = take_query(r, schema)?;
             let count = r.take_u64()?;
-            monitor_pending.push((json, count));
+            monitor_pending.push((query, count));
         }
         Ok(Self {
             windows,
@@ -1169,48 +1235,6 @@ impl ServiceSnapshot {
             )
             .map_err(StoreError::Corrupt)?,
             guardrail: take_guardrail_state(r, schema)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Committee snapshot.
-
-/// The committee of subspace experts: reference partitionings plus one full
-/// session snapshot per expert (each expert is an independent advisor with
-/// its own derived RNG stream).
-#[derive(Debug)]
-pub struct CommitteeSnapshot {
-    pub references: Vec<Partitioning>,
-    pub experts: Vec<SessionSnapshot>,
-}
-
-impl CommitteeSnapshot {
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.put_usize(self.references.len());
-        for p in &self.references {
-            put_partitioning(w, p);
-        }
-        w.put_usize(self.experts.len());
-        for e in &self.experts {
-            e.encode(w);
-        }
-    }
-
-    pub fn decode(r: &mut ByteReader, schema: &Schema) -> Result<Self, StoreError> {
-        let n = r.take_len(16)?;
-        let mut references = Vec::with_capacity(n);
-        for _ in 0..n {
-            references.push(take_partitioning(r, schema)?);
-        }
-        let n = r.take_len(64)?;
-        let mut experts = Vec::with_capacity(n);
-        for _ in 0..n {
-            experts.push(SessionSnapshot::decode(r, schema)?);
-        }
-        Ok(Self {
-            references,
-            experts,
         })
     }
 }
@@ -1316,7 +1340,6 @@ impl TenantSnapshot {
 pub enum Checkpoint {
     Session(SessionSnapshot),
     Service(ServiceSnapshot),
-    Committee(CommitteeSnapshot),
     Tenant(TenantSnapshot),
 }
 
@@ -1326,7 +1349,6 @@ impl Checkpoint {
         match self {
             Self::Session(s) => s.episode,
             Self::Service(s) => s.windows,
-            Self::Committee(_) => 0,
             Self::Tenant(t) => t.round,
         }
     }
@@ -1351,16 +1373,6 @@ impl Checkpoint {
         }
     }
 
-    pub fn into_committee(self) -> Result<CommitteeSnapshot, StoreError> {
-        match self {
-            Self::Committee(c) => Ok(c),
-            other => Err(StoreError::Incompatible(format!(
-                "expected a committee checkpoint, found {}",
-                other.kind_name()
-            ))),
-        }
-    }
-
     pub fn into_tenant(self) -> Result<TenantSnapshot, StoreError> {
         match self {
             Self::Tenant(t) => Ok(t),
@@ -1375,16 +1387,15 @@ impl Checkpoint {
         match self {
             Self::Session(_) => "session",
             Self::Service(_) => "service",
-            Self::Committee(_) => "committee",
             Self::Tenant(_) => "tenant",
         }
     }
 
+    /// Tag 3 is reserved (a retired kind) and decodes as `Corrupt`.
     pub(crate) fn kind_tag(&self) -> u8 {
         match self {
             Self::Session(_) => 1,
             Self::Service(_) => 2,
-            Self::Committee(_) => 3,
             Self::Tenant(_) => 4,
         }
     }
@@ -1393,7 +1404,6 @@ impl Checkpoint {
         match self {
             Self::Session(s) => s.encode(w),
             Self::Service(s) => s.encode(w),
-            Self::Committee(c) => c.encode(w),
             Self::Tenant(t) => t.encode(w),
         }
     }
@@ -1406,7 +1416,6 @@ impl Checkpoint {
         match tag {
             1 => Ok(Self::Session(SessionSnapshot::decode(r, schema)?)),
             2 => Ok(Self::Service(ServiceSnapshot::decode(r, schema)?)),
-            3 => Ok(Self::Committee(CommitteeSnapshot::decode(r, schema)?)),
             4 => Ok(Self::Tenant(TenantSnapshot::decode(r, schema)?)),
             t => Err(StoreError::Corrupt(format!("checkpoint kind tag {t}"))),
         }

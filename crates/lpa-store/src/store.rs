@@ -6,16 +6,17 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "LPACKPT\x01"
-//! 8       4     format version (little-endian u32, currently 1)
-//! 12      1     kind tag (1 = session, 2 = service, 3 = committee, 4 = tenant)
+//! 8       4     format version (little-endian u32, [`FORMAT_VERSION`])
+//! 12      1     kind tag (1 = session, 2 = service, 4 = tenant; 3 is reserved)
 //! 13      8     payload length (little-endian u64)
 //! 21      n     payload (see snapshot module)
 //! 21+n    4     CRC-32 over bytes [0, 21+n)
 //! ```
 //!
-//! The CRC covers the header too, so a bit flip anywhere — magic, version,
-//! kind, length or payload — fails verification. A truncated file fails
-//! the length check before the CRC is even consulted.
+//! The envelope is [`crate::codec::seal`] / [`crate::codec::open`], shared
+//! with the fleet manifest. The CRC covers the header too, so a bit flip
+//! anywhere — magic, version, kind, length or payload — fails
+//! verification, and so does a truncated file.
 //!
 //! ## Crash consistency
 //!
@@ -28,7 +29,7 @@
 //! keeping the previous checkpoint until a newer one lands, some valid
 //! checkpoint always survives.
 
-use crate::codec::{crc32, ByteReader, ByteWriter};
+use crate::codec::{open, seal, ByteWriter};
 use crate::snapshot::Checkpoint;
 use crate::StoreError;
 use lpa_rl::EnvCounters;
@@ -42,70 +43,26 @@ pub const MAGIC: [u8; 8] = *b"LPACKPT\x01";
 /// the deployment-guardrail state to service and tenant snapshots; version
 /// 3 made a tenant snapshot *scheduling fields + a service snapshot* and
 /// cut the service snapshot's embedded workload down to the absorbed
-/// queries. Older files answer [`StoreError::Incompatible`].
-pub const FORMAT_VERSION: u32 = 3;
+/// queries; version 4 stores those queries (and the monitor's pending
+/// ones) as packed words instead of embedded JSON. Older files answer
+/// [`StoreError::Incompatible`].
+pub const FORMAT_VERSION: u32 = 4;
 
-/// Serialize a checkpoint into the framed, CRC-guarded file format.
+/// Encode a checkpoint into the framed, CRC-guarded file format.
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut payload = ByteWriter::new();
     ck.encode_payload(&mut payload);
-    let payload = payload.into_inner();
-    let mut w = ByteWriter::new();
-    for b in MAGIC {
-        w.put_u8(b);
-    }
-    w.put_u32(FORMAT_VERSION);
-    w.put_u8(ck.kind_tag());
-    w.put_u64(payload.len() as u64);
-    let mut bytes = w.into_inner();
-    bytes.extend_from_slice(&payload);
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    seal(&MAGIC, FORMAT_VERSION, &[ck.kind_tag()], payload.bytes())
 }
 
-/// Parse and verify a checkpoint file. Rejects (with
-/// [`StoreError::Corrupt`]) truncation, bad magic, unknown versions,
-/// length mismatches and any CRC failure — and never panics: this runs on
-/// the recovery path.
+/// Parse and verify a checkpoint file. Rejects truncation, bad magic,
+/// length mismatches and any CRC failure with [`StoreError::Corrupt`], an
+/// intact file of another format version with
+/// [`StoreError::Incompatible`] — and never panics: this runs on the
+/// recovery path.
 pub fn decode_checkpoint(bytes: &[u8], schema: &Schema) -> Result<Checkpoint, StoreError> {
-    const HEADER: usize = 8 + 4 + 1 + 8;
-    if bytes.len() < HEADER + 4 {
-        return Err(StoreError::Corrupt(format!(
-            "file of {} bytes is shorter than the {}-byte envelope",
-            bytes.len(),
-            HEADER + 4
-        )));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let actual = crc32(body);
-    if stored != actual {
-        return Err(StoreError::Corrupt(format!(
-            "CRC mismatch: stored {stored:08x}, computed {actual:08x}"
-        )));
-    }
-    let mut r = ByteReader::new(body);
-    for expected in MAGIC {
-        if r.take_u8()? != expected {
-            return Err(StoreError::Corrupt("bad magic".to_string()));
-        }
-    }
-    let version = r.take_u32()?;
-    if version != FORMAT_VERSION {
-        return Err(StoreError::Incompatible(format!(
-            "format version {version}, this build reads {FORMAT_VERSION}"
-        )));
-    }
-    let kind = r.take_u8()?;
-    let payload_len = r.take_u64()?;
-    if payload_len != r.remaining() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "payload length {payload_len} but {} bytes present",
-            r.remaining()
-        )));
-    }
-    let ck = Checkpoint::decode_payload(kind, &mut r, schema)?;
+    let (tag, mut r) = open(bytes, &MAGIC, FORMAT_VERSION, 1)?;
+    let ck = Checkpoint::decode_payload(tag[0], &mut r, schema)?;
     r.finish()?;
     Ok(ck)
 }

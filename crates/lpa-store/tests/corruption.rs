@@ -7,8 +7,9 @@
 //! Faults injected: truncation at every prefix length and a bit flip at
 //! every bit — of a checkpoint file *and* of the deployment journal —, a
 //! torn rename (stray `*.tmp` left mid-write), a corrupt newest checkpoint
-//! with a healthy predecessor, and a checkpoint written by the previous
-//! format version.
+//! with a healthy predecessor, checkpoints written by earlier format
+//! versions, and a CRC-valid checkpoint whose payload spells a malformed
+//! query.
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -316,24 +317,19 @@ fn retention_prunes_oldest_but_keeps_a_fallback() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A tenant checkpoint written by the parent commit (format version 2: the
-/// pre-service tenant layout). This build must say so — `Incompatible`,
-/// never a panic, whatever prefix of the file survived — and a fleet
-/// resuming over such a lineage charges one restore error to that tenant
-/// and to nobody else.
+/// Tenant checkpoints written by earlier builds: format version 2 (the
+/// pre-service tenant layout) and version 3 (queries tunnelled as JSON).
+/// This build must say so — `Incompatible`, never a panic, whatever prefix
+/// of the file survived — and a fleet resuming over such a lineage charges
+/// one restore error to that tenant and to nobody else.
 #[test]
-fn format_v2_tenant_checkpoint_is_refused_and_costs_only_its_tenant() {
-    const V2: &[u8] = include_bytes!("fixtures/tenant_v2.lpa");
+fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
+    const OLD: [(&str, &[u8]); 2] = [
+        ("v2", include_bytes!("fixtures/tenant_v2.lpa")),
+        ("v3", include_bytes!("fixtures/tenant_v3.lpa")),
+    ];
     let schema = lpa_schema::microbench::schema(0.01).unwrap();
-    assert!(matches!(
-        decode_checkpoint(V2, &schema),
-        Err(StoreError::Incompatible(_))
-    ));
-    for len in 0..V2.len() {
-        assert!(decode_checkpoint(&V2[..len], &schema).is_err());
-    }
-
-    // The fleet the fixture was captured from, plus a neighbour.
+    // The fleet the fixtures were captured from, plus a neighbour.
     let cfg = || FleetConfig {
         hidden: vec![4],
         batch_size: 2,
@@ -351,28 +347,122 @@ fn format_v2_tenant_checkpoint_is_refused_and_costs_only_its_tenant() {
             })
             .collect()
     };
-    let dir = test_dir("v2-lineage");
-    {
-        let mut fleet = CheckpointedFleet::create(cfg(), &dir, 2).unwrap();
-        for spec in specs() {
-            fleet.admit(spec).unwrap();
+    for (version, old) in OLD {
+        assert!(
+            matches!(
+                decode_checkpoint(old, &schema),
+                Err(StoreError::Incompatible(_))
+            ),
+            "{version}"
+        );
+        for len in 0..old.len() {
+            assert!(decode_checkpoint(&old[..len], &schema).is_err());
         }
-        fleet.run_rounds(2); // one checkpoint each, at round 2
-    }
-    // Tenant 0's lineage is what the previous build left behind.
-    lpa_store::atomic_write(&dir.join("tenant-0000/ckpt-00000002.lpa"), V2).unwrap();
 
-    let resumed = CheckpointedFleet::resume_or(cfg(), specs(), &dir, 2).unwrap();
-    let report = resumed.report();
-    assert_eq!(report.round, 2);
-    let old = &report.per_tenant[0];
-    assert_eq!(old.counters.restore_errors, 1);
-    assert_eq!(old.episode, 0, "an unreadable lineage restarts the tenant");
-    let neighbour = &report.per_tenant[1];
-    assert_eq!(neighbour.counters.restore_errors, 0);
-    assert_eq!(neighbour.episode, 2);
-    assert_eq!(neighbour.status, TenantStatus::Active);
-    assert_eq!(report.store.restores, 1);
-    assert_eq!(report.store.corruptions_detected, 1);
-    let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_dir(&format!("{version}-lineage"));
+        {
+            let mut fleet = CheckpointedFleet::create(cfg(), &dir, 2).unwrap();
+            for spec in specs() {
+                fleet.admit(spec).unwrap();
+            }
+            fleet.run_rounds(2); // one checkpoint each, at round 2
+        }
+        // Tenant 0's lineage is what the earlier build left behind.
+        lpa_store::atomic_write(&dir.join("tenant-0000/ckpt-00000002.lpa"), old).unwrap();
+
+        let resumed = CheckpointedFleet::resume_or(cfg(), specs(), &dir, 2).unwrap();
+        let report = resumed.report();
+        assert_eq!(report.round, 2);
+        let stale = &report.per_tenant[0];
+        assert_eq!(stale.counters.restore_errors, 1, "{version}");
+        assert_eq!(
+            stale.episode, 0,
+            "an unreadable lineage restarts the tenant"
+        );
+        let neighbour = &report.per_tenant[1];
+        assert_eq!(neighbour.counters.restore_errors, 0);
+        assert_eq!(neighbour.episode, 2);
+        assert_eq!(neighbour.status, TenantStatus::Active);
+        assert_eq!(report.store.restores, 1);
+        assert_eq!(report.store.corruptions_detected, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A query whose shape would make `Query::validate`'s callees index out of
+/// bounds — a join with no attribute pair, selectivities not parallel to
+/// the tables, a CPU factor no cost model can multiply by — is `Corrupt`
+/// at decode time even inside a perfectly framed, CRC-valid current-version
+/// service checkpoint, whether it sits among the absorbed or the pending
+/// queries.
+#[test]
+fn malformed_query_in_a_well_framed_service_checkpoint_is_corrupt() {
+    use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+    use lpa_service::{PartitioningService, ServiceConfig};
+    use lpa_store::{capture_service, ServiceSnapshot};
+    use lpa_workload::{Query, QueryBuilder};
+
+    let schema = lpa_schema::microbench::schema(0.01).unwrap();
+    let workload = lpa_workload::microbench::workload(&schema)
+        .unwrap()
+        .with_reserved_slots(1);
+    let cfg = DqnConfig {
+        batch_size: 2,
+        hidden: vec![4],
+        ..DqnConfig::simulation(2, 2)
+    }
+    .with_seed(3);
+    let snapshot = || -> ServiceSnapshot {
+        let advisor = Advisor::train_offline(
+            schema.clone(),
+            workload.clone(),
+            NetworkCostModel::new(CostParams::standard()),
+            MixSampler::uniform(&workload),
+            cfg.clone(),
+            true,
+        );
+        let cluster = Cluster::new(
+            schema.clone(),
+            ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
+        );
+        let service = PartitioningService::new(advisor, cluster, ServiceConfig::default());
+        capture_service(0, &service).unwrap()
+    };
+    let good = QueryBuilder::new(&schema, "ab")
+        .join(("a", "a_b_key"), ("b", "b_key"))
+        .finish()
+        .unwrap();
+    let framed = |absorbed: Vec<Query>, pending: Vec<(Query, u64)>| {
+        let mut snap = snapshot();
+        snap.absorbed_queries = absorbed;
+        snap.monitor_pending = pending;
+        decode_checkpoint(&encode_checkpoint(&Checkpoint::Service(snap)), &schema)
+    };
+    assert!(
+        framed(vec![good.clone()], vec![(good.clone(), 2)]).is_ok(),
+        "the harness itself must frame a readable checkpoint"
+    );
+
+    type Edit = fn(&mut Query);
+    let malformed: [(&str, Edit); 6] = [
+        ("zero-pair join", |q| q.joins[0].pairs.clear()),
+        ("missing selectivity", |q| q.selectivity.truncate(1)),
+        ("surplus selectivity", |q| q.selectivity.push(0.5)),
+        ("zero cpu factor", |q| q.cpu_factor = 0.0),
+        ("NaN cpu factor", |q| q.cpu_factor = f64::NAN),
+        ("infinite cpu factor", |q| q.cpu_factor = f64::INFINITY),
+    ];
+    for (what, edit) in malformed {
+        let mut bad = good.clone();
+        edit(&mut bad);
+        for (place, result) in [
+            ("absorbed", framed(vec![bad.clone()], Vec::new())),
+            ("pending", framed(Vec::new(), vec![(bad.clone(), 1)])),
+        ] {
+            assert!(
+                matches!(result, Err(StoreError::Corrupt(_))),
+                "{what} among the {place} queries: {result:?}"
+            );
+        }
+    }
 }

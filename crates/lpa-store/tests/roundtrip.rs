@@ -232,19 +232,27 @@ fn full_session_checkpoint_round_trips_byte_identically() {
 }
 
 /// The service snapshot carries only what no template rebuilds: a service
-/// that absorbed two new queries from SQL and sits mid-window with a third
-/// quarantined restores — through the bytes — around the workload it was
-/// *built* with, and then closes the window exactly like the original.
+/// that absorbed new queries and sits mid-window with more quarantined
+/// restores — through the bytes — around the workload it was *built* with,
+/// and then closes the window exactly like the original. One absorbed and
+/// one pending query are awkward on purpose (selectivities and a CPU factor
+/// with no short decimal form, a compound-key join with two pairs): they
+/// travel as packed words, so every float comes back `to_bits`-equal.
 #[test]
 fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
     use lpa_service::{PartitioningService, ServiceConfig};
     use lpa_store::{capture_service, restore_service, OfflineTemplate};
+    use lpa_workload::{Query, QueryBuilder};
+
+    /// `encode_checkpoint` of this very service at the parent commit
+    /// (format v3, queries tunnelled as JSON strings).
+    const FORMAT_V3_BYTES: usize = 22_389;
 
     let schema = lpa_schema::ssb::schema(0.002).unwrap();
     let base = lpa_workload::ssb::workload(&schema)
         .unwrap()
-        .with_reserved_slots(2);
+        .with_reserved_slots(3);
     let model = NetworkCostModel::new(CostParams::standard());
     let cluster = || {
         Cluster::new(
@@ -272,6 +280,41 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     };
     let mut service = PartitioningService::new(advisor, cluster(), service_cfg);
 
+    let awkward = |name: &str, other: &str, key: (&str, &str), second: (&str, &str)| {
+        QueryBuilder::new(&schema, name)
+            .join_multi(&[
+                (("lineorder", key.0), (other, key.1)),
+                (("lineorder", second.0), (other, second.1)),
+            ])
+            .join(("lineorder", "lo_orderdate"), ("date", "d_datekey"))
+            .filter("lineorder", 0.47 * 3.0 / 11.0)
+            .filter(other, f64::MIN_POSITIVE)
+            .cpu(1.0 + 1.0 / 3.0)
+            .finish()
+            .unwrap()
+    };
+    // A `Query` reaches a live monitor's quarantine only as parsed SQL or
+    // through its resume state; the latter takes any query.
+    let inject = |service: &mut PartitioningService, query: Query, count: u64| {
+        let mut state = service.resume_state();
+        state.monitor_pending.push((query, count));
+        service.restore_resume_state(state).unwrap();
+    };
+    let bits = |q: &Query| -> Vec<u64> {
+        assert_eq!(q.joins[0].pairs.len(), 2, "{}", q.name);
+        q.selectivity
+            .iter()
+            .chain([&q.cpu_factor])
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let awkward_bits = vec![
+        (0.47 * 3.0 / 11.0f64).to_bits(),
+        f64::MIN_POSITIVE.to_bits(),
+        1.0f64.to_bits(),
+        (1.0 + 1.0 / 3.0f64).to_bits(),
+    ];
+
     let known = "SELECT sum(lo_revenue) FROM lineorder l, date d \
         WHERE l.lo_orderdate = d.d_datekey AND d.d_year = 1993 AND l.lo_orderkey < 500";
     let new_shapes = [
@@ -282,19 +325,48 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     for sql in [new_shapes[0], new_shapes[1], known] {
         service.observe_sql(sql);
     }
-    service.end_window(); // absorbs the first two shapes
-    assert_eq!(service.absorbed_queries().len(), 2);
+    inject(
+        &mut service,
+        awkward(
+            "awkward-absorbed",
+            "customer",
+            ("lo_custkey", "c_custkey"),
+            ("lo_suppkey", "c_nation"),
+        ),
+        5,
+    );
+    service.end_window(); // absorbs the awkward query (hottest) and both shapes
+    assert_eq!(service.absorbed_queries().len(), 3);
     for sql in [known, new_shapes[2], known, new_shapes[0]] {
         service.observe_sql(sql); // ...and the next window is open
     }
+    inject(
+        &mut service,
+        awkward(
+            "awkward-pending",
+            "supplier",
+            ("lo_suppkey", "s_suppkey"),
+            ("lo_custkey", "s_nation"),
+        ),
+        2,
+    );
 
     let bytes = encode_checkpoint(&Checkpoint::Service(capture_service(1, &service).unwrap()));
+    assert!(
+        bytes.len() < FORMAT_V3_BYTES,
+        "{} bytes: packed queries must undercut their JSON form",
+        bytes.len()
+    );
     let snapshot = decode_checkpoint(&bytes, &schema)
         .unwrap()
         .into_service()
         .unwrap();
-    assert_eq!(snapshot.absorbed_queries.len(), 2);
-    assert_eq!(snapshot.monitor_pending.len(), 1);
+    assert_eq!(snapshot.absorbed_queries.len(), 3);
+    assert_eq!(snapshot.absorbed_queries[0].name, "awkward-absorbed");
+    assert_eq!(bits(&snapshot.absorbed_queries[0]), awkward_bits);
+    assert_eq!(snapshot.monitor_pending.len(), 2);
+    assert_eq!(snapshot.monitor_pending[0].0.name, "awkward-pending");
+    assert_eq!(bits(&snapshot.monitor_pending[0].0), awkward_bits);
     let mut restored = restore_service(
         snapshot,
         OfflineTemplate {
@@ -314,7 +386,12 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     );
     assert_eq!(
         restored.advisor().env.workload.queries().len(),
-        base.queries().len() + 2
+        base.queries().len() + 3
+    );
+    assert_eq!(bits(&restored.absorbed_queries()[0]), awkward_bits);
+    assert_eq!(
+        bits(&restored.resume_state().monitor_pending[0].0),
+        awkward_bits
     );
     let (a, b) = (service.end_window(), restored.end_window());
     assert_eq!(a.events, b.events);

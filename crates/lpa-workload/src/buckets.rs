@@ -7,14 +7,13 @@
 //! then maps onto an existing entry instead of requiring retraining.
 
 use crate::query::{Query, QueryError};
-use serde::{Deserialize, Serialize};
 
 /// Log-scaled selectivity buckets.
 ///
 /// Bucket `i` covers `(edges[i-1], edges[i]]` with `edges[-1] = 0` and the
 /// last bucket extending to 1.0. Edges must be strictly increasing in
 /// `(0, 1)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SelectivityBuckets {
     edges: Vec<f64>,
 }

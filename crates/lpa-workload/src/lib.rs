@@ -22,7 +22,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod buckets;
-pub mod io;
 pub mod microbench;
 pub mod query;
 pub mod sampler;
@@ -32,7 +31,6 @@ pub mod tpcds;
 pub mod workload;
 
 pub use buckets::SelectivityBuckets;
-pub use io::{load_workload, save_workload, IoError};
 pub use query::{JoinPred, Query, QueryBuilder, QueryError, QueryId};
 pub use sampler::MixSampler;
 pub use workload::{register_workload_edges, FrequencyVector, Workload};

@@ -1,12 +1,11 @@
 //! Join-graph representation of a recurring OLAP query.
 
 use lpa_schema::{AttrRef, Schema, TableId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a query within its [`Workload`](crate::Workload).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QueryId(pub usize);
 
 impl fmt::Display for QueryId {
@@ -23,7 +22,7 @@ impl fmt::Display for QueryId {
 /// matches the partition keys of both inputs — e.g. `order ⋈ customer` on
 /// `o_c_key = c_key` is local when both tables are partitioned by their
 /// district columns, because an order's district equals its customer's.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct JoinPred {
     pub pairs: Vec<(AttrRef, AttrRef)>,
 }
@@ -49,8 +48,12 @@ pub enum QueryError {
     MixedJoinPair(String),
     /// The query's join graph is not connected.
     Disconnected(String),
-    /// Selectivity outside `(0, 1]`.
+    /// Selectivity outside `(0, 1]`, or not one selectivity per table.
     BadSelectivity(String),
+    /// CPU factor not a positive finite number.
+    BadCpuFactor(String),
+    /// A join without a single attribute pair.
+    EmptyJoin(String),
     NoTables(String),
     /// A selectivity-bucket sweep names a filter table the query never scans.
     FilterTableNotScanned(String),
@@ -64,6 +67,8 @@ impl fmt::Display for QueryError {
             Self::MixedJoinPair(q) => write!(f, "query `{q}`: join pair spans wrong tables"),
             Self::Disconnected(q) => write!(f, "query `{q}`: join graph is disconnected"),
             Self::BadSelectivity(q) => write!(f, "query `{q}`: selectivity outside (0,1]"),
+            Self::BadCpuFactor(q) => write!(f, "query `{q}`: cpu factor not positive and finite"),
+            Self::EmptyJoin(q) => write!(f, "query `{q}`: join without an attribute pair"),
             Self::NoTables(q) => write!(f, "query `{q}`: no tables"),
             Self::FilterTableNotScanned(q) => {
                 write!(f, "query `{q}`: filter table is not scanned by the query")
@@ -77,7 +82,7 @@ impl std::error::Error for QueryError {}
 /// A recurring analytical query, reduced to the features that partitioning
 /// decisions can exploit: which tables it touches, how they join, and how
 /// selective the local predicates are.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Query {
     pub name: String,
     /// Tables scanned, in no particular order.
@@ -107,7 +112,9 @@ impl Query {
     }
 
     /// Validate against a schema: names resolve, the join graph is
-    /// connected, selectivities are in range.
+    /// connected, selectivities are in range and parallel to the tables.
+    /// Total over any field values — a query decoded from disk is checked
+    /// here before anything indexes into it.
     pub fn validate(&self, schema: &Schema) -> Result<(), QueryError> {
         let q = || self.name.clone();
         if self.tables.is_empty() {
@@ -119,12 +126,18 @@ impl Query {
                 return Err(QueryError::UnknownTable(q()));
             }
         }
-        for s in &self.selectivity {
-            if !(*s > 0.0 && *s <= 1.0) {
-                return Err(QueryError::BadSelectivity(q()));
-            }
+        if self.selectivity.len() != self.tables.len()
+            || self.selectivity.iter().any(|s| !(*s > 0.0 && *s <= 1.0))
+        {
+            return Err(QueryError::BadSelectivity(q()));
+        }
+        if !(self.cpu_factor > 0.0 && self.cpu_factor.is_finite()) {
+            return Err(QueryError::BadCpuFactor(q()));
         }
         for j in &self.joins {
+            if j.pairs.is_empty() {
+                return Err(QueryError::EmptyJoin(q()));
+            }
             let (ta, tb) = j.tables();
             for (a, b) in &j.pairs {
                 let same = (a.table == ta && b.table == tb) || (a.table == tb && b.table == ta);
@@ -360,6 +373,33 @@ mod tests {
             .finish()
             .unwrap_err();
         assert!(matches!(err, QueryError::BadSelectivity(_)));
+    }
+
+    #[test]
+    fn validate_is_total_over_malformed_shapes() {
+        let s = schema();
+        let good = QueryBuilder::new(&s, "t")
+            .join(("lineorder", "lo_custkey"), ("customer", "c_custkey"))
+            .finish()
+            .unwrap();
+        let broken = |edit: fn(&mut Query)| {
+            let mut q = good.clone();
+            edit(&mut q);
+            q.validate(&s).unwrap_err()
+        };
+        assert!(matches!(
+            broken(|q| q.joins[0].pairs.clear()),
+            QueryError::EmptyJoin(_)
+        ));
+        assert!(matches!(
+            broken(|q| q.selectivity.truncate(1)),
+            QueryError::BadSelectivity(_)
+        ));
+        for cpu in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut q = good.clone();
+            q.cpu_factor = cpu;
+            assert!(matches!(q.validate(&s), Err(QueryError::BadCpuFactor(_))));
+        }
     }
 
     #[test]

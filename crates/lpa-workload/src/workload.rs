@@ -2,7 +2,6 @@
 //! DRL state, Section 3.2).
 
 use crate::query::{Query, QueryId};
-use serde::{Deserialize, Serialize};
 
 /// A representative query set plus optional *reserved slots*.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// completely new queries appear later they take over a reserved slot and
 /// the advisor is retrained incrementally (Section 5) instead of from
 /// scratch.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     queries: Vec<Query>,
     reserved_slots: usize,
@@ -97,7 +96,7 @@ pub fn register_workload_edges(schema: &mut lpa_schema::Schema, workload: &Workl
 /// The paper normalizes so the most frequent query has frequency 1 (the
 /// Fig. 2 example `(0.5, 1)`); entries beyond the observed queries (the
 /// reserved slots) stay 0.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FrequencyVector(Vec<f64>);
 
 impl FrequencyVector {

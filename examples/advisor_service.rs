@@ -12,6 +12,10 @@
 use lpa::cluster::GuardrailEvent;
 use lpa::prelude::*;
 use lpa::service::ServiceEvent;
+use lpa::store::{
+    capture_advisor, decode_checkpoint, encode_checkpoint, restore_offline, Checkpoint,
+    OfflineTemplate,
+};
 
 fn main() {
     let schema = lpa::schema::ssb::schema(0.005).expect("schema builds");
@@ -21,22 +25,32 @@ fn main() {
 
     println!("training the advisor once (offline)…");
     let cfg = DqnConfig::simulation(200, 16).with_seed(77);
-    let advisor = Advisor::train_offline(
+    let model = NetworkCostModel::new(CostParams::standard());
+    let trained = Advisor::train_offline(
         schema.clone(),
         workload.clone(),
-        NetworkCostModel::new(CostParams::standard()),
+        model.clone(),
         MixSampler::uniform(&workload),
         cfg,
         true,
     );
 
-    // Persist + restore the trained policy — what a provider would do
-    // between the training cluster and the serving fleet.
-    let snapshot_json = serde_json_roundtrip(&advisor);
-    println!(
-        "policy snapshot: {} KiB of JSON",
-        snapshot_json.len() / 1024
-    );
+    // Persist + restore the trained session — what a provider would do
+    // between the training cluster and the serving fleet: the checkpoint
+    // bytes are what goes to object storage, the service below runs on
+    // the advisor restored from them.
+    let bytes = encode_checkpoint(&Checkpoint::Session(capture_advisor(0, &trained)));
+    println!("session checkpoint: {} KiB", bytes.len() / 1024);
+    let session = decode_checkpoint(&bytes, &schema)
+        .and_then(Checkpoint::into_session)
+        .expect("checkpoint decodes");
+    let template = OfflineTemplate {
+        schema: schema.clone(),
+        workload: workload.clone(),
+        model,
+    };
+    let advisor = restore_offline(session, &template).expect("session restores");
+    assert_eq!(advisor.weight_fingerprint(), trained.weight_fingerprint());
 
     let production = Cluster::new(
         schema.clone(),
@@ -145,13 +159,4 @@ fn report(r: lpa::service::WindowReport) {
             r.health.degraded_measurements()
         );
     }
-}
-
-/// Round-trip the policy through JSON (stand-in for writing it to object
-/// storage between the training and serving environments).
-fn serde_json_roundtrip(advisor: &Advisor) -> String {
-    let snap = advisor.snapshot();
-    let json = serde_json::to_string(&snap).expect("serializable policy");
-    let _back: lpa::rl::AgentSnapshot = serde_json::from_str(&json).expect("round-trips");
-    json
 }

@@ -4,7 +4,7 @@
 //! lpa schemas
 //! lpa sql     --benchmark ssb "SELECT …"
 //! lpa advise  --benchmark tpcch [--engine pgxl|systemx] [--online]
-//!             [--episodes N] [--sf F] [--save policy.json]
+//!             [--episodes N] [--sf F] [--save policy.lpa]
 //! lpa baselines --benchmark ssb [--engine pgxl|systemx]
 //! ```
 
@@ -12,7 +12,9 @@
 
 use lpa::advisor::OnlineOptimizations;
 use lpa::prelude::*;
+use lpa::store::{atomic_write, capture_advisor, encode_checkpoint, Checkpoint};
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -57,7 +59,8 @@ USAGE:
              [--episodes N] [--tmax N] [--online yes] [--explain yes]
              [--save FILE]
       Train an advisor (offline; --online adds refinement on a sampled
-      cluster) and print its suggested partitioning.
+      cluster) and print its suggested partitioning; --save writes the
+      trained session as an lpa-store checkpoint.
 
   lpa baselines --benchmark <name> [--engine pgxl|systemx] [--sf F]
       Evaluate the DBA heuristics and the minimum-optimizer designer on
@@ -284,9 +287,8 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = flags.get("save") {
-        let snap = advisor.snapshot();
-        let json = serde_json::to_string(&snap).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        let session = Checkpoint::Session(capture_advisor(0, &advisor));
+        atomic_write(Path::new(path), &encode_checkpoint(&session)).map_err(|e| e.to_string())?;
         println!("policy saved to {path}");
     }
     Ok(())

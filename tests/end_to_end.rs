@@ -155,3 +155,63 @@ fn suggestions_adapt_to_the_workload_mix() {
     assert!(p_b.reward >= r0_b, "{} vs {r0_b}", p_b.reward);
     assert!(p_c.reward >= r0_c, "{} vs {r0_c}", p_c.reward);
 }
+
+/// `lpa advise --save` goes through the store: two runs (the CLI trains
+/// under a fixed seed) leave byte-identical session checkpoints and no
+/// temp file, and the advisor restored from one suggests, for the uniform
+/// mix, exactly the layout the CLI printed.
+#[test]
+fn cli_saved_policy_is_reproducible_and_restores_to_the_printed_advice() {
+    use lpa::store::{decode_checkpoint, restore_offline, Checkpoint, OfflineTemplate};
+
+    let dir = std::env::temp_dir().join(format!("lpa-cli-save-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let advise = |file: &str| {
+        let path = dir.join(file);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lpa"))
+            .args(["advise", "--benchmark", "micro", "--sf", "0.05"])
+            .args(["--episodes", "30", "--tmax", "6", "--save"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains(&format!("policy saved to {}", path.display())));
+        (std::fs::read(&path).unwrap(), stdout)
+    };
+    let (first, stdout) = advise("a.lpa");
+    let (second, _) = advise("b.lpa");
+    assert_eq!(first, second, "same seed, different checkpoint bytes");
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["a.lpa", "b.lpa"], "a temp file outlived the write");
+
+    let schema = lpa::schema::microbench::schema(0.05).unwrap();
+    let workload = lpa::workload::microbench::workload(&schema).unwrap();
+    let Checkpoint::Session(session) = decode_checkpoint(&first, &schema).unwrap() else {
+        panic!("`advise --save` must write a session checkpoint");
+    };
+    let template = OfflineTemplate {
+        schema: schema.clone(),
+        workload: workload.clone(),
+        model: NetworkCostModel::new(CostParams::standard()),
+    };
+    let mut advisor = restore_offline(session, &template).unwrap();
+    let layout = advisor
+        .suggest(&workload.uniform_frequencies())
+        .partitioning
+        .describe(&schema);
+    let printed: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("suggested partitioning"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .map(str::trim)
+        .collect();
+    assert_eq!(printed, layout.split(", ").collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
