@@ -3,7 +3,7 @@
 
 use crate::columnar::ExecScratch;
 use crate::engine::EngineProfile;
-use crate::executor::{layout_table, Executor, Layout};
+use crate::executor::{Executor, Layout};
 use crate::faults::{ClusterHealth, FailReason, FaultAccounting, FaultPlan, FaultState};
 use crate::hardware::HardwareProfile;
 use crate::optimizer::OptimizerEstimator;
@@ -217,19 +217,8 @@ impl Cluster {
 
     fn compute_layouts(substrate: &Substrate, p: &Partitioning) -> Vec<Layout> {
         (0..substrate.schema().tables().len())
-            .map(|t| Self::layout(substrate, TableId(t), p))
+            .map(|t| substrate.layout(TableId(t), p.table_state(TableId(t))))
             .collect()
-    }
-
-    fn layout(substrate: &Substrate, t: TableId, p: &Partitioning) -> Layout {
-        let config = substrate.config();
-        layout_table(
-            substrate.db(),
-            &config.engine,
-            config.hardware.nodes,
-            t,
-            p.table_state(t),
-        )
     }
 
     pub fn schema(&self) -> &Schema {
@@ -282,7 +271,7 @@ impl Cluster {
         let mut seconds = 0.0;
         for t in changed {
             seconds += self.repartition_time(t, target);
-            self.layouts[t.0] = Self::layout(&self.substrate, t, target);
+            self.layouts[t.0] = self.substrate.layout(t, target.table_state(t));
             self.tables_repartitioned += 1;
         }
         self.deployed = target.clone();
@@ -519,7 +508,7 @@ impl Cluster {
             .all(|(a, b)| a.to_bits() == b.to_bits());
         if same_data {
             for t in self.deployed.diff_tables(&st.deployed) {
-                self.layouts[t.0] = Self::layout(&self.substrate, t, &st.deployed);
+                self.layouts[t.0] = self.substrate.layout(t, st.deployed.table_state(t));
             }
             self.deployed = st.deployed;
         } else {
@@ -850,6 +839,76 @@ mod tests {
         assert!(!Arc::ptr_eq(c.substrate(), &substrate));
         assert_eq!(substrate.stats().clusters_attached, 0);
         assert_eq!(c.substrate().stats().clusters_attached, 1);
+    }
+
+    /// The `node` column of table `t`'s hashed layout.
+    fn hashed_nodes(c: &Cluster, t: TableId) -> &Arc<[u8]> {
+        match &c.layouts[t.0] {
+            Layout::Hashed { node, .. } => node,
+            Layout::Replicated => panic!("{t} is replicated"),
+        }
+    }
+
+    #[test]
+    fn a_hashed_layout_is_computed_once_per_substrate() {
+        let (mut c, _) = micro_cluster();
+        let schema = c.schema().clone();
+        let a = schema.table_by_name("a").unwrap();
+        let initial = Partitioning::initial(&schema);
+        let e_ac = schema
+            .edge_between(
+                schema.attr_ref("a", "a_c_key").unwrap(),
+                schema.attr_ref("c", "c_key").unwrap(),
+            )
+            .unwrap();
+        let co = Action::ActivateEdge(e_ac).apply(&schema, &initial).unwrap();
+        assert_ne!(initial.table_state(a), co.table_state(a));
+
+        // A -> B -> A comes back to the very same column.
+        let first = Arc::clone(hashed_nodes(&c, a));
+        let entries = c.substrate().stats().layout_entries;
+        c.deploy(&co);
+        assert!(!Arc::ptr_eq(hashed_nodes(&c, a), &first));
+        assert_eq!(c.substrate().stats().layout_entries, entries + 1);
+        c.deploy(&initial);
+        assert!(Arc::ptr_eq(hashed_nodes(&c, a), &first));
+        assert_eq!(c.substrate().stats().layout_entries, entries + 1);
+
+        // A second cluster on the substrate shares it, a restore finds it,
+        // and what is shared is what `layout_table` computes.
+        let mut twin = Cluster::on_substrate(Arc::clone(c.substrate()));
+        assert!(Arc::ptr_eq(hashed_nodes(&twin, a), &first));
+        c.deploy(&co);
+        twin.restore_resume_state(c.resume_state()).unwrap();
+        assert!(Arc::ptr_eq(hashed_nodes(&twin, a), hashed_nodes(&c, a)));
+        let config = *c.config();
+        let fresh = crate::executor::layout_table(
+            c.substrate().db(),
+            &config.engine,
+            config.hardware.nodes,
+            a,
+            co.table_state(a),
+        );
+        match (&fresh, &c.layouts[a.0]) {
+            (
+                Layout::Hashed { node, counts, .. },
+                Layout::Hashed {
+                    node: memo_node,
+                    counts: memo_counts,
+                    ..
+                },
+            ) => {
+                assert_eq!((node, counts), (memo_node, memo_counts));
+                assert_eq!(counts.iter().sum::<usize>(), node.len());
+            }
+            other => panic!("expected two hashed layouts, got {other:?}"),
+        }
+
+        // Grown data is other data: a fresh substrate, a fresh memo.
+        c.bulk_update(0.5);
+        assert!(!Arc::ptr_eq(c.substrate(), twin.substrate()));
+        assert_eq!(c.substrate().stats().layout_entries, schema.tables().len());
+        assert!(!Arc::ptr_eq(hashed_nodes(&c, a), hashed_nodes(&twin, a)));
     }
 
     #[test]

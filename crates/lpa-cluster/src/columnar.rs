@@ -2,76 +2,103 @@
 //! fast path behind [`Executor::execute`].
 //!
 //! [`Executor::execute_naive`] keeps the row-at-a-time reference semantics:
-//! it allocates fresh `Vec`s for filtered rows, placements, buckets, and
-//! per-group join outputs on every step. This module re-expresses the same
-//! computation over reusable columns held in an [`ExecScratch`]:
+//! fresh `Vec`s for filtered rows, placements, buckets and per-group join
+//! outputs on every step, one provenance id per query table on every output
+//! row. This module charges the same quantities over the reusable columns of
+//! an [`ExecScratch`], materialising only what something later reads:
 //!
 //! * per-node work / net / runtime accounting lives in flat columns
 //!   (`net_bytes`, `per_node_*`), with fault multipliers applied as column
 //!   passes in node-index order — exactly the naive fold order;
-//! * shard histograms accumulate into a flattened `chunks × nodes` partial
-//!   buffer via `lpa_par` index-ordered chunks and merge in chunk order
-//!   (integer adds — exact for any thread count);
-//! * join buckets use a two-pass CSR layout (count, prefix-sum, scatter in
-//!   ascending row order) instead of per-node `Vec<Vec<_>>`;
-//! * the per-group hash join keeps per-key build rows in insertion order
-//!   through an arena chain (`build_row` / `build_next`), and the serial
-//!   group loop writes output provenance straight into the merged columns —
-//!   byte-identical to the naive path's group-ordered merge, minus the
-//!   copy.
+//! * **late materialisation** — an intermediate carries its row count, its
+//!   `node` column and the base-row ids of just the slots a *later* step
+//!   takes its left join keys from ([`carried_slots`]). A step nothing
+//!   reads from (the last, usually the largest) is count-only: a probe hit
+//!   adds the build entry's match count to `per_node_out` and writes no row;
+//! * **one build table per step**, keyed by `(join key, group)` (group 0
+//!   when the right side is present everywhere), hashed by one SplitMix64
+//!   round ([`KeyHasher`]) and probed in one pass over the intermediate in
+//!   index order; build rows are chained through an arena (`build_row` /
+//!   `build_next`) only when the right table's ids are carried.
+//!
+//! Output rows therefore come out probe-major (and, within one probe row's
+//! matches, newest build row first) where the naive path merges them
+//! group-major, and most provenance columns never exist. No charged quantity
+//! can tell: each is either a per-node integer count (build / probe / output
+//! rows, node histograms) or an `f64` sum of one constant per moved row, and
+//! that constant is integer-valued (`Table::row_bytes: u64` and sums of it),
+//! so every partial sum is an integer below 2^53 — exact, whatever order the
+//! rows are visited in. It is the premise `executor.rs` states for its own
+//! group-ordered merge. The hash table is never iterated, so its order
+//! cannot leak either.
 //!
 //! Bit-exactness contract (DESIGN.md §13): every `f64` accumulation below
-//! is the same expression, in the same order, as `execute_naive`; only
-//! allocation and intermediate representation differ. The differential
-//! harness ([`with_naive_executor`], plus the property/chaos suites) proves
-//! `execute` == `execute_naive` bit-for-bit across fault storms and thread
-//! counts.
+//! is the same expression, in the same order, as `execute_naive`; the
+//! differential harness ([`crate::with_naive_executor`], plus the
+//! property/chaos suites) proves `execute` == `execute_naive` bit-for-bit
+//! across fault storms and thread counts.
 //!
 //! This file is hot-path scoped under lint rule L013: no `Vec::new` /
 //! `vec![]` / `collect()` outside `#[cfg(test)]` — steady-state execution
 //! must not allocate.
 
-use std::cell::Cell;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::executor::{hash_str, over, par_pool, slot_of, ExecResult, Executor, Layout};
+use crate::engine::splitmix64;
+use crate::executor::{hash_str, over, slot_of, ExecResult, Executor, Layout};
 use lpa_costmodel::{JoinStrategy, QueryPlan};
-use lpa_schema::TableId;
-use lpa_workload::Query;
+use lpa_schema::{AttrRef, TableId};
+use lpa_workload::{JoinPred, Query};
 
-thread_local! {
-    static FORCE_NAIVE_EXEC: Cell<bool> = const { Cell::new(false) };
-}
+/// Hasher of the build table's `(join key, group)` keys: the two words
+/// are folded together and mixed by one SplitMix64 round — deterministic,
+/// and all a table that is only probed, never iterated, needs.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
 
-/// Run `f` with [`Executor::execute`] forced onto the row-at-a-time
-/// reference path. Used by differential harnesses; composes with
-/// `lpa_nn::with_naive_kernels` and `lpa_partition::with_full_encode`.
-pub fn with_naive_executor<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            FORCE_NAIVE_EXEC.with(|c| c.set(self.0));
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
         }
     }
-    let _reset = Reset(FORCE_NAIVE_EXEC.with(|c| c.replace(true)));
-    f()
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 ^= key;
+    }
+
+    /// `group + 1`: Postgres-XL places by `splitmix64(key) % nodes`, so an
+    /// unsalted group 0 would pin a node's keys to one bucket residue.
+    fn write_u8(&mut self, group: u8) {
+        self.0 ^= (group as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
 }
 
-/// True while inside [`with_naive_executor`] on this thread.
-pub fn naive_executor_forced() -> bool {
-    FORCE_NAIVE_EXEC.with(|c| c.get())
+/// The build rows sharing one `(join key, group)`: how many, and (when the
+/// right table's ids are carried) the head of their chain in the arena.
+#[derive(Clone, Copy, Debug)]
+struct Build {
+    head: u32,
+    count: u32,
 }
 
-/// Columnar intermediate result: the same provenance contract as the
-/// naive executor's `Inter`, with arena-backed columns that survive across
+/// Columnar intermediate result: the naive executor's `Inter` reduced to
+/// what a later step reads, in arena-backed columns that survive across
 /// steps and queries.
 #[derive(Clone, Debug, Default)]
 struct ColInter {
-    /// `slots[s][i]` = base-table row feeding output row `i` from query
-    /// table slot `s` (absent slots stay empty).
+    /// `slots[s][i]` = base-table row feeding row `i` from query table
+    /// slot `s`, for the carried slots only (all others stay empty).
     slots: Vec<Vec<u32>>,
+    /// Home node per row; empty when `replicated` and after a count-only
+    /// step, whose per-node row counts are `ExecScratch::per_node_out`.
     node: Vec<u8>,
+    rows: usize,
     replicated: bool,
     bytes_per_row: f64,
 }
@@ -84,16 +111,23 @@ impl ColInter {
         }
         self.slots.resize_with(width, Default::default);
         self.node.clear();
+        self.rows = 0;
         self.replicated = false;
         self.bytes_per_row = 0.0;
     }
 
-    fn len(&self) -> usize {
-        self.slots.iter().map(|s| s.len()).max().unwrap_or(0)
+    fn capacity_bytes(&self) -> usize {
+        vec_bytes(&self.slots)
+            + self.slots.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.node)
     }
 }
 
-/// Reusable buffers for the columnar executor. One per cluster (or per
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Reusable buffers for the columnar executor. One per substrate (or per
 /// caller); every query and join step reuses the same arenas, so
 /// steady-state execution performs no heap allocation once the buffers
 /// have grown to the workload's high-water mark.
@@ -101,8 +135,6 @@ impl ColInter {
 pub struct ExecScratch {
     /// Predicate-surviving row ids of the table currently being scanned.
     filtered: Vec<u32>,
-    /// Join-key value per intermediate row (primary pair, left side).
-    left_vals: Vec<u64>,
     /// Home node per filtered right row (empty when replicated).
     right_home: Vec<u8>,
     /// Post-exchange placements (directed / symmetric repartition).
@@ -110,26 +142,69 @@ pub struct ExecScratch {
     new_right: Vec<u8>,
     /// Per-node bytes received this step (column pass per strategy).
     net_bytes: Vec<f64>,
-    /// Flattened `chunks × nodes` histogram partials and their merge.
-    hist_partials: Vec<usize>,
-    hist_counts: Vec<usize>,
-    /// CSR buckets: per-group offsets + row indices in ascending order.
-    right_off: Vec<usize>,
-    right_items: Vec<u32>,
-    left_off: Vec<usize>,
-    left_items: Vec<u32>,
-    bucket_cursor: Vec<usize>,
-    /// Chained hash-join arena: per-key insertion-ordered build rows.
-    join_keys: HashMap<u64, (u32, u32)>,
+    /// Slots the step being executed must carry ([`carried_slots`]).
+    carried: Vec<usize>,
+    /// The step's build table and its chained-row arena.
+    join_keys: HashMap<(u64, u8), Build, BuildHasherDefault<KeyHasher>>,
     build_row: Vec<u32>,
     build_next: Vec<u32>,
-    /// Per-group work columns for the straggler maxima.
+    /// Per-group work columns for the straggler maxima. `per_node_out`
+    /// doubles as the node histogram of `cur` (the seed fills it too).
     per_node_build: Vec<usize>,
     per_node_probe: Vec<usize>,
     per_node_out: Vec<usize>,
     /// Double-buffered intermediates (swapped after each join step).
     cur: ColInter,
     next: ColInter,
+}
+
+impl ExecScratch {
+    /// Heap bytes the arenas currently hold (capacity, not length): the
+    /// high-water mark of everything executed on this scratch so far.
+    pub fn capacity_bytes(&self) -> usize {
+        vec_bytes(&self.filtered)
+            + vec_bytes(&self.right_home)
+            + vec_bytes(&self.new_left)
+            + vec_bytes(&self.new_right)
+            + vec_bytes(&self.net_bytes)
+            + vec_bytes(&self.carried)
+            + self.join_keys.capacity() * std::mem::size_of::<((u64, u8), Build)>()
+            + vec_bytes(&self.build_row)
+            + vec_bytes(&self.build_next)
+            + vec_bytes(&self.per_node_build)
+            + vec_bytes(&self.per_node_probe)
+            + vec_bytes(&self.per_node_out)
+            + self.cur.capacity_bytes()
+            + self.next.capacity_bytes()
+    }
+}
+
+/// `join`'s primary pair oriented as (intermediate side, right side) — the
+/// naive path orients every pair but only ever reads the first.
+fn oriented(join: &JoinPred, right_table: TableId) -> (AttrRef, AttrRef) {
+    let (a, b) = join.pairs[0];
+    if b.table == right_table {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// The slots of `query.tables` whose base-row ids the output of
+/// `plan.steps[at]` must carry: those a later step takes its left join
+/// keys from. Empty means nothing downstream reads a row of that output —
+/// the step only has to be counted.
+fn carried_slots(query: &Query, plan: &QueryPlan, at: usize, out: &mut Vec<usize>) {
+    out.clear();
+    for step in plan.steps.iter().skip(at + 1) {
+        let Some(join) = query.joins.get(step.join_index) else {
+            continue;
+        };
+        let slot = slot_of(query, oriented(join, step.table).0.table);
+        if !out.contains(&slot) {
+            out.push(slot);
+        }
+    }
 }
 
 impl Executor<'_> {
@@ -143,7 +218,6 @@ impl Executor<'_> {
         budget: Option<f64>,
         scratch: &mut ExecScratch,
     ) -> Option<ExecResult> {
-        let n = self.hw.nodes;
         let mut seconds = self.engine.query_overhead;
         let mut bytes_shuffled = 0.0;
 
@@ -154,7 +228,7 @@ impl Executor<'_> {
         };
         for &t in &query.tables {
             let bytes = self.schema.table(t).bytes() as f64;
-            let max_share = self.max_shard_fraction_col(t, scratch);
+            let max_share = self.max_shard_fraction_col(t);
             seconds += bytes * max_share / scan_bw;
         }
         if over(seconds, budget) {
@@ -165,7 +239,7 @@ impl Executor<'_> {
             let t = query.tables[0];
             self.filtered_rows_into(query, t, &mut scratch.filtered);
             let rows = scratch.filtered.len() as f64;
-            let share = self.max_shard_fraction_col(t, scratch);
+            let share = self.max_shard_fraction_col(t);
             seconds += rows * share * self.hw.cpu_tuple_cost * query.cpu_factor;
             return Some(ExecResult {
                 seconds,
@@ -177,10 +251,11 @@ impl Executor<'_> {
         let start = plan.start_table.unwrap_or(query.tables[0]);
         self.seed_inter_col(query, start, scratch);
 
-        for step in &plan.steps {
+        for (at, step) in plan.steps.iter().enumerate() {
             let Some(join) = query.joins.get(step.join_index) else {
                 continue;
             };
+            carried_slots(query, plan, at, &mut scratch.carried);
             let (step_seconds, step_bytes) =
                 self.join_step_col(query, step.table, join, step.strategy, scratch);
             seconds += step_seconds;
@@ -191,86 +266,45 @@ impl Executor<'_> {
             }
         }
 
-        let out_rows = scratch.cur.len() as f64;
+        let out_rows = scratch.cur.rows;
         let agg_share = if scratch.cur.replicated {
             1.0
         } else {
-            // Split borrow: the histogram buffers are disjoint from `cur`.
-            let (node, hist_partials, hist_counts) = (
-                &scratch.cur.node,
-                &mut scratch.hist_partials,
-                &mut scratch.hist_counts,
-            );
-            self.max_node_fraction_col(node, n, hist_partials, hist_counts)
+            self.max_node_fraction_col(&scratch.per_node_out, out_rows)
         };
-        seconds += out_rows * agg_share * self.hw.cpu_tuple_cost * query.cpu_factor;
+        seconds += out_rows as f64 * agg_share * self.hw.cpu_tuple_cost * query.cpu_factor;
         if over(seconds, budget) {
             return None;
         }
         Some(ExecResult {
             seconds,
-            output_rows: scratch.cur.len() as u64,
+            output_rows: out_rows as u64,
             bytes_shuffled,
         })
     }
 
-    /// Columnar twin of the naive `max_shard_fraction`.
-    fn max_shard_fraction_col(&self, t: TableId, scratch: &mut ExecScratch) -> f64 {
+    /// Columnar twin of the naive `max_shard_fraction`, from the row
+    /// counts stored with the layout.
+    fn max_shard_fraction_col(&self, t: TableId) -> f64 {
         match &self.layouts[t.0] {
             Layout::Replicated => self.replicated_slowdown(),
-            Layout::Hashed { node, .. } => {
-                if node.is_empty() {
-                    1.0 / self.hw.nodes as f64
-                } else {
-                    self.max_node_fraction_col(
-                        node,
-                        self.hw.nodes,
-                        &mut scratch.hist_partials,
-                        &mut scratch.hist_counts,
-                    )
-                }
-            }
+            Layout::Hashed { node, counts, .. } => self.max_node_fraction_col(counts, node.len()),
         }
     }
 
-    /// Columnar twin of the naive `max_node_fraction`: the same chunked
-    /// histogram, accumulated into one flattened `chunks × nodes` buffer
-    /// via index-ordered chunks and merged in chunk order. Integer adds —
-    /// the counts (and so the weighted maximum) are exact and identical.
-    fn max_node_fraction_col(
-        &self,
-        assignment: &[u8],
-        nodes: usize,
-        partials: &mut Vec<usize>,
-        counts: &mut Vec<usize>,
-    ) -> f64 {
-        if assignment.is_empty() {
-            return 1.0 / nodes as f64;
-        }
-        let chunk = lpa_par::default_chunk_len(assignment.len());
-        let n_chunks = assignment.len().div_ceil(chunk);
-        partials.clear();
-        partials.resize(n_chunks * nodes, 0);
-        par_pool(assignment.len()).par_chunks_mut(partials, nodes, |c, part| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(assignment.len());
-            for &a in &assignment[lo..hi] {
-                part[a as usize] += 1;
-            }
-        });
-        counts.clear();
-        counts.resize(nodes, 0);
-        for part in partials.chunks_exact(nodes) {
-            for (total, p) in counts.iter_mut().zip(part) {
-                *total += p;
-            }
+    /// Columnar twin of the naive `max_node_fraction`, given the per-node
+    /// histogram of the `rows` assignments it would count: the same
+    /// weighted maximum, folded in node order over the same integers.
+    fn max_node_fraction_col(&self, counts: &[usize], rows: usize) -> f64 {
+        if rows == 0 {
+            return 1.0 / self.hw.nodes as f64;
         }
         let max_weighted = counts
             .iter()
             .enumerate()
             .map(|(node, &c)| c as f64 * self.node_work_mult(node))
             .fold(0.0, f64::max);
-        max_weighted / assignment.len() as f64
+        max_weighted / rows as f64
     }
 
     /// Columnar twin of the naive `filtered_rows`: same ids, same order,
@@ -284,30 +318,34 @@ impl Executor<'_> {
             return;
         }
         let threshold = (sel * u64::MAX as f64) as u64;
-        let tag = crate::engine::splitmix64(hash_str(&query.name) ^ ((t.0 as u64) << 17));
+        let tag = splitmix64(hash_str(&query.name) ^ ((t.0 as u64) << 17));
         for r in 0..rows as u32 {
-            if crate::engine::splitmix64(tag ^ r as u64) <= threshold {
+            if splitmix64(tag ^ r as u64) <= threshold {
                 out.push(r);
             }
         }
     }
 
-    /// Columnar twin of the naive `seed_inter`.
+    /// Columnar twin of the naive `seed_inter`; also leaves the seed's node
+    /// histogram in `per_node_out`, as every join step does for its output.
     fn seed_inter_col(&self, query: &Query, start: TableId, scratch: &mut ExecScratch) {
         let slot = slot_of(query, start);
         self.filtered_rows_into(query, start, &mut scratch.filtered);
         let cur = &mut scratch.cur;
         cur.reset(query.tables.len());
+        cur.rows = scratch.filtered.len();
+        scratch.per_node_out.clear();
+        scratch.per_node_out.resize(self.hw.nodes, 0);
         match &self.layouts[start.0] {
-            Layout::Replicated => {
-                cur.node.resize(scratch.filtered.len(), 0);
-                cur.replicated = true;
-            }
+            Layout::Replicated => cur.replicated = true,
             Layout::Hashed { node, .. } => {
                 for &r in &scratch.filtered {
-                    cur.node.push(node[r as usize]);
+                    let home = node[r as usize];
+                    cur.node.push(home);
+                    if let Some(rows) = scratch.per_node_out.get_mut(home as usize) {
+                        *rows += 1;
+                    }
                 }
-                cur.replicated = false;
             }
         }
         if let Some(seed_slot) = cur.slots.get_mut(slot) {
@@ -317,27 +355,23 @@ impl Executor<'_> {
     }
 
     /// Columnar twin of the naive `join_step`: reads `scratch.cur`, writes
-    /// `scratch.next` (the caller swaps). Returns (seconds, total bytes).
+    /// the `scratch.carried` slots of `scratch.next` (the caller swaps).
+    /// Returns (seconds, total bytes).
     fn join_step_col(
         &self,
         query: &Query,
         right_table: TableId,
-        join: &lpa_workload::JoinPred,
+        join: &JoinPred,
         strategy: JoinStrategy,
         scratch: &mut ExecScratch,
     ) -> (f64, f64) {
         let ExecScratch {
             filtered,
-            left_vals,
             right_home,
             new_left,
             new_right,
             net_bytes,
-            right_off,
-            right_items,
-            left_off,
-            left_items,
-            bucket_cursor,
+            carried,
             join_keys,
             build_row,
             build_next,
@@ -346,7 +380,6 @@ impl Executor<'_> {
             per_node_out,
             cur,
             next,
-            ..
         } = scratch;
         let inter: &ColInter = cur;
 
@@ -356,21 +389,12 @@ impl Executor<'_> {
         let right_rows: &[u32] = filtered;
         let right_bytes_row = self.schema.table(right_table).row_bytes as f64;
 
-        // Orient the primary pair as (inter side, right side) — the naive
-        // path orients every pair but only ever reads the first.
-        let (a, b) = join.pairs[0];
-        let primary = if b.table == right_table {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        left_vals.clear();
-        if let Some(rows) = inter.slots.get(slot_of(query, primary.0.table)) {
-            let col = self.db.column(primary.0.table, primary.0.attr);
-            for &r in rows {
-                left_vals.push(col[r as usize]);
-            }
-        }
+        // The join-key value of every intermediate row, gathered on demand
+        // through the one carried slot this step reads.
+        let primary = oriented(join, right_table);
+        let left_col = self.db.column(primary.0.table, primary.0.attr);
+        let left_rows = inter.slots.get(slot_of(query, primary.0.table));
+        let left_keys = || (left_rows.into_iter().flatten()).map(|&r| left_col[r as usize]);
         let right_col = self.db.column(right_table, primary.1.attr);
 
         right_home.clear();
@@ -384,228 +408,151 @@ impl Executor<'_> {
         net_bytes.clear();
         net_bytes.resize(n, 0.0);
         let mut total_bytes = 0.0f64;
-        let mut shuffled = false;
+
+        // What the exchange does — ship one side everywhere, re-hash a side
+        // on its join key, or nothing. Same accumulation expressions, in
+        // the same order, as the naive strategy arms.
+        let (ship_left, ship_right, rehash_left, rehash_right) = match strategy {
+            JoinStrategy::ReplicatedSide | JoinStrategy::CoLocated => (false, false, false, false),
+            JoinStrategy::Broadcast { table_side } => (!table_side, table_side, false, false),
+            JoinStrategy::DirectedRepartition { table_side } => {
+                (false, false, !table_side, table_side)
+            }
+            JoinStrategy::SymmetricRepartition => (false, false, true, true),
+        };
+        let shuffled = ship_left || ship_right || rehash_left || rehash_right;
+        if ship_left || ship_right {
+            let bytes = if ship_right {
+                right_rows.len() as f64 * right_bytes_row
+            } else {
+                inter.rows as f64 * inter.bytes_per_row
+            };
+            for node_bytes in net_bytes.iter_mut() {
+                *node_bytes += bytes * (n as f64 - 1.0) / n as f64;
+            }
+            total_bytes += bytes * (n as f64 - 1.0);
+        }
+        if rehash_left {
+            new_left.clear();
+            for (i, v) in left_keys().enumerate() {
+                let node = self.engine.node_of(v, n) as u8;
+                new_left.push(node);
+                let home = if inter.replicated {
+                    node
+                } else {
+                    inter.node[i]
+                };
+                if home != node {
+                    net_bytes[node as usize] += inter.bytes_per_row;
+                    total_bytes += inter.bytes_per_row;
+                }
+            }
+        }
+        if rehash_right {
+            new_right.clear();
+            for (j, &r) in right_rows.iter().enumerate() {
+                let node = self.engine.node_of(right_col[r as usize], n) as u8;
+                new_right.push(node);
+                if right_home.get(j).copied().unwrap_or(node) != node {
+                    net_bytes[node as usize] += right_bytes_row;
+                    total_bytes += right_bytes_row;
+                }
+            }
+        }
 
         // Effective placements after the exchange; `None` = present
-        // everywhere. Same accumulation expressions, in the same order, as
-        // the naive strategy arms — only the `Vec` clones are gone.
-        let (left_at, right_at): (Option<&[u8]>, Option<&[u8]>) = match strategy {
-            JoinStrategy::ReplicatedSide | JoinStrategy::CoLocated => {
-                let left = if inter.replicated {
-                    None
-                } else {
-                    Some(inter.node.as_slice())
-                };
-                let right = if right_replicated {
-                    None
-                } else {
-                    Some(right_home.as_slice())
-                };
-                (left, right)
-            }
-            JoinStrategy::Broadcast { table_side: true } => {
-                shuffled = true;
-                let bytes = right_rows.len() as f64 * right_bytes_row;
-                for node_bytes in net_bytes.iter_mut() {
-                    *node_bytes += bytes * (n as f64 - 1.0) / n as f64;
-                }
-                total_bytes += bytes * (n as f64 - 1.0);
-                let left = if inter.replicated {
-                    None
-                } else {
-                    Some(inter.node.as_slice())
-                };
-                (left, None)
-            }
-            JoinStrategy::Broadcast { table_side: false } => {
-                shuffled = true;
-                let bytes = inter.len() as f64 * inter.bytes_per_row;
-                for node_bytes in net_bytes.iter_mut() {
-                    *node_bytes += bytes * (n as f64 - 1.0) / n as f64;
-                }
-                total_bytes += bytes * (n as f64 - 1.0);
-                let right = if right_replicated {
-                    None
-                } else {
-                    Some(right_home.as_slice())
-                };
-                (None, right)
-            }
-            JoinStrategy::DirectedRepartition { table_side } => {
-                shuffled = true;
-                if table_side {
-                    new_right.clear();
-                    for &r in right_rows {
-                        new_right.push(self.engine.node_of(right_col[r as usize], n) as u8);
-                    }
-                    for (j, &node) in new_right.iter().enumerate() {
-                        let home = right_home.get(j).copied().unwrap_or(node);
-                        if home != node {
-                            net_bytes[node as usize] += right_bytes_row;
-                            total_bytes += right_bytes_row;
-                        }
-                    }
-                    let left = if inter.replicated {
-                        None
-                    } else {
-                        Some(inter.node.as_slice())
-                    };
-                    (left, Some(new_right.as_slice()))
-                } else {
-                    new_left.clear();
-                    for &v in left_vals.iter() {
-                        new_left.push(self.engine.node_of(v, n) as u8);
-                    }
-                    for (i, &node) in new_left.iter().enumerate() {
-                        let home = if inter.replicated {
-                            node
-                        } else {
-                            inter.node[i]
-                        };
-                        if home != node {
-                            net_bytes[node as usize] += inter.bytes_per_row;
-                            total_bytes += inter.bytes_per_row;
-                        }
-                    }
-                    let right = if right_replicated {
-                        None
-                    } else {
-                        Some(right_home.as_slice())
-                    };
-                    (Some(new_left.as_slice()), right)
-                }
-            }
-            JoinStrategy::SymmetricRepartition => {
-                shuffled = true;
-                new_left.clear();
-                for &v in left_vals.iter() {
-                    new_left.push(self.engine.node_of(v, n) as u8);
-                }
-                for (i, &node) in new_left.iter().enumerate() {
-                    let home = if inter.replicated {
-                        node
-                    } else {
-                        inter.node[i]
-                    };
-                    if home != node {
-                        net_bytes[node as usize] += inter.bytes_per_row;
-                        total_bytes += inter.bytes_per_row;
-                    }
-                }
-                new_right.clear();
-                for &r in right_rows {
-                    new_right.push(self.engine.node_of(right_col[r as usize], n) as u8);
-                }
-                for (j, &node) in new_right.iter().enumerate() {
-                    let home = right_home.get(j).copied().unwrap_or(node);
-                    if home != node {
-                        net_bytes[node as usize] += right_bytes_row;
-                        total_bytes += right_bytes_row;
-                    }
-                }
-                (Some(new_left.as_slice()), Some(new_right.as_slice()))
-            }
+        // everywhere (replicated or broadcast).
+        let left_at: Option<&[u8]> = if rehash_left {
+            Some(new_left)
+        } else if inter.replicated || ship_left {
+            None
+        } else {
+            Some(&inter.node)
         };
-
+        let right_at: Option<&[u8]> = if rehash_right {
+            Some(new_right)
+        } else if right_replicated || ship_right {
+            None
+        } else {
+            Some(right_home)
+        };
         let both_everywhere = left_at.is_none() && right_at.is_none();
         let groups: usize = if both_everywhere { 1 } else { n };
-        let inter_len = inter.len();
-        let out_width = query.tables.len();
 
-        // CSR bucketing: count → exclusive prefix sum → scatter in
-        // ascending row order. Within each bucket the indices come out
-        // ascending — the same per-group order as the naive
-        // `buckets[node].push(…)` loops.
-        csr_bucket(right_at, right_off, right_items, bucket_cursor, groups);
-        csr_bucket(left_at, left_off, left_items, bucket_cursor, groups);
+        next.reset(query.tables.len());
+        for counts in [&mut *per_node_build, &mut *per_node_probe, per_node_out] {
+            counts.clear();
+            counts.resize(groups, 0);
+        }
 
-        next.reset(out_width);
-        per_node_build.clear();
-        per_node_build.resize(groups, 0);
-        per_node_probe.clear();
-        per_node_probe.resize(groups, 0);
-        per_node_out.clear();
-        per_node_out.resize(groups, 0);
-
-        // Serial group loop, group index ascending: output provenance goes
-        // straight into the merged columns, which is exactly the naive
-        // path's group-ordered merge (node 0's rows first, then node 1's).
-        for g in 0..groups {
-            join_keys.clear();
-            build_row.clear();
-            build_next.clear();
-            let mut insert = |r: u32, key: u64| {
-                let idx = build_row.len() as u32;
+        // Build: one table for the whole step. A right side present
+        // everywhere builds once under group 0 and counts for every group.
+        let keep_right = carried.contains(&right_slot);
+        join_keys.clear();
+        build_row.clear();
+        build_next.clear();
+        for (j, &r) in right_rows.iter().enumerate() {
+            let group = right_at.and_then(|at| at.get(j).copied()).unwrap_or(0);
+            if let Some(rows) = per_node_build.get_mut(group as usize) {
+                *rows += 1;
+            }
+            let b = join_keys
+                .entry((right_col[r as usize], group))
+                .or_insert(Build {
+                    head: u32::MAX,
+                    count: 0,
+                });
+            b.count += 1;
+            if keep_right {
+                build_next.push(std::mem::replace(&mut b.head, build_row.len() as u32));
                 build_row.push(r);
-                build_next.push(u32::MAX);
-                match join_keys.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        let (_, tail) = e.get_mut();
-                        if let Some(slot) = build_next.get_mut(*tail as usize) {
-                            *slot = idx;
-                        }
-                        *tail = idx;
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert((idx, idx));
-                    }
-                }
-            };
-            if right_at.is_some() {
-                for &j in &right_items[right_off[g]..right_off[g + 1]] {
-                    let r = right_rows[j as usize];
-                    insert(r, right_col[r as usize]);
-                }
-            } else {
-                for &r in right_rows {
-                    insert(r, right_col[r as usize]);
-                }
             }
-            per_node_build[g] = build_row.len();
+        }
+        if right_at.is_none() {
+            per_node_build.fill(right_rows.len());
+        }
 
-            // Probe index-ascending; per-key matches walk the insertion-
-            // ordered chain — the same match order as the naive per-key
-            // `Vec`s.
-            let probe_list: &[u32] = if left_at.is_some() {
-                &left_items[left_off[g]..left_off[g + 1]]
-            } else {
-                &[]
+        // Probe: intermediate rows in index order, each at the group it was
+        // placed on — or at every group when it is present everywhere. A hit
+        // is `count` output rows at that group; only carried columns are
+        // written, as runs of one repeated value except the right table's.
+        let count_only = carried.is_empty();
+        let mut probe = |i: usize, key: u64, g: usize| {
+            per_node_probe[g] += 1;
+            let group = if right_at.is_some() { g as u8 } else { 0 };
+            let Some(b) = join_keys.get(&(key, group)) else {
+                return;
             };
-            let mut out_rows_g = 0usize;
-            let mut probe = |i: usize| {
-                if let Some(&(head, _)) = join_keys.get(&left_vals[i]) {
-                    let mut idx = head;
-                    loop {
-                        let r = build_row[idx as usize];
-                        for (s, out) in next.slots.iter_mut().enumerate() {
-                            if s == right_slot {
-                                out.push(r);
-                            } else if !inter.slots[s].is_empty() {
-                                out.push(inter.slots[s][i]);
-                            }
-                        }
-                        out_rows_g += 1;
-                        let nx = build_next[idx as usize];
-                        if nx == u32::MAX {
-                            break;
-                        }
-                        idx = nx;
+            let count = b.count as usize;
+            per_node_out[g] += count;
+            if count_only {
+                return;
+            }
+            next.node.resize(next.node.len() + count, g as u8);
+            for &s in carried.iter() {
+                let Some(out) = next.slots.get_mut(s) else {
+                    continue;
+                };
+                if s == right_slot {
+                    let mut idx = b.head as usize;
+                    while let (Some(&r), Some(&link)) = (build_row.get(idx), build_next.get(idx)) {
+                        out.push(r);
+                        idx = link as usize;
                     }
-                }
-            };
-            if left_at.is_some() {
-                per_node_probe[g] = probe_list.len();
-                for &iu in probe_list {
-                    probe(iu as usize);
-                }
-            } else {
-                per_node_probe[g] = inter_len;
-                for i in 0..inter_len {
-                    probe(i);
+                } else if let Some(&v) = inter.slots[s].get(i) {
+                    out.resize(out.len() + count, v);
                 }
             }
-            per_node_out[g] = out_rows_g;
-            next.node.resize(next.node.len() + out_rows_g, g as u8);
+        };
+        for (i, key) in left_keys().enumerate() {
+            match left_at {
+                Some(at) => {
+                    if let Some(&g) = at.get(i) {
+                        probe(i, key, g as usize);
+                    }
+                }
+                None => (0..groups).for_each(|g| probe(i, key, g)),
+            }
         }
 
         // Time accounting: identical expressions and fold order to the
@@ -633,78 +580,124 @@ impl Executor<'_> {
             .fold(0.0, f64::max);
         seconds += max_work * self.hw.cpu_tuple_cost * query.cpu_factor;
 
+        next.rows = per_node_out.iter().sum();
         next.replicated = both_everywhere;
         next.bytes_per_row = inter.bytes_per_row + right_bytes_row;
         (seconds, total_bytes)
     }
 }
 
-/// Two-pass CSR bucketing of `at` (node per row) into `groups` buckets:
-/// `items[off[g]..off[g+1]]` lists the row indices placed at group `g`, in
-/// ascending order. A `None` placement means "present everywhere" — the
-/// offsets are left covering an empty list and callers use the full range.
-fn csr_bucket(
-    at: Option<&[u8]>,
-    off: &mut Vec<usize>,
-    items: &mut Vec<u32>,
-    cursor: &mut Vec<usize>,
-    groups: usize,
-) {
-    off.clear();
-    off.resize(groups + 1, 0);
-    items.clear();
-    let Some(at) = at else {
-        return;
-    };
-    for &node in at {
-        off[node as usize + 1] += 1;
-    }
-    for g in 0..groups {
-        off[g + 1] += off[g];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&off[..groups]);
-    items.resize(at.len(), 0);
-    for (i, &node) in at.iter().enumerate() {
-        let Some(c) = cursor.get_mut(node as usize) else {
-            continue;
-        };
-        if let Some(slot) = items.get_mut(*c) {
-            *slot = i as u32;
-        }
-        *c += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+    use lpa_costmodel::PlanStep;
+    use lpa_schema::AttrId;
 
-    #[test]
-    fn csr_bucket_matches_push_order() {
-        let at = [2u8, 0, 1, 0, 2, 2, 1];
-        let mut off = Vec::new();
-        let mut items = Vec::new();
-        let mut cursor = Vec::new();
-        csr_bucket(Some(&at), &mut off, &mut items, &mut cursor, 3);
-        // Reference: per-bucket push loops in ascending index order.
-        let mut want: Vec<Vec<u32>> = vec![Vec::new(); 3];
-        for (i, &node) in at.iter().enumerate() {
-            want[node as usize].push(i as u32);
-        }
-        for g in 0..3 {
-            assert_eq!(&items[off[g]..off[g + 1]], want[g].as_slice(), "group {g}");
-        }
-        // Everywhere-side: empty offsets, empty items.
-        csr_bucket(None, &mut off, &mut items, &mut cursor, 3);
-        assert!(items.is_empty());
-        assert_eq!(off, vec![0; 4]);
+    /// `n` tables joined as `edges` = (left table, right table) pairs; step
+    /// `k` applies join `k` and brings in its right table. Odd joins spell
+    /// their pair right side first.
+    fn plan_of(n: usize, edges: &[(usize, usize)]) -> (Query, QueryPlan) {
+        let attr = |t: usize| AttrRef {
+            table: TableId(t),
+            attr: AttrId(0),
+        };
+        let pair = |k: usize, (l, r): (usize, usize)| match k % 2 {
+            0 => (attr(l), attr(r)),
+            _ => (attr(r), attr(l)),
+        };
+        let query = Query {
+            name: "hand_built".into(),
+            tables: (0..n).map(TableId).collect(),
+            joins: (edges.iter().enumerate())
+                .map(|(k, &e)| JoinPred::new(vec![pair(k, e)]))
+                .collect(),
+            selectivity: vec![1.0; n],
+            cpu_factor: 1.0,
+        };
+        let step = |(k, &(_, r)): (usize, &(usize, usize))| PlanStep {
+            join_index: k,
+            table: TableId(r),
+            strategy: JoinStrategy::CoLocated,
+            out_rows: 0.0,
+            net_seconds: 0.0,
+            cpu_seconds: 0.0,
+        };
+        let plan = QueryPlan {
+            start_table: Some(TableId(0)),
+            steps: edges.iter().enumerate().map(step).collect(),
+            ..QueryPlan::default()
+        };
+        (query, plan)
+    }
+
+    fn carried_at(query: &Query, plan: &QueryPlan, at: usize) -> Vec<usize> {
+        let mut out = vec![99];
+        carried_slots(query, plan, at, &mut out);
+        out
     }
 
     #[test]
-    fn naive_executor_guard_restores() {
-        assert!(!naive_executor_forced());
-        with_naive_executor(|| assert!(naive_executor_forced()));
-        assert!(!naive_executor_forced());
+    fn a_step_carries_exactly_the_left_key_slots_of_the_steps_after_it() {
+        // Chain 0-1-2-3-4-5: step k joins table k+1 on a key of table k.
+        let chain: Vec<(usize, usize)> = (0..5).map(|k| (k, k + 1)).collect();
+        let (query, plan) = plan_of(6, &chain);
+        for at in 0..5 {
+            let want: Vec<usize> = (at + 1..5).collect();
+            assert_eq!(carried_at(&query, &plan, at), want, "chain step {at}");
+        }
+        // Star on table 0: one carried slot until the count-only last step.
+        let (query, mut plan) = plan_of(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        assert_eq!(carried_at(&query, &plan, 0), [0]);
+        assert_eq!(carried_at(&query, &plan, 2), [0]);
+        assert!(carried_at(&query, &plan, 3).is_empty());
+        // A step the driver skips (no such join) reads nothing.
+        plan.steps[3].join_index = 17;
+        assert!(carried_at(&query, &plan, 2).is_empty());
+        // No mask, no width limit: 70 tables carry slots past 64.
+        let chain: Vec<(usize, usize)> = (0..69).map(|k| (k, k + 1)).collect();
+        let (query, plan) = plan_of(70, &chain);
+        assert_eq!(carried_at(&query, &plan, 0), (1..69).collect::<Vec<_>>());
+        assert!(carried_at(&query, &plan, 68).is_empty());
+    }
+
+    /// ISSUE 19: six joins on fresh arenas — only the carried slots (and the
+    /// seed's) of the double-buffered intermediates ever get memory.
+    #[test]
+    fn only_carried_slots_of_a_six_join_query_acquire_capacity() {
+        let schema = lpa_schema::tpcch::schema(0.0015).expect("schema builds");
+        let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
+        // Only `order` stays filtered, so that every step has rows to carry.
+        let mut query = (workload.queries().iter())
+            .find(|q| q.name == "ch_q05")
+            .expect("ch_q05")
+            .clone();
+        let order = schema.table_by_name("order").expect("order");
+        for (t, sel) in query.tables.iter().zip(query.selectivity.iter_mut()) {
+            *sel = if *t == order { 0.03 } else { 1.0 };
+        }
+        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+        let mut cluster = Cluster::new(schema.clone(), config);
+        let got = cluster.run_query(&query, None);
+        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
+        assert_eq!(got, crate::with_naive_executor(naive));
+
+        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
+        let plan = optimizer.plan(&schema, &query, cluster.deployed(), 0);
+        assert_eq!(plan.steps.len(), 6);
+        let mut carried = vec![slot_of(&query, plan.start_table.expect("a join plan"))];
+        for at in 0..plan.steps.len() {
+            carried.extend(carried_at(&query, &plan, at));
+        }
+        assert!((0..query.tables.len()).any(|s| !carried.contains(&s)));
+        cluster.substrate().with_scratch(|scratch| {
+            for s in 0..query.tables.len() {
+                let held = scratch.cur.slots[s].capacity() + scratch.next.slots[s].capacity();
+                assert_eq!(held > 0, carried.contains(&s), "slot {s} holds {held}");
+            }
+            // The count-only last step wrote no row: what is left is its input.
+            assert!(scratch.cur.node.is_empty() && scratch.cur.rows > 0);
+            assert!(scratch.capacity_bytes() > 0);
+        });
     }
 }

@@ -17,7 +17,32 @@ use lpa_par::Pool;
 use lpa_partition::TableState;
 use lpa_schema::{AttrRef, Schema, TableId};
 use lpa_workload::Query;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+thread_local! {
+    static FORCE_NAIVE_EXEC: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with [`Executor::execute`] forced onto the row-at-a-time
+/// reference path. Used by differential harnesses; composes with
+/// `lpa_nn::with_naive_kernels` and `lpa_partition::with_full_encode`.
+pub fn with_naive_executor<R>(f: impl FnOnce() -> R) -> R {
+    struct Reset(bool);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            FORCE_NAIVE_EXEC.with(|c| c.set(self.0));
+        }
+    }
+    let _reset = Reset(FORCE_NAIVE_EXEC.with(|c| c.replace(true)));
+    f()
+}
+
+/// True while inside [`with_naive_executor`] on this thread.
+pub fn naive_executor_forced() -> bool {
+    FORCE_NAIVE_EXEC.with(|c| c.get())
+}
 
 /// Row count below which per-node work runs inline: thread spawning costs
 /// more than the join itself for small tables. The threshold only selects
@@ -40,14 +65,20 @@ pub(crate) fn par_pool(work: usize) -> Pool {
 pub enum Layout {
     /// Full copy on every node.
     Replicated,
-    /// `node[row]` assignment derived from the partition-key values.
+    /// `node[row]` assignment derived from the partition-key values, and
+    /// `counts[n]` = rows assigned to node `n`. Both are pure functions of
+    /// the generated column, so every cluster on one
+    /// [`Substrate`](crate::Substrate) shares them.
     Hashed {
         attr: lpa_schema::AttrId,
-        node: Vec<u8>,
+        node: Arc<[u8]>,
+        counts: Arc<[usize]>,
     },
 }
 
-/// Compute the layout of one table under a deployment.
+/// Compute the layout of one table under a deployment (one `node_of` hash
+/// per row, never cached: [`Substrate::layout`](crate::Substrate::layout)
+/// is the memoised front of this function).
 pub fn layout_table(
     db: &Database,
     engine: &EngineProfile,
@@ -59,12 +90,20 @@ pub fn layout_table(
         TableState::Replicated => Layout::Replicated,
         TableState::PartitionedBy(attr) => {
             let col = db.column(table, attr);
-            let node = par_pool(col.len()).par_map_chunked(
-                col,
-                lpa_par::default_chunk_len(col.len()),
-                |_, &v| engine.node_of(v, nodes) as u8,
-            );
-            Layout::Hashed { attr, node }
+            let node: Arc<[u8]> = par_pool(col.len())
+                .par_map_chunked(col, lpa_par::default_chunk_len(col.len()), |_, &v| {
+                    engine.node_of(v, nodes) as u8
+                })
+                .into();
+            let mut counts = vec![0usize; nodes];
+            for &home in node.iter() {
+                counts[home as usize] += 1;
+            }
+            Layout::Hashed {
+                attr,
+                node,
+                counts: counts.into(),
+            }
         }
     }
 }
@@ -142,7 +181,7 @@ impl<'a> Executor<'a> {
         budget: Option<f64>,
         scratch: &mut crate::ExecScratch,
     ) -> Option<ExecResult> {
-        if crate::columnar::naive_executor_forced() {
+        if naive_executor_forced() {
             self.execute_naive(query, plan, budget)
         } else {
             self.execute_columnar(query, plan, budget, scratch)
@@ -698,4 +737,16 @@ pub(crate) fn hash_str(s: &str) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn naive_executor_guard_restores() {
+        assert!(!naive_executor_forced());
+        with_naive_executor(|| assert!(naive_executor_forced()));
+        assert!(!naive_executor_forced());
+    }
 }

@@ -49,9 +49,10 @@ pub mod optimizer;
 pub mod substrate;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterResumeState, QueryOutcome};
-pub use columnar::{naive_executor_forced, with_naive_executor, ExecScratch};
+pub use columnar::ExecScratch;
 pub use datagen::{Database, TableData};
 pub use engine::{EngineKind, EngineProfile};
+pub use executor::{naive_executor_forced, with_naive_executor};
 pub use faults::{ClusterHealth, FailReason, FaultAccounting, FaultPlan, FaultState};
 pub use guardrail::{
     direct_deploy, observe_window, CanaryState, CanaryStep, CanaryVerdict, CandidateDeploy,

@@ -7,7 +7,7 @@
 //! growth, config)`, so any number of clusters over the same database can
 //! hold one [`Substrate`] behind an `Arc` instead of a copy each.
 //!
-//! Behind one lock the substrate also keeps the two things that are pure
+//! Behind one lock the substrate also keeps the three things that are pure
 //! functions of that immutable data:
 //!
 //! * the **clean-execution memo** — the [`ExecResult`] of a query on a
@@ -16,6 +16,10 @@
 //!   (the paper's Query Runtime Cache argument, Section 4.2), so it is
 //!   computed once per distinct key and never by hash alone: the key is the
 //!   complete packed form of everything the planner and executor read;
+//! * the **layout memo** — the node of every row of a table hashed on one
+//!   attribute (and the rows per node) depends only on the generated
+//!   column and the config, so it is computed once per `(table, attribute)`
+//!   and handed out behind `Arc`s, however often deployments come back to it;
 //! * the [`ExecScratch`] arenas, whose contents never outlive one
 //!   execution, so one high-water mark serves every attached cluster.
 //!
@@ -27,10 +31,10 @@
 use crate::cluster::ClusterConfig;
 use crate::columnar::ExecScratch;
 use crate::datagen::Database;
-use crate::executor::ExecResult;
+use crate::executor::{layout_table, ExecResult, Layout};
 use lpa_partition::fingerprint::pack;
-use lpa_partition::Partitioning;
-use lpa_schema::{AttrRef, Schema};
+use lpa_partition::{Partitioning, TableState};
+use lpa_schema::{AttrId, AttrRef, Schema, TableId};
 use lpa_workload::Query;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -88,6 +92,8 @@ struct Shared {
     memo: BTreeMap<MemoKey, ExecResult>,
     /// Reused lookup key — a hit allocates nothing.
     probe: MemoKey,
+    /// Hashed layouts handed out so far ([`Substrate::layout`]).
+    layouts: BTreeMap<(TableId, AttrId), Layout>,
     scratch: ExecScratch,
     clusters_attached: usize,
     hits: u64,
@@ -105,6 +111,11 @@ pub struct SubstrateStats {
     pub memo_hits: u64,
     /// Clean executions that ran and were stored.
     pub memo_misses: u64,
+    /// Distinct `(table, attribute)` hashed layouts computed so far.
+    pub layout_entries: usize,
+    /// Heap bytes held by the shared executor arenas: the high-water mark
+    /// of every execution so far (they never shrink).
+    pub scratch_bytes: usize,
 }
 
 /// One generated database and what is derivable from it alone.
@@ -182,7 +193,23 @@ impl Substrate {
             memo_entries: shared.memo.len(),
             memo_hits: shared.hits,
             memo_misses: shared.misses,
+            layout_entries: shared.layouts.len(),
+            scratch_bytes: shared.scratch.capacity_bytes(),
         }
+    }
+
+    /// The layout of `table` in `state`: [`layout_table`] computed once per
+    /// hashed `(table, attribute)` and shared from then on.
+    pub fn layout(&self, table: TableId, state: TableState) -> Layout {
+        let TableState::PartitionedBy(attr) = state else {
+            return Layout::Replicated;
+        };
+        let mut shared = self.shared.lock();
+        let entry = shared.layouts.entry((table, attr)).or_insert_with(|| {
+            let nodes = self.config.hardware.nodes;
+            layout_table(&self.db, &self.config.engine, nodes, table, state)
+        });
+        entry.clone()
     }
 
     pub(crate) fn attach(&self) {

@@ -717,6 +717,7 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
             "max_node_fraction_col",
             "filtered_rows_into",
             "seed_inter_col",
+            "carried_slots",
             "join_step_col",
         ],
     ),

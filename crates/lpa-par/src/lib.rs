@@ -27,6 +27,10 @@
 //!    process environment),
 //! 2. the `LPA_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! Steps 2 and 3 are read **once per process**, on the first
+//! [`Pool::current`] call that reaches them: set (or remove) `LPA_THREADS`
+//! before that call, use [`with_threads`] afterwards.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -37,6 +41,7 @@ pub mod schedule;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 thread_local! {
     /// Scoped thread-count override (outermost wins for nested scopes).
@@ -99,7 +104,8 @@ impl Pool {
     }
 
     /// The ambient pool: a [`with_threads`] override if one is active,
-    /// else `LPA_THREADS`, else the machine's available parallelism.
+    /// else `LPA_THREADS`, else the machine's available parallelism (the
+    /// last two resolved once per process).
     /// Inside a pool worker this always resolves to 1 so nested parallel
     /// calls run inline instead of oversubscribing.
     pub fn current() -> Self {
@@ -109,13 +115,13 @@ impl Pool {
         if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
             return Self::with_threads(n);
         }
-        if let Some(n) = std::env::var("LPA_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            return Self::with_threads(n);
-        }
-        Self::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        static AMBIENT: OnceLock<usize> = OnceLock::new();
+        Self::with_threads(*AMBIENT.get_or_init(|| {
+            std::env::var("LPA_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        }))
     }
 
     pub fn threads(&self) -> usize {

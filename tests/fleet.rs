@@ -1069,10 +1069,12 @@ fn pool_stats(fleet: &Fleet) -> Vec<SubstrateStats> {
 }
 
 /// The pool of a [`sharing_specs`] fleet that has not executed anything:
-/// one database, four clusters on it, an empty memo.
+/// one database, four clusters on it, SSB's five tables laid out once on
+/// their initial keys, an empty memo and arenas that never grew.
 fn cold_pool() -> [SubstrateStats; 1] {
     [SubstrateStats {
         clusters_attached: 4,
+        layout_entries: 5,
         ..SubstrateStats::default()
     }]
 }
@@ -1206,6 +1208,43 @@ fn nothing_of_the_memo_outlives_its_fleet() {
     assert_eq!(run(), (cold, warm));
 }
 
+/// ISSUE 19: the executor arenas keep their high-water mark, and that mark
+/// stays below what the widest join alone used to pin — one provenance id
+/// per query table for every row of its result.
+#[test]
+fn executor_arenas_stay_below_one_full_width_join_result() {
+    let mut fleet = Fleet::new(shared_cfg());
+    let spec = TenantSpec {
+        episodes: 4,
+        ..TenantSpec::new("wide", Benchmark::TpcCh, 0.001, 319)
+    };
+    fleet.admit(spec).unwrap();
+    assert_eq!(pool_stats(&fleet)[0].scratch_bytes, 0, "nothing ran yet");
+    fleet.run_rounds(1);
+    let held = pool_stats(&fleet)[0].scratch_bytes;
+
+    // Join results are placement independent, so a private observer on
+    // the initial layout sees the sizes the tenant's round produced.
+    let cluster = fleet.tenant_cluster(0).unwrap();
+    let mut observer = Cluster::new(cluster.schema().clone(), *cluster.config());
+    let full_width = (fleet.tenant_workload(0).unwrap().queries().iter())
+        .map(|q| match observer.run_query(q, None) {
+            QueryOutcome::Completed { output_rows, .. } => {
+                output_rows as usize * q.tables.len() * std::mem::size_of::<u32>()
+            }
+            QueryOutcome::TimedOut { .. } | QueryOutcome::Failed { .. } => 0,
+        })
+        .max()
+        .unwrap();
+    assert!(
+        0 < held && held < full_width,
+        "arenas hold {held} B, the widest join result alone is {full_width} B"
+    );
+    // The mark only moves up, and a repeat of the same work leaves it alone.
+    fleet.run_rounds(1);
+    assert!(pool_stats(&fleet)[0].scratch_bytes >= held);
+}
+
 /// Kill inside an open canary window: the resumed fleet rebuilds the pool
 /// from the specs with its memo cold, and still finishes bit-identical to
 /// the fleet that never died with its memo warm.
@@ -1245,8 +1284,15 @@ fn mid_canary_resume_with_a_cold_memo_is_bit_identical() {
         canaries_open(resumed.fleet()) > 0,
         "the open canary did not survive"
     );
+    // A tenant restored mid-canary may sit on a layout the initial
+    // deployment never computed; everything else is as cold as day one.
+    let restored = pool_stats(resumed.fleet())[0];
+    assert!(restored.layout_entries >= 5, "{restored:?}");
     assert_eq!(
-        pool_stats(resumed.fleet()),
+        [SubstrateStats {
+            layout_entries: 5,
+            ..restored
+        }],
         cold_pool(),
         "one database generated for four restored tenants, nothing executed yet"
     );

@@ -412,7 +412,8 @@ fn delta_encoder_matches_full_encode_byte_for_byte() {
 /// ISSUE 8: the columnar executor is bit-identical to the row-at-a-time
 /// `execute_naive` reference — same seconds, rows and shuffled bytes for
 /// every query — across random deployments, fault-storm plans, bulk
-/// updates, timeout budgets and thread counts.
+/// updates, timeout budgets and thread counts; then, plan by hand-forced
+/// plan, on every path of the join (see the function below).
 #[test]
 fn columnar_executor_matches_naive_across_fault_storms() {
     use lpa::cluster::FaultPlan;
@@ -472,6 +473,155 @@ fn columnar_executor_matches_naive_across_fault_storms() {
             }
         });
     }
+    columnar_executor_matches_naive_on_every_join_path();
+}
+
+/// ISSUE 19, second half of the test above: the same differential straight
+/// on the executor, over plans built so that every path of the late-materialising join is taken for
+/// certain — plans of five and six steps, each `JoinStrategy` arm at each
+/// step position, a replicated intermediate probing a partitioned right
+/// side, a join of two sides present everywhere, an empty build side, and
+/// budgets that abort between steps — under straggling nodes and degraded
+/// links. `seconds`, `output_rows` and `bytes_shuffled` agree to the bit
+/// with `execute_naive`, and between 1 and 8 threads.
+fn columnar_executor_matches_naive_on_every_join_path() {
+    use lpa::cluster::executor::{layout_table, ExecResult, Executor, Layout};
+    use lpa::cluster::{Database, ExecScratch, FaultPlan, OptimizerEstimator};
+    use lpa::costmodel::JoinStrategy;
+    use lpa::partition::TableState;
+
+    const ARMS: [JoinStrategy; 7] = [
+        JoinStrategy::ReplicatedSide,
+        JoinStrategy::CoLocated,
+        JoinStrategy::Broadcast { table_side: true },
+        JoinStrategy::Broadcast { table_side: false },
+        JoinStrategy::DirectedRepartition { table_side: true },
+        JoinStrategy::DirectedRepartition { table_side: false },
+        JoinStrategy::SymmetricRepartition,
+    ];
+    let bits = |r: Option<ExecResult>| {
+        r.map(|r| {
+            (
+                r.seconds.to_bits(),
+                r.output_rows,
+                r.bytes_shuffled.to_bits(),
+            )
+        })
+    };
+
+    let schema = lpa::schema::tpcch::schema(0.001).expect("schema builds");
+    let workload = lpa::workload::tpcch::workload(&schema).expect("workload builds");
+    let (engine, hw) = (EngineProfile::pgxl(), HardwareProfile::standard());
+    let db = Database::generate(&schema, 0x19);
+    let initial = Partitioning::initial(&schema);
+    let optimizer = OptimizerEstimator::new(engine, hw);
+    let order = schema.table_by_name("order").unwrap();
+    let storm = FaultPlan {
+        crash_rate: 0.0,
+        ..FaultPlan::storm(0x19)
+    };
+
+    let run = |threads: usize| {
+        let mut seen = Vec::new();
+        let (mut everywhere_joins, mut spread_probes, mut aborted) = (0, 0, 0);
+        lpa::par::with_threads(threads, || {
+            for (qi, name) in ["ch_q05", "ch_q07"].into_iter().enumerate() {
+                // Only `order` stays filtered, so rows reach every step.
+                let mut query = (workload.queries().iter())
+                    .find(|q| q.name == name)
+                    .unwrap()
+                    .clone();
+                for (t, sel) in query.tables.iter().zip(query.selectivity.iter_mut()) {
+                    *sel = if *t == order { 0.02 } else { 1.0 };
+                }
+                let base = optimizer.plan(&schema, &query, &initial, 0);
+                assert!(base.steps.len() >= 4, "{name}: {} steps", base.steps.len());
+                let start = base.start_table.unwrap();
+
+                // Which tables are replicated: none, the start table, all.
+                for replicated in 0..3usize {
+                    let layouts: Vec<Layout> = (0..schema.tables().len())
+                        .map(|t| {
+                            let t = TableId(t);
+                            let state = match replicated {
+                                0 => initial.table_state(t),
+                                1 if t != start => initial.table_state(t),
+                                _ => TableState::Replicated,
+                            };
+                            layout_table(&db, &engine, hw.nodes, t, state)
+                        })
+                        .collect();
+                    let is_replicated = |t: TableId| matches!(layouts[t.0], Layout::Replicated);
+                    for shift in 0..ARMS.len() {
+                        let mut plan = base.clone();
+                        for (k, step) in plan.steps.iter_mut().enumerate() {
+                            step.strategy = ARMS[(k + shift) % ARMS.len()];
+                        }
+                        // The build side of the third step is empty on
+                        // every other shift.
+                        let mut query = query.clone();
+                        if shift % 2 == 1 {
+                            let emptied = plan.steps[2].table;
+                            let slot = query.tables.iter().position(|t| *t == emptied);
+                            query.selectivity[slot.unwrap()] = 0.0;
+                        }
+                        let first = &plan.steps[0];
+                        if shift < 2 && is_replicated(start) {
+                            // `ReplicatedSide` / `CoLocated` keep both
+                            // sides where their layouts put them.
+                            if is_replicated(first.table) {
+                                everywhere_joins += 1;
+                            } else {
+                                spread_probes += 1;
+                            }
+                        }
+                        let faults = storm.state_at(0.05 * (qi + shift) as f64, hw.nodes);
+                        let exec = Executor {
+                            schema: &schema,
+                            db: &db,
+                            engine: &engine,
+                            hw: &hw,
+                            layouts: &layouts,
+                            faults: &faults,
+                        };
+                        let mut scratch = ExecScratch::default();
+                        let full = exec.execute_with(&query, &plan, None, &mut scratch);
+                        let at = format!("{name} replicated {replicated} shift {shift}");
+                        assert_eq!(
+                            bits(full),
+                            bits(exec.execute_naive(&query, &plan, None)),
+                            "{at}"
+                        );
+                        seen.push(bits(full));
+                        if shift % 2 == 1 {
+                            assert_eq!(full.unwrap().output_rows, 0, "{at}: empty build side");
+                        }
+                        // Budgets that run out after the scans, between
+                        // steps, in the final aggregation, or never.
+                        let total = full.unwrap().seconds;
+                        for tenth in [2, 4, 6, 8, 10, 11] {
+                            if shift > 1 && tenth != 6 {
+                                continue;
+                            }
+                            let budget = Some(total * tenth as f64 / 10.0);
+                            let got = exec.execute_with(&query, &plan, budget, &mut scratch);
+                            assert_eq!(
+                                bits(got),
+                                bits(exec.execute_naive(&query, &plan, budget)),
+                                "{at} budget {tenth}/10"
+                            );
+                            assert_eq!(got.is_some(), tenth >= 10, "{at} budget {tenth}/10");
+                            aborted += got.is_none() as usize;
+                            seen.push(bits(got));
+                        }
+                    }
+                }
+            }
+        });
+        assert!(everywhere_joins >= 4 && spread_probes >= 4 && aborted >= 40);
+        seen
+    };
+    assert_eq!(run(1), run(8));
 }
 
 /// Salt-collision audit for the fleet's stream derivation
