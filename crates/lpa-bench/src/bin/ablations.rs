@@ -5,7 +5,7 @@
 //! 2. **Best-state vs last-state inference** — the Section 6 oscillation
 //!    argument.
 //! 3. **Greedy vs exhaustive join enumeration** in the cost model (quality
-//!    of the estimates; the wall-clock side lives in the Criterion bench).
+//!    of the estimates).
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 

@@ -12,8 +12,13 @@
 //!   reaction time to a regression it can only see in observed runtimes);
 //! - **poison containment** — how many poisoned deploys each arm ends up
 //!   committing (the inert arm commits them all, by construction);
-//! - **deploy-budget overhead** — wall-clock slowdown of the guarded arm
-//!   and the extra *simulated* seconds its canary observations charge.
+//! - **deploy-budget overhead** — the extra *simulated* seconds the
+//!   guarded arm's canary observations charge.
+//!
+//! Everything reported is simulated-clock data, so the result file is
+//! byte-reproducible; the wall-clock price of a canary window is
+//! `lpa-perf`'s `guardrail.observe_window_ms` and
+//! `service.canary_{close_ms,window_share}`.
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -21,7 +26,6 @@ use lpa_bench::{bar, figure, save_json, SeededChaos};
 use lpa_cluster::{GuardrailAccounting, GuardrailConfig, GuardrailEvent};
 use lpa_service::{Benchmark, Fleet, FleetConfig, JournalRecord, TenantSpec};
 use serde_json::json;
-use std::time::Instant;
 
 const TENANTS: usize = 32;
 const ROUNDS: u64 = 12;
@@ -81,22 +85,20 @@ fn poison() -> SeededChaos {
         })
 }
 
-/// Run one arm to completion, returning (wall seconds, merged ledger,
-/// journal, total simulated seconds across tenant clusters).
-fn run_arm(guardrail: GuardrailConfig) -> (f64, GuardrailAccounting, Vec<JournalRecord>, f64) {
+/// Run one arm to completion, returning (merged ledger, journal, total
+/// simulated seconds across tenant clusters).
+fn run_arm(guardrail: GuardrailConfig) -> (GuardrailAccounting, Vec<JournalRecord>, f64) {
     let mut fleet = Fleet::new(cfg(guardrail));
     fleet.set_hook(Box::new(poison()));
     for spec in specs() {
         fleet.admit(spec).unwrap();
     }
-    let t0 = Instant::now();
     fleet.run_rounds(ROUNDS);
-    let wall = t0.elapsed().as_secs_f64();
     let journal = fleet.drain_journal();
     let simulated: f64 = (0..fleet.tenant_count())
         .map(|t| fleet.tenant_cluster(t).unwrap().clock())
         .sum();
-    (wall, fleet.report().guardrail, journal, simulated)
+    (fleet.report().guardrail, journal, simulated)
 }
 
 /// Per-poisoned-deploy latency (windows from stage to rollback), total
@@ -146,8 +148,8 @@ fn main() {
         "safe-deployment guardrails — rollback latency, poison containment, budget overhead",
     );
 
-    let (inert_wall, inert_ledger, inert_journal, inert_sim) = run_arm(GuardrailConfig::inert());
-    let (guard_wall, guard_ledger, guard_journal, guard_sim) = run_arm(guarded());
+    let (inert_ledger, inert_journal, inert_sim) = run_arm(GuardrailConfig::inert());
+    let (guard_ledger, guard_journal, guard_sim) = run_arm(guarded());
 
     let threshold = guarded().regression_threshold;
     let (latencies, guarded_commits, guarded_regression_commits) =
@@ -185,8 +187,6 @@ fn main() {
         inert_commits as f64,
         "deploys",
     );
-    let wall_overhead_pct = (guard_wall / inert_wall - 1.0) * 100.0;
-    bar("guarded wall overhead", wall_overhead_pct, "% vs inert");
     let sim_overhead_pct = (guard_sim / inert_sim - 1.0) * 100.0;
     bar(
         "guarded simulated-clock overhead",
@@ -215,17 +215,14 @@ fn main() {
                 "rejected_budget": guard_ledger.rejected_budget,
                 "poison_commits": guarded_commits,
                 "poison_regression_commits": guarded_regression_commits,
-                "wall_seconds": guard_wall,
                 "simulated_seconds": guard_sim,
             }),
             "inert": json!({
                 "canaries_started": inert_ledger.canaries_started,
                 "commits": inert_ledger.commits,
                 "poison_commits": inert_commits,
-                "wall_seconds": inert_wall,
                 "simulated_seconds": inert_sim,
             }),
-            "wall_overhead_pct": wall_overhead_pct,
             "simulated_overhead_pct": sim_overhead_pct,
         }),
     );

@@ -1,10 +1,10 @@
 //! Shared machinery for the experiment harness.
 //!
-//! One binary per paper table/figure lives in `src/bin/`; Criterion
-//! micro-benchmarks live in `benches/`. Everything here is glue: building
-//! benchmark instances at simulator scale, training advisors with the
-//! scaled Table-1 configuration, evaluating partitionings on fresh
-//! clusters, and printing/saving results.
+//! One binary per paper table/figure lives in `src/bin/`. Everything here
+//! is glue: building benchmark instances at simulator scale, training
+//! advisors with the scaled Table-1 configuration, evaluating
+//! partitionings on fresh clusters, and printing/saving results. Nothing
+//! here reads the wall clock: performance is measured by `lpa-perf`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

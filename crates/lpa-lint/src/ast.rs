@@ -28,8 +28,8 @@ pub enum Vis {
 }
 
 impl Vis {
-    /// Callable from outside the defining module — the L009 entry-point
-    /// criterion.
+    /// Callable from outside the defining module — what makes a fn an
+    /// L009 entry point.
     pub fn is_public(self) -> bool {
         !matches!(self, Vis::Private)
     }
@@ -308,7 +308,7 @@ impl Pat {
         }
     }
 
-    /// Every path this pattern mentions, recursively — used by L012 to
+    /// Every path this pattern mentions, recursively — used by L004/L007 to
     /// resolve which enum a match arm destructures.
     pub fn paths(&self, out: &mut Vec<Vec<String>>) {
         match &self.kind {

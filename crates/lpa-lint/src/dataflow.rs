@@ -1,6 +1,6 @@
 //! Forward dataflow over the workspace call graph: hash-order and
 //! wall-clock taint tracking, float-reduction-order checking, and the
-//! structural (alias-resolving) versions of the path rules.
+//! structural (alias-resolving) path rules.
 //!
 //! Three rules live here:
 //!
@@ -27,13 +27,13 @@
 //! by hand: `Pool::threads` returns taint (it reads `LPA_THREADS`); the
 //! `par_map` family is order-preserving and returns clean values.
 //!
-//! **L012** — structural path rules (deepens L004/L007/L008 from token
-//! patterns to resolved symbols). Match arms, `if let`/`while let`
-//! patterns, and call paths are resolved through each file's `use`
-//! aliases and impl `Self`, so `use lpa_partition::Action as Act; match a
-//! { Act::DropEdge => …, other => … }` is caught even though the token
-//! rules never see the literal enum name. Binding-ident catch-all arms
-//! (`other => …`) are flagged alongside wildcard `_` arms.
+//! **L012** — the structural check that *is* L004/L007/L008. Match arms,
+//! `if let`/`while let` patterns, and call paths are resolved through each
+//! file's `use` aliases and impl `Self`, so `use lpa_partition::Action as
+//! Act; match a { Act::DropEdge => …, other => … }` is caught although the
+//! enum is never named. Binding-ident catch-all arms (`other => …`) are
+//! flagged alongside wildcard `_` arms. Findings carry the id of the rule
+//! they break (L004, L007 or L008); `L012` itself is never reported.
 
 use crate::ast::{Expr, ExprKind, Pat, PatKind, Type};
 use crate::callgraph::CallGraph;
@@ -605,31 +605,35 @@ pub fn l011(table: &SymbolTable, _graph: &CallGraph) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// L012 — structural path rules
+// L012 — the structural check behind L004 / L007 / L008
 // ---------------------------------------------------------------------------
 
-/// The canonical enums whose matches must stay exhaustive, and the crates
-/// that own them.
-const GUARDED_ENUMS: &[(&str, &str)] =
-    &[("Action", "lpa_partition"), ("QueryOutcome", "lpa_cluster")];
+/// The canonical enums whose matches must stay exhaustive: name, owning
+/// crate, and the rule a catch-all over them breaks.
+const GUARDED_ENUMS: &[(&str, &str, &str)] = &[
+    ("Action", "lpa_partition", "L004"),
+    ("QueryOutcome", "lpa_cluster", "L007"),
+];
 
-fn pattern_resolves_to_guarded(
+/// Which guarded enum (name, rule) `pat` destructures, if any. A path
+/// counts when it resolves — through `use` aliases and impl `Self` — to the
+/// enum in its owning crate, or when it literally reads `…Action::Variant`:
+/// a file linted on its own cannot place the enum, but still names it.
+fn guarded_enum(
     table: &SymbolTable,
     def: &FnDef,
     pat: &Pat,
-) -> Option<&'static str> {
+) -> Option<(&'static str, &'static str)> {
     let mut paths: Vec<Vec<String>> = Vec::new();
     pat.paths(&mut paths);
-    for p in &paths {
-        if let Some((krate, ed)) = table.resolve_enum(def.file, def.self_ty.as_deref(), p) {
-            for (ename, ekrate) in GUARDED_ENUMS {
-                if ed.name == *ename && krate == *ekrate {
-                    return Some(ename);
-                }
-            }
-        }
-    }
-    None
+    paths.iter().find_map(|p| {
+        let resolved = table.resolve_enum(def.file, def.self_ty.as_deref(), p);
+        let literal = p.iter().rev().nth(1);
+        GUARDED_ENUMS.iter().find_map(|&(ename, ekrate, rule)| {
+            let by_symbol = resolved.is_some_and(|(krate, ed)| ed.name == ename && krate == ekrate);
+            (by_symbol || literal.is_some_and(|s| s == ename)).then_some((ename, rule))
+        })
+    })
 }
 
 /// Top-level catch-all check: `_`, a bare binding ident, or `name @ _`.
@@ -646,7 +650,13 @@ fn catch_all_line(pat: &Pat) -> Option<(u32, &'static str)> {
     }
 }
 
-/// L012: alias-resolved enforcement of the L004/L007/L008 path rules.
+/// L004 / L007 / L008 — the one implementation of the three path rules
+/// (see [`crate::rules`] for why each exists), over resolved symbols. A
+/// finding is reported under the rule it breaks: a catch-all arm (`_`,
+/// `_ if guard`, `other`) in a match over `Action` is **L004**; the same
+/// over `QueryOutcome`, or an `if let`/`while let` destructuring it, is
+/// **L007**; a call to `std::fs::write`, `std::fs::rename` or
+/// `std::fs::File::create` outside `lpa-store` is **L008**.
 pub fn l012(table: &SymbolTable) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
     for def in &table.fns {
@@ -657,21 +667,19 @@ pub fn l012(table: &SymbolTable) -> Vec<Diagnostic> {
         let in_store = def.krate == "lpa_store";
         let mut visit = |e: &Expr| match &e.kind {
             ExprKind::Match(_, arms) => {
-                let guarded = arms.iter().find_map(|arm| {
-                    arm.pats
-                        .iter()
-                        .find_map(|p| pattern_resolves_to_guarded(table, def, p))
-                });
-                let Some(ename) = guarded else { return };
+                let guarded = arms
+                    .iter()
+                    .find_map(|arm| arm.pats.iter().find_map(|p| guarded_enum(table, def, p)));
+                let Some((ename, rule)) = guarded else { return };
                 for arm in arms {
                     for pat in &arm.pats {
                         if let Some((line, what)) = catch_all_line(pat) {
                             out.push(Diagnostic {
-                                rule: "L012",
+                                rule,
                                 rel_path: def.rel_path.clone(),
                                 line,
                                 message: format!(
-                                    "{what} arm in a match over `{ename}` (resolved through use-aliases): a newly added variant would be silently ignored; list every variant"
+                                    "{what} arm in a match over `{ename}`: a newly added variant (or a `Failed` query) would be silently ignored; list every variant"
                                 ),
                             });
                         }
@@ -679,13 +687,13 @@ pub fn l012(table: &SymbolTable) -> Vec<Diagnostic> {
                 }
             }
             ExprKind::IfLet(pat, _, _, _) | ExprKind::WhileLet(pat, _, _)
-                if pattern_resolves_to_guarded(table, def, pat) == Some("QueryOutcome") =>
+                if guarded_enum(table, def, pat).is_some_and(|(_, rule)| rule == "L007") =>
             {
                 out.push(Diagnostic {
-                    rule: "L012",
+                    rule: "L007",
                     rel_path: def.rel_path.clone(),
                     line: pat.line,
-                    message: "`if let`/`while let` over `QueryOutcome` (resolved through use-aliases) drops the untaken variants — a `Failed` query would vanish unseen; match all variants".to_string(),
+                    message: "`if let`/`while let` over `QueryOutcome` drops the untaken variants — a `Failed` query would vanish unseen; match all variants or use the accessors".to_string(),
                 });
             }
             ExprKind::Call(callee, _) if !in_store => {
@@ -699,11 +707,11 @@ pub fn l012(table: &SymbolTable) -> Vec<Diagnostic> {
                     || (joined.ends_with("File::create") && segs.len() >= 2);
                 if raw_fs_write && expanded.first().is_some_and(|s| s == "std") {
                     out.push(Diagnostic {
-                        rule: "L012",
+                        rule: "L008",
                         rel_path: def.rel_path.clone(),
                         line: e.line,
                         message: format!(
-                            "`{joined}` (resolved through use-aliases) outside lpa-store: a raw write is torn by a crash mid-write; persist through lpa_store's atomic temp-file + fsync + rename"
+                            "`{joined}` outside lpa-store: a raw write is torn by a crash mid-write; persist through `lpa_store`'s atomic temp-file + fsync + rename"
                         ),
                     });
                 }
@@ -849,7 +857,7 @@ mod tests {
         ]);
         let diags = l012(&t);
         assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].line, 5);
+        assert_eq!((diags[0].rule, diags[0].line), ("L004", 5));
         assert!(diags[0].message.contains("binding-ident"));
     }
 
@@ -864,6 +872,7 @@ mod tests {
         )]);
         let diags = l012(&t);
         assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "L008");
         assert!(diags[0].message.contains("std::fs::write"));
     }
 

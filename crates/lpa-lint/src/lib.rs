@@ -5,11 +5,12 @@
 //! flags — hash-order iteration feeding an encoder, a stray `Instant::now()`
 //! in the cost model, an `unwrap()` that aborts a training episode — corrupt
 //! the training signal silently. This crate walks every `.rs` file in the
-//! workspace and enforces rules L001–L015; see [`rules`] for the token-level
-//! catalogue (L001–L008 plus the L013 allocation-free hot-path rule, the
-//! L014 tenant-isolation boundary and the L015 deployment-isolation
-//! boundary) and
-//! [`callgraph`]/[`dataflow`] for the structural rules (L009–L012).
+//! workspace and enforces rules L001–L015; see [`rules`] for the catalogue
+//! and the token-level rules (L001–L003, L005, L006, the L013
+//! allocation-free hot-path rule, the L014 tenant-isolation boundary and
+//! the L015 deployment-isolation boundary) and [`callgraph`]/[`dataflow`]
+//! for the structural ones (L009–L011, and L004/L007/L008, whose single
+//! implementation is the alias-resolving pass `dataflow::l012`).
 //!
 //! The pipeline has two phases:
 //!
@@ -22,7 +23,8 @@
 //!    all parsed files ([`symbols`]), derive the call graph
 //!    ([`callgraph`]), and run the structural rules — L009
 //!    panic-reachability, L010 float-reduction-order, L011 determinism
-//!    taint, L012 alias-resolved path rules ([`dataflow`]).
+//!    taint, and the alias-resolved L004/L007/L008 path rules
+//!    ([`dataflow`]).
 //!
 //! Violations are waivable per line with a mandatory justification:
 //!
@@ -216,7 +218,6 @@ fn parse_waivers(rel_path: &str, tokens: &[lexer::Tok]) -> (Vec<Waiver>, Vec<Dia
                 | "L009"
                 | "L010"
                 | "L011"
-                | "L012"
                 | "L013"
                 | "L014"
                 | "L015"
@@ -312,7 +313,8 @@ fn analyze_source(rel_path: &str, source: &str, kind: FileKind) -> FileAnalysis 
     analysis
 }
 
-/// Phase 2: symbol table → call graph → L009–L012 over every parsed file.
+/// Phase 2: symbol table → call graph → structural rules over every parsed
+/// file.
 fn structural_diagnostics(parsed: &[symbols::ParsedFile]) -> Vec<Diagnostic> {
     let table = symbols::build(parsed);
     let graph = callgraph::build(&table);
@@ -374,7 +376,7 @@ fn finish_file(analysis: FileAnalysis, structural: Vec<Diagnostic>) -> FileRepor
 
 /// Lint a single source text. `kind` controls whether the library rule set
 /// applies. This is the pure core used by both the CLI and the fixture
-/// tests. Structural rules (L009–L012) run over the file in isolation — a
+/// tests. The structural rules run over the file in isolation — a
 /// one-file workspace — so cross-file paths resolve only within it.
 pub fn lint_source(
     rel_path: &str,

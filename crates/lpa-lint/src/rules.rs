@@ -2,7 +2,11 @@
 //!
 //! Each rule exists because a violation can silently corrupt the advisor's
 //! training signal (see DESIGN.md "Static analysis & invariants" for the
-//! paper-level rationale):
+//! paper-level rationale). The identifier-mention rules — "this name must
+//! not appear here" — are token scans in this file; L004, L007 and L008
+//! depend on *which* enum or function a path names, so their one
+//! implementation is the alias-resolving structural pass
+//! ([`crate::dataflow::l012`]).
 //!
 //! - **L001** — no `unwrap()` / `expect()` / `panic!` in library code. A
 //!   panicking advisor aborts an online-training episode and loses the
@@ -55,7 +59,8 @@ use crate::lexer::{Tok, TokKind};
 /// A single finding, pre-waiver.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Rule id: "L001".."L008", or "W000" for waiver-hygiene findings.
+    /// Rule id: "L001".."L011", "L013".."L015", or "W000" for
+    /// waiver-hygiene findings.
     pub rule: &'static str,
     pub rel_path: String,
     pub line: u32,
@@ -92,11 +97,6 @@ const SIMULATED_TIME_SCOPE: &[&str] = &["crates/lpa-cluster/src/", "crates/lpa-c
 /// The one crate allowed to touch `std::thread` directly (L006): the
 /// deterministic pool wraps it for everyone else.
 const THREAD_EXEMPT_SCOPE: &[&str] = &["crates/lpa-par/"];
-
-/// The one crate allowed to touch the raw filesystem write API (L008): the
-/// durable-state layer wraps it in atomic temp-file + fsync + rename for
-/// everyone else.
-const STORE_EXEMPT_SCOPE: &[&str] = &["crates/lpa-store/"];
 
 pub(crate) fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|s| rel_path.contains(s))
@@ -315,169 +315,6 @@ pub fn l003(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     out
 }
 
-/// L004: wildcard `_` arm in a `match` whose patterns name the `Action` enum.
-pub fn l004(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    wildcard_match_rule(
-        rel_path,
-        tokens,
-        in_test,
-        "L004",
-        "Action",
-        "wildcard `_` arm in a match over `Action`: a newly added action variant would be silently ignored; list every variant",
-    )
-}
-
-/// Flag wildcard `_` arms in every `match` whose patterns name `enum_name`.
-fn wildcard_match_rule(
-    rel_path: &str,
-    tokens: &[Tok],
-    in_test: &[bool],
-    rule: &'static str,
-    enum_name: &str,
-    message: &str,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokKind::Ident && t.text == "match" && !in_test[i] {
-            if let Some((open, close)) = match_block_extent(tokens, i) {
-                let scan = scan_match_arms(tokens, open, close, enum_name);
-                if scan.mentions_enum {
-                    for line in scan.wildcard_arms {
-                        out.push(diag(rule, rel_path, line, message.to_string()));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Find the arms block `{..}` of the `match` at `kw`: the first `{` at
-/// paren/bracket depth 0 after the scrutinee. Returns (open, close) indices.
-fn match_block_extent(tokens: &[Tok], kw: usize) -> Option<(usize, usize)> {
-    let mut depth = 0i32;
-    let mut j = kw + 1;
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if t.is_punct('{') && depth == 0 {
-            // Matching close brace.
-            let mut bd = 0i32;
-            for (k, u) in tokens.iter().enumerate().skip(j) {
-                if u.is_punct('{') {
-                    bd += 1;
-                } else if u.is_punct('}') {
-                    bd -= 1;
-                    if bd == 0 {
-                        return Some((j, k));
-                    }
-                }
-            }
-            return None;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// What one `match` block's arms contain, relative to a target enum.
-struct MatchArmScan {
-    /// Some pattern in the block names the target enum.
-    mentions_enum: bool,
-    /// Lines of `_`-only (or `_ if guard`) arms.
-    wildcard_arms: Vec<u32>,
-}
-
-/// Walk arms of one match block (pattern `=>` body `,`), recording `_`-only
-/// patterns and whether any pattern names `enum_name`.
-fn scan_match_arms(tokens: &[Tok], open: usize, close: usize, enum_name: &str) -> MatchArmScan {
-    let mut mentions_enum = false;
-    let mut wildcard_arms: Vec<u32> = Vec::new();
-    let mut j = open + 1;
-    while j < close {
-        // --- pattern: tokens until `=>` at depth 0 ---
-        let pat_start = j;
-        let mut depth = 0i32;
-        let mut arrow = None;
-        while j < close {
-            let t = &tokens[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            } else if depth == 0
-                && t.is_punct('=')
-                && tokens.get(j + 1).is_some_and(|u| u.is_punct('>'))
-            {
-                arrow = Some(j);
-                break;
-            }
-            j += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        let pattern: Vec<&Tok> = tokens[pat_start..arrow]
-            .iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .collect();
-        if pattern
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text == enum_name)
-        {
-            mentions_enum = true;
-        }
-        // `_` alone (ignoring a leading `|`) is the wildcard arm. A guard
-        // (`_ if cond`) still silently swallows variants, so flag it too.
-        let core: Vec<&&Tok> = pattern.iter().filter(|t| !t.is_punct('|')).collect();
-        if core.first().is_some_and(|t| t.is_ident("_"))
-            && (core.len() == 1 || core.get(1).is_some_and(|t| t.is_ident("if")))
-        {
-            wildcard_arms.push(core[0].line);
-        }
-        // --- body: `{...}` block or expression until `,` at depth 0 ---
-        j = arrow + 2;
-        if tokens.get(j).is_some_and(|t| t.is_punct('{')) {
-            let mut bd = 0i32;
-            while j < close + 1 {
-                let t = &tokens[j];
-                if t.is_punct('{') {
-                    bd += 1;
-                } else if t.is_punct('}') {
-                    bd -= 1;
-                    if bd == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            if tokens.get(j).is_some_and(|t| t.is_punct(',')) {
-                j += 1;
-            }
-        } else {
-            let mut depth = 0i32;
-            while j < close {
-                let t = &tokens[j];
-                if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                    depth -= 1;
-                } else if depth == 0 && t.is_punct(',') {
-                    j += 1;
-                    break;
-                }
-                j += 1;
-            }
-        }
-    }
-    MatchArmScan {
-        mentions_enum,
-        wildcard_arms,
-    }
-}
-
 /// L005: raw `f32` accumulation in reward/cost sums.
 pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
     if !in_scope(rel_path, DETERMINISM_SCOPE) {
@@ -592,112 +429,6 @@ pub fn l006(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 format!(
                     "`thread::{}` outside lpa-par: ad-hoc threads bypass the deterministic chunk-ordered schedule; run the work on `lpa_par::Pool`",
                     target.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// L007: non-exhaustive handling of `QueryOutcome`. Two shapes:
-///
-/// 1. a wildcard `_` arm in a `match` over `QueryOutcome` — a `Failed`
-///    query (or a future outcome variant) would be silently swallowed;
-/// 2. `if let` / `while let` destructuring a `QueryOutcome` variant — the
-///    untaken variants (typically `Failed`) vanish without a trace.
-///
-/// Degraded-mode training depends on every failure being *seen*: counted in
-/// `FaultAccounting`, retried, or replaced by the cost-model fallback. Use
-/// the `seconds()` / `completed()` / `failure()` accessors or match all
-/// three variants.
-pub fn l007(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    let mut out = wildcard_match_rule(
-        rel_path,
-        tokens,
-        in_test,
-        "L007",
-        "QueryOutcome",
-        "wildcard `_` arm in a match over `QueryOutcome`: a `Failed` query would be silently swallowed; handle every variant (count, retry or fall back)",
-    );
-    // `if let`/`while let` over a QueryOutcome pattern: scan the pattern
-    // tokens between `let` and the `=` at depth 0.
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        if t.text != "if" && t.text != "while" {
-            continue;
-        }
-        let Some(let_idx) = next_sig(tokens, i).filter(|&j| tokens[j].is_ident("let")) else {
-            continue;
-        };
-        let mut depth = 0i32;
-        let mut j = let_idx + 1;
-        while j < tokens.len() {
-            let u = &tokens[j];
-            if u.is_punct('(') || u.is_punct('[') || u.is_punct('{') {
-                depth += 1;
-            } else if u.is_punct(')') || u.is_punct(']') || u.is_punct('}') {
-                depth -= 1;
-            } else if depth == 0 && u.is_punct('=') {
-                break;
-            } else if u.kind == TokKind::Ident && u.text == "QueryOutcome" {
-                out.push(diag(
-                    "L007",
-                    rel_path,
-                    t.line,
-                    format!(
-                        "`{} let` over `QueryOutcome` drops the untaken variants — a `Failed` query would vanish unseen; match all variants or use the accessors",
-                        t.text
-                    ),
-                ));
-                break;
-            }
-            j += 1;
-        }
-    }
-    out.sort_by_key(|d| d.line);
-    out
-}
-
-/// L008: raw `fs::write` / `fs::rename` / `File::create` outside
-/// `crates/lpa-store`. A bare write is torn by a crash mid-write; a bare
-/// rename can publish a file whose contents never reached disk. Durable
-/// state must go through `lpa_store`'s atomic write (temp file + fsync +
-/// rename + directory fsync) so a resume never reads a half-written
-/// checkpoint.
-pub fn l008(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if in_scope(rel_path, STORE_EXEMPT_SCOPE) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        // `fs :: write|rename` and `File :: create` (covers
-        // `std::fs::write(..)`, a `use std::fs;` alias, and
-        // `std::fs::File::create(..)` via the trailing `File` ident).
-        let targets: &[&str] = match t.text.as_str() {
-            "fs" => &["write", "rename"],
-            "File" => &["create"],
-            _ => continue,
-        };
-        let c1 = next_sig(tokens, i).filter(|&j| tokens[j].is_punct(':'));
-        let c2 = c1
-            .and_then(|j| next_sig(tokens, j))
-            .filter(|&j| tokens[j].is_punct(':'));
-        let Some(target) = c2.and_then(|j| next_sig(tokens, j)).map(|j| &tokens[j]) else {
-            continue;
-        };
-        if target.kind == TokKind::Ident && targets.contains(&target.text.as_str()) {
-            out.push(diag(
-                "L008",
-                rel_path,
-                t.line,
-                format!(
-                    "`{}::{}` outside lpa-store: a raw write is torn by a crash mid-write; persist through `lpa_store`'s atomic temp-file + fsync + rename",
-                    t.text, target.text
                 ),
             ));
         }
@@ -902,7 +633,7 @@ pub fn l015(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     out
 }
 
-/// Run every rule over one file's token stream.
+/// Run every token rule over one file's token stream.
 pub fn run_all(rel_path: &str, tokens: &[Tok], lib_code: bool) -> Vec<Diagnostic> {
     let in_test = test_regions(tokens);
     let mut out = Vec::new();
@@ -910,11 +641,8 @@ pub fn run_all(rel_path: &str, tokens: &[Tok], lib_code: bool) -> Vec<Diagnostic
         out.extend(l001(rel_path, tokens, &in_test));
         out.extend(l002(rel_path, tokens, &in_test));
         out.extend(l003(rel_path, tokens, &in_test));
-        out.extend(l004(rel_path, tokens, &in_test));
         out.extend(l005(rel_path, tokens, &in_test));
         out.extend(l006(rel_path, tokens, &in_test));
-        out.extend(l007(rel_path, tokens, &in_test));
-        out.extend(l008(rel_path, tokens, &in_test));
         out.extend(l013(rel_path, tokens, &in_test));
         out.extend(l014(rel_path, tokens, &in_test));
         out.extend(l015(rel_path, tokens, &in_test));

@@ -213,13 +213,7 @@ fn l008_fixture_flags_raw_fs_writes() {
         .filter(|d| d.rule == "L008")
         .collect();
     assert_eq!(l008.len(), 6, "{:?}", report.diagnostics);
-    // The structural pass re-detects the same raw fs calls alias-free
-    // (L012); nothing beyond L008/L012 should fire on this fixture.
-    assert!(
-        rules(&report).iter().all(|r| matches!(*r, "L008" | "L012")),
-        "{:?}",
-        report.diagnostics
-    );
+    assert_eq!(report.diagnostics.len(), l008.len());
     // The waived write is suppressed, not reported.
     assert_eq!(report.suppressed, 1);
     let src = fixture("l008_raw_fs.rs");

@@ -1,8 +1,8 @@
 //! Opt-in phase timers for the training hot path.
 //!
-//! When enabled (the `steps_per_sec` bench turns this on), the agent's
-//! action-selection and train-step code attribute their wall time to four
-//! phases: state/action **encode**, **env** interaction (action
+//! When enabled (`lpa-perf`'s `offline_train` workload turns this on), the
+//! agent's action-selection and train-step code attribute their wall time
+//! to four phases: state/action **encode**, **env** interaction (action
 //! enumeration), **replay** sampling, and **nn** forward/backward work.
 //! Accumulators are thread-local `u64` nanosecond counters — no floats
 //! (determinism lint L005 covers this crate) and no cross-thread state.

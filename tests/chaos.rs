@@ -16,8 +16,8 @@
 //!    clock), so the whole stormy training run is bit-identical across
 //!    thread counts.
 //!
-//! The CI `chaos` leg runs this file at `LPA_THREADS={1,8}` under a fixed
-//! storm seed (`LPA_CHAOS_SEED`).
+//! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
+//! default storm seed (`LPA_CHAOS_SEED` overrides it).
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -29,8 +29,8 @@ use lpa::schema::TableId;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 
-/// Storm seed: overridable by CI so different legs can probe different
-/// schedules while staying reproducible.
+/// Storm seed: overridable so a run can probe a different schedule while
+/// staying reproducible.
 fn storm_seed() -> u64 {
     std::env::var("LPA_CHAOS_SEED")
         .ok()
@@ -495,15 +495,15 @@ fn restore_after_outage_resolution_drops_degraded_cache_entries() {
     );
 }
 
-/// Cross-leg handoff writer: under the CI resume leg, write a partially
-/// trained offline session into `LPA_CKPT_HANDOFF_DIR`. The resume leg
-/// (`tests/resume.rs::handoff_checkpoint_from_chaos_leg_resumes_bitwise`)
+/// Cross-process handoff writer: when CI's `thread-matrix` job sets
+/// `LPA_CKPT_HANDOFF_DIR`, write a partially trained offline session into
+/// it. `tests/resume.rs::handoff_checkpoint_from_chaos_leg_resumes_bitwise`
 /// restores it in a separate process and checks bitwise reproduction.
 #[test]
 fn chaos_leg_writes_handoff_checkpoint() {
     use lpa::store::{train_checkpointed, CheckpointStore};
     let Ok(dir) = std::env::var("LPA_CKPT_HANDOFF_DIR") else {
-        return; // only meaningful under the CI resume leg
+        return; // only meaningful with a handoff directory
     };
     let schema = lpa::schema::microbench::schema(0.05).unwrap();
     let workload = lpa::workload::microbench::workload(&schema).unwrap();

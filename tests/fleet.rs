@@ -10,8 +10,8 @@
 //! 3. contain tenant-local chaos: healthy tenants' final weights are
 //!    bitwise unchanged vs a storm-free control fleet.
 //!
-//! The CI `fleet` leg runs this file at `LPA_THREADS={1,8}` with a pinned
-//! `LPA_FLEET_SEED`.
+//! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
+//! default fleet seed (`LPA_FLEET_SEED` overrides it).
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -185,6 +185,34 @@ fn keystone_at(threads: usize) -> Vec<TenantFp> {
         let report_ref = reference.report();
         assert_eq!(report_ref.rejected_admissions, 1);
         assert!(report_ref.store.checkpoints_written >= TENANTS as u64 * (ROUNDS / EVERY));
+        assert_eq!(report_ref.store.write_failures, 0);
+
+        // Durability is invisible: the same fleet never checkpointed, and
+        // checkpointed after every round, lands on the reference's bits —
+        // storm tenants included.
+        let mut plain = Fleet::new(keystone_cfg());
+        plain.set_hook(keystone_chaos());
+        for spec in keystone_specs(true) {
+            plain.admit(spec).unwrap();
+        }
+        plain.run_rounds(ROUNDS);
+        assert_eq!(
+            fingerprints(&plain),
+            fp_ref,
+            "plain fleet (threads={threads})"
+        );
+        let dir_dense = test_dir("dense", threads);
+        let mut dense = CheckpointedFleet::create(keystone_cfg(), &dir_dense, 1).unwrap();
+        dense.fleet_mut().set_hook(keystone_chaos());
+        admit_all(&mut dense, keystone_specs(true));
+        dense.run_rounds(ROUNDS);
+        assert_eq!(
+            fingerprints(dense.fleet()),
+            fp_ref,
+            "every=1 (threads={threads})"
+        );
+        assert_eq!(dense.report().store.write_failures, 0);
+        let _ = std::fs::remove_dir_all(&dir_dense);
 
         // Storm tenants must actually have lived through the machinery:
         // injected failures, quarantines, and at least one rejoin.

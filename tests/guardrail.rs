@@ -15,8 +15,8 @@
 //!    with the replayed deployment journal of the interrupted run equal
 //!    to the uninterrupted one.
 //!
-//! The CI `guardrail` leg runs this file at `LPA_THREADS={1,8}` with a
-//! pinned `LPA_GUARD_SEED`.
+//! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
+//! default guard seed (`LPA_GUARD_SEED` overrides it).
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 

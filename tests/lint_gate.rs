@@ -1,14 +1,14 @@
 //! The workspace lint gate: `cargo test` fails if any source file violates
-//! rules L001–L012 without a justified waiver. This is the same check as
+//! rules L001–L015 without a justified waiver. This is the same check as
 //! `cargo run -p lpa-lint`, wired into the test suite so a violation cannot
 //! land through an ordinary `cargo test` run.
 //!
 //! Beyond the gate itself, this file carries the negative controls: seeded
-//! fixtures proving each structural rule (L009–L012) actually fires on a
-//! true positive and stays silent on a near-miss, a JSON-schema check for
-//! `--json` consumers, a thread-count determinism check, and a wall-clock
-//! budget so the linter cannot quietly become the slowest test in the
-//! suite.
+//! fixtures proving each structural rule (L009–L011 and the alias-resolved
+//! L004/L007/L008) actually fires on a true positive and stays silent on a
+//! near-miss, a JSON-schema check for `--json` consumers, a thread-count
+//! determinism check, and a wall-clock budget so the linter cannot quietly
+//! become the slowest test in the suite.
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -291,9 +291,10 @@ pub fn summarize(m: &HashMap<u32, f64>) -> f64 {
     assert!(rules.contains(&"L011"), "{rules:?}");
 }
 
-/// L012 true positive: a catch-all arm in a match over `Action` reached
-/// through a `use … as` alias, which the token-level L004 cannot see.
-/// Near-miss: an exhaustive match through the same alias.
+/// The structural path rules (`dataflow::l012`, reported as L004/L007/L008)
+/// true positive: a catch-all arm in a match over `Action` reached through
+/// a `use … as` alias, which no token scan could see. Near-miss: an
+/// exhaustive match through the same alias.
 #[test]
 fn l012_alias_resolved_catch_all_fires_and_exhaustive_does_not() {
     let aliased_catch_all = r#"
@@ -307,12 +308,8 @@ pub fn apply(a: Act) -> u32 {
 }
 "#;
     let report = lint_lib("crates/lpa-partition/src/injected.rs", aliased_catch_all);
-    let rules = rules_of(&report);
-    assert!(rules.contains(&"L012"), "{rules:?}");
-    assert!(
-        !rules.contains(&"L004"),
-        "token rule should NOT see through the alias — that's L012's job: {rules:?}"
-    );
+    assert_eq!(rules_of(&report), vec!["L004"]);
+    assert_eq!(report.diagnostics[0].line, 7, "{:?}", report.diagnostics);
 
     let exhaustive = r#"
 pub enum Action { Split, Merge, NoOp }
@@ -328,7 +325,23 @@ pub fn apply(a: Act) -> u32 {
     let report = lint_lib("crates/lpa-partition/src/injected.rs", exhaustive);
     assert_eq!(rules_of(&report), Vec::<&str>::new());
 
-    // Structural L008: raw fs write through an alias, outside lpa-store.
+    // The same through an aliased `QueryOutcome`: one finding per catch-all
+    // arm, never a token and a structural report of the same line.
+    let aliased_outcome = r#"
+pub enum QueryOutcome { Completed, TimedOut, Failed }
+use self::QueryOutcome as Outcome;
+pub fn seconds(o: Outcome) -> u32 {
+    match o {
+        Outcome::Completed => 1,
+        other => 0,
+    }
+}
+"#;
+    let report = lint_lib("crates/lpa-cluster/src/injected.rs", aliased_outcome);
+    assert_eq!(rules_of(&report), vec!["L007"]);
+    assert_eq!(report.diagnostics[0].line, 7, "{:?}", report.diagnostics);
+
+    // L008: raw fs write through an alias, outside lpa-store.
     let aliased_write = r#"
 use std::fs::write as persist;
 pub fn save(p: &str, data: &[u8]) {
@@ -336,8 +349,7 @@ pub fn save(p: &str, data: &[u8]) {
 }
 "#;
     let report = lint_lib("crates/lpa-advisor/src/injected.rs", aliased_write);
-    let rules = rules_of(&report);
-    assert!(rules.contains(&"L012"), "{rules:?}");
+    assert_eq!(rules_of(&report), vec!["L008"]);
 }
 
 /// Waivers cover the structural rules exactly like the token rules.

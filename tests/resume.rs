@@ -6,10 +6,11 @@
 //! corrupted (falling back to the previous one just means resuming from an
 //! earlier boundary of the *same* deterministic trajectory).
 //!
-//! The CI `resume` leg runs this file at `LPA_THREADS={1,8}` with a pinned
-//! corruption seed (`LPA_RESUME_SEED`), and additionally restores a
-//! checkpoint written by the chaos leg (`LPA_CKPT_HANDOFF_DIR`) to prove
-//! the format round-trips across processes, not just within one.
+//! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
+//! default corruption seed (`LPA_RESUME_SEED` overrides it), and
+//! additionally restores a checkpoint written by the chaos test binary
+//! (`LPA_CKPT_HANDOFF_DIR`) to prove the format round-trips across
+//! processes, not just within one.
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
@@ -30,8 +31,8 @@ const EVERY: usize = 3;
 /// newest checkpoint is strictly older than the crash point).
 const CRASH_AFTER: usize = 8;
 
-/// Corruption seed: pinned by the CI resume leg, pseudo-random byte/bit
-/// choice stays reproducible for any value.
+/// Corruption seed: the pseudo-random byte/bit choice stays reproducible
+/// for any value.
 fn resume_seed() -> u64 {
     std::env::var("LPA_RESUME_SEED")
         .ok()
@@ -102,12 +103,14 @@ fn finish_and_fingerprint(
     mut advisor: Advisor,
     store: &mut CheckpointStore,
     start: usize,
+    every: usize,
     mix: &FrequencyVector,
 ) -> Fingerprint {
     let mut episode_rewards = Vec::new();
-    train_checkpointed(&mut advisor, store, start, EPISODES, EVERY, |s| {
+    let report = train_checkpointed(&mut advisor, store, start, EPISODES, every, |s| {
         episode_rewards.push(s.total_reward.to_bits());
     });
+    assert_eq!(report.write_failures, 0, "{:?}", report.last_error);
     let s = advisor.snapshot();
     let suggestion = advisor.suggest(mix);
     Fingerprint {
@@ -130,12 +133,25 @@ fn offline_differential(threads: usize, corrupt_newest: bool) {
 
         // Reference: never interrupted. (Checkpointing stays ON — writing a
         // checkpoint must not perturb training.)
-        let dir_ref = test_dir("ref", threads);
+        let tag = if corrupt_newest { "corrupt" } else { "kill" };
+        let dir_ref = test_dir(&format!("ref-{tag}"), threads);
         let mut store_ref = CheckpointStore::open(&dir_ref).unwrap();
-        let reference = finish_and_fingerprint(fresh_offline(&template), &mut store_ref, 0, &mix);
+        let reference =
+            finish_and_fingerprint(fresh_offline(&template), &mut store_ref, 0, EVERY, &mix);
+
+        // The cadence is invisible to training: never checkpointing and
+        // checkpointing once, after the last episode, end on the same bits.
+        for (every, written) in [(0, 0), (EPISODES, 1)] {
+            let dir = test_dir(&format!("every-{every}-{tag}"), threads);
+            let mut store = CheckpointStore::open(&dir).unwrap();
+            let got = finish_and_fingerprint(fresh_offline(&template), &mut store, 0, every, &mix);
+            assert_eq!(got, reference, "every={every} (threads={threads})");
+            assert_eq!(store.counters().checkpoints_written, written);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
 
         // Interrupted: train to the crash point, then drop the advisor.
-        let dir = test_dir(if corrupt_newest { "corrupt" } else { "kill" }, threads);
+        let dir = test_dir(tag, threads);
         let mut store = CheckpointStore::open(&dir).unwrap();
         let mut victim_rewards = Vec::new();
         {
@@ -170,7 +186,7 @@ fn offline_differential(threads: usize, corrupt_newest: bool) {
         let snap = ck.into_session().unwrap();
         assert_eq!(snap.episode, seq);
         let resumed = restore_offline(snap, &template).unwrap();
-        let mut got = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, &mix);
+        let mut got = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
 
         // The resumed run only observed episodes seq+1.. — prepend the
         // victim's pre-crash rewards up to the restored boundary.
@@ -210,7 +226,7 @@ fn checkpoint_written_at_one_thread_count_resumes_at_another() {
     let dir_ref = test_dir("xref", 0);
     let mut store_ref = CheckpointStore::open(&dir_ref).unwrap();
     let reference = lpa::par::with_threads(1, || {
-        finish_and_fingerprint(fresh_offline(&template), &mut store_ref, 0, &mix)
+        finish_and_fingerprint(fresh_offline(&template), &mut store_ref, 0, EVERY, &mix)
     });
     for (write_threads, resume_threads) in [(1usize, 8usize), (8, 1)] {
         let dir = test_dir("xthread", write_threads);
@@ -226,7 +242,8 @@ fn checkpoint_written_at_one_thread_count_resumes_at_another() {
             let mut store2 = CheckpointStore::open(&dir).unwrap();
             let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
             let resumed = restore_offline(ck.into_session().unwrap(), &template).unwrap();
-            let mut got = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, &mix);
+            let mut got =
+                finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
             let mut rewards = pre[..=seq as usize].to_vec();
             rewards.append(&mut got.episode_rewards);
             got.episode_rewards = rewards;
@@ -351,15 +368,15 @@ fn online_resume_under_fault_storm_is_bit_identical() {
     }
 }
 
-/// Cross-leg handoff: the chaos CI leg writes a checkpoint into
-/// `LPA_CKPT_HANDOFF_DIR` (see `tests/chaos.rs`); this leg — a separate
+/// Cross-process handoff: the chaos test binary writes a checkpoint into
+/// `LPA_CKPT_HANDOFF_DIR` (see `tests/chaos.rs`); this one — a separate
 /// process, possibly a different thread count — restores it and reproduces
 /// the uninterrupted trajectory bit-for-bit from the config the checkpoint
 /// itself carries.
 #[test]
 fn handoff_checkpoint_from_chaos_leg_resumes_bitwise() {
     let Ok(dir) = std::env::var("LPA_CKPT_HANDOFF_DIR") else {
-        return; // only meaningful under the CI resume leg
+        return; // only meaningful with a handoff directory
     };
     let template = offline_template(0.05);
     let mut store = CheckpointStore::open(&dir).unwrap();
@@ -371,7 +388,7 @@ fn handoff_checkpoint_from_chaos_leg_resumes_bitwise() {
     let mix = template.workload.uniform_frequencies();
 
     // Uninterrupted reference, reconstructed purely from the checkpoint's
-    // own config (the chaos leg used the same fixed schema + workload).
+    // own config (the writer used the same fixed schema + workload).
     let env = AdvisorEnv::new(
         template.schema.clone(),
         template.workload.clone(),
@@ -411,7 +428,7 @@ fn naive_kernels_match_fast_kernels_across_resume_boundary() {
     let reference = lpa::nn::with_naive_kernels(|| {
         let dir = test_dir("naive-ref", 0);
         let mut store = CheckpointStore::open(&dir).unwrap();
-        let fp = finish_and_fingerprint(fresh_offline(&template), &mut store, 0, &mix);
+        let fp = finish_and_fingerprint(fresh_offline(&template), &mut store, 0, EVERY, &mix);
         let _ = std::fs::remove_dir_all(&dir);
         fp
     });
@@ -430,7 +447,7 @@ fn naive_kernels_match_fast_kernels_across_resume_boundary() {
         let mut store2 = CheckpointStore::open(&dir).unwrap();
         let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
         let resumed = restore_offline(ck.into_session().unwrap(), &template).unwrap();
-        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, &mix);
+        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
         let mut rewards = victim_rewards[..=seq as usize].to_vec();
         rewards.append(&mut fp.episode_rewards);
         fp.episode_rewards = rewards;
@@ -476,13 +493,13 @@ fn composed_session(
         let mut store2 = CheckpointStore::open(&dir).unwrap();
         let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
         let resumed = restore_offline(ck.into_session().unwrap(), template).unwrap();
-        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, mix);
+        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, mix);
         let mut rewards = victim_rewards[..=seq as usize].to_vec();
         rewards.append(&mut fp.episode_rewards);
         fp.episode_rewards = rewards;
         fp
     } else {
-        finish_and_fingerprint(fresh_offline(template), &mut store, 0, mix)
+        finish_and_fingerprint(fresh_offline(template), &mut store, 0, EVERY, mix)
     };
     let _ = std::fs::remove_dir_all(&dir);
 
