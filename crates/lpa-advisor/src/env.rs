@@ -340,6 +340,10 @@ impl QEnvironment for AdvisorEnv {
         self.encoder.input_dim()
     }
 
+    fn state_prefix_len(&self) -> usize {
+        self.encoder.state_dim()
+    }
+
     fn reset(&mut self) -> EnvState {
         self.episode_base = self.counters();
         let freqs = self.sampler.sample(&mut self.rng);

@@ -64,12 +64,15 @@ impl Dense {
 
     /// Soft update `θ ← (1-τ)·θ + τ·θ_src` (target-network tracking).
     pub fn soft_update_from(&mut self, src: &Dense, tau: f32) {
-        for (t, s) in self.w.data_mut().iter_mut().zip(src.w.data()) {
-            *t = (1.0 - tau) * *t + tau * s;
-        }
-        for (t, s) in self.b.iter_mut().zip(&src.b) {
-            *t = (1.0 - tau) * *t + tau * s;
-        }
+        soft_update(self.w.data_mut(), src.w.data(), tau);
+        soft_update(&mut self.b, &src.b, tau);
+    }
+}
+
+/// Elementwise `θ ← (1-τ)·θ + τ·θ_src`.
+pub(crate) fn soft_update(dst: &mut [f32], src: &[f32], tau: f32) {
+    for (t, s) in dst.iter_mut().zip(src) {
+        *t = (1.0 - tau) * *t + tau * s;
     }
 }
 

@@ -20,7 +20,7 @@ pub mod reference;
 
 pub use adam::Adam;
 pub use dense::Dense;
-pub use matrix::{route_pool, with_naive_kernels, Matrix};
+pub use matrix::{route_pool, with_naive_kernels, Matrix, RowGroups};
 pub use mlp::{Mlp, MlpScratch};
 
 /// Re-exported so downstream hot paths (the RL train step, committee

@@ -24,6 +24,12 @@
 //! overhead once the quad kernel was gone. See EXPERIMENTS.md; the band
 //! kernel therefore stays per-cell.
 //!
+//! The first layer of an action-set batch has its own kernel,
+//! [`matmul_shared_prefix`]: rows that share a state prefix share the
+//! per-lane partial sums of that prefix, and exact-zero inputs are
+//! skipped — the same flops per cell in the same order, so still the same
+//! bits (DESIGN.md §12).
+//!
 //! Callers on the hot path resolve the ambient pool once (per train step
 //! or committee tick) and pass it down; [`route_pool`] then only compares
 //! the work size against [`PAR_MIN_FLOPS`] — no per-matmul environment
@@ -246,7 +252,7 @@ fn matmul_driver(pool: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Mat
     if pool.threads() == 1 || out.rows() <= ROW_BLOCK {
         // Serial fast path: same band walk in band order, without the
         // pool's per-call task bookkeeping — most hot-path matmuls are a
-        // single band (replay minibatches, coalesced inference batches).
+        // single band (replay minibatches, one state's action set).
         for (band, band_data) in out.data_mut().chunks_mut(band_len).enumerate() {
             if relu {
                 matmul_band::<true>(x, w, bias, band * ROW_BLOCK, band_data, out_cols);
@@ -293,6 +299,150 @@ fn matmul_band<const RELU: bool>(
             // one predictable branch amortized over a whole dot product.
             if let Some(slot) = band_data.get_mut(bi * out_cols + o) {
                 *slot = if RELU && y < 0.0 { 0.0 } else { y };
+            }
+        }
+    }
+}
+
+/// Accumulators per cell in [`dot`]: eight chunk lanes and the scalar tail.
+const LANES: usize = 9;
+
+/// Row groups of a batch whose members agree on their first `prefix`
+/// inputs — an action set scored at one state, encoded `state ‖ action`.
+/// `ranges` are `(lo, hi)` row ranges that tile the batch in order (empty
+/// ranges allowed); within a range every row's first `prefix` values must
+/// equal the first row's bit for bit. [`matmul_shared_prefix`] checks the
+/// tiling always and the prefixes in debug builds.
+#[derive(Clone, Copy, Debug)]
+pub struct RowGroups<'a> {
+    pub prefix: usize,
+    pub ranges: &'a [(usize, usize)],
+}
+
+/// Write the in×out transpose of the out×in weight matrix `w` into `wt`,
+/// reusing its allocation — the layout [`matmul_shared_prefix`] streams,
+/// where one input's weights for every unit are contiguous.
+pub fn transpose_into(w: &Matrix, wt: &mut Matrix) {
+    let (units, in_dim) = (w.rows(), w.cols());
+    wt.resize_for_overwrite(in_dim, units);
+    if units == 0 {
+        return;
+    }
+    // Sequential writes, strided reads: the other way round the writes
+    // stride by `units` floats, a power of two for the usual widths, and
+    // thrash a few cache sets (measured 3x slower at 128×139).
+    for (j, trow) in wt.data_mut().chunks_exact_mut(units).enumerate() {
+        for (slot, &v) in trow.iter_mut().zip(w.data().iter().skip(j).step_by(in_dim)) {
+            *slot = v;
+        }
+    }
+}
+
+/// `lane += x * w` across units — one term of every unit's [`dot`] at once.
+#[inline]
+fn axpy(lane: &mut [f32], x: f32, w: &[f32]) {
+    for (l, &wv) in lane.iter_mut().zip(w) {
+        *l += x * wv;
+    }
+}
+
+/// `out[r] = x[r] · wᵀ + bias` (ReLU-clamped when `RELU`) for a batch whose
+/// rows come in [`RowGroups`], from the transposed weights `wt` (in×out,
+/// see [`transpose_into`]). Every cell equals `dot(x_row, w_row) + bias`
+/// bit for bit, provided the weights are finite:
+///
+/// * `dot` puts term `j` in lane `j % 8` (or the tail past the last full
+///   chunk) and adds a lane's terms in increasing `j`. The kernel keeps
+///   that assignment and order, but holds each lane as a vector over units
+///   so a term is one contiguous [`axpy`] — and a row's prefix terms come
+///   before its other terms in every lane, so the nine lane vectors after
+///   the prefix are computed once per group and copied per row.
+/// * A term whose input is exactly `±0.0` is skipped. With a finite weight
+///   that term is `±0.0`, and a lane starts at `+0.0` and can never become
+///   `-0.0` (a sum is `-0.0` only when both operands are), so adding it
+///   would not have changed the lane. A non-finite weight breaks this:
+///   dense `0 · inf` is NaN, the skipped term is not.
+///
+/// `lanes` is scratch (grown on demand, contents irrelevant).
+pub fn matmul_shared_prefix<const RELU: bool>(
+    x: &Matrix,
+    groups: RowGroups<'_>,
+    wt: &Matrix,
+    bias: &[f32],
+    lanes: &mut Vec<f32>,
+    out: &mut Matrix,
+) {
+    let (in_dim, units) = (wt.rows(), wt.cols());
+    let prefix = groups.prefix;
+    assert_eq!(x.cols(), in_dim, "inner dimensions");
+    assert_eq!(units, bias.len());
+    assert_eq!((out.rows(), out.cols()), (x.rows(), units));
+    assert!(prefix <= in_dim, "prefix longer than a row");
+    let mut next = 0;
+    for &(lo, hi) in groups.ranges {
+        assert!(lo == next && lo <= hi, "groups must tile the rows in order");
+        next = hi;
+    }
+    assert_eq!(next, x.rows(), "groups must tile the rows in order");
+    if units == 0 {
+        return;
+    }
+    // No clearing: `shared` is zeroed per group, `own` lanes are written
+    // before they are read.
+    lanes.resize(2 * LANES * units, 0.0);
+    let (shared, own) = lanes.split_at_mut(LANES * units);
+    let chunked = in_dim / 8 * 8;
+    let lane_of = |j: usize| if j < chunked { j % 8 } else { 8 };
+    let wt_rows = |from: usize| wt.data()[from * units..].chunks_exact(units);
+    for &(lo, hi) in groups.ranges {
+        if lo == hi {
+            continue;
+        }
+        shared.fill(0.0);
+        let head = &x.row(lo)[..prefix];
+        for (j, (&xj, wrow)) in head.iter().zip(wt_rows(0)).enumerate() {
+            if xj != 0.0 {
+                let k = lane_of(j);
+                axpy(&mut shared[k * units..(k + 1) * units], xj, wrow);
+            }
+        }
+        for r in lo..hi {
+            let row = x.row(r);
+            debug_assert!(
+                row[..prefix]
+                    .iter()
+                    .zip(head)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "row {r} does not share its group's prefix"
+            );
+            // A lane the row adds to is first copied out of the group's
+            // (bit `k` of `copied`); the others are read in place.
+            let mut copied = 0u16;
+            for (j, (&xj, wrow)) in (prefix..).zip(row[prefix..].iter().zip(wt_rows(prefix))) {
+                if xj == 0.0 {
+                    continue;
+                }
+                let k = lane_of(j);
+                let lane = &mut own[k * units..(k + 1) * units];
+                if copied & (1 << k) == 0 {
+                    copied |= 1 << k;
+                    lane.copy_from_slice(&shared[k * units..(k + 1) * units]);
+                }
+                axpy(lane, xj, wrow);
+            }
+            let l: [&[f32]; LANES] = std::array::from_fn(|k| {
+                let from = if copied & (1 << k) == 0 {
+                    &*shared
+                } else {
+                    &*own
+                };
+                &from[k * units..(k + 1) * units]
+            });
+            // Lanes 0..8 left to right, then the tail, then the bias:
+            // `dot`'s reduction, across units.
+            for (u, (o, &b)) in out.row_mut(r).iter_mut().zip(bias).enumerate() {
+                let y = l[1..].iter().fold(l[0][u], |sum, lane| sum + lane[u]) + b;
+                *o = if RELU && y < 0.0 { 0.0 } else { y };
             }
         }
     }
@@ -424,6 +574,188 @@ mod tests {
             matmul_wt_relu_pool(Pool::with_threads(1), &x, &w, &bias, &mut got_relu);
             assert_eq!(got_relu, expect_relu, "relu shape {rows}x{inner}x{units}");
         }
+    }
+
+    /// `dot`-by-definition reference for the grouped kernel: every cell one
+    /// `naive_dot + bias`, clamped when `relu`.
+    fn expect_bits(x: &Matrix, w: &Matrix, bias: &[f32], relu: bool) -> Vec<u32> {
+        use crate::reference::naive_dot;
+        let mut bits = Vec::with_capacity(x.rows() * w.rows());
+        for r in 0..x.rows() {
+            for (o, &b) in bias.iter().enumerate() {
+                let y = naive_dot(x.row(r), w.row(o)) + b;
+                bits.push(if relu && y < 0.0 { 0.0 } else { y }.to_bits());
+            }
+        }
+        bits
+    }
+
+    fn shared_prefix_bits(
+        x: &Matrix,
+        groups: RowGroups<'_>,
+        w: &Matrix,
+        bias: &[f32],
+        relu: bool,
+    ) -> Vec<u32> {
+        let mut wt = Matrix::default();
+        transpose_into(w, &mut wt);
+        // Dirty scratch and output: neither may leak into the result.
+        let mut lanes = vec![f32::NAN; 7];
+        let mut out = Matrix::from_vec(x.rows(), w.rows(), vec![f32::NAN; x.rows() * w.rows()]);
+        if relu {
+            matmul_shared_prefix::<true>(x, groups, &wt, bias, &mut lanes, &mut out);
+        } else {
+            matmul_shared_prefix::<false>(x, groups, &wt, bias, &mut lanes, &mut out);
+        }
+        out.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn transpose_round_trips_and_survives_degenerate_shapes() {
+        let w = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut wt = Matrix::from_vec(1, 1, vec![9.0]);
+        transpose_into(&w, &mut wt);
+        assert_eq!(
+            wt,
+            Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0])
+        );
+        let mut back = Matrix::default();
+        transpose_into(&wt, &mut back);
+        assert_eq!(back, w);
+        for (rows, cols) in [(0, 4), (4, 0), (0, 0)] {
+            transpose_into(&Matrix::zeros(rows, cols), &mut wt);
+            assert_eq!((wt.rows(), wt.cols()), (cols, rows));
+        }
+    }
+
+    #[test]
+    fn shared_prefix_kernel_equals_dot_plus_bias_by_bits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Group layouts: one group, single-row groups, empty groups at the
+        // edges and in the middle, uneven sizes.
+        let layouts: [&[usize]; 5] = [&[6], &[1, 1, 1], &[0, 4, 0, 0, 3, 0], &[1, 7, 2], &[]];
+        // Input fill: one-hot-like (mostly exact zeros), no zero at all,
+        // and zeros of both signs.
+        #[derive(Clone, Copy, Debug)]
+        enum Fill {
+            Sparse,
+            Dense,
+            SignedZeros,
+        }
+        let fills = [Fill::Sparse, Fill::Dense, Fill::SignedZeros];
+        // Weight scale: ordinary, subnormal, and large enough for the
+        // lanes to overflow.
+        let scales = [1.0f32, 1e-41, 1e38];
+        let mut case = 0u64;
+        for in_dim in [1usize, 7, 8, 9, 56, 139] {
+            for units in [1usize, 16, 128] {
+                // 5: inside the first chunk; 8: on a chunk boundary; 38:
+                // straddling one; 97: the TPC-CH state width; `in_dim`: no
+                // suffix at all (and, for 9 and 139, reaching the tail).
+                for prefix in [0usize, 5, 8, 38, 97, in_dim] {
+                    if prefix > in_dim {
+                        continue;
+                    }
+                    for layout in layouts {
+                        // 5 layouts against 3 fills and 3 scales: every
+                        // pairing comes up as `case` runs on.
+                        case += 1;
+                        let mut rng = StdRng::seed_from_u64(0x6A0 + case);
+                        let fill = fills[(case % 3) as usize];
+                        let scale = scales[(case / 3 % 3) as usize];
+                        let rows: usize = layout.iter().sum();
+                        let mut x = Matrix::zeros(rows, in_dim);
+                        for v in x.data_mut() {
+                            *v = match fill {
+                                Fill::Dense => rng.gen_range(0.25f32..2.0),
+                                Fill::Sparse if rng.gen_range(0..4) > 0 => 0.0,
+                                Fill::SignedZeros if rng.gen_range(0..2) > 0 => {
+                                    if rng.gen() {
+                                        -0.0
+                                    } else {
+                                        0.0
+                                    }
+                                }
+                                _ => rng.gen_range(-2.0f32..2.0),
+                            };
+                        }
+                        let mut ranges = Vec::new();
+                        let mut lo = 0;
+                        for &len in layout {
+                            ranges.push((lo, lo + len));
+                            for r in lo + 1..lo + len {
+                                let head = x.row(lo)[..prefix].to_vec();
+                                x.row_mut(r)[..prefix].copy_from_slice(&head);
+                            }
+                            lo += len;
+                        }
+                        let mut w = random_matrix(&mut rng, units, in_dim);
+                        for v in w.data_mut() {
+                            *v *= scale;
+                        }
+                        let bias: Vec<f32> =
+                            (0..units).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                        let groups = RowGroups {
+                            prefix,
+                            ranges: &ranges,
+                        };
+                        for relu in [false, true] {
+                            assert_eq!(
+                                shared_prefix_bits(&x, groups, &w, &bias, relu),
+                                expect_bits(&x, &w, &bias, relu),
+                                "in {in_dim} units {units} prefix {prefix} layout {layout:?} \
+                                 {fill:?} scale {scale} relu {relu}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The doctrine's precondition, pinned: with a non-finite weight the
+    /// dense cell is `0 · inf = NaN`, the zero-skipping cell is not.
+    #[test]
+    fn non_finite_weight_is_where_zero_skipping_departs_from_dense() {
+        let x = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let w = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
+        let groups = RowGroups {
+            prefix: 1,
+            ranges: &[(0, 1)],
+        };
+        assert!(f32::from_bits(expect_bits(&x, &w, &[0.5], false)[0]).is_nan());
+        assert_eq!(
+            shared_prefix_bits(&x, groups, &w, &[0.5], false),
+            [2.5f32.to_bits()]
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not share its group's prefix")]
+    fn a_row_that_breaks_its_groups_prefix_is_caught() {
+        // Row 1 differs from the head only in the sign of a zero — equal
+        // as floats, unequal as bits.
+        let x = Matrix::from_vec(2, 3, vec![0.0, 1.0, 5.0, -0.0, 1.0, 6.0]);
+        let w = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
+        let groups = RowGroups {
+            prefix: 2,
+            ranges: &[(0, 2)],
+        };
+        shared_prefix_bits(&x, groups, &w, &[0.0], false);
+    }
+
+    #[test]
+    #[should_panic(expected = "groups must tile the rows in order")]
+    fn groups_that_skip_a_row_are_rejected() {
+        let x = Matrix::zeros(3, 2);
+        let w = Matrix::zeros(1, 2);
+        let groups = RowGroups {
+            prefix: 0,
+            ranges: &[(0, 1), (2, 3)],
+        };
+        shared_prefix_bits(&x, groups, &w, &[0.0], false);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //! summation order exactly (DESIGN.md §12).
 
 use crate::adam::Adam;
-use crate::dense::Dense;
-use crate::matrix::{route_pool, Matrix};
+use crate::dense::{soft_update, Dense};
+use crate::matrix::{
+    matmul_shared_prefix, naive_kernels_forced, route_pool, transpose_into, Matrix, RowGroups,
+};
 use lpa_par::Pool;
 use rand::Rng;
 
@@ -30,6 +32,8 @@ pub struct MlpScratch {
     prev_delta: Matrix,
     dw: Matrix,
     db: Vec<f32>,
+    /// Lane vectors of the grouped first-layer kernel.
+    lanes: Vec<f32>,
 }
 
 impl MlpScratch {
@@ -43,6 +47,10 @@ impl MlpScratch {
 #[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Dense>,
+    /// In×out transpose of `layers[0].w`, the layout the grouped first
+    /// -layer kernel streams. Derived state: rebuilt wherever layer 0's
+    /// weights change, never serialised.
+    w0_t: Matrix,
 }
 
 impl Mlp {
@@ -53,7 +61,7 @@ impl Mlp {
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
             .collect();
-        Self { layers }
+        Self::from_layers(layers)
     }
 
     pub fn input_dim(&self) -> usize {
@@ -79,7 +87,9 @@ impl Mlp {
                 "layer dims must chain"
             );
         }
-        Self { layers }
+        let mut w0_t = Matrix::default();
+        transpose_into(&layers[0].w, &mut w0_t);
+        Self { layers, w0_t }
     }
 
     pub fn param_count(&self) -> usize {
@@ -96,23 +106,45 @@ impl Mlp {
         x: &Matrix,
         scratch: &'s mut MlpScratch,
     ) -> &'s Matrix {
+        self.forward_layers(pool, x, None, scratch)
+    }
+
+    /// The forward pass. With `groups` (rows in runs sharing a prefix: an
+    /// action set per state) the first layer runs [`matmul_shared_prefix`]
+    /// instead of the dense kernel — bit-identical for finite weights, and
+    /// under [`crate::with_naive_kernels`] every layer is the dense naive
+    /// triple loop regardless.
+    fn forward_layers<'s>(
+        &self,
+        pool: Pool,
+        x: &Matrix,
+        groups: Option<RowGroups<'_>>,
+        scratch: &'s mut MlpScratch,
+    ) -> &'s Matrix {
+        let MlpScratch { outs, lanes, .. } = scratch;
         let n = self.layers.len();
-        if scratch.outs.len() < n {
-            scratch.outs.resize_with(n, || Matrix::zeros(0, 0));
+        if outs.len() < n {
+            outs.resize_with(n, || Matrix::zeros(0, 0));
         }
         let last = n - 1;
+        let groups = groups.filter(|_| !naive_kernels_forced());
         for (i, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = scratch.outs.split_at_mut(i);
+            let (done, rest) = outs.split_at_mut(i);
             let Some(cur) = rest.first_mut() else { break };
             let input = done.last().unwrap_or(x);
             cur.resize_for_overwrite(input.rows(), layer.output_dim());
-            if i == last {
-                layer.forward_pool(pool, input, cur);
-            } else {
-                layer.forward_relu_pool(pool, input, cur);
+            match groups {
+                Some(g) if i == 0 && i == last => {
+                    matmul_shared_prefix::<false>(x, g, &self.w0_t, &layer.b, lanes, cur)
+                }
+                Some(g) if i == 0 => {
+                    matmul_shared_prefix::<true>(x, g, &self.w0_t, &layer.b, lanes, cur)
+                }
+                _ if i == last => layer.forward_pool(pool, input, cur),
+                _ => layer.forward_relu_pool(pool, input, cur),
             }
         }
-        &scratch.outs[last]
+        &outs[last]
     }
 
     /// Forward pass over a batch; returns a freshly allocated output
@@ -143,6 +175,23 @@ impl Mlp {
         let last = self.forward_into(pool, x, scratch);
         out.clear();
         // Output dim is 1, so the data vector *is* the prediction column.
+        out.extend_from_slice(last.data());
+    }
+
+    /// [`Mlp::predict_batch_into`] for a batch whose rows come in
+    /// [`RowGroups`] — how the agent scores action sets: each group's
+    /// shared prefix goes through the first layer once.
+    pub fn predict_grouped_into(
+        &self,
+        pool: Pool,
+        x: &Matrix,
+        groups: RowGroups<'_>,
+        scratch: &mut MlpScratch,
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(self.output_dim(), 1);
+        let last = self.forward_layers(pool, x, Some(groups), scratch);
+        out.clear();
         out.extend_from_slice(last.data());
     }
 
@@ -223,6 +272,7 @@ impl Mlp {
             prev_delta,
             dw,
             db,
+            ..
         } = scratch;
 
         // Loss and output delta.
@@ -314,6 +364,7 @@ impl Mlp {
                 std::mem::swap(delta, prev_delta);
             } else {
                 opt.step_layer(i, &mut self.layers[i], dw, db);
+                transpose_into(&self.layers[0].w, &mut self.w0_t);
             }
         }
         loss
@@ -325,6 +376,10 @@ impl Mlp {
         for (t, s) in self.layers.iter_mut().zip(&src.layers) {
             t.soft_update_from(s, tau);
         }
+        // The update is elementwise, so applying it to the transposed
+        // copies gives the transpose of the updated weights, bit for bit,
+        // at a tenth of the cost of transposing again.
+        soft_update(self.w0_t.data_mut(), src.w0_t.data(), tau);
     }
 }
 
@@ -398,6 +453,84 @@ mod tests {
         let a = crate::reference::mlp_bits(&reused);
         let b = crate::reference::mlp_bits(&fresh);
         assert_eq!(a, b);
+    }
+
+    /// Rows in `groups`-sized runs sharing their first `prefix` values,
+    /// three quarters of all values exact zeros.
+    fn grouped_batch(groups: &[usize], prefix: usize, dim: usize) -> (Matrix, Vec<(usize, usize)>) {
+        let rows: usize = groups.iter().sum();
+        let mut x = Matrix::zeros(rows, dim);
+        let mut ranges = Vec::new();
+        let mut lo = 0;
+        for &len in groups {
+            ranges.push((lo, lo + len));
+            for r in lo..lo + len {
+                for (j, v) in x.row_mut(r).iter_mut().enumerate() {
+                    let of = if j < prefix { lo } else { r };
+                    if (of * 7 + j * 3) % 4 == 0 {
+                        *v = ((of * 31 + j) as f32 * 0.37).sin();
+                    }
+                }
+            }
+            lo += len;
+        }
+        (x, ranges)
+    }
+
+    #[test]
+    fn grouped_forward_matches_dense_forward_by_bits() {
+        // With hidden layers (fused ReLU on the grouped layer) and without
+        // (the grouped layer is the linear head).
+        for dims in [&[11usize, 9, 4, 1][..], &[11, 1]] {
+            let net = Mlp::new(dims, &mut StdRng::seed_from_u64(61));
+            let (x, ranges) = grouped_batch(&[3, 0, 1, 5], 6, 11);
+            let groups = RowGroups {
+                prefix: 6,
+                ranges: &ranges,
+            };
+            let pool = Pool::with_threads(1);
+            let mut grouped = Vec::new();
+            net.predict_grouped_into(pool, &x, groups, &mut MlpScratch::new(), &mut grouped);
+            let dense = crate::reference::naive_forward(&net, &x);
+            assert_eq!(grouped.len(), dense.data().len());
+            for (g, d) in grouped.iter().zip(dense.data()) {
+                assert_eq!(g.to_bits(), d.to_bits(), "dims {dims:?}");
+            }
+            // The naive scope takes the grouped entry point to the dense
+            // triple loop: a prefix the rows do not share goes unnoticed.
+            let lie = RowGroups {
+                prefix: 11,
+                ranges: &ranges,
+            };
+            let mut naive = Vec::new();
+            crate::with_naive_kernels(|| {
+                net.predict_grouped_into(pool, &x, lie, &mut MlpScratch::new(), &mut naive)
+            });
+            assert_eq!(naive, grouped);
+        }
+    }
+
+    #[test]
+    fn transposed_first_layer_tracks_every_weight_change() {
+        let transposed = |net: &Mlp| {
+            let mut wt = Matrix::default();
+            transpose_into(&net.layers[0].w, &mut wt);
+            wt
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut net = Mlp::new(&[6, 5, 1], &mut rng);
+        let mut target = Mlp::new(&[6, 5, 1], &mut rng);
+        assert_eq!(net.w0_t, transposed(&net));
+        let mut opt = Adam::new(1e-2, net.layers());
+        let (x, _) = grouped_batch(&[4], 0, 6);
+        for step in 0..3 {
+            net.train_mse(&x, &[0.5, -1.0, 2.0, 0.0], &mut opt);
+            assert_eq!(net.w0_t, transposed(&net), "after train step {step}");
+            target.soft_update_from(&net, 0.3);
+            assert_eq!(target.w0_t, transposed(&target), "after soft update {step}");
+        }
+        let restored = Mlp::from_layers(net.layers().to_vec());
+        assert_eq!(restored.w0_t, net.w0_t);
     }
 
     #[test]
@@ -483,6 +616,7 @@ mod tests {
     impl Mlp {
         fn layers_mut_for_test(&mut self, layer: usize, wi: usize, delta: f32) {
             self.layers[layer].w.data_mut()[wi] += delta;
+            transpose_into(&self.layers[0].w, &mut self.w0_t);
         }
     }
 

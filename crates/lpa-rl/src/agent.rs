@@ -4,15 +4,14 @@ use crate::buffer::{ReplayBuffer, Transition};
 use crate::config::{DqnConfig, QLoss};
 use crate::env::QEnvironment;
 use crate::profile::{self, Phase};
-use lpa_nn::{Adam, Matrix, Mlp, MlpScratch, Pool};
+use lpa_nn::{Adam, Matrix, Mlp, MlpScratch, Pool, RowGroups};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Greedy argmax over parallel Q-value / action slices, replicating the
 /// agent's tie-breaking exactly: under `total_cmp`, the *last* maximum
-/// wins. Batched inference paths (committee coalescing) must route
-/// through this same helper so a tie never picks a different action than
-/// the sequential path would.
+/// wins. Every path that picks an action from a vector of Q-values routes
+/// through this helper, so a tie cannot resolve differently between them.
 pub fn greedy_argmax<A: Clone>(qs: &[f32], actions: &[A]) -> Option<A> {
     qs.iter()
         .zip(actions.iter())
@@ -140,15 +139,27 @@ impl<E: QEnvironment> DqnAgent<E> {
 
     /// Batch Q-values for every action in `actions` at `state`. The whole
     /// batch shares one state, so the rows are filled by
-    /// [`QEnvironment::encode_batch`] (state prefix encoded once).
-    /// Allocating compat path — the agent's own hot paths go through the
-    /// scratch-reusing [`Self::fill_q_values`].
+    /// [`QEnvironment::encode_batch`] and scored as one group (state prefix
+    /// encoded and evaluated once). Allocating — [`Self::select_action`]
+    /// and [`Self::train_step`] do the same through the agent's scratch.
     pub fn q_values(&self, env: &E, state: &E::State, actions: &[E::Action]) -> Vec<f32> {
         assert!(!actions.is_empty());
         let dim = env.input_dim();
         let mut batch = Matrix::zeros(actions.len(), dim);
         env.encode_batch(state, actions, batch.data_mut());
-        self.q.predict_batch(&batch)
+        let groups = RowGroups {
+            prefix: env.state_prefix_len(),
+            ranges: &[(0, actions.len())],
+        };
+        let mut out = Vec::new();
+        self.q.predict_grouped_into(
+            Pool::current(),
+            &batch,
+            groups,
+            &mut MlpScratch::new(),
+            &mut out,
+        );
+        out
     }
 
     /// ε-greedy action selection (greedy when `explore` is false):
@@ -184,9 +195,13 @@ impl<E: QEnvironment> DqnAgent<E> {
         env.encode_batch(state, &s.sel_actions, s.input.data_mut());
         profile::stop(t1, Phase::Encode);
         let pool = Pool::current();
+        let groups = RowGroups {
+            prefix: env.state_prefix_len(),
+            ranges: &[(0, s.sel_actions.len())],
+        };
         let t2 = profile::start();
         self.q
-            .predict_batch_into(pool, &s.input, &mut s.mlp, &mut s.q_out);
+            .predict_grouped_into(pool, &s.input, groups, &mut s.mlp, &mut s.q_out);
         profile::stop(t2, Phase::Nn);
         greedy_argmax(&s.q_out, &s.sel_actions).unwrap_or_else(|| s.sel_actions[0].clone())
     }
@@ -224,29 +239,31 @@ impl<E: QEnvironment> DqnAgent<E> {
         let pool = Pool::current();
         let t0 = profile::start();
         // The dominant cost of a training step: one batched target-net
-        // forward over every candidate row.
-        if self.scratch.total > 0 {
-            let Self {
-                target, scratch, ..
-            } = self;
-            target.predict_batch_into(
-                pool,
-                &scratch.next_inputs,
-                &mut scratch.mlp,
-                &mut scratch.next_q,
-            );
+        // forward over every candidate row, one group per next state.
+        let Self {
+            q,
+            target,
+            scratch: s,
+            ..
+        } = self;
+        let groups = RowGroups {
+            prefix: env.state_prefix_len(),
+            ranges: &s.ranges,
+        };
+        if s.total > 0 {
+            target.predict_grouped_into(pool, &s.next_inputs, groups, &mut s.mlp, &mut s.next_q);
         } else {
-            self.scratch.next_q.clear();
+            s.next_q.clear();
         }
         // Double DQN: the online network selects the next action, the
         // target network evaluates it.
-        if self.scratch.use_online {
-            let Self { q, scratch, .. } = self;
-            q.predict_batch_into(
+        if s.use_online {
+            q.predict_grouped_into(
                 pool,
-                &scratch.next_inputs,
-                &mut scratch.mlp,
-                &mut scratch.next_q_online,
+                &s.next_inputs,
+                groups,
+                &mut s.mlp,
+                &mut s.next_q_online,
             );
         }
         profile::stop(t0, Phase::Nn);
@@ -529,6 +546,47 @@ mod tests {
                 agent.select_action(&env, &s, true),
                 back.select_action(&env, &s, true)
             );
+        }
+    }
+
+    /// `TwoArm` keeps the default `state_prefix_len` of 0: its action sets
+    /// go through the grouped kernel with nothing shared, and must score
+    /// and train exactly like the dense kernels — plain and double DQN.
+    #[test]
+    fn env_without_a_state_prefix_matches_the_dense_kernels() {
+        use lpa_nn::reference::mlp_bits;
+        let mut env = TwoArm;
+        assert_eq!(env.state_prefix_len(), 0);
+        let base = DqnConfig::quick_test().with_seed(19);
+        for cfg in [base.clone(), base.with_double_dqn()] {
+            let mut run = || {
+                let mut agent: DqnAgent<TwoArm> = DqnAgent::new(env.input_dim(), cfg.clone());
+                crate::train::train(&mut agent, &mut env, cfg.episodes, |_| {});
+                let q: Vec<u32> = [0u8, 1]
+                    .iter()
+                    .flat_map(|s| agent.q_values(&env, s, &[0, 1]))
+                    .map(f32::to_bits)
+                    .collect();
+                (mlp_bits(&agent.q), mlp_bits(&agent.target), q, agent)
+            };
+            let (q_net, target_net, q_values, agent) = run();
+            let naive = lpa_nn::with_naive_kernels(&mut run);
+            assert_eq!(
+                (&q_net, &target_net, &q_values),
+                (&naive.0, &naive.1, &naive.2)
+            );
+            // And against rows encoded one at a time, scored densely.
+            let mut rows = Matrix::zeros(4, env.input_dim());
+            for (i, (s, a)) in [(0u8, 0u8), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
+                env.encode(s, a, rows.row_mut(i));
+            }
+            let dense: Vec<u32> = agent
+                .q_network()
+                .predict_batch(&rows)
+                .into_iter()
+                .map(f32::to_bits)
+                .collect();
+            assert_eq!(q_values, dense);
         }
     }
 }

@@ -118,6 +118,14 @@ pub trait QEnvironment {
     /// Length of the encoded `(state, action)` vector (the Q-network input).
     fn input_dim(&self) -> usize;
 
+    /// How many leading slots of an encoded row depend on the state alone:
+    /// [`Self::encode`] must write the same bits there for every action of
+    /// one state. The agent scores an action set by evaluating that prefix
+    /// once. 0 (the default) promises nothing.
+    fn state_prefix_len(&self) -> usize {
+        0
+    }
+
     /// Start a new episode (the paper resets to `s_0` and may sample a new
     /// workload mix).
     fn reset(&mut self) -> Self::State;

@@ -173,27 +173,60 @@ fn mode_swap_mid_walk_stays_bitwise_equal() {
     }
 }
 
-/// `q_values` (batched prefix-reuse encoding) bitwise equals a per-row
-/// `encode` + forward pass.
+/// The agent-level differential for the grouped first layer: `q_values`
+/// (batched encoding, state prefix evaluated once, exact zeros skipped)
+/// bitwise equals encoding row by row and running the dense
+/// `predict_batch` — on the initial layout and along a walk away from it.
 #[test]
 fn q_values_match_per_row_encoding_bitwise() {
-    let (mut env, _) = env_pair("ssb", 3);
-    let cfg = DqnConfig::quick_test().with_seed(12);
-    let agent: DqnAgent<AdvisorEnv> = DqnAgent::new(env.input_dim(), cfg);
-    let s = env.reset();
-    let actions = env.actions(&s);
-    let batched = agent.q_values(&env, &s, &actions);
-    // Reference: encode rows one by one and run the same network.
-    let dim = env.input_dim();
-    let mut reference = lpa::nn::Matrix::zeros(actions.len(), dim);
-    for (i, a) in actions.iter().enumerate() {
-        env.encode(&s, a, reference.row_mut(i));
+    for name in ["ssb", "tpcch"] {
+        let (mut env, _) = env_pair(name, 3);
+        let cfg = DqnConfig::quick_test().with_seed(12);
+        let agent: DqnAgent<AdvisorEnv> = DqnAgent::new(env.input_dim(), cfg);
+        assert!(env.state_prefix_len() > 0, "the advisor shares its state");
+        let mut s = env.reset();
+        for step in 0..6 {
+            let actions = env.actions(&s);
+            let batched = agent.q_values(&env, &s, &actions);
+            // Reference: encode rows one by one and run the same network.
+            let dim = env.input_dim();
+            let mut reference = lpa::nn::Matrix::zeros(actions.len(), dim);
+            for (i, a) in actions.iter().enumerate() {
+                env.encode(&s, a, reference.row_mut(i));
+            }
+            let expected = agent.q_network().predict_batch(&reference);
+            assert_eq!(batched.len(), expected.len());
+            for (i, (b, e)) in batched.iter().zip(&expected).enumerate() {
+                assert_eq!(b.to_bits(), e.to_bits(), "{name} step {step} row {i}");
+            }
+            s = env.step(&s, &actions[(step * 5 + 1) % actions.len()]).0;
+        }
     }
-    let expected = agent.q_network().predict_batch(&reference);
-    assert_eq!(batched.len(), expected.len());
-    for (i, (b, e)) in batched.iter().zip(&expected).enumerate() {
-        assert_eq!(b.to_bits(), e.to_bits(), "row {i} diverged");
-    }
+}
+
+/// Double DQN scores every next-state action set twice (online net picks,
+/// target net evaluates), both through the grouped first layer: a whole
+/// training run must land on the weights the dense naive kernels give.
+#[test]
+fn double_dqn_training_matches_naive_kernels_bitwise() {
+    use lpa::nn::reference::mlp_bits;
+    let cfg = DqnConfig::simulation(6, 10).with_seed(31).with_double_dqn();
+    let run = || {
+        let (mut env, _) = env_pair("tpcch", 31);
+        let mut agent: DqnAgent<AdvisorEnv> = DqnAgent::new(env.input_dim(), cfg.clone());
+        let mut stats = Vec::new();
+        train(&mut agent, &mut env, cfg.episodes, |s| {
+            stats.push((
+                s.total_reward.to_bits(),
+                s.mean_loss.to_bits(),
+                s.train_steps,
+            ))
+        });
+        assert!(stats.iter().any(|s| s.2 > 0), "the run must train");
+        let snap = agent.snapshot();
+        (stats, mlp_bits(&snap.q), mlp_bits(&snap.target))
+    };
+    assert_eq!(run(), lpa::nn::with_naive_kernels(run));
 }
 
 /// Full offline training on both modes: identical network weights and

@@ -256,13 +256,17 @@ fn executor_matches_truth_join_cardinality() {
     let _ = TableId(c.0);
 }
 
-/// Fast NN kernels (banded, fused-ReLU, parallel) are bit-equal to the
-/// shared naive reference on random shapes that straddle every blocking
-/// boundary — and never panic on degenerate geometry (empty matrices,
-/// single rows/columns, odd widths vs the fixed-width lanes).
+/// Fast NN kernels (banded, fused-ReLU, parallel, and the shared-prefix
+/// zero-skipping first-layer kernel) are bit-equal to the shared naive
+/// reference on random shapes that straddle every blocking boundary — and
+/// never panic on degenerate geometry (empty matrices, single
+/// rows/columns, odd widths vs the fixed-width lanes).
 #[test]
 fn fast_matmul_kernels_match_naive_on_edge_geometry() {
-    use lpa::nn::matrix::{matmul_wt_pool, matmul_wt_relu_pool, Matrix, ROW_BLOCK};
+    use lpa::nn::matrix::{
+        matmul_shared_prefix, matmul_wt_pool, matmul_wt_relu_pool, transpose_into, Matrix,
+        RowGroups, ROW_BLOCK,
+    };
     use lpa::nn::reference::{naive_matmul_wt, naive_matmul_wt_relu};
     use lpa::par::Pool;
 
@@ -294,6 +298,40 @@ fn fast_matmul_kernels_match_naive_on_edge_geometry() {
         for v in x.data_mut() {
             *v = rng.gen_range(-2.0..2.0);
         }
+        // Cut the rows into random runs that share a random-length prefix
+        // (what the shared-prefix kernel is told), and on every other case
+        // knock most inputs down to exact zeros of either sign (what it
+        // skips). The dense kernels see the same batch.
+        let prefix = rng.gen_range(0..=inner);
+        let mut ranges = Vec::new();
+        let mut lo = 0;
+        while lo < rows || rng.gen_range(0..4) == 0 {
+            let hi = rng.gen_range(lo..=rows);
+            for r in lo + 1..hi {
+                let head = x.row(lo)[..prefix].to_vec();
+                x.row_mut(r)[..prefix].copy_from_slice(&head);
+            }
+            ranges.push((lo, hi));
+            lo = hi;
+        }
+        if case % 2 == 1 {
+            for r in 0..rows {
+                let group = ranges.iter().position(|&(lo, hi)| lo <= r && r < hi);
+                for (j, v) in x.row_mut(r).iter_mut().enumerate() {
+                    // Keyed by group inside the prefix, so it stays shared.
+                    let key = if j < prefix { group.unwrap() } else { rows + r };
+                    match (key * 31 + j * 7) % 5 {
+                        0 => {}
+                        1 => *v = -0.0,
+                        _ => *v = 0.0,
+                    }
+                }
+            }
+        }
+        let groups = RowGroups {
+            prefix,
+            ranges: &ranges,
+        };
         let mut w = Matrix::zeros(out_dim, inner);
         for v in w.data_mut() {
             *v = rng.gen_range(-2.0..2.0);
@@ -301,7 +339,25 @@ fn fast_matmul_kernels_match_naive_on_edge_geometry() {
         let bias: Vec<f32> = (0..out_dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let expect = naive_matmul_wt(&x, &w, &bias);
         let expect_relu = naive_matmul_wt_relu(&x, &w, &bias);
+        let mut wt = Matrix::default();
+        transpose_into(&w, &mut wt);
+        let mut lanes = Vec::new();
         for threads in [1usize, 8] {
+            // The shared-prefix kernel takes no pool; an ambient one must
+            // not matter to it either.
+            let (got, got_relu) = lpa::par::with_threads(threads, || {
+                let mut got = Matrix::zeros(rows, out_dim);
+                matmul_shared_prefix::<false>(&x, groups, &wt, &bias, &mut lanes, &mut got);
+                let mut got_relu = Matrix::zeros(rows, out_dim);
+                matmul_shared_prefix::<true>(&x, groups, &wt, &bias, &mut lanes, &mut got_relu);
+                (got, got_relu)
+            });
+            assert_eq!(
+                (bits(&got), bits(&got_relu)),
+                (bits(&expect), bits(&expect_relu)),
+                "shared prefix {prefix} over {ranges:?}, case {case} threads {threads}: \
+                 {rows}x{inner} · {out_dim}x{inner}"
+            );
             let pool = Pool::with_threads(threads);
             let mut got = Matrix::zeros(rows, out_dim);
             matmul_wt_pool(pool, &x, &w, &bias, &mut got);
@@ -323,10 +379,13 @@ fn fast_matmul_kernels_match_naive_on_edge_geometry() {
 
 /// Batched forward through a whole network is row-independent: evaluating
 /// many inputs in one batch returns bit-identical rows to evaluating each
-/// input alone — the property the coalesced committee inference relies on.
+/// input alone — the property that lets the train step score every
+/// next-state action set of a minibatch in one forward. The same batch cut
+/// into groups (nothing shared: prefix 0) through the grouped forward gives
+/// those rows again, at 1 and 8 threads.
 #[test]
 fn batched_forward_rows_match_single_row_forward() {
-    use lpa::nn::{Matrix, Mlp};
+    use lpa::nn::{Matrix, Mlp, MlpScratch, RowGroups};
     for case in 0..32u64 {
         let mut rng = StdRng::seed_from_u64(0x7000 + case);
         let input = rng.gen_range(1..20usize);
@@ -339,6 +398,26 @@ fn batched_forward_rows_match_single_row_forward() {
         }
         let batched = net.predict_batch(&x);
         assert_eq!(batched.len(), rows);
+        let cut = rng.gen_range(0..=rows);
+        let groups = RowGroups {
+            prefix: 0,
+            ranges: &[(0, cut), (cut, rows)],
+        };
+        for threads in [1usize, 8] {
+            let mut grouped = Vec::new();
+            net.predict_grouped_into(
+                lpa::par::Pool::with_threads(threads),
+                &x,
+                groups,
+                &mut MlpScratch::new(),
+                &mut grouped,
+            );
+            assert_eq!(
+                grouped.iter().map(|q| q.to_bits()).collect::<Vec<_>>(),
+                batched.iter().map(|q| q.to_bits()).collect::<Vec<_>>(),
+                "case {case}: grouped forward, threads {threads}"
+            );
+        }
         for (r, &b) in batched.iter().enumerate() {
             let alone = net.predict_scalar(x.row(r));
             assert_eq!(
