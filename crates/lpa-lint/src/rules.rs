@@ -36,11 +36,13 @@
 //!   a checkpoint. All persistence goes through `lpa-store`'s
 //!   temp-file + fsync + rename discipline.
 //! - **L013** — no allocation (`Vec::new` / `vec![…]` / `.collect()`)
-//!   inside the columnar executor's per-window functions or the delta
-//!   encoder's per-step path. These run once per simulated window / per
-//!   encoded state; an allocation there is a per-step heap round-trip the
-//!   whole columnar/incremental design exists to avoid, and it creeps back
-//!   silently because the code still passes every correctness test.
+//!   inside the columnar executor's per-window functions, the delta
+//!   encoder's per-step path, or the workload monitor's memo-hit path
+//!   (shape key + count). These run once per simulated window / per
+//!   encoded state / per observed statement; an allocation there is a
+//!   per-call heap round-trip the whole columnar/incremental/memo design
+//!   exists to avoid, and it creeps back silently because the code still
+//!   passes every correctness test.
 //! - **L014** — no direct tenant-state access outside the fleet module
 //!   (`crates/lpa-service/src/fleet.rs`): naming the private `TenantSlot`
 //!   struct or reading a `.tenants` field bypasses the quarantine funnel
@@ -437,9 +439,11 @@ pub fn l006(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
 }
 
 /// Allocation-free hot paths (L013): per scoped file, the functions whose
-/// bodies run once per executor window or once per encoded state. The
-/// constructors and cache-(re)build paths of the same files allocate
-/// freely — only the steady-state loops are listed.
+/// bodies run once per executor window, once per encoded state or once per
+/// observed SQL statement of a known shape. The constructors and
+/// cache-(re)build paths of the same files allocate freely — only the
+/// steady-state loops are listed (the monitor's miss path is its own fn,
+/// `observe_miss`, and is not).
 const L013_HOT_FNS: &[(&str, &[&str])] = &[
     (
         "crates/lpa-cluster/src/columnar.rs",
@@ -456,6 +460,11 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
         "crates/lpa-partition/src/delta_encoder.rs",
         &["state_prefix", "encode_input", "encode_batch"],
     ),
+    (
+        "crates/lpa-sql/src/lexer.rs",
+        &["shape_key", "next", "run_len"],
+    ),
+    ("crates/lpa-service/src/monitor.rs", &["observe", "count"]),
 ];
 
 /// L013: `Vec::new` / `vec![…]` / `.collect()` inside an allocation-free
@@ -542,7 +551,7 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                         rel_path,
                         t.line,
                         format!(
-                            "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state); reuse a scratch buffer (`clear()` + `extend`) instead",
+                            "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state / observed statement); reuse a scratch buffer (`clear()` + `extend`) instead",
                         ),
                     ));
                 }

@@ -338,6 +338,26 @@ fn l013_covers_delta_encoder_path_and_waives() {
 }
 
 #[test]
+fn l013_covers_the_monitor_memo_hit_path_not_its_miss_path() {
+    let src = "impl M {\n    fn observe(&mut self) -> usize {\n        let v: Vec<u8> = Vec::new();\n        v.len()\n    }\n    fn observe_miss(&mut self) -> usize {\n        let v: Vec<u8> = Vec::new();\n        v.len()\n    }\n}\n";
+    let report =
+        lint_source("crates/lpa-service/src/monitor.rs", src, FileKind::Lib).expect("lexes");
+    let lines: Vec<u32> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "L013")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![3], "{:?}", report.diagnostics);
+    let key = src.replace("fn observe(", "fn shape_key(");
+    let report = lint_source("crates/lpa-sql/src/lexer.rs", &key, FileKind::Lib).expect("lexes");
+    assert!(report
+        .diagnostics
+        .iter()
+        .any(|d| d.rule == "L013" && d.line == 3));
+}
+
+#[test]
 fn l014_fixture_flags_tenant_state_access_outside_fleet_module() {
     let src = fixture("l014_tenant_access.rs");
     let report = lint_source(

@@ -4,7 +4,8 @@
 //! customer's applications actually submit (Fig. 1 of the paper). This
 //! crate turns that text into the advisor's internal representation:
 //!
-//! * [`lexer`] / [`parser`] — a recursive-descent parser for the analytical
+//! * [`lexer`] / [`parser`] — one borrowed-lexeme scanner and a
+//!   recursive-descent parser over its tokens for the analytical
 //!   `SELECT` subset (joins in `FROM`/`ON` or `WHERE`, conjunctive filter
 //!   predicates, `IN (subquery)` / `EXISTS` nesting, `GROUP BY` /
 //!   `ORDER BY` / `LIMIT` tails);
@@ -14,7 +15,10 @@
 //!   *flattened* into the outer join graph — the paper deliberately avoids
 //!   encoding query structure into the network (Section 3.2), so all the
 //!   advisor needs from a nested query is which tables it touches and how
-//!   they join.
+//!   they join;
+//! * [`shape_key`] — the scanner's second consumer: a literal-blind key
+//!   under which equal keys mean equal [`parse_query`] results up to
+//!   [`query_name`], so the workload monitor parses each statement shape once.
 //!
 //! ```
 //! use lpa_sql::parse_query;
@@ -38,7 +42,7 @@ pub mod parser;
 pub mod resolve;
 
 pub use ast::{ColumnRef, Predicate, SelectStmt, TableRef, Value};
-pub use lexer::{tokenize, LexError, Token};
+pub use lexer::{shape_key, tokenize, LexError, Token};
 pub use parser::{parse_select, ParseError};
 pub use resolve::{resolve, ResolveError};
 
@@ -50,6 +54,18 @@ pub fn parse_query(schema: &Schema, sql: &str) -> Result<Query, SqlError> {
     let tokens = tokenize(sql).map_err(SqlError::Lex)?;
     let stmt = parse_select(&tokens).map_err(SqlError::Parse)?;
     resolve(schema, &stmt, sql).map_err(SqlError::Resolve)
+}
+
+/// The name [`parse_query`] gives the query of `sql`: a hash of the raw
+/// text, so two spellings of one statement are two names.
+pub fn query_name(sql: &str) -> String {
+    // FNV-1a.
+    let mut h = 0xcbf29ce484222325u64;
+    for b in sql.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    format!("sql_{h:016x}")
 }
 
 /// Any error on the SQL → query path.

@@ -234,7 +234,7 @@ pub fn resolve(schema: &Schema, stmt: &SelectStmt, sql: &str) -> Result<Query, R
     };
 
     let q = Query {
-        name: format!("sql_{:016x}", fnv(sql)),
+        name: crate::query_name(sql),
         tables,
         joins: join_vec,
         selectivity: sel_vec,
@@ -320,15 +320,6 @@ fn pred_cols(p: &Predicate) -> Vec<&ColumnRef> {
         Predicate::InSubquery { col, .. } => col.iter().collect(),
         Predicate::Opaque { cols } => cols.iter().collect(),
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

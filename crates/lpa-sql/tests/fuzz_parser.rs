@@ -5,32 +5,16 @@
 
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
+mod common;
+
+use common::{lexer_corpus, random_string};
 use lpa_sql::{parse_query, parse_select, tokenize};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Random string over a char pool, length 0..=max_len.
-fn random_string(rng: &mut StdRng, pool: &[char], max_len: usize) -> String {
-    let len = rng.gen_range(0..=max_len);
-    (0..len)
-        .map(|_| pool[rng.gen_range(0..pool.len())])
-        .collect()
-}
-
-/// A printable-heavy pool including multi-byte and exotic chars, standing in
-/// for proptest's `\PC` (any printable char) class.
-fn printable_pool() -> Vec<char> {
-    let mut pool: Vec<char> = (' '..='~').collect();
-    pool.extend(['\t', '\n', 'é', 'ß', '漢', '🦀', '\u{2028}', 'Ω', '·', '«']);
-    pool
-}
-
 #[test]
 fn lexer_never_panics() {
-    let pool = printable_pool();
-    for case in 0..256u64 {
-        let mut rng = StdRng::seed_from_u64(0x7000 + case);
-        let input = random_string(&mut rng, &pool, 200);
+    for input in lexer_corpus() {
         let _ = tokenize(&input);
     }
 }

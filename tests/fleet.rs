@@ -923,6 +923,36 @@ fn sql_path_at(threads: usize) -> Vec<(TenantFp, Vec<u64>, Vec<u64>, u64)> {
             "the mid-window kill/resume diverged (threads={threads})"
         );
         assert_eq!(resumed.report().store.restores, 2);
+        // The resumed tenant's monitor restarted with a cold shape memo, the
+        // reference's kept its warm one: what they counted and quarantined
+        // must not tell them apart.
+        let window = |fleet: &Fleet| {
+            let monitor = fleet.tenant_service(0).unwrap().monitor();
+            let pending: Vec<(String, Vec<u64>, u64)> = monitor
+                .pending()
+                .into_iter()
+                .map(|(q, n)| {
+                    (
+                        q.name,
+                        q.selectivity.iter().map(|s| s.to_bits()).collect(),
+                        n,
+                    )
+                })
+                .collect();
+            let counts: Vec<u64> = monitor
+                .window_counts()
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            (pending, counts)
+        };
+        let warm = window(reference.fleet());
+        assert!(!warm.0.is_empty(), "the unknown shape stays quarantined");
+        assert_eq!(
+            window(resumed.fleet()),
+            warm,
+            "cold vs warm memo (threads={threads})"
+        );
 
         let _ = std::fs::remove_dir_all(&dir_ref);
         let _ = std::fs::remove_dir_all(&dir_kill);
