@@ -7,14 +7,14 @@
 #![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
 
 use lpa_bench::{figure, Benchmark};
-use lpa_rl::DqnConfig;
+use lpa_rl::{DqnConfig, REPLAY_CAPACITY};
 
 fn print_cfg(label: &str, c: &DqnConfig) {
     println!("  -- {label}");
     println!("    Learning Rate                  {:>10}", c.learning_rate);
     println!("    tau (Target network update)    {:>10}", c.tau);
     println!("    Optimizer                      {:>10}", "Adam");
-    println!("    Experience Replay Buffer Size  {:>10}", c.buffer_size);
+    println!("    Experience Replay Buffer Size  {:>10}", REPLAY_CAPACITY);
     println!("    Batch Size for Experience Rep. {:>10}", c.batch_size);
     println!(
         "    Epsilon Decay                  {:>10.4}",

@@ -62,13 +62,13 @@ pub struct GuardrailConfig {
     pub budget_window: u64,
     /// Max canaries started per tenant per [`Self::budget_window`].
     pub budget_deploys: u32,
-    /// Expected full-workload executions per decision window — converts a
-    /// per-run predicted benefit into a per-window benefit.
-    pub runs_per_window: f64,
-    /// Stage only if `benefit × runs_per_window × amortization_windows >
-    /// repartitioning cost` (the paper's "does repartitioning pay off in
-    /// the long run").
-    pub amortization_windows: f64,
+    /// Full-workload executions a deploy has to pay for itself over: stage
+    /// only if `benefit_per_run × amortized_runs > repartitioning cost`
+    /// (the paper's "does repartitioning pay off in the long run"). The
+    /// default 80 is 20 runs per window over 4 windows, and replaces those
+    /// two factors bit-identically: ×4 is exact, so `(b·20)·4 = b·80` for
+    /// every positive normal `b`; the inert `b·1·∞ = b·∞`.
+    pub amortized_runs: f64,
 }
 
 impl Default for GuardrailConfig {
@@ -81,8 +81,7 @@ impl Default for GuardrailConfig {
             cooldown_windows: 2,
             budget_window: 16,
             budget_deploys: 2,
-            runs_per_window: 20.0,
-            amortization_windows: 4.0,
+            amortized_runs: 80.0,
         }
     }
 }
@@ -100,8 +99,7 @@ impl GuardrailConfig {
             cooldown_windows: 0,
             budget_window: 1,
             budget_deploys: u32::MAX,
-            runs_per_window: 1.0,
-            amortization_windows: f64::INFINITY,
+            amortized_runs: f64::INFINITY,
         }
     }
 }
@@ -613,10 +611,7 @@ impl Guardrail {
         let current = cluster.deployed().clone();
         let repartition_cost = cluster.repartition_cost(&current, &cand.partitioning);
         let benefit = cand.benefit_per_run;
-        if benefit <= 0.0
-            || benefit * self.cfg.runs_per_window * self.cfg.amortization_windows
-                <= repartition_cost
-        {
+        if benefit <= 0.0 || benefit * self.cfg.amortized_runs <= repartition_cost {
             self.accounting.kept_current += 1;
             events.push(GuardrailEvent::KeptCurrent {
                 window,

@@ -37,12 +37,12 @@
 //!   temp-file + fsync + rename discipline.
 //! - **L013** — no allocation (`Vec::new` / `vec![…]` / `.collect()`)
 //!   inside the columnar executor's per-window functions, the delta
-//!   encoder's per-step path, or the workload monitor's memo-hit path
-//!   (shape key + count). These run once per simulated window / per
-//!   encoded state / per observed statement; an allocation there is a
-//!   per-call heap round-trip the whole columnar/incremental/memo design
-//!   exists to avoid, and it creeps back silently because the code still
-//!   passes every correctness test.
+//!   encoder's per-step path, the DQN train step, or the workload
+//!   monitor's memo-hit path (shape key + count). These run once per
+//!   simulated window / per encoded state / per train step / per observed
+//!   statement; an allocation there is a per-call heap round-trip the
+//!   whole columnar/incremental/memo design exists to avoid, and it creeps
+//!   back silently because the code still passes every correctness test.
 //! - **L014** — no direct tenant-state access outside the fleet module
 //!   (`crates/lpa-service/src/fleet.rs`): naming the private `TenantSlot`
 //!   struct or reading a `.tenants` field bypasses the quarantine funnel
@@ -439,11 +439,11 @@ pub fn l006(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
 }
 
 /// Allocation-free hot paths (L013): per scoped file, the functions whose
-/// bodies run once per executor window, once per encoded state or once per
-/// observed SQL statement of a known shape. The constructors and
-/// cache-(re)build paths of the same files allocate freely — only the
-/// steady-state loops are listed (the monitor's miss path is its own fn,
-/// `observe_miss`, and is not).
+/// bodies run once per executor window, once per encoded state, once per
+/// DQN train step or once per observed SQL statement of a known shape.
+/// The constructors and cache-(re)build paths of the same files allocate
+/// freely — only the steady-state loops are listed (the monitor's miss
+/// path is its own fn, `observe_miss`, and is not).
 const L013_HOT_FNS: &[(&str, &[&str])] = &[
     (
         "crates/lpa-cluster/src/columnar.rs",
@@ -455,6 +455,10 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
             "carried_slots",
             "join_step_col",
         ],
+    ),
+    (
+        "crates/lpa-rl/src/agent.rs",
+        &["train_step", "stage_minibatch"],
     ),
     (
         "crates/lpa-partition/src/delta_encoder.rs",
@@ -551,7 +555,7 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                         rel_path,
                         t.line,
                         format!(
-                            "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state / observed statement); reuse a scratch buffer (`clear()` + `extend`) instead",
+                            "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state / train step / observed statement); reuse a scratch buffer (`clear()` + `extend`) instead",
                         ),
                     ));
                 }

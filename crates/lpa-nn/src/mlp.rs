@@ -209,7 +209,7 @@ impl Mlp {
     /// Q-update (Algorithm 1, line 11).
     pub fn train_mse(&mut self, x: &Matrix, targets: &[f32], opt: &mut Adam) -> f32 {
         let mut scratch = MlpScratch::new();
-        self.train_scalar(Pool::current(), x, targets, opt, None, &mut scratch)
+        self.train_mse_with(Pool::current(), x, targets, opt, &mut scratch)
     }
 
     /// [`Mlp::train_mse`] with a caller-hoisted pool and scratch — the
@@ -220,41 +220,6 @@ impl Mlp {
         x: &Matrix,
         targets: &[f32],
         opt: &mut Adam,
-        scratch: &mut MlpScratch,
-    ) -> f32 {
-        self.train_scalar(pool, x, targets, opt, None, scratch)
-    }
-
-    /// One SGD step minimizing the Huber loss with threshold `delta` — the
-    /// standard DQN stabilization against exploding TD errors (an optional
-    /// extension over the paper's plain squared loss).
-    pub fn train_huber(&mut self, x: &Matrix, targets: &[f32], opt: &mut Adam, delta: f32) -> f32 {
-        assert!(delta > 0.0);
-        let mut scratch = MlpScratch::new();
-        self.train_scalar(Pool::current(), x, targets, opt, Some(delta), &mut scratch)
-    }
-
-    /// [`Mlp::train_huber`] with a caller-hoisted pool and scratch.
-    pub fn train_huber_with(
-        &mut self,
-        pool: Pool,
-        x: &Matrix,
-        targets: &[f32],
-        opt: &mut Adam,
-        delta: f32,
-        scratch: &mut MlpScratch,
-    ) -> f32 {
-        assert!(delta > 0.0);
-        self.train_scalar(pool, x, targets, opt, Some(delta), scratch)
-    }
-
-    fn train_scalar(
-        &mut self,
-        pool: Pool,
-        x: &Matrix,
-        targets: &[f32],
-        opt: &mut Adam,
-        huber_delta: Option<f32>,
         scratch: &mut MlpScratch,
     ) -> f32 {
         assert_eq!(self.output_dim(), 1);
@@ -282,21 +247,8 @@ impl Mlp {
             let preds = &outs[n - 1];
             for (b, &target) in targets.iter().enumerate().take(batch) {
                 let err = preds.get(b, 0) - target;
-                match huber_delta {
-                    None => {
-                        loss += err * err;
-                        delta.set(b, 0, 2.0 * err / batch as f32);
-                    }
-                    Some(d) => {
-                        if err.abs() <= d {
-                            loss += 0.5 * err * err;
-                            delta.set(b, 0, err / batch as f32);
-                        } else {
-                            loss += d * (err.abs() - 0.5 * d);
-                            delta.set(b, 0, d * err.signum() / batch as f32);
-                        }
-                    }
-                }
+                loss += err * err;
+                delta.set(b, 0, 2.0 * err / batch as f32);
             }
         }
         loss /= batch as f32;
@@ -534,34 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn huber_scratch_path_matches_compat_path() {
-        let mut rng = StdRng::seed_from_u64(91);
-        let mut with_scratch = Mlp::new(&[3, 8, 1], &mut rng);
-        let mut compat = with_scratch.clone();
-        let mut opt_a = Adam::new(1e-3, with_scratch.layers());
-        let mut opt_b = opt_a.clone();
-        let mut scratch = MlpScratch::new();
-        let x = Matrix::from_rows(&[&[0.4, -0.9, 1.2], &[2.0, 0.3, -0.5]]);
-        let targets = [5.0f32, -4.0];
-        for _ in 0..10 {
-            let la = with_scratch.train_huber_with(
-                Pool::with_threads(1),
-                &x,
-                &targets,
-                &mut opt_a,
-                1.0,
-                &mut scratch,
-            );
-            let lb = compat.train_huber(&x, &targets, &mut opt_b, 1.0);
-            assert_eq!(la.to_bits(), lb.to_bits());
-        }
-        assert_eq!(
-            crate::reference::mlp_bits(&with_scratch),
-            crate::reference::mlp_bits(&compat)
-        );
-    }
-
-    #[test]
     fn gradient_check_against_finite_differences() {
         // Numerically verify dL/dw for a tiny net by comparing the loss
         // drop from one Adam-free manual SGD step... simpler: compare
@@ -663,69 +587,5 @@ mod tests {
             a.predict_scalar(&[0.1, 0.2, 0.3]),
             b.predict_scalar(&[0.1, 0.2, 0.3])
         );
-    }
-}
-
-#[cfg(test)]
-mod huber_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn huber_also_fits_a_linear_function() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut net = Mlp::new(&[2, 16, 1], &mut rng);
-        let mut opt = Adam::new(0.01, net.layers());
-        let f = |x: &[f32]| 0.5 * x[0] + 0.25 * x[1];
-        for it in 0..1500 {
-            let mut rows = Vec::new();
-            for b in 0..16 {
-                let v = (it * 16 + b) as f32;
-                rows.push(vec![(v * 0.37).sin(), (v * 0.61).cos()]);
-            }
-            let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-            let x = Matrix::from_rows(&refs);
-            let targets: Vec<f32> = rows.iter().map(|r| f(r)).collect();
-            net.train_huber(&x, &targets, &mut opt, 1.0);
-        }
-        let pred = net.predict_scalar(&[0.3, -0.2]);
-        assert!((pred - f(&[0.3, -0.2])).abs() < 0.05, "pred {pred}");
-    }
-
-    #[test]
-    fn huber_gradient_is_clipped_for_outliers() {
-        // With a huge target error the Huber update must move weights less
-        // than the MSE update would.
-        let mut rng = StdRng::seed_from_u64(5);
-        let base = Mlp::new(&[1, 4, 1], &mut rng);
-        let x = Matrix::from_rows(&[&[1.0f32]]);
-        let target = [1000.0f32];
-        let move_of = |huber: bool| {
-            let mut net = base.clone();
-            let mut opt = Adam::new(1e-3, net.layers());
-            if huber {
-                net.train_huber(&x, &target, &mut opt, 1.0);
-            } else {
-                net.train_mse(&x, &target, &mut opt);
-            }
-            net.layers()[0]
-                .w
-                .data()
-                .iter()
-                .zip(base.layers()[0].w.data())
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f32>()
-        };
-        // Adam normalizes step sizes, so compare the raw loss magnitudes
-        // instead: Huber loss grows linearly, MSE quadratically.
-        let mut net_h = base.clone();
-        let mut opt_h = Adam::new(1e-3, net_h.layers());
-        let huber_loss = net_h.train_huber(&x, &target, &mut opt_h, 1.0);
-        let mut net_m = base.clone();
-        let mut opt_m = Adam::new(1e-3, net_m.layers());
-        let mse_loss = net_m.train_mse(&x, &target, &mut opt_m);
-        assert!(huber_loss < mse_loss / 100.0, "{huber_loss} vs {mse_loss}");
-        let _ = move_of; // step-size comparison is Adam-normalized; unused
     }
 }

@@ -1,7 +1,7 @@
 //! The DQN agent: Q-network, target network, replay, ε-greedy policy.
 
 use crate::buffer::{ReplayBuffer, Transition};
-use crate::config::{DqnConfig, QLoss};
+use crate::config::{DqnConfig, EPSILON_MIN, EPSILON_START, REPLAY_CAPACITY};
 use crate::env::QEnvironment;
 use crate::profile::{self, Phase};
 use lpa_nn::{Adam, Matrix, Mlp, MlpScratch, Pool, RowGroups};
@@ -18,17 +18,6 @@ pub fn greedy_argmax<A: Clone>(qs: &[f32], actions: &[A]) -> Option<A> {
         .max_by(|a, b| a.0.total_cmp(b.0))
         .map(|(_, a)| a.clone())
 }
-
-/// Borrowed pieces of one staged backward pass: network, encoded training
-/// rows, targets, optimizer, Huber delta (`None` = MSE), network scratch.
-pub(crate) type BackwardParts<'a> = (
-    &'a mut Mlp,
-    &'a Matrix,
-    &'a [f32],
-    &'a mut Adam,
-    Option<f32>,
-    &'a mut MlpScratch,
-);
 
 /// Reusable buffers for the agent's hot paths (action selection and the
 /// replay-minibatch train step): network scratch plus the encoded input
@@ -47,15 +36,12 @@ struct AgentScratch<A> {
     /// Encoded next-state candidate actions for a whole minibatch.
     next_inputs: Matrix,
     next_q: Vec<f32>,
-    next_q_online: Vec<f32>,
     /// Flattened next-state candidate actions, indexed by `ranges`.
     next_actions: Vec<A>,
     /// Replay-buffer slot indices of the current minibatch.
     sample_idx: Vec<usize>,
     /// Total candidate rows staged in `next_inputs` (see `ranges`).
     total: usize,
-    /// Whether the staged step evaluates the online net (double DQN).
-    use_online: bool,
     /// Encoded (state, action) training rows.
     inputs: Matrix,
     targets: Vec<f32>,
@@ -72,11 +58,9 @@ impl<A> Default for AgentScratch<A> {
             sel_actions: Vec::new(),
             next_inputs: Matrix::default(),
             next_q: Vec::new(),
-            next_q_online: Vec::new(),
             next_actions: Vec::new(),
             sample_idx: Vec::new(),
             total: 0,
-            use_online: false,
             inputs: Matrix::default(),
             targets: Vec::new(),
             ranges: Vec::new(),
@@ -109,8 +93,8 @@ impl<E: QEnvironment> DqnAgent<E> {
         let opt = Adam::new(cfg.learning_rate, q.layers());
         Self {
             target,
-            epsilon: cfg.epsilon_start,
-            buffer: ReplayBuffer::new(cfg.buffer_size),
+            epsilon: EPSILON_START,
+            buffer: ReplayBuffer::new(REPLAY_CAPACITY),
             rng,
             q,
             opt,
@@ -216,7 +200,7 @@ impl<E: QEnvironment> DqnAgent<E> {
     /// different scales, and replaying stale transitions would poison the
     /// Q-targets.
     pub fn clear_buffer(&mut self) {
-        self.buffer = ReplayBuffer::new(self.cfg.buffer_size);
+        self.buffer = ReplayBuffer::new(REPLAY_CAPACITY);
     }
 
     pub fn buffer_len(&self) -> usize {
@@ -231,65 +215,63 @@ impl<E: QEnvironment> DqnAgent<E> {
     /// evaluated in a single batched forward pass — the dominant cost of a
     /// training step.
     pub fn train_step(&mut self, env: &E) -> Option<f32> {
-        if !self.train_begin(env) {
+        if !self.stage_minibatch(env) {
             return None;
         }
         // The ambient pool is resolved once per train step and passed
         // through every kernel below — no per-matmul environment lookups.
         let pool = Pool::current();
-        let t0 = profile::start();
-        // The dominant cost of a training step: one batched target-net
-        // forward over every candidate row, one group per next state.
         let Self {
             q,
             target,
+            opt,
+            cfg,
+            buffer,
             scratch: s,
             ..
         } = self;
-        let groups = RowGroups {
-            prefix: env.state_prefix_len(),
-            ranges: &s.ranges,
-        };
+        // One batched target-net forward over every candidate row, one
+        // group per next state.
+        let t0 = profile::start();
         if s.total > 0 {
+            let groups = RowGroups {
+                prefix: env.state_prefix_len(),
+                ranges: &s.ranges,
+            };
             target.predict_grouped_into(pool, &s.next_inputs, groups, &mut s.mlp, &mut s.next_q);
         } else {
             s.next_q.clear();
         }
-        // Double DQN: the online network selects the next action, the
-        // target network evaluates it.
-        if s.use_online {
-            q.predict_grouped_into(
-                pool,
-                &s.next_inputs,
-                groups,
-                &mut s.mlp,
-                &mut s.next_q_online,
-            );
-        }
         profile::stop(t0, Phase::Nn);
-        self.train_targets();
+        // y = r + γ · max_a' Q_target(s', a'); a terminal next state (no
+        // valid action) contributes 0.
+        s.targets.clear();
+        for (i, &bi) in s.sample_idx.iter().enumerate() {
+            let (lo, hi) = s.ranges.get(i).copied().unwrap_or((0, 0));
+            let max_next = if lo == hi {
+                0.0
+            } else {
+                s.next_q[lo..hi]
+                    .iter()
+                    .cloned()
+                    .fold(f32::NEG_INFINITY, f32::max) as f64
+            };
+            s.targets
+                .push((buffer.items()[bi].reward + cfg.gamma * max_next) as f32);
+        }
+        // Squared-error step on (y − Q(s, a)), then θ' ← (1−τ)·θ' + τ·θ.
         let t1 = profile::start();
-        let loss = {
-            let (q, x, targets, opt, huber, mlp) = self.train_backward_parts();
-            match huber {
-                None => q.train_mse_with(pool, x, targets, opt, mlp),
-                Some(d) => q.train_huber_with(pool, x, targets, opt, d, mlp),
-            }
-        };
-        self.train_finish();
+        let loss = q.train_mse_with(pool, &s.inputs, &s.targets, opt, &mut s.mlp);
+        target.soft_update_from(q, cfg.tau);
         profile::stop(t1, Phase::Nn);
         Some(loss)
     }
 
-    /// Stage 1 of a train step: sample the
-    /// minibatch, enumerate and encode every next-state candidate row and
-    /// every `(state, action)` training row into the scratch arenas.
-    /// Returns `false` (staging nothing) while the buffer is smaller than
-    /// the batch size. RNG consumption and the encoder call sequence are
-    /// exactly those of the former monolithic step — the current-state
-    /// rows were always encoded with the same arguments in the same
-    /// relative order, and the forwards in between touch no env state.
-    pub(crate) fn train_begin(&mut self, env: &E) -> bool {
+    /// Sample the minibatch, enumerate and encode every next-state
+    /// candidate row and every `(state, action)` training row into the
+    /// scratch arenas. Returns `false` (staging nothing) while the buffer
+    /// is smaller than the batch size.
+    fn stage_minibatch(&mut self, env: &E) -> bool {
         if self.buffer.len() < self.cfg.batch_size {
             return false;
         }
@@ -319,7 +301,6 @@ impl<E: QEnvironment> DqnAgent<E> {
             total += n;
         }
         s.total = total;
-        s.use_online = cfg.double_dqn && total > 0;
         profile::stop(t1, Phase::Env);
         // Encode every candidate row (batched, prefix-reused) and every
         // training row, reusing the scratch matrices across steps.
@@ -350,64 +331,9 @@ impl<E: QEnvironment> DqnAgent<E> {
         true
     }
 
-    /// Stage 3: fold the staged forwards into Bellman targets — the exact
-    /// per-transition loop of the monolithic step (including the
-    /// last-max-wins `total_cmp` tie-breaking of double DQN).
-    pub(crate) fn train_targets(&mut self) {
-        let Self {
-            buffer,
-            cfg,
-            scratch: s,
-            ..
-        } = self;
-        s.targets.clear();
-        for (i, &bi) in s.sample_idx.iter().enumerate() {
-            let t = &buffer.items()[bi];
-            let (lo, hi) = s.ranges.get(i).copied().unwrap_or((0, 0));
-            let max_next = if lo == hi {
-                0.0
-            } else if s.use_online {
-                let online = &s.next_q_online;
-                let best = (lo..hi)
-                    .max_by(|a, b| online[*a].total_cmp(&online[*b]))
-                    .unwrap_or(lo);
-                s.next_q.get(best).copied().unwrap_or(0.0) as f64
-            } else {
-                s.next_q[lo..hi]
-                    .iter()
-                    .cloned()
-                    .fold(f32::NEG_INFINITY, f32::max) as f64
-            };
-            s.targets.push((t.reward + cfg.gamma * max_next) as f32);
-        }
-    }
-
-    /// Borrow everything the backward pass needs for this agent's staged
-    /// minibatch: online net, encoded rows, targets, optimizer,
-    /// Huber delta (`None` = MSE) and network scratch.
-    pub(crate) fn train_backward_parts(&mut self) -> BackwardParts<'_> {
-        let Self {
-            q,
-            opt,
-            cfg,
-            scratch: s,
-            ..
-        } = self;
-        let huber = match cfg.loss {
-            QLoss::Mse => None,
-            QLoss::Huber(d) => Some(d),
-        };
-        (q, &s.inputs, &s.targets, opt, huber, &mut s.mlp)
-    }
-
-    /// Final stage: the target-network soft update (Algorithm 1, l. 13).
-    pub(crate) fn train_finish(&mut self) {
-        self.target.soft_update_from(&self.q, self.cfg.tau);
-    }
-
     /// Per-episode ε decay (Algorithm 1, line 12).
     pub fn decay_epsilon(&mut self) {
-        self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(self.cfg.epsilon_min);
+        self.epsilon = (self.epsilon * self.cfg.epsilon_decay).max(EPSILON_MIN);
     }
 
     /// RNG access for callers that need correlated randomness (tests).
@@ -479,7 +405,7 @@ impl<E: QEnvironment> DqnAgent<E> {
         let rng = StdRng::seed_from_u64(snapshot.cfg.seed ^ 0x5E57_0123);
         Self {
             opt,
-            buffer: ReplayBuffer::new(snapshot.cfg.buffer_size),
+            buffer: ReplayBuffer::new(REPLAY_CAPACITY),
             rng,
             epsilon: snapshot.epsilon,
             q: snapshot.q,
@@ -551,42 +477,40 @@ mod tests {
 
     /// `TwoArm` keeps the default `state_prefix_len` of 0: its action sets
     /// go through the grouped kernel with nothing shared, and must score
-    /// and train exactly like the dense kernels — plain and double DQN.
+    /// and train exactly like the dense kernels.
     #[test]
     fn env_without_a_state_prefix_matches_the_dense_kernels() {
         use lpa_nn::reference::mlp_bits;
         let mut env = TwoArm;
         assert_eq!(env.state_prefix_len(), 0);
-        let base = DqnConfig::quick_test().with_seed(19);
-        for cfg in [base.clone(), base.with_double_dqn()] {
-            let mut run = || {
-                let mut agent: DqnAgent<TwoArm> = DqnAgent::new(env.input_dim(), cfg.clone());
-                crate::train::train(&mut agent, &mut env, cfg.episodes, |_| {});
-                let q: Vec<u32> = [0u8, 1]
-                    .iter()
-                    .flat_map(|s| agent.q_values(&env, s, &[0, 1]))
-                    .map(f32::to_bits)
-                    .collect();
-                (mlp_bits(&agent.q), mlp_bits(&agent.target), q, agent)
-            };
-            let (q_net, target_net, q_values, agent) = run();
-            let naive = lpa_nn::with_naive_kernels(&mut run);
-            assert_eq!(
-                (&q_net, &target_net, &q_values),
-                (&naive.0, &naive.1, &naive.2)
-            );
-            // And against rows encoded one at a time, scored densely.
-            let mut rows = Matrix::zeros(4, env.input_dim());
-            for (i, (s, a)) in [(0u8, 0u8), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
-                env.encode(s, a, rows.row_mut(i));
-            }
-            let dense: Vec<u32> = agent
-                .q_network()
-                .predict_batch(&rows)
-                .into_iter()
+        let cfg = DqnConfig::quick_test().with_seed(19);
+        let mut run = || {
+            let mut agent: DqnAgent<TwoArm> = DqnAgent::new(env.input_dim(), cfg.clone());
+            crate::train::train(&mut agent, &mut env, cfg.episodes, |_| {});
+            let q: Vec<u32> = [0u8, 1]
+                .iter()
+                .flat_map(|s| agent.q_values(&env, s, &[0, 1]))
                 .map(f32::to_bits)
                 .collect();
-            assert_eq!(q_values, dense);
+            (mlp_bits(&agent.q), mlp_bits(&agent.target), q, agent)
+        };
+        let (q_net, target_net, q_values, agent) = run();
+        let naive = lpa_nn::with_naive_kernels(&mut run);
+        assert_eq!(
+            (&q_net, &target_net, &q_values),
+            (&naive.0, &naive.1, &naive.2)
+        );
+        // And against rows encoded one at a time, scored densely.
+        let mut rows = Matrix::zeros(4, env.input_dim());
+        for (i, (s, a)) in [(0u8, 0u8), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
+            env.encode(s, a, rows.row_mut(i));
         }
+        let dense: Vec<u32> = agent
+            .q_network()
+            .predict_batch(&rows)
+            .into_iter()
+            .map(f32::to_bits)
+            .collect();
+        assert_eq!(q_values, dense);
     }
 }

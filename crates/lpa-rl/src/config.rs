@@ -1,31 +1,28 @@
 //! DQN hyperparameters (Table 1 of the paper).
 
-/// Loss used for the Q-update. The paper trains with the squared error;
-/// Huber is the standard DQN stabilization offered as an extension.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum QLoss {
-    Mse,
-    /// Huber loss with the given threshold.
-    Huber(f32),
-}
+/// Initial exploration probability ε. Table 1 does not list it; plain DQN
+/// starts fully exploratory.
+pub const EPSILON_START: f64 = 1.0;
 
-/// All DQN knobs. [`DqnConfig::paper`] reproduces Table 1 exactly.
+/// Exploration floor the per-episode decay never goes below.
+pub const EPSILON_MIN: f64 = 0.01;
+
+/// Experience replay capacity (Table 1).
+pub const REPLAY_CAPACITY: usize = 10_000;
+
+/// The DQN knobs a paper experiment, keystone test or benchmark workload
+/// varies. [`DqnConfig::paper`] plus the constants above reproduce Table 1
+/// exactly.
 #[derive(Clone, Debug)]
 pub struct DqnConfig {
     /// Adam learning rate.
     pub learning_rate: f32,
     /// Target-network soft-update coefficient τ.
     pub tau: f32,
-    /// Experience replay capacity.
-    pub buffer_size: usize,
     /// Minibatch size for experience replay.
     pub batch_size: usize,
-    /// Initial exploration probability ε.
-    pub epsilon_start: f64,
     /// Per-episode multiplicative ε decay.
     pub epsilon_decay: f64,
-    /// Exploration floor.
-    pub epsilon_min: f64,
     /// Reward discount γ.
     pub gamma: f64,
     /// Steps per episode (t_max ≥ number of tables).
@@ -38,34 +35,23 @@ pub struct DqnConfig {
     pub train_every: usize,
     /// RNG seed (networks, exploration, replay sampling).
     pub seed: u64,
-    /// Q-update loss (the paper uses the squared error).
-    pub loss: QLoss,
-    /// Double-DQN target computation (extension; the paper uses vanilla
-    /// DQN): the online network picks `argmax_a'`, the target network
-    /// evaluates it — reducing maximization bias.
-    pub double_dqn: bool,
 }
 
 impl DqnConfig {
-    /// Table 1: lr 5·10⁻⁴, τ 10⁻³, buffer 10 000, batch 32, ε-decay 0.997,
-    /// t_max 100, 600 episodes, layout 128-64, γ 0.99.
+    /// Table 1: lr 5·10⁻⁴, τ 10⁻³, batch 32, ε-decay 0.997, t_max 100,
+    /// 600 episodes, layout 128-64, γ 0.99 (buffer: [`REPLAY_CAPACITY`]).
     pub fn paper() -> Self {
         Self {
             learning_rate: 5e-4,
             tau: 1e-3,
-            buffer_size: 10_000,
             batch_size: 32,
-            epsilon_start: 1.0,
             epsilon_decay: 0.997,
-            epsilon_min: 0.01,
             gamma: 0.99,
             tmax: 100,
             episodes: 600,
             hidden: vec![128, 64],
             train_every: 1,
             seed: 0,
-            loss: QLoss::Mse,
-            double_dqn: false,
         }
     }
 
@@ -101,7 +87,6 @@ impl DqnConfig {
     /// Tiny settings for unit tests.
     pub fn quick_test() -> Self {
         Self {
-            buffer_size: 256,
             batch_size: 8,
             tmax: 8,
             episodes: 12,
@@ -121,23 +106,11 @@ impl DqnConfig {
         self
     }
 
-    /// Enable the Huber-loss extension.
-    pub fn with_huber(mut self, delta: f32) -> Self {
-        self.loss = QLoss::Huber(delta);
-        self
-    }
-
-    /// Enable the Double-DQN extension.
-    pub fn with_double_dqn(mut self) -> Self {
-        self.double_dqn = true;
-        self
-    }
-
     /// The ε value after `n` episodes of decay (used to warm-start the
     /// online phase at the ε reached halfway through offline training,
     /// Section 4.2).
     pub fn epsilon_after(&self, n: usize) -> f64 {
-        (self.epsilon_start * self.epsilon_decay.powi(n as i32)).max(self.epsilon_min)
+        (EPSILON_START * self.epsilon_decay.powi(n as i32)).max(EPSILON_MIN)
     }
 }
 
@@ -150,7 +123,7 @@ mod tests {
         let c = DqnConfig::paper();
         assert_eq!(c.learning_rate, 5e-4);
         assert_eq!(c.tau, 1e-3);
-        assert_eq!(c.buffer_size, 10_000);
+        assert_eq!(REPLAY_CAPACITY, 10_000);
         assert_eq!(c.batch_size, 32);
         assert_eq!(c.epsilon_decay, 0.997);
         assert_eq!(c.tmax, 100);
@@ -165,7 +138,7 @@ mod tests {
         let c = DqnConfig::paper();
         let half = c.epsilon_after(600);
         assert!(half < 0.2 && half > 0.1, "0.997^600 ≈ 0.165, got {half}");
-        assert_eq!(c.epsilon_after(100_000), c.epsilon_min);
+        assert_eq!(c.epsilon_after(100_000), EPSILON_MIN);
     }
 
     #[test]

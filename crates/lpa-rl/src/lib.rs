@@ -20,6 +20,6 @@ pub mod train;
 
 pub use agent::{greedy_argmax, AgentSnapshot, DqnAgent};
 pub use buffer::{ReplayBuffer, Transition};
-pub use config::{DqnConfig, QLoss};
+pub use config::{DqnConfig, EPSILON_MIN, EPSILON_START, REPLAY_CAPACITY};
 pub use env::{EnvCounters, QEnvironment};
 pub use train::{rollout, train, train_from, EpisodeStats, Trajectory};

@@ -283,35 +283,3 @@ pub(crate) mod tests {
         assert!(agent.train_step(&env).is_some());
     }
 }
-
-#[cfg(test)]
-mod extension_tests {
-    use super::tests::LineWorld;
-    use super::*;
-    use crate::config::DqnConfig;
-    use crate::env::QEnvironment;
-
-    fn cfg() -> DqnConfig {
-        DqnConfig {
-            episodes: 60,
-            tmax: 10,
-            batch_size: 16,
-            hidden: vec![32],
-            epsilon_decay: 0.93,
-            learning_rate: 3e-3,
-            tau: 0.05,
-            ..DqnConfig::paper()
-        }
-        .with_seed(5)
-    }
-
-    #[test]
-    fn double_dqn_with_huber_also_solves_lineworld() {
-        let mut env = LineWorld::new();
-        let c = cfg().with_double_dqn().with_huber(1.0);
-        let mut agent = DqnAgent::new(env.input_dim(), c.clone());
-        train(&mut agent, &mut env, c.episodes, |_| {});
-        let traj = rollout(&mut agent, &mut env, 10);
-        assert_eq!(*traj.best_state(), 6, "states: {:?}", traj.states);
-    }
-}

@@ -144,6 +144,13 @@ impl Default for QuarantinePolicy {
     }
 }
 
+/// Training episodes a tenant runs per slice (the cooperative step
+/// budget).
+pub const EPISODES_PER_SLICE: usize = 1;
+
+/// Simulated seconds a slice advances the tenant's cluster clock.
+pub const WINDOW_SECONDS: f64 = 1.0;
+
 /// Fleet-wide knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -151,13 +158,9 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Admission budget; admissions beyond it are rejected.
     pub max_tenants: usize,
-    /// Training episodes per slice (the cooperative step budget).
-    pub episodes_per_slice: usize,
     /// Probe queries run against the tenant's cluster each slice — they
     /// exercise the fault layer so `ClusterHealth` reflects real traffic.
     pub probe_queries: usize,
-    /// Simulated seconds a slice advances the tenant's cluster clock.
-    pub window_seconds: f64,
     pub quarantine: QuarantinePolicy,
     /// Hidden layer widths for every tenant's Q-network.
     pub hidden: Vec<usize>,
@@ -179,9 +182,7 @@ impl Default for FleetConfig {
         Self {
             seed: 0xF1EE7,
             max_tenants: 128,
-            episodes_per_slice: 1,
             probe_queries: 2,
-            window_seconds: 1.0,
             quarantine: QuarantinePolicy::default(),
             hidden: vec![16, 8],
             batch_size: 8,
@@ -578,7 +579,6 @@ impl Fleet {
             cluster,
             ServiceConfig {
                 guardrail: self.cfg.guardrail,
-                ..ServiceConfig::default()
             },
         );
         Ok(TenantSlot {
@@ -736,7 +736,7 @@ impl Fleet {
         // Training slice, budgeted. Past the spec's horizon the tenant is
         // fully trained and slices become advice-only.
         if slot.episode < slot.spec.episodes {
-            let end = (slot.episode + self.cfg.episodes_per_slice).min(slot.spec.episodes);
+            let end = (slot.episode + EPISODES_PER_SLICE).min(slot.spec.episodes);
             slot.service
                 .advisor_mut()
                 .train_episodes_from(slot.episode, end, |_| {}, |_, _, _| {});
@@ -750,9 +750,7 @@ impl Fleet {
             slot.service
                 .close_window(Some(idle_mix), fleet_budget_ok, injected);
         slot.service.probe(self.cfg.probe_queries);
-        slot.service
-            .cluster_mut()
-            .advance_clock(self.cfg.window_seconds);
+        slot.service.cluster_mut().advance_clock(WINDOW_SECONDS);
         if !slot.service.cluster().health().healthy() {
             slot.counters.degraded_windows += 1;
         }

@@ -36,11 +36,12 @@ pub mod service;
 pub use fleet::{
     Benchmark, Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, HealthRollup,
     JournalRecord, QuarantinePolicy, SubstrateReport, TenantCounters, TenantErrorKind,
-    TenantReport, TenantSpec, TenantStatus,
+    TenantReport, TenantSpec, TenantStatus, EPISODES_PER_SLICE, WINDOW_SECONDS,
 };
 pub use forecast::FrequencyForecaster;
 pub use hook::{NoHook, SliceHook};
 pub use monitor::{Observation, WorkloadMonitor};
 pub use service::{
     PartitioningService, ServiceConfig, ServiceEvent, ServiceResumeState, WindowReport,
+    FORECAST_HORIZON, INCREMENTAL_EPISODES, INCREMENTAL_THRESHOLD,
 };

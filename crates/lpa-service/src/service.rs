@@ -12,31 +12,24 @@ use lpa_cluster::{
 use lpa_partition::Partitioning;
 use lpa_workload::{FrequencyVector, Query};
 
+/// Forecast horizon in windows: the service decides on the mix it expects
+/// one window ahead.
+pub const FORECAST_HORIZON: f64 = 1.0;
+
+/// Incremental training triggers once this many distinct new queries
+/// accumulated.
+pub const INCREMENTAL_THRESHOLD: usize = 2;
+
+/// Episodes for each incremental training round.
+pub const INCREMENTAL_EPISODES: usize = 20;
+
 /// Controller knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceConfig {
     /// Safe-deployment policy: canary windows, regression threshold,
     /// hysteresis, repartitioning budget, and the economic
-    /// (`runs_per_window × amortization_windows`) gate.
+    /// (`amortized_runs`) gate.
     pub guardrail: GuardrailConfig,
-    /// Forecast horizon in windows (0 = react to the smoothed present).
-    pub forecast_horizon: f64,
-    /// Trigger incremental training once this many distinct new queries
-    /// accumulated.
-    pub incremental_threshold: usize,
-    /// Episodes for each incremental training round.
-    pub incremental_episodes: usize,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            guardrail: GuardrailConfig::default(),
-            forecast_horizon: 1.0,
-            incremental_threshold: 2,
-            incremental_episodes: 20,
-        }
-    }
 }
 
 /// What happened during a window decision.
@@ -258,7 +251,7 @@ impl PartitioningService {
 
         // Absorb new queries first so suggestions can account for them.
         let pending = self.monitor.pending();
-        if pending.len() >= self.cfg.incremental_threshold {
+        if pending.len() >= INCREMENTAL_THRESHOLD {
             let take = pending
                 .len()
                 .min(self.advisor.env.workload.reserved_slots());
@@ -267,18 +260,14 @@ impl PartitioningService {
             // the workload rejects a query; the window then proceeds without
             // it instead of aborting. With no slot free nothing is trained.
             let trained = take > 0
-                && incremental::add_queries(
-                    &mut self.advisor,
-                    queries,
-                    self.cfg.incremental_episodes,
-                )
-                .map(|report| {
-                    for id in &report.new_ids {
-                        let q = self.advisor.env.workload.query(*id).clone();
-                        self.monitor.register(*id, &q);
-                    }
-                })
-                .is_ok();
+                && incremental::add_queries(&mut self.advisor, queries, INCREMENTAL_EPISODES)
+                    .map(|report| {
+                        for id in &report.new_ids {
+                            let q = self.advisor.env.workload.query(*id).clone();
+                            self.monitor.register(*id, &q);
+                        }
+                    })
+                    .is_ok();
             let added = if trained { take } else { 0 };
             self.absorbed += added;
             events.push(ServiceEvent::IncrementallyTrained {
@@ -292,13 +281,10 @@ impl PartitioningService {
             Some(f) => {
                 self.forecaster.update(f);
                 self.forecaster
-                    .forecast(self.cfg.forecast_horizon)
+                    .forecast(FORECAST_HORIZON)
                     .or_else(|| Some(f.clone()))
             }
-            None => self
-                .forecaster
-                .forecast(self.cfg.forecast_horizon)
-                .or(idle_mix),
+            None => self.forecaster.forecast(FORECAST_HORIZON).or(idle_mix),
         };
 
         if let Some(mix) = &mix_used {
@@ -461,10 +447,9 @@ mod tests {
                     regression_threshold: -1.0,
                     // Any positive predicted benefit passes the economic
                     // gate — the rollback must come from observation.
-                    runs_per_window: 1e6,
+                    amortized_runs: 4e6,
                     ..GuardrailConfig::default()
                 },
-                ..ServiceConfig::default()
             },
         );
         let before = s.cluster().deployed().clone();
@@ -569,11 +554,9 @@ mod tests {
             0,
             ServiceConfig {
                 guardrail: GuardrailConfig {
-                    runs_per_window: 1e-9,
-                    amortization_windows: 1e-9,
+                    amortized_runs: 1e-18,
                     ..GuardrailConfig::default()
                 },
-                ..ServiceConfig::default()
             },
         );
         let deployed_before = s.cluster().deployed().clone();

@@ -29,7 +29,7 @@ use lpa_cluster::{
 };
 use lpa_nn::{Adam, Dense, Matrix, Mlp};
 use lpa_partition::{Action, InternedKey, KeyInterner, Partitioning, TableState};
-use lpa_rl::{DqnAgent, DqnConfig, EnvCounters, QLoss, ReplayBuffer, Transition};
+use lpa_rl::{DqnAgent, DqnConfig, EnvCounters, ReplayBuffer, Transition};
 use lpa_schema::{AttrId, AttrRef, EdgeId, Schema, TableId};
 use lpa_service::{FrequencyForecaster, TenantCounters, TenantStatus};
 use lpa_workload::{FrequencyVector, JoinPred, MixSampler, Query, QueryId};
@@ -609,11 +609,8 @@ pub fn take_query(r: &mut ByteReader, schema: &Schema) -> Result<Query, StoreErr
 pub fn put_config(w: &mut ByteWriter, c: &DqnConfig) {
     w.put_f32(c.learning_rate);
     w.put_f32(c.tau);
-    w.put_usize(c.buffer_size);
     w.put_usize(c.batch_size);
-    w.put_f64(c.epsilon_start);
     w.put_f64(c.epsilon_decay);
-    w.put_f64(c.epsilon_min);
     w.put_f64(c.gamma);
     w.put_usize(c.tmax);
     w.put_usize(c.episodes);
@@ -621,52 +618,20 @@ pub fn put_config(w: &mut ByteWriter, c: &DqnConfig) {
     w.put_u64s(&hidden);
     w.put_usize(c.train_every);
     w.put_u64(c.seed);
-    match c.loss {
-        QLoss::Mse => w.put_u8(0),
-        QLoss::Huber(d) => {
-            w.put_u8(1);
-            w.put_f32(d);
-        }
-    }
-    w.put_bool(c.double_dqn);
 }
 
 pub fn take_config(r: &mut ByteReader) -> Result<DqnConfig, StoreError> {
-    let learning_rate = r.take_f32()?;
-    let tau = r.take_f32()?;
-    let buffer_size = r.take_usize()?;
-    let batch_size = r.take_usize()?;
-    let epsilon_start = r.take_f64()?;
-    let epsilon_decay = r.take_f64()?;
-    let epsilon_min = r.take_f64()?;
-    let gamma = r.take_f64()?;
-    let tmax = r.take_usize()?;
-    let episodes = r.take_usize()?;
-    let hidden: Vec<usize> = r.take_u64s()?.into_iter().map(|h| h as usize).collect();
-    let train_every = r.take_usize()?;
-    let seed = r.take_u64()?;
-    let loss = match r.take_u8()? {
-        0 => QLoss::Mse,
-        1 => QLoss::Huber(r.take_f32()?),
-        t => return Err(StoreError::Corrupt(format!("loss tag {t}"))),
-    };
-    let double_dqn = r.take_bool()?;
     Ok(DqnConfig {
-        learning_rate,
-        tau,
-        buffer_size,
-        batch_size,
-        epsilon_start,
-        epsilon_decay,
-        epsilon_min,
-        gamma,
-        tmax,
-        episodes,
-        hidden,
-        train_every,
-        seed,
-        loss,
-        double_dqn,
+        learning_rate: r.take_f32()?,
+        tau: r.take_f32()?,
+        batch_size: r.take_usize()?,
+        epsilon_decay: r.take_f64()?,
+        gamma: r.take_f64()?,
+        tmax: r.take_usize()?,
+        episodes: r.take_usize()?,
+        hidden: r.take_u64s()?.into_iter().map(|h| h as usize).collect(),
+        train_every: r.take_usize()?,
+        seed: r.take_u64()?,
     })
 }
 

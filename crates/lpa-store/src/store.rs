@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "LPACKPT\x01"
-//! 8       4     format version (little-endian u32, [`FORMAT_VERSION`])
+//! 8       4     format version (little-endian u32, [`FORMAT_VERSION`] = 5)
 //! 12      1     kind tag (1 = session, 2 = service, 4 = tenant; 3 is reserved)
 //! 13      8     payload length (little-endian u64)
 //! 21      n     payload (see snapshot module)
@@ -44,9 +44,10 @@ pub const MAGIC: [u8; 8] = *b"LPACKPT\x01";
 /// 3 made a tenant snapshot *scheduling fields + a service snapshot* and
 /// cut the service snapshot's embedded workload down to the absorbed
 /// queries; version 4 stores those queries (and the monitor's pending
-/// ones) as packed words instead of embedded JSON. Older files answer
-/// [`StoreError::Incompatible`].
-pub const FORMAT_VERSION: u32 = 4;
+/// ones) as packed words instead of embedded JSON; version 5 drops the DQN
+/// config's loss tag, double-DQN flag, replay capacity and ε start/floor,
+/// which are constants now. Older files answer [`StoreError::Incompatible`].
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Encode a checkpoint into the framed, CRC-guarded file format.
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {

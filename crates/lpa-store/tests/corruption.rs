@@ -318,15 +318,18 @@ fn retention_prunes_oldest_but_keeps_a_fallback() {
 }
 
 /// Tenant checkpoints written by earlier builds: format version 2 (the
-/// pre-service tenant layout) and version 3 (queries tunnelled as JSON).
+/// pre-service tenant layout), version 3 (queries tunnelled as JSON) and
+/// version 4 (the DQN config with its loss tag, double-DQN flag, replay
+/// capacity and ε start/floor).
 /// This build must say so — `Incompatible`, never a panic, whatever prefix
 /// of the file survived — and a fleet resuming over such a lineage charges
 /// one restore error to that tenant and to nobody else.
 #[test]
 fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
-    const OLD: [(&str, &[u8]); 2] = [
+    const OLD: [(&str, &[u8]); 3] = [
         ("v2", include_bytes!("fixtures/tenant_v2.lpa")),
         ("v3", include_bytes!("fixtures/tenant_v3.lpa")),
+        ("v4", include_bytes!("fixtures/tenant_v4.lpa")),
     ];
     let schema = lpa_schema::microbench::schema(0.01).unwrap();
     // The fleet the fixtures were captured from, plus a neighbour.

@@ -245,9 +245,10 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     use lpa_store::{capture_service, restore_service, OfflineTemplate};
     use lpa_workload::{Query, QueryBuilder};
 
-    /// `encode_checkpoint` of this very service at the parent commit
-    /// (format v3, queries tunnelled as JSON strings).
-    const FORMAT_V3_BYTES: usize = 22_389;
+    /// `encode_checkpoint` of this very service as format v4 wrote it:
+    /// packed queries, and a DQN config that still carried its loss tag,
+    /// double-DQN flag, replay capacity and ε start/floor (26 B).
+    const FORMAT_V4_BYTES: usize = 42_864;
 
     let schema = lpa_schema::ssb::schema(0.002).unwrap();
     let base = lpa_workload::ssb::workload(&schema)
@@ -274,10 +275,7 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
         cfg,
         true,
     );
-    let service_cfg = ServiceConfig {
-        incremental_episodes: 2,
-        ..ServiceConfig::default()
-    };
+    let service_cfg = ServiceConfig::default();
     let mut service = PartitioningService::new(advisor, cluster(), service_cfg);
 
     let awkward = |name: &str, other: &str, key: (&str, &str), second: (&str, &str)| {
@@ -352,10 +350,10 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     );
 
     let bytes = encode_checkpoint(&Checkpoint::Service(capture_service(1, &service).unwrap()));
-    assert!(
-        bytes.len() < FORMAT_V3_BYTES,
-        "{} bytes: packed queries must undercut their JSON form",
-        bytes.len()
+    assert_eq!(
+        bytes.len(),
+        FORMAT_V4_BYTES - 26,
+        "format v5 drops exactly the DQN config's constants"
     );
     let snapshot = decode_checkpoint(&bytes, &schema)
         .unwrap()

@@ -18,7 +18,9 @@
 use lpa::cluster::{FaultPlan, GuardrailConfig};
 use lpa::partition::Partitioning;
 use lpa::prelude::*;
-use lpa::service::{TenantCounters, TenantErrorKind};
+use lpa::service::{
+    TenantCounters, TenantErrorKind, EPISODES_PER_SLICE, FORECAST_HORIZON, WINDOW_SECONDS,
+};
 use lpa::store::{load_manifest, CheckpointStore, CheckpointedFleet, MANIFEST_FILE};
 use lpa_bench::SeededChaos;
 use std::path::{Path, PathBuf};
@@ -53,9 +55,7 @@ fn keystone_cfg() -> FleetConfig {
     FleetConfig {
         seed: fleet_seed(),
         max_tenants: TENANTS,
-        episodes_per_slice: 1,
         probe_queries: 2,
-        window_seconds: 1.0,
         quarantine: QuarantinePolicy {
             max_errors: 0,
             cooldown_rounds: 1,
@@ -706,7 +706,6 @@ fn standalone_twin(cfg: &FleetConfig, spec: &TenantSpec) -> PartitioningService 
         cluster,
         ServiceConfig {
             guardrail: cfg.guardrail,
-            ..ServiceConfig::default()
         },
     )
 }
@@ -738,9 +737,9 @@ fn fleet_of_one_decides_exactly_like_a_standalone_service() {
         fleet.run_round();
         fleet_events.extend(fleet.drain_journal().into_iter().map(|r| r.event));
 
-        let episode = w as usize * cfg.episodes_per_slice;
+        let episode = w as usize * EPISODES_PER_SLICE;
         if episode < spec.episodes {
-            let end = (episode + cfg.episodes_per_slice).min(spec.episodes);
+            let end = (episode + EPISODES_PER_SLICE).min(spec.episodes);
             service
                 .advisor_mut()
                 .train_episodes_from(episode, end, |_| {}, |_, _, _| {});
@@ -756,7 +755,7 @@ fn fleet_of_one_decides_exactly_like_a_standalone_service() {
             other => panic!("a busy window produced {other:?}"),
         }));
         service.probe(cfg.probe_queries);
-        service.cluster_mut().advance_clock(cfg.window_seconds);
+        service.cluster_mut().advance_clock(WINDOW_SECONDS);
     }
     assert_eq!(fleet_events, service_events);
     assert!(
@@ -864,10 +863,9 @@ fn sql_path_at(threads: usize) -> Vec<(TenantFp, Vec<u64>, Vec<u64>, u64)> {
 
         // The SQL tenant decided on what it observed, the quiet one on the
         // uniform mix — which never went through its forecaster.
-        let horizon = ServiceConfig::default().forecast_horizon;
         let seen = reference.fleet().tenant_service(0).unwrap();
         assert_eq!(seen.forecaster().windows_seen(), SQL_ROUNDS);
-        let mix = seen.forecaster().forecast(horizon).unwrap();
+        let mix = seen.forecaster().forecast(FORECAST_HORIZON).unwrap();
         let uniform = seen.advisor().env.workload.uniform_frequencies();
         assert_ne!(mix, uniform);
         assert_eq!(

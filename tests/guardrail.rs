@@ -87,9 +87,7 @@ fn keystone_cfg(guardrail: GuardrailConfig) -> FleetConfig {
     FleetConfig {
         seed: guard_seed(),
         max_tenants: TENANTS,
-        episodes_per_slice: 1,
         probe_queries: 1,
-        window_seconds: 1.0,
         hidden: vec![16, 8],
         batch_size: 8,
         tmax: 3,

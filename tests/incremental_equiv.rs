@@ -204,31 +204,6 @@ fn q_values_match_per_row_encoding_bitwise() {
     }
 }
 
-/// Double DQN scores every next-state action set twice (online net picks,
-/// target net evaluates), both through the grouped first layer: a whole
-/// training run must land on the weights the dense naive kernels give.
-#[test]
-fn double_dqn_training_matches_naive_kernels_bitwise() {
-    use lpa::nn::reference::mlp_bits;
-    let cfg = DqnConfig::simulation(6, 10).with_seed(31).with_double_dqn();
-    let run = || {
-        let (mut env, _) = env_pair("tpcch", 31);
-        let mut agent: DqnAgent<AdvisorEnv> = DqnAgent::new(env.input_dim(), cfg.clone());
-        let mut stats = Vec::new();
-        train(&mut agent, &mut env, cfg.episodes, |s| {
-            stats.push((
-                s.total_reward.to_bits(),
-                s.mean_loss.to_bits(),
-                s.train_steps,
-            ))
-        });
-        assert!(stats.iter().any(|s| s.2 > 0), "the run must train");
-        let snap = agent.snapshot();
-        (stats, mlp_bits(&snap.q), mlp_bits(&snap.target))
-    };
-    assert_eq!(run(), lpa::nn::with_naive_kernels(run));
-}
-
 /// Full offline training on both modes: identical network weights and
 /// identical greedy rollouts at the end.
 #[test]
