@@ -13,9 +13,8 @@
 
 use lpa_partition::{InternedKey, KeyInterner, Partitioning};
 use lpa_schema::TableId;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One cached measurement: the runtime plus the health of the epoch it was
 /// taken in. Entries measured under active faults are kept (a degraded

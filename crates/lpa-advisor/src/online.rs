@@ -9,16 +9,24 @@ use lpa_costmodel::NetworkCostModel;
 use lpa_partition::Partitioning;
 use lpa_schema::Schema;
 use lpa_workload::{FrequencyVector, Query, Workload};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared mutable cluster handle: the naive agent and the committee
 /// experts train against the same sampled database.
-pub type SharedCluster = Arc<Mutex<Cluster>>;
+#[derive(Clone, Debug)]
+pub struct SharedCluster(Arc<Mutex<Cluster>>);
+
+impl SharedCluster {
+    /// Lock the cluster. Never fails: a holder that panicked leaves the
+    /// cluster to the next one as it was.
+    pub fn lock(&self) -> MutexGuard<'_, Cluster> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Wrap a cluster for sharing.
 pub fn shared_cluster(cluster: Cluster) -> SharedCluster {
-    Arc::new(Mutex::new(cluster))
+    SharedCluster(Arc::new(Mutex::new(cluster)))
 }
 
 /// Toggles for the Table 2 ablation; production use enables all.
@@ -201,7 +209,7 @@ impl OnlineBackend {
     }
 
     pub fn cluster(&self) -> SharedCluster {
-        Arc::clone(&self.cluster)
+        self.cluster.clone()
     }
 
     pub fn scale_factors(&self) -> &[f64] {
@@ -245,13 +253,20 @@ impl OnlineBackend {
             let s = self.scale.get(j).copied().unwrap_or(1.0);
 
             if self.opts.runtime_cache {
-                let hit = self.cache.lock().lookup(j, partitioning, &q.tables);
+                let hit = self
+                    .cache
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .lookup(j, partitioning, &q.tables);
                 match hit {
                     // A degraded-epoch entry is only trusted while the
                     // cluster is still unhealthy; once it recovers, drop
                     // the entry and re-measure under clean conditions.
                     Some(entry) if entry.degraded && !cluster.fault_state().any_fault() => {
-                        self.cache.lock().invalidate(j, partitioning, &q.tables);
+                        self.cache
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .invalidate(j, partitioning, &q.tables);
                         self.faults.cache_invalidations += 1;
                     }
                     Some(entry) => {
@@ -308,15 +323,18 @@ impl OnlineBackend {
                     // committee/inference probes and the ledger still use
                     // it. Degraded epochs are tagged for invalidation on
                     // recovery.
-                    self.cache.lock().store_tagged(
-                        j,
-                        partitioning,
-                        &q.tables,
-                        CachedRuntime {
-                            seconds: t,
-                            degraded,
-                        },
-                    );
+                    self.cache
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .store_tagged(
+                            j,
+                            partitioning,
+                            &q.tables,
+                            CachedRuntime {
+                                seconds: t,
+                                degraded,
+                            },
+                        );
                     total += f * s * t;
                 }
                 QueryOutcome::TimedOut { limit: spent } => {
@@ -397,7 +415,7 @@ mod tests {
             schema,
             ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
         );
-        (Arc::new(Mutex::new(c)), w)
+        (shared_cluster(c), w)
     }
 
     #[test]
@@ -408,7 +426,7 @@ mod tests {
             Partitioning::initial(c.schema())
         };
         let mut backend = OnlineBackend::new(
-            Arc::clone(&cluster),
+            cluster.clone(),
             shared_cache(),
             vec![1.0; w.queries().len()],
             OnlineOptimizations::default(),
@@ -431,13 +449,13 @@ mod tests {
             Partitioning::initial(c.schema())
         };
         let mut b1 = OnlineBackend::new(
-            Arc::clone(&cluster),
+            cluster.clone(),
             shared_cache(),
             vec![1.0; 2],
             OnlineOptimizations::default(),
         );
         let mut b2 = OnlineBackend::new(
-            Arc::clone(&cluster),
+            cluster.clone(),
             shared_cache(),
             vec![10.0; 2],
             OnlineOptimizations::default(),

@@ -36,8 +36,8 @@ use lpa_partition::fingerprint::pack;
 use lpa_partition::{Partitioning, TableState};
 use lpa_schema::{AttrId, AttrRef, Schema, TableId};
 use lpa_workload::Query;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Exact memo key: every [`Query`] field the planner or executor reads,
 /// the packed state of every table the query names, and the statistics
@@ -187,7 +187,7 @@ impl Substrate {
     }
 
     pub fn stats(&self) -> SubstrateStats {
-        let shared = self.shared.lock();
+        let shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         SubstrateStats {
             clusters_attached: shared.clusters_attached,
             memo_entries: shared.memo.len(),
@@ -204,7 +204,7 @@ impl Substrate {
         let TableState::PartitionedBy(attr) = state else {
             return Layout::Replicated;
         };
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = shared.layouts.entry((table, attr)).or_insert_with(|| {
             let nodes = self.config.hardware.nodes;
             layout_table(&self.db, &self.config.engine, nodes, table, state)
@@ -213,11 +213,14 @@ impl Substrate {
     }
 
     pub(crate) fn attach(&self) {
-        self.shared.lock().clusters_attached += 1;
+        self.shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clusters_attached += 1;
     }
 
     pub(crate) fn detach(&self) {
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         shared.clusters_attached = shared.clusters_attached.saturating_sub(1);
     }
 
@@ -232,7 +235,7 @@ impl Substrate {
         stats_epoch: u64,
         run: impl FnOnce(&mut ExecScratch) -> Option<ExecResult>,
     ) -> Option<ExecResult> {
-        let mut guard = self.shared.lock();
+        let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
         let shared = &mut *guard;
         shared.probe.fill(query, deployed, stats_epoch);
         if let Some(hit) = shared.memo.get(&shared.probe) {
@@ -248,6 +251,10 @@ impl Substrate {
     /// Run an execution the memo must not see (active fault, timeout) on
     /// the shared arenas.
     pub(crate) fn with_scratch<R>(&self, run: impl FnOnce(&mut ExecScratch) -> R) -> R {
-        run(&mut self.shared.lock().scratch)
+        run(&mut self
+            .shared
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .scratch)
     }
 }

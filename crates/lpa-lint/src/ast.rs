@@ -1,7 +1,8 @@
 //! The abstract syntax tree produced by [`crate::parser`].
 //!
 //! This is a *Rust subset* AST: it models exactly the constructs the
-//! workspace's own code uses and the structural rules (L009–L012) need —
+//! workspace's own code uses and the structural rules (L009 and the path
+//! rules behind L004/L007/L008) need —
 //! items, function bodies down to individual call/index/assignment
 //! expressions, patterns, and just enough of the type grammar to name a
 //! type's head and arguments. Generic parameter lists, lifetimes and
@@ -25,14 +26,6 @@ pub enum Vis {
     Private,
     Pub,
     PubScoped,
-}
-
-impl Vis {
-    /// Callable from outside the defining module — what makes a fn an
-    /// L009 entry point.
-    pub fn is_public(self) -> bool {
-        !matches!(self, Vis::Private)
-    }
 }
 
 /// A top-level or nested item with shared metadata.
@@ -105,12 +98,6 @@ impl Type {
     /// `HashMap`), the name rules match against.
     pub fn head_name(&self) -> &str {
         self.head.rsplit("::").next().unwrap_or(&self.head)
-    }
-
-    /// This type or any argument, recursively, whose head name satisfies
-    /// `pred` — `Vec<HashMap<K, V>>` still *contains* a hash collection.
-    pub fn contains(&self, pred: &dyn Fn(&str) -> bool) -> bool {
-        pred(self.head_name()) || self.args.iter().any(|a| a.contains(pred))
     }
 }
 

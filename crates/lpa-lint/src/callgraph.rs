@@ -47,7 +47,7 @@ pub struct PanicSite {
 /// Collect references to every `let` statement in a function body: the
 /// top-level block plus every block carried by a control-flow or block
 /// expression.
-pub(crate) fn collect_lets<'a>(body: &'a Block, out: &mut Vec<&'a crate::ast::LetStmt>) {
+fn collect_lets<'a>(body: &'a Block, out: &mut Vec<&'a crate::ast::LetStmt>) {
     for s in &body.stmts {
         if let crate::ast::Stmt::Let(l) = s {
             out.push(l);

@@ -6,8 +6,7 @@
 //! inside a string literal or a comment must not look like a method call.
 //! It therefore handles every Rust literal form that can contain arbitrary
 //! text — plain/raw/byte strings, char literals (disambiguated from
-//! lifetimes), and nested block comments — and keeps comments as tokens so
-//! the waiver layer can read them.
+//! lifetimes), and nested block comments — and drops comments entirely.
 
 use std::fmt;
 
@@ -26,8 +25,6 @@ pub enum TokKind {
     Literal,
     /// A single punctuation character (`.`, `!`, `{`, ...).
     Punct,
-    /// Line or block comment, text preserved verbatim (without delimiters).
-    Comment,
 }
 
 /// One lexed token with its 1-based source line.
@@ -96,7 +93,7 @@ struct Lexer<'a> {
     line: u32,
 }
 
-/// Tokenize Rust source. Comments are kept; whitespace is dropped.
+/// Tokenize Rust source. Comments and whitespace are dropped.
 pub fn tokenize(source: &str) -> Result<Vec<Tok>, LexError> {
     let mut lx = Lexer {
         src: source.as_bytes(),
@@ -146,27 +143,21 @@ impl<'a> Lexer<'a> {
     }
 
     fn next_token(&mut self) -> Result<Option<Tok>, LexError> {
-        // Skip whitespace.
-        self.take_while(|b| b.is_ascii_whitespace());
+        // Skip whitespace and comments.
+        loop {
+            self.take_while(|b| b.is_ascii_whitespace());
+            match (self.peek(0), self.peek(1)) {
+                (Some(b'/'), Some(b'/')) => {
+                    self.take_while(|b| b != b'\n');
+                }
+                (Some(b'/'), Some(b'*')) => self.block_comment()?,
+                _ => break,
+            }
+        }
         let line = self.line;
         let Some(b) = self.peek(0) else {
             return Ok(None);
         };
-
-        // Comments.
-        if b == b'/' && self.peek(1) == Some(b'/') {
-            self.bump();
-            self.bump();
-            let text = self.take_while(|b| b != b'\n');
-            return Ok(Some(Tok {
-                kind: TokKind::Comment,
-                text: String::from_utf8_lossy(text).into_owned(),
-                line,
-            }));
-        }
-        if b == b'/' && self.peek(1) == Some(b'*') {
-            return self.block_comment(line).map(Some);
-        }
 
         // Identifiers, keywords, and prefixed literals (r"", b"", br#""#).
         if b == b'_' || b.is_ascii_alphabetic() {
@@ -248,10 +239,9 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn block_comment(&mut self, line: u32) -> Result<Tok, LexError> {
+    fn block_comment(&mut self) -> Result<(), LexError> {
         self.bump(); // '/'
         self.bump(); // '*'
-        let start = self.pos;
         let mut depth = 1usize;
         loop {
             match (self.peek(0), self.peek(1)) {
@@ -262,18 +252,11 @@ impl<'a> Lexer<'a> {
                 }
                 (Some(b'*'), Some(b'/')) => {
                     depth -= 1;
+                    self.bump();
+                    self.bump();
                     if depth == 0 {
-                        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-                        self.bump();
-                        self.bump();
-                        return Ok(Tok {
-                            kind: TokKind::Comment,
-                            text,
-                            line,
-                        });
+                        return Ok(());
                     }
-                    self.bump();
-                    self.bump();
                 }
                 (Some(_), _) => {
                     self.bump();
@@ -498,20 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_tokens() {
-        let toks = kinds("a // lint: allow(L001) reason\nb /* block .unwrap() */ c");
-        let comments: Vec<_> = toks
+    fn comments_are_dropped() {
+        let toks = kinds("a // line .unwrap()\nb /* block .unwrap() */ c");
+        let texts: Vec<_> = toks.iter().map(|(_, t)| t.as_str()).collect();
+        assert_eq!(texts, vec!["a", "b", "c"]);
+        let lines: Vec<u32> = tokenize("a // x\nb /* y\n */ c")
+            .expect("lexes")
             .iter()
-            .filter(|(k, _)| *k == TokKind::Comment)
+            .map(|t| t.line)
             .collect();
-        assert_eq!(comments.len(), 2);
-        assert!(comments[0].1.contains("lint: allow(L001)"));
-        let idents: Vec<_> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokKind::Ident)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert_eq!(idents, vec!["a", "b", "c"]);
+        assert_eq!(lines, vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,33 +1,10 @@
-//! CLI entry point: `cargo run -p lpa-lint [--json] [workspace-root]`.
+//! CLI entry point: `cargo run -p lpa-lint [workspace-root]`.
 //!
-//! Default mode prints one `file:line: RULE message` per finding and exits
-//! non-zero if any unwaived diagnostic remains. `--json` prints the whole
-//! report as a single JSON document instead (same exit-code contract), for
-//! CI consumers and editor integrations.
+//! Prints one `file:line: RULE message` per finding and exits non-zero if
+//! any remains (2 if the root cannot be walked).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-struct Cli {
-    json: bool,
-    root: PathBuf,
-}
-
-fn parse_args() -> Cli {
-    let mut json = false;
-    let mut root: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json = true;
-        } else {
-            root = Some(PathBuf::from(arg));
-        }
-    }
-    Cli {
-        json,
-        root: root.unwrap_or_else(default_root),
-    }
-}
 
 fn default_root() -> PathBuf {
     // When run via `cargo run -p lpa-lint`, CARGO_MANIFEST_DIR points at
@@ -45,36 +22,25 @@ fn default_root() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_args();
-    let report = match lpa_lint::lint_workspace(&cli.root) {
+    let root = std::env::args()
+        .nth(1)
+        .map_or_else(default_root, PathBuf::from);
+    let report = match lpa_lint::lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("lpa-lint: cannot walk {}: {e}", cli.root.display());
+            eprintln!("lpa-lint: cannot walk {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-    if cli.json {
-        print!("{}", report.to_json());
-        return if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     for d in &report.diagnostics {
         println!("{d}");
     }
     if report.is_clean() {
-        println!(
-            "lpa-lint: {} files clean ({} finding(s) waived across {} waiver(s))",
-            report.files_scanned,
-            report.suppressed,
-            report.waivers.len()
-        );
+        println!("lpa-lint: {} files clean", report.files_scanned);
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "lpa-lint: {} unwaived finding(s) in {} files",
+            "lpa-lint: {} finding(s) in {} files",
             report.diagnostics.len(),
             report.files_scanned
         );

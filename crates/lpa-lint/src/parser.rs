@@ -44,19 +44,29 @@ type PResult<T> = Result<T, ParseError>;
 const MAX_DEPTH: u32 = 176;
 
 /// Parse a token stream (as produced by [`crate::lexer::tokenize`]) into a
-/// [`File`]. Comment tokens are ignored.
+/// [`File`].
 pub fn parse_file(tokens: &[Tok]) -> PResult<File> {
-    let toks: Vec<Tok> = tokens
-        .iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .cloned()
-        .collect();
     let mut p = Parser {
-        toks,
+        toks: tokens.to_vec(),
         pos: 0,
         depth: 0,
     };
     p.file()
+}
+
+/// Does the attribute `#[…]` / `#![…]` (its tokens, `#` through `]`) mark
+/// test code? `#[test]`, `#[bench]`, and a `cfg` naming `test` outside a
+/// `not(…)`: `#[cfg(not(test))]` marks the code that ships. The one
+/// decision behind both the parser's `Item::is_test` and the token rules'
+/// test regions.
+pub(crate) fn attr_marks_test(attr: &[Tok]) -> bool {
+    let idents: Vec<&str> = attr
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect();
+    let has = |s: &str| idents.contains(&s);
+    matches!(idents.as_slice(), ["test" | "bench"]) || (has("cfg") && has("test") && !has("not"))
 }
 
 struct Parser {
@@ -184,27 +194,24 @@ impl Parser {
     // -- attributes ---------------------------------------------------------
 
     /// Parse one `#[…]` / `#![…]` attribute; returns whether it marks test
-    /// code (`#[cfg(test)]`, `#[test]`, `#[bench]`).
+    /// code ([`attr_marks_test`]).
     fn attr(&mut self) -> PResult<bool> {
+        let start = self.pos;
         self.expect_punct('#')?;
         self.eat_punct('!');
         self.expect_punct('[')?;
         let mut depth = 1usize;
-        let mut idents: Vec<String> = Vec::new();
         while depth > 0 {
             match self.bump() {
                 Some(t) if t.is_punct('[') => depth += 1,
                 Some(t) if t.is_punct(']') => depth -= 1,
-                Some(t) if t.kind == TokKind::Ident => idents.push(t.text),
                 Some(_) => {}
                 None => return self.err("unterminated attribute"),
             }
         }
-        let has = |s: &str| idents.iter().any(|i| i == s);
-        let direct_test = matches!(idents.first().map(String::as_str), Some("test" | "bench"))
-            && idents.len() == 1;
-        let cfg_test = has("cfg") && has("test") && !has("not");
-        Ok(direct_test || cfg_test)
+        Ok(attr_marks_test(
+            self.toks.get(start..self.pos).unwrap_or_default(),
+        ))
     }
 
     /// Consume a run of outer attributes; true if any marks test code.

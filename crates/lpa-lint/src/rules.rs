@@ -6,17 +6,21 @@
 //! not appear here" — are token scans in this file; L004, L007 and L008
 //! depend on *which* enum or function a path names, so their one
 //! implementation is the alias-resolving structural pass
-//! ([`crate::dataflow::l012`]).
+//! ([`crate::path_rules::l012`]). Every token rule skips test code: a
+//! `#[cfg(test)]` / `#[test]` item, but never `#[cfg(not(test))]`.
 //!
 //! - **L001** — no `unwrap()` / `expect()` / `panic!` in library code. A
 //!   panicking advisor aborts an online-training episode and loses the
 //!   replay transitions collected so far.
-//! - **L002** — no `HashMap` / `HashSet` in encoder, reward, or
-//!   cost-accounting paths. Hash iteration order is nondeterministic across
-//!   runs, which leaks into state encodings and reward accounting and makes
-//!   ground-truth rewards untrustworthy.
-//! - **L003** — no wall-clock (`Instant` / `SystemTime`) inside simulator
-//!   crates. Simulated time only: reward = modeled runtime, never host load.
+//! - **L002** — no `HashMap` / `HashSet` in encoder, reward,
+//!   cost-accounting, weight-update or checkpoint-codec paths. Hash
+//!   iteration order is nondeterministic across runs, which leaks into
+//!   state encodings, reward accounting, weights and checkpoint bytes and
+//!   makes ground-truth rewards untrustworthy.
+//! - **L003** — no wall-clock (`Instant` / `SystemTime`) inside the
+//!   simulator or any reward, state-encoding, weight-update or
+//!   checkpoint-codec path. Simulated time only: reward = modeled runtime,
+//!   never host load.
 //! - **L004** — no wildcard `_` arm in a `match` over the `Action` enum. A
 //!   new action variant must be a compile/lint error, not silently ignored.
 //! - **L005** — no raw `f32` accumulation in reward/cost sums. Summing many
@@ -57,12 +61,13 @@
 //!   free function).
 
 use crate::lexer::{Tok, TokKind};
+use crate::parser::attr_marks_test;
 
-/// A single finding, pre-waiver.
+/// A single finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Rule id: "L001".."L011", "L013".."L015", or "W000" for
-    /// waiver-hygiene findings.
+    /// Rule id: "L001".."L009", "L013".."L015", or "W000" for a file that
+    /// cannot be read, lexed or parsed.
     pub rule: &'static str,
     pub rel_path: String,
     pub line: u32,
@@ -80,9 +85,10 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Paths (relative, `/`-separated, substring match) whose code feeds state
-/// encodings, rewards, or cost accounting — the determinism-critical set for
-/// L002/L005.
-pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
+/// encodings, rewards, or cost accounting — the determinism-critical set,
+/// L005's scope. `lpa-nn` is outside it: the network sums in `f32` by
+/// design.
+const DETERMINISM_SCOPE: &[&str] = &[
     "crates/lpa-costmodel/src/",
     "crates/lpa-partition/src/encoder.rs",
     "crates/lpa-partition/src/fingerprint.rs",
@@ -93,19 +99,52 @@ pub(crate) const DETERMINISM_SCOPE: &[&str] = &[
     "crates/lpa-rl/src/",
 ];
 
-/// Simulator crates where wall-clock time must never appear (L003).
-const SIMULATED_TIME_SCOPE: &[&str] = &["crates/lpa-cluster/src/", "crates/lpa-costmodel/src/"];
+/// Where hash collections must never appear (L002): the determinism-critical
+/// set plus the network's weights and the checkpoint codec.
+const HASH_FREE_SCOPE: &[&str] = &[
+    "crates/lpa-costmodel/src/",
+    "crates/lpa-partition/src/encoder.rs",
+    "crates/lpa-partition/src/fingerprint.rs",
+    "crates/lpa-advisor/src/accounting.rs",
+    "crates/lpa-advisor/src/cache.rs",
+    "crates/lpa-advisor/src/delta.rs",
+    "crates/lpa-advisor/src/env.rs",
+    "crates/lpa-rl/src/",
+    "crates/lpa-nn/src/",
+    "crates/lpa-store/src/codec.rs",
+    "crates/lpa-store/src/snapshot.rs",
+];
+
+/// Where wall-clock time must never appear (L003): the simulator, and every
+/// path that computes a reward, a state encoding, a weight update or a
+/// checkpoint's bytes.
+const SIMULATED_TIME_SCOPE: &[&str] = &[
+    "crates/lpa-cluster/src/",
+    "crates/lpa-costmodel/src/",
+    "crates/lpa-nn/src/",
+    "crates/lpa-partition/src/encoder.rs",
+    "crates/lpa-partition/src/fingerprint.rs",
+    "crates/lpa-rl/src/",
+    "crates/lpa-store/src/codec.rs",
+    "crates/lpa-store/src/snapshot.rs",
+];
+
+/// Inside [`SIMULATED_TIME_SCOPE`], the one file that reads the wall clock
+/// by design: `lpa-rl`'s phase timer, whose readings never flow back into
+/// training.
+const WALL_CLOCK_EXEMPT: &[&str] = &["crates/lpa-rl/src/profile.rs"];
 
 /// The one crate allowed to touch `std::thread` directly (L006): the
 /// deterministic pool wraps it for everyone else.
 const THREAD_EXEMPT_SCOPE: &[&str] = &["crates/lpa-par/"];
 
-pub(crate) fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
+fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|s| rel_path.contains(s))
 }
 
-/// Marks which tokens sit inside `#[cfg(test)] mod … { … }` regions (where
-/// panicking is fine — a failing test is loud).
+/// Marks which tokens sit inside test regions — the body of an item whose
+/// attribute marks it as test code (`parser::attr_marks_test`),
+/// where panicking is fine because a failing test is loud.
 pub fn test_regions(tokens: &[Tok]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut depth = 0i32;
@@ -117,9 +156,8 @@ pub fn test_regions(tokens: &[Tok]) -> Vec<bool> {
         let t = &tokens[i];
         match t.kind {
             TokKind::Punct if t.is_punct('#') => {
-                // Attribute: `#[ ... ]` — check for cfg(test) / cfg(any(.., test, ..)).
                 if let Some(end) = attr_extent(tokens, i) {
-                    if attr_is_cfg_test(&tokens[i..=end]) {
+                    if attr_marks_test(&tokens[i..=end]) {
                         pending_attr = true;
                     }
                     for slot in in_test.iter_mut().take(end + 1).skip(i) {
@@ -185,33 +223,13 @@ fn attr_extent(tokens: &[Tok], hash_idx: usize) -> Option<usize> {
     None
 }
 
-fn attr_is_cfg_test(attr: &[Tok]) -> bool {
-    let mut saw_cfg = false;
-    for t in attr {
-        if t.kind == TokKind::Ident {
-            if t.text == "cfg" {
-                saw_cfg = true;
-            } else if saw_cfg && t.text == "test" {
-                return true;
-            }
-        }
-    }
-    // `#[test]` / `#[bench]` directly on a function.
-    attr.len() == 3
-        && attr[1].kind == TokKind::Ident
-        && matches!(attr[1].text.as_str(), "test" | "bench")
-        || attr.len() == 4
-            && attr[2].kind == TokKind::Ident
-            && matches!(attr[2].text.as_str(), "test" | "bench")
+/// Index of the token before/after `i`, if any.
+fn prev_tok(i: usize) -> Option<usize> {
+    i.checked_sub(1)
 }
 
-/// Significant (non-comment) token index before/after `i`.
-fn prev_sig(tokens: &[Tok], i: usize) -> Option<usize> {
-    (0..i).rev().find(|&j| tokens[j].kind != TokKind::Comment)
-}
-
-fn next_sig(tokens: &[Tok], i: usize) -> Option<usize> {
-    (i + 1..tokens.len()).find(|&j| tokens[j].kind != TokKind::Comment)
+fn next_tok(tokens: &[Tok], i: usize) -> Option<usize> {
+    (i + 1 < tokens.len()).then_some(i + 1)
 }
 
 fn diag(rule: &'static str, rel_path: &str, line: u32, message: impl Into<String>) -> Diagnostic {
@@ -232,13 +250,13 @@ pub fn l001(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
         }
         match t.text.as_str() {
             "unwrap" | "expect" => {
-                let dot = prev_sig(tokens, i).filter(|&j| tokens[j].is_punct('.'));
-                let called = next_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('('));
+                let dot = prev_tok(i).filter(|&j| tokens[j].is_punct('.'));
+                let called = next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('));
                 // `self.expect(...)` is always a user-defined method (std
                 // types cannot gain inherent methods), e.g. the SQL parser's
                 // own Result-returning `expect` — not a panic site.
                 let on_self = dot
-                    .and_then(|j| prev_sig(tokens, j))
+                    .and_then(prev_tok)
                     .is_some_and(|j| tokens[j].is_ident("self"));
                 if dot.is_some() && called && !on_self {
                     out.push(diag(
@@ -252,7 +270,7 @@ pub fn l001(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                     ));
                 }
             }
-            "panic" if next_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('!')) => {
+            "panic" if next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('!')) => {
                 out.push(diag(
                     "L001",
                     rel_path,
@@ -269,7 +287,7 @@ pub fn l001(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
 
 /// L002: `HashMap`/`HashSet` in determinism-critical paths.
 pub fn l002(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if !in_scope(rel_path, DETERMINISM_SCOPE) {
+    if !in_scope(rel_path, HASH_FREE_SCOPE) {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -292,9 +310,10 @@ pub fn l002(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     out
 }
 
-/// L003: wall-clock time inside simulator crates.
+/// L003: wall-clock time inside the simulator and the reward, encoder,
+/// weight-update and codec paths.
 pub fn l003(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if !in_scope(rel_path, SIMULATED_TIME_SCOPE) {
+    if !in_scope(rel_path, SIMULATED_TIME_SCOPE) || in_scope(rel_path, WALL_CLOCK_EXEMPT) {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -308,7 +327,7 @@ pub fn l003(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 rel_path,
                 t.line,
                 format!(
-                    "`{}` inside the simulator: rewards must come from simulated time, never the host wall clock",
+                    "`{}` in a simulated-time path: rewards, encodings, weights and checkpoints must come from simulated time, never the host wall clock",
                     t.text
                 ),
             ));
@@ -324,23 +343,13 @@ pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     }
     let mut out = Vec::new();
     // Names of `let mut x: f32` bindings seen so far (per file — coarse but
-    // effective; false positives are waivable with justification).
+    // effective).
     let mut f32_accumulators: Vec<String> = Vec::new();
-    let sig: Vec<usize> = (0..tokens.len())
-        .filter(|&i| tokens[i].kind != TokKind::Comment)
-        .collect();
-    for (si, &i) in sig.iter().enumerate() {
-        let t = &tokens[i];
+    for (i, t) in tokens.iter().enumerate() {
         if in_test[i] || t.kind != TokKind::Ident {
             continue;
         }
-        let at = |off: isize| -> Option<&Tok> {
-            let idx = si as isize + off;
-            if idx < 0 {
-                return None;
-            }
-            sig.get(idx as usize).map(|&k| &tokens[k])
-        };
+        let at = |off: isize| -> Option<&Tok> { tokens.get(i.checked_add_signed(off)?) };
         // `.sum::<f32>()`
         if t.text == "sum"
             && at(1).is_some_and(|u| u.is_punct(':'))
@@ -414,11 +423,11 @@ pub fn l006(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
         }
         // `thread :: spawn|scope|Builder` (covers `std::thread::…`, a
         // `use std::thread;` alias, and `use std::thread::spawn;`).
-        let c1 = next_sig(tokens, i).filter(|&j| tokens[j].is_punct(':'));
+        let c1 = next_tok(tokens, i).filter(|&j| tokens[j].is_punct(':'));
         let c2 = c1
-            .and_then(|j| next_sig(tokens, j))
+            .and_then(|j| next_tok(tokens, j))
             .filter(|&j| tokens[j].is_punct(':'));
-        let Some(target) = c2.and_then(|j| next_sig(tokens, j)).map(|j| &tokens[j]) else {
+        let Some(target) = c2.and_then(|j| next_tok(tokens, j)).map(|j| &tokens[j]) else {
             continue;
         };
         if target.kind == TokKind::Ident
@@ -488,20 +497,20 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     while i < tokens.len() {
         let is_hot_fn_header = tokens[i].is_ident("fn")
             && !in_test[i]
-            && next_sig(tokens, i).is_some_and(|j| {
+            && next_tok(tokens, i).is_some_and(|j| {
                 tokens[j].kind == TokKind::Ident && hot_fns.contains(&tokens[j].text.as_str())
             });
         if !is_hot_fn_header {
             i += 1;
             continue;
         }
-        let Some(fn_name) = next_sig(tokens, i)
+        let Some(fn_name) = next_tok(tokens, i)
             .and_then(|j| tokens.get(j))
             .map(|t| t.text.clone())
         else {
             break;
         };
-        let Some(name_idx) = next_sig(tokens, i) else {
+        let Some(name_idx) = next_tok(tokens, i) else {
             break;
         };
         // Body extent: first `{` after the signature (a `;` first means a
@@ -528,20 +537,20 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 let alloc: Option<&str> = match t.text.as_str() {
                     // `Vec :: new` (the lexer splits `::` into two puncts).
                     "Vec" => {
-                        let c1 = next_sig(tokens, j).filter(|&k| tokens[k].is_punct(':'));
+                        let c1 = next_tok(tokens, j).filter(|&k| tokens[k].is_punct(':'));
                         let c2 = c1
-                            .and_then(|k| next_sig(tokens, k))
+                            .and_then(|k| next_tok(tokens, k))
                             .filter(|&k| tokens[k].is_punct(':'));
-                        c2.and_then(|k| next_sig(tokens, k))
+                        c2.and_then(|k| next_tok(tokens, k))
                             .filter(|&k| tokens[k].is_ident("new"))
                             .map(|_| "Vec::new()")
                     }
-                    "vec" if next_sig(tokens, j).is_some_and(|k| tokens[k].is_punct('!')) => {
+                    "vec" if next_tok(tokens, j).is_some_and(|k| tokens[k].is_punct('!')) => {
                         Some("vec![…]")
                     }
                     "collect"
-                        if prev_sig(tokens, j).is_some_and(|k| tokens[k].is_punct('.'))
-                            && next_sig(tokens, j).is_some_and(|k| {
+                        if prev_tok(j).is_some_and(|k| tokens[k].is_punct('.'))
+                            && next_tok(tokens, j).is_some_and(|k| {
                                 tokens[k].is_punct('(') || tokens[k].is_punct(':')
                             }) =>
                     {
@@ -597,8 +606,8 @@ pub fn l014(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 "`TenantSlot` named outside the fleet module; tenant slots are private to `crates/lpa-service/src/fleet.rs` — go through `Fleet`'s accessor API so the per-tenant error domain stays intact",
             ));
         } else if t.text == "tenants"
-            && prev_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('.'))
-            && !next_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
+            && prev_tok(i).is_some_and(|j| tokens[j].is_punct('.'))
+            && !next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
         {
             out.push(diag(
                 "L014",
@@ -632,8 +641,8 @@ pub fn l015(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
         if t.kind != TokKind::Ident || in_test[i] || t.text != "deploy" {
             continue;
         }
-        if prev_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('.'))
-            && next_sig(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
+        if prev_tok(i).is_some_and(|j| tokens[j].is_punct('.'))
+            && next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
         {
             out.push(diag(
                 "L015",

@@ -1,10 +1,10 @@
 //! Workspace symbol table: the bridge between per-file ASTs and the
-//! whole-program analyses (call graph, dataflow).
+//! whole-program analyses (the call graph, the path rules).
 //!
 //! Symbols are collected per crate with enough path resolution to answer
 //! the questions the structural rules ask: *which function definitions can
 //! this call expression reach*, *which enum does this match-arm pattern
-//! name*, *what is the declared type of this struct field*. Resolution is
+//! name*. Resolution is
 //! deliberately an over-approximation — when a method call cannot be
 //! resolved precisely it unions over every method with that name — because
 //! the rules built on top are "nothing bad is reachable" rules, where a
@@ -14,7 +14,7 @@
 //! every consumer iterates in a deterministic order regardless of thread
 //! count.
 
-use crate::ast::{EnumDef, File, FnDecl, Item, ItemKind, ModDecl, StructDef, Vis};
+use crate::ast::{EnumDef, File, FnDecl, Item, ItemKind, ModDecl, Vis};
 use crate::walk::FileKind;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -76,8 +76,6 @@ pub struct SymbolTable {
     pub methods_by_name: BTreeMap<String, Vec<usize>>,
     /// (self type head, fn name) → ids, for `Type::assoc` calls.
     pub by_qual: BTreeMap<(String, String), Vec<usize>>,
-    /// Struct name → definitions (crate, def) — name unions are fine.
-    pub structs: BTreeMap<String, Vec<(String, StructDef)>>,
     /// Enum name → definitions (crate, def).
     pub enums: BTreeMap<String, Vec<(String, EnumDef)>>,
     /// All type names that have an inherent or trait impl anywhere.
@@ -201,13 +199,6 @@ impl Collector<'_> {
                         in_test,
                     );
                 }
-                ItemKind::Struct(sd) => {
-                    self.table
-                        .structs
-                        .entry(sd.name.clone())
-                        .or_default()
-                        .push((self.krate.clone(), sd.clone()));
-                }
                 ItemKind::Enum(ed) => {
                     self.table
                         .enums
@@ -238,7 +229,10 @@ impl Collector<'_> {
                         }
                     }
                 }
-                ItemKind::Const(_) | ItemKind::TypeAlias(_) | ItemKind::MacroItem(_) => {}
+                ItemKind::Struct(_)
+                | ItemKind::Const(_)
+                | ItemKind::TypeAlias(_)
+                | ItemKind::MacroItem(_) => {}
             }
         }
     }
@@ -516,7 +510,6 @@ mod tests {
         let th = t.fns.iter().find(|f| f.name == "t").expect("t");
         assert!(th.is_test);
         assert!(t.impl_types.contains("Matrix"));
-        assert_eq!(t.structs.get("Matrix").map(Vec::len), Some(1));
     }
 
     #[test]

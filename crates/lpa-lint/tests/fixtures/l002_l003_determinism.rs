@@ -1,6 +1,7 @@
 //! Fixture: hash collections and wall-clock time in determinism-critical
 //! code. Linted under a costmodel path, expect one L002 per Hash* mention
-//! outside tests and one L003 per Instant/SystemTime mention.
+//! outside tests and one L003 per Instant/SystemTime mention, including
+//! the one under `cfg(not(test))`.
 
 use std::collections::HashMap; // FINDING L002
 use std::collections::HashSet; // FINDING L002
@@ -23,6 +24,13 @@ pub fn wall_clock_cost() -> u64 {
 
 pub fn also_system_time() -> bool {
     std::time::SystemTime::now().elapsed().is_ok() // FINDING L003
+}
+
+#[cfg(not(test))]
+mod live {
+    pub fn shipped_clock() -> bool {
+        std::time::Instant::now().elapsed().is_zero() // FINDING L003
+    }
 }
 
 #[cfg(test)]

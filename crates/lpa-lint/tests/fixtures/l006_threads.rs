@@ -21,8 +21,6 @@ pub fn not_findings() {
     let _ = thread + 1;
     // Non-spawning thread items are out of scope for L006.
     std::thread::sleep(std::time::Duration::from_millis(0));
-    // Waived call sites are suppressed with a justification.
-    thread::spawn(|| {}); // lint: allow(L006) fixture demonstrating a documented escape hatch
 }
 
 #[cfg(test)]

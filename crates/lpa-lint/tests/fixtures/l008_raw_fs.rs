@@ -24,8 +24,6 @@ pub fn not_findings() {
     // A local named `fs` with an unrelated method is not the fs API.
     let fs = 3usize;
     let _ = fs + 1;
-    // Waived call sites are suppressed with a justification.
-    let _ = fs::write("x", b""); // lint: allow(L008) fixture demonstrating a documented escape hatch
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //!    floating-point sums associate identically under `LPA_THREADS=1` and
 //!    `LPA_THREADS=8`.
 //!
-//! The pool is std-only (scoped threads + an atomic chunk cursor; the
-//! workspace `parking_lot` stand-in provides the panic-free slot mutexes)
-//! and is the *only* place in the workspace allowed to touch
+//! The pool is std-only (scoped threads, an atomic chunk cursor and one
+//! `std::sync::Mutex` per result slot, read through a poisoned lock rather
+//! than panicking) and is the *only* place in the workspace allowed to touch
 //! `std::thread` — lint rule L006 enforces that every other crate goes
 //! through this API.
 //!
@@ -38,10 +38,9 @@
 
 pub mod schedule;
 
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 thread_local! {
     /// Scoped thread-count override (outermost wins for nested scopes).
@@ -194,11 +193,11 @@ impl Pool {
             for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
                 out.push(f(i, item));
             }
-            *slots[c].lock() = out;
+            *slots[c].lock().unwrap_or_else(PoisonError::into_inner) = out;
         });
         let mut result = Vec::with_capacity(items.len());
         for s in slots {
-            result.append(&mut s.into_inner());
+            result.append(&mut s.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
         result
     }
@@ -214,13 +213,20 @@ impl Pool {
             items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let slots: Vec<Mutex<Option<U>>> = (0..inputs.len()).map(|_| Mutex::new(None)).collect();
         self.run(inputs.len(), |i| {
-            if let Some(item) = inputs[i].lock().take() {
-                *slots[i].lock() = Some(f(i, item));
+            let item = inputs[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            if let Some(item) = item {
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(f(i, item));
             }
         });
         // `run` visits every index exactly once, so every slot is filled;
         // `flatten` (rather than unwrap) keeps the library panic-free.
-        slots.into_iter().filter_map(Mutex::into_inner).collect()
+        slots
+            .into_iter()
+            .filter_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
     }
 
     /// Map `f` over the index range `0..n` with one task per index (coarse
@@ -229,9 +235,12 @@ impl Pool {
     pub fn par_index_map<U: Send>(&self, n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
         let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
         self.run(n, |i| {
-            *slots[i].lock() = Some(f(i));
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(f(i));
         });
-        slots.into_iter().filter_map(Mutex::into_inner).collect()
+        slots
+            .into_iter()
+            .filter_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
     }
 
     /// Process disjoint `chunk_len`-sized chunks of `data` in parallel.
@@ -247,7 +256,10 @@ impl Pool {
         let chunk_len = chunk_len.max(1);
         let chunks: Vec<Mutex<&mut [U]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
         self.run(chunks.len(), |c| {
-            f(c, &mut chunks[c].lock());
+            f(
+                c,
+                &mut chunks[c].lock().unwrap_or_else(PoisonError::into_inner),
+            );
         });
     }
 

@@ -151,6 +151,15 @@ pub const EPISODES_PER_SLICE: usize = 1;
 /// Simulated seconds a slice advances the tenant's cluster clock.
 pub const WINDOW_SECONDS: f64 = 1.0;
 
+/// Hidden layer widths of every tenant's Q-network.
+pub const TENANT_HIDDEN: &[usize] = &[16, 8];
+
+/// Minibatch size of every tenant's DQN.
+pub const TENANT_BATCH_SIZE: usize = 8;
+
+/// Episode horizon (steps per episode) of every tenant's DQN.
+pub const TENANT_TMAX: usize = 3;
+
 /// Fleet-wide knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -162,11 +171,6 @@ pub struct FleetConfig {
     /// exercise the fault layer so `ClusterHealth` reflects real traffic.
     pub probe_queries: usize,
     pub quarantine: QuarantinePolicy,
-    /// Hidden layer widths for every tenant's Q-network.
-    pub hidden: Vec<usize>,
-    pub batch_size: usize,
-    /// Episode horizon (steps per episode) for tenant DQN configs.
-    pub tmax: usize,
     /// Per-tenant safe-deployment policy. [`GuardrailConfig::inert`]
     /// reproduces the legacy deploy-on-predicted-improvement path (the
     /// guardrail experiments' control arm).
@@ -184,9 +188,6 @@ impl Default for FleetConfig {
             max_tenants: 128,
             probe_queries: 2,
             quarantine: QuarantinePolicy::default(),
-            hidden: vec![16, 8],
-            batch_size: 8,
-            tmax: 3,
             guardrail: GuardrailConfig::default(),
             fleet_budget_deploys: u64::MAX,
         }
@@ -546,9 +547,9 @@ impl Fleet {
         };
         let agent_seed = derive_stream3(self.cfg.seed ^ spec.seed, id as u64, SALT_AGENT);
         let cfg = DqnConfig {
-            batch_size: self.cfg.batch_size,
-            hidden: self.cfg.hidden.clone(),
-            ..DqnConfig::simulation(spec.episodes.max(1), self.cfg.tmax)
+            batch_size: TENANT_BATCH_SIZE,
+            hidden: TENANT_HIDDEN.to_vec(),
+            ..DqnConfig::simulation(spec.episodes.max(1), TENANT_TMAX)
         }
         .with_seed(agent_seed);
         let sampler = MixSampler::uniform(&workload);

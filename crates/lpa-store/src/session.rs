@@ -21,8 +21,7 @@ use lpa_costmodel::NetworkCostModel;
 use lpa_rl::{DqnAgent, EpisodeStats};
 use lpa_schema::Schema;
 use lpa_workload::Workload;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Reconstruction context for offline (cost-model-backed) sessions.
 #[derive(Clone, Debug)]

@@ -33,6 +33,7 @@ use lpa_rl::{DqnAgent, DqnConfig, EnvCounters, ReplayBuffer, Transition};
 use lpa_schema::{AttrId, AttrRef, EdgeId, Schema, TableId};
 use lpa_service::{FrequencyForecaster, TenantCounters, TenantStatus};
 use lpa_workload::{FrequencyVector, JoinPred, MixSampler, Query, QueryId};
+use std::sync::PoisonError;
 
 // ---------------------------------------------------------------------------
 // Leaves: matrices, networks, optimizer.
@@ -868,7 +869,7 @@ impl BackendState {
             RewardBackend::Cluster(b) => {
                 let cluster = b.cluster().lock().resume_state();
                 let cache = b.cache();
-                let cache = cache.lock();
+                let cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
                 Self::Online {
                     resume: b.resume_state(),
                     cluster,

@@ -332,11 +332,12 @@ fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
         ("v4", include_bytes!("fixtures/tenant_v4.lpa")),
     ];
     let schema = lpa_schema::microbench::schema(0.01).unwrap();
-    // The fleet the fixtures were captured from, plus a neighbour.
+    // A fleet of the fixture's tenant plus a neighbour. The fixtures were
+    // captured from tenants with a 4-wide network, batch 2 and horizon 2;
+    // today's tenants all use `TENANT_HIDDEN`, `TENANT_BATCH_SIZE` and
+    // `TENANT_TMAX`, and the lineage is refused on its format version
+    // before any shape is compared.
     let cfg = || FleetConfig {
-        hidden: vec![4],
-        batch_size: 2,
-        tmax: 2,
         max_tenants: 2,
         ..FleetConfig::default()
     };

@@ -428,7 +428,7 @@ fn mid_outage_advisor() -> (Schema, Workload, Advisor) {
 
 fn degraded_entries_of(advisor: &Advisor) -> usize {
     match advisor.env.backend() {
-        RewardBackend::Cluster(b) => b.cache().lock().degraded_entries(),
+        RewardBackend::Cluster(b) => b.cache().lock().unwrap().degraded_entries(),
         RewardBackend::CostModel(_) => panic!("online advisor expected"),
     }
 }

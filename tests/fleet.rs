@@ -19,7 +19,8 @@ use lpa::cluster::{FaultPlan, GuardrailConfig};
 use lpa::partition::Partitioning;
 use lpa::prelude::*;
 use lpa::service::{
-    TenantCounters, TenantErrorKind, EPISODES_PER_SLICE, FORECAST_HORIZON, WINDOW_SECONDS,
+    TenantCounters, TenantErrorKind, EPISODES_PER_SLICE, FORECAST_HORIZON, TENANT_BATCH_SIZE,
+    TENANT_HIDDEN, TENANT_TMAX, WINDOW_SECONDS,
 };
 use lpa::store::{load_manifest, CheckpointStore, CheckpointedFleet, MANIFEST_FILE};
 use lpa_bench::SeededChaos;
@@ -60,9 +61,6 @@ fn keystone_cfg() -> FleetConfig {
             max_errors: 0,
             cooldown_rounds: 1,
         },
-        hidden: vec![16, 8],
-        batch_size: 8,
-        tmax: 3,
         // This keystone exercises fault containment and crash recovery,
         // not canary staging: the inert guardrail reproduces the legacy
         // deploy-on-predicted-improvement path. tests/guardrail.rs is the
@@ -674,9 +672,9 @@ fn standalone_twin(cfg: &FleetConfig, spec: &TenantSpec) -> PartitioningService 
     let schema = lpa::schema::ssb::schema(spec.scale).unwrap();
     let workload = lpa::workload::ssb::workload(&schema).unwrap();
     let dqn = DqnConfig {
-        batch_size: cfg.batch_size,
-        hidden: cfg.hidden.clone(),
-        ..DqnConfig::simulation(spec.episodes, cfg.tmax)
+        batch_size: TENANT_BATCH_SIZE,
+        hidden: TENANT_HIDDEN.to_vec(),
+        ..DqnConfig::simulation(spec.episodes, TENANT_TMAX)
     }
     .with_seed(lpa::par::derive_stream3(
         cfg.seed ^ spec.seed,

@@ -88,9 +88,6 @@ fn keystone_cfg(guardrail: GuardrailConfig) -> FleetConfig {
         seed: guard_seed(),
         max_tenants: TENANTS,
         probe_queries: 1,
-        hidden: vec![16, 8],
-        batch_size: 8,
-        tmax: 3,
         guardrail,
         ..FleetConfig::default()
     }
