@@ -374,7 +374,7 @@ impl Cluster {
         // out: the single-table arm returns without a final budget check,
         // so a stored runtime cannot say whether it would have timed out.
         let result = if degraded || timeout.is_some() {
-            substrate.with_scratch(execute)
+            substrate.bypass_memo(degraded, execute)
         } else {
             substrate.clean_execution(query, &self.deployed, self.stats_epoch, execute)
         };

@@ -15,6 +15,13 @@
 //!   takes its left join keys from ([`carried_slots`]). A step nothing
 //!   reads from (the last, usually the largest) is count-only: a probe hit
 //!   adds the build entry's match count to `per_node_out` and writes no row;
+//! * **an empty build side ends materialisation** — carrying stops at the
+//!   first step whose right table keeps no filtered row (an early-exit pass
+//!   before the step loop finds it), so the step before it is count-only.
+//!   Unless it re-hashes its input, that step reads no row either: naive
+//!   probes an empty table with each group's rows, so its probes are the
+//!   input's node histogram (`per_node_out`) and it outputs nothing. A step
+//!   with no input rows hashes nothing;
 //! * **one build table per step**, keyed by `(join key, group)` (group 0
 //!   when the right side is present everywhere), hashed by one SplitMix64
 //!   round ([`KeyHasher`]) and probed in one pass over the intermediate in
@@ -44,6 +51,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use crate::engine::splitmix64;
 use crate::executor::{hash_str, over, slot_of, ExecResult, Executor, Layout};
@@ -144,6 +152,8 @@ pub struct ExecScratch {
     net_bytes: Vec<f64>,
     /// Slots the step being executed must carry ([`carried_slots`]).
     carried: Vec<usize>,
+    /// Per plan step: no row of its right table survives the filter.
+    empty: Vec<bool>,
     /// The step's build table and its chained-row arena.
     join_keys: HashMap<(u64, u8), Build, BuildHasherDefault<KeyHasher>>,
     build_row: Vec<u32>,
@@ -168,6 +178,7 @@ impl ExecScratch {
             + vec_bytes(&self.new_right)
             + vec_bytes(&self.net_bytes)
             + vec_bytes(&self.carried)
+            + vec_bytes(&self.empty)
             + self.join_keys.capacity() * std::mem::size_of::<((u64, u8), Build)>()
             + vec_bytes(&self.build_row)
             + vec_bytes(&self.build_next)
@@ -190,19 +201,41 @@ fn oriented(join: &JoinPred, right_table: TableId) -> (AttrRef, AttrRef) {
     }
 }
 
+/// What a strategy's exchange does — ship one side everywhere, re-hash a
+/// side on its join key, or nothing: `(ship_left, ship_right, rehash_left,
+/// rehash_right)`.
+fn exchange(strategy: JoinStrategy) -> (bool, bool, bool, bool) {
+    match strategy {
+        JoinStrategy::ReplicatedSide | JoinStrategy::CoLocated => (false, false, false, false),
+        JoinStrategy::Broadcast { table_side } => (!table_side, table_side, false, false),
+        JoinStrategy::DirectedRepartition { table_side } => (false, false, !table_side, table_side),
+        JoinStrategy::SymmetricRepartition => (false, false, true, true),
+    }
+}
+
 /// The slots of `query.tables` whose base-row ids the output of
 /// `plan.steps[at]` must carry: those a later step takes its left join
-/// keys from. Empty means nothing downstream reads a row of that output —
-/// the step only has to be counted.
-fn carried_slots(query: &Query, plan: &QueryPlan, at: usize, out: &mut Vec<usize>) {
+/// keys from, up to the first later step whose right side is `empty`.
+/// That step outputs nothing, so no step after it reads a row, and it
+/// reads its own left keys only to re-hash them. Empty means nothing
+/// downstream reads a row of that output — the step only has to be counted.
+fn carried_slots(query: &Query, plan: &QueryPlan, empty: &[bool], at: usize, out: &mut Vec<usize>) {
     out.clear();
-    for step in plan.steps.iter().skip(at + 1) {
+    for (k, step) in plan.steps.iter().enumerate().skip(at + 1) {
         let Some(join) = query.joins.get(step.join_index) else {
             continue;
         };
+        let matches_nothing = empty.get(k).copied().unwrap_or(false);
+        let (_, _, rehashes_left, _) = exchange(step.strategy);
+        if matches_nothing && !rehashes_left {
+            break;
+        }
         let slot = slot_of(query, oriented(join, step.table).0.table);
         if !out.contains(&slot) {
             out.push(slot);
+        }
+        if matches_nothing {
+            break;
         }
     }
 }
@@ -248,6 +281,10 @@ impl Executor<'_> {
             });
         }
 
+        scratch.empty.clear();
+        for s in &plan.steps {
+            scratch.empty.push(!self.has_filtered_row(query, s.table));
+        }
         let start = plan.start_table.unwrap_or(query.tables[0]);
         self.seed_inter_col(query, start, scratch);
 
@@ -255,7 +292,7 @@ impl Executor<'_> {
             let Some(join) = query.joins.get(step.join_index) else {
                 continue;
             };
-            carried_slots(query, plan, at, &mut scratch.carried);
+            carried_slots(query, plan, &scratch.empty, at, &mut scratch.carried);
             let (step_seconds, step_bytes) =
                 self.join_step_col(query, step.table, join, step.strategy, scratch);
             seconds += step_seconds;
@@ -307,23 +344,35 @@ impl Executor<'_> {
         max_weighted / rows as f64
     }
 
+    /// The naive `filtered_rows` predicate over the row ids of `t` (`None`
+    /// when it keeps them all), shared by the two readers below.
+    fn row_filter(&self, query: &Query, t: TableId) -> (Range<u32>, Option<impl Fn(&u32) -> bool>) {
+        let rows = 0..self.db.table(t).rows as u32;
+        let sel = query.table_selectivity(t);
+        if sel >= 1.0 {
+            return (rows, None);
+        }
+        let threshold = (sel * u64::MAX as f64) as u64;
+        let tag = splitmix64(hash_str(&query.name) ^ ((t.0 as u64) << 17));
+        let keep = move |&r: &u32| splitmix64(tag ^ r as u64) <= threshold;
+        (rows, Some(keep))
+    }
+
     /// Columnar twin of the naive `filtered_rows`: same ids, same order,
     /// written into a reused buffer.
     fn filtered_rows_into(&self, query: &Query, t: TableId, out: &mut Vec<u32>) {
         out.clear();
-        let sel = query.table_selectivity(t);
-        let rows = self.db.table(t).rows;
-        if sel >= 1.0 {
-            out.extend(0..rows as u32);
-            return;
+        match self.row_filter(query, t) {
+            (rows, Some(keep)) => out.extend(rows.filter(keep)),
+            (rows, None) => out.extend(rows),
         }
-        let threshold = (sel * u64::MAX as f64) as u64;
-        let tag = splitmix64(hash_str(&query.name) ^ ((t.0 as u64) << 17));
-        for r in 0..rows as u32 {
-            if splitmix64(tag ^ r as u64) <= threshold {
-                out.push(r);
-            }
-        }
+    }
+
+    /// Whether [`Self::filtered_rows_into`] would keep any row of `t`:
+    /// the same predicate, up to its first kept row.
+    fn has_filtered_row(&self, query: &Query, t: TableId) -> bool {
+        let (mut rows, keep) = self.row_filter(query, t);
+        keep.map_or(!rows.is_empty(), |keep| rows.any(|r| keep(&r)))
     }
 
     /// Columnar twin of the naive `seed_inter`; also leaves the seed's node
@@ -372,6 +421,7 @@ impl Executor<'_> {
             new_right,
             net_bytes,
             carried,
+            empty: _,
             join_keys,
             build_row,
             build_next,
@@ -409,17 +459,9 @@ impl Executor<'_> {
         net_bytes.resize(n, 0.0);
         let mut total_bytes = 0.0f64;
 
-        // What the exchange does — ship one side everywhere, re-hash a side
-        // on its join key, or nothing. Same accumulation expressions, in
-        // the same order, as the naive strategy arms.
-        let (ship_left, ship_right, rehash_left, rehash_right) = match strategy {
-            JoinStrategy::ReplicatedSide | JoinStrategy::CoLocated => (false, false, false, false),
-            JoinStrategy::Broadcast { table_side } => (!table_side, table_side, false, false),
-            JoinStrategy::DirectedRepartition { table_side } => {
-                (false, false, !table_side, table_side)
-            }
-            JoinStrategy::SymmetricRepartition => (false, false, true, true),
-        };
+        // What the exchange does. Same accumulation expressions, in the
+        // same order, as the naive strategy arms.
+        let (ship_left, ship_right, rehash_left, rehash_right) = exchange(strategy);
         let shuffled = ship_left || ship_right || rehash_left || rehash_right;
         if ship_left || ship_right {
             let bytes = if ship_right {
@@ -479,14 +521,26 @@ impl Executor<'_> {
         let both_everywhere = left_at.is_none() && right_at.is_none();
         let groups: usize = if both_everywhere { 1 } else { n };
 
+        // An empty build side matches nothing. Unless the step re-hashes
+        // its input, no input row is read either: the probes per group are
+        // the input's node histogram (`per_node_out` until the reset below)
+        // or, when the input is present everywhere, its row count.
+        let histogram_only = right_rows.is_empty() && !rehash_left;
+        per_node_probe.clear();
+        match left_at {
+            Some(_) if histogram_only => per_node_probe.extend_from_slice(per_node_out),
+            None if histogram_only => per_node_probe.resize(groups, inter.rows),
+            _ => per_node_probe.resize(groups, 0),
+        }
         next.reset(query.tables.len());
-        for counts in [&mut *per_node_build, &mut *per_node_probe, per_node_out] {
+        for counts in [&mut *per_node_build, per_node_out] {
             counts.clear();
             counts.resize(groups, 0);
         }
 
         // Build: one table for the whole step. A right side present
-        // everywhere builds once under group 0 and counts for every group.
+        // everywhere builds once under group 0 and counts for every group;
+        // an input without rows probes nothing, so nothing is hashed.
         let keep_right = carried.contains(&right_slot);
         join_keys.clear();
         build_row.clear();
@@ -495,6 +549,9 @@ impl Executor<'_> {
             let group = right_at.and_then(|at| at.get(j).copied()).unwrap_or(0);
             if let Some(rows) = per_node_build.get_mut(group as usize) {
                 *rows += 1;
+            }
+            if inter.rows == 0 {
+                continue;
             }
             let b = join_keys
                 .entry((right_col[r as usize], group))
@@ -544,14 +601,16 @@ impl Executor<'_> {
                 }
             }
         };
-        for (i, key) in left_keys().enumerate() {
-            match left_at {
-                Some(at) => {
-                    if let Some(&g) = at.get(i) {
-                        probe(i, key, g as usize);
+        if !histogram_only {
+            for (i, key) in left_keys().enumerate() {
+                match left_at {
+                    Some(at) => {
+                        if let Some(&g) = at.get(i) {
+                            probe(i, key, g as usize);
+                        }
                     }
+                    None => (0..groups).for_each(|g| probe(i, key, g)),
                 }
-                None => (0..groups).for_each(|g| probe(i, key, g)),
             }
         }
 
@@ -632,8 +691,12 @@ mod tests {
     }
 
     fn carried_at(query: &Query, plan: &QueryPlan, at: usize) -> Vec<usize> {
+        carried_with(query, plan, &[], at)
+    }
+
+    fn carried_with(query: &Query, plan: &QueryPlan, empty: &[bool], at: usize) -> Vec<usize> {
         let mut out = vec![99];
-        carried_slots(query, plan, at, &mut out);
+        carried_slots(query, plan, empty, at, &mut out);
         out
     }
 
@@ -659,6 +722,44 @@ mod tests {
         let (query, plan) = plan_of(70, &chain);
         assert_eq!(carried_at(&query, &plan, 0), (1..69).collect::<Vec<_>>());
         assert!(carried_at(&query, &plan, 68).is_empty());
+    }
+
+    #[test]
+    fn carrying_stops_at_the_first_step_that_matches_nothing() {
+        // Chain 0-1-2-3-4-5 whose step 3 (table 4) keeps no filtered row.
+        let chain: Vec<(usize, usize)> = (0..5).map(|k| (k, k + 1)).collect();
+        let (query, mut plan) = plan_of(6, &chain);
+        let empty = [false, false, false, true, false];
+        assert_eq!(carried_with(&query, &plan, &empty, 0), [1, 2]);
+        assert!(carried_with(&query, &plan, &empty, 2).is_empty());
+        // No row reaches the steps from the empty one on; what they would
+        // carry is beside the point, and unchanged.
+        assert_eq!(carried_with(&query, &plan, &empty, 3), [4]);
+        // The first empty step is where carrying stops.
+        let twice = [false, true, false, true, false];
+        assert!(carried_with(&query, &plan, &twice, 0).is_empty());
+        assert_eq!(carried_with(&query, &plan, &twice, 1), [2]);
+        // The empty step reads its left keys only to re-hash them.
+        for strategy in [
+            JoinStrategy::ReplicatedSide,
+            JoinStrategy::CoLocated,
+            JoinStrategy::Broadcast { table_side: true },
+            JoinStrategy::Broadcast { table_side: false },
+            JoinStrategy::DirectedRepartition { table_side: true },
+            JoinStrategy::DirectedRepartition { table_side: false },
+            JoinStrategy::SymmetricRepartition,
+        ] {
+            plan.steps[3].strategy = strategy;
+            let rehashes = matches!(
+                strategy,
+                JoinStrategy::DirectedRepartition { table_side: false }
+                    | JoinStrategy::SymmetricRepartition
+            );
+            let want: &[usize] = if rehashes { &[1, 2, 3] } else { &[1, 2] };
+            assert_eq!(carried_with(&query, &plan, &empty, 0), want, "{strategy:?}");
+            let before = carried_with(&query, &plan, &empty, 2);
+            assert_eq!(before.is_empty(), !rehashes, "{strategy:?}");
+        }
     }
 
     /// ISSUE 19: six joins on fresh arenas — only the carried slots (and the
@@ -698,6 +799,57 @@ mod tests {
             // The count-only last step wrote no row: what is left is its input.
             assert!(scratch.cur.node.is_empty() && scratch.cur.rows > 0);
             assert!(scratch.capacity_bytes() > 0);
+        });
+    }
+
+    /// ISSUE 28: TPC-CH `ch_q07` on fresh arenas, at a scale where the
+    /// filter on `nation`, a later right side, keeps no row. Nothing reads
+    /// past that step, so the slots the steps after it take their keys from
+    /// never get memory, and the step before it only counts its rows.
+    #[test]
+    fn slots_past_an_empty_build_side_acquire_no_capacity() {
+        let schema = lpa_schema::tpcch::schema(0.0015).expect("schema builds");
+        let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
+        let query = (workload.queries().iter())
+            .find(|q| q.name == "ch_q07")
+            .expect("ch_q07");
+        let nation = schema.table_by_name("nation").expect("nation");
+        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+        let mut cluster = Cluster::new(schema.clone(), config);
+        let got = cluster.run_query(query, None);
+        let naive = || Cluster::new(schema.clone(), config).run_query(query, None);
+        assert_eq!(got, crate::with_naive_executor(naive));
+
+        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
+        let plan = optimizer.plan(&schema, query, cluster.deployed(), 0);
+        let empty = cluster
+            .substrate()
+            .with_scratch(|scratch| scratch.empty.clone());
+        let nation_only: Vec<bool> = plan.steps.iter().map(|s| s.table == nation).collect();
+        assert_eq!(empty, nation_only);
+        let at_empty = empty
+            .iter()
+            .position(|&e| e)
+            .expect("nation is a right side");
+        assert!(
+            0 < at_empty && at_empty + 1 < plan.steps.len(),
+            "{at_empty}"
+        );
+        let mut carried = vec![slot_of(query, plan.start_table.expect("a join plan"))];
+        let mut carried_before = carried.clone();
+        for at in 0..at_empty {
+            carried.extend(carried_with(query, &plan, &empty, at));
+            carried_before.extend(carried_at(query, &plan, at));
+        }
+        // Without the empty side these slots would have held rows.
+        assert!(carried_before.iter().any(|s| !carried.contains(s)));
+        assert!(carried_with(query, &plan, &empty, at_empty - 1).is_empty());
+        cluster.substrate().with_scratch(|scratch| {
+            for s in 0..query.tables.len() {
+                let held = scratch.cur.slots[s].capacity() + scratch.next.slots[s].capacity();
+                assert_eq!(held > 0, carried.contains(&s), "slot {s} holds {held}");
+            }
+            assert_eq!(scratch.cur.rows, 0);
         });
     }
 }

@@ -26,7 +26,7 @@
 //! Executions under an active fault or a timeout never read or write the
 //! memo (DESIGN.md §16), which keeps tenants isolated: the only shared
 //! mutable state is a table of values each tenant would have computed
-//! itself, bit for bit.
+//! itself, bit for bit. [`SubstrateStats`] counts them by cause.
 
 use crate::cluster::ClusterConfig;
 use crate::columnar::ExecScratch;
@@ -98,6 +98,8 @@ struct Shared {
     clusters_attached: usize,
     hits: u64,
     misses: u64,
+    bypassed_degraded: u64,
+    bypassed_timed: u64,
 }
 
 /// How much a substrate is shared and what its memo saved. Observability
@@ -111,6 +113,12 @@ pub struct SubstrateStats {
     pub memo_hits: u64,
     /// Clean executions that ran and were stored.
     pub memo_misses: u64,
+    /// Completed executions under an active fault, which skip the memo.
+    pub bypassed_degraded: u64,
+    /// Completed fault-free executions with a timeout, which skip it too.
+    /// With the two memo counts these partition every completed execution;
+    /// the ones that time out are the clusters' `FaultAccounting::timeouts`.
+    pub bypassed_timed: u64,
     /// Distinct `(table, attribute)` hashed layouts computed so far.
     pub layout_entries: usize,
     /// Heap bytes held by the shared executor arenas: the high-water mark
@@ -193,6 +201,8 @@ impl Substrate {
             memo_entries: shared.memo.len(),
             memo_hits: shared.hits,
             memo_misses: shared.misses,
+            bypassed_degraded: shared.bypassed_degraded,
+            bypassed_timed: shared.bypassed_timed,
             layout_entries: shared.layouts.len(),
             scratch_bytes: shared.scratch.capacity_bytes(),
         }
@@ -248,8 +258,27 @@ impl Substrate {
         Some(result)
     }
 
-    /// Run an execution the memo must not see (active fault, timeout) on
-    /// the shared arenas.
+    /// Run an execution the memo must not see — under an active fault
+    /// (`degraded`) or with a timeout — on the shared arenas, and count it
+    /// by cause if it completes.
+    pub(crate) fn bypass_memo(
+        &self,
+        degraded: bool,
+        run: impl FnOnce(&mut ExecScratch) -> Option<ExecResult>,
+    ) -> Option<ExecResult> {
+        let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let shared = &mut *guard;
+        let result = run(&mut shared.scratch)?;
+        if degraded {
+            shared.bypassed_degraded += 1;
+        } else {
+            shared.bypassed_timed += 1;
+        }
+        Some(result)
+    }
+
+    /// The shared arenas, for tests that inspect what an execution left.
+    #[cfg(test)]
     pub(crate) fn with_scratch<R>(&self, run: impl FnOnce(&mut ExecScratch) -> R) -> R {
         run(&mut self
             .shared

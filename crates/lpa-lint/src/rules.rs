@@ -457,9 +457,12 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
     (
         "crates/lpa-cluster/src/columnar.rs",
         &[
+            "execute_columnar",
             "max_shard_fraction_col",
             "max_node_fraction_col",
+            "row_filter",
             "filtered_rows_into",
+            "has_filtered_row",
             "seed_inter_col",
             "carried_slots",
             "join_step_col",

@@ -102,18 +102,21 @@ fn print_report(when: &str, report: &FleetReport) {
 
 /// One line per distinct tenant database: how many clusters share it, how
 /// many executions its memo answered instead of the executor, how many
-/// hashed layouts it computed and what its executor arenas have grown to.
+/// skipped the memo and why, how many hashed layouts it computed and what
+/// its executor arenas have grown to.
 fn print_substrates(fleet: &Fleet) {
     for row in fleet.substrates() {
         let s = row.stats;
         println!(
-            "  substrate {:?} @ {}: {} cluster(s) attached, {} of {} clean executions answered by the memo ({} entries), {} layouts, {} KiB of executor arenas",
+            "  substrate {:?} @ {}: {} cluster(s) attached, {} of {} clean executions answered by the memo ({} entries), {} degraded and {} timed executions past it, {} layouts, {} KiB of executor arenas",
             row.benchmark,
             row.scale,
             s.clusters_attached,
             s.memo_hits,
             s.memo_hits + s.memo_misses,
             s.memo_entries,
+            s.bypassed_degraded,
+            s.bypassed_timed,
             s.layout_entries,
             s.scratch_bytes / 1024,
         );

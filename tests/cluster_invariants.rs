@@ -320,6 +320,9 @@ struct MemoCoverage {
     misses: u64,
     /// Executions that were faulted or timed.
     bypassed: u64,
+    /// Completed executions that skipped the memo: faulted, or fault-free
+    /// and timed (`SubstrateStats::bypassed_*`).
+    completed_bypasses: [u64; 2],
     /// Clean repeats with a faulted or timed execution since the first.
     clean_repeats_after_a_storm: u64,
 }
@@ -359,7 +362,18 @@ fn memo_differential(
     let mut clean_repeats_after_a_storm = 0u64;
     // A bulk update moves the cluster to a fresh substrate; keep the old
     // one's counts.
-    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut counted = [0u64; 4];
+    let mut add_counts = |s: lpa::cluster::SubstrateStats| {
+        let new = [
+            s.memo_hits,
+            s.memo_misses,
+            s.bypassed_degraded,
+            s.bypassed_timed,
+        ];
+        for (total, n) in counted.iter_mut().zip(new) {
+            *total += n;
+        }
+    };
 
     let mut run = |cluster: &mut Cluster,
                    oracle: &mut Oracle,
@@ -405,9 +419,7 @@ fn memo_differential(
     for step in 0..steps {
         let at = format!("{bench} case {case} step {step}");
         if step == steps / 2 {
-            let stats = cluster.substrate().stats();
-            hits += stats.memo_hits;
-            misses += stats.memo_misses;
+            add_counts(cluster.substrate().stats());
             cluster.bulk_update(0.25);
             oracle.bulk_update(cluster.schema().clone());
             assert_eq!(
@@ -458,11 +470,21 @@ fn memo_differential(
         }
         assert_in_step(&cluster, &oracle, &at);
     }
-    let stats = cluster.substrate().stats();
+    add_counts(cluster.substrate().stats());
+    let [hits, misses, degraded, timed] = counted;
+    // Every completed execution is a memo hit, a miss, or a bypass by cause.
+    let ledger = cluster.fault_accounting();
+    assert_eq!(degraded, ledger.degraded_completions, "{bench} case {case}");
+    assert_eq!(
+        degraded + timed + hits + misses,
+        cluster.queries_executed() - ledger.queries_failed - ledger.timeouts,
+        "{bench} case {case}: completed executions"
+    );
     MemoCoverage {
-        hits: hits + stats.memo_hits,
-        misses: misses + stats.memo_misses,
+        hits,
+        misses,
         bypassed,
+        completed_bypasses: [degraded, timed],
         clean_repeats_after_a_storm,
     }
 }
@@ -480,6 +502,7 @@ fn memoised_run_query_matches_a_fresh_executor() {
                     c.misses
                 );
                 assert_eq!(c.bypassed, 0, "{bench}: an inert plan never faults");
+                assert_eq!(c.completed_bypasses, [0, 0], "{bench}");
             }
         });
     }
@@ -493,12 +516,16 @@ fn faulted_and_timed_executions_never_touch_the_memo() {
                 let plan = patchy_storm(0x57_0000 + case as u64);
                 let c = memo_differential(bench, plan, true, 160, 1);
                 assert!(
-                    c.hits > 0 && c.bypassed > 0 && c.clean_repeats_after_a_storm > 0,
+                    c.hits > 0
+                        && c.completed_bypasses.iter().all(|&n| n > 0)
+                        && c.clean_repeats_after_a_storm > 0,
                     "{bench}: the sequence must cross clean and faulted windows \
-                     ({} hits, {} misses, {} bypassed, {} clean repeats after a storm)",
+                     ({} hits, {} misses, {} bypassed, {:?} completed bypasses, \
+                     {} clean repeats after a storm)",
                     c.hits,
                     c.misses,
                     c.bypassed,
+                    c.completed_bypasses,
                     c.clean_repeats_after_a_storm
                 );
             }

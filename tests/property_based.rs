@@ -559,10 +559,13 @@ fn columnar_executor_matches_naive_across_fault_storms() {
 /// on the executor, over plans built so that every path of the late-materialising join is taken for
 /// certain — plans of five and six steps, each `JoinStrategy` arm at each
 /// step position, a replicated intermediate probing a partitioned right
-/// side, a join of two sides present everywhere, an empty build side, and
-/// budgets that abort between steps — under straggling nodes and degraded
-/// links. `seconds`, `output_rows` and `bytes_shuffled` agree to the bit
-/// with `execute_naive`, and between 1 and 8 threads.
+/// side, a join of two sides present everywhere, an empty build side at
+/// the first, a middle and the last step (one of them right after a
+/// many-to-many blow-up, so a count-only step feeds a step that reads only
+/// its node histogram), and budgets that abort between steps — under
+/// straggling nodes and degraded links. `seconds`, `output_rows` and
+/// `bytes_shuffled` agree to the bit with `execute_naive`, and between 1
+/// and 8 threads.
 fn columnar_executor_matches_naive_on_every_join_path() {
     use lpa::cluster::executor::{layout_table, ExecResult, Executor, Layout};
     use lpa::cluster::{Database, ExecScratch, FaultPlan, OptimizerEstimator};
@@ -577,6 +580,18 @@ fn columnar_executor_matches_naive_on_every_join_path() {
         JoinStrategy::DirectedRepartition { table_side: true },
         JoinStrategy::DirectedRepartition { table_side: false },
         JoinStrategy::SymmetricRepartition,
+    ];
+    // ch_q07's third step joins orderline to stock on the item id, many to
+    // many: it makes several times more rows than orderline has.
+    const BLOW_UP: usize = 2;
+    // The step whose build side is emptied: none, the first, the blow-up,
+    // the one after it, the last (clamped to the plan's length).
+    const EMPTIED: [Option<usize>; 5] = [
+        None,
+        Some(0),
+        Some(BLOW_UP),
+        Some(BLOW_UP + 1),
+        Some(usize::MAX),
     ];
     let bits = |r: Option<ExecResult>| {
         r.map(|r| {
@@ -603,6 +618,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
     let run = |threads: usize| {
         let mut seen = Vec::new();
         let (mut everywhere_joins, mut spread_probes, mut aborted) = (0, 0, 0);
+        let mut histogram_after_blow_up = 0;
         lpa::par::with_threads(threads, || {
             for (qi, name) in ["ch_q05", "ch_q07"].into_iter().enumerate() {
                 // Only `order` stays filtered, so rows reach every step.
@@ -631,21 +647,32 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                         })
                         .collect();
                     let is_replicated = |t: TableId| matches!(layouts[t.0], Layout::Replicated);
-                    for shift in 0..ARMS.len() {
+                    // Every arm at every emptied step; nothing emptied on
+                    // even shifts.
+                    let cases = (0..ARMS.len())
+                        .flat_map(|s| EMPTIED.map(|e| (s, e)))
+                        .filter(|&(s, e)| e.is_some() || s % 2 == 0);
+                    for (shift, emptied) in cases {
                         let mut plan = base.clone();
                         for (k, step) in plan.steps.iter_mut().enumerate() {
                             step.strategy = ARMS[(k + shift) % ARMS.len()];
                         }
-                        // The build side of the third step is empty on
-                        // every other shift.
                         let mut query = query.clone();
-                        if shift % 2 == 1 {
-                            let emptied = plan.steps[2].table;
-                            let slot = query.tables.iter().position(|t| *t == emptied);
+                        let emptied = emptied.map(|at| at.min(plan.steps.len() - 1));
+                        if let Some(at) = emptied {
+                            let slot = query.tables.iter().position(|t| *t == plan.steps[at].table);
                             query.selectivity[slot.unwrap()] = 0.0;
+                            let rehashed = matches!(
+                                plan.steps[at].strategy,
+                                JoinStrategy::DirectedRepartition { table_side: false }
+                                    | JoinStrategy::SymmetricRepartition
+                            );
+                            if name == "ch_q07" && at == BLOW_UP + 1 && !rehashed {
+                                histogram_after_blow_up += 1;
+                            }
                         }
                         let first = &plan.steps[0];
-                        if shift < 2 && is_replicated(start) {
+                        if shift < 2 && emptied != Some(0) && is_replicated(start) {
                             // `ReplicatedSide` / `CoLocated` keep both
                             // sides where their layouts put them.
                             if is_replicated(first.table) {
@@ -665,24 +692,44 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                         };
                         let mut scratch = ExecScratch::default();
                         let full = exec.execute_with(&query, &plan, None, &mut scratch);
-                        let at = format!("{name} replicated {replicated} shift {shift}");
+                        let at = format!(
+                            "{name} replicated {replicated} shift {shift} emptied {emptied:?}"
+                        );
                         assert_eq!(
                             bits(full),
                             bits(exec.execute_naive(&query, &plan, None)),
                             "{at}"
                         );
                         seen.push(bits(full));
-                        if shift % 2 == 1 {
+                        if emptied.is_some() {
                             assert_eq!(full.unwrap().output_rows, 0, "{at}: empty build side");
                         }
+                        if name == "ch_q07" && shift == 0 && emptied.is_none() {
+                            let upto = lpa::costmodel::QueryPlan {
+                                steps: plan.steps[..=BLOW_UP].to_vec(),
+                                ..plan.clone()
+                            };
+                            let rows = exec.execute_naive(&query, &upto, None).unwrap().output_rows;
+                            let orderline = schema.table(plan.steps[BLOW_UP].table).rows;
+                            assert!(
+                                rows > 4 * orderline,
+                                "{at}: step {BLOW_UP} makes {rows} rows"
+                            );
+                        }
                         // Budgets that run out after the scans, between
-                        // steps, in the final aggregation, or never.
+                        // steps, in the final aggregation, or never — with
+                        // nothing or the blow-up step emptied.
                         let total = full.unwrap().seconds;
+                        let budgeted = matches!(emptied, None | Some(BLOW_UP));
                         for tenth in [2, 4, 6, 8, 10, 11] {
-                            if shift > 1 && tenth != 6 {
+                            if !budgeted || shift > 1 && tenth != 6 {
                                 continue;
                             }
-                            let budget = Some(total * tenth as f64 / 10.0);
+                            // `total * 10.0 / 10.0` may round below `total`.
+                            let budget = Some(match tenth {
+                                10 => total,
+                                _ => total * tenth as f64 / 10.0,
+                            });
                             let got = exec.execute_with(&query, &plan, budget, &mut scratch);
                             assert_eq!(
                                 bits(got),
@@ -698,6 +745,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
             }
         });
         assert!(everywhere_joins >= 4 && spread_probes >= 4 && aborted >= 40);
+        assert!(histogram_after_blow_up >= 10, "{histogram_after_blow_up}");
         seen
     };
     assert_eq!(run(1), run(8));
