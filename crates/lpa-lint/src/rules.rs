@@ -465,7 +465,12 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
             "has_filtered_row",
             "seed_inter_col",
             "carried_slots",
+            "folds",
             "join_step_col",
+            "left_keys",
+            "exchange_col",
+            "build_col",
+            "charge_col",
         ],
     ),
     (

@@ -13,6 +13,12 @@
 # Anything after <pairs> is handed to lpa-perf unchanged (`--seed 12`,
 # `--trace 1`, `--size tiny`, `--seconds 5`).
 #
+# Metrics that must not move are compared pair by pair: the `EXACT` list
+# of the parent's own lpa-perf harness (reported with `--trace 1`) and
+# `advice_cost_ratio` (reported without). Any whose values differ between
+# the sides is listed under `exact_moved` and on stderr, and the script
+# exits 1.
+#
 # The change is the work tree as git sees it (index plus edits to tracked
 # files — `git add` new files first), or HEAD when the tree is clean;
 # PERF_PAIR_CHANGE=<ref> picks another commit. Exports and builds are kept
@@ -95,13 +101,18 @@ for name in $workloads; do
     done
 done
 
-python3 - "$runs" "$repo/BENCHMARK.json" "$parent" "$change" "$workload" "$*" <<'PY'
-import json, statistics, sys
+python3 - "$runs" "$repo/BENCHMARK.json" "$parent" "$change" "$workload" "$*" \
+    "$work/$parent/src/crates/lpa-perf/src/bin/lpa-perf/harness.rs" <<'PY'
+import json, re, statistics, sys
 
-runs_path, bench_path, parent, change, requested, options = sys.argv[1:7]
+runs_path, bench_path, parent, change, requested, options, harness_path = sys.argv[1:8]
 all_runs = [json.loads(line) for line in open(runs_path)]
 bench = json.load(open(bench_path))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+exact_list = re.search(r"pub const EXACT: &\[&str\] = &\[(.*?)\];", open(harness_path).read(), re.S)
+if exact_list is None:
+    sys.exit(f"perf_pair: no EXACT list in {harness_path}")
+exact = re.findall(r'"([^"]+)"', exact_list.group(1)) + ["advice_cost_ratio"]
 
 def side_summary(values):
     q1, median, q3 = (
@@ -112,7 +123,8 @@ def side_summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 def summarise(workload, runs):
-    """One workload's report, its table on stderr; (report, all runs correct)."""
+    """One workload's report, its table on stderr; (report, all runs correct
+    and no exact metric moved)."""
     sides = {"parent": {}, "change": {}}
     ok = True
     for run in runs:
@@ -147,6 +159,11 @@ def summarise(workload, runs):
         "attempted": {s: [sides[s][i]["attempted"] for i in sorted(sides[s])] for s in sides},
         "failed": {s: [sides[s][i]["failed"] for i in sorted(sides[s])] for s in sides},
         "metrics": metrics,
+        "exact_moved": {
+            name: {"parent": metrics[name]["parent"]["runs"], "change": metrics[name]["change"]["runs"]}
+            for name in exact
+            if name in metrics and metrics[name]["parent"]["runs"] != metrics[name]["change"]["runs"]
+        },
     }
 
     w = max(len(n) for n in names)
@@ -158,7 +175,9 @@ def summarise(workload, runs):
             f"{m['pairs_won']}/{m['pairs_lost']} of {report['pairs']}  ({m['unit']}, {m['better']} is better)",
             file=sys.stderr,
         )
-    return report, ok
+    for name, runs in report["exact_moved"].items():
+        print(f"perf_pair: {workload}: exact metric {name} moved: {runs}", file=sys.stderr)
+    return report, ok and not report["exact_moved"]
 
 by_workload = {}
 for run in all_runs:

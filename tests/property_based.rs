@@ -563,14 +563,17 @@ fn columnar_executor_matches_naive_across_fault_storms() {
 /// the first, a middle and the last step (one of them right after a
 /// many-to-many blow-up, so a count-only step feeds a step that reads only
 /// its node histogram), and budgets that abort between steps — under
-/// straggling nodes and degraded links. `seconds`, `output_rows` and
-/// `bytes_shuffled` agree to the bit with `execute_naive`, and between 1
-/// and 8 threads.
+/// straggling nodes and degraded links. Then every adjacent step pair,
+/// cut to end the plan, under each producer arm against each consumer arm,
+/// so that a count-only step folds into its producer wherever it can.
+/// `seconds`, `output_rows` and `bytes_shuffled` agree to the bit with
+/// `execute_naive`, and between 1 and 8 threads.
 fn columnar_executor_matches_naive_on_every_join_path() {
     use lpa::cluster::executor::{layout_table, ExecResult, Executor, Layout};
     use lpa::cluster::{Database, ExecScratch, FaultPlan, OptimizerEstimator};
-    use lpa::costmodel::JoinStrategy;
+    use lpa::costmodel::{JoinStrategy, PlanStep, QueryPlan};
     use lpa::partition::TableState;
+    use lpa::workload::Query;
 
     const ARMS: [JoinStrategy; 7] = [
         JoinStrategy::ReplicatedSide,
@@ -614,6 +617,20 @@ fn columnar_executor_matches_naive_on_every_join_path() {
         crash_rate: 0.0,
         ..FaultPlan::storm(0x19)
     };
+    // Which tables are replicated: none (0), the start table (1), all (2).
+    let layouts_with = |start: TableId, replicated: usize| -> Vec<Layout> {
+        (0..schema.tables().len())
+            .map(|t| {
+                let t = TableId(t);
+                let state = match replicated {
+                    0 => initial.table_state(t),
+                    1 if t != start => initial.table_state(t),
+                    _ => TableState::Replicated,
+                };
+                layout_table(&db, &engine, hw.nodes, t, state)
+            })
+            .collect()
+    };
 
     let run = |threads: usize| {
         let mut seen = Vec::new();
@@ -633,19 +650,8 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                 assert!(base.steps.len() >= 4, "{name}: {} steps", base.steps.len());
                 let start = base.start_table.unwrap();
 
-                // Which tables are replicated: none, the start table, all.
                 for replicated in 0..3usize {
-                    let layouts: Vec<Layout> = (0..schema.tables().len())
-                        .map(|t| {
-                            let t = TableId(t);
-                            let state = match replicated {
-                                0 => initial.table_state(t),
-                                1 if t != start => initial.table_state(t),
-                                _ => TableState::Replicated,
-                            };
-                            layout_table(&db, &engine, hw.nodes, t, state)
-                        })
-                        .collect();
+                    let layouts = layouts_with(start, replicated);
                     let is_replicated = |t: TableId| matches!(layouts[t.0], Layout::Replicated);
                     // Every arm at every emptied step; nothing emptied on
                     // even shifts.
@@ -705,7 +711,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                             assert_eq!(full.unwrap().output_rows, 0, "{at}: empty build side");
                         }
                         if name == "ch_q07" && shift == 0 && emptied.is_none() {
-                            let upto = lpa::costmodel::QueryPlan {
+                            let upto = QueryPlan {
                                 steps: plan.steps[..=BLOW_UP].to_vec(),
                                 ..plan.clone()
                             };
@@ -749,6 +755,185 @@ fn columnar_executor_matches_naive_on_every_join_path() {
         seen
     };
     assert_eq!(run(1), run(8));
+
+    // Every adjacent step pair of three plans, the pair's second step made
+    // count-only by ending the plan there, each producer arm against each
+    // consumer arm. Where the consumer keys on the producer's right table
+    // and leaves its input in place, the columnar executor folds it into
+    // the producer; consumers that re-hash or broadcast their input stay
+    // unfolded. `ch_q07` is forced to start at `orderline`, so that its
+    // first pair is the many-to-many `stock` step feeding `supplier`.
+    let table = |name: &str| schema.table_by_name(name).unwrap();
+    let orderline = table("orderline");
+    let mut plans = Vec::new();
+    for name in ["ch_q05", "ch_q07", "ch_q09"] {
+        let mut query = (workload.queries().iter())
+            .find(|q| q.name == name)
+            .unwrap()
+            .clone();
+        let filtered = if name == "ch_q07" { orderline } else { order };
+        for (t, sel) in query.tables.iter().zip(query.selectivity.iter_mut()) {
+            *sel = if *t == filtered { 0.01 } else { 1.0 };
+        }
+        let mut plan = optimizer.plan(&schema, &query, &initial, 0);
+        if name == "ch_q07" {
+            let chain = [
+                ("orderline", "stock"),
+                ("stock", "supplier"),
+                ("supplier", "nation"),
+                ("orderline", "order"),
+                ("order", "customer"),
+            ];
+            let join_of = |(left, right): (&str, &str)| {
+                let (left, right) = (table(left), table(right));
+                let index = query.joins.iter().position(|j| {
+                    let (a, b) = j.pairs[0];
+                    [(a.table, b.table), (b.table, a.table)].contains(&(left, right))
+                });
+                (index.unwrap(), right)
+            };
+            let template = plan.steps[0].clone();
+            plan.start_table = Some(orderline);
+            plan.steps = (chain.into_iter().map(join_of))
+                .map(|(join_index, table)| PlanStep {
+                    join_index,
+                    table,
+                    ..template.clone()
+                })
+                .collect();
+        }
+        plans.push((query, plan));
+    }
+    let layouts: Vec<Vec<Vec<Layout>>> = (plans.iter())
+        .map(|(_, plan)| {
+            (0..3)
+                .map(|r| layouts_with(plan.start_table.unwrap(), r))
+                .collect()
+        })
+        .collect();
+    let moves_input = |s: JoinStrategy| {
+        matches!(
+            s,
+            JoinStrategy::Broadcast { table_side: false }
+                | JoinStrategy::DirectedRepartition { table_side: false }
+                | JoinStrategy::SymmetricRepartition
+        )
+    };
+    let pairs = |threads: usize| {
+        let mut seen = Vec::new();
+        let (mut folded, mut unfolded, mut spread_weights) = (0, 0, 0);
+        let (mut everywhere_output, mut both, mut inputless, mut between) = (0, 0, 0, 0);
+        lpa::par::with_threads(threads, || {
+            for (qi, (query, base)) in plans.iter().enumerate() {
+                let left_of = |k: usize| {
+                    let step = &base.steps[k];
+                    let (a, b) = query.joins[step.join_index].pairs[0];
+                    if b.table == step.table {
+                        a.table
+                    } else {
+                        b.table
+                    }
+                };
+                let seed = query
+                    .tables
+                    .iter()
+                    .position(|t| Some(*t) == base.start_table);
+                for k in 0..base.steps.len() - 1 {
+                    let keyed = left_of(k + 1) == base.steps[k].table;
+                    for (sa, sb) in
+                        (0..ARMS.len()).flat_map(|a| (0..ARMS.len()).map(move |b| (a, b)))
+                    {
+                        let replicated = (sa + sb + k) % 3;
+                        let (producer, consumer) = (ARMS[sa], ARMS[sb]);
+                        let mut plan = QueryPlan {
+                            steps: base.steps[..=k + 1].to_vec(),
+                            ..base.clone()
+                        };
+                        plan.steps[k].strategy = producer;
+                        plan.steps[k + 1].strategy = consumer;
+                        let folds = keyed && !moves_input(consumer);
+                        folded += folds as usize;
+                        unfolded += (keyed && !folds) as usize;
+                        // A consumer whose right side stays partitioned
+                        // weighs each producer row per node; a producer
+                        // that ships its input next to a replicated right
+                        // side leaves its output everywhere.
+                        let spread = consumer == ARMS[4] || replicated < 2 && sb < 2;
+                        let everywhere = replicated == 2 && producer == ARMS[3];
+                        spread_weights += (folds && spread) as usize;
+                        everywhere_output += (folds && everywhere) as usize;
+                        both += (folds && spread && everywhere) as usize;
+
+                        let faults = storm.state_at(0.05 * (qi + k + sa + sb) as f64, hw.nodes);
+                        let exec = Executor {
+                            schema: &schema,
+                            db: &db,
+                            engine: &engine,
+                            hw: &hw,
+                            layouts: &layouts[qi][replicated],
+                            faults: &faults,
+                        };
+                        let at = format!(
+                            "{} pair {k} arms {sa}x{sb} replicated {replicated}",
+                            query.name
+                        );
+                        let mut scratch = ExecScratch::default();
+                        let mut check = |query: &Query, plan: &QueryPlan, budget: Option<f64>| {
+                            let got = exec.execute_with(query, plan, budget, &mut scratch);
+                            let want = exec.execute_naive(query, plan, budget);
+                            assert_eq!(bits(got), bits(want), "{at} budget {budget:?}");
+                            seen.push(bits(got));
+                            got
+                        };
+                        let total = check(query, &plan, None).unwrap().seconds;
+                        if sa == sb {
+                            // The producer (and every step) without input rows.
+                            let mut query = query.clone();
+                            query.selectivity[seed.unwrap()] = 0.0;
+                            inputless += folds as usize;
+                            assert_eq!(check(&query, &plan, None).unwrap().output_rows, 0);
+                        }
+                        if !folds {
+                            continue;
+                        }
+                        // A budget of what the plan through the producer
+                        // charges, aggregation included: the producer's
+                        // check passes, and the run stops after it.
+                        let through = QueryPlan {
+                            steps: plan.steps[..=k].to_vec(),
+                            ..plan.clone()
+                        };
+                        let budget = exec.execute_naive(query, &through, None).unwrap().seconds;
+                        assert!(budget < total, "{at}");
+                        assert!(check(query, &plan, Some(budget)).is_none(), "{at}");
+                        between += 1;
+                        if (sa + sb + k) % 4 == 0 {
+                            for tenth in [2, 4, 6, 8, 10, 11] {
+                                let budget = match tenth {
+                                    10 => total,
+                                    _ => total * tenth as f64 / 10.0,
+                                };
+                                let got = check(query, &plan, Some(budget));
+                                assert_eq!(got.is_some(), tenth >= 10, "{at} budget {tenth}/10");
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        let counts = [
+            folded,
+            unfolded,
+            spread_weights,
+            everywhere_output,
+            both,
+            inputless,
+            between,
+        ];
+        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+        seen
+    };
+    assert_eq!(pairs(1), pairs(8));
 }
 
 /// Salt-collision audit for the fleet's stream derivation
