@@ -110,6 +110,10 @@ impl Advisor {
     /// Inference (Section 6): greedy rollout from `s_0`, return the state
     /// with the maximum reward (the agent oscillates around the optimum,
     /// so the last state is not necessarily the best).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a rollout records the initial state's reward slot before any step"
+    )]
     pub fn suggest(&mut self, freqs: &FrequencyVector) -> Suggestion {
         let prev = self.env.set_sampler(MixSampler::Fixed(freqs.clone()));
         let mut traj = rollout(&mut self.agent, &mut self.env, self.cfg.tmax);

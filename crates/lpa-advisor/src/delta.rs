@@ -141,6 +141,10 @@ impl DeltaCostEngine {
     /// (Re)build the inverted indexes when the workload gains queries.
     /// Index rebuilds keep the memo cache — query indices are stable, so
     /// existing entries stay valid.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table_queries is rebuilt above with one list per schema table; query table ids come from that schema"
+    )]
     fn ensure_indexes(&mut self, schema: &Schema, workload: &Workload) {
         let n = workload.queries().len();
         if self.indexed_queries == n && self.table_queries.len() == schema.tables().len() {
@@ -211,6 +215,7 @@ impl DeltaCostEngine {
     }
 
     /// Re-cost the queries listed in `self.scratch` against `p`.
+    #[expect(clippy::indexing_slicing, reason = "i runs over 0..scratch.len()")]
     fn recost_scratch(&mut self, schema: &Schema, workload: &Workload, p: &Partitioning) {
         for i in 0..self.scratch.len() {
             let j = self.scratch[i];
@@ -225,6 +230,10 @@ impl DeltaCostEngine {
     /// Reward of an arbitrary partitioning (generic entry point: resets,
     /// probes, `reward_of`). In delta mode the affected query set is the
     /// diff against the tracked partitioning.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ti enumerates table states of the schema that sized table_queries"
+    )]
     pub fn reward(
         &mut self,
         schema: &Schema,
@@ -286,6 +295,10 @@ impl DeltaCostEngine {
     /// touching that table, an edge toggle the queries incident to the
     /// edge. Falls back to [`Self::reward`] whenever `prev` is not the
     /// tracked partitioning (or in full mode).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table and edge ids come from the schema that sized table_queries and edge_queries"
+    )]
     pub fn reward_for_step(
         &mut self,
         schema: &Schema,

@@ -313,6 +313,10 @@ impl AdvisorEnv {
         -self.backend.reward(&self.schema, &self.workload, p, freqs)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "action attribute ids are minted by this env's schema"
+    )]
     fn action_allowed(&self, a: &Action) -> bool {
         if self.allow_compound {
             return true;

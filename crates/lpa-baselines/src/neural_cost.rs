@@ -207,6 +207,10 @@ impl NeuralCostAdvisor {
     }
 
     /// A few epochs of minibatch MSE training over the dataset.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "order is a permutation of 0..dataset.len()"
+    )]
     fn fit(&mut self, epochs: usize) {
         const BATCH: usize = 32;
         if self.dataset.is_empty() {

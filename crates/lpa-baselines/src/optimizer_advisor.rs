@@ -34,6 +34,10 @@ fn estimated_cost(
 
 /// Search for the partitioning minimizing the optimizer's estimated
 /// workload cost. `max_rounds` bounds the hill climbing.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "attribute ids come from the table they index"
+)]
 pub fn minimum_optimizer_partitioning(
     cluster: &Cluster,
     workload: &Workload,

@@ -7,8 +7,6 @@
 //! 3. **Greedy vs exhaustive join enumeration** in the cost model (quality
 //!    of the estimates).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::Advisor;
 use lpa_bench::setup::cost_params;
 use lpa_bench::{figure, save_json, Benchmark};

@@ -7,8 +7,6 @@
 //! minimum-optimizer baseline (Postgres-XL only — System-X hides optimizer
 //! estimates) and the offline RL agent.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_baselines::{heuristic_a, heuristic_b, minimum_optimizer_partitioning};
 use lpa_bench::setup::{cluster, eval_partitioning, offline_advisor};
 use lpa_bench::{bar, figure, save_json, Benchmark};

@@ -6,8 +6,6 @@
 //! the heuristics, the minimum-optimizer baseline and the purely
 //! offline-trained agent.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::OnlineOptimizations;
 use lpa_baselines::{heuristic_a, heuristic_b, minimum_optimizer_partitioning};
 use lpa_bench::setup::{cluster, eval_partitioning, offline_advisor, refine_online};

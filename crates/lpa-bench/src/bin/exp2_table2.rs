@@ -6,8 +6,6 @@
 //! (fewer episodes, warm ε) yields the final +Offline Phase row — exactly
 //! the paper's measurement methodology (Section 7.3).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::{shared_cache, shared_cluster, Advisor, OnlineBackend, OnlineOptimizations};
 use lpa_bench::setup::{cluster, cost_params, offline_advisor, refine_online};
 use lpa_bench::{figure, save_json, Benchmark};

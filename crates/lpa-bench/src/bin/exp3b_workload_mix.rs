@@ -6,8 +6,6 @@
 //! A (uniform frequencies) and B (queries joining `stock` and `item`
 //! over-represented).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::{AdvisorEnv, Committee, OnlineBackend, OnlineOptimizations, RewardBackend};
 use lpa_bench::setup::{cluster, offline_advisor, refine_online};
 use lpa_bench::{accuracy, figure, save_json, Approach, Benchmark};

@@ -6,8 +6,6 @@
 //! the additional simulated training time relative to training an advisor
 //! from scratch on the full workload.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::{
     incremental, shared_cache, shared_cluster, Advisor, OnlineBackend, OnlineOptimizations,
 };

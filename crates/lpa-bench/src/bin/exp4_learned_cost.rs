@@ -7,8 +7,6 @@
 //! optimizations shared; the paper shows the RL agent still wins because
 //! it visits about 3x as many distinct partitionings.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::{OnlineBackend, OnlineOptimizations};
 use lpa_baselines::{NeuralCostAdvisor, NeuralCostVariant};
 use lpa_bench::setup::{cluster, cost_params, eval_partitioning, offline_advisor, refine_online};

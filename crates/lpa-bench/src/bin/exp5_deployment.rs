@@ -8,8 +8,6 @@
 //! freshly retrained RL agent picks the right side of the crossover on
 //! every deployment.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::OnlineOptimizations;
 use lpa_bench::setup::{cluster, eval_partitioning, refine_online};
 use lpa_bench::{figure, save_json, Benchmark};

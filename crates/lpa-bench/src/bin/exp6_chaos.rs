@@ -9,8 +9,6 @@
 //! reported is what the storm cost the *advice*, not what it cost the
 //! measurements. The fault ledger (`FaultAccounting`) is printed alongside.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::OnlineOptimizations;
 use lpa_bench::setup::{
     cluster, eval_partitioning, offline_advisor, refine_online, refine_online_with_faults,

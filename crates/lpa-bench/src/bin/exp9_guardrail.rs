@@ -20,8 +20,6 @@
 //! `lpa-perf`'s `guardrail.observe_window_ms` and
 //! `service.canary_{close_ms,window_share}`.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_bench::{bar, figure, save_json, SeededChaos};
 use lpa_cluster::{GuardrailAccounting, GuardrailConfig, GuardrailEvent};
 use lpa_service::{Benchmark, Fleet, FleetConfig, JournalRecord, TenantSpec};

@@ -4,8 +4,6 @@
 //! values, plus the scaled simulation configurations the harness actually
 //! runs with (same relative settings, fewer episodes/steps).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_bench::{figure, Benchmark};
 use lpa_rl::{DqnConfig, REPLAY_CAPACITY};
 

@@ -66,6 +66,10 @@ impl SliceHook for SeededChaos {
     /// co-partitioning at once forces network joins across the board — a
     /// known-bad layout by construction — while staying a valid
     /// [`Partitioning`] the advisor could have suggested.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "draw is reduced modulo the length of a non-empty pool"
+    )]
     fn candidate(
         &self,
         tenant: usize,

@@ -266,6 +266,10 @@ impl Cluster {
 
     /// Deploy a new partitioning: repartition every table whose physical
     /// state changes, charging the movement time. Returns seconds spent.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "layouts holds one slot per schema table; target shares the cluster's schema"
+    )]
     pub fn deploy(&mut self, target: &Partitioning) -> f64 {
         let changed = self.deployed.diff_tables(target);
         let mut seconds = 0.0;
@@ -407,6 +411,10 @@ impl Cluster {
     /// First down node whose loss makes the query unservable: any scanned
     /// table that is partitioned (not replicated) has exactly one copy of
     /// each shard, so a single down node cuts it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "layouts holds one slot per schema table"
+    )]
     fn unreachable_shard(&self, query: &Query, faults: &FaultState) -> Option<usize> {
         let node = faults.down.iter().position(|d| *d)?;
         for t in &query.tables {
@@ -453,6 +461,10 @@ impl Cluster {
     /// Fig. 4b experiment grows just the transactional tables, matching
     /// TPC-H's refresh functions (which insert new orders and lineitems,
     /// not new customers).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "growth holds one slot per schema table"
+    )]
     pub fn bulk_update_tables(&mut self, fraction: f64, tables: &[TableId]) {
         assert!(fraction >= 0.0);
         let mut growth = self.substrate.growth().to_vec();
@@ -486,6 +498,10 @@ impl Cluster {
     /// cluster is then exactly as it was. Data is regenerated only when the
     /// growth differs from the substrate's; otherwise just the layouts of
     /// the tables whose state changes are recomputed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "layouts holds one slot per schema table; the resume state was captured from the same schema"
+    )]
     pub fn restore_resume_state(&mut self, st: ClusterResumeState) -> Result<(), String> {
         let n_tables = self.schema().tables().len();
         if st.growth.len() != n_tables {

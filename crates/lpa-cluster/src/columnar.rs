@@ -242,6 +242,10 @@ impl ExecScratch {
 
 /// `join`'s primary pair oriented as (intermediate side, right side) — the
 /// naive path orients every pair but only ever reads the first.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a validated join has at least one key pair"
+)]
 fn oriented(join: &JoinPred, right_table: TableId) -> (AttrRef, AttrRef) {
     let (a, b) = join.pairs[0];
     if b.table == right_table {
@@ -317,6 +321,10 @@ impl Executor<'_> {
     /// The columnar fast path behind [`Executor::execute`]. Bit-identical
     /// to [`Executor::execute_naive`] by construction (see module docs) and
     /// by the differential suites.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: a validated query scans at least one table"
+    )]
     pub(crate) fn execute_columnar(
         &self,
         query: &Query,
@@ -402,6 +410,10 @@ impl Executor<'_> {
 
     /// Columnar twin of the naive `max_shard_fraction`, from the row
     /// counts stored with the layout.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: layouts holds one slot per schema table"
+    )]
     fn max_shard_fraction_col(&self, t: TableId) -> f64 {
         match &self.layouts[t.0] {
             Layout::Replicated => self.replicated_slowdown(),
@@ -457,6 +469,10 @@ impl Executor<'_> {
 
     /// Columnar twin of the naive `seed_inter`; leaves the seed's node
     /// histogram in `step.per_node_out`, as each join step leaves its own.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their own table's columns; layouts holds one slot per table"
+    )]
     fn seed_inter_col(&self, query: &Query, start: TableId, scratch: &mut ExecScratch) {
         let slot = slot_of(query, start);
         self.filtered_rows_into(query, start, &mut scratch.step.filtered);
@@ -486,6 +502,10 @@ impl Executor<'_> {
 
     /// The join-key value of every intermediate row, gathered on demand
     /// through the one carried slot the step reads.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their own table's columns"
+    )]
     fn left_keys<'s>(
         &'s self,
         query: &Query,
@@ -501,6 +521,10 @@ impl Executor<'_> {
     /// A step's exchange: filters its right table into `side`, places both
     /// sides and counts the bytes each node receives — the same
     /// accumulation expressions, in the same order, as the naive arms.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their own table's columns; i < inter.len()"
+    )]
     fn exchange_col(
         &self,
         query: &Query,
@@ -581,6 +605,10 @@ impl Executor<'_> {
     /// A right side present everywhere builds once under group 0 and counts
     /// for every group. Unless `hash` (an input without rows probes
     /// nothing), no row is hashed; `entry` sees every hashed row's entry.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their own table's columns"
+    )]
     fn build_col(
         &self,
         at: Step,
@@ -650,6 +678,10 @@ impl Executor<'_> {
     /// that step's table is built first, this step's build entries carry
     /// its matches, and `next` is left as its output, written by neither.
     /// Returns each step's (seconds, total bytes).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their table's columns; g < node count; slot vectors share the intermediate's length"
+    )]
     fn join_step_col(
         &self,
         query: &Query,

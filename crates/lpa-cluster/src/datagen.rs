@@ -46,6 +46,10 @@ impl Database {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by the schema this database was generated from"
+    )]
     pub fn table(&self, t: TableId) -> &TableData {
         &self.tables[t.0]
     }
@@ -55,6 +59,10 @@ impl Database {
     }
 
     /// Column accessor.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table and attribute ids are minted by the schema this database was generated from"
+    )]
     pub fn column(&self, t: TableId, a: AttrId) -> &[u64] {
         &self.tables[t.0].columns[a.0]
     }
@@ -83,6 +91,7 @@ impl<'a> Generator<'a> {
         }
     }
 
+    #[expect(clippy::indexing_slicing, reason = "t enumerates the schema's tables")]
     fn finish(self) -> Vec<TableData> {
         self.columns
             .into_iter()
@@ -103,6 +112,10 @@ impl<'a> Generator<'a> {
             .collect()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "columns holds one slot per schema table and attribute; every id comes from the schema"
+    )]
     fn materialize(&mut self, t: TableId, a: AttrId) {
         if self.columns[t.0][a.0].is_some() {
             return;
@@ -155,7 +168,9 @@ impl<'a> Generator<'a> {
                     // Schema validation rejects `Inherited` via a non-FK
                     // attribute; degrade to a constant column rather than
                     // aborting generation mid-episode.
-                    _ => vec![0u64; rows],
+                    Domain::PrimaryKey | Domain::Fixed(_) | Domain::Inherited { .. } => {
+                        vec![0u64; rows]
+                    }
                 }
             }
         };

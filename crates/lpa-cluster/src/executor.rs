@@ -79,6 +79,10 @@ pub enum Layout {
 /// Compute the layout of one table under a deployment (one `node_of` hash
 /// per row, never cached: [`Substrate::layout`](crate::Substrate::layout)
 /// is the memoised front of this function).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hot kernel: node_of returns a node below the node count"
+)]
 pub fn layout_table(
     db: &Database,
     engine: &EngineProfile,
@@ -192,6 +196,10 @@ impl<'a> Executor<'a> {
     /// loops. Kept verbatim as the differential oracle for the columnar
     /// path — every charge below defines the contract the fast path must
     /// reproduce bit-for-bit.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a validated query scans at least one table"
+    )]
     pub fn execute_naive(
         &self,
         query: &Query,
@@ -286,6 +294,10 @@ impl<'a> Executor<'a> {
 
     /// Fraction of a table's rows on its most loaded node, weighted by the
     /// per-node work multipliers (a straggler makes its shard "heavier").
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "layouts holds one slot per schema table"
+    )]
     fn max_shard_fraction(&self, t: TableId) -> f64 {
         match &self.layouts[t.0] {
             Layout::Replicated => self.replicated_slowdown(),
@@ -299,6 +311,10 @@ impl<'a> Executor<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lo..hi is a shard range of the assignment; node ids are below the node count"
+    )]
     fn max_node_fraction(&self, assignment: &[u8], nodes: usize) -> f64 {
         if assignment.is_empty() {
             return 1.0 / nodes as f64;
@@ -360,6 +376,10 @@ impl<'a> Executor<'a> {
             .collect()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "layouts holds one slot per table; row ids index their own table's columns"
+    )]
     fn seed_inter(&self, query: &Query, start: TableId) -> Inter {
         let slot = slot_of(query, start);
         let rows = self.filtered_rows(query, start);
@@ -388,6 +408,10 @@ impl<'a> Executor<'a> {
 
     /// Value of the intermediate's rows for an attribute of one of its
     /// already-joined tables.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row ids index their own table's columns"
+    )]
     fn inter_values(&self, query: &Query, inter: &Inter, attr: AttrRef) -> Vec<u64> {
         let slot = slot_of(query, attr.table);
         let col = self.db.column(attr.table, attr.attr);
@@ -398,6 +422,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute one join step; returns (seconds, bytes over network, result).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: row ids index their table's columns; node ids and g are below the node count"
+    )]
     fn join_step(
         &self,
         query: &Query,

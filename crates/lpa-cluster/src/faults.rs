@@ -154,6 +154,10 @@ impl FaultPlan {
 
     /// The active fault state at simulated second `clock` on an
     /// `nodes`-node cluster. Inert plans return the nominal state.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "FaultState::nominal(nodes) sizes every per-node vector to nodes; node and window % nodes are below it"
+    )]
     pub fn state_at(&self, clock: f64, nodes: usize) -> FaultState {
         let mut state = FaultState::nominal(nodes);
         if self.is_inert() {

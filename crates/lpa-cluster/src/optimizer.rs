@@ -91,6 +91,10 @@ impl OptimizerEstimator {
     /// Apply deterministic per-(query, table, epoch) selectivity errors.
     /// Error magnitude grows with join count, following the observation
     /// that estimation errors compound through joins.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a validated query carries one selectivity per scanned table, and i enumerates its tables"
+    )]
     fn distort(&self, query: &Query, stats_epoch: u64) -> Query {
         if self.error_scale == 0.0 {
             return query.clone();

@@ -113,6 +113,10 @@ impl NetworkCostModel {
     }
 
     /// Best plan found for the query under the partitioning.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a validated query scans at least one table"
+    )]
     pub fn plan(&self, schema: &Schema, query: &Query, partitioning: &Partitioning) -> QueryPlan {
         let scan_seconds = self.scan_cost(schema, query, partitioning);
         if query.joins.is_empty() {
@@ -203,6 +207,10 @@ impl NetworkCostModel {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "used holds one slot per join; a plan with joins has at least one step"
+    )]
     fn greedy_from(
         &self,
         schema: &Schema,
@@ -281,6 +289,10 @@ impl NetworkCostModel {
     }
 
     /// Exhaustive DFS over join orders.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "seed and used are indexed by join position"
+    )]
     fn best_exhaustive(
         &self,
         schema: &Schema,
@@ -316,6 +328,10 @@ impl NetworkCostModel {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ji enumerates the query's joins; used holds one slot per join"
+    )]
     fn dfs(
         &self,
         schema: &Schema,
@@ -404,6 +420,10 @@ impl NetworkCostModel {
     /// Join `left` (intermediate or base) with base-table side `right`,
     /// choosing the cheapest distribution strategy.
     #[allow(clippy::too_many_arguments)] // private planner helper; all args are hot-path plan state
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a validated join has at least one key pair"
+    )]
     fn join_sides(
         &self,
         schema: &Schema,

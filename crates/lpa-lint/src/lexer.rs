@@ -139,7 +139,12 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        &self.src[start..self.pos]
+        self.src.get(start..self.pos).unwrap_or_default()
+    }
+
+    /// The source bytes `start..end`, as (lossy) text.
+    fn text(&self, start: usize, end: usize) -> String {
+        String::from_utf8_lossy(self.src.get(start..end).unwrap_or_default()).into_owned()
     }
 
     fn next_token(&mut self) -> Result<Option<Tok>, LexError> {
@@ -279,7 +284,7 @@ impl<'a> Lexer<'a> {
             self.bump();
             self.take_number_body(radix_prefix);
         }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+        let text = self.text(start, self.pos);
         if !is_float {
             is_float = dotless_float(&text);
         }
@@ -320,7 +325,7 @@ impl<'a> Lexer<'a> {
         loop {
             match self.peek(0) {
                 Some(b'"') => {
-                    let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                    let text = self.text(start, self.pos);
                     self.bump();
                     return Ok(Tok {
                         kind: TokKind::Literal,
@@ -364,7 +369,7 @@ impl<'a> Lexer<'a> {
                         }
                         return Ok(Tok {
                             kind: TokKind::Literal,
-                            text: String::from_utf8_lossy(&self.src[start..end]).into_owned(),
+                            text: self.text(start, end),
                             line,
                         });
                     }

@@ -1,73 +1,48 @@
-//! The project-specific rules.
+//! The project-specific rules clippy cannot express, as token scans.
 //!
 //! Each rule exists because a violation can silently corrupt the advisor's
 //! training signal (see DESIGN.md "Static analysis & invariants" for the
-//! paper-level rationale). The identifier-mention rules — "this name must
-//! not appear here" — are token scans in this file; L004, L007 and L008
-//! depend on *which* enum or function a path names, so their one
-//! implementation is the alias-resolving structural pass
-//! ([`crate::path_rules::l012`]). Every token rule skips test code: a
-//! `#[cfg(test)]` / `#[test]` item, but never `#[cfg(not(test))]`.
+//! paper-level rationale and the full table). The panic, catch-all,
+//! raw-write, thread and wall-clock rules (L001, L003, L004, L006, L008,
+//! L009 and L007's catch-all arms) are clippy lints, denied by one line at
+//! every library root ([`DENY_LINE`]) with the banned methods listed in the
+//! root `clippy.toml`; clippy resolves names by type, so no alias escapes
+//! them. What stays here either has a per-file scope or names a project
+//! type. Every rule skips test code: a `#[cfg(test)]` / `#[test]` item, but
+//! never `#[cfg(not(test))]`.
 //!
-//! - **L001** — no `unwrap()` / `expect()` / `panic!` in library code. A
-//!   panicking advisor aborts an online-training episode and loses the
-//!   replay transitions collected so far.
 //! - **L002** — no `HashMap` / `HashSet` in encoder, reward,
-//!   cost-accounting, weight-update or checkpoint-codec paths. Hash
-//!   iteration order is nondeterministic across runs, which leaks into
-//!   state encodings, reward accounting, weights and checkpoint bytes and
-//!   makes ground-truth rewards untrustworthy.
-//! - **L003** — no wall-clock (`Instant` / `SystemTime`) inside the
-//!   simulator or any reward, state-encoding, weight-update or
-//!   checkpoint-codec path. Simulated time only: reward = modeled runtime,
-//!   never host load.
-//! - **L004** — no wildcard `_` arm in a `match` over the `Action` enum. A
-//!   new action variant must be a compile/lint error, not silently ignored.
-//! - **L005** — no raw `f32` accumulation in reward/cost sums. Summing many
-//!   small costs in `f32` loses precision long before the replay buffer
-//!   fills; accumulate in `f64`.
-//! - **L006** — no direct `std::thread` use (`spawn` / `scope` / `Builder`)
-//!   outside `crates/lpa-par`. Ad-hoc threads bypass the deterministic
-//!   chunk-ordered schedule (and its nested-parallelism guard), so results
-//!   would depend on the thread count; go through `lpa_par::Pool`.
-//! - **L007** — no non-exhaustive handling of `QueryOutcome` (wildcard `_`
-//!   match arms, `if let Completed`). The fault layer's contract is that
-//!   every `Failed` query is *seen* — counted, retried, or replaced by the
-//!   cost-model fallback — never silently dropped from the reward.
-//! - **L008** — no raw durable-state writes (`fs::write`, `File::create`,
-//!   `fs::rename`) outside `crates/lpa-store`. A bare write is not atomic:
-//!   a crash mid-write leaves a torn file that a later resume would read as
-//!   a checkpoint. All persistence goes through `lpa-store`'s
-//!   temp-file + fsync + rename discipline.
-//! - **L013** — no allocation (`Vec::new` / `vec![…]` / `.collect()`)
-//!   inside the columnar executor's per-window functions, the delta
-//!   encoder's per-step path, the DQN train step, or the workload
-//!   monitor's memo-hit path (shape key + count). These run once per
-//!   simulated window / per encoded state / per train step / per observed
-//!   statement; an allocation there is a per-call heap round-trip the
-//!   whole columnar/incremental/memo design exists to avoid, and it creeps
-//!   back silently because the code still passes every correctness test.
-//! - **L014** — no direct tenant-state access outside the fleet module
-//!   (`crates/lpa-service/src/fleet.rs`): naming the private `TenantSlot`
-//!   struct or reading a `.tenants` field bypasses the quarantine funnel
-//!   that keeps one tenant's failure from perturbing another's training
-//!   state. All tenant state flows through `Fleet`'s accessor API.
-//! - **L015** — no direct `Cluster::deploy` calls outside the guardrail
-//!   module (`crates/lpa-cluster/src/guardrail.rs`). A bare `.deploy(…)`
-//!   changes a production layout without canary observation, rollback
-//!   protection, budget accounting or a journal entry. Deployment flows
-//!   through `Guardrail::end_window` (or, for bootstrap/evaluation code
-//!   that owns a throwaway cluster, the sanctioned `direct_deploy`
-//!   free function).
+//!   cost-accounting, weight-update or checkpoint-codec paths: hash
+//!   iteration order is nondeterministic across runs and leaks into
+//!   encodings, rewards, weights and checkpoint bytes.
+//! - **L005** — no raw `f32` accumulation in reward/cost sums: summing many
+//!   small costs in `f32` loses precision; accumulate in `f64`.
+//! - **L007** — no refutable `let` over `QueryOutcome` (`if let`,
+//!   `while let`, `let … else`), and no `QueryOutcome as` rename that
+//!   would hide one: every `Failed` query must be *seen* — counted,
+//!   retried, or replaced by the cost-model fallback — never silently
+//!   dropped from the reward. (Catch-all match arms are clippy's.)
+//! - **L013** — no allocation in the allocation-free hot paths (the
+//!   columnar executor's per-window functions, the delta encoder, the DQN
+//!   train step, the monitor's memo-hit path), where it creeps back
+//!   silently because the code still passes every correctness test.
+//! - **L015** — no direct `Cluster::deploy` outside the guardrail module: a
+//!   bare `.deploy(…)` changes a production layout without canary, rollback,
+//!   budget or journal.
+//! - **L016** — the clippy half stays switched on: every library root
+//!   carries [`DENY_LINE`], `clippy.toml` bans every method in
+//!   [`BANNED_METHODS`], and an exemption from a denied lint is an
+//!   item-level `#[expect(clippy::…, reason = "…")]` — never `allow`
+//!   (which cannot go stale), never crate- or module-level, never without
+//!   a reason.
 
 use crate::lexer::{Tok, TokKind};
-use crate::parser::attr_marks_test;
 
 /// A single finding.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Rule id: "L001".."L009", "L013".."L015", or "W000" for a file that
-    /// cannot be read, lexed or parsed.
+    /// Rule id: "L002", "L005", "L007", "L013", "L015", "L016", or "W000"
+    /// for a file that cannot be read or lexed.
     pub rule: &'static str,
     pub rel_path: String,
     pub line: u32,
@@ -84,6 +59,41 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
+/// The line every library root carries: outside `cfg(test)`, the clippy
+/// lints that enforce the panic (L001, L009), catch-all (L004, L007),
+/// raw-write (L008), thread (L006) and wall-clock (L003) rules are errors.
+/// `wildcard_enum_match_arm` skips a `_` that stands for exactly one
+/// variant, so `match_wildcard_for_single_variants` rides along. Compared with whitespace removed, so rustfmt's layout of it
+/// does not matter.
+pub const DENY_LINE: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::indexing_slicing, clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants, clippy::disallowed_methods))]";
+
+/// The lints [`DENY_LINE`] denies, which library code may only `expect`.
+pub const DENIED_LINTS: [&str; 8] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "indexing_slicing",
+    "wildcard_enum_match_arm",
+    "match_wildcard_for_single_variants",
+    "disallowed_methods",
+];
+
+/// The methods the root `clippy.toml` must ban: wall-clock reads (L003),
+/// direct threads (L006) and raw durable writes (L008).
+pub const BANNED_METHODS: [&str; 10] = [
+    "std::time::Instant::now",
+    "std::time::Instant::elapsed",
+    "std::time::SystemTime::now",
+    "std::time::SystemTime::elapsed",
+    "std::thread::spawn",
+    "std::thread::scope",
+    "std::thread::Builder::new",
+    "std::fs::write",
+    "std::fs::rename",
+    "std::fs::File::create",
+];
+
 /// Paths (relative, `/`-separated, substring match) whose code feeds state
 /// encodings, rewards, or cost accounting — the determinism-critical set,
 /// L005's scope. `lpa-nn` is outside it: the network sums in `f32` by
@@ -99,52 +109,48 @@ const DETERMINISM_SCOPE: &[&str] = &[
     "crates/lpa-rl/src/",
 ];
 
-/// Where hash collections must never appear (L002): the determinism-critical
-/// set plus the network's weights and the checkpoint codec.
-const HASH_FREE_SCOPE: &[&str] = &[
-    "crates/lpa-costmodel/src/",
-    "crates/lpa-partition/src/encoder.rs",
-    "crates/lpa-partition/src/fingerprint.rs",
-    "crates/lpa-advisor/src/accounting.rs",
-    "crates/lpa-advisor/src/cache.rs",
-    "crates/lpa-advisor/src/delta.rs",
-    "crates/lpa-advisor/src/env.rs",
-    "crates/lpa-rl/src/",
+/// Where hash collections must never appear (L002) beyond the
+/// determinism-critical set: the network's weights and the checkpoint codec.
+const WEIGHT_AND_CODEC_SCOPE: &[&str] = &[
     "crates/lpa-nn/src/",
     "crates/lpa-store/src/codec.rs",
     "crates/lpa-store/src/snapshot.rs",
 ];
-
-/// Where wall-clock time must never appear (L003): the simulator, and every
-/// path that computes a reward, a state encoding, a weight update or a
-/// checkpoint's bytes.
-const SIMULATED_TIME_SCOPE: &[&str] = &[
-    "crates/lpa-cluster/src/",
-    "crates/lpa-costmodel/src/",
-    "crates/lpa-nn/src/",
-    "crates/lpa-partition/src/encoder.rs",
-    "crates/lpa-partition/src/fingerprint.rs",
-    "crates/lpa-rl/src/",
-    "crates/lpa-store/src/codec.rs",
-    "crates/lpa-store/src/snapshot.rs",
-];
-
-/// Inside [`SIMULATED_TIME_SCOPE`], the one file that reads the wall clock
-/// by design: `lpa-rl`'s phase timer, whose readings never flow back into
-/// training.
-const WALL_CLOCK_EXEMPT: &[&str] = &["crates/lpa-rl/src/profile.rs"];
-
-/// The one crate allowed to touch `std::thread` directly (L006): the
-/// deterministic pool wraps it for everyone else.
-const THREAD_EXEMPT_SCOPE: &[&str] = &["crates/lpa-par/"];
 
 fn in_scope(rel_path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|s| rel_path.contains(s))
 }
 
+fn is_punct_at(tokens: &[Tok], i: usize, c: char) -> bool {
+    tokens.get(i).is_some_and(|t| t.is_punct(c))
+}
+
+fn is_ident_at(tokens: &[Tok], i: usize, s: &str) -> bool {
+    tokens.get(i).is_some_and(|t| t.is_ident(s))
+}
+
+/// `::` at `i` (the lexer splits it into two `:` puncts).
+fn is_path_sep_at(tokens: &[Tok], i: usize) -> bool {
+    is_punct_at(tokens, i, ':') && is_punct_at(tokens, i + 1, ':')
+}
+
+/// Whether an attribute's tokens mark test code: `#[test]`, `#[bench]`,
+/// or any `cfg` naming `test` without `not` (`#[cfg(test)]`,
+/// `#[cfg(all(test, feature = "x"))]`). `#[cfg(not(test))]` is the code
+/// that ships, so it is never a test region.
+pub fn attr_marks_test(attr: &[Tok]) -> bool {
+    let idents: Vec<&str> = attr
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect();
+    let has = |s: &str| idents.contains(&s);
+    matches!(idents.as_slice(), ["test" | "bench"]) || (has("cfg") && has("test") && !has("not"))
+}
+
 /// Marks which tokens sit inside test regions — the body of an item whose
-/// attribute marks it as test code (`parser::attr_marks_test`),
-/// where panicking is fine because a failing test is loud.
+/// attribute marks it as test code ([`attr_marks_test`]), where
+/// panicking is fine because a failing test is loud.
 pub fn test_regions(tokens: &[Tok]) -> Vec<bool> {
     let mut in_test = vec![false; tokens.len()];
     let mut depth = 0i32;
@@ -152,46 +158,43 @@ pub fn test_regions(tokens: &[Tok]) -> Vec<bool> {
     let mut test_stack: Vec<i32> = Vec::new();
     let mut pending_attr = false;
     let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        match t.kind {
-            TokKind::Punct if t.is_punct('#') => {
-                if let Some(end) = attr_extent(tokens, i) {
-                    if attr_marks_test(&tokens[i..=end]) {
-                        pending_attr = true;
-                    }
-                    for slot in in_test.iter_mut().take(end + 1).skip(i) {
-                        *slot = !test_stack.is_empty();
-                    }
-                    i = end + 1;
-                    continue;
+    while let Some(t) = tokens.get(i) {
+        if t.is_punct('#') {
+            if let Some(end) = attr_extent(tokens, i) {
+                if attr_marks_test(tokens.get(i..=end).unwrap_or_default()) {
+                    pending_attr = true;
                 }
-            }
-            TokKind::Punct if t.is_punct('{') => {
-                depth += 1;
-                if pending_attr {
-                    test_stack.push(depth);
-                    pending_attr = false;
+                for slot in in_test.iter_mut().take(end + 1).skip(i) {
+                    *slot = !test_stack.is_empty();
                 }
+                i = end + 1;
+                continue;
             }
-            TokKind::Punct if t.is_punct('}') => {
-                if test_stack.last() == Some(&depth) {
-                    test_stack.pop();
-                    // The closing brace itself still belongs to the region.
-                    in_test[i] = true;
-                    depth -= 1;
-                    i += 1;
-                    continue;
-                }
-                depth -= 1;
-            }
-            TokKind::Punct if t.is_punct(';') => {
-                // `#[cfg(test)] use …;` — attribute consumed by a non-block item.
+        } else if t.is_punct('{') {
+            depth += 1;
+            if pending_attr {
+                test_stack.push(depth);
                 pending_attr = false;
             }
-            _ => {}
+        } else if t.is_punct('}') {
+            if test_stack.last() == Some(&depth) {
+                test_stack.pop();
+                // The closing brace itself still belongs to the region.
+                if let Some(slot) = in_test.get_mut(i) {
+                    *slot = true;
+                }
+                depth -= 1;
+                i += 1;
+                continue;
+            }
+            depth -= 1;
+        } else if t.is_punct(';') {
+            // `#[cfg(test)] use …;` — attribute consumed by a non-block item.
+            pending_attr = false;
         }
-        in_test[i] = !test_stack.is_empty();
+        if let Some(slot) = in_test.get_mut(i) {
+            *slot = !test_stack.is_empty();
+        }
         i += 1;
     }
     in_test
@@ -199,14 +202,12 @@ pub fn test_regions(tokens: &[Tok]) -> Vec<bool> {
 
 /// Token index of the closing `]` of an attribute starting at `#`, if any.
 fn attr_extent(tokens: &[Tok], hash_idx: usize) -> Option<usize> {
-    let open = hash_idx + 1;
+    if !is_punct_at(tokens, hash_idx, '#') {
+        return None;
+    }
     // Allow `#![...]` inner attributes.
-    let open = if tokens.get(open).is_some_and(|t| t.is_punct('!')) {
-        open + 1
-    } else {
-        open
-    };
-    if !tokens.get(open).is_some_and(|t| t.is_punct('[')) {
+    let open = hash_idx + 1 + usize::from(is_punct_at(tokens, hash_idx + 1, '!'));
+    if !is_punct_at(tokens, open, '[') {
         return None;
     }
     let mut depth = 0i32;
@@ -223,15 +224,6 @@ fn attr_extent(tokens: &[Tok], hash_idx: usize) -> Option<usize> {
     None
 }
 
-/// Index of the token before/after `i`, if any.
-fn prev_tok(i: usize) -> Option<usize> {
-    i.checked_sub(1)
-}
-
-fn next_tok(tokens: &[Tok], i: usize) -> Option<usize> {
-    (i + 1 < tokens.len()).then_some(i + 1)
-}
-
 fn diag(rule: &'static str, rel_path: &str, line: u32, message: impl Into<String>) -> Diagnostic {
     Diagnostic {
         rule,
@@ -241,62 +233,28 @@ fn diag(rule: &'static str, rel_path: &str, line: u32, message: impl Into<String
     }
 }
 
-/// L001: `.unwrap()` / `.expect(` / `panic!` in library code.
-pub fn l001(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        match t.text.as_str() {
-            "unwrap" | "expect" => {
-                let dot = prev_tok(i).filter(|&j| tokens[j].is_punct('.'));
-                let called = next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('));
-                // `self.expect(...)` is always a user-defined method (std
-                // types cannot gain inherent methods), e.g. the SQL parser's
-                // own Result-returning `expect` — not a panic site.
-                let on_self = dot
-                    .and_then(prev_tok)
-                    .is_some_and(|j| tokens[j].is_ident("self"));
-                if dot.is_some() && called && !on_self {
-                    out.push(diag(
-                        "L001",
-                        rel_path,
-                        t.line,
-                        format!(
-                            "`.{}()` in library code can panic mid-episode and poison the replay buffer; return a Result or handle the None/Err arm",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-            "panic" if next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('!')) => {
-                out.push(diag(
-                    "L001",
-                    rel_path,
-                    t.line,
-                    "`panic!` in library code aborts the training episode; return an error instead"
-                        .to_string(),
-                ));
-            }
-            _ => {}
-        }
-    }
-    out
+/// The identifier tokens outside test regions, with their indices.
+fn live_idents<'a>(
+    tokens: &'a [Tok],
+    in_test: &'a [bool],
+) -> impl Iterator<Item = (usize, &'a Tok)> + 'a {
+    tokens
+        .iter()
+        .zip(in_test)
+        .enumerate()
+        .filter(|(_, (t, &test))| !test && t.kind == TokKind::Ident)
+        .map(|(i, (t, _))| (i, t))
 }
 
 /// L002: `HashMap`/`HashSet` in determinism-critical paths.
 pub fn l002(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if !in_scope(rel_path, HASH_FREE_SCOPE) {
+    if !in_scope(rel_path, DETERMINISM_SCOPE) && !in_scope(rel_path, WEIGHT_AND_CODEC_SCOPE) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        if t.text == "HashMap" || t.text == "HashSet" {
-            out.push(diag(
+    live_idents(tokens, in_test)
+        .filter(|(_, t)| t.text == "HashMap" || t.text == "HashSet")
+        .map(|(_, t)| {
+            diag(
                 "L002",
                 rel_path,
                 t.line,
@@ -304,36 +262,9 @@ pub fn l002(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                     "`{}` in an encoder/reward/cost path: hash iteration order is nondeterministic and leaks into the training signal; use BTreeMap/BTreeSet or sort before iterating",
                     t.text
                 ),
-            ));
-        }
-    }
-    out
-}
-
-/// L003: wall-clock time inside the simulator and the reward, encoder,
-/// weight-update and codec paths.
-pub fn l003(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if !in_scope(rel_path, SIMULATED_TIME_SCOPE) || in_scope(rel_path, WALL_CLOCK_EXEMPT) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        if t.text == "Instant" || t.text == "SystemTime" {
-            out.push(diag(
-                "L003",
-                rel_path,
-                t.line,
-                format!(
-                    "`{}` in a simulated-time path: rewards, encodings, weights and checkpoints must come from simulated time, never the host wall clock",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
+            )
+        })
+        .collect()
 }
 
 /// L005: raw `f32` accumulation in reward/cost sums.
@@ -345,15 +276,11 @@ pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     // Names of `let mut x: f32` bindings seen so far (per file — coarse but
     // effective).
     let mut f32_accumulators: Vec<String> = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if in_test[i] || t.kind != TokKind::Ident {
-            continue;
-        }
+    for (i, t) in live_idents(tokens, in_test) {
         let at = |off: isize| -> Option<&Tok> { tokens.get(i.checked_add_signed(off)?) };
         // `.sum::<f32>()`
         if t.text == "sum"
-            && at(1).is_some_and(|u| u.is_punct(':'))
-            && at(2).is_some_and(|u| u.is_punct(':'))
+            && is_path_sep_at(tokens, i + 1)
             && at(3).is_some_and(|u| u.is_punct('<'))
             && at(4).is_some_and(|u| u.is_ident("f32"))
         {
@@ -361,23 +288,22 @@ pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 "L005",
                 rel_path,
                 t.line,
-                "`.sum::<f32>()` in a reward/cost path loses precision; accumulate in f64"
-                    .to_string(),
+                "`.sum::<f32>()` in a reward/cost path loses precision; accumulate in f64",
             ));
         }
         // `.fold(0.0f32, ...)` / `.fold(0f32, ...)`
-        if t.text == "fold" && at(1).is_some_and(|u| u.is_punct('(')) {
-            if let Some(u) = at(2) {
-                if matches!(u.kind, TokKind::Float | TokKind::Int) && u.text.ends_with("f32") {
-                    out.push(diag(
-                        "L005",
-                        rel_path,
-                        t.line,
-                        "f32-typed fold accumulator in a reward/cost path; fold over f64"
-                            .to_string(),
-                    ));
-                }
-            }
+        if t.text == "fold"
+            && at(1).is_some_and(|u| u.is_punct('('))
+            && at(2).is_some_and(|u| {
+                matches!(u.kind, TokKind::Float | TokKind::Int) && u.text.ends_with("f32")
+            })
+        {
+            out.push(diag(
+                "L005",
+                rel_path,
+                t.line,
+                "f32-typed fold accumulator in a reward/cost path; fold over f64",
+            ));
         }
         // `let mut x: f32` … later `x +=` / `x -=`
         if t.text == "mut"
@@ -385,10 +311,8 @@ pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
             && at(2).is_some_and(|u| u.is_punct(':'))
             && at(3).is_some_and(|u| u.is_ident("f32"))
         {
-            if let Some(name_tok) = at(1) {
-                if name_tok.kind == TokKind::Ident {
-                    f32_accumulators.push(name_tok.text.clone());
-                }
+            if let Some(name_tok) = at(1).filter(|u| u.kind == TokKind::Ident) {
+                f32_accumulators.push(name_tok.text.clone());
             }
         }
         if f32_accumulators.iter().any(|n| n == &t.text)
@@ -409,38 +333,44 @@ pub fn l005(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     out
 }
 
-/// L006: direct `thread::spawn` / `thread::scope` / `thread::Builder`
-/// outside `crates/lpa-par`. Everything else must go through the
-/// deterministic pool so results cannot depend on the thread count.
-pub fn l006(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if in_scope(rel_path, THREAD_EXEMPT_SCOPE) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] || t.text != "thread" {
-            continue;
+/// Whether the pattern of the `let` whose first pattern token is at
+/// `from` — everything up to its `=` — destructures a `QueryOutcome::…`
+/// variant. A type annotation (`let o: QueryOutcome = …`) names no variant.
+fn let_destructures_outcome(tokens: &[Tok], from: usize) -> bool {
+    let mut depth = 0i32;
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+        } else if depth <= 0 && (t.is_punct('=') || t.is_punct(';')) {
+            return false;
+        } else if t.is_ident("QueryOutcome") && is_path_sep_at(tokens, j + 1) {
+            return true;
         }
-        // `thread :: spawn|scope|Builder` (covers `std::thread::…`, a
-        // `use std::thread;` alias, and `use std::thread::spawn;`).
-        let c1 = next_tok(tokens, i).filter(|&j| tokens[j].is_punct(':'));
-        let c2 = c1
-            .and_then(|j| next_tok(tokens, j))
-            .filter(|&j| tokens[j].is_punct(':'));
-        let Some(target) = c2.and_then(|j| next_tok(tokens, j)).map(|j| &tokens[j]) else {
-            continue;
-        };
-        if target.kind == TokKind::Ident
-            && matches!(target.text.as_str(), "spawn" | "scope" | "Builder")
-        {
+    }
+    false
+}
+
+/// L007: a refutable `let` over `QueryOutcome` (`if let`, `while let`,
+/// `let … else`) drops the variants it does not name; a `QueryOutcome as`
+/// rename would hide such a pattern from this scan.
+pub fn l007(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (i, t) in live_idents(tokens, in_test) {
+        if t.text == "QueryOutcome" && is_ident_at(tokens, i + 1, "as") {
             out.push(diag(
-                "L006",
+                "L007",
                 rel_path,
                 t.line,
-                format!(
-                    "`thread::{}` outside lpa-par: ad-hoc threads bypass the deterministic chunk-ordered schedule; run the work on `lpa_par::Pool`",
-                    target.text
-                ),
+                "`QueryOutcome as …` renames the enum out of L007's sight; name it `QueryOutcome`",
+            ));
+        } else if t.text == "let" && let_destructures_outcome(tokens, i + 1) {
+            out.push(diag(
+                "L007",
+                rel_path,
+                t.line,
+                "`if let`/`while let`/`let … else` over `QueryOutcome` drops the untaken variants — a `Failed` query would vanish unseen; match all variants or use the accessors",
             ));
         }
     }
@@ -488,6 +418,26 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
     ("crates/lpa-service/src/monitor.rs", &["observe", "count"]),
 ];
 
+/// The allocation a token at `j` starts, if any: `Vec::new`, `vec![…]`
+/// or `.collect()` / `.collect::<…>()`.
+fn allocation_at(tokens: &[Tok], j: usize) -> Option<&'static str> {
+    let t = tokens.get(j).filter(|t| t.kind == TokKind::Ident)?;
+    match t.text.as_str() {
+        "Vec" if is_path_sep_at(tokens, j + 1) && is_ident_at(tokens, j + 3, "new") => {
+            Some("Vec::new()")
+        }
+        "vec" if is_punct_at(tokens, j + 1, '!') => Some("vec![…]"),
+        "collect"
+            if j.checked_sub(1)
+                .is_some_and(|k| is_punct_at(tokens, k, '.'))
+                && (is_punct_at(tokens, j + 1, '(') || is_punct_at(tokens, j + 1, ':')) =>
+        {
+            Some(".collect()")
+        }
+        _ => None,
+    }
+}
+
 /// L013: `Vec::new` / `vec![…]` / `.collect()` inside an allocation-free
 /// hot function (see [`L013_HOT_FNS`]). `Vec::with_capacity` on a reused
 /// scratch field, `clear()` + `extend`, and allocations in the files'
@@ -503,37 +453,31 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     let mut out = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let is_hot_fn_header = tokens[i].is_ident("fn")
-            && !in_test[i]
-            && next_tok(tokens, i).is_some_and(|j| {
-                tokens[j].kind == TokKind::Ident && hot_fns.contains(&tokens[j].text.as_str())
-            });
-        if !is_hot_fn_header {
+        let fn_name = tokens
+            .get(i + 1)
+            .filter(|n| {
+                is_ident_at(tokens, i, "fn")
+                    && !in_test.get(i).copied().unwrap_or(true)
+                    && n.kind == TokKind::Ident
+                    && hot_fns.contains(&n.text.as_str())
+            })
+            .map(|n| n.text.as_str());
+        let Some(fn_name) = fn_name else {
             i += 1;
             continue;
-        }
-        let Some(fn_name) = next_tok(tokens, i)
-            .and_then(|j| tokens.get(j))
-            .map(|t| t.text.clone())
-        else {
-            break;
-        };
-        let Some(name_idx) = next_tok(tokens, i) else {
-            break;
         };
         // Body extent: first `{` after the signature (a `;` first means a
         // bodiless trait declaration) to its matching `}`.
-        let mut j = name_idx + 1;
-        while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-            j += 1;
-        }
-        if j >= tokens.len() || tokens[j].is_punct(';') {
-            i = j + 1;
+        let Some(open) = (i + 2..tokens.len())
+            .find(|&j| is_punct_at(tokens, j, '{') || is_punct_at(tokens, j, ';'))
+            .filter(|&j| is_punct_at(tokens, j, '{'))
+        else {
+            i += 2;
             continue;
-        }
+        };
         let mut depth = 0i32;
-        while j < tokens.len() {
-            let t = &tokens[j];
+        let mut j = open;
+        while let Some(t) = tokens.get(j) {
             if t.is_punct('{') {
                 depth += 1;
             } else if t.is_punct('}') {
@@ -541,89 +485,19 @@ pub fn l013(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
                 if depth == 0 {
                     break;
                 }
-            } else if t.kind == TokKind::Ident {
-                let alloc: Option<&str> = match t.text.as_str() {
-                    // `Vec :: new` (the lexer splits `::` into two puncts).
-                    "Vec" => {
-                        let c1 = next_tok(tokens, j).filter(|&k| tokens[k].is_punct(':'));
-                        let c2 = c1
-                            .and_then(|k| next_tok(tokens, k))
-                            .filter(|&k| tokens[k].is_punct(':'));
-                        c2.and_then(|k| next_tok(tokens, k))
-                            .filter(|&k| tokens[k].is_ident("new"))
-                            .map(|_| "Vec::new()")
-                    }
-                    "vec" if next_tok(tokens, j).is_some_and(|k| tokens[k].is_punct('!')) => {
-                        Some("vec![…]")
-                    }
-                    "collect"
-                        if prev_tok(j).is_some_and(|k| tokens[k].is_punct('.'))
-                            && next_tok(tokens, j).is_some_and(|k| {
-                                tokens[k].is_punct('(') || tokens[k].is_punct(':')
-                            }) =>
-                    {
-                        Some(".collect()")
-                    }
-                    _ => None,
-                };
-                if let Some(what) = alloc {
-                    out.push(diag(
-                        "L013",
-                        rel_path,
-                        t.line,
-                        format!(
-                            "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state / train step / observed statement); reuse a scratch buffer (`clear()` + `extend`) instead",
-                        ),
-                    ));
-                }
+            } else if let Some(what) = allocation_at(tokens, j) {
+                out.push(diag(
+                    "L013",
+                    rel_path,
+                    t.line,
+                    format!(
+                        "`{what}` inside `{fn_name}`, an allocation-free hot path (runs once per executor window / encoded state / train step / observed statement); reuse a scratch buffer (`clear()` + `extend`) instead",
+                    ),
+                ));
             }
             j += 1;
         }
         i = j + 1;
-    }
-    out.sort_by_key(|d| d.line);
-    out
-}
-
-/// The one file allowed to touch tenant slots directly: the fleet module
-/// owns `TenantSlot` and the `tenants` vector; everything else goes
-/// through `Fleet`'s accessor API.
-const L014_FLEET_MODULE: &[&str] = &["crates/lpa-service/src/fleet.rs"];
-
-/// L014: tenant-state isolation. Outside the fleet module, naming the
-/// private `TenantSlot` struct or reaching into a `tenants` collection
-/// field (`.tenants[i]`, `.tenants.iter()`, …) bypasses the per-tenant
-/// error domain: every mutation of tenant state must flow through
-/// `Fleet`'s accessors so the quarantine funnel sees every failure and
-/// one tenant's fault cannot leak into another's slot. A method *call*
-/// `.tenants(...)` is an accessor and stays legal.
-pub fn l014(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
-    if in_scope(rel_path, L014_FLEET_MODULE) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] {
-            continue;
-        }
-        if t.text == "TenantSlot" {
-            out.push(diag(
-                "L014",
-                rel_path,
-                t.line,
-                "`TenantSlot` named outside the fleet module; tenant slots are private to `crates/lpa-service/src/fleet.rs` — go through `Fleet`'s accessor API so the per-tenant error domain stays intact",
-            ));
-        } else if t.text == "tenants"
-            && prev_tok(i).is_some_and(|j| tokens[j].is_punct('.'))
-            && !next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
-        {
-            out.push(diag(
-                "L014",
-                rel_path,
-                t.line,
-                "direct `.tenants` field access outside the fleet module bypasses the quarantine funnel; use `Fleet`'s accessors (`tenant_count()`, `tenant_service()`, `report()`, …) instead",
-            ));
-        }
     }
     out
 }
@@ -644,38 +518,133 @@ pub fn l015(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic>
     if in_scope(rel_path, L015_GUARDRAIL_MODULE) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test[i] || t.text != "deploy" {
-            continue;
-        }
-        if prev_tok(i).is_some_and(|j| tokens[j].is_punct('.'))
-            && next_tok(tokens, i).is_some_and(|j| tokens[j].is_punct('('))
-        {
-            out.push(diag(
+    live_idents(tokens, in_test)
+        .filter(|&(i, t)| {
+            t.text == "deploy"
+                && i.checked_sub(1)
+                    .is_some_and(|j| is_punct_at(tokens, j, '.'))
+                && is_punct_at(tokens, i + 1, '(')
+        })
+        .map(|(_, t)| {
+            diag(
                 "L015",
                 rel_path,
                 t.line,
                 "direct `.deploy(…)` outside the guardrail module bypasses canary windows, rollback and the deployment journal; stage layouts through `Guardrail::end_window` (or `lpa_cluster::guardrail::direct_deploy` for bootstrap/evaluation code)",
-            ));
+            )
+        })
+        .collect()
+}
+
+/// The first keyword of the item after token `from`, skipping further
+/// attributes and a visibility (`pub`, `pub(crate)`).
+fn item_keyword(tokens: &[Tok], from: usize) -> Option<&str> {
+    let mut i = from;
+    loop {
+        if let Some(end) = attr_extent(tokens, i) {
+            i = end + 1;
+        } else if is_ident_at(tokens, i, "pub") {
+            i += 1;
+            if is_punct_at(tokens, i, '(') {
+                i = (i..tokens.len()).find(|&j| is_punct_at(tokens, j, ')'))? + 1;
+            }
+        } else {
+            return tokens.get(i).map(|t| t.text.as_str());
         }
+    }
+}
+
+/// What is wrong with an attribute that exempts code from a denied lint,
+/// if anything. `attr` spans `#` to `]`; `next` is the token after it.
+fn exemption_problem(tokens: &[Tok], attr: &[Tok], next: usize) -> Option<&'static str> {
+    let exempts = attr
+        .iter()
+        .any(|t| t.is_ident("allow") || t.is_ident("expect"));
+    let names_denied = attr.iter().enumerate().any(|(k, t)| {
+        t.is_ident("clippy")
+            && is_path_sep_at(attr, k + 1)
+            && attr
+                .get(k + 3)
+                .is_some_and(|l| DENIED_LINTS.contains(&l.text.as_str()))
+    });
+    if !exempts || !names_denied {
+        return None;
+    }
+    let reason = attr.iter().enumerate().find_map(|(k, t)| {
+        (t.is_ident("reason") && is_punct_at(attr, k + 1, '='))
+            .then(|| attr.get(k + 2))
+            .flatten()
+    });
+    if is_punct_at(attr, 1, '!') || item_keyword(tokens, next) == Some("mod") {
+        Some("a crate- or module-level exemption from a denied clippy lint; put `#[expect(lint, reason = \"…\")]` on the one item that needs it")
+    } else if attr.iter().any(|t| t.is_ident("allow")) {
+        Some("`allow` of a denied clippy lint; use `#[expect(lint, reason = \"…\")]`, which fails once the exemption goes stale")
+    } else if !reason.is_some_and(|r| r.kind == TokKind::Literal && !r.text.trim().is_empty()) {
+        Some("`expect` of a denied clippy lint without a reason; state the bound or invariant in `reason = \"…\"`")
+    } else {
+        None
+    }
+}
+
+/// L016, per library file: every exemption from a [`DENIED_LINTS`] lint is
+/// an item-level `#[expect(clippy::…, reason = "…")]`.
+pub fn l016_exemptions(rel_path: &str, tokens: &[Tok], in_test: &[bool]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while let Some(t) = tokens.get(i) {
+        let Some(end) = attr_extent(tokens, i) else {
+            i += 1;
+            continue;
+        };
+        let attr = tokens.get(i..=end).unwrap_or_default();
+        if !in_test.get(i).copied().unwrap_or(true) {
+            if let Some(problem) = exemption_problem(tokens, attr, end + 1) {
+                out.push(diag("L016", rel_path, t.line, problem));
+            }
+        }
+        i = end + 1;
     }
     out
 }
 
-/// Run every token rule over one file's token stream.
-pub fn run_all(rel_path: &str, tokens: &[Tok], lib_code: bool) -> Vec<Diagnostic> {
+/// L016, per library root: the root carries [`DENY_LINE`].
+pub fn l016_deny_line(rel_path: &str, source: &str) -> Option<Diagnostic> {
+    let squash = |s: &str| s.split_whitespace().collect::<String>();
+    (!squash(source).contains(&squash(DENY_LINE))).then(|| {
+        diag(
+            "L016",
+            rel_path,
+            1,
+            format!(
+                "library root lacks `{DENY_LINE}`, which switches on the clippy half of the rules"
+            ),
+        )
+    })
+}
+
+/// L016, workspace-wide: the root `clippy.toml` (`None` when missing) bans
+/// every method in [`BANNED_METHODS`].
+pub fn l016_banned_methods(clippy_toml: Option<&str>) -> Vec<Diagnostic> {
+    BANNED_METHODS
+        .iter()
+        .filter(|m| !clippy_toml.is_some_and(|t| t.contains(&format!("path = \"{m}\""))))
+        .map(|m| {
+            diag(
+                "L016",
+                "clippy.toml",
+                1,
+                format!("`disallowed-methods` does not ban `{m}`"),
+            )
+        })
+        .collect()
+}
+
+/// Run every token rule over one library file's token stream.
+pub fn run_all(rel_path: &str, tokens: &[Tok]) -> Vec<Diagnostic> {
     let in_test = test_regions(tokens);
     let mut out = Vec::new();
-    if lib_code {
-        out.extend(l001(rel_path, tokens, &in_test));
-        out.extend(l002(rel_path, tokens, &in_test));
-        out.extend(l003(rel_path, tokens, &in_test));
-        out.extend(l005(rel_path, tokens, &in_test));
-        out.extend(l006(rel_path, tokens, &in_test));
-        out.extend(l013(rel_path, tokens, &in_test));
-        out.extend(l014(rel_path, tokens, &in_test));
-        out.extend(l015(rel_path, tokens, &in_test));
+    for rule in [l002, l005, l007, l013, l015, l016_exemptions] {
+        out.extend(rule(rel_path, tokens, &in_test));
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out

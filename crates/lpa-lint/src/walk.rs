@@ -28,8 +28,8 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", ".github", 
 /// Classify a workspace-relative path.
 pub fn classify(rel_path: &str) -> FileKind {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let file = parts.last().copied().unwrap_or_default();
-    let dirs = &parts[..parts.len().saturating_sub(1)];
+    let (file, dirs) = parts.split_last().unwrap_or((&"", &[]));
+    let file = *file;
     let test_like_dir = dirs
         .iter()
         .any(|d| matches!(*d, "tests" | "benches" | "examples" | "bin"));
@@ -38,6 +38,17 @@ pub fn classify(rel_path: &str) -> FileKind {
     } else {
         FileKind::Lib
     }
+}
+
+/// Whether `rel_path` is a library root — the root package's
+/// `src/lib.rs` or a crate's `crates/<name>/src/lib.rs` — which must carry
+/// [`crate::rules::DENY_LINE`].
+pub fn is_library_root(rel_path: &str) -> bool {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    matches!(
+        parts.as_slice(),
+        ["src", "lib.rs"] | ["crates", _, "src", "lib.rs"]
+    )
 }
 
 /// Recursively collect every `.rs` file under `root`, skipping
@@ -100,5 +111,15 @@ mod tests {
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);
         assert_eq!(classify("src/bin/lpa.rs"), FileKind::TestLike);
         assert_eq!(classify("src/main.rs"), FileKind::TestLike);
+    }
+
+    #[test]
+    fn library_roots() {
+        assert!(is_library_root("src/lib.rs"));
+        assert!(is_library_root("crates/lpa-nn/src/lib.rs"));
+        assert!(!is_library_root("crates/lpa-nn/src/mlp.rs"));
+        assert!(!is_library_root(
+            "crates/lpa-lint/tests/clippy_fixture/src/lib.rs"
+        ));
     }
 }

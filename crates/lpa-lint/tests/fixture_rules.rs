@@ -1,9 +1,9 @@
-//! Drives the lint engine over the fixture files under `tests/fixtures/`.
+//! Drives the token rules over the fixture files under `tests/fixtures/`.
 //! Fixtures are excluded from the workspace walk (the walker skips
 //! `fixtures/` directories), so deliberate violations here never fail the
 //! real gate; each is linted explicitly with a synthetic in-scope path.
-
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
+//! The rules clippy enforces have their fixture in `tests/clippy_fixture`,
+//! checked by `scripts/clippy_fixture.sh`.
 
 use lpa_lint::{lint_source, Diagnostic, FileKind};
 
@@ -23,10 +23,6 @@ fn lint_as_lib(name: &str) -> Vec<Diagnostic> {
     .unwrap_or_else(|e| panic!("lex {name}: {e}"))
 }
 
-fn rules(diags: &[Diagnostic]) -> Vec<&str> {
-    diags.iter().map(|d| d.rule).collect()
-}
-
 fn of_rule<'a>(diags: &'a [Diagnostic], rule: &str) -> Vec<&'a Diagnostic> {
     diags.iter().filter(|d| d.rule == rule).collect()
 }
@@ -44,153 +40,65 @@ fn assert_marked(src: &str, diags: &[&Diagnostic], marker: &str) {
     }
 }
 
-#[test]
-fn l001_fixture_finds_unwrap_expect_panic_outside_tests() {
-    let report = lint_as_lib("l001_violations.rs");
-    let l001 = of_rule(&report, "L001");
-    // Three free fns plus the `cfg(not(test))` module, which ships; the
-    // `cfg(test)` module is exempt.
-    assert_eq!(l001.len(), 4, "{report:?}");
-    // The same panicky sites are also reachable from public functions, so
-    // the structural pass may add L009 findings — but nothing else.
-    assert!(
-        rules(&report).iter().all(|r| *r == "L001" || *r == "L009"),
-        "{report:?}"
-    );
-    assert_marked(&fixture("l001_violations.rs"), &l001, "FINDING");
+/// Lint `name` as library code and check it yields exactly `count`
+/// findings, all of `rule` and each on a line marked `FINDING <rule>`.
+fn assert_fixture(name: &str, rule: &str, count: usize) {
+    let report = lint_as_lib(name);
+    let hits = of_rule(&report, rule);
+    assert_eq!(hits.len(), count, "{report:?}");
+    assert_eq!(report.len(), count, "{report:?}");
+    assert_marked(&fixture(name), &hits, &format!("FINDING {rule}"));
 }
 
 #[test]
-fn l001_fixture_is_exempt_as_test_like_code() {
-    let src = fixture("l001_violations.rs");
-    let report = lint_source(
-        "crates/lpa-costmodel/src/bin/tool.rs",
-        &src,
-        FileKind::TestLike,
-    )
-    .expect("lexes");
-    assert!(report.is_empty(), "{report:?}");
+fn l002_fixture_finds_hash_collections() {
+    // Two `use` lines, two signature mentions and the `cfg(not(test))` one.
+    assert_fixture("l002_determinism.rs", "L002", 5);
 }
 
 #[test]
-fn l002_l003_fixture_finds_hash_collections_and_wall_clock() {
-    let report = lint_as_lib("l002_l003_determinism.rs");
-    // Two `use` lines plus two signature mentions; Instant and SystemTime,
-    // and the Instant under `cfg(not(test))`.
-    assert_eq!(of_rule(&report, "L002").len(), 4);
-    assert_eq!(of_rule(&report, "L003").len(), 3);
-    assert!(
-        rules(&report).iter().all(|r| matches!(*r, "L002" | "L003")),
-        "{report:?}"
-    );
-    assert_marked(
-        &fixture("l002_l003_determinism.rs"),
-        &of_rule(&report, "L003"),
-        "FINDING L003",
-    );
-}
-
-#[test]
-fn l002_l003_are_scoped_to_determinism_paths() {
-    let src = fixture("l002_l003_determinism.rs");
-    let count = |rel_path: &str, rule: &str| {
+fn l002_is_scoped_to_determinism_paths() {
+    let src = fixture("l002_determinism.rs");
+    let count = |rel_path: &str| {
         let report = lint_source(rel_path, &src, FileKind::Lib).expect("lexes");
-        of_rule(&report, rule).len()
+        of_rule(&report, "L002").len()
     };
-    // Outside both scopes neither rule fires.
     for outside in [
         "crates/lpa-sql/src/fixture.rs",
         "crates/lpa-bench/src/fixture.rs",
+        "crates/lpa-cluster/src/fixture.rs",
     ] {
-        let report = lint_source(outside, &src, FileKind::Lib).expect("lexes");
-        assert!(report.is_empty(), "{outside}: {report:?}");
+        assert_eq!(count(outside), 0, "{outside}");
     }
-    // The weight-update and checkpoint-codec paths are in both.
+    // The weight-update and checkpoint-codec paths are in scope.
     for sink in [
         "crates/lpa-nn/src/fixture.rs",
         "crates/lpa-store/src/codec.rs",
         "crates/lpa-store/src/snapshot.rs",
+        "crates/lpa-rl/src/profile.rs",
     ] {
-        assert_eq!(count(sink, "L002"), 4, "{sink}");
-        assert_eq!(count(sink, "L003"), 3, "{sink}");
+        assert_eq!(count(sink), 5, "{sink}");
     }
-    // The simulator is wall-clock-free but may hash; lpa-rl's phase timer
-    // may read the clock but not hash.
-    assert_eq!(count("crates/lpa-cluster/src/fixture.rs", "L002"), 0);
-    assert_eq!(count("crates/lpa-cluster/src/fixture.rs", "L003"), 3);
-    assert_eq!(count("crates/lpa-rl/src/profile.rs", "L002"), 4);
-    assert_eq!(count("crates/lpa-rl/src/profile.rs", "L003"), 0);
-    assert_eq!(count("crates/lpa-rl/src/agent.rs", "L003"), 3);
-}
-
-#[test]
-fn l004_l005_fixture_flags_wildcards_and_f32_sums() {
-    let report = lint_as_lib("l004_l005_actions.rs");
-    let l004 = of_rule(&report, "L004").len();
-    let l005 = of_rule(&report, "L005").len();
-    assert_eq!(l004, 3, "{report:?}");
-    assert_eq!(l005, 3, "{report:?}");
-    assert_eq!(report.len(), l004 + l005);
-    let src = fixture("l004_l005_actions.rs");
-    for d in &report {
-        assert_marked(&src, &[d], &format!("FINDING {}", d.rule));
-    }
-}
-
-#[test]
-fn l006_fixture_flags_direct_thread_use() {
-    let report = lint_as_lib("l006_threads.rs");
-    let l006 = of_rule(&report, "L006");
-    assert_eq!(l006.len(), 4, "{report:?}");
-    assert_eq!(report.len(), l006.len(), "{report:?}");
-    assert_marked(&fixture("l006_threads.rs"), &l006, "FINDING L006");
-}
-
-#[test]
-fn l006_exempts_lpa_par_and_test_like_code() {
-    let src = fixture("l006_threads.rs");
-    // Inside the pool crate the rule never fires.
-    let report = lint_source("crates/lpa-par/src/lib.rs", &src, FileKind::Lib).expect("lexes");
-    assert!(report.is_empty(), "{report:?}");
-    // Test-like files (tests/, benches/, bins) are exempt like all rules.
+    // Test-like files are exempt like all rules.
     let report = lint_source("tests/determinism.rs", &src, FileKind::TestLike).expect("lexes");
     assert!(report.is_empty(), "{report:?}");
 }
 
 #[test]
-fn l007_fixture_flags_nonexhaustive_query_outcome_handling() {
-    let report = lint_as_lib("l007_queryoutcome.rs");
-    let l007 = of_rule(&report, "L007");
-    // Three wildcard arms + one `if let` + one `while let`.
-    assert_eq!(l007.len(), 5, "{report:?}");
-    assert_eq!(report.len(), l007.len());
-    assert_marked(&fixture("l007_queryoutcome.rs"), &l007, "FINDING L007");
+fn l005_fixture_flags_f32_sums() {
+    assert_fixture("l005_f32_sums.rs", "L005", 3);
+}
+
+#[test]
+fn l007_fixture_flags_refutable_lets_and_renames() {
+    // `if let`, `while let`, `let … else` and one `QueryOutcome as`.
+    assert_fixture("l007_queryoutcome.rs", "L007", 4);
 }
 
 #[test]
 fn l007_is_exempt_in_test_like_code() {
     let src = fixture("l007_queryoutcome.rs");
     let report = lint_source("tests/chaos.rs", &src, FileKind::TestLike).expect("lexes");
-    assert!(report.is_empty(), "{report:?}");
-}
-
-#[test]
-fn l008_fixture_flags_raw_fs_writes() {
-    let report = lint_as_lib("l008_raw_fs.rs");
-    let l008 = of_rule(&report, "L008");
-    assert_eq!(l008.len(), 6, "{report:?}");
-    assert_eq!(report.len(), l008.len());
-    assert_marked(&fixture("l008_raw_fs.rs"), &l008, "FINDING L008");
-}
-
-#[test]
-fn l008_exempts_lpa_store_and_test_like_code() {
-    let src = fixture("l008_raw_fs.rs");
-    // Inside the durable-state crate the rule never fires.
-    let report = lint_source("crates/lpa-store/src/store.rs", &src, FileKind::Lib).expect("lexes");
-    assert!(report.is_empty(), "{report:?}");
-    // Test-like files (tests/, benches/, bins) are exempt like all rules.
-    let report = lint_source("tests/resume.rs", &src, FileKind::TestLike).expect("lexes");
     assert!(report.is_empty(), "{report:?}");
 }
 
@@ -229,7 +137,8 @@ fn l013_covers_delta_encoder_path() {
         FileKind::Lib,
     )
     .expect("lexes");
-    assert_eq!(rules(&report), vec!["L013"], "{report:?}");
+    let rules: Vec<&str> = report.iter().map(|d| d.rule).collect();
+    assert_eq!(rules, vec!["L013"], "{report:?}");
 }
 
 #[test]
@@ -242,23 +151,6 @@ fn l013_covers_the_monitor_memo_hit_path_not_its_miss_path() {
     let key = src.replace("fn observe(", "fn shape_key(");
     let report = lint_source("crates/lpa-sql/src/lexer.rs", &key, FileKind::Lib).expect("lexes");
     assert!(report.iter().any(|d| d.rule == "L013" && d.line == 3));
-}
-
-#[test]
-fn l014_fixture_flags_tenant_state_access_outside_fleet_module() {
-    let src = fixture("l014_tenant_access.rs");
-    let report = lint_source(
-        "crates/lpa-advisor/src/fleet_client.rs",
-        &src,
-        FileKind::Lib,
-    )
-    .expect("lexes");
-    let l014 = of_rule(&report, "L014");
-    assert_eq!(l014.len(), 3, "{report:?}");
-    assert_marked(&src, &l014, "FINDING");
-    // The fleet module itself owns the slots — same source, zero findings.
-    let owner = lint_source("crates/lpa-service/src/fleet.rs", &src, FileKind::Lib).expect("lexes");
-    assert!(of_rule(&owner, "L014").is_empty(), "{owner:?}");
 }
 
 #[test]

@@ -1,68 +1,25 @@
 //! Fixture: constructs that look like violations but are not. Expected:
 //! zero findings even when linted as library code under a costmodel path.
 
-/// Doc comment mentioning .unwrap() and panic! and HashMap must not fire.
+/// Doc comment mentioning HashMap and `.sum::<f32>()` must not fire.
 pub fn strings_and_comments() -> String {
-    // A line comment with .unwrap() and panic! inside.
-    /* A block comment: x.unwrap(); panic!("no"); HashMap::new() */
-    let plain = "call .unwrap() or panic!(\"boom\") on a HashMap";
-    let raw = r#"raw: .unwrap() panic!("x") HashSet"#;
-    let raw_hashes = r##"deeper raw: "#  .expect("y") Instant::now()"##;
-    let byte = b".unwrap()";
-    let byte_raw = br#"panic!(HashMap)"#;
+    // A line comment with HashMap and .sum::<f32>() inside.
+    /* A block comment: HashMap::new(); x.deploy(1); */
+    let plain = "a HashMap and `if let QueryOutcome::Completed` in a string";
+    let raw = r#"raw: .deploy(7) HashSet"#;
+    let raw_hashes = r##"deeper raw: "#  .sum::<f32>() vec![1]"##;
+    let byte = b"HashMap";
+    let byte_raw = br#"QueryOutcome as Q"#;
     format!("{plain}{raw}{raw_hashes}{byte:?}{byte_raw:?}")
 }
 
 /// Identifiers that merely contain rule trigger names must not fire.
-pub fn lookalike_idents(x: Option<u32>) -> u32 {
-    let unwrap_count = 1u32;
-    let expectation = 2u32;
-    let panic_threshold = 3u32;
-    // `unwrap_or` / `unwrap_or_else` / `unwrap_or_default` are graceful.
-    x.unwrap_or(unwrap_count) + x.unwrap_or_else(|| expectation) + x.unwrap_or_default()
-        + panic_threshold
-}
-
-pub struct Parser {
-    pos: usize,
-}
-
-impl Parser {
-    fn expect(&mut self, tok: u8) -> Result<(), String> {
-        self.pos += usize::from(tok);
-        Ok(())
-    }
-
-    /// `self.expect(...)` is a user-defined Result-returning method, not
-    /// `Option::expect` — must not fire L001.
-    pub fn parse(&mut self) -> Result<(), String> {
-        self.expect(b'(')?;
-        self.expect(b')')
-    }
+pub fn lookalike_idents(hash_map_len: usize, deploy_count: u32) -> f64 {
+    let query_outcome_total = 1.0f64;
+    query_outcome_total + hash_map_len as f64 + f64::from(deploy_count)
 }
 
 /// A char literal `'u'` and lifetimes must not confuse the lexer.
 pub fn chars_and_lifetimes<'a>(s: &'a str) -> (&'a str, char) {
     (s, 'u')
-}
-
-pub enum Verdict {
-    Keep,
-    Drop,
-}
-
-/// A wildcard over a non-Action enum is fine even if `Action` appears in a
-/// nearby string.
-pub fn non_action_wildcard(v: &Verdict) -> &'static str {
-    let _label = "Action";
-    match v {
-        Verdict::Keep => "keep",
-        _ => "drop",
-    }
-}
-
-/// f32 arithmetic that is not accumulation is fine, as is f64 accumulation.
-pub fn scalar_f32_math(a: f32, b: f32) -> f32 {
-    let scaled: f32 = a * b;
-    scaled + 1.0
 }

@@ -1,25 +1,11 @@
-//! Fixture: non-exhaustive handling of `QueryOutcome` (L007). Linted under
-//! a costmodel path.
+//! Fixture: refutable `let` patterns over `QueryOutcome` and renames of it
+//! (L007). Catch-all match arms over it are clippy's
+//! `wildcard_enum_match_arm` (see `tests/clippy_fixture`).
 
 pub enum QueryOutcome {
     Completed { seconds: f64, output_rows: u64, degraded: bool },
     TimedOut { limit: f64 },
     Failed { seconds: f64 },
-}
-
-pub fn wildcard_swallows_failures(o: &QueryOutcome) -> f64 {
-    match o {
-        QueryOutcome::Completed { seconds, .. } => *seconds,
-        _ => 0.0, // FINDING L007
-    }
-}
-
-pub fn guarded_wildcard(o: &QueryOutcome, strict: bool) -> f64 {
-    match o {
-        QueryOutcome::Completed { seconds, .. } => *seconds,
-        _ if strict => f64::NAN, // FINDING L007: guard still swallows variants
-        _ => 0.0, // FINDING L007
-    }
 }
 
 pub fn if_let_drops_failed(o: &QueryOutcome) -> f64 {
@@ -38,6 +24,24 @@ pub fn while_let_drops_failed(mut next: impl FnMut() -> QueryOutcome) -> f64 {
     total
 }
 
+pub fn let_else_drops_failed(o: &QueryOutcome) -> f64 {
+    let QueryOutcome::Completed { seconds, .. } = o else { // FINDING L007
+        return 0.0;
+    };
+    *seconds
+}
+
+mod renamed {
+    use super::QueryOutcome as Outcome; // FINDING L007
+
+    pub fn seconds(o: &Outcome) -> f64 {
+        match o {
+            Outcome::Completed { seconds, .. } | Outcome::Failed { seconds } => *seconds,
+            Outcome::TimedOut { limit } => *limit,
+        }
+    }
+}
+
 pub fn exhaustive_is_fine(o: &QueryOutcome) -> f64 {
     match o {
         QueryOutcome::Completed { seconds, .. } => *seconds,
@@ -46,13 +50,10 @@ pub fn exhaustive_is_fine(o: &QueryOutcome) -> f64 {
     }
 }
 
-pub fn positional_underscore_is_fine(o: &QueryOutcome) -> bool {
-    // `_`-bindings inside a variant pattern are not wildcard arms.
-    match o {
-        QueryOutcome::Completed { seconds: _, .. } => true,
-        QueryOutcome::TimedOut { limit: _ } => false,
-        QueryOutcome::Failed { seconds: _ } => false,
-    }
+pub fn annotated_let_is_fine(make: impl Fn() -> QueryOutcome) -> bool {
+    // A type annotation names no variant.
+    let o: QueryOutcome = make();
+    matches!(o, QueryOutcome::Failed { .. })
 }
 
 pub fn unrelated_if_let(v: Option<u32>) -> u32 {
@@ -64,9 +65,15 @@ pub fn unrelated_if_let(v: Option<u32>) -> u32 {
     }
 }
 
-pub fn unrelated_wildcard(n: u32) -> &'static str {
-    match n {
-        0 => "zero",
-        _ => "many",
+#[cfg(test)]
+mod tests {
+    use super::QueryOutcome;
+
+    fn seconds(o: &QueryOutcome) -> f64 {
+        if let QueryOutcome::Completed { seconds, .. } = o {
+            *seconds
+        } else {
+            0.0
+        }
     }
 }

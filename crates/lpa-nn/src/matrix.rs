@@ -62,6 +62,7 @@ impl Matrix {
     }
 
     /// Build from row slices.
+    #[expect(clippy::indexing_slicing, reason = "rows is asserted non-empty")]
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty());
         let cols = rows[0].len();
@@ -85,10 +86,18 @@ impl Matrix {
         self.cols
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: r < rows and data holds rows * cols values"
+    )]
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: r < rows and data holds rows * cols values"
+    )]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -295,7 +304,7 @@ fn matmul_band<const RELU: bool>(
         let wr = w.row(o);
         for bi in 0..rows {
             let y = dot(x.row(b0 + bi), wr) + bo;
-            // Checked store (L001/L009: library code stays panic-free);
+            // Checked store (library code denies `indexing_slicing`);
             // one predictable branch amortized over a whole dot product.
             if let Some(slot) = band_data.get_mut(bi * out_cols + o) {
                 *slot = if RELU && y < 0.0 { 0.0 } else { y };
@@ -364,6 +373,10 @@ fn axpy(lane: &mut [f32], x: f32, w: &[f32]) {
 ///   dense `0 · inf` is NaN, the skipped term is not.
 ///
 /// `lanes` is scratch (grown on demand, contents irrelevant).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hot kernel: prefix <= cols and every lane slice lies in a buffer of units * lanes values"
+)]
 pub fn matmul_shared_prefix<const RELU: bool>(
     x: &Matrix,
     groups: RowGroups<'_>,
@@ -451,6 +464,10 @@ pub fn matmul_shared_prefix<const RELU: bool>(
 /// Dot product with eight independent accumulators so LLVM can vectorize
 /// and pipeline despite floating-point non-associativity.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hot kernel: i * 8 + 8 <= len for the unrolled part; the tail runs below len"
+)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 8];

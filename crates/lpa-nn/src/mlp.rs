@@ -55,6 +55,10 @@ pub struct Mlp {
 
 impl Mlp {
     /// `dims` = `[input, hidden…, output]`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields two-element slices"
+    )]
     pub fn new<R: Rng>(dims: &[usize], rng: &mut R) -> Self {
         assert!(dims.len() >= 2, "need at least input and output dims");
         let layers = dims
@@ -64,6 +68,7 @@ impl Mlp {
         Self::from_layers(layers)
     }
 
+    #[expect(clippy::indexing_slicing, reason = "a network has at least one layer")]
     pub fn input_dim(&self) -> usize {
         self.layers[0].input_dim()
     }
@@ -78,6 +83,10 @@ impl Mlp {
 
     /// Rebuild a network from checkpointed layers (weights restored
     /// bit-exactly; consecutive layer dims must chain).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields two-element slices; a network has at least one layer"
+    )]
     pub fn from_layers(layers: Vec<Dense>) -> Self {
         assert!(!layers.is_empty(), "need at least one layer");
         for pair in layers.windows(2) {
@@ -114,6 +123,10 @@ impl Mlp {
     /// instead of the dense kernel — bit-identical for finite weights, and
     /// under [`crate::with_naive_kernels`] every layer is the dense naive
     /// triple loop regardless.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: outs holds one matrix per layer"
+    )]
     fn forward_layers<'s>(
         &self,
         pool: Pool,
@@ -214,6 +227,10 @@ impl Mlp {
 
     /// [`Mlp::train_mse`] with a caller-hoisted pool and scratch — the
     /// allocation-free train-step path.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: i enumerates layers; outs holds one matrix per layer"
+    )]
     pub fn train_mse_with(
         &mut self,
         pool: Pool,

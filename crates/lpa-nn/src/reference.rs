@@ -21,6 +21,10 @@ use crate::mlp::Mlp;
 /// Hand-spelled reference for [`crate::matrix::dot`]: eight accumulator
 /// lanes walked in index order, then the sequential tail, then the lane
 /// sum. This is the *definition* of the per-cell summation order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "c * 8 + k < len over the unrolled chunks; the tail runs below len"
+)]
 pub fn naive_dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; 8];

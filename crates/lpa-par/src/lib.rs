@@ -34,7 +34,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod schedule;
 
@@ -131,6 +143,10 @@ impl Pool {
     /// an atomic cursor; *which* worker runs a task is scheduling noise
     /// because tasks share no mutable state — determinism comes from the
     /// caller assembling task outputs in task order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "L006 exemption: the pool's one thread fan-out, behind its deterministic chunk order"
+    )]
     fn run(&self, n_tasks: usize, task: impl Fn(usize) + Sync) {
         let workers = self.threads.min(n_tasks);
         if workers <= 1 {
@@ -177,6 +193,10 @@ impl Pool {
     /// [`Pool::par_map`] with an explicit chunk length. The chunk layout is
     /// a pure function of `(items.len(), chunk_len)`; output order is index
     /// order regardless of which worker ran which chunk.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "c enumerates the chunks that sized slots"
+    )]
     pub fn par_map_chunked<T: Sync, U: Send>(
         &self,
         items: &[T],
@@ -204,6 +224,10 @@ impl Pool {
 
     /// Map over owned items (one task per item — meant for coarse work
     /// such as training one committee expert). Output order is item order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i enumerates the inputs that sized slots"
+    )]
     pub fn par_map_owned<T: Send, U: Send>(
         &self,
         items: Vec<T>,
@@ -232,6 +256,7 @@ impl Pool {
     /// Map `f` over the index range `0..n` with one task per index (coarse
     /// tasks, e.g. one simulated cluster node each). Output is in index
     /// order.
+    #[expect(clippy::indexing_slicing, reason = "i is below the n that sized slots")]
     pub fn par_index_map<U: Send>(&self, n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
         let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
         self.run(n, |i| {
@@ -247,6 +272,10 @@ impl Pool {
     /// `f` receives `(chunk_index, chunk)`; the element offset of a chunk
     /// is `chunk_index * chunk_len`. Used for row-range matmul parallelism
     /// where each output cell is computed exactly once.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "c enumerates the chunks that sized the chunk list"
+    )]
     pub fn par_chunks_mut<U: Send>(
         &self,
         data: &mut [U],

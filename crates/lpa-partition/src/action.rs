@@ -56,6 +56,10 @@ impl std::error::Error for ActionError {}
 
 impl Action {
     /// Check validity in `state`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "attribute ids come from the table they index"
+    )]
     pub fn validate(&self, schema: &Schema, state: &Partitioning) -> Result<(), ActionError> {
         match *self {
             Action::Partition { table, attr } => {
@@ -147,6 +151,10 @@ impl Action {
     }
 
     /// Short label for logs/benches.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "attribute ids come from the table they index"
+    )]
     pub fn describe(&self, schema: &Schema) -> String {
         match *self {
             Action::Partition { table, attr } => format!(

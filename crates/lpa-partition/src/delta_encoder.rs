@@ -109,6 +109,10 @@ impl DeltaEncoder {
     /// Encode `(p, f)` into the arena — patching dirty slots only — and
     /// return the `state_dim` prefix. Byte-for-byte equal to
     /// [`StateEncoder::encode_state_into`] on a zeroed buffer.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: ti and ei enumerate the schema's tables and edges, which sized the cache and offsets"
+    )]
     pub fn state_prefix(&mut self, p: &Partitioning, f: &FrequencyVector) -> &[f32] {
         assert!(
             f.len() <= self.enc.freq_slots,

@@ -96,6 +96,10 @@ impl StateEncoder {
     }
 
     /// Encode a state into `out[..state_dim]` (zeroing it first).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ti enumerates the schema's tables, which sized the offset and dim tables"
+    )]
     pub fn encode_state_into(
         &self,
         partitioning: &Partitioning,
@@ -129,6 +133,10 @@ impl StateEncoder {
     }
 
     /// Encode an action into `out[..action_dim]` (zeroing it first).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out.len() == action_dim is asserted, and action_dim counts the four action kinds first"
+    )]
     pub fn encode_action_into(&self, action: &Action, out: &mut [f32]) {
         assert_eq!(out.len(), self.action_dim, "output buffer size");
         out.fill(0.0);
@@ -185,6 +193,10 @@ impl StateEncoder {
     /// the remaining rows; only the short action suffix is written per
     /// row. Bit-identical to calling [`Self::encode_input`] per row (same
     /// writes, different write order).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out holds one state row plus one action row per action; actions is non-empty"
+    )]
     pub fn encode_batch(
         &self,
         p: &Partitioning,

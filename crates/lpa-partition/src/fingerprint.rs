@@ -79,6 +79,10 @@ impl KeyInterner {
     /// Key for one query: the physical states of exactly the tables it
     /// touches, in query-table order (the Section 4.2 cache-key argument —
     /// a query's cost depends only on the states of its own tables).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "states holds one slot per schema table"
+    )]
     pub fn query_key(&mut self, p: &Partitioning, tables: &[TableId]) -> InternedKey {
         self.scratch.clear();
         self.scratch.push(TAG_QUERY);
@@ -98,6 +102,10 @@ impl KeyInterner {
     /// Rebuild an interner from checkpointed `(packed key, id)` pairs.
     /// `Err` if the ids are not a permutation of `0..n` (a corrupt dump
     /// would otherwise silently alias future keys).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id < n = seen.len() is checked first"
+    )]
     pub fn from_entries(entries: Vec<(Vec<u32>, u32)>) -> Result<Self, String> {
         let n = entries.len() as u32;
         let mut seen = vec![false; entries.len()];

@@ -73,6 +73,10 @@ impl Partitioning {
         Ok(p)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by the schema this partitioning was built from"
+    )]
     pub fn table_state(&self, t: TableId) -> TableState {
         self.tables[t.0]
     }
@@ -81,6 +85,10 @@ impl Partitioning {
         &self.tables
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edge ids are minted by the schema this partitioning was built from"
+    )]
     pub fn edge_active(&self, e: EdgeId) -> bool {
         self.edges[e.0]
     }
@@ -99,10 +107,18 @@ impl Partitioning {
             .map(|(i, _)| EdgeId(i))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by the schema this partitioning was built from"
+    )]
     pub(crate) fn set_table_state(&mut self, t: TableId, s: TableState) {
         self.tables[t.0] = s;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edge ids are minted by the schema this partitioning was built from"
+    )]
     pub(crate) fn set_edge(&mut self, e: EdgeId, active: bool) {
         self.edges[e.0] = active;
     }
@@ -113,6 +129,10 @@ impl Partitioning {
     }
 
     /// Whether the table is replicated.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by the schema this partitioning was built from"
+    )]
     pub fn is_replicated(&self, t: TableId) -> bool {
         matches!(self.tables[t.0], TableState::Replicated)
     }
@@ -127,6 +147,10 @@ impl Partitioning {
     /// Physical layout restricted to the given tables — the cache key for a
     /// single query, which depends only on the states of the tables it
     /// touches.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by the schema this partitioning was built from"
+    )]
     pub fn physical_key_of(&self, tables: &[TableId]) -> Vec<TableState> {
         tables.iter().map(|t| self.tables[t.0]).collect()
     }
@@ -145,6 +169,10 @@ impl Partitioning {
     }
 
     /// Verify the edge/table consistency invariant.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edge endpoints name tables of the schema this partitioning was built from"
+    )]
     pub fn check(&self, schema: &Schema) -> Result<(), String> {
         if self.tables.len() != schema.tables().len() {
             return Err("table count mismatch".into());
@@ -160,7 +188,7 @@ impl Partitioning {
             for ep in edge.endpoints() {
                 match self.tables[ep.table.0] {
                     TableState::PartitionedBy(a) if a == ep.attr => {}
-                    other => {
+                    other @ (TableState::Replicated | TableState::PartitionedBy(_)) => {
                         return Err(format!(
                             "edge e{i} active but {} is {:?}",
                             schema.table(ep.table).name,
@@ -175,6 +203,10 @@ impl Partitioning {
 
     /// Human-readable description against a schema (used by the experiment
     /// harness to print suggested partitionings).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "attribute ids come from the table they index"
+    )]
     pub fn describe(&self, schema: &Schema) -> String {
         let mut out = String::new();
         for (i, (t, s)) in schema.tables().iter().zip(&self.tables).enumerate() {

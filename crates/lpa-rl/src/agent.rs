@@ -150,6 +150,10 @@ impl<E: QEnvironment> DqnAgent<E> {
     /// enumerate candidates into the scratch arena, take the ε draw, and —
     /// on the greedy path — encode the candidate rows, run one Q forward
     /// over them and take the [`greedy_argmax`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "sel_actions is asserted non-empty above"
+    )]
     pub fn select_action(&mut self, env: &E, state: &E::State, explore: bool) -> E::Action {
         let s = &mut self.scratch;
         s.sel_actions.clear();
@@ -214,6 +218,10 @@ impl<E: QEnvironment> DqnAgent<E> {
     /// The `max_a' Q_target(s', a')` terms for the whole minibatch are
     /// evaluated in a single batched forward pass — the dominant cost of a
     /// training step.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bi indexes a sampled transition; lo..hi is a group span of next_q"
+    )]
     pub fn train_step(&mut self, env: &E) -> Option<f32> {
         if !self.stage_minibatch(env) {
             return None;
@@ -271,6 +279,10 @@ impl<E: QEnvironment> DqnAgent<E> {
     /// candidate row and every `(state, action)` training row into the
     /// scratch arenas. Returns `false` (staging nothing) while the buffer
     /// is smaller than the batch size.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bi indexes a sampled transition; lo..hi is a group span; rows were sized for every next action"
+    )]
     fn stage_minibatch(&mut self, env: &E) -> bool {
         if self.buffer.len() < self.cfg.batch_size {
             return false;

@@ -80,6 +80,10 @@ impl<S: Clone, A: Clone> ReplayBuffer<S, A> {
     }
 
     /// Uniform sample without replacement (or everything, if fewer stored).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "indices are drawn below the buffer length"
+    )]
     pub fn sample<R: Rng>(&self, rng: &mut R, batch: usize) -> Vec<&Transition<S, A>> {
         if self.items.len() <= batch {
             return self.items.iter().collect();

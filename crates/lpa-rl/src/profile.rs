@@ -74,6 +74,10 @@ pub fn snapshot() -> PhaseNanos {
 
 /// Start a timed section: `None` (and no clock read) when disabled.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L003 exemption: phase timings are reported, never fed back into training"
+)]
 pub fn start() -> Option<Instant> {
     if enabled() {
         Some(Instant::now())
@@ -84,6 +88,10 @@ pub fn start() -> Option<Instant> {
 
 /// Close a timed section opened by [`start`], charging `phase`.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "L003 exemption: phase timings are reported, never fed back into training"
+)]
 pub fn stop(t0: Option<Instant>, phase: Phase) {
     let Some(t0) = t0 else {
         return;

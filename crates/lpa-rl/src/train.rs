@@ -44,6 +44,10 @@ impl<S> Trajectory<S> {
             .map_or(0, |(i, _)| i)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a trajectory holds at least its initial state"
+    )]
     pub fn best_state(&self) -> &S {
         self.states
             .get(self.best_index())

@@ -73,6 +73,10 @@ impl Schema {
         &self.tables
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "table ids are minted by this schema"
+    )]
     pub fn table(&self, id: TableId) -> &Table {
         &self.tables[id.0]
     }
@@ -81,6 +85,10 @@ impl Schema {
         &self.edges
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edge ids are minted by this schema"
+    )]
     pub fn edge(&self, id: EdgeId) -> &JoinEdge {
         &self.edges[id.0]
     }
@@ -88,6 +96,10 @@ impl Schema {
     /// Number of rows of the table referenced by `r`'s domain — the distinct
     /// count of the attribute's value domain at the current scale.
     /// Inherited attributes resolve through the foreign-key chain.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "attribute ids come from the table they index"
+    )]
     pub fn attr_distinct(&self, r: AttrRef) -> u64 {
         let table = self.table(r.table);
         let attr = &table.attributes[r.attr.0];
@@ -101,12 +113,16 @@ impl Schema {
                         self.attr_distinct(AttrRef::new(parent, parent_attr))
                     }
                     // Validation rejects this; be defensive anyway.
-                    _ => 1,
+                    Domain::PrimaryKey | Domain::Fixed(_) | Domain::Inherited { .. } => 1,
                 }
             }
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "attribute ids come from the table they index"
+    )]
     pub fn attribute(&self, r: AttrRef) -> &Attribute {
         &self.table(r.table).attributes[r.attr.0]
     }
@@ -175,6 +191,10 @@ impl Schema {
 
     /// Structural validation; built-in schemas are checked in tests, user
     /// schemas should call this after construction.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parent.0 and p.0 are range-checked by the preceding conjuncts"
+    )]
     pub fn validate(&self) -> Result<(), SchemaError> {
         let mut names = HashMap::new();
         for (i, t) in self.tables.iter().enumerate() {

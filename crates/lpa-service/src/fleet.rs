@@ -33,8 +33,9 @@
 //!   so chaos configured for tenant *i* is bit-neutral for tenant *j*.
 //!
 //! Tenant internals ([`TenantSlot`]) are reachable only through the
-//! fleet's accessors — lint rule L014 forbids reaching into another
-//! tenant's state from outside this module.
+//! fleet's accessors: the slot type and [`Fleet`]'s tenant list are
+//! private, so reaching into another tenant's state from outside this
+//! module does not compile (the `compile_fail` examples on [`Fleet`]).
 
 use crate::hook::{NoHook, SliceHook};
 use crate::monitor::Observation;
@@ -277,8 +278,8 @@ pub struct TenantCounters {
 
 /// One tenant: scheduling state plus the service that does the work.
 /// Private by design: everything outside this module goes through
-/// [`Fleet`] accessors (lint rule L014), so one tenant's code path can
-/// never reach into another tenant's state.
+/// [`Fleet`] accessors (privacy makes any other path a compile error), so
+/// one tenant's code path can never reach into another tenant's state.
 #[derive(Debug)]
 struct TenantSlot {
     spec: TenantSpec,
@@ -417,6 +418,20 @@ pub struct SubstrateReport {
 }
 
 /// The fleet: tenants, scheduler, admission control.
+///
+/// Tenant state is private to the fleet module, so code outside it cannot
+/// bypass the accessors. Naming a tenant slot does not compile:
+///
+/// ```compile_fail
+/// let _slot: Option<lpa_service::fleet::TenantSlot> = None;
+/// ```
+///
+/// and neither does reading the tenant list:
+///
+/// ```compile_fail
+/// let fleet = lpa_service::Fleet::new(lpa_service::FleetConfig::default());
+/// let _ = fleet.tenants.len();
+/// ```
 #[derive(Debug)]
 pub struct Fleet {
     cfg: FleetConfig,
@@ -772,7 +787,11 @@ impl Fleet {
                 }
                 // A rollback migrates the previous layout back in.
                 GuardrailEvent::RolledBack { .. } => slot.counters.deployments += 1,
-                _ => {}
+                GuardrailEvent::KeptCurrent { .. }
+                | GuardrailEvent::StageRejected { .. }
+                | GuardrailEvent::CanaryObserved { .. }
+                | GuardrailEvent::CanaryExtended { .. }
+                | GuardrailEvent::Committed { .. } => {}
             }
         }
         if self.journal.len() + events.len() > JOURNAL_BUFFER_CAP {
@@ -834,8 +853,8 @@ impl Fleet {
         }
     }
 
-    // ---- per-tenant accessors (the only sanctioned way to tenant state;
-    // ---- lint rule L014 forbids bypassing them outside this module) ----
+    // ---- per-tenant accessors (the only way to tenant state outside this
+    // ---- module: `TenantSlot` and `tenants` are private) ----
 
     /// The tenant's service, read-only: advisor, monitor, forecaster and
     /// guardrail (decisions run inside the slice).

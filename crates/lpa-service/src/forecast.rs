@@ -81,6 +81,10 @@ impl FrequencyForecaster {
     }
 
     /// Fold in one observed window.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "observed.len() == level.len() is asserted; trend has the same length"
+    )]
     pub fn update(&mut self, observed: &FrequencyVector) {
         assert_eq!(observed.len(), self.level.len(), "slot count");
         let first = self.windows_seen == 0;

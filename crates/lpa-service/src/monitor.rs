@@ -38,6 +38,10 @@ struct Signature {
     buckets: Vec<(usize, usize)>,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a validated join has at least one key pair"
+)]
 fn signature(buckets: &SelectivityBuckets, q: &Query) -> Signature {
     let mut tables: Vec<usize> = q.tables.iter().map(|t| t.0).collect();
     tables.sort_unstable();
@@ -87,6 +91,10 @@ impl Tally {
     /// Count `sql`, whose query has signature `sig` and equals `template`
     /// but for its name: a known query's slot, else its pending entry — a
     /// first one holding `template` renamed to `sql`'s name.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "known maps each signature to a slot the tally allocated in counts"
+    )]
     fn count(&mut self, sig: &Signature, template: &Query, sql: &str) -> Observation {
         self.observed_in_window += 1;
         if let Some(&id) = self.known.get(sig) {

@@ -152,6 +152,10 @@ impl PartitioningService {
 
     /// The queries absorbed from observed SQL — the tail of the advisor's
     /// workload a checkpoint has to carry, because no template rebuilds it.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "absorbed counts queries already appended to the workload"
+    )]
     pub fn absorbed_queries(&self) -> &[Query] {
         let queries = self.advisor.env.workload.queries();
         &queries[queries.len() - self.absorbed..]

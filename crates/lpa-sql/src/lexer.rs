@@ -43,6 +43,7 @@ const KEYWORDS: &[&str] = &[
 /// `word` upper-cased into one integer, so a keyword lookup compares
 /// integers rather than strings. Injective on words of one to eight bytes
 /// (no word byte is zero); 0 for a longer word, which is no keyword.
+#[expect(clippy::indexing_slicing, reason = "i runs below word.len()")]
 const fn pack(word: &[u8]) -> u64 {
     if word.len() > 8 {
         return 0;
@@ -57,6 +58,10 @@ const fn pack(word: &[u8]) -> u64 {
 }
 
 /// [`KEYWORDS`], packed.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated: k runs below KEYWORDS.len(), and a bad index fails the build"
+)]
 const PACKED_KEYWORDS: [u64; KEYWORDS.len()] = {
     let mut packed = [0; KEYWORDS.len()];
     let mut k = 0;
@@ -183,6 +188,10 @@ impl<'src> Lexer<'src> {
 impl<'src> Iterator for Lexer<'src> {
     type Item = Result<Lexeme<'src>, LexError>;
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bytes.get(i) returned a byte, so i < bytes.len()"
+    )]
     fn next(&mut self) -> Option<Self::Item> {
         let src = self.src;
         let bytes = src.as_bytes();

@@ -308,7 +308,11 @@ impl<'a> Parser<'a> {
                     negated: true,
                     subquery,
                 },
-                other => Predicate::Opaque {
+                other @ (Predicate::ColEq(..)
+                | Predicate::Cmp { .. }
+                | Predicate::Between { .. }
+                | Predicate::InList { .. }
+                | Predicate::Opaque { .. }) => Predicate::Opaque {
                     cols: pred_columns(&other),
                 },
             });

@@ -8,7 +8,7 @@
 
 use crate::ast::{ColumnRef, Predicate, SelectStmt, TableRef, Value};
 use lpa_schema::{AttrRef, Schema, TableId};
-use lpa_workload::{JoinPred, Query};
+use lpa_workload::{JoinPred, Query, QueryError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -241,8 +241,15 @@ pub fn resolve(schema: &Schema, stmt: &SelectStmt, sql: &str) -> Result<Query, R
         cpu_factor,
     };
     q.validate(schema).map_err(|e| match e {
-        lpa_workload::QueryError::Disconnected(_) => ResolveError::CartesianProduct,
-        _ => ResolveError::UnknownColumn(format!("{e}")),
+        QueryError::Disconnected(_) => ResolveError::CartesianProduct,
+        QueryError::UnknownTable(_)
+        | QueryError::UnknownAttribute(_)
+        | QueryError::MixedJoinPair(_)
+        | QueryError::BadSelectivity(_)
+        | QueryError::BadCpuFactor(_)
+        | QueryError::EmptyJoin(_)
+        | QueryError::NoTables(_)
+        | QueryError::FilterTableNotScanned(_) => ResolveError::UnknownColumn(format!("{e}")),
     })?;
     Ok(q)
 }

@@ -3,8 +3,6 @@
 //! Formerly `proptest`-driven; now a deterministic seeded fuzzer over the
 //! vendored `StdRng` (case counts match the old `ProptestConfig`).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 mod common;
 
 use common::{lexer_corpus, random_string};

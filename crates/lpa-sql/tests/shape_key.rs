@@ -2,8 +2,6 @@
 //! the parser and resolver read does, `BETWEEN` has no key, and the key's
 //! lexer accepts exactly what `tokenize` accepts.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 mod common;
 
 use lpa_sql::{parse_query, query_name, shape_key, tokenize, SqlError, Token};

@@ -16,6 +16,10 @@ use crate::StoreError;
 /// guarding every checkpoint file.
 const CRC_TABLE: [u32; 256] = make_crc_table();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated: i runs below 256, and a bad index fails the build"
+)]
 const fn make_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -37,6 +41,10 @@ const fn make_crc_table() -> [u32; 256] {
 }
 
 /// CRC-32 of `bytes`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hot kernel: the index is masked to 0..=255, the table's length"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -67,6 +75,10 @@ pub fn seal(magic: &[u8; 8], version: u32, tag: &[u8], payload: &[u8]) -> Vec<u8
 /// ([`StoreError::Incompatible`] — an intact file of another format
 /// version), payload length (`Corrupt`). Never panics: this runs on the
 /// recovery path.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hot kernel: split_at(len - 4) leaves exactly four CRC bytes"
+)]
 pub fn open<'a>(
     bytes: &'a [u8],
     magic: &[u8; 8],
@@ -240,6 +252,10 @@ impl<'a> ByteReader<'a> {
         Ok(())
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: n <= remaining() is checked first"
+    )]
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
             return Err(StoreError::Corrupt(format!(
@@ -253,6 +269,10 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: take(1) returns one byte"
+    )]
     pub fn take_u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
@@ -265,11 +285,19 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: take(4) returns four bytes"
+    )]
     pub fn take_u32(&mut self) -> Result<u32, StoreError> {
         let s = self.take(4)?;
         Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot kernel: take(8) returns eight bytes"
+    )]
     pub fn take_u64(&mut self) -> Result<u64, StoreError> {
         let s = self.take(8)?;
         Ok(u64::from_le_bytes([

@@ -188,6 +188,10 @@ impl CheckpointedFleet {
     /// Failures are counted and routed through the quarantine funnel,
     /// never propagated — a lost checkpoint costs recovery granularity,
     /// not fleet progress.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "tenant indices are below the tenant count that sized stores and last_good"
+    )]
     pub fn checkpoint_now(&mut self) {
         let round = self.fleet.round();
         for tenant in 0..self.fleet.tenant_count() {
@@ -236,6 +240,10 @@ impl CheckpointedFleet {
     /// restore failures (corrupt lineage, template mismatch) leave that
     /// tenant fresh and are recorded as restore errors, so the quarantine
     /// policy contains the blast radius to the tenant that lost state.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "tenant indices are below the tenant count that sized stores and last_good"
+    )]
     pub fn resume_or(
         cfg: FleetConfig,
         specs: Vec<TenantSpec>,

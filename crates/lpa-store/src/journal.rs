@@ -242,6 +242,10 @@ struct Scan {
     torn: bool,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every read is preceded by a length check against the header or frame size"
+)]
 fn scan(bytes: &[u8]) -> Result<Scan, StoreError> {
     if bytes.is_empty() {
         return Ok(Scan::default());

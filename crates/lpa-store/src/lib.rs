@@ -31,7 +31,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants,
+        clippy::disallowed_methods
+    )
+)]
 
 pub mod codec;
 pub mod fleet;

@@ -90,6 +90,10 @@ pub fn put_mlp(w: &mut ByteWriter, m: &Mlp) {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "windows(2) yields two-element slices"
+)]
 pub fn take_mlp(r: &mut ByteReader) -> Result<Mlp, StoreError> {
     let n = r.take_len(16)?;
     let mut layers = Vec::with_capacity(n);
@@ -1322,7 +1326,7 @@ impl Checkpoint {
     pub fn into_session(self) -> Result<SessionSnapshot, StoreError> {
         match self {
             Self::Session(s) => Ok(s),
-            other => Err(StoreError::Incompatible(format!(
+            other @ (Self::Service(_) | Self::Tenant(_)) => Err(StoreError::Incompatible(format!(
                 "expected a session checkpoint, found {}",
                 other.kind_name()
             ))),
@@ -1332,7 +1336,7 @@ impl Checkpoint {
     pub fn into_service(self) -> Result<ServiceSnapshot, StoreError> {
         match self {
             Self::Service(s) => Ok(s),
-            other => Err(StoreError::Incompatible(format!(
+            other @ (Self::Session(_) | Self::Tenant(_)) => Err(StoreError::Incompatible(format!(
                 "expected a service checkpoint, found {}",
                 other.kind_name()
             ))),
@@ -1342,10 +1346,9 @@ impl Checkpoint {
     pub fn into_tenant(self) -> Result<TenantSnapshot, StoreError> {
         match self {
             Self::Tenant(t) => Ok(t),
-            other => Err(StoreError::Incompatible(format!(
-                "expected a tenant checkpoint, found {}",
-                other.kind_name()
-            ))),
+            other @ (Self::Session(_) | Self::Service(_)) => Err(StoreError::Incompatible(
+                format!("expected a tenant checkpoint, found {}", other.kind_name()),
+            )),
         }
     }
 

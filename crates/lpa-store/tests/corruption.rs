@@ -11,8 +11,6 @@
 //! versions, and a CRC-valid checkpoint whose payload spells a malformed
 //! query.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::Advisor;
 use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason, WindowObservation};
 use lpa_costmodel::{CostParams, NetworkCostModel};

@@ -4,8 +4,6 @@
 //! approximate equality. Resume correctness reduces to these leaves: if
 //! any one of them loses a bit, the differential resume test diverges.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa_advisor::{Advisor, EnvState};
 use lpa_costmodel::{CostParams, NetworkCostModel};
 use lpa_nn::{Adam, Matrix, Mlp};

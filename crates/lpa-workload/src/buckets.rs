@@ -19,6 +19,10 @@ pub struct SelectivityBuckets {
 }
 
 impl SelectivityBuckets {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields two-element slices"
+    )]
     pub fn new(edges: Vec<f64>) -> Self {
         assert!(!edges.is_empty());
         assert!(
@@ -53,6 +57,10 @@ impl SelectivityBuckets {
     }
 
     /// Representative selectivity of a bucket (geometric midpoint).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket < count() = edges.len() + 1 is asserted; each branch excludes the out-of-range index"
+    )]
     pub fn representative(&self, bucket: usize) -> f64 {
         assert!(bucket < self.count());
         let lo = if bucket == 0 {

@@ -34,6 +34,10 @@ impl JoinPred {
     }
 
     /// The two joined tables (taken from the primary pair).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a validated join has at least one key pair"
+    )]
     pub fn tables(&self) -> (TableId, TableId) {
         (self.pairs[0].0.table, self.pairs[0].1.table)
     }
@@ -98,6 +102,10 @@ pub struct Query {
 
 impl Query {
     /// Selectivity for one of the query's tables (1.0 if not filtered).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i enumerates the query's filters, one selectivity each"
+    )]
     pub fn table_selectivity(&self, table: TableId) -> f64 {
         self.tables
             .iter()
@@ -115,6 +123,7 @@ impl Query {
     /// connected, selectivities are in range and parallel to the tables.
     /// Total over any field values — a query decoded from disk is checked
     /// here before anything indexes into it.
+    #[expect(clippy::indexing_slicing, reason = "tables is checked non-empty first")]
     pub fn validate(&self, schema: &Schema) -> Result<(), QueryError> {
         let q = || self.name.clone();
         if self.tables.is_empty() {

@@ -62,6 +62,10 @@ impl MixSampler {
     }
 
     /// Draw one frequency vector.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "q.0 < counts.len() is checked; MixSampler::cycle asserts a non-empty vector list"
+    )]
     pub fn sample<R: Rng>(&mut self, rng: &mut R) -> FrequencyVector {
         match self {
             Self::Uniform { slots, queries } => {
@@ -93,6 +97,10 @@ impl MixSampler {
     }
 
     /// Number of slots in sampled vectors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "MixSampler::cycle asserts a non-empty vector list"
+    )]
     pub fn slots(&self) -> usize {
         match self {
             Self::Uniform { slots, .. } | Self::Emphasis { slots, .. } => *slots,

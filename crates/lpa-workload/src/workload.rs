@@ -33,6 +33,10 @@ impl Workload {
         &self.queries
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "query ids are minted by this workload"
+    )]
     pub fn query(&self, id: QueryId) -> &Query {
         &self.queries[id.0]
     }
@@ -103,6 +107,10 @@ impl FrequencyVector {
     /// Normalize raw occurrence counts; `slots` pads with zeros for
     /// reserved entries. All counts must be non-negative, at least one
     /// positive.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "counts.len() <= slots is asserted, so i < v.len()"
+    )]
     pub fn from_counts(counts: &[f64], slots: usize) -> Self {
         assert!(counts.len() <= slots, "more counts than slots");
         assert!(counts.iter().all(|c| *c >= 0.0), "negative count");
@@ -123,6 +131,10 @@ impl FrequencyVector {
 
     /// An "extreme" vector over-representing one query — used to derive the
     /// reference partitionings for the committee of experts (Section 5).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hot is a query id of this workload, whose length sized counts"
+    )]
     pub fn extreme(slots: usize, hot: QueryId, f_low: f64, f_high: f64) -> Self {
         assert!(hot.0 < slots);
         assert!(f_high > 0.0 && f_low >= 0.0 && f_low <= f_high);
@@ -151,6 +163,10 @@ impl FrequencyVector {
         self.0.is_empty()
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "query ids are minted by the workload this vector was sized for"
+    )]
     pub fn get(&self, id: QueryId) -> f64 {
         self.0[id.0]
     }

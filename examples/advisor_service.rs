@@ -7,8 +7,6 @@
 //! cargo run --release --example advisor_service
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::cluster::GuardrailEvent;
 use lpa::prelude::*;
 use lpa::service::ServiceEvent;

@@ -7,8 +7,6 @@
 //! cargo run --release --example cloud_warehouse
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::prelude::*;
 
 fn main() {

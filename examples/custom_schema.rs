@@ -6,8 +6,6 @@
 //! cargo run --release --example custom_schema
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::prelude::*;
 use lpa::schema::{Attribute, Domain, Table};
 

@@ -5,8 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::prelude::*;
 
 fn main() {

@@ -8,8 +8,6 @@
 //! cargo run --release --example workload_drift
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::advisor::incremental;
 use lpa::prelude::*;
 use lpa::workload::QueryId;

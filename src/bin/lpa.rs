@@ -8,8 +8,6 @@
 //! lpa baselines --benchmark ssb [--engine pgxl|systemx]
 //! ```
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::advisor::OnlineOptimizations;
 use lpa::prelude::*;
 use lpa::store::{atomic_write, capture_advisor, encode_checkpoint, Checkpoint};

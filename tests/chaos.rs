@@ -19,8 +19,6 @@
 //! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
 //! default storm seed (`LPA_CHAOS_SEED` overrides it).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::advisor::{shared_cache, shared_cluster, OnlineBackend, RetryPolicy, SharedCluster};
 use lpa::cluster::{FailReason, FaultPlan, QueryOutcome};
 use lpa::prelude::*;

@@ -4,8 +4,6 @@
 //! Formerly `proptest`-driven; now explicit seed-indexed loops over the
 //! vendored deterministic `StdRng` (same case counts as before).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::cluster::QueryOutcome;
 use lpa::partition::valid_actions;
 use lpa::prelude::*;

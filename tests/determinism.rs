@@ -8,8 +8,6 @@
 //! `LPA_THREADS`, safe to use from parallel test harnesses) and compares
 //! raw bit patterns, not approximate values.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::cluster::QueryOutcome;
 use lpa::nn::Mlp;
 use lpa::partition::valid_actions;

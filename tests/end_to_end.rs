@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: the full pipeline from schema to
 //! suggestion, exercised through the public `lpa` API.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::prelude::*;
 
 fn quick_cfg(episodes: usize, tmax: usize) -> DqnConfig {

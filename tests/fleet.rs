@@ -13,8 +13,6 @@
 //! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
 //! default fleet seed (`LPA_FLEET_SEED` overrides it).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::cluster::{FaultPlan, GuardrailConfig};
 use lpa::partition::Partitioning;
 use lpa::prelude::*;

@@ -16,8 +16,6 @@
 //! it. The run is deliberately tiny (a few episodes at scale factor 0.01)
 //! so the tripwire is cheap enough to run everywhere.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::nn::reference::mlp_fingerprint;
 use lpa::prelude::*;
 use std::path::PathBuf;

@@ -18,8 +18,6 @@
 //! CI's `thread-matrix` job runs this file at `LPA_THREADS={1,8}` on the
 //! default guard seed (`LPA_GUARD_SEED` overrides it).
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::cluster::{GuardrailAccounting, GuardrailConfig, GuardrailEvent};
 use lpa::partition::Partitioning;
 use lpa::prelude::*;

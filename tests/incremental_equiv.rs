@@ -7,8 +7,6 @@
 //! pin that contract on TPC-CH and SSB, including across `reset()` and
 //! `set_backend` boundaries.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::costmodel::{CostParams, NetworkCostModel};
 use lpa::partition::valid_actions;
 use lpa::prelude::*;

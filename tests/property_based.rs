@@ -5,8 +5,6 @@
 //! seed-indexed loop over `StdRng`-generated inputs. Coverage (number of
 //! cases per property) matches the old `ProptestConfig` settings.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::prelude::*;
 use lpa::schema::{AttrId, EdgeId, TableId};
 use lpa::workload::FrequencyVector;

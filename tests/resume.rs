@@ -12,8 +12,6 @@
 //! (`LPA_CKPT_HANDOFF_DIR`) to prove the format round-trips across
 //! processes, not just within one.
 
-#![allow(clippy::unwrap_used)] // test-scale code; libraries are gated by lpa-lint L001
-
 use lpa::advisor::{shared_cache, shared_cluster, Advisor, OnlineBackend};
 use lpa::cluster::FaultPlan;
 use lpa::prelude::*;
