@@ -10,44 +10,43 @@
 //! * per-node work / net / runtime accounting lives in flat columns
 //!   (`net_bytes`, `per_node_*`), with fault multipliers applied as column
 //!   passes in node-index order — exactly the naive fold order;
-//! * **late materialisation** — an intermediate carries its row count, its
-//!   `node` column and the base-row ids of just the slots a *later* step
-//!   takes its left join keys from ([`carried_slots`]). A step nothing
-//!   reads from (the last, usually the largest) is count-only: a probe hit
-//!   adds the build entry's match count to `per_node_out` and writes no row;
-//! * **an empty build side ends materialisation** — carrying stops at the
-//!   first step whose right table keeps no filtered row (an early-exit pass
-//!   before the step loop finds it), so the step before it is count-only.
-//!   Unless it re-hashes its input, that step reads no row either: naive
-//!   probes an empty table with each group's rows, so its probes are the
-//!   input's node histogram (`per_node_out`) and it outputs nothing. A step
-//!   with no input rows hashes nothing;
 //! * **one build table per step**, keyed by `(join key, group)` (group 0
 //!   when the right side is present everywhere), hashed by one SplitMix64
 //!   round ([`KeyHasher`]) and probed in one pass over the intermediate in
 //!   index order; build rows are chained through an arena (`build_row` /
 //!   `build_next`) only when the right table's ids are carried;
-//! * **a count-only step folds into the step that feeds it** ([`folds`]) —
-//!   when it keys on that step's right table (then the one slot carried),
-//!   reads its input where that step puts it (no re-hash, no broadcast) and
-//!   neither right side is empty, its table is built first and the feeding
-//!   step's build entries carry, instead of a row chain, the sum of its
-//!   matches for their rows at each group it would probe them in
-//!   (`build_weight`). A hit adds the entry's count to the feeding step's
-//!   output and the count-only step's probes, and its weight to the
-//!   count-only step's output; the feeding step's output is never written.
-//!   A step with no input rows does not fold.
+//! * **a count-only suffix** ([`suffix_head`]) — the plan's longest tail in
+//!   which every step after the first (the head) keeps its input where the
+//!   step before put it (no re-hash, no broadcast) and keys on that step's
+//!   right table or has an empty one, or comes after a step whose right
+//!   table keeps no row (its input then has none). The steps before the
+//!   head write their output: a row count, a `node` column, a node
+//!   histogram and the base-row ids of just the slots the steps up to the
+//!   head take their left keys from ([`carried_slots`]). The suffix writes
+//!   no row. Its tables are built last to first, and each build entry
+//!   carries in `build_weight`, for every later suffix step and every group
+//!   that step probes the entry's rows in, how many of that step's output
+//!   rows they lead to: the next step's matches plus those matches' own
+//!   weights. The head probes its input once; a hit adds the entry's count
+//!   to the head's output and its weights to the later steps' outputs, and
+//!   each later step's probes are the previous step's output histogram (or
+//!   its row count at every group when that output is everywhere). A right
+//!   table without rows builds no entry, so it weighs nothing. A head with
+//!   one that does not re-hash its input probes nothing: it reads only its
+//!   input's histogram, and the step before it carries no slot for it. A
+//!   step without input rows hashes nothing. A last step alone is a suffix
+//!   of length one.
 //!
 //! Output rows therefore come out probe-major (and, within one probe row's
 //! matches, newest build row first) where the naive path merges them
 //! group-major, and most provenance columns never exist. No charged quantity
 //! can tell: each is either a per-node integer count (build / probe / output
-//! rows, node histograms, fold weights — sums of match counts) or an `f64`
-//! sum of one constant per moved row, and that constant is integer-valued
+//! rows, node histograms, weights — sums of match counts) or an `f64` sum of
+//! one constant per moved row, and that constant is integer-valued
 //! (`Table::row_bytes: u64` and sums of it), so every partial sum is an
-//! integer below 2^53 — exact, whatever order the rows are visited in. It is the premise `executor.rs` states for its own
-//! group-ordered merge. The hash table is never iterated, so its order
-//! cannot leak either.
+//! integer below 2^53 — exact, whatever order the rows are visited in. It
+//! is the premise `executor.rs` states for its own group-ordered merge. The
+//! hash table is never iterated, so its order cannot leak either.
 //!
 //! Bit-exactness contract (DESIGN.md §13): every `f64` accumulation below
 //! is the same expression, in the same order, as `execute_naive`; the
@@ -97,9 +96,9 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// The build rows sharing one `(join key, group)`: how many, and the head
-/// of their chain in the arena when the right table's ids are carried —
-/// or, when a count-only step folds in, of their weights in `build_weight`.
+/// The build rows sharing one `(join key, group)`: how many, and where
+/// their chain starts in the arena when the right table's ids are carried
+/// — or, in a suffix step a later one matches, their weights.
 #[derive(Clone, Copy, Debug)]
 struct Build {
     head: u32,
@@ -109,24 +108,7 @@ struct Build {
 /// A plan step with the join it applies.
 type Step<'p> = (&'p PlanStep, &'p JoinPred);
 
-/// Where a step's two sides meet after its exchange.
-#[derive(Clone, Copy, Debug)]
-struct Placement {
-    /// The input was re-hashed into `StepCols::new_left`.
-    rehash_left: bool,
-    /// A side present on every node (replicated or broadcast).
-    left_everywhere: bool,
-    right_everywhere: bool,
-    both_everywhere: bool,
-    /// Join groups: one when both sides are everywhere, else one per node.
-    groups: usize,
-    shuffled: bool,
-    /// Total bytes the exchange moved.
-    bytes: f64,
-}
-
-/// One join step's right side, exchange and per-group tallies. A folded
-/// pair ([`folds`]) fills two: the producer's and the count-only step's.
+/// One join step's right side, exchange, build table and per-group tallies.
 #[derive(Clone, Debug, Default)]
 struct StepCols {
     /// Predicate-surviving row ids of the right table.
@@ -138,10 +120,23 @@ struct StepCols {
     new_left: Vec<u8>,
     /// Per-node bytes received this step (column pass per strategy).
     net_bytes: Vec<f64>,
+    /// Where the exchange put both sides. The input was re-hashed into
+    /// `new_left`; a side is everywhere when replicated or broadcast.
+    rehash_left: bool,
+    left_everywhere: bool,
+    right_everywhere: bool,
+    both_everywhere: bool,
+    /// Join groups: one when both sides are everywhere, else one per node.
+    groups: usize,
+    shuffled: bool,
+    /// Total bytes the exchange moved.
+    bytes: f64,
     /// The step's build table.
     join_keys: HashMap<(u64, u8), Build, BuildHasherDefault<KeyHasher>>,
-    /// Per-group work columns for the straggler maxima. `per_node_out`
-    /// doubles as the node histogram of the step's output.
+    /// Weights each build entry carries: one per group of every later suffix
+    /// step that can output a row (0 when the next step's table has none).
+    width: usize,
+    /// Per-group work columns for the straggler maxima.
     per_node_build: Vec<usize>,
     per_node_probe: Vec<usize>,
     per_node_out: Vec<usize>,
@@ -168,10 +163,12 @@ struct ColInter {
     /// `slots[s][i]` = base-table row feeding row `i` from query table
     /// slot `s`, for the carried slots only (all others stay empty).
     slots: Vec<Vec<u32>>,
-    /// Home node per row; empty when `replicated` and after a count-only
-    /// step, whose per-node row counts are `StepCols::per_node_out`.
+    /// Home node per row; empty when `replicated` and when no slot is
+    /// carried.
     node: Vec<u8>,
-    rows: usize,
+    /// Rows per group: the histogram of `node`, kept even when `node` is
+    /// not, or all rows in one group when `replicated`.
+    hist: Vec<usize>,
     replicated: bool,
     bytes_per_row: f64,
 }
@@ -184,15 +181,20 @@ impl ColInter {
         }
         self.slots.resize_with(width, Default::default);
         self.node.clear();
-        self.rows = 0;
+        self.hist.clear();
         self.replicated = false;
         self.bytes_per_row = 0.0;
+    }
+
+    fn rows(&self) -> usize {
+        self.hist.iter().sum()
     }
 
     fn capacity_bytes(&self) -> usize {
         vec_bytes(&self.slots)
             + self.slots.iter().map(vec_bytes).sum::<usize>()
             + vec_bytes(&self.node)
+            + vec_bytes(&self.hist)
     }
 }
 
@@ -206,19 +208,19 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
 /// have grown to the workload's high-water mark.
 #[derive(Clone, Debug, Default)]
 pub struct ExecScratch {
-    /// The step being executed (the seed's scan before the first);
-    /// `step.per_node_out` is the node histogram of `cur`.
-    step: StepCols,
-    /// The count-only step folded into `step` (swapped in after the pair).
-    fold: StepCols,
+    /// The step being executed and, when it heads the count-only suffix,
+    /// the steps after it, in plan order.
+    steps: Vec<StepCols>,
     /// Slots the step being executed must carry ([`carried_slots`]).
     carried: Vec<usize>,
     /// Per plan step: no row of its right table survives the filter.
     empty: Vec<bool>,
-    /// The build table's row chains, or a folded step's weights per entry.
+    /// The build table's row chains, or the suffix's weights per entry.
     build_row: Vec<u32>,
     build_next: Vec<u32>,
     build_weight: Vec<u64>,
+    /// Output rows per group of every step in `steps`, one after another.
+    tally: Vec<u64>,
     /// Double-buffered intermediates (swapped after each join step).
     cur: ColInter,
     next: ColInter,
@@ -228,13 +230,15 @@ impl ExecScratch {
     /// Heap bytes the arenas currently hold (capacity, not length): the
     /// high-water mark of everything executed on this scratch so far.
     pub fn capacity_bytes(&self) -> usize {
-        self.step.capacity_bytes()
-            + self.fold.capacity_bytes()
+        let steps: usize = self.steps.iter().map(StepCols::capacity_bytes).sum();
+        vec_bytes(&self.steps)
+            + steps
             + vec_bytes(&self.carried)
             + vec_bytes(&self.empty)
             + vec_bytes(&self.build_row)
             + vec_bytes(&self.build_next)
             + vec_bytes(&self.build_weight)
+            + vec_bytes(&self.tally)
             + self.cur.capacity_bytes()
             + self.next.capacity_bytes()
     }
@@ -267,54 +271,66 @@ fn exchange(strategy: JoinStrategy) -> (bool, bool, bool, bool) {
     }
 }
 
+/// `plan.steps[at]` with its join, when the query has it (the naive path
+/// skips a step that names no join).
+fn joined<'p>(query: &'p Query, plan: &'p [PlanStep], at: usize) -> Option<Step<'p>> {
+    let step = plan.get(at)?;
+    Some((step, query.joins.get(step.join_index)?))
+}
+
+/// Where the count-only suffix starts (module docs): the last step that
+/// does not follow the one before it. Step `k` follows step `k - 1` when
+/// both have a join and either some step before `k` has an `empty` right
+/// table, or `k` keeps its input where `k - 1` put it and keys on `k - 1`'s
+/// right table or has an empty one. Every step after the head has a join.
+fn suffix_head(query: &Query, plan: &QueryPlan, empty: &[bool]) -> usize {
+    let follows = |k: usize| {
+        let (before, _) = joined(query, &plan.steps, k.checked_sub(1)?)?;
+        let (step, join) = joined(query, &plan.steps, k)?;
+        let (ship_left, _, rehash_left, _) = exchange(step.strategy);
+        let keyed = oriented(join, step.table).0.table == before.table;
+        let is_empty = |at: usize| empty.get(at) == Some(&true);
+        Some((0..k).any(is_empty) || !ship_left && !rehash_left && (keyed || is_empty(k)))
+    };
+    let steps = 0..plan.steps.len();
+    steps.rev().find(|&k| follows(k) != Some(true)).unwrap_or(0)
+}
+
 /// The slots of `query.tables` whose base-row ids the output of
-/// `plan.steps[at]` must carry: those a later step takes its left join
-/// keys from, up to the first later step whose right side is `empty`.
-/// That step outputs nothing, so no step after it reads a row, and it
-/// reads its own left keys only to re-hash them. Empty means nothing
-/// downstream reads a row of that output — the step only has to be counted.
+/// `plan.steps[at]` must carry: those the steps after it, up to the head of
+/// the suffix, take their left join keys from. None from the head on. The
+/// head reads its keys only to re-hash them or to probe a right table that
+/// is not `empty`; otherwise its probes are its input's histogram.
 fn carried_slots(query: &Query, plan: &QueryPlan, empty: &[bool], at: usize, out: &mut Vec<usize>) {
     out.clear();
-    for (k, step) in plan.steps.iter().enumerate().skip(at + 1) {
-        let Some(join) = query.joins.get(step.join_index) else {
-            continue;
-        };
-        let matches_nothing = empty.get(k).copied().unwrap_or(false);
-        let (_, _, rehashes_left, _) = exchange(step.strategy);
-        if matches_nothing && !rehashes_left {
-            break;
-        }
+    let head = suffix_head(query, plan, empty);
+    let rehashes = plan.steps.get(head).is_some_and(|s| exchange(s.strategy).2);
+    let keyed = head + usize::from(rehashes || empty.get(head) != Some(&true));
+    for (step, join) in (at + 1..keyed).filter_map(|k| joined(query, &plan.steps, k)) {
         let slot = slot_of(query, oriented(join, step.table).0.table);
         if !out.contains(&slot) {
             out.push(slot);
         }
-        if matches_nothing {
-            break;
-        }
     }
 }
 
-/// The step after `plan.steps[at]` when it folds into it (module docs);
-/// leaves in `carried` the slots step `at` carries. It folds when it is
-/// count-only, keys on `at`'s right table (then the one slot `at` carries),
-/// leaves its input where `at` puts it (no re-hash, no broadcast), and
-/// neither right side is empty.
-fn folds<'p>(
-    query: &'p Query,
-    plan: &'p QueryPlan,
-    empty: &[bool],
-    at: usize,
-    carried: &mut Vec<usize>,
-) -> Option<Step<'p>> {
-    carried_slots(query, plan, empty, at + 1, carried);
-    let count_only = carried.is_empty();
-    carried_slots(query, plan, empty, at, carried);
-    let (a, b) = (plan.steps.get(at)?, plan.steps.get(at + 1)?);
-    let join = query.joins.get(b.join_index)?;
-    let keyed = oriented(join, b.table).0.table == a.table;
-    let (ship_left, _, rehash_left, _) = exchange(b.strategy);
-    let both_match = empty.get(at) == Some(&false) && empty.get(at + 1) == Some(&false);
-    (count_only && keyed && !ship_left && !rehash_left && both_match).then_some((b, join))
+/// One probe hit of `entry` at group `g` of the step `side`, added to
+/// `into`, laid out as that step's output groups and then as the entry's
+/// weights: those of every group when the step's output is everywhere,
+/// else those of `g` (every later step then has one group per node).
+fn add_hit(into: &mut [u64], side: &StepCols, g: usize, entry: Build, weights: &[u64], n: usize) {
+    if let Some(out) = into.get_mut(g) {
+        *out += entry.count as u64;
+    }
+    let block = weights
+        .get(entry.head as usize..)
+        .and_then(|w| w.get(..side.width));
+    // `g` is 0 when the output is everywhere: then it has one group.
+    let stride = if side.both_everywhere { 1 } else { n };
+    let later = into.iter_mut().skip(side.groups + g).step_by(stride);
+    for (out, w) in later.zip(block.into_iter().flatten().skip(g).step_by(stride)) {
+        *out += w;
+    }
 }
 
 impl Executor<'_> {
@@ -351,8 +367,8 @@ impl Executor<'_> {
 
         if query.joins.is_empty() {
             let t = query.tables[0];
-            self.filtered_rows_into(query, t, &mut scratch.step.filtered);
-            let rows = scratch.step.filtered.len() as f64;
+            let (rows, keep) = self.row_filter(query, t);
+            let rows = keep.map_or(rows.len(), |keep| rows.filter(keep).count()) as f64;
             let share = self.max_shard_fraction_col(t);
             seconds += rows * share * self.hw.cpu_tuple_cost * query.cpu_factor;
             return Some(ExecResult {
@@ -362,40 +378,38 @@ impl Executor<'_> {
             });
         }
 
-        scratch.empty.clear();
-        for s in &plan.steps {
-            scratch.empty.push(!self.has_filtered_row(query, s.table));
+        let empty = &mut scratch.empty;
+        empty.clear();
+        for step in &plan.steps {
+            let joins = query.joins.get(step.join_index).is_some();
+            empty.push(joins && !self.has_filtered_row(query, step.table));
         }
+        let head = suffix_head(query, plan, empty);
         let start = plan.start_table.unwrap_or(query.tables[0]);
-        self.seed_inter_col(query, start, scratch);
+        self.seed_inter_col(query, start, &mut scratch.cur);
 
-        let mut folded = false;
-        for (at, step) in plan.steps.iter().enumerate() {
-            if std::mem::take(&mut folded) {
-                continue;
-            }
-            let Some(join) = query.joins.get(step.join_index) else {
-                continue;
-            };
-            let fold = folds(query, plan, &scratch.empty, at, &mut scratch.carried)
-                .filter(|_| scratch.cur.rows > 0);
-            folded = fold.is_some();
-            let (charged, fold_charged) = self.join_step_col(query, (step, join), fold, scratch);
+        // The steps before the head one at a time, then the head with the
+        // steps that follow it; each step's charge and budget check in plan
+        // order.
+        for (at, step) in (0..=head).filter_map(|at| Some((at, joined(query, &plan.steps, at)?))) {
+            let followers = plan.steps.get(at + 1..).filter(|_| at == head);
+            carried_slots(query, plan, &scratch.empty, at, &mut scratch.carried);
+            let ran = self.join_step_col(query, step, followers.unwrap_or_default(), scratch);
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
-            for (step_seconds, step_bytes) in std::iter::once(charged).chain(fold_charged) {
-                seconds += step_seconds;
-                bytes_shuffled += step_bytes;
+            for side in scratch.steps.iter().take(ran) {
+                seconds += self.charge_col(query, side);
+                bytes_shuffled += side.bytes;
                 if over(seconds, budget) {
                     return None;
                 }
             }
         }
 
-        let out_rows = scratch.cur.rows;
+        let out_rows = scratch.cur.rows();
         let agg_share = if scratch.cur.replicated {
             1.0
         } else {
-            self.max_node_fraction_col(&scratch.step.per_node_out, out_rows)
+            self.max_node_fraction_col(&scratch.cur.hist, out_rows)
         };
         seconds += out_rows as f64 * agg_share * self.hw.cpu_tuple_cost * query.cpu_factor;
         if over(seconds, budget) {
@@ -437,7 +451,7 @@ impl Executor<'_> {
     }
 
     /// The naive `filtered_rows` predicate over the row ids of `t` (`None`
-    /// when it keeps them all), shared by the two readers below.
+    /// when it keeps them all), shared by the readers below.
     fn row_filter(&self, query: &Query, t: TableId) -> (Range<u32>, Option<impl Fn(&u32) -> bool>) {
         let rows = 0..self.db.table(t).rows as u32;
         let sel = query.table_selectivity(t);
@@ -467,37 +481,30 @@ impl Executor<'_> {
         keep.map_or(!rows.is_empty(), |keep| rows.any(|r| keep(&r)))
     }
 
-    /// Columnar twin of the naive `seed_inter`; leaves the seed's node
-    /// histogram in `step.per_node_out`, as each join step leaves its own.
+    /// Columnar twin of the naive `seed_inter`, node histogram included.
     #[expect(
         clippy::indexing_slicing,
         reason = "hot kernel: row ids index their own table's columns; layouts holds one slot per table"
     )]
-    fn seed_inter_col(&self, query: &Query, start: TableId, scratch: &mut ExecScratch) {
-        let slot = slot_of(query, start);
-        self.filtered_rows_into(query, start, &mut scratch.step.filtered);
-        let (filtered, per_node_out) = (&scratch.step.filtered, &mut scratch.step.per_node_out);
-        let cur = &mut scratch.cur;
+    fn seed_inter_col(&self, query: &Query, start: TableId, cur: &mut ColInter) {
         cur.reset(query.tables.len());
-        cur.rows = filtered.len();
-        per_node_out.clear();
-        per_node_out.resize(self.hw.nodes, 0);
+        cur.bytes_per_row = self.schema.table(start).row_bytes as f64;
+        let rows = &mut cur.slots[slot_of(query, start)];
+        self.filtered_rows_into(query, start, rows);
+        cur.replicated = matches!(self.layouts[start.0], Layout::Replicated);
         match &self.layouts[start.0] {
-            Layout::Replicated => cur.replicated = true,
+            Layout::Replicated => cur.hist.push(rows.len()),
             Layout::Hashed { node, .. } => {
-                for &r in filtered.iter() {
+                cur.hist.resize(self.hw.nodes, 0);
+                for &r in rows.iter() {
                     let home = node[r as usize];
                     cur.node.push(home);
-                    if let Some(rows) = per_node_out.get_mut(home as usize) {
-                        *rows += 1;
+                    if let Some(count) = cur.hist.get_mut(home as usize) {
+                        *count += 1;
                     }
                 }
             }
         }
-        if let Some(seed_slot) = cur.slots.get_mut(slot) {
-            seed_slot.extend_from_slice(filtered);
-        }
-        cur.bytes_per_row = self.schema.table(start).row_bytes as f64;
     }
 
     /// The join-key value of every intermediate row, gathered on demand
@@ -525,13 +532,7 @@ impl Executor<'_> {
         clippy::indexing_slicing,
         reason = "hot kernel: row ids index their own table's columns; i < inter.len()"
     )]
-    fn exchange_col(
-        &self,
-        query: &Query,
-        at: Step,
-        inter: &ColInter,
-        side: &mut StepCols,
-    ) -> Placement {
+    fn exchange_col(&self, query: &Query, at: Step, inter: &ColInter, side: &mut StepCols) {
         let (n, right_table) = (self.hw.nodes, at.0.table);
         self.filtered_rows_into(query, right_table, &mut side.filtered);
         let right_bytes_row = self.schema.table(right_table).row_bytes as f64;
@@ -551,7 +552,7 @@ impl Executor<'_> {
             let bytes = if ship_right {
                 side.filtered.len() as f64 * right_bytes_row
             } else {
-                inter.rows as f64 * inter.bytes_per_row
+                inter.rows() as f64 * inter.bytes_per_row
             };
             for node_bytes in side.net_bytes.iter_mut() {
                 *node_bytes += bytes * (n as f64 - 1.0) / n as f64;
@@ -587,24 +588,19 @@ impl Executor<'_> {
                 }
             }
         }
-        let left_everywhere = !rehash_left && (inter.replicated || ship_left);
-        let right_everywhere = !rehash_right && (right_replicated || ship_right);
-        let both_everywhere = left_everywhere && right_everywhere;
-        Placement {
-            rehash_left,
-            left_everywhere,
-            right_everywhere,
-            both_everywhere,
-            groups: if both_everywhere { 1 } else { n },
-            shuffled: ship_left || ship_right || rehash_left || rehash_right,
-            bytes: total_bytes,
-        }
+        side.rehash_left = rehash_left;
+        side.left_everywhere = !rehash_left && (inter.replicated || ship_left);
+        side.right_everywhere = !rehash_right && (right_replicated || ship_right);
+        side.both_everywhere = side.left_everywhere && side.right_everywhere;
+        side.groups = if side.both_everywhere { 1 } else { n };
+        side.shuffled = ship_left || ship_right || rehash_left || rehash_right;
+        side.bytes = total_bytes;
     }
 
-    /// Build: one table for the whole step (and a zeroed `per_node_out`).
-    /// A right side present everywhere builds once under group 0 and counts
-    /// for every group. Unless `hash` (an input without rows probes
-    /// nothing), no row is hashed; `entry` sees every hashed row's entry.
+    /// Build: one table for the whole step. A right side present everywhere
+    /// builds once under group 0 and counts for every group. Unless `hash`
+    /// (no input row reaches the step), no row is hashed; `entry` sees every
+    /// hashed row with its group and entry.
     #[expect(
         clippy::indexing_slicing,
         reason = "hot kernel: row ids index their own table's columns"
@@ -612,23 +608,18 @@ impl Executor<'_> {
     fn build_col(
         &self,
         at: Step,
-        p: Placement,
         side: &mut StepCols,
         hash: bool,
-        mut entry: impl FnMut(u32, &mut Build),
+        mut entry: impl FnMut(u32, u8, &mut Build),
     ) {
         let right_key = oriented(at.1, at.0.table).1;
         let right_col = self.db.column(at.0.table, right_key.attr);
-        for counts in [&mut side.per_node_build, &mut side.per_node_out] {
-            counts.clear();
-            counts.resize(p.groups, 0);
-        }
+        side.per_node_build.clear();
+        side.per_node_build.resize(side.groups, 0);
         side.join_keys.clear();
         for (j, &r) in side.filtered.iter().enumerate() {
-            let group = match p.right_everywhere {
-                true => 0,
-                false => side.right_at.get(j).copied().unwrap_or(0),
-            };
+            let at_node = side.right_at.get(j).filter(|_| !side.right_everywhere);
+            let group = at_node.copied().unwrap_or(0);
             if let Some(rows) = side.per_node_build.get_mut(group as usize) {
                 *rows += 1;
             }
@@ -639,10 +630,10 @@ impl Executor<'_> {
                     count: 0,
                 });
                 b.count += 1;
-                entry(r, b);
+                entry(r, group, b);
             }
         }
-        if p.right_everywhere {
+        if side.right_everywhere {
             side.per_node_build.fill(side.filtered.len());
         }
     }
@@ -650,9 +641,9 @@ impl Executor<'_> {
     /// A step's time: the exchange's overhead and slowest receiver, then
     /// the slowest group's build + probe + output rows — the naive
     /// expressions, folded in node-index order.
-    fn charge_col(&self, query: &Query, side: &StepCols, p: Placement) -> f64 {
+    fn charge_col(&self, query: &Query, side: &StepCols) -> f64 {
         let mut seconds = 0.0;
-        if p.shuffled {
+        if side.shuffled {
             seconds += self.engine.shuffle_overhead;
             let max_in = (side.net_bytes.iter().enumerate())
                 .map(|(node, &b)| b * self.node_net_mult(node))
@@ -662,7 +653,7 @@ impl Executor<'_> {
         let work = (side.per_node_build.iter())
             .zip(&side.per_node_probe)
             .zip(&side.per_node_out);
-        let first_up = p.both_everywhere.then(|| self.faults.first_up());
+        let first_up = side.both_everywhere.then(|| self.faults.first_up());
         let max_work = (work.enumerate())
             .map(|(g, ((build, probe), out))| {
                 (build + probe + out) as f64 * self.node_work_mult(first_up.unwrap_or(g))
@@ -672,159 +663,178 @@ impl Executor<'_> {
         seconds
     }
 
-    /// Columnar twin of the naive `join_step`: reads `scratch.cur`, writes
-    /// the `scratch.carried` slots of `scratch.next` (the caller swaps).
-    /// With `fold` ([`folds`]) it runs the count-only step after it too:
-    /// that step's table is built first, this step's build entries carry
-    /// its matches, and `next` is left as its output, written by neither.
-    /// Returns each step's (seconds, total bytes).
+    /// Columnar twin of the naive `join_step`, run for `at` and the suffix
+    /// steps `followers` after it (none for a step before the suffix's
+    /// head). Reads `scratch.cur`; builds the steps' tables last to first,
+    /// each entry weighing what its rows lead to in the later steps (module
+    /// docs); probes `cur` once and writes the `scratch.carried` slots of
+    /// `scratch.next` (the caller swaps). Leaves each step's exchange and
+    /// tallies in `scratch.steps`, in plan order, and returns their number.
     #[expect(
         clippy::indexing_slicing,
-        reason = "hot kernel: row ids index their table's columns; g < node count; slot vectors share the intermediate's length"
+        reason = "hot kernel: row ids index their table's columns; slot vectors share the intermediate's length"
     )]
     fn join_step_col(
         &self,
         query: &Query,
         at: Step,
-        fold: Option<Step>,
+        followers: &[PlanStep],
         scratch: &mut ExecScratch,
-    ) -> ((f64, f64), Option<(f64, f64)>) {
+    ) -> usize {
         let ExecScratch {
-            step,
-            fold: folded,
+            steps,
             carried,
             build_row,
             build_next,
             build_weight,
+            tally,
             cur: inter,
             next,
             ..
         } = scratch;
-        let (n, right_table) = (self.hw.nodes, at.0.table);
-        let right_slot = slot_of(query, right_table);
-        let p = self.exchange_col(query, at, inter, step);
+        let n = self.hw.nodes;
+        let step_of = |i: usize| match i {
+            0 => Some(at),
+            _ => joined(query, followers, i - 1),
+        };
+        let len = followers.len() + 1;
+        steps.resize_with(steps.len().max(len), Default::default);
+        // Entries past `len` hold an earlier query's steps.
+        let steps = &mut steps[..len];
+
+        // Exchanges in plan order. A follower keeps its input where the step
+        // before put it, or has no input row: all it reads of that input is
+        // whether it is everywhere.
         next.reset(query.tables.len());
-        next.replicated = p.both_everywhere;
-
-        // The folded step reads this step's output where this step puts it
-        // (its exchange needs only `next.replicated`); its table counts.
-        let fold = fold.map(|b| {
-            let pb = self.exchange_col(query, b, next, folded);
-            self.build_col(b, pb, folded, true, |_, _| {});
-            folded.per_node_probe.clear();
-            folded.per_node_probe.resize(pb.groups, 0);
-            (b, pb)
-        });
-        // An entry's weights: the folded step's matches for its rows at each
-        // group — one sum when its right side is everywhere, else one per
-        // node; group `g` reads sum `g % width`.
-        let width = fold.map_or(1, |(_, pb)| if pb.right_everywhere { 1 } else { n });
-        let fold_keys =
-            fold.map(|(b, _)| self.db.column(right_table, oriented(b.1, b.0.table).0.attr));
-
-        // An empty build side matches nothing. Unless the step re-hashes
-        // its input, no input row is read either: the probes per group are
-        // the input's node histogram (`per_node_out` until the build resets
-        // it) or, when the input is present everywhere, its row count.
-        let histogram_only = step.filtered.is_empty() && !p.rehash_left;
-        step.per_node_probe.clear();
-        match (histogram_only, p.left_everywhere) {
-            (true, false) => step.per_node_probe.extend_from_slice(&step.per_node_out),
-            (true, true) => step.per_node_probe.resize(p.groups, inter.rows),
-            (false, _) => step.per_node_probe.resize(p.groups, 0),
+        for (i, (side, step)) in steps
+            .iter_mut()
+            .zip((0..len).filter_map(step_of))
+            .enumerate()
+        {
+            let input = if i == 0 { &*inter } else { &*next };
+            self.exchange_col(query, step, input, side);
+            next.replicated = side.both_everywhere;
         }
 
+        // Builds last to first. The next step's matches weigh this step's
+        // entries when it has any (then it keys on this step's right table).
+        let right_slot = slot_of(query, at.0.table);
         let keep_right = carried.contains(&right_slot);
         build_row.clear();
         build_next.clear();
         build_weight.clear();
-        self.build_col(at, p, step, inter.rows > 0, |r, b| {
-            let Some(keys) = fold_keys else {
-                if keep_right {
-                    build_next.push(std::mem::replace(&mut b.head, build_row.len() as u32));
-                    build_row.push(r);
-                }
-                return;
+        for (i, step) in (0..len).rev().filter_map(|i| Some((i, step_of(i)?))) {
+            let reached = inter.rows() > 0 && steps.iter().take(i).all(|s| !s.filtered.is_empty());
+            let ([.., side], later) = steps.split_at_mut(i + 1) else {
+                continue;
             };
-            if b.head == u32::MAX {
-                b.head = build_weight.len() as u32;
-                build_weight.resize(build_weight.len() + width, 0);
-            }
-            let sums = (build_weight.iter_mut().skip(b.head as usize)).take(width);
-            for (g, sum) in sums.enumerate() {
-                let matches = folded.join_keys.get(&(keys[r as usize], g as u8));
-                *sum += matches.map_or(0, |m| m.count as u64);
-            }
-        });
+            let weigh = (later.first().filter(|f| !f.join_keys.is_empty())).zip(step_of(i + 1));
+            side.width = weigh.map_or(0, |(f, _)| f.groups + f.width);
+            let keys = weigh.map(|(_, (s, join))| oriented(join, s.table).0);
+            let keys = keys.map(|left| self.db.column(left.table, left.attr));
+            let width = side.width;
+            let every_group = side.both_everywhere || side.right_everywhere;
+            self.build_col(step, side, reached, |r, group, b| {
+                let (Some((f, _)), Some(keys)) = (weigh, keys) else {
+                    if keep_right {
+                        build_next.push(std::mem::replace(&mut b.head, build_row.len() as u32));
+                        build_row.push(r);
+                    }
+                    return;
+                };
+                if b.head == u32::MAX {
+                    b.head = build_weight.len() as u32;
+                    build_weight.resize(build_weight.len() + width, 0);
+                }
+                let (earlier, block) = build_weight.split_at_mut(b.head as usize);
+                let block = &mut block[..width];
+                let key = keys[r as usize];
+                // The groups the next step probes this entry's rows in.
+                for g in (0..f.groups).filter(|&g| every_group || g == group as usize) {
+                    let lookup = if f.right_everywhere { 0 } else { g as u8 };
+                    if let Some(&e) = f.join_keys.get(&(key, lookup)) {
+                        add_hit(block, f, g, e, earlier, n);
+                    }
+                }
+            });
+        }
 
         // Probe: intermediate rows in index order, each at the group it was
         // placed on — or at every group when it is present everywhere. A hit
-        // is `count` output rows at that group; only carried columns are
-        // written, as runs of one repeated value except the right table's.
-        let left_at = match (p.rehash_left, p.left_everywhere) {
-            (true, _) => Some(&step.new_left),
+        // is `count` output rows at that group and its weights at the later
+        // steps; only carried columns are written, as runs of one repeated
+        // value except the right table's. An empty table is not probed.
+        tally.clear();
+        tally.resize(steps.iter().map(|s| s.groups).sum(), 0);
+        let side = &steps[0];
+        let left_at = match (side.rehash_left, side.left_everywhere) {
+            (true, _) => Some(&side.new_left),
             (false, true) => None,
             (false, false) => Some(&inter.node),
         };
-        let count_only = carried.is_empty();
-        let mut probe = |i: usize, key: u64, g: usize| {
-            step.per_node_probe[g] += 1;
-            let group = if p.right_everywhere { 0 } else { g as u8 };
-            let Some(b) = step.join_keys.get(&(key, group)) else {
-                return;
+        let probed = (!side.join_keys.is_empty()).then(|| self.left_keys(query, at, inter));
+        for (i, key) in probed.into_iter().flatten().enumerate() {
+            let groups = match left_at {
+                Some(placed) => placed.get(i).map_or(0..0, |&g| g as usize..g as usize + 1),
+                None => 0..side.groups,
             };
-            let count = b.count as usize;
-            step.per_node_out[g] += count;
-            // The folded step probes these rows where they are (at each of
-            // its groups when they are everywhere) and outputs their weight.
-            if fold.is_some() {
-                let tallies = (folded.per_node_probe.iter_mut()).zip(&mut folded.per_node_out);
-                let probed = (tallies.enumerate()).filter(|(gb, _)| p.both_everywhere || *gb == g);
-                for (gb, (probes, out)) in probed {
-                    *probes += count;
-                    let weight = build_weight.get(b.head as usize + gb % width);
-                    *out += weight.copied().unwrap_or(0) as usize;
-                }
-                return;
-            }
-            if count_only {
-                return;
-            }
-            next.node.resize(next.node.len() + count, g as u8);
-            for &s in carried.iter() {
-                let Some(out) = next.slots.get_mut(s) else {
+            for g in groups {
+                let lookup = if side.right_everywhere { 0 } else { g as u8 };
+                let Some(&b) = side.join_keys.get(&(key, lookup)) else {
                     continue;
                 };
-                if s == right_slot {
-                    let mut idx = b.head as usize;
-                    while let (Some(&r), Some(&link)) = (build_row.get(idx), build_next.get(idx)) {
-                        out.push(r);
-                        idx = link as usize;
-                    }
-                } else if let Some(&v) = inter.slots[s].get(i) {
-                    out.resize(out.len() + count, v);
+                add_hit(tally, side, g, b, build_weight, n);
+                let count = b.count as usize;
+                if !carried.is_empty() {
+                    next.node.resize(next.node.len() + count, g as u8);
                 }
-            }
-        };
-        if !histogram_only {
-            for (i, key) in self.left_keys(query, at, inter).enumerate() {
-                match left_at {
-                    Some(at) => at.get(i).iter().for_each(|&&g| probe(i, key, g as usize)),
-                    None => (0..p.groups).for_each(|g| probe(i, key, g)),
+                for &s in carried.iter() {
+                    let Some(out) = next.slots.get_mut(s) else {
+                        continue;
+                    };
+                    if s == right_slot {
+                        let mut idx = b.head as usize;
+                        while let (Some(&r), Some(&link)) =
+                            (build_row.get(idx), build_next.get(idx))
+                        {
+                            out.push(r);
+                            idx = link as usize;
+                        }
+                    } else if let Some(&v) = inter.slots[s].get(i) {
+                        out.resize(out.len() + count, v);
+                    }
                 }
             }
         }
 
-        let charged = (self.charge_col(query, step, p), p.bytes);
-        let fold_charged = fold.map(|(_, pb)| (self.charge_col(query, folded, pb), pb.bytes));
-        next.bytes_per_row = inter.bytes_per_row + self.schema.table(right_table).row_bytes as f64;
-        if let Some((b, pb)) = fold {
-            next.bytes_per_row += self.schema.table(b.0.table).row_bytes as f64;
-            next.replicated = pb.both_everywhere;
-            std::mem::swap(step, folded);
+        // Each step's output per group, and its probes, from where its
+        // exchange left its input rows: re-hashed, at every group, or where
+        // the step before put them (the input's histogram for the first).
+        let mut outputs = tally.iter().map(|&t| t as usize);
+        for i in 0..len {
+            let (done, [side, ..]) = steps.split_at_mut(i) else {
+                continue;
+            };
+            side.per_node_out.clear();
+            side.per_node_out.extend(outputs.by_ref().take(side.groups));
+            let hist = done
+                .last()
+                .map_or(&inter.hist, |before| &before.per_node_out);
+            let probes = &mut side.per_node_probe;
+            probes.clear();
+            match (side.rehash_left, side.left_everywhere) {
+                (true, _) => {
+                    probes.resize(side.groups, 0);
+                    side.new_left.iter().for_each(|&g| probes[g as usize] += 1);
+                }
+                (false, true) => probes.resize(side.groups, hist.iter().sum()),
+                (false, false) => probes.extend_from_slice(hist),
+            }
         }
-        next.rows = step.per_node_out.iter().sum();
-        (charged, fold_charged)
+        next.hist.extend_from_slice(&steps[len - 1].per_node_out);
+        // What a later step ships per row; no step reads a suffix's.
+        next.bytes_per_row = inter.bytes_per_row + self.schema.table(at.0.table).row_bytes as f64;
+        len
     }
 }
 
@@ -881,130 +891,158 @@ mod tests {
         (query, plan)
     }
 
-    fn carried_at(query: &Query, plan: &QueryPlan, at: usize) -> Vec<usize> {
-        carried_with(query, plan, &[], at)
-    }
-
-    fn carried_with(query: &Query, plan: &QueryPlan, empty: &[bool], at: usize) -> Vec<usize> {
+    fn carried_at(query: &Query, plan: &QueryPlan, empty: &[bool], at: usize) -> Vec<usize> {
         let mut out = vec![99];
         carried_slots(query, plan, empty, at, &mut out);
         out
     }
 
-    #[test]
-    fn a_step_carries_exactly_the_left_key_slots_of_the_steps_after_it() {
-        // Chain 0-1-2-3-4-5: step k joins table k+1 on a key of table k.
-        let chain: Vec<(usize, usize)> = (0..5).map(|k| (k, k + 1)).collect();
-        let (query, plan) = plan_of(6, &chain);
-        for at in 0..5 {
-            let want: Vec<usize> = (at + 1..5).collect();
-            assert_eq!(carried_at(&query, &plan, at), want, "chain step {at}");
-        }
-        // Star on table 0: one carried slot until the count-only last step.
-        let (query, mut plan) = plan_of(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert_eq!(carried_at(&query, &plan, 0), [0]);
-        assert_eq!(carried_at(&query, &plan, 2), [0]);
-        assert!(carried_at(&query, &plan, 3).is_empty());
-        // A step the driver skips (no such join) reads nothing.
-        plan.steps[3].join_index = 17;
-        assert!(carried_at(&query, &plan, 2).is_empty());
-        // No mask, no width limit: 70 tables carry slots past 64.
-        let chain: Vec<(usize, usize)> = (0..69).map(|k| (k, k + 1)).collect();
-        let (query, plan) = plan_of(70, &chain);
-        assert_eq!(carried_at(&query, &plan, 0), (1..69).collect::<Vec<_>>());
-        assert!(carried_at(&query, &plan, 68).is_empty());
+    fn moves_input(strategy: JoinStrategy) -> bool {
+        let (ship_left, _, rehash_left, _) = exchange(strategy);
+        ship_left || rehash_left
     }
 
-    #[test]
-    fn carrying_stops_at_the_first_step_that_matches_nothing() {
-        // Chain 0-1-2-3-4-5 whose step 3 (table 4) keeps no filtered row.
-        let chain: Vec<(usize, usize)> = (0..5).map(|k| (k, k + 1)).collect();
-        let (query, mut plan) = plan_of(6, &chain);
-        let empty = [false, false, false, true, false];
-        assert_eq!(carried_with(&query, &plan, &empty, 0), [1, 2]);
-        assert!(carried_with(&query, &plan, &empty, 2).is_empty());
-        // No row reaches the steps from the empty one on; what they would
-        // carry is beside the point, and unchanged.
-        assert_eq!(carried_with(&query, &plan, &empty, 3), [4]);
-        // The first empty step is where carrying stops.
-        let twice = [false, true, false, true, false];
-        assert!(carried_with(&query, &plan, &twice, 0).is_empty());
-        assert_eq!(carried_with(&query, &plan, &twice, 1), [2]);
-        // The empty step reads its left keys only to re-hash them.
-        for strategy in ARMS {
-            plan.steps[3].strategy = strategy;
-            let rehashes = matches!(
-                strategy,
-                JoinStrategy::DirectedRepartition { table_side: false }
-                    | JoinStrategy::SymmetricRepartition
-            );
-            let want: &[usize] = if rehashes { &[1, 2, 3] } else { &[1, 2] };
-            assert_eq!(carried_with(&query, &plan, &empty, 0), want, "{strategy:?}");
-            let before = carried_with(&query, &plan, &empty, 2);
-            assert_eq!(before.is_empty(), !rehashes, "{strategy:?}");
+    /// The seed's slot and those the steps before the suffix's head carry:
+    /// on fresh arenas, the only slots that may ever get memory.
+    fn written_slots(query: &Query, plan: &QueryPlan, empty: &[bool]) -> Vec<usize> {
+        let mut written = vec![slot_of(query, plan.start_table.expect("a join plan"))];
+        for at in 0..suffix_head(query, plan, empty) {
+            written.extend(carried_at(query, plan, empty, at));
+        }
+        written
+    }
+
+    fn assert_only_written_slots_hold_memory(scratch: &ExecScratch, written: &[usize]) {
+        for (s, (cur, next)) in scratch
+            .cur
+            .slots
+            .iter()
+            .zip(&scratch.next.slots)
+            .enumerate()
+        {
+            let held = cur.capacity() + next.capacity();
+            assert_eq!(held > 0, written.contains(&s), "slot {s} holds {held}");
         }
     }
 
-    /// The fold's conditions, each negated once, on a chain whose count-only
-    /// last step keys on the right table of the step before it.
-    #[test]
-    fn a_count_only_step_folds_only_when_every_condition_holds() {
-        let fold_at = |query: &Query, plan: &QueryPlan, empty: &[bool], at: usize| {
-            let mut carried = vec![99];
-            let folded = folds(query, plan, empty, at, &mut carried).map(|(b, _)| b.table);
-            (folded, carried)
-        };
-        let (query, mut plan) = plan_of(3, &[(0, 1), (1, 2)]);
-        let none_empty = [false; 2];
-        assert_eq!(
-            fold_at(&query, &plan, &none_empty, 0),
-            (Some(TableId(2)), vec![1])
-        );
-        // Nothing follows the last step.
-        assert_eq!(fold_at(&query, &plan, &none_empty, 1), (None, vec![]));
-        // Not count-only: a third step reads the second's output.
-        let (longer, longer_plan) = plan_of(4, &[(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(
-            fold_at(&longer, &longer_plan, &[false; 3], 0),
-            (None, vec![1, 2])
-        );
-        assert!(fold_at(&longer, &longer_plan, &[false; 3], 1).0.is_some());
-        // Keyed on the seed table, not on the first step's right table; a
-        // count-only step keyed on it leaves that the only carried slot.
-        let (star, star_plan) = plan_of(3, &[(0, 1), (0, 2)]);
-        assert_eq!(fold_at(&star, &star_plan, &none_empty, 0), (None, vec![0]));
-        // Either right side keeps no row.
-        for empty in [[true, false], [false, true]] {
-            assert_eq!(fold_at(&query, &plan, &empty, 0).0, None, "{empty:?}");
-        }
-        // It re-hashes or broadcasts its input.
-        for strategy in ARMS {
-            plan.steps[1].strategy = strategy;
-            let moves_input = matches!(
-                strategy,
-                JoinStrategy::Broadcast { table_side: false }
-                    | JoinStrategy::DirectedRepartition { table_side: false }
-                    | JoinStrategy::SymmetricRepartition
-            );
-            let folded = fold_at(&query, &plan, &none_empty, 0).0.is_some();
-            assert_eq!(folded, !moves_input, "{strategy:?}");
-        }
-    }
-
-    /// ISSUE 19: six joins on fresh arenas — only the carried slots (and the
-    /// seed's) of the double-buffered intermediates ever get memory, and not
-    /// those of a step a count-only one folds into: `region` keys on
-    /// `nation`, the one slot the `nation` step carries, so that step writes
-    /// no row and the `nation` slot gets no memory.
-    #[test]
-    fn only_carried_slots_of_a_six_join_query_acquire_capacity() {
+    /// A TPC-CH query with its optimizer plan on the initial partitioning,
+    /// at scale 0.0015, and the cluster that plans it.
+    fn tpcch_plan(name: &str) -> (lpa_schema::Schema, Query, QueryPlan, Cluster) {
         let schema = lpa_schema::tpcch::schema(0.0015).expect("schema builds");
         let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
-        // Only `order` stays filtered, so that every step has rows to carry.
-        let mut query = (workload.queries().iter())
-            .find(|q| q.name == "ch_q05")
-            .expect("ch_q05")
+        let query = (workload.queries().iter())
+            .find(|q| q.name == name)
+            .expect("a TPC-CH query")
             .clone();
+        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+        let cluster = Cluster::new(schema.clone(), config);
+        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
+        let plan = optimizer.plan(&schema, &query, cluster.deployed(), 0);
+        (schema, query, plan, cluster)
+    }
+
+    #[test]
+    fn a_step_carries_exactly_the_left_key_slots_of_the_steps_after_it() {
+        // Chain 0-1-2-3-4-5: step k joins table k+1 on a key of table k, and
+        // step 4 heads the suffix, as it re-hashes its input.
+        let chain: Vec<(usize, usize)> = (0..5).map(|k| (k, k + 1)).collect();
+        let (query, mut plan) = plan_of(6, &chain);
+        plan.steps[4].strategy = JoinStrategy::SymmetricRepartition;
+        for at in 0..5 {
+            let want: Vec<usize> = (at + 1..5).collect();
+            assert_eq!(carried_at(&query, &plan, &[], at), want, "chain step {at}");
+        }
+        // Up to the head only: nothing from the head on.
+        plan.steps[4].strategy = JoinStrategy::CoLocated;
+        plan.steps[2].strategy = JoinStrategy::SymmetricRepartition;
+        assert_eq!(carried_at(&query, &plan, &[], 0), [1, 2]);
+        assert!(carried_at(&query, &plan, &[], 2).is_empty());
+        // Star on table 0: one carried slot until the count-only last step.
+        let (query, mut plan) = plan_of(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        assert_eq!(carried_at(&query, &plan, &[], 0), [0]);
+        assert_eq!(carried_at(&query, &plan, &[], 2), [0]);
+        assert!(carried_at(&query, &plan, &[], 3).is_empty());
+        // A step the driver skips (no such join) reads nothing.
+        plan.steps[3].join_index = 17;
+        assert!(carried_at(&query, &plan, &[], 2).is_empty());
+        // No mask, no width limit: 70 tables carry slots past 64.
+        let chain: Vec<(usize, usize)> = (0..69).map(|k| (k, k + 1)).collect();
+        let (query, mut plan) = plan_of(70, &chain);
+        plan.steps[68].strategy = JoinStrategy::SymmetricRepartition;
+        assert_eq!(
+            carried_at(&query, &plan, &[], 0),
+            (1..69).collect::<Vec<_>>()
+        );
+        assert!(carried_at(&query, &plan, &[], 68).is_empty());
+    }
+
+    /// The suffix rule's conditions, each negated once, on a chain whose
+    /// every step keys on the right table of the step before it.
+    #[test]
+    fn a_step_joins_the_suffix_only_when_every_condition_holds() {
+        let (query, mut plan) = plan_of(4, &[(0, 1), (1, 2), (2, 3)]);
+        let none = [false; 3];
+        // Every step follows the one before: the whole plan only counts.
+        assert_eq!(suffix_head(&query, &plan, &none), 0);
+        // A step that re-hashes or broadcasts its input heads the suffix,
+        // and the head may use any arm.
+        for strategy in ARMS {
+            plan.steps[0].strategy = strategy;
+            plan.steps[2].strategy = strategy;
+            let head = if moves_input(strategy) { 2 } else { 0 };
+            assert_eq!(suffix_head(&query, &plan, &none), head, "{strategy:?}");
+        }
+        plan.steps[0].strategy = JoinStrategy::CoLocated;
+        plan.steps[2].strategy = JoinStrategy::CoLocated;
+        // Keyed on the seed, not on the right table of the step before.
+        let (fork, fork_plan) = plan_of(4, &[(0, 1), (1, 2), (0, 3)]);
+        assert_eq!(suffix_head(&fork, &fork_plan, &none), 2);
+        // A step whose join the query lacks neither follows nor is followed.
+        plan.steps[1].join_index = 17;
+        assert_eq!(suffix_head(&query, &plan, &none), 2);
+        plan.steps[1].join_index = 1;
+        plan.steps[2].join_index = 17;
+        assert_eq!(suffix_head(&query, &plan, &none), 2);
+        // No step before the first.
+        assert_eq!(suffix_head(&query, &QueryPlan::default(), &[]), 0);
+    }
+
+    /// An empty right table: the step with it follows whatever its key, as
+    /// long as it keeps its input, and every step after it follows whatever
+    /// its key and arm.
+    #[test]
+    fn every_step_after_an_empty_right_table_follows() {
+        // Star on table 0: no step keys on the right table before it.
+        let (star, mut plan) = plan_of(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        assert_eq!(suffix_head(&star, &plan, &[false; 4]), 3);
+        assert_eq!(suffix_head(&star, &plan, &[false, false, false, true]), 2);
+        let empty = [false, true, false, false];
+        for strategy in ARMS {
+            plan.steps[2].strategy = strategy;
+            plan.steps[3].strategy = strategy;
+            assert_eq!(suffix_head(&star, &plan, &empty), 0, "{strategy:?}");
+        }
+        // An empty step that moves its input heads the suffix. The step
+        // before it carries the slot it re-hashes, and none for one it
+        // broadcasts: its probes are its input's histogram.
+        for strategy in ARMS {
+            plan.steps[1].strategy = strategy;
+            let head = if moves_input(strategy) { 1 } else { 0 };
+            assert_eq!(suffix_head(&star, &plan, &empty), head, "{strategy:?}");
+            let rehashes = usize::from(exchange(strategy).2);
+            assert_eq!(carried_at(&star, &plan, &empty, 0).len(), rehashes);
+        }
+    }
+
+    /// Six joins on fresh arenas — only the carried slots (and the
+    /// seed's) of the double-buffered intermediates ever get memory. `ch_q05`
+    /// ends `stock` → `supplier` → `nation` → `region`, each keyed on the
+    /// right table before it, so the `stock` step heads the suffix (it
+    /// broadcasts its input) and the slots that suffix reads get none.
+    #[test]
+    fn only_carried_slots_of_a_six_join_query_acquire_capacity() {
+        let (schema, mut query, plan, _) = tpcch_plan("ch_q05");
+        // Only `order` stays filtered, so that every step has rows to carry.
         let order = schema.table_by_name("order").expect("order");
         for (t, sel) in query.tables.iter().zip(query.selectivity.iter_mut()) {
             *sel = if *t == order { 0.03 } else { 1.0 };
@@ -1015,94 +1053,63 @@ mod tests {
         let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
         assert_eq!(got, crate::with_naive_executor(naive));
 
-        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
-        let plan = optimizer.plan(&schema, &query, cluster.deployed(), 0);
         assert_eq!(plan.steps.len(), 6);
-        let mut carried = vec![slot_of(&query, plan.start_table.expect("a join plan"))];
-        let mut folded_into = Vec::new();
-        let nothing_empty = vec![false; plan.steps.len()];
-        for at in 0..plan.steps.len() {
-            if folds(&query, &plan, &nothing_empty, at, &mut Vec::new()).is_some() {
-                folded_into.push(slot_of(&query, plan.steps[at].table));
-            }
-            carried.extend(carried_at(&query, &plan, at));
+        let head = suffix_head(&query, &plan, &[false; 6]);
+        let stock = schema.table_by_name("stock").expect("stock");
+        assert_eq!(plan.steps[head].table, stock);
+        let written = written_slots(&query, &plan, &[]);
+        for name in ["stock", "supplier", "nation"] {
+            let slot = slot_of(&query, schema.table_by_name(name).expect(name));
+            assert!(!written.contains(&slot), "{name}");
         }
-        let nation = slot_of(&query, schema.table_by_name("nation").expect("nation"));
-        assert_eq!(folded_into, [nation]);
-        assert!(carried.contains(&nation));
-        carried.retain(|s| !folded_into.contains(s));
-        assert!((0..query.tables.len()).any(|s| !carried.contains(&s)));
         cluster.substrate().with_scratch(|scratch| {
-            for s in 0..query.tables.len() {
-                let held = scratch.cur.slots[s].capacity() + scratch.next.slots[s].capacity();
-                assert_eq!(held > 0, carried.contains(&s), "slot {s} holds {held}");
-            }
-            // The count-only last step wrote no row: what is left is its input.
-            assert!(scratch.cur.node.is_empty() && scratch.cur.rows > 0);
+            assert_only_written_slots_hold_memory(scratch, &written);
+            // The suffix wrote no row: what is left is its count.
+            assert!(scratch.cur.node.is_empty() && scratch.cur.rows() > 0);
             assert!(scratch.capacity_bytes() > 0);
         });
     }
 
-    /// ISSUE 28: TPC-CH `ch_q07` on fresh arenas, at a scale where the
-    /// filter on `nation`, a later right side, keeps no row. Nothing reads
-    /// past that step, so the slots the steps after it take their keys from
-    /// never get memory, and the step before it only counts its rows.
+    /// TPC-CH `ch_q07` on fresh arenas, at a scale where the
+    /// filter on `nation`, the second right side, keeps no row. Every step
+    /// after it follows, so the suffix starts at the first step and only
+    /// the seed's slot gets memory; without the empty side the suffix would
+    /// start at the step that re-hashes `orderline`.
     #[test]
     fn slots_past_an_empty_build_side_acquire_no_capacity() {
-        let schema = lpa_schema::tpcch::schema(0.0015).expect("schema builds");
-        let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
-        let query = (workload.queries().iter())
-            .find(|q| q.name == "ch_q07")
-            .expect("ch_q07");
+        let (schema, query, plan, mut cluster) = tpcch_plan("ch_q07");
         let nation = schema.table_by_name("nation").expect("nation");
+        let got = cluster.run_query(&query, None);
         let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
-        let mut cluster = Cluster::new(schema.clone(), config);
-        let got = cluster.run_query(query, None);
-        let naive = || Cluster::new(schema.clone(), config).run_query(query, None);
+        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
         assert_eq!(got, crate::with_naive_executor(naive));
 
-        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
-        let plan = optimizer.plan(&schema, query, cluster.deployed(), 0);
         let empty = cluster
             .substrate()
             .with_scratch(|scratch| scratch.empty.clone());
         let nation_only: Vec<bool> = plan.steps.iter().map(|s| s.table == nation).collect();
         assert_eq!(empty, nation_only);
-        let at_empty = empty
-            .iter()
-            .position(|&e| e)
-            .expect("nation is a right side");
-        assert!(
-            0 < at_empty && at_empty + 1 < plan.steps.len(),
-            "{at_empty}"
-        );
-        let mut carried = vec![slot_of(query, plan.start_table.expect("a join plan"))];
-        let mut carried_before = carried.clone();
-        for at in 0..at_empty {
-            carried.extend(carried_with(query, &plan, &empty, at));
-            carried_before.extend(carried_at(query, &plan, at));
-        }
-        // Without the empty side these slots would have held rows.
-        assert!(carried_before.iter().any(|s| !carried.contains(s)));
-        assert!(carried_with(query, &plan, &empty, at_empty - 1).is_empty());
+        assert_eq!(suffix_head(&query, &plan, &empty), 0);
+        let unfiltered = suffix_head(&query, &plan, &vec![false; plan.steps.len()]);
+        let rehashed = JoinStrategy::DirectedRepartition { table_side: false };
+        assert_eq!(plan.steps[unfiltered].strategy, rehashed);
+        let written = written_slots(&query, &plan, &empty);
+        assert_eq!(written.len(), 1);
+        assert!(written_slots(&query, &plan, &[]).len() > 1);
         cluster.substrate().with_scratch(|scratch| {
-            for s in 0..query.tables.len() {
-                let held = scratch.cur.slots[s].capacity() + scratch.next.slots[s].capacity();
-                assert_eq!(held > 0, carried.contains(&s), "slot {s} holds {held}");
-            }
-            assert_eq!(scratch.cur.rows, 0);
+            assert_only_written_slots_hold_memory(scratch, &written);
+            assert_eq!(scratch.cur.rows(), 0);
         });
     }
 
     /// TPC-CH `ch_q07` on a plan forced to start at `orderline`: step 0
-    /// joins `stock` on the item id, many to many, and step 1, `supplier`
-    /// on the stock row, only counts, because `nation` after it keeps no row.
-    /// Step 1 folds into step 0, so step 0's output is never written: only
-    /// the seed slot gets memory, and all the arenas together stay below one
-    /// `u32` column of that output. Without input rows nothing folds, and
-    /// neither build table hashes a row.
+    /// joins `stock` on the item id, many to many, step 1 `supplier` on the
+    /// stock row, step 2 `nation`, which keeps no row, and the two steps
+    /// after it follow the empty one. The whole plan is one suffix: only the
+    /// seed slot gets memory, and all the arenas together stay below one
+    /// `u32` column of step 0's output. Without input rows no table hashes.
     #[test]
-    fn a_folded_many_to_many_step_writes_no_row() {
+    fn a_many_to_many_suffix_head_writes_no_row() {
         let schema = lpa_schema::tpcch::schema(0.001).expect("schema builds");
         let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
         let mut query = (workload.queries().iter())
@@ -1142,9 +1149,51 @@ mod tests {
             steps: steps.into_iter().map(step).collect(),
             ..QueryPlan::default()
         };
+        with_executor(&schema, |exec| {
+            let (query, plan) = (&mut query, &plan);
+            let step0 = QueryPlan {
+                steps: plan.steps[..1].to_vec(),
+                ..plan.clone()
+            };
+            let blow_up = exec
+                .execute(query, &step0, None)
+                .expect("no budget")
+                .output_rows;
+            assert!(
+                blow_up > 50 * schema.table(table("orderline")).rows,
+                "{blow_up}"
+            );
+
+            let mut scratch = ExecScratch::default();
+            let got = exec.execute_with(query, plan, None, &mut scratch);
+            assert_eq!(got, exec.execute_naive(query, plan, None));
+            assert_eq!(scratch.empty, [false, false, true, false, false]);
+            assert_eq!(suffix_head(query, plan, &scratch.empty), 0);
+            let written = written_slots(query, plan, &scratch.empty);
+            assert_only_written_slots_hold_memory(&scratch, &written);
+            let column = blow_up as usize * std::mem::size_of::<u32>();
+            assert!(
+                scratch.capacity_bytes() < column,
+                "{} B",
+                scratch.capacity_bytes()
+            );
+
+            let orderline = slot_of(query, table("orderline"));
+            query.selectivity[orderline] = 0.0;
+            let mut scratch = ExecScratch::default();
+            let got = exec.execute_with(query, plan, None, &mut scratch);
+            assert_eq!(got, exec.execute_naive(query, plan, None));
+            let hashed: usize = scratch.steps.iter().map(|s| s.join_keys.capacity()).sum();
+            assert_eq!((scratch.steps.len(), hashed), (5, 0));
+        });
+    }
+
+    /// Runs `f` on an executor over `schema`'s generated database at the
+    /// initial partitioning, without faults.
+    fn with_executor<R>(schema: &lpa_schema::Schema, f: impl FnOnce(&Executor) -> R) -> R {
         let (engine, hw) = (EngineProfile::pgxl(), HardwareProfile::standard());
-        let db = crate::Database::generate(&schema, 0x29);
-        let initial = lpa_partition::Partitioning::initial(&schema);
+        let db = crate::Database::generate(schema, 0x29);
+        let initial = lpa_partition::Partitioning::initial(schema);
         let layouts: Vec<Layout> = (0..schema.tables().len())
             .map(|t| {
                 let state = initial.table_state(TableId(t));
@@ -1152,49 +1201,68 @@ mod tests {
             })
             .collect();
         let faults = crate::FaultState::nominal(hw.nodes);
-        let exec = Executor {
-            schema: &schema,
+        f(&Executor {
+            schema,
             db: &db,
             engine: &engine,
             hw: &hw,
             layouts: &layouts,
             faults: &faults,
-        };
-        let step0 = QueryPlan {
-            steps: plan.steps[..1].to_vec(),
-            ..plan.clone()
-        };
-        let blow_up = exec
-            .execute(&query, &step0, None)
-            .expect("no budget")
-            .output_rows;
-        assert!(
-            blow_up > 50 * schema.table(table("orderline")).rows,
-            "{blow_up}"
-        );
+        })
+    }
 
-        let mut scratch = ExecScratch::default();
-        let got = exec.execute_with(&query, &plan, None, &mut scratch);
-        assert_eq!(got, exec.execute_naive(&query, &plan, None));
-        assert_eq!(scratch.empty, [false, false, true, false, false]);
-        let seed = slot_of(&query, table("orderline"));
-        for s in 0..query.tables.len() {
-            let held = scratch.cur.slots[s].capacity() + scratch.next.slots[s].capacity();
-            assert_eq!(held > 0, s == seed, "slot {s} holds {held}");
-        }
-        let column = blow_up as usize * std::mem::size_of::<u32>();
-        assert!(
-            scratch.capacity_bytes() < column,
-            "{} B",
-            scratch.capacity_bytes()
-        );
+    /// TPC-CH `ch_q09` with `stock` filtered empty. Its step broadcasts its
+    /// input, so it still heads the suffix, but it has no table to probe:
+    /// it reads its input's histogram only, and the step before it, the
+    /// last of the prefix, counts its output without writing a row.
+    #[test]
+    fn the_step_before_an_empty_head_that_broadcasts_writes_no_row() {
+        let (schema, mut query, plan, _) = tpcch_plan("ch_q09");
+        let stock = schema.table_by_name("stock").expect("stock");
+        let slot = slot_of(&query, stock);
+        query.selectivity[slot] = 0.0;
+        with_executor(&schema, |exec| {
+            let mut scratch = ExecScratch::default();
+            let got = exec.execute_with(&query, &plan, None, &mut scratch);
+            assert_eq!(got, exec.execute_naive(&query, &plan, None));
+            let head = suffix_head(&query, &plan, &scratch.empty);
+            assert_eq!(plan.steps[head].table, stock);
+            let broadcast = JoinStrategy::Broadcast { table_side: false };
+            assert_eq!(plan.steps[head].strategy, broadcast);
+            assert!(carried_at(&query, &plan, &scratch.empty, head - 1).is_empty());
+            // `next` holds the head's input, the last prefix step's output.
+            let input = &scratch.next;
+            assert!(input.rows() > 0, "the prefix keeps rows");
+            assert!(input.node.is_empty() && input.slots.iter().all(Vec::is_empty));
+            assert_eq!(scratch.cur.rows(), 0);
+        });
+    }
 
-        let orderline = slot_of(&query, table("orderline"));
-        query.selectivity[orderline] = 0.0;
-        let mut scratch = ExecScratch::default();
-        let got = exec.execute_with(&query, &plan, None, &mut scratch);
-        assert_eq!(got, exec.execute_naive(&query, &plan, None));
-        let hashed = scratch.step.join_keys.capacity() + scratch.fold.join_keys.capacity();
-        assert_eq!(hashed, 0);
+    /// TPC-CH `ch_q09` ends `stock` → `supplier` → `nation`. The `stock`
+    /// step broadcasts its input, so it heads the suffix, and its output,
+    /// read only by the two counting steps after it, is never written: the
+    /// slot `supplier` takes its key from gets no memory.
+    #[test]
+    fn a_stock_step_that_broadcasts_its_input_writes_no_row() {
+        let (schema, query, plan, mut cluster) = tpcch_plan("ch_q09");
+        let got = cluster.run_query(&query, None);
+        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
+        assert_eq!(got, crate::with_naive_executor(naive));
+
+        let tail: Vec<&str> = (plan.steps.iter().rev().take(3).rev())
+            .map(|s| schema.table(s.table).name.as_str())
+            .collect();
+        assert_eq!(tail, ["stock", "supplier", "nation"]);
+        let head = suffix_head(&query, &plan, &vec![false; plan.steps.len()]);
+        assert_eq!(head, plan.steps.len() - 3);
+        assert!(moves_input(plan.steps[head].strategy));
+        let written = written_slots(&query, &plan, &[]);
+        let stock = slot_of(&query, schema.table_by_name("stock").expect("stock"));
+        assert!(!written.contains(&stock));
+        cluster.substrate().with_scratch(|scratch| {
+            assert_only_written_slots_hold_memory(scratch, &written);
+            assert!(scratch.cur.node.is_empty() && scratch.cur.rows() > 0);
+        });
     }
 }

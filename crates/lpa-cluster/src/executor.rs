@@ -40,7 +40,7 @@ pub fn with_naive_executor<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// True while inside [`with_naive_executor`] on this thread.
-pub fn naive_executor_forced() -> bool {
+pub(crate) fn naive_executor_forced() -> bool {
     FORCE_NAIVE_EXEC.with(|c| c.get())
 }
 

@@ -394,8 +394,10 @@ const L013_HOT_FNS: &[(&str, &[&str])] = &[
             "filtered_rows_into",
             "has_filtered_row",
             "seed_inter_col",
+            "joined",
+            "suffix_head",
             "carried_slots",
-            "folds",
+            "add_hit",
             "join_step_col",
             "left_keys",
             "exchange_col",

@@ -200,7 +200,7 @@ pub fn with_naive_kernels<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Whether [`with_naive_kernels`] is active on this thread.
-pub fn naive_kernels_forced() -> bool {
+pub(crate) fn naive_kernels_forced() -> bool {
     FORCE_NAIVE.with(Cell::get)
 }
 

@@ -48,7 +48,7 @@ pub fn with_full_encode<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// True while inside [`with_full_encode`] on this thread.
-pub fn full_encode_forced() -> bool {
+pub(crate) fn full_encode_forced() -> bool {
     FORCE_FULL.with(|c| c.get())
 }
 

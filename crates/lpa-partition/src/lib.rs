@@ -36,7 +36,7 @@ pub mod fingerprint;
 pub mod partitioning;
 
 pub use action::{valid_actions, Action, ActionError};
-pub use delta_encoder::{full_encode_forced, with_full_encode, DeltaEncoder};
+pub use delta_encoder::{with_full_encode, DeltaEncoder};
 pub use encoder::StateEncoder;
 pub use fingerprint::{fingerprint64, ActionSetCache, InternedKey, KeyInterner};
 pub use partitioning::{Partitioning, TableState};

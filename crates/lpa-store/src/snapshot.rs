@@ -707,7 +707,7 @@ pub fn take_sampler(r: &mut ByteReader) -> Result<MixSampler, StoreError> {
                 vectors.push(FrequencyVector::from_raw(r.take_f64s()?));
             }
             let next = r.take_usize()?;
-            if !vectors.is_empty() && next >= vectors.len() {
+            if next >= vectors.len() {
                 return Err(StoreError::Corrupt(format!(
                     "cycle cursor {next} out of {} vectors",
                     vectors.len()

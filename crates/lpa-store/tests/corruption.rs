@@ -468,3 +468,22 @@ fn malformed_query_in_a_well_framed_service_checkpoint_is_corrupt() {
         }
     }
 }
+
+/// A cycling sampler with no vector to cycle through is `Corrupt`, not a
+/// sampler whose first draw indexes out of bounds.
+#[test]
+fn a_cycling_sampler_without_vectors_is_corrupt() {
+    use lpa_store::codec::{ByteReader, ByteWriter};
+    use lpa_store::snapshot::take_sampler;
+
+    let mut w = ByteWriter::new();
+    w.put_u8(3);
+    w.put_usize(0);
+    w.put_usize(0);
+    let bytes = w.into_inner();
+    let decoded = take_sampler(&mut ByteReader::new(&bytes));
+    assert!(
+        matches!(decoded, Err(StoreError::Corrupt(_))),
+        "{decoded:?}"
+    );
+}

@@ -11,8 +11,8 @@ use lpa_partition::{Action, KeyInterner, Partitioning};
 use lpa_rl::{DqnConfig, ReplayBuffer, Transition};
 use lpa_store::codec::{ByteReader, ByteWriter};
 use lpa_store::snapshot::{
-    put_adam, put_buffer, put_interner, put_mlp, put_rng, take_adam, take_buffer, take_interner,
-    take_mlp, take_rng,
+    put_adam, put_buffer, put_interner, put_mlp, put_rng, put_sampler, take_adam, take_buffer,
+    take_interner, take_mlp, take_rng, take_sampler,
 };
 use lpa_store::{decode_checkpoint, encode_checkpoint, Checkpoint, SessionSnapshot};
 use lpa_workload::{MixSampler, Workload};
@@ -175,6 +175,32 @@ fn key_interner_round_trips_with_ids_preserved() {
     back.state_key(&p_next);
     assert_eq!(back.entries(), interner.entries());
     assert_eq!(back.entries().len(), before + 1);
+}
+
+/// A committee expert's cycling sampler, checkpointed after more draws
+/// than it has vectors, decodes to the same cursor and keeps drawing the
+/// same vectors.
+#[test]
+fn cycling_sampler_round_trips_after_a_full_cycle() {
+    let (_, workload) = micro();
+    let vectors = vec![
+        workload.uniform_frequencies(),
+        lpa_workload::FrequencyVector::from_counts(&[1.0, 0.25], workload.slots()),
+    ];
+    let mut sampler = MixSampler::cycle(vectors);
+    let mut rng = StdRng::seed_from_u64(5);
+    for draws in 0..7 {
+        let bytes = encode_with(|w| put_sampler(w, &sampler));
+        let mut r = ByteReader::new(&bytes);
+        let mut back = take_sampler(&mut r).unwrap_or_else(|e| panic!("after {draws}: {e:?}"));
+        r.finish().unwrap();
+        assert_eq!(encode_with(|w| put_sampler(w, &back)), bytes);
+        for _ in 0..3 {
+            let (want, got) = (sampler.clone().sample(&mut rng), back.sample(&mut rng));
+            assert_eq!(want.as_slice(), got.as_slice(), "after {draws} draws");
+            sampler.sample(&mut rng);
+        }
+    }
 }
 
 #[test]

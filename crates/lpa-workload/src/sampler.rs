@@ -64,7 +64,7 @@ impl MixSampler {
     /// Draw one frequency vector.
     #[expect(
         clippy::indexing_slicing,
-        reason = "q.0 < counts.len() is checked; MixSampler::cycle asserts a non-empty vector list"
+        reason = "q.0 < counts.len() is checked; a Cycle holds a vector: MixSampler::cycle asserts it and take_sampler rejects an empty one"
     )]
     pub fn sample<R: Rng>(&mut self, rng: &mut R) -> FrequencyVector {
         match self {
@@ -90,7 +90,7 @@ impl MixSampler {
             Self::Fixed(f) => f.clone(),
             Self::Cycle { vectors, next } => {
                 let f = vectors[*next % vectors.len()].clone();
-                *next += 1;
+                *next = (*next + 1) % vectors.len();
                 f
             }
         }
@@ -99,7 +99,7 @@ impl MixSampler {
     /// Number of slots in sampled vectors.
     #[expect(
         clippy::indexing_slicing,
-        reason = "MixSampler::cycle asserts a non-empty vector list"
+        reason = "a Cycle holds a vector: MixSampler::cycle asserts it and take_sampler rejects an empty one"
     )]
     pub fn slots(&self) -> usize {
         match self {

@@ -932,6 +932,78 @@ fn columnar_executor_matches_naive_on_every_join_path() {
         seen
     };
     assert_eq!(pairs(1), pairs(8));
+
+    // Every adjacent step triple of the same plans, cut to end the plan,
+    // the head's arm rotating with the triple and each middle arm against
+    // each last arm, once with the middle step's right table emptied. Where
+    // both later steps key on the right table before them and keep their
+    // input, the triple is one count-only suffix; a middle step that moves
+    // its input heads a suffix of two.
+    let triples = |threads: usize| {
+        let mut seen = Vec::new();
+        let (mut three, mut two, mut emptied) = (0, 0, 0);
+        lpa::par::with_threads(threads, || {
+            for (qi, (query, base)) in plans.iter().enumerate() {
+                let keyed = |k: usize| {
+                    let (step, before) = (&base.steps[k], &base.steps[k - 1]);
+                    let (a, b) = query.joins[step.join_index].pairs[0];
+                    let left = if b.table == step.table { a } else { b };
+                    left.table == before.table
+                };
+                for k in 0..base.steps.len() - 2 {
+                    let (head, follows) = (ARMS[k % ARMS.len()], keyed(k + 1) && keyed(k + 2));
+                    for (sm, sl) in
+                        (0..ARMS.len()).flat_map(|a| (0..ARMS.len()).map(move |b| (a, b)))
+                    {
+                        let replicated = (sm + sl + k) % 3;
+                        let mut plan = QueryPlan {
+                            steps: base.steps[..=k + 2].to_vec(),
+                            ..base.clone()
+                        };
+                        plan.steps[k].strategy = head;
+                        plan.steps[k + 1].strategy = ARMS[sm];
+                        plan.steps[k + 2].strategy = ARMS[sl];
+                        let kept = !moves_input(ARMS[sm]) && !moves_input(ARMS[sl]);
+                        three += (follows && kept) as usize;
+                        two +=
+                            (follows && moves_input(ARMS[sm]) && !moves_input(ARMS[sl])) as usize;
+                        let faults = storm.state_at(0.05 * (qi + k + sm + sl) as f64, hw.nodes);
+                        let exec = Executor {
+                            schema: &schema,
+                            db: &db,
+                            engine: &engine,
+                            hw: &hw,
+                            layouts: &layouts[qi][replicated],
+                            faults: &faults,
+                        };
+                        let mut scratch = ExecScratch::default();
+                        let mut check = |query: &Query| {
+                            let got = exec.execute_with(query, &plan, None, &mut scratch);
+                            let want = exec.execute_naive(query, &plan, None);
+                            let at = format!("{} triple {k} arms {sm}x{sl}", query.name);
+                            assert_eq!(bits(got), bits(want), "{at} replicated {replicated}");
+                            seen.push(bits(got));
+                        };
+                        check(query);
+                        if sm == sl {
+                            let mut query = query.clone();
+                            let middle = plan.steps[k + 1].table;
+                            let slot = query.tables.iter().position(|t| *t == middle);
+                            query.selectivity[slot.unwrap()] = 0.0;
+                            emptied += 1;
+                            check(&query);
+                        }
+                    }
+                }
+            }
+        });
+        assert!(
+            three > 0 && two > 0 && emptied > 0,
+            "{three} {two} {emptied}"
+        );
+        seen
+    };
+    assert_eq!(triples(1), triples(8));
 }
 
 /// Salt-collision audit for the fleet's stream derivation
