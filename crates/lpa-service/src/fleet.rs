@@ -236,7 +236,7 @@ impl std::error::Error for FleetError {}
 pub enum TenantErrorKind {
     /// A training/advice slice failed.
     Step,
-    /// Restoring the tenant from its checkpoint lineage failed.
+    /// Restoring the tenant from its checkpoints failed.
     Restore,
     /// Writing the tenant's checkpoint failed.
     Checkpoint,
@@ -331,7 +331,7 @@ pub struct FleetStoreCounters {
     pub fallbacks: u64,
     /// Checkpoint writes that failed (counted, never fatal).
     pub write_failures: u64,
-    /// Whole-manifest reads that fell back to per-tenant directory scans.
+    /// Whole-manifest reads that fell back to a scan of the newest segment.
     pub manifest_fallbacks: u64,
 }
 
@@ -493,6 +493,11 @@ impl Fleet {
     /// Restore the scheduler position (crash recovery).
     pub fn restore_scheduler(&mut self, cursor: usize, round: u64) {
         self.scheduler = RoundRobin::from_parts(self.tenants.len(), cursor, round);
+    }
+
+    /// Admissions refused by admission control so far.
+    pub fn rejected_admissions(&self) -> u64 {
+        self.rejected_admissions
     }
 
     /// Restore the admission-control counter (crash recovery).

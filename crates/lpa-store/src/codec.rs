@@ -69,6 +69,16 @@ pub fn seal(magic: &[u8; 8], version: u32, tag: &[u8], payload: &[u8]) -> Vec<u8
     bytes
 }
 
+/// The length of the file [`seal`] wrote at the start of `bytes`, as its
+/// length field gives it: unverified (that is [`open`]'s job), `None` when
+/// the field is cut off or overflows. How a reader finds where one sealed
+/// file ends inside a concatenation of them.
+pub(crate) fn sealed_len(bytes: &[u8], tag_len: usize) -> Option<usize> {
+    let at = 8 + 4 + tag_len;
+    let len = u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
+    usize::try_from(len).ok()?.checked_add(at + 8 + 4)
+}
+
 /// Verify a file written by [`seal`] and hand back its `tag_len` tag bytes
 /// and a reader over exactly the payload. Checked in this order: envelope
 /// size, CRC, magic (all [`StoreError::Corrupt`]), version
@@ -225,7 +235,8 @@ impl ByteWriter {
 
 /// Bounds-checked cursor over checkpoint bytes. Every `take_*` fails with
 /// [`StoreError::Corrupt`] instead of panicking when the buffer runs short.
-#[derive(Debug)]
+/// A clone reads ahead without moving the original.
+#[derive(Clone, Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -1,32 +1,43 @@
-//! Fleet-wide crash recovery: per-tenant checkpoint lineages plus the
-//! global manifest.
+//! Fleet-wide crash recovery: one segment file per checkpoint cadence plus
+//! the global manifest that commits it.
 //!
-//! [`CheckpointedFleet`] wraps an in-memory [`Fleet`] with one
-//! [`CheckpointStore`] per tenant (`<root>/tenant-NNNN/ckpt-*.lpa`) and a
-//! [`FleetManifest`] at `<root>/manifest.lpa`. At every checkpoint cadence
-//! boundary it snapshots *every* tenant (quarantined ones included —
-//! capture is read-only), then atomically rewrites the manifest, so a
-//! process kill at any moment restores the whole fleet from the last
-//! cadence boundary, bit-identical to the uninterrupted run.
+//! [`CheckpointedFleet`] wraps an in-memory [`Fleet`]. At every checkpoint
+//! cadence boundary it captures *every* tenant (quarantined ones included —
+//! capture is read-only) and writes their sealed checkpoints back to back,
+//! in tenant order, as one segment `<root>/segment-NNNNNNNN.lpa` (numbered
+//! by round) with one atomic write, each checkpoint streamed into the temp
+//! file as it is encoded. Then it atomically rewrites the
+//! [`FleetManifest`] at `<root>/manifest.lpa`, which is the commit point: a
+//! segment newer than the manifest was never committed, and resume ignores
+//! it. So a process kill at any moment restores the whole fleet from the
+//! last committed boundary, bit-identical to the uninterrupted run. The two
+//! newest committed segments are kept, plus any older one a manifest entry
+//! still names; the rest are pruned once the manifest has landed.
 //!
 //! Failure philosophy: durability failures are counted, attributed to the failing tenant
-//! through the fleet's quarantine funnel, and never fatal — one tenant's
-//! corrupt checkpoint quarantines *that tenant*; a corrupt manifest falls
-//! back to per-tenant directory scans; an all-corrupt tenant lineage
-//! degrades to a fresh tenant (plus a restore error), never a panic.
+//! through the fleet's quarantine funnel, and never fatal. Each checkpoint
+//! in a segment carries its own length and CRC, so a damaged byte costs
+//! only the tenant whose checkpoint holds it: that tenant falls back to the
+//! previous segment and is quarantined. A corrupt manifest falls back to a
+//! scan of the newest segment; an intact manifest of another version is
+//! [`StoreError::Incompatible`]; a tenant with no readable checkpoint
+//! restarts fresh with a restore error, never a panic.
 
+use crate::codec::{open, sealed_len};
 use crate::journal::{DeploymentJournal, JOURNAL_FILE};
 use crate::manifest::{load_manifest, save_manifest, FleetManifest, ManifestEntry};
 use crate::service::{capture_service, restore_parts};
 use crate::session::OfflineTemplate;
 use crate::snapshot::{Checkpoint, TenantSnapshot};
-use crate::store::CheckpointStore;
+use crate::store::{atomic_write_with, encode_checkpoint, numbered_files, FORMAT_VERSION, MAGIC};
 use crate::StoreError;
 use lpa_costmodel::{CostParams, NetworkCostModel};
+use lpa_schema::Schema;
 use lpa_service::{
     Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, TenantErrorKind, TenantSpec,
 };
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::PathBuf;
 
 /// Capture one tenant's complete resumable state: the fleet's scheduling
 /// fields around [`capture_service`] of the tenant's service. Read-only;
@@ -78,8 +89,47 @@ pub fn restore_tenant(fleet: &mut Fleet, snap: TenantSnapshot) -> Result<(), Sto
         .map_err(to_store)
 }
 
-fn tenant_dir(root: &Path, tenant: usize) -> PathBuf {
-    root.join(format!("tenant-{tenant:04}"))
+const SEGMENT_PREFIX: &str = "segment-";
+
+/// Walk one segment file by its checkpoints' sealed lengths. A checkpoint
+/// that fails verification is counted and skipped by scanning forward for
+/// the next [`MAGIC`], so damage costs only the tenant whose checkpoint it
+/// hits. A checkpoint is decoded only when `schema_of` knows its tenant
+/// (the payload's first `u64`, trusted once the CRC holds); others are
+/// verified and passed over. Returns the decoded snapshots in segment
+/// order and the number of checkpoints that failed. Never panics.
+pub fn read_segment<'s>(
+    bytes: &[u8],
+    schema_of: impl Fn(u64) -> Option<&'s Schema>,
+) -> (Vec<TenantSnapshot>, u64) {
+    let (mut snaps, mut corrupt, mut pos) = (Vec::new(), 0, 0);
+    while pos < bytes.len() {
+        let rest = bytes.get(pos..).unwrap_or_default();
+        let frame = sealed_len(rest, 1).and_then(|len| rest.get(..len));
+        let read = |frame: &[u8]| -> Result<Option<TenantSnapshot>, StoreError> {
+            let (tag, mut r) = open(frame, &MAGIC, FORMAT_VERSION, 1)?;
+            let Some(schema) = schema_of(r.clone().take_u64()?) else {
+                return Ok(None);
+            };
+            let ck = Checkpoint::decode_payload(tag.first().copied().unwrap_or(0), &mut r, schema)?;
+            r.finish()?;
+            ck.into_tenant().map(Some)
+        };
+        match frame.map(|f| (f.len(), read(f))) {
+            Some((len, Ok(snap))) => {
+                snaps.extend(snap);
+                pos += len;
+            }
+            Some((_, Err(_))) | None => {
+                corrupt += 1;
+                pos = bytes
+                    .get(pos + 1..)
+                    .and_then(|rest| rest.windows(MAGIC.len()).position(|w| w == MAGIC))
+                    .map_or(bytes.len(), |at| pos + 1 + at);
+            }
+        }
+    }
+    (snaps, corrupt)
 }
 
 /// A [`Fleet`] that checkpoints every tenant on a round cadence and
@@ -91,18 +141,13 @@ pub struct CheckpointedFleet {
     root: PathBuf,
     /// Checkpoint cadence: snapshot the fleet after every `every` rounds.
     every: u64,
-    /// One lineage per tenant; `None` when its directory could not be
-    /// opened (counted as a write failure, never fatal — every checkpoint
-    /// of that tenant then fails and is counted in turn).
-    stores: Vec<Option<CheckpointStore>>,
-    /// Last sequence durably written per tenant (kept in the manifest even
-    /// when a newer write fails).
+    /// The segment holding each tenant's last durably written checkpoint
+    /// (kept in the manifest even when a newer write fails).
     last_good: Vec<Option<u64>>,
     /// Deployment audit log at `<root>/journal.lpa`; `None` when the file
     /// could not be opened (counted as a write failure, never fatal).
     journal: Option<DeploymentJournal>,
-    write_failures: u64,
-    manifest_fallbacks: u64,
+    store: FleetStoreCounters,
 }
 
 impl CheckpointedFleet {
@@ -114,36 +159,24 @@ impl CheckpointedFleet {
     ) -> Result<Self, StoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        let mut write_failures = 0;
-        let journal = match DeploymentJournal::open(root.join(JOURNAL_FILE)) {
-            Ok(j) => Some(j),
-            Err(_) => {
-                write_failures += 1;
-                None
-            }
-        };
+        let journal = DeploymentJournal::open(root.join(JOURNAL_FILE)).ok();
         Ok(Self {
             fleet: Fleet::new(cfg),
             root,
             every: every.max(1),
-            stores: Vec::new(),
             last_good: Vec::new(),
+            store: FleetStoreCounters {
+                write_failures: u64::from(journal.is_none()),
+                ..FleetStoreCounters::default()
+            },
             journal,
-            write_failures,
-            manifest_fallbacks: 0,
         })
     }
 
-    /// Admit a tenant, then open its checkpoint lineage. Admission control
-    /// goes first, so a rejected (or unbuildable) spec leaves no
-    /// `tenant-NNNN/` directory behind.
+    /// Admit a tenant. Nothing is written until the next cadence, so a
+    /// rejected (or unbuildable) spec leaves nothing behind on disk.
     pub fn admit(&mut self, spec: TenantSpec) -> Result<usize, FleetError> {
         let id = self.fleet.admit(spec)?;
-        let store = CheckpointStore::open(tenant_dir(&self.root, id)).ok();
-        if store.is_none() {
-            self.write_failures += 1;
-        }
-        self.stores.push(store);
         self.last_good.push(None);
         Ok(id)
     }
@@ -169,7 +202,7 @@ impl CheckpointedFleet {
         let events = self.fleet.drain_journal();
         if let Some(journal) = &mut self.journal {
             if journal.append(&events).is_err() {
-                self.write_failures += 1;
+                self.store.write_failures += 1;
             }
         }
         if self.fleet.round().is_multiple_of(self.every) {
@@ -184,27 +217,37 @@ impl CheckpointedFleet {
         }
     }
 
-    /// Snapshot every tenant, then atomically rewrite the manifest.
+    /// Write every tenant's checkpoint as one segment, then commit it by
+    /// atomically rewriting the manifest, then prune segments nothing needs.
     /// Failures are counted and routed through the quarantine funnel,
     /// never propagated — a lost checkpoint costs recovery granularity,
     /// not fleet progress.
     #[expect(
         clippy::indexing_slicing,
-        reason = "tenant indices are below the tenant count that sized stores and last_good"
+        reason = "tenant indices are below the tenant count that sized last_good"
     )]
     pub fn checkpoint_now(&mut self) {
         let round = self.fleet.round();
-        for tenant in 0..self.fleet.tenant_count() {
-            let written = match capture_tenant(&self.fleet, tenant, round) {
-                Ok(snap) => self.stores[tenant]
-                    .as_mut()
-                    .is_some_and(|store| store.save(&Checkpoint::Tenant(snap)).is_ok()),
-                Err(_) => false,
-            };
-            if written {
+        let path = self.root.join(format!("{SEGMENT_PREFIX}{round:08}.lpa"));
+        // Each checkpoint goes to the file as it is encoded: memory holds
+        // one tenant's bytes at a time, never the whole segment.
+        let mut captured = vec![false; self.fleet.tenant_count()];
+        let written = atomic_write_with(&path, |f| {
+            for (tenant, captured) in captured.iter_mut().enumerate() {
+                if let Ok(snap) = capture_tenant(&self.fleet, tenant, round) {
+                    f.write_all(&encode_checkpoint(&Checkpoint::Tenant(snap)))?;
+                    *captured = true;
+                }
+            }
+            Ok(())
+        })
+        .is_ok();
+        for (tenant, captured) in captured.into_iter().enumerate() {
+            if captured && written {
+                self.store.checkpoints_written += 1;
                 self.last_good[tenant] = Some(round);
             } else {
-                self.write_failures += 1;
+                self.store.write_failures += 1;
                 // The slot exists, so the funnel cannot reject it.
                 let _ = self
                     .fleet
@@ -213,7 +256,7 @@ impl CheckpointedFleet {
         }
         let manifest = FleetManifest {
             round,
-            rejected_admissions: self.fleet.report().rejected_admissions,
+            rejected_admissions: self.fleet.rejected_admissions(),
             stage_rounds: self.fleet.stage_rounds().to_vec(),
             entries: self
                 .last_good
@@ -228,21 +271,36 @@ impl CheckpointedFleet {
                 .collect(),
         };
         if save_manifest(&self.root, &manifest).is_err() {
-            self.write_failures += 1;
+            self.store.write_failures += 1;
+            return;
+        }
+        // Keep the two newest committed segments and any the manifest names.
+        let segments = numbered_files(&self.root, SEGMENT_PREFIX);
+        let committed = segments.iter().filter(|(seq, _)| *seq <= round).count();
+        for (i, (seq, path)) in segments.iter().enumerate() {
+            if *seq > round
+                || (i + 2 < committed && manifest.entries.iter().all(|e| e.sequence != *seq))
+            {
+                let _ = std::fs::remove_file(path);
+            }
         }
     }
 
     /// Rebuild a fleet from `specs` and restore whatever `root` holds —
     /// the whole-process recovery path. A valid manifest drives the
-    /// restore (scheduler round, admission counters, tenant → latest-good
-    /// sequence); a corrupt manifest is counted and degrades to per-tenant
-    /// directory scans; a missing manifest means a fresh fleet. Per-tenant
-    /// restore failures (corrupt lineage, template mismatch) leave that
-    /// tenant fresh and are recorded as restore errors, so the quarantine
-    /// policy contains the blast radius to the tenant that lost state.
+    /// restore (scheduler round, admission counters, tenant → segment of its
+    /// latest-good checkpoint), and segments newer than it are ignored as
+    /// never committed; no manifest means nothing was committed, so a fresh
+    /// fleet. A corrupt manifest is counted and degrades to the newest
+    /// segment on disk; an intact manifest of another version is
+    /// `Incompatible`. Each segment is read at most once, newest first. A
+    /// tenant missing or corrupt in the segment it expects falls back to an
+    /// older one; restore failures leave that tenant fresh and are recorded
+    /// as restore errors, so the quarantine policy contains the blast
+    /// radius to the tenant that lost state.
     #[expect(
         clippy::indexing_slicing,
-        reason = "tenant indices are below the tenant count that sized stores and last_good"
+        reason = "tenant indices are below the tenant count that sized found, want and last_good"
     )]
     pub fn resume_or(
         cfg: FleetConfig,
@@ -260,79 +318,66 @@ impl CheckpointedFleet {
                 Err(e) => return Err(StoreError::Incompatible(e.to_string())),
             }
         }
-        let manifest = match load_manifest(&me.root) {
-            Ok(m) => m,
-            Err(_) => {
-                me.manifest_fallbacks += 1;
-                None
+        let (committed, manifest) = match load_manifest(&me.root) {
+            Ok(m) => (m.as_ref().map(|m| m.round), m),
+            Err(e @ StoreError::Incompatible(_)) => return Err(e),
+            Err(StoreError::Corrupt(_) | StoreError::Io(_)) => {
+                me.store.manifest_fallbacks += 1;
+                (Some(u64::MAX), None)
             }
         };
-        // Phase 1: pull the newest valid snapshot out of every tenant's
-        // lineage (corruptions and fallbacks are counted by the stores).
-        let mut loaded: Vec<Option<(u64, TenantSnapshot)>> = Vec::new();
-        for tenant in 0..me.fleet.tenant_count() {
-            let schema = match me.fleet.tenant_schema(tenant) {
-                Ok(s) => s.clone(),
-                Err(_) => {
-                    loaded.push(None);
-                    continue;
-                }
+        let mut segments = numbered_files(&me.root, SEGMENT_PREFIX);
+        segments.retain(|(seq, _)| committed.is_some_and(|c| *seq <= c));
+        let newest = segments.last().map(|(seq, _)| *seq);
+        let n = me.fleet.tenant_count();
+        let want: Vec<Option<u64>> = (0..n as u64)
+            .map(|t| manifest.as_ref().map_or(newest, |m| m.sequence_of(t)))
+            .collect();
+        // Phase 1: walk segments newest first, each only while some tenant
+        // still looks for a checkpoint at or below it.
+        let mut found: Vec<Option<(u64, TenantSnapshot)>> = (0..n).map(|_| None).collect();
+        for (seq, path) in segments.iter().rev() {
+            let looking = |t: usize| found[t].is_none() && want[t].is_some_and(|w| w >= *seq);
+            if !(0..n).any(looking) {
+                continue;
+            }
+            let Ok(bytes) = std::fs::read(path) else {
+                me.store.corruptions_detected += 1;
+                continue;
             };
-            let snap = match me.stores[tenant]
-                .as_mut()
-                .map(|store| store.load_latest(&schema))
-            {
-                Some(Ok(Some((seq, ck)))) => ck.into_tenant().ok().map(|s| (seq, s)),
-                Some(Ok(None)) | Some(Err(_)) | None => None,
-            };
-            loaded.push(snap);
+            let (snaps, corrupt) = read_segment(&bytes, |t| {
+                let t = usize::try_from(t).ok().filter(|&t| t < n && looking(t))?;
+                me.fleet.tenant_schema(t).ok()
+            });
+            me.store.corruptions_detected += corrupt;
+            for snap in snaps {
+                let tenant = snap.tenant as usize;
+                found[tenant] = Some((*seq, snap));
+            }
         }
         // Phase 2: position the scheduler *before* applying snapshots, so
         // quarantine decisions made for restore failures are relative to
         // the resumed round. Without a manifest the round degrades to the
-        // newest round any tenant checkpointed.
-        let resume_round = match &manifest {
-            Some(m) => m.round,
-            None => loaded
-                .iter()
-                .flatten()
-                .map(|(_, s)| s.round)
-                .max()
-                .unwrap_or(0),
-        };
+        // newest segment's.
+        let resume_round = manifest.as_ref().map_or(newest.unwrap_or(0), |m| m.round);
         me.fleet.restore_scheduler(0, resume_round);
         if let Some(m) = &manifest {
             me.fleet.restore_rejected_admissions(m.rejected_admissions);
             me.fleet.restore_stage_rounds(m.stage_rounds.clone());
         }
-        for (tenant, entry) in loaded.into_iter().enumerate() {
-            let expected = manifest.as_ref().and_then(|m| m.sequence_of(tenant as u64));
-            let mut failed = false;
-            match entry {
-                Some((seq, snap)) => {
-                    me.last_good[tenant] = Some(seq);
-                    // Restoring an older boundary than the manifest
-                    // promised means this tenant lost its newest state
-                    // (corrupt newest file): it is out of lockstep with
-                    // the fleet and must answer to the quarantine policy.
-                    if expected.is_some_and(|e| e != seq) {
-                        failed = true;
-                    }
-                    if restore_tenant(&mut me.fleet, snap).is_err() {
-                        failed = true;
-                    }
-                }
-                None => {
-                    // No usable snapshot. Only an error if the manifest
-                    // (or leftover files) say there should have been one —
-                    // a genuinely new tenant starts fresh silently.
-                    let leftovers = me.stores[tenant]
-                        .as_ref()
-                        .is_some_and(|store| !store.list().is_empty());
-                    if expected.is_some() || leftovers {
-                        failed = true;
-                    }
-                }
+        for (tenant, (entry, want)) in found.into_iter().zip(want).enumerate() {
+            // No usable snapshot is an error only where one was expected —
+            // a genuinely new tenant starts fresh silently.
+            let mut failed = want.is_some();
+            if let Some((seq, snap)) = entry {
+                me.store.restores += 1;
+                me.last_good[tenant] = Some(seq);
+                // Restoring an older boundary than expected means this
+                // tenant lost its newest state: it is out of lockstep with
+                // the fleet and must answer to the quarantine policy.
+                failed = want != Some(seq);
+                me.store.fallbacks += u64::from(failed);
+                failed |= restore_tenant(&mut me.fleet, snap).is_err();
             }
             if failed {
                 let _ = me
@@ -345,23 +390,11 @@ impl CheckpointedFleet {
 
     /// Fleet report with the durable-store counters filled in (the fleet
     /// alone reports zeros there): checkpoints written, corruptions
-    /// detected, restores, last-good fallbacks, write failures, manifest
-    /// fallbacks — aggregated across every tenant's lineage.
+    /// detected, restores, fallbacks to an older segment, write failures,
+    /// manifest fallbacks.
     pub fn report(&self) -> FleetReport {
         let mut report = self.fleet.report();
-        let mut store = FleetStoreCounters {
-            write_failures: self.write_failures,
-            manifest_fallbacks: self.manifest_fallbacks,
-            ..FleetStoreCounters::default()
-        };
-        for s in self.stores.iter().flatten() {
-            let c = s.counters();
-            store.checkpoints_written += c.checkpoints_written;
-            store.corruptions_detected += c.checkpoint_corruptions_detected;
-            store.restores += c.checkpoint_restores;
-            store.fallbacks += c.checkpoint_fallbacks;
-        }
-        report.store = store;
+        report.store = self.store;
         report
     }
 }

@@ -23,7 +23,10 @@
 //!   CRC/length checks, counted, never a panic;
 //! - capture/restore drivers ([`session`], [`service`], [`fleet`]) that
 //!   plug into the training loop's episode boundaries, the service's
-//!   window boundaries and the fleet's round boundaries.
+//!   window boundaries and the fleet's round boundaries. A fleet cadence
+//!   is a group commit: every tenant's checkpoint goes into one segment
+//!   file, and the [`manifest`] written after it is the commit point, so
+//!   a cadence costs two atomic writes whatever the tenant count.
 //!
 //! Everything else in the workspace is forbidden from raw filesystem
 //! writes by lint L008: durable state goes through this crate or not at
@@ -54,7 +57,7 @@ pub mod session;
 pub mod snapshot;
 pub mod store;
 
-pub use fleet::{capture_tenant, restore_tenant, CheckpointedFleet};
+pub use fleet::{capture_tenant, read_segment, restore_tenant, CheckpointedFleet};
 pub use journal::{DeploymentJournal, JOURNAL_FILE, JOURNAL_MAGIC, JOURNAL_VERSION};
 pub use manifest::{
     load_manifest, save_manifest, FleetManifest, ManifestEntry, MANIFEST_FILE, MANIFEST_MAGIC,

@@ -1,18 +1,22 @@
-//! The fleet's global checkpoint manifest.
+//! The fleet's global checkpoint manifest: the commit point of a
+//! checkpoint cadence.
 //!
 //! One file (`manifest.lpa`) at the fleet root maps every tenant to the
-//! sequence of its latest-good checkpoint and records the scheduler
-//! position and admission counters, so a kill of the whole process
-//! restores the entire fleet from a single read. The manifest is framed
-//! by the same [`seal`] / [`open`] envelope as `ckpt-*.lpa` files (with no
-//! kind tag) and written with [`atomic_write`], so a torn write leaves the
-//! previous manifest intact.
+//! segment (`segment-NNNNNNNN.lpa`, numbered by round) holding its
+//! latest-good checkpoint and records the scheduler position and admission
+//! counters, so a kill of the whole process restores the entire fleet from
+//! a single read. The manifest is framed by the same [`seal`] / [`open`]
+//! envelope as checkpoint files (with no kind tag) and written with
+//! [`atomic_write`] after the segment it commits, so a torn write leaves
+//! the previous manifest intact, and a segment newer than the manifest was
+//! never committed.
 //!
 //! The manifest is an *accelerator with a fallback*, never a single point
-//! of failure: a corrupt or missing manifest degrades to per-tenant
-//! directory scans (each tenant's `CheckpointStore` already knows how to
-//! find its own latest-good file), which loses the recorded scheduler
-//! round but not a byte of tenant state.
+//! of failure: a corrupt manifest degrades to a scan of the newest segment
+//! (each checkpoint in it carries its own tenant id, length and CRC), which
+//! loses the recorded scheduler round but not a byte of tenant state. An
+//! intact manifest of another version names another layout and answers
+//! [`StoreError::Incompatible`].
 
 use crate::codec::{open, seal, ByteWriter};
 use crate::store::atomic_write;
@@ -22,18 +26,20 @@ use std::path::Path;
 /// First bytes of a manifest file (distinct from checkpoint `MAGIC`).
 pub const MANIFEST_MAGIC: [u8; 8] = *b"LPAMANI\x01";
 /// Manifest format version; bumped on any layout change. Version 2 added
-/// the fleet-wide deployment-budget history (`stage_rounds`).
-pub const MANIFEST_VERSION: u32 = 2;
+/// the fleet-wide deployment-budget history (`stage_rounds`); version 3
+/// has the same bytes, but an entry's sequence names a segment instead of
+/// a file in a per-tenant `tenant-NNNN/` directory.
+pub const MANIFEST_VERSION: u32 = 3;
 /// File name of the manifest inside a fleet root directory.
 pub const MANIFEST_FILE: &str = "manifest.lpa";
 
-/// One tenant's entry: where its latest-good checkpoint lives.
+/// One tenant's entry: which segment holds its latest-good checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// Tenant id (slot index) in the fleet.
     pub tenant: u64,
-    /// Sequence number of the tenant's latest-good checkpoint in its own
-    /// `CheckpointStore` (the fleet round it was taken at).
+    /// The segment holding the tenant's latest-good checkpoint, named by
+    /// the fleet round it was written at.
     pub sequence: u64,
 }
 
@@ -106,7 +112,8 @@ pub fn save_manifest(root: &Path, manifest: &FleetManifest) -> Result<(), StoreE
 
 /// Read and verify the manifest in `root`. `Ok(None)` when no manifest
 /// exists (a fresh fleet root); `Err(Corrupt)` when a manifest exists but
-/// fails verification — the caller falls back to per-tenant scans.
+/// fails verification — the caller falls back to a scan of the newest
+/// segment; `Err(Incompatible)` for an intact manifest of another version.
 pub fn load_manifest(root: &Path) -> Result<Option<FleetManifest>, StoreError> {
     let path = root.join(MANIFEST_FILE);
     let bytes = match std::fs::read(&path) {

@@ -75,17 +75,26 @@ pub fn decode_checkpoint(bytes: &[u8], schema: &Schema) -> Result<Checkpoint, St
 /// Write `bytes` to `path` atomically: sibling temp file, fsync, rename,
 /// directory fsync. A crash at any point leaves either the old file, the
 /// new file, or a stray `*.tmp` — never a torn target.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    atomic_write_with(path, |f| f.write_all(bytes))
+}
+
+/// [`atomic_write`] of whatever `write` puts into the temp file, so a
+/// large file can be produced piece by piece instead of in memory first.
 #[expect(
     clippy::disallowed_methods,
     reason = "L008 exemption: this is the temp-file + fsync + rename writer every durable write goes through"
 )]
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+pub(crate) fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), StoreError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        write(&mut f)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -99,6 +108,32 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         }
     }
     Ok(())
+}
+
+/// Files named `<prefix>NNNNNNNN.lpa` in `dir`, as `(number, path)`
+/// sorted ascending. Stray temp files and foreign names are ignored.
+pub(crate) fn numbered_files(dir: &Path, prefix: &str) -> Vec<(u64, PathBuf)> {
+    let mut out = Vec::new();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return out;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else {
+            continue;
+        };
+        let Some(stem) = name
+            .strip_prefix(prefix)
+            .and_then(|s| s.strip_suffix(".lpa"))
+        else {
+            continue;
+        };
+        if let Ok(seq) = stem.parse::<u64>() {
+            out.push((seq, entry.path()));
+        }
+    }
+    out.sort_by_key(|(seq, _)| *seq);
+    out
 }
 
 /// A directory of numbered checkpoint files (`ckpt-NNNNNNNN.lpa`) with
@@ -148,27 +183,7 @@ impl CheckpointStore {
     /// Checkpoint files present, as `(sequence, path)` sorted ascending.
     /// Stray temp files and foreign names are ignored.
     pub fn list(&self) -> Vec<(u64, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                continue;
-            };
-            let Some(stem) = name
-                .strip_prefix("ckpt-")
-                .and_then(|s| s.strip_suffix(".lpa"))
-            else {
-                continue;
-            };
-            if let Ok(seq) = stem.parse::<u64>() {
-                out.push((seq, entry.path()));
-            }
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        out
+        numbered_files(&self.dir, "ckpt-")
     }
 
     /// Durably write one checkpoint under its sequence number, then prune

@@ -5,11 +5,12 @@
 //! falls back to the last good file, and says so in its counters).
 //!
 //! Faults injected: truncation at every prefix length and a bit flip at
-//! every bit — of a checkpoint file *and* of the deployment journal —, a
-//! torn rename (stray `*.tmp` left mid-write), a corrupt newest checkpoint
-//! with a healthy predecessor, checkpoints written by earlier format
-//! versions, and a CRC-valid checkpoint whose payload spells a malformed
-//! query.
+//! every bit — of a checkpoint file, of a fleet segment (where damage must
+//! cost exactly the tenants whose checkpoints it touches) and of the
+//! deployment journal —, a torn rename (stray `*.tmp` left mid-write), a
+//! corrupt newest checkpoint with a healthy predecessor, checkpoints and
+//! manifests written by earlier format versions, and a CRC-valid
+//! checkpoint whose payload spells a malformed query.
 
 use lpa_advisor::Advisor;
 use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason, WindowObservation};
@@ -17,8 +18,8 @@ use lpa_costmodel::{CostParams, NetworkCostModel};
 use lpa_rl::DqnConfig;
 use lpa_service::{Benchmark, FleetConfig, JournalRecord, TenantSpec, TenantStatus};
 use lpa_store::{
-    capture_advisor, decode_checkpoint, encode_checkpoint, Checkpoint, CheckpointStore,
-    CheckpointedFleet, DeploymentJournal, StoreError, JOURNAL_FILE,
+    capture_advisor, decode_checkpoint, encode_checkpoint, read_segment, Checkpoint,
+    CheckpointStore, CheckpointedFleet, DeploymentJournal, StoreError, JOURNAL_FILE,
 };
 use lpa_workload::MixSampler;
 use std::path::PathBuf;
@@ -52,6 +53,37 @@ fn fixture() -> (lpa_schema::Schema, Vec<u8>, Checkpoint) {
     let ck = Checkpoint::Session(capture_advisor(3, &advisor));
     let bytes = encode_checkpoint(&ck);
     (schema, bytes, ck)
+}
+
+/// A fleet of two Micro tenants. The v2–v4 tenant fixtures were captured
+/// from a tenant shaped like the first.
+fn micro_cfg() -> FleetConfig {
+    FleetConfig {
+        max_tenants: 2,
+        ..FleetConfig::default()
+    }
+}
+
+fn micro_specs() -> Vec<TenantSpec> {
+    ["fixture", "neighbour"]
+        .into_iter()
+        .zip([7, 8])
+        .map(|(name, seed)| TenantSpec {
+            episodes: 2,
+            ..TenantSpec::new(name, Benchmark::Micro, 0.01, seed)
+        })
+        .collect()
+}
+
+/// Run the micro fleet under `dir` to round 2 with a cadence of 2, so
+/// `segment-00000002.lpa` is its one segment, and return that segment.
+fn micro_segment(dir: &std::path::Path) -> Vec<u8> {
+    let mut fleet = CheckpointedFleet::create(micro_cfg(), dir, 2).unwrap();
+    for spec in micro_specs() {
+        fleet.admit(spec).unwrap();
+    }
+    fleet.run_rounds(2);
+    std::fs::read(dir.join("segment-00000002.lpa")).unwrap()
 }
 
 /// One record of every event shape the journal codec knows.
@@ -159,6 +191,54 @@ fn subjects(tag: &str) -> Vec<Subject> {
         read: Box::new(move |bytes| decode_checkpoint(bytes, &schema).map(|_| 1)),
     };
 
+    // A segment of the micro fleet's two tenants. Besides detecting damage,
+    // its reader checks that damage costs exactly the tenants whose
+    // checkpoints it touches: every checkpoint whose bytes are intact and in
+    // place reads back (and decodes to what was written, as the clean
+    // segment shows), every other one does not.
+    let dir = test_dir(&format!("segment-{tag}"));
+    let clean = micro_segment(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    let schema = lpa_schema::microbench::schema(0.01).unwrap();
+    let (snaps, corrupt) = read_segment(&clean, |_| Some(&schema));
+    assert_eq!(corrupt, 0);
+    let frames: Vec<Vec<u8>> = snaps
+        .into_iter()
+        .map(|snap| encode_checkpoint(&Checkpoint::Tenant(snap)))
+        .collect();
+    assert_eq!(frames.len(), 2);
+    assert_eq!(
+        frames.concat(),
+        clean,
+        "a segment is its checkpoints back to back"
+    );
+    let ranges: Vec<std::ops::Range<usize>> = frames
+        .iter()
+        .scan(0, |at, frame| {
+            *at += frame.len();
+            Some(*at - frame.len()..*at)
+        })
+        .collect();
+    let segment = Subject {
+        name: "segment",
+        bytes: clean.clone(),
+        units: frames.len(),
+        read: Box::new(move |bytes| {
+            let (snaps, _) = read_segment(bytes, |_| Some(&schema));
+            let read: Vec<u64> = snaps.iter().map(|s| s.tenant).collect();
+            let intact: Vec<u64> = (0..frames.len() as u64)
+                .filter(|&t| {
+                    bytes.get(ranges[t as usize].clone()) == clean.get(ranges[t as usize].clone())
+                })
+                .collect();
+            assert_eq!(
+                read, intact,
+                "damage cost a tenant it did not touch, or none"
+            );
+            Ok(read.len())
+        }),
+    };
+
     let records = journal_records();
     let path = test_dir(&format!("journal-{tag}")).join(JOURNAL_FILE);
     DeploymentJournal::open(&path)
@@ -180,7 +260,7 @@ fn subjects(tag: &str) -> Vec<Subject> {
             Ok(replayed.len())
         }),
     };
-    vec![checkpoint, journal]
+    vec![checkpoint, segment, journal]
 }
 
 #[test]
@@ -320,8 +400,9 @@ fn retention_prunes_oldest_but_keeps_a_fallback() {
 /// version 4 (the DQN config with its loss tag, double-DQN flag, replay
 /// capacity and ε start/floor).
 /// This build must say so — `Incompatible`, never a panic, whatever prefix
-/// of the file survived — and a fleet resuming over such a lineage charges
-/// one restore error to that tenant and to nobody else.
+/// of the file survived — and a fleet resuming over a segment holding such
+/// a checkpoint charges one restore error to that tenant and to nobody
+/// else.
 #[test]
 fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
     const OLD: [(&str, &[u8]); 3] = [
@@ -333,22 +414,8 @@ fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
     // A fleet of the fixture's tenant plus a neighbour. The fixtures were
     // captured from tenants with a 4-wide network, batch 2 and horizon 2;
     // today's tenants all use `TENANT_HIDDEN`, `TENANT_BATCH_SIZE` and
-    // `TENANT_TMAX`, and the lineage is refused on its format version
+    // `TENANT_TMAX`, and the checkpoint is refused on its format version
     // before any shape is compared.
-    let cfg = || FleetConfig {
-        max_tenants: 2,
-        ..FleetConfig::default()
-    };
-    let specs = || -> Vec<TenantSpec> {
-        ["fixture", "neighbour"]
-            .into_iter()
-            .zip([7, 8])
-            .map(|(name, seed)| TenantSpec {
-                episodes: 2,
-                ..TenantSpec::new(name, Benchmark::Micro, 0.01, seed)
-            })
-            .collect()
-    };
     for (version, old) in OLD {
         assert!(
             matches!(
@@ -361,25 +428,23 @@ fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
             assert!(decode_checkpoint(&old[..len], &schema).is_err());
         }
 
+        // One checkpoint each, at round 2. Tenant 0's is what the earlier
+        // build left behind.
         let dir = test_dir(&format!("{version}-lineage"));
-        {
-            let mut fleet = CheckpointedFleet::create(cfg(), &dir, 2).unwrap();
-            for spec in specs() {
-                fleet.admit(spec).unwrap();
-            }
-            fleet.run_rounds(2); // one checkpoint each, at round 2
-        }
-        // Tenant 0's lineage is what the earlier build left behind.
-        lpa_store::atomic_write(&dir.join("tenant-0000/ckpt-00000002.lpa"), old).unwrap();
+        let segment = micro_segment(&dir);
+        let (mut snaps, _) = read_segment(&segment, |_| Some(&schema));
+        let first = encode_checkpoint(&Checkpoint::Tenant(snaps.remove(0)));
+        let spliced = [old, &segment[first.len()..]].concat();
+        lpa_store::atomic_write(&dir.join("segment-00000002.lpa"), &spliced).unwrap();
 
-        let resumed = CheckpointedFleet::resume_or(cfg(), specs(), &dir, 2).unwrap();
+        let resumed = CheckpointedFleet::resume_or(micro_cfg(), micro_specs(), &dir, 2).unwrap();
         let report = resumed.report();
         assert_eq!(report.round, 2);
         let stale = &report.per_tenant[0];
         assert_eq!(stale.counters.restore_errors, 1, "{version}");
         assert_eq!(
             stale.episode, 0,
-            "an unreadable lineage restarts the tenant"
+            "an unreadable checkpoint restarts the tenant"
         );
         let neighbour = &report.per_tenant[1];
         assert_eq!(neighbour.counters.restore_errors, 0);
@@ -389,6 +454,86 @@ fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
         assert_eq!(report.store.corruptions_detected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A manifest of version 2 names checkpoints in per-tenant `tenant-NNNN/`
+/// directories, a layout this build no longer reads: resuming over it is
+/// `Incompatible`, not a fleet whose every tenant is quarantined.
+#[test]
+fn an_older_manifest_is_incompatible() {
+    use lpa_store::codec::{seal, ByteWriter};
+    use lpa_store::MANIFEST_MAGIC;
+
+    let dir = test_dir("manifest-v2");
+    std::fs::create_dir_all(dir.join("tenant-0000")).unwrap();
+    lpa_store::atomic_write(
+        &dir.join("tenant-0000/ckpt-00000002.lpa"),
+        include_bytes!("fixtures/tenant_v4.lpa"),
+    )
+    .unwrap();
+    let mut payload = ByteWriter::new();
+    payload.put_u64(2); // round
+    payload.put_u64(0); // rejected admissions
+    payload.put_u64s(&[]); // stage rounds
+    payload.put_usize(1);
+    payload.put_u64(0); // tenant 0 ...
+    payload.put_u64(2); // ... at sequence 2
+    let v2 = seal(&MANIFEST_MAGIC, 2, &[], payload.bytes());
+    lpa_store::atomic_write(&dir.join(lpa_store::MANIFEST_FILE), &v2).unwrap();
+
+    let resumed = CheckpointedFleet::resume_or(micro_cfg(), micro_specs(), &dir, 2);
+    assert!(
+        matches!(resumed, Err(StoreError::Incompatible(_))),
+        "{:?}",
+        resumed.map(|f| f.report().round)
+    );
+    // A damaged manifest of any version still falls back to the segments.
+    let mut damaged = v2;
+    damaged[9] ^= 0x01;
+    lpa_store::atomic_write(&dir.join(lpa_store::MANIFEST_FILE), &damaged).unwrap();
+    let resumed = CheckpointedFleet::resume_or(micro_cfg(), micro_specs(), &dir, 2).unwrap();
+    assert_eq!(resumed.report().store.manifest_fallbacks, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash inside a segment's `atomic_write` leaves a stray
+/// `segment-*.lpa.tmp`: resume ignores it, the next cadence's write
+/// replaces it, and retention keeps the two newest segments.
+#[test]
+fn a_stray_segment_tmp_is_ignored() {
+    let dir = test_dir("segment-tmp");
+    let segment = micro_segment(&dir);
+    let stray = dir.join("segment-00000004.lpa.tmp");
+    std::fs::write(&stray, &segment[..segment.len() / 2]).unwrap();
+
+    let mut resumed = CheckpointedFleet::resume_or(micro_cfg(), micro_specs(), &dir, 2).unwrap();
+    let report = resumed.report();
+    assert_eq!(report.round, 2);
+    assert_eq!(report.store.restores, 2);
+    assert_eq!(report.store.corruptions_detected, 0);
+    assert!(report
+        .per_tenant
+        .iter()
+        .all(|t| t.counters.restore_errors == 0));
+    resumed.run_rounds(4);
+    assert_eq!(resumed.report().store.write_failures, 0);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            JOURNAL_FILE,
+            lpa_store::MANIFEST_FILE,
+            "segment-00000004.lpa",
+            "segment-00000006.lpa"
+        ],
+        "the stray temp file was replaced, and segment 2 pruned"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A query whose shape would make `Query::validate`'s callees index out of

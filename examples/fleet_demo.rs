@@ -7,7 +7,7 @@
 //! down, and rejoins without ever touching its neighbours. Halfway
 //! through, the process "crashes" (the fleet is dropped) and
 //! [`CheckpointedFleet::resume_or`] rebuilds everything from the manifest
-//! and per-tenant checkpoint lineages, bit-identical, to finish the run.
+//! and the segment file it commits, bit-identical, to finish the run.
 //!
 //! Run with: `cargo run --release --example fleet_demo`
 

@@ -20,7 +20,7 @@ use lpa::service::{
     TenantCounters, TenantErrorKind, EPISODES_PER_SLICE, FORECAST_HORIZON, TENANT_BATCH_SIZE,
     TENANT_HIDDEN, TENANT_TMAX, WINDOW_SECONDS,
 };
-use lpa::store::{load_manifest, CheckpointStore, CheckpointedFleet, MANIFEST_FILE};
+use lpa::store::{load_manifest, CheckpointedFleet, MANIFEST_FILE};
 use lpa_bench::SeededChaos;
 use std::path::{Path, PathBuf};
 
@@ -142,24 +142,45 @@ fn admit_all(fleet: &mut CheckpointedFleet, specs: Vec<TenantSpec>) {
     ));
 }
 
-/// Flip one pseudo-random bit in the newest checkpoint of `tenant`'s
-/// lineage under `root`.
-fn corrupt_newest(root: &Path, tenant: usize, salt: u64) {
-    let dir = root.join(format!("tenant-{tenant:04}"));
-    let newest = std::fs::read_dir(&dir)
+/// The fleet's segment files under `root`, oldest first.
+fn segments(root: &Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(root)
         .unwrap()
         .flatten()
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy().into_owned();
-            name.starts_with("ckpt-") && name.ends_with(".lpa")
+        .map(|e| e.path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            name.starts_with("segment-") && name.ends_with(".lpa")
         })
-        .max_by_key(|e| e.file_name())
-        .unwrap()
-        .path();
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// Where `tenant`'s checkpoint sits in a segment. Checkpoints lie back to
+/// back, each `magic(8) · version(4) · kind(1) · length(8) · payload ·
+/// crc(4)`, and a tenant checkpoint's payload starts with the tenant id.
+fn checkpoint_range(segment: &[u8], tenant: usize) -> std::ops::Range<usize> {
+    let word = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap());
+    let mut pos = 0;
+    loop {
+        let end = pos + 21 + word(pos + 13) as usize + 4;
+        if word(pos + 21) == tenant as u64 {
+            return pos..end;
+        }
+        pos = end;
+    }
+}
+
+/// Flip one pseudo-random bit inside `tenant`'s checkpoint in the newest
+/// committed segment under `root`.
+fn corrupt_newest(root: &Path, tenant: usize, salt: u64) {
+    let round = load_manifest(root).unwrap().unwrap().round;
+    let newest = root.join(format!("segment-{round:08}.lpa"));
     let mut bytes = std::fs::read(&newest).unwrap();
+    let range = checkpoint_range(&bytes, tenant);
     let seed = fleet_seed().wrapping_add(salt);
-    let byte = (seed % bytes.len() as u64) as usize;
+    let byte = range.start + (seed % range.len() as u64) as usize;
     let bit = (seed / 7) % 8;
     bytes[byte] ^= 1 << bit;
     std::fs::write(&newest, &bytes).unwrap();
@@ -436,22 +457,17 @@ fn all_corrupt_lineage_restores_fresh_and_quarantines_only_that_tenant() {
         }
         fleet.run_rounds(2); // checkpoints at rounds 1 and 2
     }
-    // Destroy tenant 1's *entire* lineage.
-    let lineage = dir.join("tenant-0001");
-    for entry in std::fs::read_dir(&lineage).unwrap().flatten() {
-        let mut bytes = std::fs::read(entry.path()).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(entry.path(), &bytes).unwrap();
+    // Destroy tenant 1's *entire* lineage: its checkpoint in both segments.
+    assert_eq!(segments(&dir).len(), 2);
+    for path in segments(&dir) {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let range = checkpoint_range(&bytes, 1);
+        bytes[(range.start + range.end) / 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
     }
-    // The all-corrupt lineage yields a clean `None` at the store level...
-    let mut probe = CheckpointStore::open(&lineage).unwrap();
-    let schema = lpa::schema::microbench::schema(0.01).unwrap();
-    assert!(probe.load_latest(&schema).unwrap().is_none());
-    assert_eq!(probe.counters().checkpoint_corruptions_detected, 2);
 
-    // ...and the manifest-driven resume degrades that tenant to a fresh
-    // start plus a restore error, leaving the other tenants bit-restored.
+    // The manifest-driven resume degrades that tenant to a fresh start
+    // plus a restore error, leaving the other tenants bit-restored.
     let resumed = CheckpointedFleet::resume_or(micro_cfg(), micro_specs(3), &dir, 1).unwrap();
     let report = resumed.report();
     assert_eq!(resumed.fleet().round(), 2);
@@ -466,7 +482,8 @@ fn all_corrupt_lineage_restores_fresh_and_quarantines_only_that_tenant() {
         assert_eq!(report.per_tenant[t].counters.restore_errors, 0);
         assert_eq!(report.per_tenant[t].status, TenantStatus::Active);
     }
-    assert!(report.store.corruptions_detected >= 2);
+    // Each segment read counts the one checkpoint that failed in it.
+    assert_eq!(report.store.corruptions_detected, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -491,7 +508,7 @@ fn corrupt_manifest_falls_back_to_per_tenant_scans() {
     let report = resumed.report();
     assert_eq!(report.store.manifest_fallbacks, 1);
     // The scheduler round degrades to the newest checkpointed round, and
-    // every tenant still restores from its own directory scan.
+    // every tenant still restores from a scan of the newest segment.
     assert_eq!(resumed.fleet().round(), 2);
     for t in 0..3 {
         assert_eq!(resumed.fleet().tenant_episode(t).unwrap(), 2);
@@ -502,6 +519,91 @@ fn corrupt_manifest_falls_back_to_per_tenant_scans() {
     // manifest.
     resumed.run_rounds(1);
     assert!(load_manifest(&dir).unwrap().is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kill after a segment's rename and before its manifest's: the segment
+/// was never committed, so the fleet resumes from the previous manifest and
+/// its segment — or, at the first cadence, with no manifest at all, as a
+/// fresh fleet — cleanly, and redoes the lost round bit for bit.
+#[test]
+fn a_segment_without_its_manifest_is_ignored_and_redone() {
+    for kill_after in [1u64, 2] {
+        let dir = test_dir(&format!("uncommitted-{kill_after}"), 0);
+        let segment_path = dir.join(format!("segment-{kill_after:08}.lpa"));
+        let (committed_manifest, fp_killed, segment) = {
+            let mut fleet = CheckpointedFleet::create(micro_cfg(), &dir, 1).unwrap();
+            for spec in micro_specs(3) {
+                fleet.admit(spec).unwrap();
+            }
+            fleet.run_rounds(kill_after - 1);
+            let manifest = std::fs::read(dir.join(MANIFEST_FILE)).ok();
+            fleet.run_rounds(1);
+            let segment = std::fs::read(&segment_path).unwrap();
+            (manifest, fingerprints(fleet.fleet()), segment)
+        };
+        // The segment landed; its manifest did not.
+        match &committed_manifest {
+            Some(bytes) => std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap(),
+            None => std::fs::remove_file(dir.join(MANIFEST_FILE)).unwrap(),
+        }
+
+        let mut resumed =
+            CheckpointedFleet::resume_or(micro_cfg(), micro_specs(3), &dir, 1).unwrap();
+        assert_eq!(resumed.fleet().round(), kill_after - 1);
+        let report = resumed.report();
+        for t in 0..3 {
+            assert_eq!(report.per_tenant[t].counters.restore_errors, 0);
+            assert_eq!(report.per_tenant[t].status, TenantStatus::Active);
+        }
+        assert_eq!(report.store.restores, 3 * (kill_after - 1));
+        assert_eq!(report.store.fallbacks, 0);
+        assert_eq!(report.store.corruptions_detected, 0);
+        resumed.run_rounds(1);
+        assert_eq!(
+            fingerprints(resumed.fleet()),
+            fp_killed,
+            "kill after {kill_after}"
+        );
+        assert_eq!(
+            std::fs::read(&segment_path).unwrap(),
+            segment,
+            "the redone round wrote the same segment"
+        );
+        assert_eq!(load_manifest(&dir).unwrap().unwrap().round, kill_after);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A segment that cannot be written costs one write failure per tenant it
+/// carried, each through the quarantine funnel, and the manifest keeps
+/// naming the segment that last landed.
+#[test]
+fn a_failed_segment_write_counts_every_tenant_it_carried() {
+    let dir = test_dir("segfail", 0);
+    let mut fleet = CheckpointedFleet::create(micro_cfg(), &dir, 1).unwrap();
+    for spec in micro_specs(3) {
+        fleet.admit(spec).unwrap();
+    }
+    fleet.run_rounds(1);
+    // A directory where round 2's temp file goes makes that write fail.
+    std::fs::create_dir_all(dir.join("segment-00000002.lpa.tmp")).unwrap();
+    fleet.run_rounds(1);
+    let report = fleet.report();
+    assert_eq!(report.store.checkpoints_written, 3);
+    assert_eq!(report.store.write_failures, 3);
+    for t in 0..3 {
+        assert_eq!(report.per_tenant[t].counters.checkpoint_errors, 1);
+        assert!(matches!(
+            report.per_tenant[t].status,
+            TenantStatus::Quarantined { .. }
+        ));
+    }
+    let manifest = load_manifest(&dir).unwrap().unwrap();
+    assert_eq!(manifest.round, 2);
+    assert_eq!(manifest.entries.len(), 3);
+    assert!(manifest.entries.iter().all(|e| e.sequence == 1));
+    assert_eq!(segments(&dir), [dir.join("segment-00000001.lpa")]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -599,7 +701,19 @@ fn refused_admissions_leave_no_directory_and_ids_stay_indices() {
         1,
     )
     .unwrap();
-    let lineage = |t: usize| dir.join(format!("tenant-{t:04}"));
+    // Only the journal exists before the first cadence, and admission adds
+    // nothing to it.
+    let listing = || -> Vec<PathBuf> {
+        let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .collect();
+        names.sort();
+        names
+    };
+    let created = listing();
+    assert_eq!(created, vec![dir.join(lpa::store::JOURNAL_FILE)]);
     assert_eq!(fleet.admit(micro_specs(1).remove(0)).unwrap(), 0);
     // A spec that cannot be built is refused before anything is created...
     let unbuildable = TenantSpec::new("bad", Benchmark::Micro, 0.0, 1);
@@ -607,20 +721,26 @@ fn refused_admissions_leave_no_directory_and_ids_stay_indices() {
         fleet.admit(unbuildable),
         Err(lpa::service::FleetError::TenantBuild { .. })
     ));
-    assert!(!lineage(1).exists(), "a refused spec left a lineage behind");
-    // ...so the next successful admission gets the id equal to its index
-    // (and the directory of that index).
+    assert_eq!(listing(), created, "a refused spec left a file behind");
+    // ...so the next successful admission gets the id equal to its index.
     let id = fleet.admit(micro_specs(2).remove(1)).unwrap();
     assert_eq!(id, fleet.fleet().tenant_count() - 1);
-    assert!(lineage(id).is_dir());
     // Admission control rejects past the budget without touching the disk.
     assert!(matches!(
         fleet.admit(micro_specs(3).remove(2)),
         Err(lpa::service::FleetError::AdmissionRejected { .. })
     ));
-    assert!(!lineage(2).exists(), "a rejected admission left a lineage");
+    assert_eq!(listing(), created, "admission wrote to disk");
     fleet.run_rounds(1);
     assert_eq!(fleet.report().store.checkpoints_written, 2);
+    // The first segment carries exactly the two admitted tenants, by id.
+    let segment = std::fs::read(dir.join("segment-00000001.lpa")).unwrap();
+    let (first, second) = (
+        checkpoint_range(&segment, 0),
+        checkpoint_range(&segment, id),
+    );
+    assert_eq!((first.start, first.end), (0, second.start));
+    assert_eq!(second.end, segment.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
