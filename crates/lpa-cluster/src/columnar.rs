@@ -153,6 +153,17 @@ impl StepCols {
             + vec_bytes(&self.per_node_probe)
             + vec_bytes(&self.per_node_out)
     }
+
+    fn live_bytes(&self) -> usize {
+        size_of_val(self.filtered.as_slice())
+            + size_of_val(self.right_at.as_slice())
+            + size_of_val(self.new_left.as_slice())
+            + size_of_val(self.net_bytes.as_slice())
+            + self.join_keys.len() * std::mem::size_of::<((u64, u8), Build)>()
+            + size_of_val(self.per_node_build.as_slice())
+            + size_of_val(self.per_node_probe.as_slice())
+            + size_of_val(self.per_node_out.as_slice())
+    }
 }
 
 /// Columnar intermediate result: the naive executor's `Inter` reduced to
@@ -196,16 +207,26 @@ impl ColInter {
             + vec_bytes(&self.node)
             + vec_bytes(&self.hist)
     }
+
+    fn live_bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| size_of_val(s.as_slice()))
+            .sum::<usize>()
+            + size_of_val(self.node.as_slice())
+            + size_of_val(self.hist.as_slice())
+    }
 }
 
 fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
-/// Reusable buffers for the columnar executor. One per substrate (or per
-/// caller); every query and join step reuses the same arenas, so
-/// steady-state execution performs no heap allocation once the buffers
-/// have grown to the workload's high-water mark.
+/// Reusable buffers for the columnar executor. A substrate keeps a small
+/// pool of them, one per concurrent caller; every query and join step
+/// reuses the same arenas, so steady-state execution performs no heap
+/// allocation once the buffers have grown to the workload's high-water
+/// mark.
 #[derive(Clone, Debug, Default)]
 pub struct ExecScratch {
     /// The step being executed and, when it heads the count-only suffix,
@@ -224,6 +245,10 @@ pub struct ExecScratch {
     /// Double-buffered intermediates (swapped after each join step).
     cur: ColInter,
     next: ColInter,
+    /// The most bytes the last execution held live in these arenas at the
+    /// end of any of its join steps: lengths, not capacities, so it does
+    /// not depend on what ran on the arenas before.
+    pub(crate) peak_bytes: usize,
 }
 
 impl ExecScratch {
@@ -241,6 +266,22 @@ impl ExecScratch {
             + vec_bytes(&self.tally)
             + self.cur.capacity_bytes()
             + self.next.capacity_bytes()
+    }
+
+    /// Record what the arenas hold after a join step that left `ran`
+    /// steps' exchanges in `steps`.
+    fn note_live_bytes(&mut self, ran: usize) {
+        let steps: usize = self.steps.iter().take(ran).map(StepCols::live_bytes).sum();
+        let live = steps
+            + size_of_val(self.carried.as_slice())
+            + size_of_val(self.empty.as_slice())
+            + size_of_val(self.build_row.as_slice())
+            + size_of_val(self.build_next.as_slice())
+            + size_of_val(self.build_weight.as_slice())
+            + size_of_val(self.tally.as_slice())
+            + self.cur.live_bytes()
+            + self.next.live_bytes();
+        self.peak_bytes = self.peak_bytes.max(live);
     }
 }
 
@@ -348,6 +389,7 @@ impl Executor<'_> {
         budget: Option<f64>,
         scratch: &mut ExecScratch,
     ) -> Option<ExecResult> {
+        scratch.peak_bytes = 0;
         let mut seconds = self.engine.query_overhead;
         let mut bytes_shuffled = 0.0;
 
@@ -396,6 +438,7 @@ impl Executor<'_> {
             carried_slots(query, plan, &scratch.empty, at, &mut scratch.carried);
             let ran = self.join_step_col(query, step, followers.unwrap_or_default(), scratch);
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            scratch.note_live_bytes(ran);
             for side in scratch.steps.iter().take(ran) {
                 seconds += self.charge_col(query, side);
                 bytes_shuffled += side.bytes;

@@ -186,6 +186,7 @@ impl<'a> Executor<'a> {
         scratch: &mut crate::ExecScratch,
     ) -> Option<ExecResult> {
         if naive_executor_forced() {
+            scratch.peak_bytes = 0;
             self.execute_naive(query, plan, budget)
         } else {
             self.execute_columnar(query, plan, budget, scratch)

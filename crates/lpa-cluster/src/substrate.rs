@@ -20,8 +20,16 @@
 //!   attribute (and the rows per node) depends only on the generated
 //!   column and the config, so it is computed once per `(table, attribute)`
 //!   and handed out behind `Arc`s, however often deployments come back to it;
-//! * the [`ExecScratch`] arenas, whose contents never outlive one
-//!   execution, so one high-water mark serves every attached cluster.
+//! * a small pool of [`ExecScratch`] arenas, whose contents never outlive
+//!   one execution: a serial caller only ever holds one, and concurrent
+//!   callers hold at most one each.
+//!
+//! Executions never run under the lock. A memo miss claims its key, runs
+//! on an arena from the pool with the lock released, then stores the
+//! result and wakes every caller that found the key claimed and waited for
+//! it instead of executing it again: each key executes exactly once, so
+//! hits, misses and entries do not depend on the order in which
+//! concurrent clusters ask.
 //!
 //! Executions under an active fault or a timeout never read or write the
 //! memo (DESIGN.md §16), which keeps tenants isolated: the only shared
@@ -36,8 +44,8 @@ use lpa_partition::fingerprint::pack;
 use lpa_partition::{Partitioning, TableState};
 use lpa_schema::{AttrId, AttrRef, Schema, TableId};
 use lpa_workload::Query;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Exact memo key: every [`Query`] field the planner or executor reads,
 /// the packed state of every table the query names, and the statistics
@@ -92,9 +100,14 @@ struct Shared {
     memo: BTreeMap<MemoKey, ExecResult>,
     /// Reused lookup key — a hit allocates nothing.
     probe: MemoKey,
+    /// Keys some caller is executing right now, outside the lock.
+    in_flight: BTreeSet<MemoKey>,
     /// Hashed layouts handed out so far ([`Substrate::layout`]).
     layouts: BTreeMap<(TableId, AttrId), Layout>,
-    scratch: ExecScratch,
+    /// Idle arenas; a caller takes one for an execution and puts it back.
+    arenas: Vec<ExecScratch>,
+    /// The most bytes any one execution held live in its arena.
+    peak_bytes: usize,
     clusters_attached: usize,
     hits: u64,
     misses: u64,
@@ -121,9 +134,41 @@ pub struct SubstrateStats {
     pub bypassed_timed: u64,
     /// Distinct `(table, attribute)` hashed layouts computed so far.
     pub layout_entries: usize,
-    /// Heap bytes held by the shared executor arenas: the high-water mark
-    /// of every execution so far (they never shrink).
+    /// The most bytes any single execution so far held live in an
+    /// executor arena (lengths, not capacities). Which arena of the pool
+    /// ran an execution, and what ran on it before, does not change it.
     pub scratch_bytes: usize,
+}
+
+impl Shared {
+    /// An idle arena, or a new one when every arena is busy.
+    fn take_arena(&mut self) -> ExecScratch {
+        self.arenas.pop().unwrap_or_default()
+    }
+
+    /// Return an arena after an execution ran on it.
+    fn put_arena(&mut self, arena: ExecScratch) {
+        self.peak_bytes = self.peak_bytes.max(arena.peak_bytes);
+        self.arenas.push(arena);
+    }
+}
+
+/// A memo key this caller is executing. [`Substrate::clean_execution`]
+/// settles it by moving the key into the memo; dropped unsettled (the
+/// execution aborted or panicked), it withdraws the key and wakes the
+/// waiters, which then execute the query themselves.
+struct Claim<'s> {
+    substrate: &'s Substrate,
+    key: Option<MemoKey>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.substrate.lock().in_flight.remove(&key);
+            self.substrate.executed.notify_all();
+        }
+    }
 }
 
 /// One generated database and what is derivable from it alone.
@@ -137,6 +182,8 @@ pub struct Substrate {
     config: ClusterConfig,
     db: Database,
     shared: Mutex<Shared>,
+    /// Signalled whenever a claimed key leaves `in_flight`.
+    executed: Condvar,
 }
 
 impl Substrate {
@@ -168,7 +215,12 @@ impl Substrate {
             config,
             db,
             shared: Mutex::new(Shared::default()),
+            executed: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The schema the rows were generated for.
@@ -195,7 +247,7 @@ impl Substrate {
     }
 
     pub fn stats(&self) -> SubstrateStats {
-        let shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let shared = self.lock();
         SubstrateStats {
             clusters_attached: shared.clusters_attached,
             memo_entries: shared.memo.len(),
@@ -204,7 +256,7 @@ impl Substrate {
             bypassed_degraded: shared.bypassed_degraded,
             bypassed_timed: shared.bypassed_timed,
             layout_entries: shared.layouts.len(),
-            scratch_bytes: shared.scratch.capacity_bytes(),
+            scratch_bytes: shared.peak_bytes,
         }
     }
 
@@ -214,7 +266,7 @@ impl Substrate {
         let TableState::PartitionedBy(attr) = state else {
             return Layout::Replicated;
         };
-        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut shared = self.lock();
         let entry = shared.layouts.entry((table, attr)).or_insert_with(|| {
             let nodes = self.config.hardware.nodes;
             layout_table(&self.db, &self.config.engine, nodes, table, state)
@@ -223,21 +275,20 @@ impl Substrate {
     }
 
     pub(crate) fn attach(&self) {
-        self.shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clusters_attached += 1;
+        self.lock().clusters_attached += 1;
     }
 
     pub(crate) fn detach(&self) {
-        let mut shared = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut shared = self.lock();
         shared.clusters_attached = shared.clusters_attached.saturating_sub(1);
     }
 
     /// The result of `query` on a fault-free cluster with no timeout:
     /// answered from the memo, or produced by `run` and stored. The caller
     /// guarantees `run` is that clean execution; an aborted one (`None`)
-    /// is never stored.
+    /// is never stored. `run` executes with the lock released; a caller
+    /// that asks for a key another caller is executing waits for that
+    /// result and counts a hit.
     pub(crate) fn clean_execution(
         &self,
         query: &Query,
@@ -245,30 +296,59 @@ impl Substrate {
         stats_epoch: u64,
         run: impl FnOnce(&mut ExecScratch) -> Option<ExecResult>,
     ) -> Option<ExecResult> {
-        let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
-        let shared = &mut *guard;
-        shared.probe.fill(query, deployed, stats_epoch);
-        if let Some(hit) = shared.memo.get(&shared.probe) {
-            shared.hits += 1;
-            return Some(*hit);
+        let mut shared = self.lock();
+        loop {
+            let s = &mut *shared;
+            s.probe.fill(query, deployed, stats_epoch);
+            if let Some(hit) = s.memo.get(&s.probe) {
+                s.hits += 1;
+                return Some(*hit);
+            }
+            if !s.in_flight.contains(&s.probe) {
+                break;
+            }
+            shared = self
+                .executed
+                .wait(shared)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let result = run(&mut shared.scratch)?;
-        shared.misses += 1;
-        shared.memo.insert(shared.probe.clone(), result);
+        let key = shared.probe.clone();
+        shared.in_flight.insert(key.clone());
+        let mut arena = shared.take_arena();
+        drop(shared);
+        let mut claim = Claim {
+            substrate: self,
+            key: Some(key),
+        };
+        let result = run(&mut arena);
+        let mut shared = self.lock();
+        shared.put_arena(arena);
+        // An aborted execution stores nothing: dropping `claim` (after
+        // `shared`) withdraws the key.
+        let result = result?;
+        if let Some(key) = claim.key.take() {
+            shared.in_flight.remove(&key);
+            shared.misses += 1;
+            shared.memo.insert(key, result);
+        }
+        drop(shared);
+        self.executed.notify_all();
         Some(result)
     }
 
     /// Run an execution the memo must not see — under an active fault
-    /// (`degraded`) or with a timeout — on the shared arenas, and count it
-    /// by cause if it completes.
+    /// (`degraded`) or with a timeout — on an arena from the pool, and
+    /// count it by cause if it completes.
     pub(crate) fn bypass_memo(
         &self,
         degraded: bool,
         run: impl FnOnce(&mut ExecScratch) -> Option<ExecResult>,
     ) -> Option<ExecResult> {
-        let mut guard = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
-        let shared = &mut *guard;
-        let result = run(&mut shared.scratch)?;
+        let mut arena = self.lock().take_arena();
+        let result = run(&mut arena);
+        let mut shared = self.lock();
+        shared.put_arena(arena);
+        let result = result?;
         if degraded {
             shared.bypassed_degraded += 1;
         } else {
@@ -277,13 +357,55 @@ impl Substrate {
         Some(result)
     }
 
-    /// The shared arenas, for tests that inspect what an execution left.
+    /// The pool's arena, for tests that inspect what an execution left.
     #[cfg(test)]
     pub(crate) fn with_scratch<R>(&self, run: impl FnOnce(&mut ExecScratch) -> R) -> R {
-        run(&mut self
-            .shared
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .scratch)
+        let mut arena = self.lock().take_arena();
+        let out = run(&mut arena);
+        self.lock().put_arena(arena);
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EngineProfile, HardwareProfile};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A clean execution that aborts or panics stores nothing and leaves
+    /// its key unclaimed, so the next caller executes it instead of
+    /// waiting for a result that never comes.
+    #[test]
+    fn an_aborted_or_panicking_execution_withdraws_its_claim() {
+        let schema = lpa_schema::microbench::schema(0.01).expect("schema builds");
+        let workload = lpa_workload::microbench::workload(&schema).expect("workload builds");
+        let config = ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard());
+        let substrate = Substrate::new(schema.clone(), config);
+        let query = &workload.queries()[0];
+        let deployed = Partitioning::initial(&schema);
+        let clean = |run: &dyn Fn() -> Option<ExecResult>| {
+            substrate.clean_execution(query, &deployed, 0, |_| run())
+        };
+        let unclaimed = || substrate.lock().in_flight.is_empty();
+
+        assert_eq!(clean(&|| None), None);
+        assert!(unclaimed());
+        let panicked = catch_unwind(AssertUnwindSafe(|| clean(&|| panic!("execution panicked"))));
+        assert!(panicked.is_err());
+        assert!(unclaimed());
+
+        let result = ExecResult {
+            seconds: 1.5,
+            output_rows: 7,
+            bytes_shuffled: 0.0,
+        };
+        assert_eq!(clean(&|| Some(result)), Some(result));
+        assert_eq!(clean(&|| None), Some(result), "answered from the memo");
+        let stats = substrate.stats();
+        assert_eq!(
+            (stats.memo_hits, stats.memo_misses, stats.memo_entries),
+            (1, 1, 1)
+        );
     }
 }

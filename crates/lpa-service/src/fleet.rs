@@ -9,8 +9,12 @@
 //! interleaving per-tenant training/advice *slices* under a fixed
 //! [`RoundRobin`] schedule (admissions fold in only at round
 //! boundaries), so the whole fleet advances bit-identically at any
-//! `LPA_THREADS` — parallelism lives *inside* a slice (the NN kernels),
-//! never in the slice order.
+//! `LPA_THREADS`. A round runs its slices as tasks on `lpa-par`'s pool —
+//! tenants share nothing a slice writes except the substrate memo, whose
+//! values are exact — and then commits what they staged and journaled
+//! serially, in slice order. A round the fleet-wide deploy budget could
+//! bind runs its slices one after another instead, each seeing the stages
+//! of the slices before it (see [`Fleet::run_round`]).
 //!
 //! Robustness contract (the reason this module exists):
 //!
@@ -48,11 +52,12 @@ use lpa_cluster::{
     GuardrailConfig, GuardrailEvent, HardwareProfile, Substrate, SubstrateStats,
 };
 use lpa_costmodel::{CostParams, NetworkCostModel};
-use lpa_par::derive_stream3;
 use lpa_par::schedule::RoundRobin;
+use lpa_par::{derive_stream3, Pool};
 use lpa_rl::DqnConfig;
 use lpa_schema::Schema;
 use lpa_workload::{MixSampler, Workload};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Purpose salts for [`derive_stream3`] — one per independent per-tenant
@@ -121,8 +126,12 @@ pub struct QuarantinePolicy {
     /// `max_errors + 1`-th error triggers it, so `0` means *quarantine on
     /// the first error*. Use [`QuarantinePolicy::never`] to disable.
     pub max_errors: u64,
-    /// Full rounds the tenant sits out. `0` still skips the remainder of
-    /// nothing — the tenant rejoins at its very next slice.
+    /// Rounds the tenant sits out past the round the scheduler is at when
+    /// the error is recorded: it is quarantined until round
+    /// `now + 1 + cooldown_rounds`. A slice's error is recorded while its
+    /// round runs, when the scheduler has already moved on to the next
+    /// round, so a tenant whose slice of round `r` fails skips rounds
+    /// `r + 1 ..= r + 1 + cooldown_rounds` and rejoins at the one after.
     pub cooldown_rounds: u64,
 }
 
@@ -292,6 +301,146 @@ struct TenantSlot {
     /// Advisor, cluster, monitor, forecaster and guardrail — the only path
     /// to the tenant's cluster deploys.
     service: PartitioningService,
+}
+
+impl TenantSlot {
+    /// Count an error of `kind` and apply the quarantine policy, with the
+    /// scheduler at round `now` (see [`QuarantinePolicy::cooldown_rounds`]).
+    /// Returns the tenant's status after the error.
+    fn record_error(
+        &mut self,
+        kind: TenantErrorKind,
+        policy: QuarantinePolicy,
+        now: u64,
+    ) -> TenantStatus {
+        match kind {
+            TenantErrorKind::Step => self.counters.step_errors += 1,
+            TenantErrorKind::Restore => self.counters.restore_errors += 1,
+            TenantErrorKind::Checkpoint => self.counters.checkpoint_errors += 1,
+        }
+        self.errors_since_rejoin += 1;
+        if self.status == TenantStatus::Active && self.errors_since_rejoin > policy.max_errors {
+            self.status = TenantStatus::Quarantined {
+                until_round: now + 1 + policy.cooldown_rounds,
+            };
+            self.counters.quarantines += 1;
+        }
+        self.status
+    }
+
+    /// The tenant's slice of `ctx.round`: the quarantine gate, the hook's
+    /// step error, a training budget, the service's window, the probe
+    /// queries and the clock. Touches nothing but this tenant (and the
+    /// substrate memo, whose values are exact) and `ctx.staged`.
+    fn run_slice(&mut self, tenant: usize, ctx: &RoundCtx<'_>) -> SliceOutcome {
+        let round = ctx.round;
+        let mut outcome = SliceOutcome::default();
+        self.counters.slices_issued += 1;
+        match self.status {
+            TenantStatus::Quarantined { until_round } if round < until_round => {
+                self.counters.slices_skipped += 1;
+                return outcome;
+            }
+            TenantStatus::Quarantined { .. } => {
+                self.status = TenantStatus::Active;
+                self.errors_since_rejoin = 0;
+                self.counters.rejoins += 1;
+            }
+            TenantStatus::Active => {}
+        }
+        if ctx.hook.step_error(tenant, round) {
+            // The slice fails before any work: training, advice and the
+            // cluster clock are untouched, so the failure is invisible to
+            // every other round of this tenant — and to every other tenant.
+            self.record_error(TenantErrorKind::Step, ctx.quarantine, ctx.now);
+            return outcome;
+        }
+        outcome.reached_budget = true;
+        let fleet_budget_ok = ctx.staged.load(Ordering::Relaxed) < ctx.budget_deploys;
+        self.counters.slices_run += 1;
+        let injected = if self.service.guardrail().canary_open() {
+            None
+        } else {
+            let advisor = self.service.advisor();
+            let deployed = self.service.cluster().deployed();
+            ctx.hook
+                .candidate(tenant, round, &advisor.env.schema, deployed)
+        };
+        // Training slice, budgeted. Past the spec's horizon the tenant is
+        // fully trained and slices become advice-only.
+        if self.episode < self.spec.episodes {
+            let end = (self.episode + EPISODES_PER_SLICE).min(self.spec.episodes);
+            self.service
+                .advisor_mut()
+                .train_episodes_from(self.episode, end, |_| {}, |_, _, _| {});
+            self.episode = end;
+        }
+        // The decision is the service's: the same monitor → forecast →
+        // advise → guardrail path a standalone service runs. A tenant that
+        // saw no SQL decides on the uniform mix over its workload.
+        let idle_mix = self.service.advisor().env.workload.uniform_frequencies();
+        let WindowReport { events, .. } =
+            self.service
+                .close_window(Some(idle_mix), fleet_budget_ok, injected);
+        self.service.probe(ctx.probe_queries);
+        self.service.cluster_mut().advance_clock(WINDOW_SECONDS);
+        if !self.service.cluster().health().healthy() {
+            self.counters.degraded_windows += 1;
+        }
+        // Only guardrail decisions are journaled; what the monitor absorbed
+        // or dropped stays in the service's own window report.
+        for event in events {
+            let event = match event {
+                ServiceEvent::Guardrail(event) => event,
+                ServiceEvent::NoTraffic | ServiceEvent::IncrementallyTrained { .. } => continue,
+            };
+            match &event {
+                GuardrailEvent::CanaryStarted { .. } => {
+                    if ctx.stages_count {
+                        ctx.staged.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.counters.deployments += 1;
+                }
+                // A rollback migrates the previous layout back in.
+                GuardrailEvent::RolledBack { .. } => self.counters.deployments += 1,
+                GuardrailEvent::KeptCurrent { .. }
+                | GuardrailEvent::StageRejected { .. }
+                | GuardrailEvent::CanaryObserved { .. }
+                | GuardrailEvent::CanaryExtended { .. }
+                | GuardrailEvent::Committed { .. } => {}
+            }
+            outcome.events.push(event);
+        }
+        outcome
+    }
+}
+
+/// What every slice of one round reads besides its own tenant.
+struct RoundCtx<'a> {
+    round: u64,
+    /// The scheduler's round while the slices run (already past `round`):
+    /// quarantine cool-downs count from it.
+    now: u64,
+    hook: &'a dyn SliceHook,
+    quarantine: QuarantinePolicy,
+    probe_queries: usize,
+    /// The fleet-wide cap on canaries started inside the budget horizon.
+    budget_deploys: u64,
+    /// Canaries inside the horizon: those of earlier rounds, plus the ones
+    /// this round's slices started so far when `stages_count`.
+    staged: AtomicU64,
+    /// Whether a canary started in `round` is still inside the horizon at
+    /// `round` (false only for a zero-round horizon).
+    stages_count: bool,
+}
+
+/// What a slice hands the round's serial commit.
+#[derive(Debug, Default)]
+struct SliceOutcome {
+    /// The slice passed the quarantine gate and the hook and ran.
+    reached_budget: bool,
+    /// Guardrail decisions to journal, in the order the service made them.
+    events: Vec<GuardrailEvent>,
 }
 
 /// One deployment-journal record: which tenant, which fleet round, what
@@ -664,41 +813,76 @@ impl Fleet {
 
     /// Record a tenant error and apply the quarantine policy. Returns the
     /// tenant's status after the error. The fleet never panics on a
-    /// tenant error — this is the single funnel every error source
-    /// (hook-injected step errors, store restore/checkpoint failures) goes
-    /// through.
+    /// tenant error — this and the slice's own step errors go through the
+    /// same slot-level funnel, [`TenantSlot::record_error`], which every
+    /// error source (hook-injected step errors, store restore/checkpoint
+    /// failures) reaches.
     pub fn record_tenant_error(
         &mut self,
         tenant: usize,
         kind: TenantErrorKind,
     ) -> Result<TenantStatus, FleetError> {
-        let round = self.scheduler.round();
+        let now = self.scheduler.round();
         let policy = self.cfg.quarantine;
-        let slot = self.slot_mut(tenant)?;
-        match kind {
-            TenantErrorKind::Step => slot.counters.step_errors += 1,
-            TenantErrorKind::Restore => slot.counters.restore_errors += 1,
-            TenantErrorKind::Checkpoint => slot.counters.checkpoint_errors += 1,
-        }
-        slot.errors_since_rejoin += 1;
-        if slot.status == TenantStatus::Active && slot.errors_since_rejoin > policy.max_errors {
-            slot.status = TenantStatus::Quarantined {
-                until_round: round + 1 + policy.cooldown_rounds,
-            };
-            slot.counters.quarantines += 1;
-        }
-        Ok(slot.status)
+        Ok(self.slot_mut(tenant)?.record_error(kind, policy, now))
     }
 
-    /// Run one full scheduling round: every tenant gets exactly one slice,
-    /// in fixed index order. Quarantined tenants' slices are issued and
-    /// skipped; a tenant whose slice fails does no work that round. This
-    /// never returns a tenant-local error — those land in counters — and
-    /// never panics.
+    /// Run one full scheduling round: every tenant gets exactly one slice.
+    /// Quarantined tenants' slices are issued and skipped; a tenant whose
+    /// slice fails does no work that round. This never returns a
+    /// tenant-local error — those land in counters — and never panics.
+    ///
+    /// The slices run as tasks on `lpa-par`'s pool, then a serial commit
+    /// records their stages and journal records in slice order. The one
+    /// thing a slice reads that another slice of the same round writes is
+    /// the fleet-wide deploy budget; when what is left of it covers a
+    /// canary from every slice, no slice can see it refuse, so the order
+    /// is immaterial. Otherwise the round runs on a one-thread pool, whose
+    /// tasks run in index order, and each slice sees the canaries of the
+    /// slices before it — exactly the serial loop.
     pub fn run_round(&mut self) {
         let slices = self.scheduler.finish_round();
-        for slice in slices {
-            self.run_slice(slice.slot, slice.round);
+        let Some(round) = slices.first().map(|s| s.round) else {
+            return;
+        };
+        let window = self.cfg.guardrail.budget_window;
+        let live = |r: u64| r + window > round;
+        let in_window = self.stage_rounds.iter().filter(|&&r| live(r)).count() as u64;
+        let ctx = RoundCtx {
+            round,
+            now: self.scheduler.round(),
+            hook: &*self.hook,
+            quarantine: self.cfg.quarantine,
+            probe_queries: self.cfg.probe_queries,
+            budget_deploys: self.cfg.fleet_budget_deploys,
+            staged: AtomicU64::new(in_window),
+            stages_count: live(round),
+        };
+        // `finish_round` issues slots in index order.
+        let mut issued = slices.iter().peekable();
+        let mut runs: Vec<(usize, &mut TenantSlot, SliceOutcome)> = Vec::new();
+        for (tenant, slot) in self.tenants.iter_mut().enumerate() {
+            if issued.next_if(|s| s.slot == tenant).is_some() {
+                runs.push((tenant, slot, SliceOutcome::default()));
+            }
+        }
+        let unbound = ctx.budget_deploys.saturating_sub(in_window) >= runs.len() as u64;
+        let pool = if unbound {
+            Pool::current()
+        } else {
+            Pool::with_threads(1)
+        };
+        pool.par_chunks_mut(&mut runs, 1, |_, chunk| {
+            for (tenant, slot, outcome) in chunk {
+                *outcome = slot.run_slice(*tenant, &ctx);
+            }
+        });
+        let outcomes: Vec<(usize, SliceOutcome)> = runs
+            .into_iter()
+            .map(|(t, _, outcome)| (t, outcome))
+            .collect();
+        for (tenant, outcome) in outcomes {
+            self.commit_slice(tenant, round, outcome);
         }
     }
 
@@ -709,94 +893,21 @@ impl Fleet {
         }
     }
 
-    fn run_slice(&mut self, tenant: usize, round: u64) {
-        {
-            let Some(slot) = self.tenants.get_mut(tenant) else {
-                return;
-            };
-            slot.counters.slices_issued += 1;
-            match slot.status {
-                TenantStatus::Quarantined { until_round } if round < until_round => {
-                    slot.counters.slices_skipped += 1;
-                    return;
-                }
-                TenantStatus::Quarantined { .. } => {
-                    slot.status = TenantStatus::Active;
-                    slot.errors_since_rejoin = 0;
-                    slot.counters.rejoins += 1;
-                }
-                TenantStatus::Active => {}
-            }
+    /// Apply one slice's fleet-wide effects, in slice order: prune the
+    /// budget horizon (a slice that ran read it), record its canaries and
+    /// buffer its journal records.
+    fn commit_slice(&mut self, tenant: usize, round: u64, outcome: SliceOutcome) {
+        let SliceOutcome {
+            reached_budget,
+            events,
+        } = outcome;
+        if reached_budget {
+            let window = self.cfg.guardrail.budget_window;
+            self.stage_rounds.retain(|r| *r + window > round);
         }
-        if self.hook.step_error(tenant, round) {
-            // The slice fails before any work: training, advice and the
-            // cluster clock are untouched, so the failure is invisible to
-            // every other round of this tenant — and to every other
-            // tenant. `record_tenant_error` cannot fail for a slot the
-            // scheduler just issued.
-            let _ = self.record_tenant_error(tenant, TenantErrorKind::Step);
-            return;
-        }
-        // Fleet-wide aggregate deploy budget: canaries started inside the
-        // budget horizon, across all tenants.
-        let budget_window = self.cfg.guardrail.budget_window;
-        self.stage_rounds.retain(|r| *r + budget_window > round);
-        let fleet_budget_ok = (self.stage_rounds.len() as u64) < self.cfg.fleet_budget_deploys;
-        let Some(slot) = self.tenants.get_mut(tenant) else {
-            return;
-        };
-        slot.counters.slices_run += 1;
-        let injected = if slot.service.guardrail().canary_open() {
-            None
-        } else {
-            let advisor = slot.service.advisor();
-            let deployed = slot.service.cluster().deployed();
-            self.hook
-                .candidate(tenant, round, &advisor.env.schema, deployed)
-        };
-        // Training slice, budgeted. Past the spec's horizon the tenant is
-        // fully trained and slices become advice-only.
-        if slot.episode < slot.spec.episodes {
-            let end = (slot.episode + EPISODES_PER_SLICE).min(slot.spec.episodes);
-            slot.service
-                .advisor_mut()
-                .train_episodes_from(slot.episode, end, |_| {}, |_, _, _| {});
-            slot.episode = end;
-        }
-        // The decision is the service's: the same monitor → forecast →
-        // advise → guardrail path a standalone service runs. A tenant that
-        // saw no SQL decides on the uniform mix over its workload.
-        let idle_mix = slot.service.advisor().env.workload.uniform_frequencies();
-        let WindowReport { events, .. } =
-            slot.service
-                .close_window(Some(idle_mix), fleet_budget_ok, injected);
-        slot.service.probe(self.cfg.probe_queries);
-        slot.service.cluster_mut().advance_clock(WINDOW_SECONDS);
-        if !slot.service.cluster().health().healthy() {
-            slot.counters.degraded_windows += 1;
-        }
-        // Only guardrail decisions are journaled; what the monitor absorbed
-        // or dropped stays in the service's own window report.
-        let events: Vec<GuardrailEvent> = events
-            .into_iter()
-            .filter_map(|event| match event {
-                ServiceEvent::Guardrail(event) => Some(event),
-                ServiceEvent::NoTraffic | ServiceEvent::IncrementallyTrained { .. } => None,
-            })
-            .collect();
         for event in &events {
-            match event {
-                GuardrailEvent::CanaryStarted { .. } => {
-                    self.stage_rounds.push(round);
-                    slot.counters.deployments += 1;
-                }
-                // A rollback migrates the previous layout back in.
-                GuardrailEvent::RolledBack { .. } => slot.counters.deployments += 1,
-                GuardrailEvent::KeptCurrent { .. }
-                | GuardrailEvent::StageRejected { .. }
-                | GuardrailEvent::CanaryObserved { .. }
-                | GuardrailEvent::CanaryExtended { .. }
-                | GuardrailEvent::Committed { .. } => {}
+            if matches!(event, GuardrailEvent::CanaryStarted { .. }) {
+                self.stage_rounds.push(round);
             }
         }
         if self.journal.len() + events.len() > JOURNAL_BUFFER_CAP {
@@ -1022,6 +1133,58 @@ mod tests {
         let h = fleet.tenant_counters(healthy).unwrap();
         assert_eq!(h.slices_run, 4);
         assert_eq!(h.step_errors, 0);
+    }
+
+    /// Tenant 2's slice of round 1 fails, and only that one. The scheduler
+    /// is at round 2 while round 1 runs, so with one round of cool-down the
+    /// tenant is quarantined until round 4: it skips rounds 2 and 3 and
+    /// rejoins at round 4 — whether the round's slices run on one thread or
+    /// on eight.
+    #[test]
+    fn a_failed_slice_skips_exactly_its_cooldown_rounds_at_any_thread_count() {
+        #[derive(Debug)]
+        struct FailOnce;
+        impl SliceHook for FailOnce {
+            fn step_error(&self, tenant: usize, round: u64) -> bool {
+                (tenant, round) == (2, 1)
+            }
+        }
+        let quarantined = TenantStatus::Quarantined { until_round: 4 };
+        let active = TenantStatus::Active;
+        // (status, slices run, slices skipped, rejoins) after each round.
+        let expected = vec![
+            (active, 1, 0, 0),
+            (quarantined, 1, 0, 0),
+            (quarantined, 1, 1, 0),
+            (quarantined, 1, 2, 0),
+            (active, 2, 2, 1),
+            (active, 3, 2, 1),
+        ];
+        for threads in [1, 8] {
+            let timeline = lpa_par::with_threads(threads, || {
+                let mut fleet = Fleet::new(FleetConfig {
+                    max_tenants: 4,
+                    quarantine: QuarantinePolicy {
+                        max_errors: 0,
+                        cooldown_rounds: 1,
+                    },
+                    ..FleetConfig::default()
+                });
+                for i in 0..4 {
+                    fleet.admit(micro_spec(&format!("t{i}"), 40 + i)).unwrap();
+                }
+                fleet.set_hook(Box::new(FailOnce));
+                (0..6)
+                    .map(|_| {
+                        fleet.run_round();
+                        let c = fleet.tenant_counters(2).unwrap();
+                        let status = fleet.tenant_status(2).unwrap();
+                        (status, c.slices_run, c.slices_skipped, c.rejoins)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(timeline, expected, "threads={threads}");
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@ use lpa_partition::Partitioning;
 use lpa_schema::Schema;
 
 /// What the slice loop asks before it acts. Every method defaults to "do
-/// not interfere".
-pub trait SliceHook: std::fmt::Debug {
+/// not interfere". A round's slices run concurrently, so the hook is
+/// shared between threads.
+pub trait SliceHook: std::fmt::Debug + Send + Sync {
     /// `true` fails the slice of `(tenant, round)` before it does any work:
     /// training, advice and the cluster clock stay untouched and the error
     /// goes through the quarantine funnel.

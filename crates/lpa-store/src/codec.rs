@@ -13,15 +13,18 @@
 use crate::StoreError;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
-/// guarding every checkpoint file.
-const CRC_TABLE: [u32; 256] = make_crc_table();
+/// guarding every checkpoint file, computed slice-by-8: `CRC_TABLES[0]` is
+/// the classic byte table and `CRC_TABLES[k]` advances a byte's
+/// contribution past `k` more zero bytes, so eight table reads fold in
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
 #[expect(
     clippy::indexing_slicing,
-    reason = "const-evaluated: i runs below 256, and a bad index fails the build"
+    reason = "const-evaluated: i runs below 256 and k below 8, and a bad index fails the build"
 )]
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -34,21 +37,47 @@ const fn make_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `bytes`.
 #[expect(
     clippy::indexing_slicing,
-    reason = "hot kernel: the index is masked to 0..=255, the table's length"
+    reason = "hot kernel: every index is masked to 0..=255, the tables' length"
 )]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |w: u32, shift: u32| ((w >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let [a0, a1, a2, a3, b0, b1, b2, b3] = <[u8; 8]>::try_from(word).unwrap_or_default();
+        let lo = u32::from_le_bytes([a0, a1, a2, a3]) ^ c;
+        let hi = u32::from_le_bytes([b0, b1, b2, b3]);
+        c = t7[byte(lo, 0)]
+            ^ t6[byte(lo, 8)]
+            ^ t5[byte(lo, 16)]
+            ^ t4[byte(lo, 24)]
+            ^ t3[byte(hi, 0)]
+            ^ t2[byte(hi, 8)]
+            ^ t1[byte(hi, 16)]
+            ^ t0[byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        c = t0[byte(c ^ b as u32, 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -410,6 +439,43 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook one-byte-at-a-time CRC, bit by bit: no table at all.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slice_by_8_equals_the_bytewise_crc_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8)
+            .collect();
+        // Every length 0–64 (whole words, tails of 0–7 bytes), each starting
+        // at every offset 0–7, so words and tails straddle any alignment.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&data), crc32_bitwise(&data));
+        assert_eq!(crc32(&[0xFF; 37]), crc32_bitwise(&[0xFF; 37]));
     }
 
     #[test]

@@ -102,13 +102,13 @@ fn print_report(when: &str, report: &FleetReport) {
 
 /// One line per distinct tenant database: how many clusters share it, how
 /// many executions its memo answered instead of the executor, how many
-/// skipped the memo and why, how many hashed layouts it computed and what
-/// its executor arenas have grown to.
+/// skipped the memo and why, how many hashed layouts it computed and the
+/// most one execution held in an executor arena.
 fn print_substrates(fleet: &Fleet) {
     for row in fleet.substrates() {
         let s = row.stats;
         println!(
-            "  substrate {:?} @ {}: {} cluster(s) attached, {} of {} clean executions answered by the memo ({} entries), {} degraded and {} timed executions past it, {} layouts, {} KiB of executor arenas",
+            "  substrate {:?} @ {}: {} cluster(s) attached, {} of {} clean executions answered by the memo ({} entries), {} degraded and {} timed executions past it, {} layouts, at most {} KiB of executor arenas per execution",
             row.benchmark,
             row.scale,
             s.clusters_attached,

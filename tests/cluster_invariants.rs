@@ -530,3 +530,89 @@ fn faulted_and_timed_executions_never_touch_the_memo() {
         });
     }
 }
+
+/// Eight pool workers, each with its own cluster on one shared substrate,
+/// walk the same three layouts from different starting points and run the
+/// whole workload twice on each, so the same keys arrive from several
+/// threads at once. Every result must carry the bits a private cluster
+/// computes, every distinct key must execute exactly once, and the
+/// substrate's stats must not depend on how the workers interleaved.
+#[test]
+fn concurrent_clusters_on_one_substrate_execute_each_key_once() {
+    use lpa::cluster::Substrate;
+    use lpa::partition::fingerprint::pack;
+    use std::collections::BTreeSet;
+    use std::sync::{Arc, Barrier};
+
+    const WORKERS: usize = 8;
+    const PASSES: usize = 2;
+    let schema = lpa::schema::tpcch::schema(0.001).expect("schema builds");
+    let workload = lpa::workload::tpcch::workload(&schema).expect("workload builds");
+    let config = ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard());
+    let layouts: Vec<Partitioning> = (0..3)
+        .map(|i| random_partitioning(&schema, &[7 * i + 1, 13 * i + 2, 5 * i]))
+        .collect();
+    let bits = |o: QueryOutcome| match o {
+        QueryOutcome::Completed {
+            seconds,
+            output_rows,
+            degraded: false,
+        } => (seconds.to_bits(), output_rows),
+        other => panic!("a clean execution must complete: {other:?}"),
+    };
+    // Worker `w` visits the layouts starting at `w % 3`.
+    let walk = |cluster: &mut Cluster, w: usize| -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for k in 0..layouts.len() {
+            cluster.deploy(&layouts[(w + k) % layouts.len()]);
+            for _ in 0..PASSES {
+                for q in workload.queries() {
+                    out.push(bits(cluster.run_query(q, None)));
+                }
+            }
+        }
+        out
+    };
+    let reference: Vec<Vec<(u64, u64)>> = (0..layouts.len())
+        .map(|w| walk(&mut Cluster::new(schema.clone(), config), w))
+        .collect();
+    // A key is the query and the states of the tables it names (the
+    // statistics epoch never moves here).
+    let distinct: BTreeSet<(usize, Vec<u32>)> = layouts
+        .iter()
+        .flat_map(|p| {
+            workload.queries().iter().enumerate().map(move |(i, q)| {
+                let states = q.tables.iter().map(|&t| pack(p.table_state(t)));
+                (i, states.collect())
+            })
+        })
+        .collect();
+
+    let run = |threads: usize| {
+        let substrate = Arc::new(Substrate::new(schema.clone(), config));
+        // With a thread per worker, every worker attaches before any runs
+        // a query, so the workers start their walks together.
+        let start = Barrier::new(if threads >= WORKERS { WORKERS } else { 1 });
+        let outcomes = lpa::par::Pool::with_threads(threads).par_index_map(WORKERS, |w| {
+            let mut cluster = Cluster::on_substrate(Arc::clone(&substrate));
+            start.wait();
+            walk(&mut cluster, w)
+        });
+        for (w, got) in outcomes.iter().enumerate() {
+            assert_eq!(
+                got,
+                &reference[w % layouts.len()],
+                "worker {w}, {threads} threads"
+            );
+        }
+        substrate.stats()
+    };
+    let serial = run(1);
+    let executions = (WORKERS * layouts.len() * PASSES * workload.queries().len()) as u64;
+    assert_eq!(serial.memo_misses, distinct.len() as u64);
+    assert_eq!(serial.memo_entries, distinct.len());
+    assert_eq!(serial.memo_hits, executions - distinct.len() as u64);
+    for threads in [8, 8, 1] {
+        assert_eq!(run(threads), serial, "{threads} threads");
+    }
+}

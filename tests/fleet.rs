@@ -378,8 +378,9 @@ fn threshold_zero_quarantines_on_first_error() {
     );
     fleet.run_rounds(6);
     let c = fleet.tenant_counters(0).unwrap();
-    // Round 0 errors → quarantined until round 3; rounds 1–2 skipped;
-    // round 3 rejoins and errors again → quarantined until round 6.
+    // Round 0 errors while the scheduler is at round 1 → quarantined until
+    // round 4; rounds 1–3 skipped; round 4 rejoins and errors again →
+    // quarantined until round 8, so round 5 is skipped too.
     assert_eq!(c.step_errors, 2);
     assert_eq!(c.quarantines, 2, "rejoining must re-arm the policy");
     assert_eq!(c.rejoins, 1);
@@ -1142,6 +1143,119 @@ fn pinned_fleet_matches_golden() {
         "pinned fleet drifted — regenerate with LPA_UPDATE_GOLDEN=1 only \
          together with the change that explains it"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Pinned budget golden: a fleet-wide deploy budget that binds in some rounds
+// and not in others, captured at the commit before rounds ran their slices
+// concurrently.
+
+/// Six Micro tenants, five of them poisoned from staggered rounds with
+/// every canary rolled back, under a fleet-wide budget of eight canaries
+/// per three-round horizon: rounds 0 and 3 start with room for a canary
+/// from every tenant, every other round with less. Every input is a constant; regenerate (only with a
+/// change that explains the drift) via
+/// `LPA_UPDATE_GOLDEN=1 cargo test --test fleet pinned_fleet_budget`.
+const BUDGET_TENANTS: usize = 6;
+const BUDGET_ROUNDS: u64 = 10;
+
+fn pinned_budget_cfg() -> FleetConfig {
+    FleetConfig {
+        seed: 0xB0D6E7,
+        max_tenants: BUDGET_TENANTS,
+        guardrail: GuardrailConfig {
+            canary_windows: 1,
+            regression_threshold: -1.0, // every canary rolls back
+            cooldown_windows: 0,
+            budget_window: 3,
+            budget_deploys: 100,
+            ..GuardrailConfig::default()
+        },
+        fleet_budget_deploys: 8,
+        ..FleetConfig::default()
+    }
+}
+
+/// The rendered golden: per round, whether what was left of the budget
+/// covered a canary from every tenant and the budget horizon after it;
+/// then every tenant's weights, the guardrail ledger and the journal.
+fn pinned_budget_render() -> String {
+    let cfg = pinned_budget_cfg();
+    let mut fleet = Fleet::new(cfg.clone());
+    fleet.set_hook(Box::new(
+        (0..5).fold(SeededChaos::new(cfg.seed), |chaos, t| {
+            chaos.poison(t, t as u64 / 2)
+        }),
+    ));
+    for i in 0..BUDGET_TENANTS {
+        let spec = TenantSpec {
+            episodes: 4,
+            ..TenantSpec::new(
+                format!("budget-{i}"),
+                Benchmark::Micro,
+                0.01,
+                500 + i as u64,
+            )
+        };
+        fleet.admit(spec).unwrap();
+    }
+    let mut rendered = String::new();
+    let mut journal = Vec::new();
+    for round in 0..BUDGET_ROUNDS {
+        let window = cfg.guardrail.budget_window;
+        let live = fleet
+            .stage_rounds()
+            .iter()
+            .filter(|&&r| r + window > round)
+            .count() as u64;
+        let covered = cfg.fleet_budget_deploys.saturating_sub(live) >= BUDGET_TENANTS as u64;
+        fleet.run_round();
+        journal.extend(fleet.drain_journal());
+        rendered.push_str(&format!(
+            "round {round} budget_covers_all {covered} stage_rounds {:?}\n",
+            fleet.stage_rounds()
+        ));
+    }
+    for t in 0..fleet.tenant_count() {
+        let fp = fleet.tenant_weight_fingerprint(t).unwrap();
+        rendered.push_str(&format!("tenant {t} weights {fp:016x}\n"));
+    }
+    rendered.push_str(&format!("guardrail {:?}\n", fleet.report().guardrail));
+    for record in &journal {
+        rendered.push_str(&format!("{record:?}\n"));
+    }
+    rendered
+}
+
+#[test]
+fn pinned_fleet_budget_matches_golden_at_1_and_8_threads() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/pinned_fleet_budget.txt");
+    if std::env::var_os("LPA_UPDATE_GOLDEN").is_some() {
+        let rendered = lpa::par::with_threads(1, pinned_budget_render);
+        std::fs::write(&path, &rendered).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "{} missing — run with LPA_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    // The golden must exercise both kinds of round, and the budget must
+    // actually refuse stages in the rounds it binds.
+    for kind in ["budget_covers_all true", "budget_covers_all false"] {
+        assert!(golden.contains(kind), "no round with {kind}");
+    }
+    assert!(!golden.contains("rejected_fleet_budget: 0,"), "{golden}");
+    for threads in THREAD_COUNTS {
+        let rendered = lpa::par::with_threads(threads, pinned_budget_render);
+        assert_eq!(
+            rendered, golden,
+            "budget fleet drifted at {threads} threads — regenerate with \
+             LPA_UPDATE_GOLDEN=1 only together with the change that explains it"
+        );
+    }
 }
 
 /// A tenant that never saw SQL pays for being a service with the monitor
