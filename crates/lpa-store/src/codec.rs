@@ -1,8 +1,9 @@
-//! The byte-level codec: little-endian primitives, length-prefixed
-//! containers, a table-driven CRC-32 and the whole-file envelope
-//! ([`seal`] / [`open`]) — hand-rolled so the hot training loop never
-//! touches a reflection-based serializer and every byte of a checkpoint
-//! is accounted for.
+//! The byte-level codec: little-endian primitives, the [`Wire`] trait
+//! every persisted type implements, the [`wire_record!`] and
+//! [`wire_enum!`] declarations that implement it from one field list, a
+//! table-driven CRC-32 and the whole-file envelope ([`seal`] / [`open`]) —
+//! hand-rolled so the hot training loop never touches a reflection-based
+//! serializer and every byte of a checkpoint is accounted for.
 //!
 //! Writers are infallible (they build a `Vec<u8>`); readers return
 //! [`StoreError::Corrupt`] on any shortfall or malformed length and never
@@ -11,6 +12,7 @@
 //! round trip is bit-exact including negative zero and NaN payloads.
 
 use crate::StoreError;
+use lpa_schema::Schema;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the checksum
 /// guarding every checkpoint file, computed slice-by-8: `CRC_TABLES[0]` is
@@ -143,14 +145,14 @@ pub fn open<'a>(
     if r.take(magic.len())? != magic {
         return Err(StoreError::Corrupt("bad magic".to_string()));
     }
-    let found = r.take_u32()?;
+    let found = u32::take(&mut r)?;
     if found != version {
         return Err(StoreError::Incompatible(format!(
             "format version {found}, this build reads {version}"
         )));
     }
     let tag = r.take(tag_len)?;
-    let payload_len = r.take_u64()?;
+    let payload_len = u64::take(&mut r)?;
     if payload_len != r.remaining() as u64 {
         return Err(StoreError::Corrupt(format!(
             "payload length {payload_len} but {} bytes present",
@@ -179,101 +181,68 @@ impl ByteWriter {
         &self.buf
     }
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
+    /// A length prefix: a `usize` as a `u64`.
     pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
+        (v as u64).put(self);
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
+        self.put_usize(v.len());
+        self.buf.extend_from_slice(v.as_bytes());
     }
 
-    pub fn put_f32s(&mut self, v: &[f32]) {
+    /// A `u64` length prefix, then each element.
+    pub fn put_slice<T: Wire>(&mut self, v: &[T]) {
         self.put_usize(v.len());
-        for &x in v {
-            self.put_f32(x);
+        for x in v {
+            x.put(self);
         }
     }
 
-    pub fn put_f64s(&mut self, v: &[f64]) {
+    /// [`Self::put_slice`] with each element stored at width `W`.
+    pub fn put_slice_as<W: WireAs<T>, T>(&mut self, v: &[T]) {
         self.put_usize(v.len());
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    pub fn put_u32s(&mut self, v: &[u32]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u32(x);
-        }
-    }
-
-    pub fn put_u64s(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u64(x);
-        }
-    }
-
-    pub fn put_bools(&mut self, v: &[bool]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_bool(x);
+        for x in v {
+            W::put_as(x, self);
         }
     }
 }
 
 /// Bounds-checked cursor over checkpoint bytes. Every `take_*` fails with
 /// [`StoreError::Corrupt`] instead of panicking when the buffer runs short.
-/// A clone reads ahead without moving the original.
+/// A clone reads ahead without moving the original. A reader may carry the
+/// schema that decoders of schema-bound values (partitionings, queries)
+/// validate against; the journal and the manifest need none.
 #[derive(Clone, Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    schema: Option<&'a Schema>,
 }
 
 impl<'a> ByteReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            schema: None,
+        }
+    }
+
+    /// This reader, validating schema-bound values against `schema`.
+    pub fn with_schema(self, schema: &'a Schema) -> Self {
+        Self {
+            schema: Some(schema),
+            ..self
+        }
+    }
+
+    /// The schema schema-bound decoders validate against.
+    pub fn schema(&self) -> Result<&'a Schema, StoreError> {
+        self.schema.ok_or_else(|| {
+            StoreError::Incompatible("decoding a schema-bound value needs a schema".to_string())
+        })
     }
 
     pub fn remaining(&self) -> usize {
@@ -309,47 +278,17 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "hot kernel: take(1) returns one byte"
-    )]
-    pub fn take_u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn take_bool(&mut self) -> Result<bool, StoreError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(StoreError::Corrupt(format!("bool byte {b}"))),
-        }
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "hot kernel: take(4) returns four bytes"
-    )]
-    pub fn take_u32(&mut self) -> Result<u32, StoreError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "hot kernel: take(8) returns eight bytes"
-    )]
-    pub fn take_u64(&mut self) -> Result<u64, StoreError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| StoreError::Corrupt(format!("a {N}-byte read came back short")))
     }
 
     /// A length prefix, validated against the bytes actually left so a
     /// corrupt length can never trigger an absurd allocation: each element
     /// occupies at least `min_elem_bytes`.
     pub fn take_len(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let v = self.take_u64()?;
+        let v = u64::take(self)?;
         let n = usize::try_from(v)
             .map_err(|_| StoreError::Corrupt(format!("length {v} exceeds usize")))?;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
@@ -362,72 +301,321 @@ impl<'a> ByteReader<'a> {
     }
 
     pub fn take_usize(&mut self) -> Result<usize, StoreError> {
-        let v = self.take_u64()?;
+        let v = u64::take(self)?;
         usize::try_from(v).map_err(|_| StoreError::Corrupt(format!("value {v} exceeds usize")))
     }
 
-    pub fn take_f32(&mut self) -> Result<f32, StoreError> {
-        Ok(f32::from_bits(self.take_u32()?))
-    }
-
-    pub fn take_f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    pub fn take_bytes(&mut self) -> Result<Vec<u8>, StoreError> {
-        let n = self.take_len(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
     pub fn take_str(&mut self) -> Result<String, StoreError> {
-        let b = self.take_bytes()?;
-        String::from_utf8(b).map_err(|e| StoreError::Corrupt(format!("invalid UTF-8: {e}")))
-    }
-
-    pub fn take_f32s(&mut self) -> Result<Vec<f32>, StoreError> {
-        let n = self.take_len(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_f32()?);
-        }
-        Ok(v)
-    }
-
-    pub fn take_f64s(&mut self) -> Result<Vec<f64>, StoreError> {
-        let n = self.take_len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_f64()?);
-        }
-        Ok(v)
-    }
-
-    pub fn take_u32s(&mut self) -> Result<Vec<u32>, StoreError> {
-        let n = self.take_len(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_u32()?);
-        }
-        Ok(v)
-    }
-
-    pub fn take_u64s(&mut self) -> Result<Vec<u64>, StoreError> {
-        let n = self.take_len(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.take_u64()?);
-        }
-        Ok(v)
-    }
-
-    pub fn take_bools(&mut self) -> Result<Vec<bool>, StoreError> {
         let n = self.take_len(1)?;
+        String::from_utf8(self.take(n)?.to_vec())
+            .map_err(|e| StoreError::Corrupt(format!("invalid UTF-8: {e}")))
+    }
+
+    /// A length prefix, then that many `T`s.
+    pub fn take_vec<T: Wire>(&mut self) -> Result<Vec<T>, StoreError> {
+        let n = self.take_len(T::MIN_BYTES)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
-            v.push(self.take_bool()?);
+            v.push(T::take(self)?);
         }
         Ok(v)
     }
+
+    /// [`Self::take_vec`] of elements stored at width `W`.
+    pub fn take_vec_as<W: WireAs<T>, T>(&mut self) -> Result<Vec<T>, StoreError> {
+        let n = self.take_len(W::MIN_BYTES)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(W::take_as(self)?);
+        }
+        Ok(v)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The Wire trait.
+
+/// A value with one byte encoding, stated once for both directions.
+pub trait Wire: Sized {
+    /// A lower bound on the encoded size: what a length prefix of
+    /// `Vec<Self>` is checked against before anything is allocated.
+    const MIN_BYTES: usize;
+
+    fn put(&self, w: &mut ByteWriter);
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError>;
+}
+
+/// A width other than `T`'s own encoding: `Self` is what goes on the wire
+/// for a `T` field, as a record declaration names it (`TableId as u32`).
+pub trait WireAs<T>: Wire {
+    fn put_as(v: &T, w: &mut ByteWriter);
+
+    fn take_as(r: &mut ByteReader) -> Result<T, StoreError>;
+}
+
+/// Little-endian bytes; a float by its IEEE-754 bit pattern.
+macro_rules! le_bytes {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut ByteWriter) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+                r.take_array().map(<$t>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+le_bytes!(u8, u32, u64, f32, f64);
+
+/// One byte, `0` or `1`; any other byte is corrupt.
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        (*self as u8).put(w);
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        match u8::take(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(StoreError::Corrupt(format!("bool byte {b}"))),
+        }
+    }
+}
+
+/// `usize` has no encoding of its own: a record names it `usize as u64`.
+impl WireAs<usize> for u64 {
+    fn put_as(v: &usize, w: &mut ByteWriter) {
+        w.put_usize(*v);
+    }
+
+    fn take_as(r: &mut ByteReader) -> Result<usize, StoreError> {
+        r.take_usize()
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        r.take_str()
+    }
+}
+
+/// A `u64` length prefix, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_slice(self);
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        r.take_vec()
+    }
+}
+
+/// A `Vec` of elements stored at width `W`.
+impl<T, W: WireAs<T>> WireAs<Vec<T>> for Vec<W> {
+    fn put_as(v: &Vec<T>, w: &mut ByteWriter) {
+        w.put_slice_as::<W, T>(v);
+    }
+
+    fn take_as(r: &mut ByteReader) -> Result<Vec<T>, StoreError> {
+        r.take_vec_as::<W, T>()
+    }
+}
+
+/// A bool tag, then the value if there is one.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut ByteWriter) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok(if bool::take(r)? {
+            Some(T::take(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// An RNG stream's state words.
+impl Wire for [u64; 4] {
+    const MIN_BYTES: usize = 32;
+
+    fn put(&self, w: &mut ByteWriter) {
+        for x in self {
+            x.put(w);
+        }
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok([u64::take(r)?, u64::take(r)?, u64::take(r)?, u64::take(r)?])
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, w: &mut ByteWriter) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
+        Ok((A::take(r)?, B::take(r)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Declarations.
+
+/// Implements [`Wire`] for a struct from one list that names each field
+/// once, in wire order, with the type it is stored as. A field stored at
+/// another width than its type's own says so: `table: TableId as u32`
+/// (the width implements [`WireAs`] for the field's type). A trailing
+/// `check f` runs `f(&value, reader)` on every decoded value, so a record
+/// that must validate keeps its one declaration.
+///
+/// `put` destructures the struct with no `..`, and `take` builds it from
+/// the same list, so a field added to the struct fails to compile until
+/// the declaration places it:
+///
+/// ```
+/// struct Pair {
+///     a: u64,
+///     b: usize,
+/// }
+///
+/// lpa_store::wire_record! {
+///     Pair {
+///         b: usize as u64,
+///         a: u64,
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail,E0063
+/// struct Pair {
+///     a: u64,
+///     b: u64,
+/// }
+///
+/// lpa_store::wire_record! {
+///     Pair {
+///         a: u64,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! wire_record {
+    ($ty:ty { $($field:ident: $fty:ty $(as $width:ty)?),* $(,)? } $(check $check:path)?) => {
+        impl $crate::codec::Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ $crate::wire_field!(min $fty $(as $width)?))*;
+
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                let Self { $($field),* } = self;
+                $($crate::wire_field!(put w, $field, $fty $(as $width)?);)*
+            }
+
+            fn take(
+                r: &mut $crate::codec::ByteReader,
+            ) -> ::core::result::Result<Self, $crate::StoreError> {
+                let value = Self { $($field: $crate::wire_field!(take r, $fty $(as $width)?)?),* };
+                $($check(&value, r)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum: one tag byte per variant, then the
+/// variant's fields in the order listed, declared as in [`wire_record!`]
+/// (`check` included; a one-field tuple variant names its field too).
+/// `put` matches every variant with no catch-all; `take` answers
+/// [`StoreError::Corrupt`] for a tag it does not know.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ty {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident: $fty:ty $(as $width:ty)?),* $(,)? })?
+            $(($tfield:ident: $tty:ty $(as $twidth:ty)?))?
+        ),* $(,)?
+    } $(check $check:path)?) => {
+        impl $crate::codec::Wire for $ty {
+            const MIN_BYTES: usize = 1;
+
+            fn put(&self, w: &mut $crate::codec::ByteWriter) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(($tfield))? => {
+                        <u8 as $crate::codec::Wire>::put(&$tag, w);
+                        $($($crate::wire_field!(put w, $field, $fty $(as $width)?);)*)?
+                        $($crate::wire_field!(put w, $tfield, $tty $(as $twidth)?);)?
+                    })*
+                }
+            }
+
+            fn take(
+                r: &mut $crate::codec::ByteReader,
+            ) -> ::core::result::Result<Self, $crate::StoreError> {
+                let value = match <u8 as $crate::codec::Wire>::take(r)? {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::wire_field!(take r, $fty $(as $width)?)?),* })?
+                        $(($crate::wire_field!(take r, $tty $(as $twidth)?)?))?,)*
+                    tag => {
+                        return Err($crate::StoreError::Corrupt(::std::format!(
+                            "{} tag {tag}",
+                            ::core::stringify!($ty)
+                        )))
+                    }
+                };
+                $($check(&value, r)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// One field of a [`wire_record!`] or [`wire_enum!`] declaration.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! wire_field {
+    (min $t:ty as $width:ty) => {
+        <$width as $crate::codec::Wire>::MIN_BYTES
+    };
+    (min $t:ty) => {
+        <$t as $crate::codec::Wire>::MIN_BYTES
+    };
+    (put $w:ident, $v:expr, $t:ty as $width:ty) => {
+        <$width as $crate::codec::WireAs<$t>>::put_as($v, $w)
+    };
+    (put $w:ident, $v:expr, $t:ty) => {
+        <$t as $crate::codec::Wire>::put($v, $w)
+    };
+    (take $r:ident, $t:ty as $width:ty) => {
+        <$width as $crate::codec::WireAs<$t>>::take_as($r)
+    };
+    (take $r:ident, $t:ty) => {
+        <$t as $crate::codec::Wire>::take($r)
+    };
 }
 
 #[cfg(test)]
@@ -481,53 +669,56 @@ mod tests {
     #[test]
     fn primitives_round_trip_bitwise() {
         let mut w = ByteWriter::new();
-        w.put_u8(0xAB);
-        w.put_bool(true);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_f32(-0.0f32);
-        w.put_f64(f64::NAN);
+        0xABu8.put(&mut w);
+        true.put(&mut w);
+        0xDEAD_BEEFu32.put(&mut w);
+        (u64::MAX - 1).put(&mut w);
+        (-0.0f32).put(&mut w);
+        f64::NAN.put(&mut w);
         w.put_str("partition");
-        w.put_f64s(&[1.5, -2.25]);
+        vec![1.5f64, -2.25].put(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.take_u8().unwrap(), 0xAB);
-        assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.take_f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert!(r.take_f64().unwrap().is_nan());
+        assert_eq!(u8::take(&mut r).unwrap(), 0xAB);
+        assert!(bool::take(&mut r).unwrap());
+        assert_eq!(u32::take(&mut r).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(u64::take(&mut r).unwrap(), u64::MAX - 1);
+        assert_eq!(f32::take(&mut r).unwrap().to_bits(), (-0.0f32).to_bits());
+        assert!(f64::take(&mut r).unwrap().is_nan());
         assert_eq!(r.take_str().unwrap(), "partition");
-        assert_eq!(r.take_f64s().unwrap(), vec![1.5, -2.25]);
+        assert_eq!(Vec::<f64>::take(&mut r).unwrap(), vec![1.5, -2.25]);
         r.finish().unwrap();
     }
 
     #[test]
     fn truncated_buffer_is_corrupt_not_panic() {
         let mut w = ByteWriter::new();
-        w.put_u64(7);
+        7u64.put(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes[..5]);
-        assert!(matches!(r.take_u64(), Err(StoreError::Corrupt(_))));
+        assert!(matches!(u64::take(&mut r), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
     fn absurd_length_is_rejected_before_allocation() {
         let mut w = ByteWriter::new();
-        w.put_u64(u64::MAX / 2); // claims ~9e18 elements
+        (u64::MAX / 2).put(&mut w); // claims ~9e18 elements
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        assert!(matches!(r.take_f64s(), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            Vec::<f64>::take(&mut r),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn trailing_garbage_fails_finish() {
         let mut w = ByteWriter::new();
-        w.put_u8(1);
-        w.put_u8(2);
+        1u8.put(&mut w);
+        2u8.put(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.take_u8().unwrap(), 1);
+        assert_eq!(u8::take(&mut r).unwrap(), 1);
         assert!(r.finish().is_err());
     }
 }

@@ -23,7 +23,7 @@
 //! [`StoreError::Incompatible`]; a tenant with no readable checkpoint
 //! restarts fresh with a restore error, never a panic.
 
-use crate::codec::{open, sealed_len};
+use crate::codec::{open, sealed_len, Wire};
 use crate::journal::{DeploymentJournal, JOURNAL_FILE};
 use crate::manifest::{load_manifest, save_manifest, FleetManifest, ManifestEntry};
 use crate::service::{capture_service, restore_parts};
@@ -107,11 +107,12 @@ pub fn read_segment<'s>(
         let rest = bytes.get(pos..).unwrap_or_default();
         let frame = sealed_len(rest, 1).and_then(|len| rest.get(..len));
         let read = |frame: &[u8]| -> Result<Option<TenantSnapshot>, StoreError> {
-            let (tag, mut r) = open(frame, &MAGIC, FORMAT_VERSION, 1)?;
-            let Some(schema) = schema_of(r.clone().take_u64()?) else {
+            let (tag, r) = open(frame, &MAGIC, FORMAT_VERSION, 1)?;
+            let Some(schema) = schema_of(u64::take(&mut r.clone())?) else {
                 return Ok(None);
             };
-            let ck = Checkpoint::decode_payload(tag.first().copied().unwrap_or(0), &mut r, schema)?;
+            let mut r = r.with_schema(schema);
+            let ck = Checkpoint::decode_payload(tag.first().copied().unwrap_or(0), &mut r)?;
             r.finish()?;
             ck.into_tenant().map(Some)
         };

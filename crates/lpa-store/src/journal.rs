@@ -23,10 +23,9 @@
 //! DeploymentJournal::replay`] deduplicates them, and the replayed log of
 //! an interrupted run equals the log of the uninterrupted one.
 
-use crate::codec::{crc32, ByteReader, ByteWriter};
-use crate::snapshot::{put_window_observation, take_window_observation};
-use crate::StoreError;
-use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason};
+use crate::codec::{crc32, ByteReader, ByteWriter, Wire};
+use crate::{wire_enum, wire_record, StoreError};
+use lpa_cluster::{GuardrailEvent, LayoutDigest, RejectReason, RollbackReason, WindowObservation};
 use lpa_service::JournalRecord;
 use std::collections::HashSet;
 use std::io::Write;
@@ -46,186 +45,91 @@ const FRAME_HEADER_LEN: usize = 4 + 4;
 // ---------------------------------------------------------------------------
 // Record codec.
 
-fn put_digest(w: &mut ByteWriter, d: &LayoutDigest) {
-    w.put_u64s(&d.tables);
-    w.put_bools(&d.edges);
-}
-
-fn take_digest(r: &mut ByteReader) -> Result<LayoutDigest, StoreError> {
-    Ok(LayoutDigest {
-        tables: r.take_u64s()?,
-        edges: r.take_bools()?,
-    })
-}
-
-fn reject_tag(r: RejectReason) -> u8 {
-    match r {
-        RejectReason::CoolDown => 0,
-        RejectReason::TenantBudget => 1,
-        RejectReason::FleetBudget => 2,
-        RejectReason::DegradedBaseline => 3,
+wire_record! {
+    LayoutDigest {
+        tables: Vec<u64>,
+        edges: Vec<bool>,
     }
 }
 
-fn reject_from_tag(t: u8) -> Result<RejectReason, StoreError> {
-    match t {
-        0 => Ok(RejectReason::CoolDown),
-        1 => Ok(RejectReason::TenantBudget),
-        2 => Ok(RejectReason::FleetBudget),
-        3 => Ok(RejectReason::DegradedBaseline),
-        t => Err(StoreError::Corrupt(format!(
-            "journal reject reason tag {t}"
-        ))),
+wire_enum! {
+    RejectReason {
+        0 => CoolDown,
+        1 => TenantBudget,
+        2 => FleetBudget,
+        3 => DegradedBaseline,
     }
 }
 
-fn rollback_tag(r: RollbackReason) -> u8 {
-    match r {
-        RollbackReason::ObservedRegression => 0,
-        RollbackReason::DegradedEvidence => 1,
+wire_enum! {
+    RollbackReason {
+        0 => ObservedRegression,
+        1 => DegradedEvidence,
     }
 }
 
-fn rollback_from_tag(t: u8) -> Result<RollbackReason, StoreError> {
-    match t {
-        0 => Ok(RollbackReason::ObservedRegression),
-        1 => Ok(RollbackReason::DegradedEvidence),
-        t => Err(StoreError::Corrupt(format!(
-            "journal rollback reason tag {t}"
-        ))),
+wire_enum! {
+    GuardrailEvent {
+        0 => KeptCurrent {
+            window: u64,
+            benefit_per_run: f64,
+            repartition_cost: f64,
+        },
+        1 => StageRejected {
+            window: u64,
+            reason: RejectReason,
+        },
+        2 => CanaryStarted {
+            window: u64,
+            candidate: LayoutDigest,
+            previous: LayoutDigest,
+            baseline_seconds: f64,
+            benefit_per_run: f64,
+            repartition_cost: f64,
+        },
+        3 => CanaryObserved {
+            window: u64,
+            observed: WindowObservation,
+        },
+        4 => CanaryExtended {
+            window: u64,
+            inconclusive: u32,
+        },
+        5 => Committed {
+            window: u64,
+            mean_observed: f64,
+            baseline_seconds: f64,
+        },
+        6 => RolledBack {
+            window: u64,
+            reason: RollbackReason,
+            mean_observed: f64,
+            baseline_seconds: f64,
+            rollback_seconds: f64,
+            restored: LayoutDigest,
+        },
+    }
+}
+
+wire_record! {
+    JournalRecord {
+        tenant: u64,
+        round: u64,
+        event: GuardrailEvent,
     }
 }
 
 fn encode_record(rec: &JournalRecord) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(rec.tenant);
-    w.put_u64(rec.round);
-    match &rec.event {
-        GuardrailEvent::KeptCurrent {
-            window,
-            benefit_per_run,
-            repartition_cost,
-        } => {
-            w.put_u8(0);
-            w.put_u64(*window);
-            w.put_f64(*benefit_per_run);
-            w.put_f64(*repartition_cost);
-        }
-        GuardrailEvent::StageRejected { window, reason } => {
-            w.put_u8(1);
-            w.put_u64(*window);
-            w.put_u8(reject_tag(*reason));
-        }
-        GuardrailEvent::CanaryStarted {
-            window,
-            candidate,
-            previous,
-            baseline_seconds,
-            benefit_per_run,
-            repartition_cost,
-        } => {
-            w.put_u8(2);
-            w.put_u64(*window);
-            put_digest(&mut w, candidate);
-            put_digest(&mut w, previous);
-            w.put_f64(*baseline_seconds);
-            w.put_f64(*benefit_per_run);
-            w.put_f64(*repartition_cost);
-        }
-        GuardrailEvent::CanaryObserved { window, observed } => {
-            w.put_u8(3);
-            w.put_u64(*window);
-            put_window_observation(&mut w, observed);
-        }
-        GuardrailEvent::CanaryExtended {
-            window,
-            inconclusive,
-        } => {
-            w.put_u8(4);
-            w.put_u64(*window);
-            w.put_u32(*inconclusive);
-        }
-        GuardrailEvent::Committed {
-            window,
-            mean_observed,
-            baseline_seconds,
-        } => {
-            w.put_u8(5);
-            w.put_u64(*window);
-            w.put_f64(*mean_observed);
-            w.put_f64(*baseline_seconds);
-        }
-        GuardrailEvent::RolledBack {
-            window,
-            reason,
-            mean_observed,
-            baseline_seconds,
-            rollback_seconds,
-            restored,
-        } => {
-            w.put_u8(6);
-            w.put_u64(*window);
-            w.put_u8(rollback_tag(*reason));
-            w.put_f64(*mean_observed);
-            w.put_f64(*baseline_seconds);
-            w.put_f64(*rollback_seconds);
-            put_digest(&mut w, restored);
-        }
-    }
+    rec.put(&mut w);
     w.into_inner()
 }
 
 fn decode_record(payload: &[u8]) -> Result<JournalRecord, StoreError> {
     let mut r = ByteReader::new(payload);
-    let tenant = r.take_u64()?;
-    let round = r.take_u64()?;
-    let event = match r.take_u8()? {
-        0 => GuardrailEvent::KeptCurrent {
-            window: r.take_u64()?,
-            benefit_per_run: r.take_f64()?,
-            repartition_cost: r.take_f64()?,
-        },
-        1 => GuardrailEvent::StageRejected {
-            window: r.take_u64()?,
-            reason: reject_from_tag(r.take_u8()?)?,
-        },
-        2 => GuardrailEvent::CanaryStarted {
-            window: r.take_u64()?,
-            candidate: take_digest(&mut r)?,
-            previous: take_digest(&mut r)?,
-            baseline_seconds: r.take_f64()?,
-            benefit_per_run: r.take_f64()?,
-            repartition_cost: r.take_f64()?,
-        },
-        3 => GuardrailEvent::CanaryObserved {
-            window: r.take_u64()?,
-            observed: take_window_observation(&mut r)?,
-        },
-        4 => GuardrailEvent::CanaryExtended {
-            window: r.take_u64()?,
-            inconclusive: r.take_u32()?,
-        },
-        5 => GuardrailEvent::Committed {
-            window: r.take_u64()?,
-            mean_observed: r.take_f64()?,
-            baseline_seconds: r.take_f64()?,
-        },
-        6 => GuardrailEvent::RolledBack {
-            window: r.take_u64()?,
-            reason: rollback_from_tag(r.take_u8()?)?,
-            mean_observed: r.take_f64()?,
-            baseline_seconds: r.take_f64()?,
-            rollback_seconds: r.take_f64()?,
-            restored: take_digest(&mut r)?,
-        },
-        t => return Err(StoreError::Corrupt(format!("journal event tag {t}"))),
-    };
+    let record = JournalRecord::take(&mut r)?;
     r.finish()?;
-    Ok(JournalRecord {
-        tenant,
-        round,
-        event,
-    })
+    Ok(record)
 }
 
 // ---------------------------------------------------------------------------

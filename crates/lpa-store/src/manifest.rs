@@ -18,9 +18,9 @@
 //! intact manifest of another version names another layout and answers
 //! [`StoreError::Incompatible`].
 
-use crate::codec::{open, seal, ByteWriter};
+use crate::codec::{open, seal, ByteWriter, Wire};
 use crate::store::atomic_write;
-use crate::StoreError;
+use crate::{wire_record, StoreError};
 use std::path::Path;
 
 /// First bytes of a manifest file (distinct from checkpoint `MAGIC`).
@@ -59,40 +59,34 @@ pub struct FleetManifest {
     pub entries: Vec<ManifestEntry>,
 }
 
+wire_record! {
+    ManifestEntry {
+        tenant: u64,
+        sequence: u64,
+    }
+}
+
+wire_record! {
+    FleetManifest {
+        round: u64,
+        rejected_admissions: u64,
+        stage_rounds: Vec<u64>,
+        entries: Vec<ManifestEntry>,
+    }
+}
+
 impl FleetManifest {
     fn encode(&self) -> Vec<u8> {
         let mut payload = ByteWriter::new();
-        payload.put_u64(self.round);
-        payload.put_u64(self.rejected_admissions);
-        payload.put_u64s(&self.stage_rounds);
-        payload.put_usize(self.entries.len());
-        for e in &self.entries {
-            payload.put_u64(e.tenant);
-            payload.put_u64(e.sequence);
-        }
+        self.put(&mut payload);
         seal(&MANIFEST_MAGIC, MANIFEST_VERSION, &[], payload.bytes())
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let (_, mut r) = open(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, 0)?;
-        let round = r.take_u64()?;
-        let rejected_admissions = r.take_u64()?;
-        let stage_rounds = r.take_u64s()?;
-        let n = r.take_len(16)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(ManifestEntry {
-                tenant: r.take_u64()?,
-                sequence: r.take_u64()?,
-            });
-        }
+        let manifest = Self::take(&mut r)?;
         r.finish()?;
-        Ok(Self {
-            round,
-            rejected_admissions,
-            stage_rounds,
-            entries,
-        })
+        Ok(manifest)
     }
 
     /// The recorded sequence for `tenant`, if present.

@@ -10,15 +10,17 @@
 //! the workload, the cost model, and (online) a freshly built cluster over
 //! the same data seed. Everything mutable comes from the snapshot.
 
-use crate::snapshot::{restore_engine, BackendState, Checkpoint, SessionSnapshot};
+use crate::snapshot::{BackendState, Checkpoint, SessionSnapshot};
 use crate::store::CheckpointStore;
 use crate::StoreError;
 use lpa_advisor::{
-    shared_cluster, Advisor, AdvisorEnv, OnlineBackend, RewardBackend, RuntimeCache,
+    shared_cluster, Advisor, AdvisorEnv, DeltaCostEngine, OnlineBackend, RewardBackend,
+    RuntimeCache,
 };
 use lpa_cluster::{Cluster, FaultPlan};
 use lpa_costmodel::NetworkCostModel;
-use lpa_rl::{DqnAgent, EpisodeStats};
+use lpa_nn::Mlp;
+use lpa_rl::{DqnAgent, EpisodeStats, QEnvironment};
 use lpa_schema::Schema;
 use lpa_workload::Workload;
 use std::sync::{Arc, Mutex};
@@ -51,118 +53,173 @@ pub struct OnlineTemplate {
     pub fault_plan_override: Option<FaultPlan>,
 }
 
-/// Restore an offline advisor session from a snapshot.
+/// Restore an offline advisor session from a snapshot. `Incompatible`
+/// when the snapshot holds an online backend or networks that do not fit
+/// the template (see [`restore_session`]).
 pub fn restore_offline(
     snap: SessionSnapshot,
     template: &OfflineTemplate,
 ) -> Result<Advisor, StoreError> {
-    let BackendState::Offline {
-        mode,
-        interner,
-        memo,
-        costs,
-        current,
-        stats,
-    } = snap.backend
-    else {
-        return Err(StoreError::Incompatible(
-            "snapshot holds an online backend; use restore_online".to_string(),
-        ));
-    };
-    let engine = restore_engine(
-        template.model.clone(),
-        mode,
-        interner,
-        memo,
-        costs,
-        current,
-        stats,
-    );
-    let env = AdvisorEnv::for_restore(
+    restore_session(
+        snap,
         template.schema.clone(),
         template.workload.clone(),
-        RewardBackend::CostModel(Box::new(engine)),
-        snap.sampler,
-        snap.allow_compound,
-        snap.reward_scale,
-        snap.env_rng,
-    );
-    let agent = DqnAgent::from_raw_parts(
-        snap.cfg,
-        snap.q,
-        snap.target,
-        snap.opt,
-        snap.epsilon,
-        snap.buffer,
-        snap.agent_rng,
-    );
-    Ok(Advisor::from_parts(env, agent))
+        |backend| {
+            let BackendState::Offline {
+                mode,
+                interner,
+                memo,
+                costs,
+                current,
+                stats,
+            } = backend
+            else {
+                return Err(StoreError::Incompatible(
+                    "snapshot holds an online backend; use restore_online".to_string(),
+                ));
+            };
+            // The inverted indexes are not persisted: `restore_state` clears
+            // them and they rebuild lazily on the next reward, identically.
+            let mut engine = DeltaCostEngine::new(template.model.clone(), mode);
+            engine.restore_state(interner, memo, costs, current, stats);
+            Ok(RewardBackend::CostModel(Box::new(engine)))
+        },
+    )
 }
 
-/// Restore an online advisor session from a snapshot.
+/// Restore an online advisor session from a snapshot. `Incompatible` as
+/// for [`restore_offline`], and when the template's cluster refuses the
+/// snapshot's cluster state.
 pub fn restore_online(
     snap: SessionSnapshot,
     template: OnlineTemplate,
 ) -> Result<Advisor, StoreError> {
-    let BackendState::Online {
-        mut resume,
-        cluster: mut cluster_state,
-        cache_interner,
-        cache_entries,
-        cache_hits,
-        cache_misses,
-    } = snap.backend
-    else {
-        return Err(StoreError::Incompatible(
-            "snapshot holds an offline backend; use restore_offline".to_string(),
-        ));
-    };
-    if let Some(plan) = template.fault_plan_override {
-        cluster_state.faults = plan;
-    }
-    let mut cluster = template.cluster;
-    cluster
-        .restore_resume_state(cluster_state)
-        .map_err(StoreError::Incompatible)?;
-    let mut cache =
-        RuntimeCache::from_parts(cache_interner, cache_entries, cache_hits, cache_misses);
-    // A snapshot taken mid-outage carries degraded-tagged entries. If the
-    // outage is over by the time we restore (e.g. the fault plan was
-    // replaced), the usual recovery-event invalidation never fires — the
-    // lookup path only compares against the *current* fault state — so
-    // drop them here and account for it.
-    if !cluster.fault_state().any_fault() {
-        let dropped = cache.drop_degraded();
-        resume.faults.cache_invalidations += dropped as u64;
-    }
-    let mut backend = OnlineBackend::new(
-        shared_cluster(cluster),
-        Arc::new(Mutex::new(cache)),
-        resume.scale.clone(),
-        resume.opts,
-    );
-    if let Some(model) = template.fallback {
-        backend = backend.with_fallback(model, template.schema.clone());
-    }
-    backend.restore_resume_state(resume);
+    let OnlineTemplate {
+        schema,
+        workload,
+        mut cluster,
+        fallback,
+        fault_plan_override,
+    } = template;
+    let fallback = fallback.map(|model| (model, schema.clone()));
+    restore_session(snap, schema, workload, move |backend| {
+        let BackendState::Online {
+            mut resume,
+            cluster: mut cluster_state,
+            cache_interner,
+            cache_entries,
+            cache_hits,
+            cache_misses,
+        } = backend
+        else {
+            return Err(StoreError::Incompatible(
+                "snapshot holds an offline backend; use restore_offline".to_string(),
+            ));
+        };
+        if let Some(plan) = fault_plan_override {
+            cluster_state.faults = plan;
+        }
+        cluster
+            .restore_resume_state(cluster_state)
+            .map_err(StoreError::Incompatible)?;
+        let mut cache =
+            RuntimeCache::from_parts(cache_interner, cache_entries, cache_hits, cache_misses);
+        // A snapshot taken mid-outage carries degraded-tagged entries. If
+        // the outage is over by the time we restore (e.g. the fault plan was
+        // replaced), the usual recovery-event invalidation never fires —
+        // the lookup path only compares against the *current* fault state —
+        // so drop them here and account for it.
+        if !cluster.fault_state().any_fault() {
+            let dropped = cache.drop_degraded();
+            resume.faults.cache_invalidations += dropped as u64;
+        }
+        let mut backend = OnlineBackend::new(
+            shared_cluster(cluster),
+            Arc::new(Mutex::new(cache)),
+            resume.scale.clone(),
+            resume.opts,
+        );
+        if let Some((model, schema)) = fallback {
+            backend = backend.with_fallback(model, schema);
+        }
+        backend.restore_resume_state(resume);
+        Ok(RewardBackend::Cluster(Box::new(backend)))
+    })
+}
+
+/// The environment over `schema` and `workload` with the reward backend
+/// `backend` rebuilds from the snapshot's, and the agent the snapshot
+/// holds — checked to fit that environment first: a network the
+/// environment does not feed would fail its first forward pass or
+/// optimizer step with a panic, far from the restore that caused it. So
+/// `q` and `target` must read the environment's input width and have the
+/// same layer shapes, and the optimizer must hold one moment set per layer
+/// of `q`, each as long as the layer's weights and bias. Otherwise
+/// `Incompatible`.
+fn restore_session(
+    snap: SessionSnapshot,
+    schema: Schema,
+    workload: Workload,
+    backend: impl FnOnce(BackendState) -> Result<RewardBackend, StoreError>,
+) -> Result<Advisor, StoreError> {
+    let SessionSnapshot {
+        episode: _,
+        cfg,
+        q,
+        target,
+        opt,
+        epsilon,
+        buffer,
+        agent_rng,
+        sampler,
+        backend: state,
+        reward_scale,
+        env_rng,
+        allow_compound,
+    } = snap;
     let env = AdvisorEnv::for_restore(
-        template.schema,
-        template.workload,
-        RewardBackend::Cluster(Box::new(backend)),
-        snap.sampler,
-        snap.allow_compound,
-        snap.reward_scale,
-        snap.env_rng,
+        schema,
+        workload,
+        backend(state)?,
+        sampler,
+        allow_compound,
+        reward_scale,
+        env_rng,
     );
-    let agent = DqnAgent::from_raw_parts(
-        snap.cfg,
-        snap.q,
-        snap.target,
-        snap.opt,
-        snap.epsilon,
-        snap.buffer,
-        snap.agent_rng,
-    );
+    let shape = |m: &Mlp| -> Vec<(usize, usize)> {
+        m.layers()
+            .iter()
+            .map(|l| (l.input_dim(), l.output_dim()))
+            .collect()
+    };
+    let q_shape = shape(&q);
+    let reads = q_shape.first().map(|&(input, _)| input);
+    if reads != Some(env.input_dim()) {
+        return Err(StoreError::Incompatible(format!(
+            "the network reads {reads:?} inputs, the environment encodes {}",
+            env.input_dim()
+        )));
+    }
+    if shape(&target) != q_shape {
+        return Err(StoreError::Incompatible(format!(
+            "target network layers {:?}, Q network layers {q_shape:?}",
+            shape(&target)
+        )));
+    }
+    let moments = opt.layer_moments();
+    let fits = moments.len() == q.layers().len()
+        && moments.iter().zip(q.layers()).all(|((mw, vw, mb, vb), l)| {
+            mw.len() == l.w.data().len()
+                && vw.len() == mw.len()
+                && mb.len() == l.b.len()
+                && vb.len() == mb.len()
+        });
+    if !fits {
+        return Err(StoreError::Incompatible(
+            "optimizer moments do not match the Q network's layers".to_string(),
+        ));
+    }
+    let agent = DqnAgent::from_raw_parts(cfg, q, target, opt, epsilon, buffer, agent_rng);
     Ok(Advisor::from_parts(env, agent))
 }
 

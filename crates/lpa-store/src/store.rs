@@ -66,8 +66,9 @@ pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     reason = "open returns a tag of the one byte requested"
 )]
 pub fn decode_checkpoint(bytes: &[u8], schema: &Schema) -> Result<Checkpoint, StoreError> {
-    let (tag, mut r) = open(bytes, &MAGIC, FORMAT_VERSION, 1)?;
-    let ck = Checkpoint::decode_payload(tag[0], &mut r, schema)?;
+    let (tag, r) = open(bytes, &MAGIC, FORMAT_VERSION, 1)?;
+    let mut r = r.with_schema(schema);
+    let ck = Checkpoint::decode_payload(tag[0], &mut r)?;
     r.finish()?;
     Ok(ck)
 }
@@ -136,33 +137,29 @@ pub(crate) fn numbered_files(dir: &Path, prefix: &str) -> Vec<(u64, PathBuf)> {
     out
 }
 
+/// Checkpoints a [`CheckpointStore`] retains: the newest, and one good
+/// predecessor a corrupt newest file falls back to.
+const KEEP: usize = 2;
+
 /// A directory of numbered checkpoint files (`ckpt-NNNNNNNN.lpa`) with
 /// retention and last-good fallback on load.
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    keep: usize,
     counters: EnvCounters,
 }
 
 impl CheckpointStore {
     /// Open (creating if needed) a checkpoint directory. Keeps the last
-    /// two checkpoints by default so a corrupt newest file still leaves a
-    /// good predecessor.
+    /// two checkpoints so a corrupt newest file still leaves a good
+    /// predecessor.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
-            keep: 2,
             counters: EnvCounters::default(),
         })
-    }
-
-    /// Retain this many newest checkpoints (minimum 1).
-    pub fn with_keep(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
-        self
     }
 
     pub fn dir(&self) -> &Path {
@@ -190,7 +187,7 @@ impl CheckpointStore {
     /// checkpoints beyond the retention count (oldest first).
     #[expect(
         clippy::indexing_slicing,
-        reason = "the prefix is taken only when files.len() > keep"
+        reason = "the prefix is taken only when files.len() > KEEP"
     )]
     pub fn save(&mut self, ck: &Checkpoint) -> Result<PathBuf, StoreError> {
         let bytes = encode_checkpoint(ck);
@@ -198,8 +195,8 @@ impl CheckpointStore {
         atomic_write(&path, &bytes)?;
         self.counters.checkpoints_written += 1;
         let files = self.list();
-        if files.len() > self.keep {
-            for (_, old) in &files[..files.len() - self.keep] {
+        if files.len() > KEEP {
+            for (_, old) in &files[..files.len() - KEEP] {
                 let _ = std::fs::remove_file(old);
             }
         }

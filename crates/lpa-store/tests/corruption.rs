@@ -302,7 +302,7 @@ fn retention_prunes_oldest_but_keeps_a_fallback() {
         true,
     );
     let dir = test_dir("retention");
-    let mut store = CheckpointStore::open(&dir).unwrap().with_keep(2);
+    let mut store = CheckpointStore::open(&dir).unwrap();
     for seq in 0..5u64 {
         store
             .save(&Checkpoint::Session(capture_advisor(seq, &advisor)))
@@ -381,7 +381,7 @@ fn older_format_tenant_checkpoints_are_refused_and_cost_only_their_tenant() {
 /// `Incompatible`, not a fleet whose every tenant is quarantined.
 #[test]
 fn an_older_manifest_is_incompatible() {
-    use lpa_store::codec::{seal, ByteWriter};
+    use lpa_store::codec::{seal, ByteWriter, Wire};
     use lpa_store::MANIFEST_MAGIC;
 
     let dir = test_dir("manifest-v2");
@@ -392,12 +392,12 @@ fn an_older_manifest_is_incompatible() {
     )
     .unwrap();
     let mut payload = ByteWriter::new();
-    payload.put_u64(2); // round
-    payload.put_u64(0); // rejected admissions
-    payload.put_u64s(&[]); // stage rounds
+    2u64.put(&mut payload); // round
+    0u64.put(&mut payload); // rejected admissions
+    Vec::<u64>::new().put(&mut payload); // stage rounds
     payload.put_usize(1);
-    payload.put_u64(0); // tenant 0 ...
-    payload.put_u64(2); // ... at sequence 2
+    0u64.put(&mut payload); // tenant 0 ...
+    2u64.put(&mut payload); // ... at sequence 2
     let v2 = seal(&MANIFEST_MAGIC, 2, &[], payload.bytes());
     lpa_store::atomic_write(&dir.join(lpa_store::MANIFEST_FILE), &v2).unwrap();
 
@@ -538,15 +538,14 @@ fn malformed_query_in_a_well_framed_service_checkpoint_is_corrupt() {
 /// sampler whose first draw indexes out of bounds.
 #[test]
 fn a_cycling_sampler_without_vectors_is_corrupt() {
-    use lpa_store::codec::{ByteReader, ByteWriter};
-    use lpa_store::snapshot::take_sampler;
+    use lpa_store::codec::{ByteReader, ByteWriter, Wire};
 
     let mut w = ByteWriter::new();
-    w.put_u8(3);
+    3u8.put(&mut w);
     w.put_usize(0);
     w.put_usize(0);
     let bytes = w.into_inner();
-    let decoded = take_sampler(&mut ByteReader::new(&bytes));
+    let decoded = MixSampler::take(&mut ByteReader::new(&bytes));
     assert!(
         matches!(decoded, Err(StoreError::Corrupt(_))),
         "{decoded:?}"

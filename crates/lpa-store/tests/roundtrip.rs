@@ -11,11 +11,7 @@ use lpa_costmodel::{CostParams, NetworkCostModel};
 use lpa_nn::{Adam, Matrix, Mlp};
 use lpa_partition::{Action, KeyInterner, Partitioning};
 use lpa_rl::{DqnConfig, ReplayBuffer, Transition};
-use lpa_store::codec::{ByteReader, ByteWriter};
-use lpa_store::snapshot::{
-    put_adam, put_buffer, put_interner, put_mlp, put_rng, put_sampler, take_adam, take_buffer,
-    take_interner, take_mlp, take_rng, take_sampler,
-};
+use lpa_store::codec::{ByteReader, ByteWriter, Wire};
 use lpa_store::{decode_checkpoint, encode_checkpoint, Checkpoint, SessionSnapshot};
 use lpa_workload::{MixSampler, Workload};
 use rand::rngs::StdRng;
@@ -62,16 +58,16 @@ fn trained_net() -> (Mlp, Adam) {
 #[test]
 fn mlp_round_trips_bit_exactly() {
     let (net, _) = trained_net();
-    let bytes = encode_with(|w| put_mlp(w, &net));
+    let bytes = encode_with(|w| net.put(w));
     let mut r = ByteReader::new(&bytes);
-    let back = take_mlp(&mut r).unwrap();
+    let back = Mlp::take(&mut r).unwrap();
     r.finish().unwrap();
     assert_eq!(
         mlp_bits(&back),
         mlp_bits(&net),
         "weights must not lose a bit"
     );
-    let again = encode_with(|w| put_mlp(w, &back));
+    let again = encode_with(|w| back.put(w));
     assert_eq!(again, bytes, "re-encode must be byte-identical");
 }
 
@@ -79,9 +75,9 @@ fn mlp_round_trips_bit_exactly() {
 fn adam_round_trips_bit_exactly() {
     let (_, adam) = trained_net();
     assert!(adam.step_count() > 0, "fixture must have stepped");
-    let bytes = encode_with(|w| put_adam(w, &adam));
+    let bytes = encode_with(|w| adam.put(w));
     let mut r = ByteReader::new(&bytes);
-    let back = take_adam(&mut r).unwrap();
+    let back = Adam::take(&mut r).unwrap();
     r.finish().unwrap();
     assert_eq!(back.step_count(), adam.step_count());
     assert_eq!(back.lr.to_bits(), adam.lr.to_bits());
@@ -94,7 +90,7 @@ fn adam_round_trips_bit_exactly() {
         assert_eq!(bits(mb), bits(mb2));
         assert_eq!(bits(vb), bits(vb2));
     }
-    let again = encode_with(|w| put_adam(w, &back));
+    let again = encode_with(|w| back.put(w));
     assert_eq!(again, bytes);
 }
 
@@ -126,9 +122,9 @@ fn replay_buffer_round_trips_including_ring_head() {
         buf.push(transition(i));
     }
     assert_ne!(buf.head(), 0, "fixture must exercise a wrapped ring");
-    let bytes = encode_with(|w| put_buffer(w, &buf));
-    let mut r = ByteReader::new(&bytes);
-    let back = take_buffer(&mut r, &schema).unwrap();
+    let bytes = encode_with(|w| buf.put(w));
+    let mut r = ByteReader::new(&bytes).with_schema(&schema);
+    let back = ReplayBuffer::take(&mut r).unwrap();
     r.finish().unwrap();
     assert_eq!(back.capacity(), buf.capacity());
     assert_eq!(back.head(), buf.head());
@@ -139,7 +135,7 @@ fn replay_buffer_round_trips_including_ring_head() {
         assert_eq!(a.state.partitioning, b.state.partitioning);
         assert_eq!(a.next_state.partitioning, b.next_state.partitioning);
     }
-    let again = encode_with(|w| put_buffer(w, &back));
+    let again = encode_with(|w| back.put(w));
     assert_eq!(again, bytes);
 }
 
@@ -159,14 +155,14 @@ fn key_interner_round_trips_with_ids_preserved() {
         p = actions[step % actions.len()].apply(&schema, &p).unwrap();
     }
     assert!(!interner.entries().is_empty());
-    let bytes = encode_with(|w| put_interner(w, &interner));
+    let bytes = encode_with(|w| interner.put(w));
     let mut r = ByteReader::new(&bytes);
-    let mut back = take_interner(&mut r).unwrap();
+    let mut back = KeyInterner::take(&mut r).unwrap();
     r.finish().unwrap();
     // Every key must map to the same dense id — an aliased id would point
     // cached rewards at the wrong partitioning after resume.
     assert_eq!(back.entries(), interner.entries());
-    let again = encode_with(|w| put_interner(w, &back));
+    let again = encode_with(|w| back.put(w));
     assert_eq!(again, bytes);
     // And the restored interner must keep assigning fresh ids after the
     // persisted ones, not collide with them.
@@ -192,11 +188,11 @@ fn cycling_sampler_round_trips_after_a_full_cycle() {
     let mut sampler = MixSampler::cycle(vectors);
     let mut rng = StdRng::seed_from_u64(5);
     for draws in 0..7 {
-        let bytes = encode_with(|w| put_sampler(w, &sampler));
+        let bytes = encode_with(|w| sampler.put(w));
         let mut r = ByteReader::new(&bytes);
-        let mut back = take_sampler(&mut r).unwrap_or_else(|e| panic!("after {draws}: {e:?}"));
+        let mut back = MixSampler::take(&mut r).unwrap_or_else(|e| panic!("after {draws}: {e:?}"));
         r.finish().unwrap();
-        assert_eq!(encode_with(|w| put_sampler(w, &back)), bytes);
+        assert_eq!(encode_with(|w| back.put(w)), bytes);
         for _ in 0..3 {
             let (want, got) = (sampler.clone().sample(&mut rng), back.sample(&mut rng));
             assert_eq!(want.as_slice(), got.as_slice(), "after {draws} draws");
@@ -213,12 +209,12 @@ fn rng_state_round_trips_and_resumes_the_stream() {
         let _: f64 = rng.gen_range(0.0..1.0);
     }
     let state = rng.state();
-    let bytes = encode_with(|w| put_rng(w, &state));
+    let bytes = encode_with(|w| state.put(w));
     let mut r = ByteReader::new(&bytes);
-    let back = take_rng(&mut r).unwrap();
+    let back = <[u64; 4]>::take(&mut r).unwrap();
     r.finish().unwrap();
     assert_eq!(back, state);
-    let again = encode_with(|w| put_rng(w, &back));
+    let again = encode_with(|w| back.put(w));
     assert_eq!(again, bytes);
     // The restored generator must produce the exact same future stream.
     let mut resumed = StdRng::from_state(back);
@@ -255,6 +251,58 @@ fn full_session_checkpoint_round_trips_byte_identically() {
     assert_eq!(back.sequence(), 5);
     let again = encode_checkpoint(&back);
     assert_eq!(again, bytes, "decode → encode must reproduce the file");
+}
+
+/// A snapshot restores only into a template whose environment feeds its
+/// networks. The micro session's Q network reads 24 inputs; the same
+/// workload with two reserved slots encodes 26, and restoring into it must
+/// answer `Incompatible` instead of handing back an advisor whose first
+/// `suggest` panics on a matrix product. So must a target network of
+/// another shape and optimizer moments of another network.
+#[test]
+fn restore_refuses_networks_that_do_not_fit_the_template() {
+    use lpa_store::{restore_offline, OfflineTemplate, StoreError};
+
+    let (schema, ck) = offline_session();
+    let bytes = encode_checkpoint(&ck);
+    let snapshot = || {
+        decode_checkpoint(&bytes, &schema)
+            .unwrap()
+            .into_session()
+            .unwrap()
+    };
+    let (_, workload) = micro();
+    let template = |workload: Workload| OfflineTemplate {
+        schema: schema.clone(),
+        workload,
+        model: NetworkCostModel::new(CostParams::standard()),
+    };
+    let mut advisor = restore_offline(snapshot(), &template(workload.clone())).unwrap();
+    let _ = advisor.suggest(&workload.uniform_frequencies());
+
+    let wider = template(workload.clone().with_reserved_slots(2));
+    let refused = restore_offline(snapshot(), &wider).map(|_| ());
+    assert!(
+        matches!(refused, Err(StoreError::Incompatible(_))),
+        "{refused:?}"
+    );
+
+    let mut rng = StdRng::seed_from_u64(3);
+    let other = Mlp::new(&[24, 4, 1], &mut rng);
+    let mut snap = snapshot();
+    snap.target = other.clone();
+    let refused = restore_offline(snap, &template(workload.clone())).map(|_| ());
+    assert!(
+        matches!(refused, Err(StoreError::Incompatible(_))),
+        "{refused:?}"
+    );
+    let mut snap = snapshot();
+    snap.opt = Adam::new(1e-3, other.layers());
+    let refused = restore_offline(snap, &template(workload)).map(|_| ());
+    assert!(
+        matches!(refused, Err(StoreError::Incompatible(_))),
+        "{refused:?}"
+    );
 }
 
 /// The service snapshot carries only what no template rebuilds: a service
@@ -873,18 +921,15 @@ fn samplers_reproduce_their_v5_golden() {
         )),
         cycle,
     ];
-    let bytes = encode_with(|w| samplers.iter().for_each(|s| put_sampler(w, s)));
+    let bytes = encode_with(|w| samplers.iter().for_each(|s| s.put(w)));
     assert_golden("samplers.bin", &bytes);
     let golden = std::fs::read(golden_path("samplers.bin")).unwrap();
     let mut r = ByteReader::new(&golden);
     let back: Vec<MixSampler> = (0..samplers.len())
-        .map(|_| take_sampler(&mut r).unwrap())
+        .map(|_| MixSampler::take(&mut r).unwrap())
         .collect();
     r.finish().unwrap();
-    assert_eq!(
-        encode_with(|w| back.iter().for_each(|s| put_sampler(w, s))),
-        golden
-    );
+    assert_eq!(encode_with(|w| back.iter().for_each(|s| s.put(w))), golden);
 }
 
 #[test]

@@ -456,9 +456,9 @@ fn debug_poison_dynamics() {
 // and candidate streams (seed-indexed loops, matching the repo's
 // `property_based.rs` idiom — no proptest dependency).
 
+use lpa::cluster::GuardrailResumeState;
 use lpa::cluster::{Cluster, ClusterConfig, EngineProfile, Guardrail, HardwareProfile};
-use lpa::store::codec::{ByteReader, ByteWriter};
-use lpa::store::snapshot::{put_guardrail_state, take_guardrail_state};
+use lpa::store::codec::{ByteReader, ByteWriter, Wire};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -536,9 +536,9 @@ fn drive(
         cluster.advance_clock(1.0);
         if serialize_each_window {
             let mut w = ByteWriter::new();
-            put_guardrail_state(&mut w, &guard.resume_state());
-            let mut r = ByteReader::new(w.bytes());
-            let state = take_guardrail_state(&mut r, &schema).expect("state decodes");
+            guard.resume_state().put(&mut w);
+            let mut r = ByteReader::new(w.bytes()).with_schema(&schema);
+            let state = GuardrailResumeState::take(&mut r).expect("state decodes");
             r.finish().expect("no trailing bytes");
             guard = Guardrail::restore(cfg, state);
         }
