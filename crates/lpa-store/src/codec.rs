@@ -1,9 +1,11 @@
 //! The byte-level codec: little-endian primitives, the [`Wire`] trait
-//! every persisted type implements, the [`wire_record!`] and
-//! [`wire_enum!`] declarations that implement it from one field list, a
-//! table-driven CRC-32 and the whole-file envelope ([`seal`] / [`open`]) —
-//! hand-rolled so the hot training loop never touches a reflection-based
-//! serializer and every byte of a checkpoint is accounted for.
+//! every persisted type implements, the
+//! [`wire_record!`](crate::wire_record) and
+//! [`wire_enum!`](crate::wire_enum) declarations that implement it from
+//! one field list, a table-driven CRC-32 and the whole-file envelope
+//! ([`seal`] / [`open`]) — hand-rolled so the hot training loop never
+//! touches a reflection-based serializer and every byte of a checkpoint is
+//! accounted for.
 //!
 //! Writers are infallible (they build a `Vec<u8>`); readers return
 //! [`StoreError::Corrupt`] on any shortfall or malformed length and never
@@ -186,12 +188,6 @@ impl ByteWriter {
         (v as u64).put(self);
     }
 
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
     /// A `u64` length prefix, then each element.
     pub fn put_slice<T: Wire>(&mut self, v: &[T]) {
         self.put_usize(v.len());
@@ -305,12 +301,6 @@ impl<'a> ByteReader<'a> {
         usize::try_from(v).map_err(|_| StoreError::Corrupt(format!("value {v} exceeds usize")))
     }
 
-    pub fn take_str(&mut self) -> Result<String, StoreError> {
-        let n = self.take_len(1)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|e| StoreError::Corrupt(format!("invalid UTF-8: {e}")))
-    }
-
     /// A length prefix, then that many `T`s.
     pub fn take_vec<T: Wire>(&mut self) -> Result<Vec<T>, StoreError> {
         let n = self.take_len(T::MIN_BYTES)?;
@@ -401,15 +391,19 @@ impl WireAs<usize> for u64 {
     }
 }
 
+/// Length-prefixed UTF-8.
 impl Wire for String {
     const MIN_BYTES: usize = 8;
 
     fn put(&self, w: &mut ByteWriter) {
-        w.put_str(self);
+        w.put_usize(self.len());
+        w.buf.extend_from_slice(self.as_bytes());
     }
 
     fn take(r: &mut ByteReader) -> Result<Self, StoreError> {
-        r.take_str()
+        let n = r.take_len(1)?;
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|e| StoreError::Corrupt(format!("invalid UTF-8: {e}")))
     }
 }
 
@@ -548,7 +542,8 @@ macro_rules! wire_record {
 }
 
 /// Implements [`Wire`] for an enum: one tag byte per variant, then the
-/// variant's fields in the order listed, declared as in [`wire_record!`]
+/// variant's fields in the order listed, declared as in
+/// [`wire_record!`](crate::wire_record)
 /// (`check` included; a one-field tuple variant names its field too).
 /// `put` matches every variant with no catch-all; `take` answers
 /// [`StoreError::Corrupt`] for a tag it does not know.
@@ -675,7 +670,7 @@ mod tests {
         (u64::MAX - 1).put(&mut w);
         (-0.0f32).put(&mut w);
         f64::NAN.put(&mut w);
-        w.put_str("partition");
+        "partition".to_string().put(&mut w);
         vec![1.5f64, -2.25].put(&mut w);
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
@@ -685,7 +680,7 @@ mod tests {
         assert_eq!(u64::take(&mut r).unwrap(), u64::MAX - 1);
         assert_eq!(f32::take(&mut r).unwrap().to_bits(), (-0.0f32).to_bits());
         assert!(f64::take(&mut r).unwrap().is_nan());
-        assert_eq!(r.take_str().unwrap(), "partition");
+        assert_eq!(String::take(&mut r).unwrap(), "partition");
         assert_eq!(Vec::<f64>::take(&mut r).unwrap(), vec![1.5, -2.25]);
         r.finish().unwrap();
     }

@@ -54,8 +54,8 @@ pub struct OnlineTemplate {
 }
 
 /// Restore an offline advisor session from a snapshot. `Incompatible`
-/// when the snapshot holds an online backend or networks that do not fit
-/// the template (see [`restore_session`]).
+/// when the snapshot holds an online backend, or networks whose input
+/// width, layer shapes or optimizer moments do not fit the template.
 pub fn restore_offline(
     snap: SessionSnapshot,
     template: &OfflineTemplate,

@@ -227,25 +227,8 @@ fn rng_state_round_trips_and_resumes_the_stream() {
 
 #[test]
 fn full_session_checkpoint_round_trips_byte_identically() {
-    let (schema, workload) = micro();
-    let cfg = DqnConfig {
-        batch_size: 8,
-        hidden: vec![16],
-        ..DqnConfig::simulation(6, 4)
-    }
-    .with_seed(5);
-    let mut advisor = Advisor::train_offline(
-        schema.clone(),
-        workload.clone(),
-        NetworkCostModel::new(CostParams::standard()),
-        MixSampler::uniform(&workload),
-        cfg,
-        true,
-    );
-    // Touch the suggest path too so the backend has a tracked partitioning.
-    let _ = advisor.suggest(&workload.uniform_frequencies());
-    let snap = SessionSnapshot::capture(5, advisor.agent(), &advisor.env);
-    let bytes = encode_checkpoint(&Checkpoint::Session(snap));
+    let (schema, ck) = offline_session();
+    let bytes = encode_checkpoint(&ck);
     let back = decode_checkpoint(&bytes, &schema).unwrap();
     assert_eq!(back.kind_name(), "session");
     assert_eq!(back.sequence(), 5);
@@ -305,36 +288,32 @@ fn restore_refuses_networks_that_do_not_fit_the_template() {
     );
 }
 
-/// The service snapshot carries only what no template rebuilds: a service
-/// that absorbed new queries and sits mid-window with more quarantined
-/// restores — through the bytes — around the workload it was *built* with,
-/// and then closes the window exactly like the original. One absorbed and
-/// one pending query are awkward on purpose (selectivities and a CPU factor
-/// with no short decimal form, a compound-key join with two pairs): they
-/// travel as packed words, so every float comes back `to_bits`-equal.
-#[test]
-fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
+fn ssb_cluster(schema: &lpa_schema::Schema) -> lpa_cluster::Cluster {
     use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
-    use lpa_service::{PartitioningService, ServiceConfig};
-    use lpa_store::{capture_service, restore_service, OfflineTemplate};
-    use lpa_workload::{Query, QueryBuilder};
 
-    /// `encode_checkpoint` of this very service as format v4 wrote it:
-    /// packed queries, and a DQN config that still carried its loss tag,
-    /// double-DQN flag, replay capacity and ε start/floor (26 B).
-    const FORMAT_V4_BYTES: usize = 42_864;
+    Cluster::new(
+        schema.clone(),
+        ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
+    )
+}
+
+/// An SSB service, built on a workload with three reserved slots, that
+/// absorbed three new queries in its first window and sits mid-window with
+/// two more quarantined. One absorbed and one pending query are awkward on
+/// purpose (selectivities and a CPU factor with no short decimal form, a
+/// compound-key join with two pairs).
+fn ssb_service() -> (
+    lpa_schema::Schema,
+    Workload,
+    lpa_service::PartitioningService,
+) {
+    use lpa_service::{PartitioningService, ServiceConfig};
+    use lpa_workload::{Query, QueryBuilder};
 
     let schema = lpa_schema::ssb::schema(0.002).unwrap();
     let base = lpa_workload::ssb::workload(&schema)
         .unwrap()
         .with_reserved_slots(3);
-    let model = NetworkCostModel::new(CostParams::standard());
-    let cluster = || {
-        Cluster::new(
-            schema.clone(),
-            ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
-        )
-    };
     let cfg = DqnConfig {
         batch_size: 4,
         hidden: vec![8],
@@ -344,13 +323,13 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
     let advisor = Advisor::train_offline(
         schema.clone(),
         base.clone(),
-        model.clone(),
+        NetworkCostModel::new(CostParams::standard()),
         MixSampler::uniform(&base),
         cfg,
         true,
     );
-    let service_cfg = ServiceConfig::default();
-    let mut service = PartitioningService::new(advisor, cluster(), service_cfg);
+    let mut service =
+        PartitioningService::new(advisor, ssb_cluster(&schema), ServiceConfig::default());
 
     let awkward = |name: &str, other: &str, key: (&str, &str), second: (&str, &str)| {
         QueryBuilder::new(&schema, name)
@@ -372,20 +351,6 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
         state.monitor_pending.push((query, count));
         service.restore_resume_state(state).unwrap();
     };
-    let bits = |q: &Query| -> Vec<u64> {
-        assert_eq!(q.joins[0].pairs.len(), 2, "{}", q.name);
-        q.selectivity
-            .iter()
-            .chain([&q.cpu_factor])
-            .map(|x| x.to_bits())
-            .collect()
-    };
-    let awkward_bits = vec![
-        (0.47 * 3.0 / 11.0f64).to_bits(),
-        f64::MIN_POSITIVE.to_bits(),
-        1.0f64.to_bits(),
-        (1.0 + 1.0 / 3.0f64).to_bits(),
-    ];
 
     let known = "SELECT sum(lo_revenue) FROM lineorder l, date d \
         WHERE l.lo_orderdate = d.d_datekey AND d.d_year = 1993 AND l.lo_orderkey < 500";
@@ -422,6 +387,40 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
         ),
         2,
     );
+    (schema, base, service)
+}
+
+/// The service snapshot carries only what no template rebuilds: the
+/// service of [`ssb_service`] restores — through the bytes — around the
+/// workload it was *built* with, and then closes the window exactly like
+/// the original. Its queries travel as packed words, so every float of the
+/// awkward ones comes back `to_bits`-equal.
+#[test]
+fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
+    use lpa_service::ServiceConfig;
+    use lpa_store::{capture_service, restore_service, OfflineTemplate};
+    use lpa_workload::Query;
+
+    /// `encode_checkpoint` of this very service as format v4 wrote it:
+    /// packed queries, and a DQN config that still carried its loss tag,
+    /// double-DQN flag, replay capacity and ε start/floor (26 B).
+    const FORMAT_V4_BYTES: usize = 42_864;
+
+    let (schema, base, mut service) = ssb_service();
+    let bits = |q: &Query| -> Vec<u64> {
+        assert_eq!(q.joins[0].pairs.len(), 2, "{}", q.name);
+        q.selectivity
+            .iter()
+            .chain([&q.cpu_factor])
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let awkward_bits = vec![
+        (0.47 * 3.0 / 11.0f64).to_bits(),
+        f64::MIN_POSITIVE.to_bits(),
+        1.0f64.to_bits(),
+        (1.0 + 1.0 / 3.0f64).to_bits(),
+    ];
 
     let bytes = encode_checkpoint(&Checkpoint::Service(capture_service(1, &service).unwrap()));
     assert_eq!(
@@ -444,10 +443,10 @@ fn service_snapshot_round_trips_absorbed_queries_and_the_open_window() {
         OfflineTemplate {
             schema: schema.clone(),
             workload: base.clone(),
-            model,
+            model: NetworkCostModel::new(CostParams::standard()),
         },
-        cluster(),
-        service_cfg,
+        ssb_cluster(&schema),
+        ServiceConfig::default(),
     )
     .unwrap();
 
@@ -532,6 +531,7 @@ fn offline_session() -> (lpa_schema::Schema, Checkpoint) {
         cfg,
         true,
     );
+    // Touch the suggest path too so the backend has a tracked partitioning.
     let _ = advisor.suggest(&workload.uniform_frequencies());
     let snap = SessionSnapshot::capture(5, advisor.agent(), &advisor.env);
     (schema, Checkpoint::Session(snap))
@@ -586,92 +586,11 @@ fn online_session() -> (lpa_schema::Schema, Checkpoint) {
     (schema, Checkpoint::Session(snap))
 }
 
-/// The SSB service of
-/// `service_snapshot_round_trips_absorbed_queries_and_the_open_window`,
-/// built the same way (three absorbed queries, two pending, the next window
-/// open); its first window staged a canary that is still open.
-fn ssb_service() -> (lpa_schema::Schema, Checkpoint) {
-    use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
-    use lpa_service::{PartitioningService, ServiceConfig};
-    use lpa_store::capture_service;
-    use lpa_workload::{Query, QueryBuilder};
-
-    let schema = lpa_schema::ssb::schema(0.002).unwrap();
-    let base = lpa_workload::ssb::workload(&schema)
-        .unwrap()
-        .with_reserved_slots(3);
-    let cfg = DqnConfig {
-        batch_size: 4,
-        hidden: vec![8],
-        ..DqnConfig::simulation(4, 3)
-    }
-    .with_seed(23);
-    let advisor = Advisor::train_offline(
-        schema.clone(),
-        base.clone(),
-        NetworkCostModel::new(CostParams::standard()),
-        MixSampler::uniform(&base),
-        cfg,
-        true,
-    );
-    let cluster = Cluster::new(
-        schema.clone(),
-        ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
-    );
-    let mut service = PartitioningService::new(advisor, cluster, ServiceConfig::default());
-    let awkward = |name: &str, other: &str, key: (&str, &str), second: (&str, &str)| {
-        QueryBuilder::new(&schema, name)
-            .join_multi(&[
-                (("lineorder", key.0), (other, key.1)),
-                (("lineorder", second.0), (other, second.1)),
-            ])
-            .join(("lineorder", "lo_orderdate"), ("date", "d_datekey"))
-            .filter("lineorder", 0.47 * 3.0 / 11.0)
-            .filter(other, f64::MIN_POSITIVE)
-            .cpu(1.0 + 1.0 / 3.0)
-            .finish()
-            .unwrap()
-    };
-    let inject = |service: &mut PartitioningService, query: Query, count: u64| {
-        let mut state = service.resume_state();
-        state.monitor_pending.push((query, count));
-        service.restore_resume_state(state).unwrap();
-    };
-    let known = "SELECT sum(lo_revenue) FROM lineorder l, date d \
-        WHERE l.lo_orderdate = d.d_datekey AND d.d_year = 1993 AND l.lo_orderkey < 500";
-    let new_shapes = [
-        "SELECT count(*) FROM customer c, supplier s WHERE c.c_city = s.s_city",
-        "SELECT count(*) FROM part p, lineorder l WHERE l.lo_partkey = p.p_partkey",
-        "SELECT count(*) FROM customer c, lineorder l WHERE l.lo_custkey = c.c_custkey",
-    ];
-    for sql in [new_shapes[0], new_shapes[1], known] {
-        service.observe_sql(sql);
-    }
-    inject(
-        &mut service,
-        awkward(
-            "awkward-absorbed",
-            "customer",
-            ("lo_custkey", "c_custkey"),
-            ("lo_suppkey", "c_nation"),
-        ),
-        5,
-    );
-    service.end_window();
-    for sql in [known, new_shapes[2], known, new_shapes[0]] {
-        service.observe_sql(sql);
-    }
-    inject(
-        &mut service,
-        awkward(
-            "awkward-pending",
-            "supplier",
-            ("lo_suppkey", "s_suppkey"),
-            ("lo_custkey", "s_nation"),
-        ),
-        2,
-    );
-    let snap = capture_service(1, &service).unwrap();
+/// The service of [`ssb_service`]; its first window staged a canary that
+/// is still open.
+fn ssb_service_checkpoint() -> (lpa_schema::Schema, Checkpoint) {
+    let (schema, _, service) = ssb_service();
+    let snap = lpa_store::capture_service(1, &service).unwrap();
     assert!(
         snap.guardrail.canary.is_some(),
         "the golden holds an open canary"
@@ -891,7 +810,7 @@ fn checkpoints_reproduce_their_v5_goldens() {
     let constructions: [(&str, Construction); 4] = [
         ("session-offline.lpa", offline_session),
         ("session-online.lpa", online_session),
-        ("service-ssb.lpa", ssb_service),
+        ("service-ssb.lpa", ssb_service_checkpoint),
         ("tenant-quarantined.lpa", quarantined_tenant),
     ];
     for (name, construct) in constructions {
