@@ -117,6 +117,40 @@ impl TenantSpec {
             fault_plan: FaultPlan::none(),
         }
     }
+
+    fn build_err(&self, reason: String) -> FleetError {
+        FleetError::TenantBuild {
+            name: self.name.clone(),
+            reason,
+        }
+    }
+
+    /// The tenant's schema: a pure function of benchmark and scale.
+    pub fn schema(&self) -> Result<Schema, FleetError> {
+        // The schema builders assert on this; a spec is operator input and
+        // must fail its own admission, not the process.
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(self.build_err(format!("scale factor {} is not positive", self.scale)));
+        }
+        match self.benchmark {
+            Benchmark::Ssb => lpa_schema::ssb::schema(self.scale),
+            Benchmark::TpcCh => lpa_schema::tpcch::schema(self.scale),
+            Benchmark::Micro => lpa_schema::microbench::schema(self.scale),
+        }
+        .map_err(|e| self.build_err(e.to_string()))
+    }
+
+    /// The tenant's schema and workload.
+    fn generate(&self) -> Result<(Schema, Workload), FleetError> {
+        let schema = self.schema()?;
+        let workload = match self.benchmark {
+            Benchmark::Ssb => lpa_workload::ssb::workload(&schema),
+            Benchmark::TpcCh => lpa_workload::tpcch::workload(&schema),
+            Benchmark::Micro => lpa_workload::microbench::workload(&schema),
+        }
+        .map_err(|e| self.build_err(format!("{e:?}")))?;
+        Ok((schema, workload))
+    }
 }
 
 /// When to quarantine a failing tenant and when to let it back in.
@@ -415,6 +449,147 @@ impl TenantSlot {
     }
 }
 
+/// A tenant's checkpointed state, decoded: what [`Fleet::restore_tenant`]
+/// puts into an admitted tenant and [`Fleet::admit_batch`] builds one from.
+#[derive(Debug)]
+pub struct TenantRestore {
+    /// The restored advisor, over the tenant's schema and workload.
+    pub advisor: Advisor,
+    pub service: ServiceResumeState,
+    pub episode: usize,
+    pub status: TenantStatus,
+    pub errors_since_rejoin: u64,
+    pub counters: TenantCounters,
+}
+
+/// What admission builds before it knows whether the tenant starts fresh
+/// or from a checkpoint: its schema, its workload and a cluster on its
+/// pooled database. Pure in `(fleet seed, id, spec)`.
+#[derive(Debug)]
+struct TenantBase {
+    id: usize,
+    spec: TenantSpec,
+    schema: Schema,
+    workload: Workload,
+    cluster: Cluster,
+}
+
+impl TenantBase {
+    /// A cluster on `substrate` under the spec's fault plan, salted for
+    /// tenant `id`.
+    fn cluster(
+        cfg: &FleetConfig,
+        id: usize,
+        spec: &TenantSpec,
+        substrate: Arc<Substrate>,
+    ) -> Cluster {
+        let mut cluster = Cluster::on_substrate(substrate);
+        cluster.set_fault_plan(spec.fault_plan.salted(derive_stream3(
+            cfg.seed,
+            id as u64,
+            SALT_FAULTS,
+        )));
+        cluster
+    }
+
+    /// The freshly admitted tenant: an untrained advisor over the base.
+    /// The cost model is always `CostParams::standard()`; checkpointing
+    /// layers rebuild templates under the same convention.
+    fn fresh(self, cfg: &FleetConfig) -> TenantSlot {
+        let Self {
+            id,
+            spec,
+            schema,
+            workload,
+            cluster,
+        } = self;
+        let agent_seed = derive_stream3(cfg.seed ^ spec.seed, id as u64, SALT_AGENT);
+        let dqn = DqnConfig {
+            batch_size: TENANT_BATCH_SIZE,
+            hidden: TENANT_HIDDEN.to_vec(),
+            ..DqnConfig::simulation(spec.episodes.max(1), TENANT_TMAX)
+        }
+        .with_seed(agent_seed);
+        let sampler = MixSampler::uniform(&workload);
+        let env = AdvisorEnv::new(
+            schema,
+            workload,
+            RewardBackend::cost_model(NetworkCostModel::new(CostParams::standard())),
+            sampler,
+            true,
+            dqn.seed,
+        );
+        let service = PartitioningService::new(
+            Advisor::untrained(env, dqn),
+            cluster,
+            ServiceConfig {
+                guardrail: cfg.guardrail,
+            },
+        );
+        TenantSlot {
+            spec,
+            episode: 0,
+            status: TenantStatus::Active,
+            errors_since_rejoin: 0,
+            counters: TenantCounters::default(),
+            service,
+        }
+    }
+
+    /// The tenant built straight from its checkpoint: `restore` rebuilds
+    /// the advisor from `state` over the base's schema and workload (moved
+    /// in, not cloned), and the service is assembled around it once. A
+    /// refused checkpoint yields the fresh tenant, base regenerated from
+    /// the spec, and the reason.
+    fn restored<S>(
+        self,
+        cfg: &FleetConfig,
+        state: S,
+        restore: &(impl Fn(usize, S, Schema, Workload) -> Result<TenantRestore, String> + Sync),
+    ) -> Result<(TenantSlot, Option<String>), FleetError> {
+        let Self {
+            id,
+            spec,
+            schema,
+            workload,
+            cluster,
+        } = self;
+        let substrate = Arc::clone(cluster.substrate());
+        let service_cfg = ServiceConfig {
+            guardrail: cfg.guardrail,
+        };
+        let reason = match restore(id, state, schema, workload) {
+            Ok(r) => {
+                match PartitioningService::restored(r.advisor, cluster, service_cfg, r.service) {
+                    Ok(service) => {
+                        let slot = TenantSlot {
+                            spec,
+                            episode: r.episode,
+                            status: r.status,
+                            errors_since_rejoin: r.errors_since_rejoin,
+                            counters: r.counters,
+                            service,
+                        };
+                        return Ok((slot, None));
+                    }
+                    Err(reason) => reason,
+                }
+            }
+            Err(reason) => reason,
+        };
+        let (schema, workload) = spec.generate()?;
+        let cluster = Self::cluster(cfg, id, &spec, substrate);
+        let base = Self {
+            id,
+            spec,
+            schema,
+            workload,
+            cluster,
+        };
+        Ok((base.fresh(cfg), Some(reason)))
+    }
+}
+
 /// What every slice of one round reads besides its own tenant.
 struct RoundCtx<'a> {
     round: u64,
@@ -668,96 +843,78 @@ impl Fleet {
         }
         // Build first: a spec that fails to build must not leave a
         // scheduler slot without a tenant behind it.
-        let slot = self.build_tenant(self.tenants.len(), spec)?;
+        let slot = self.build_base(self.tenants.len(), spec)?.fresh(&self.cfg);
         let id = self.scheduler.admit();
         debug_assert_eq!(id, self.tenants.len());
         self.tenants.push(slot);
         Ok(id)
     }
 
-    /// Deterministic tenant construction — pure in
-    /// `(cfg.seed, id, spec)`. The cost model is always
-    /// `CostParams::standard()`; checkpointing layers rebuild templates
-    /// under the same convention.
-    fn build_tenant(&mut self, id: usize, spec: TenantSpec) -> Result<TenantSlot, FleetError> {
-        let build_err = |reason: String| FleetError::TenantBuild {
-            name: spec.name.clone(),
-            reason,
-        };
-        // The schema builders assert on this; a spec is operator input and
-        // must fail its own admission, not the process.
-        if !(spec.scale.is_finite() && spec.scale > 0.0) {
-            return Err(build_err(format!(
-                "scale factor {} is not positive",
-                spec.scale
-            )));
+    /// Admit `specs` in order, each tenant built straight from its state
+    /// when it has one — the whole-fleet recovery path. Exactly
+    /// [`Self::admit`] spec by spec (same ids, rejections past the budget,
+    /// pooled databases generated in spec order), except that a tenant
+    /// with `Some(state)` has its advisor rebuilt by `restore` from the
+    /// state, its base's schema and workload, and its service assembled
+    /// around that advisor once. A tenant whose state `restore` or the
+    /// service refuses comes up as `admit` builds it, and is reported as
+    /// `RestoreFailed` in the returned list, in tenant order.
+    ///
+    /// Ids, rejections and pooled databases are settled serially; the
+    /// tenants are then built as tasks on `lpa-par`'s pool, one per tenant
+    /// (each touches only its own base and the layout cache of its
+    /// database, whose values are exact). A spec that fails to build fails
+    /// the batch: no tenant of it is admitted, though the rejections
+    /// counted and databases generated before it stay.
+    pub fn admit_batch<S: Send>(
+        &mut self,
+        specs: Vec<(TenantSpec, Option<S>)>,
+        restore: impl Fn(usize, S, Schema, Workload) -> Result<TenantRestore, String> + Sync,
+    ) -> Result<Vec<FleetError>, FleetError> {
+        let mut bases = Vec::new();
+        for (spec, state) in specs {
+            if self.tenants.len() + bases.len() >= self.cfg.max_tenants {
+                self.rejected_admissions += 1;
+                continue;
+            }
+            bases.push((
+                self.build_base(self.tenants.len() + bases.len(), spec)?,
+                state,
+            ));
         }
-        let (schema, workload) = match spec.benchmark {
-            Benchmark::Ssb => {
-                let s =
-                    lpa_schema::ssb::schema(spec.scale).map_err(|e| build_err(e.to_string()))?;
-                let w = lpa_workload::ssb::workload(&s).map_err(|e| build_err(format!("{e:?}")))?;
-                (s, w)
+        let cfg = &self.cfg;
+        let slots = Pool::current()
+            .par_map_owned(bases, |_, (base, state)| match state {
+                None => Ok((base.fresh(cfg), None)),
+                Some(state) => base.restored(cfg, state, &restore),
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut refused = Vec::new();
+        for (slot, refusal) in slots {
+            let tenant = self.scheduler.admit();
+            if let Some(reason) = refusal {
+                refused.push(FleetError::RestoreFailed { tenant, reason });
             }
-            Benchmark::TpcCh => {
-                let s =
-                    lpa_schema::tpcch::schema(spec.scale).map_err(|e| build_err(e.to_string()))?;
-                let w =
-                    lpa_workload::tpcch::workload(&s).map_err(|e| build_err(format!("{e:?}")))?;
-                (s, w)
-            }
-            Benchmark::Micro => {
-                let s = lpa_schema::microbench::schema(spec.scale)
-                    .map_err(|e| build_err(e.to_string()))?;
-                let w = lpa_workload::microbench::workload(&s)
-                    .map_err(|e| build_err(format!("{e:?}")))?;
-                (s, w)
-            }
-        };
-        let agent_seed = derive_stream3(self.cfg.seed ^ spec.seed, id as u64, SALT_AGENT);
-        let cfg = DqnConfig {
-            batch_size: TENANT_BATCH_SIZE,
-            hidden: TENANT_HIDDEN.to_vec(),
-            ..DqnConfig::simulation(spec.episodes.max(1), TENANT_TMAX)
+            self.tenants.push(slot);
         }
-        .with_seed(agent_seed);
-        let sampler = MixSampler::uniform(&workload);
-        let env = AdvisorEnv::new(
-            schema.clone(),
-            workload,
-            RewardBackend::cost_model(NetworkCostModel::new(CostParams::standard())),
-            sampler,
-            true,
-            cfg.seed,
-        );
-        let advisor = Advisor::untrained(env, cfg);
+        Ok(refused)
+    }
+
+    /// The tenant's base: schema, workload and a cluster on the pool's
+    /// database for its spec, generated on first use.
+    fn build_base(&mut self, id: usize, spec: TenantSpec) -> Result<TenantBase, FleetError> {
+        let (schema, workload) = spec.generate()?;
         let cluster_cfg =
             ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard());
-        let mut cluster = Cluster::on_substrate(self.pooled_substrate(
-            spec.benchmark,
-            spec.scale,
-            schema,
-            cluster_cfg,
-        ));
-        cluster.set_fault_plan(spec.fault_plan.salted(derive_stream3(
-            self.cfg.seed,
-            id as u64,
-            SALT_FAULTS,
-        )));
-        let service = PartitioningService::new(
-            advisor,
-            cluster,
-            ServiceConfig {
-                guardrail: self.cfg.guardrail,
-            },
-        );
-        Ok(TenantSlot {
+        let substrate = self.pooled_substrate(spec.benchmark, spec.scale, &schema, cluster_cfg);
+        let cluster = TenantBase::cluster(&self.cfg, id, &spec, substrate);
+        Ok(TenantBase {
+            id,
             spec,
-            episode: 0,
-            status: TenantStatus::Active,
-            errors_since_rejoin: 0,
-            counters: TenantCounters::default(),
-            service,
+            schema,
+            workload,
+            cluster,
         })
     }
 
@@ -766,7 +923,7 @@ impl Fleet {
         &mut self,
         benchmark: Benchmark,
         scale: f64,
-        schema: Schema,
+        schema: &Schema,
         cfg: ClusterConfig,
     ) -> Arc<Substrate> {
         let scale_bits = scale.to_bits();
@@ -776,7 +933,7 @@ impl Fleet {
         if let Some(p) = pooled {
             return Arc::clone(&p.substrate);
         }
-        let substrate = Arc::new(Substrate::new(schema, cfg));
+        let substrate = Arc::new(Substrate::new(schema.clone(), cfg));
         self.substrates.push(PooledSubstrate {
             benchmark,
             scale_bits,
@@ -1029,31 +1186,28 @@ impl Fleet {
         self.stage_rounds = stage_rounds;
     }
 
-    /// Replace a tenant's live state from checkpointed parts — the crash
-    /// recovery path. The tenant must already be admitted (fleets are
-    /// rebuilt from specs, then restored tenant-by-tenant): the restored
-    /// advisor and service state move into the tenant's existing service,
-    /// which keeps its generated cluster data and the fleet's config.
-    #[allow(clippy::too_many_arguments)]
+    /// Replace an admitted tenant's live state from checkpointed parts:
+    /// the restored advisor and service state move into the tenant's
+    /// service, which keeps its generated cluster data and the fleet's
+    /// config. All or nothing: a state the service refuses leaves the
+    /// tenant exactly as it was.
     pub fn restore_tenant(
         &mut self,
         tenant: usize,
-        advisor: Advisor,
-        service: ServiceResumeState,
-        episode: usize,
-        status: TenantStatus,
-        errors_since_rejoin: u64,
-        counters: TenantCounters,
+        restore: TenantRestore,
     ) -> Result<(), FleetError> {
         let slot = self.slot_mut(tenant)?;
-        *slot.service.advisor_mut() = advisor;
-        slot.service
-            .restore_resume_state(service)
-            .map_err(|reason| FleetError::RestoreFailed { tenant, reason })?;
-        slot.episode = episode;
-        slot.status = status;
-        slot.errors_since_rejoin = errors_since_rejoin;
-        slot.counters = counters;
+        // The service checks its state against the advisor it will run, so
+        // the restored advisor goes in first and back out on refusal.
+        let previous = std::mem::replace(slot.service.advisor_mut(), restore.advisor);
+        if let Err(reason) = slot.service.restore_resume_state(restore.service) {
+            *slot.service.advisor_mut() = previous;
+            return Err(FleetError::RestoreFailed { tenant, reason });
+        }
+        slot.episode = restore.episode;
+        slot.status = restore.status;
+        slot.errors_since_rejoin = restore.errors_since_rejoin;
+        slot.counters = restore.counters;
         Ok(())
     }
 }

@@ -48,8 +48,8 @@ pub mod service;
 pub use fleet::{
     Benchmark, Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, HealthRollup,
     JournalRecord, QuarantinePolicy, SubstrateReport, TenantCounters, TenantErrorKind,
-    TenantReport, TenantSpec, TenantStatus, EPISODES_PER_SLICE, TENANT_BATCH_SIZE, TENANT_HIDDEN,
-    TENANT_TMAX, WINDOW_SECONDS,
+    TenantReport, TenantRestore, TenantSpec, TenantStatus, EPISODES_PER_SLICE, TENANT_BATCH_SIZE,
+    TENANT_HIDDEN, TENANT_TMAX, WINDOW_SECONDS,
 };
 pub use forecast::FrequencyForecaster;
 pub use hook::{NoHook, SliceHook};

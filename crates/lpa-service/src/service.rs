@@ -94,6 +94,52 @@ pub struct PartitioningService {
     absorbed: usize,
 }
 
+/// The part of a service a checkpoint restores besides the advisor and the
+/// cluster.
+struct WindowState {
+    monitor: WorkloadMonitor,
+    forecaster: FrequencyForecaster,
+    guardrail: Guardrail,
+    absorbed: usize,
+}
+
+impl WindowState {
+    /// Check `st` against `advisor`'s workload, rebuild the monitor around
+    /// it and restore `cluster`, which is left untouched when `st` is
+    /// refused.
+    fn restore(
+        advisor: &Advisor,
+        cluster: &mut Cluster,
+        cfg: ServiceConfig,
+        st: ServiceResumeState,
+    ) -> Result<Self, String> {
+        let workload = &advisor.env.workload;
+        if st.absorbed > workload.queries().len() {
+            return Err(format!(
+                "{} absorbed queries in a workload of {}",
+                st.absorbed,
+                workload.queries().len()
+            ));
+        }
+        if st.forecaster.level().len() != workload.slots() {
+            return Err(format!(
+                "forecaster slots {} != workload slots {}",
+                st.forecaster.level().len(),
+                workload.slots()
+            ));
+        }
+        let mut monitor = WorkloadMonitor::new(advisor.env.schema.clone(), workload);
+        monitor.restore_window(st.monitor_counts, st.monitor_observed, st.monitor_pending)?;
+        cluster.restore_resume_state(st.cluster)?;
+        Ok(Self {
+            monitor,
+            forecaster: st.forecaster,
+            guardrail: Guardrail::restore(cfg.guardrail, st.guardrail),
+            absorbed: st.absorbed,
+        })
+    }
+}
+
 impl PartitioningService {
     /// Wrap a trained advisor around a production cluster. The monitor
     /// indexes the advisor's representative workload.
@@ -174,34 +220,40 @@ impl PartitioningService {
         }
     }
 
+    /// A service rebuilt from a checkpoint: the restored `advisor` wrapped
+    /// around `cluster` (built the way the original's was) with `st`, the
+    /// captured mid-window state, put back — what [`Self::new`] followed by
+    /// [`Self::restore_resume_state`] builds, with the monitor indexed once.
+    pub fn restored(
+        advisor: Advisor,
+        mut cluster: Cluster,
+        cfg: ServiceConfig,
+        st: ServiceResumeState,
+    ) -> Result<Self, String> {
+        let window = WindowState::restore(&advisor, &mut cluster, cfg, st)?;
+        Ok(Self {
+            advisor,
+            cluster,
+            monitor: window.monitor,
+            forecaster: window.forecaster,
+            guardrail: window.guardrail,
+            cfg,
+            absorbed: window.absorbed,
+        })
+    }
+
     /// Re-apply a captured state around the current (restored) advisor —
     /// the crash-recovery path. Unlike [`Self::new`] the monitor,
     /// forecaster and guardrail keep their mid-window state (an open canary
     /// survives the crash). The monitor is re-indexed against the advisor's
-    /// workload first, so the counts have to line up with its slots.
+    /// workload first, so the counts have to line up with its slots. All or
+    /// nothing: a refused state leaves the service as it was.
     pub fn restore_resume_state(&mut self, st: ServiceResumeState) -> Result<(), String> {
-        let workload = &self.advisor.env.workload;
-        if st.absorbed > workload.queries().len() {
-            return Err(format!(
-                "{} absorbed queries in a workload of {}",
-                st.absorbed,
-                workload.queries().len()
-            ));
-        }
-        if st.forecaster.level().len() != workload.slots() {
-            return Err(format!(
-                "forecaster slots {} != workload slots {}",
-                st.forecaster.level().len(),
-                workload.slots()
-            ));
-        }
-        let mut monitor = WorkloadMonitor::new(self.advisor.env.schema.clone(), workload);
-        monitor.restore_window(st.monitor_counts, st.monitor_observed, st.monitor_pending)?;
-        self.cluster.restore_resume_state(st.cluster)?;
-        self.monitor = monitor;
-        self.forecaster = st.forecaster;
-        self.guardrail = Guardrail::restore(self.cfg.guardrail, st.guardrail);
-        self.absorbed = st.absorbed;
+        let window = WindowState::restore(&self.advisor, &mut self.cluster, self.cfg, st)?;
+        self.monitor = window.monitor;
+        self.forecaster = window.forecaster;
+        self.guardrail = window.guardrail;
+        self.absorbed = window.absorbed;
         Ok(())
     }
 

@@ -23,7 +23,7 @@
 //! [`StoreError::Incompatible`]; a tenant with no readable checkpoint
 //! restarts fresh with a restore error, never a panic.
 
-use crate::codec::{open, sealed_len, Wire};
+use crate::codec::{open, sealed_len, ByteReader, Wire};
 use crate::journal::{DeploymentJournal, JOURNAL_FILE};
 use crate::manifest::{load_manifest, save_manifest, FleetManifest, ManifestEntry};
 use crate::service::{capture_service, restore_parts};
@@ -32,10 +32,13 @@ use crate::snapshot::{Checkpoint, TenantSnapshot};
 use crate::store::{atomic_write_with, encode_checkpoint, numbered_files, FORMAT_VERSION, MAGIC};
 use crate::StoreError;
 use lpa_costmodel::{CostParams, NetworkCostModel};
+use lpa_par::Pool;
 use lpa_schema::Schema;
 use lpa_service::{
-    Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, TenantErrorKind, TenantSpec,
+    Benchmark, Fleet, FleetConfig, FleetError, FleetReport, FleetStoreCounters, TenantErrorKind,
+    TenantRestore, TenantSpec,
 };
+use lpa_workload::Workload;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -62,31 +65,41 @@ pub fn capture_tenant(
     })
 }
 
-/// Apply a tenant snapshot to an already-admitted tenant slot. The
-/// advisor's environment is rebuilt from the tenant's schema and workload
-/// (pure functions of the spec — fleet tenants are built without reserved
-/// slots, so the live workload *is* the spec's) under the fleet's
+/// Decode a tenant snapshot into the state its tenant is rebuilt from.
+/// The advisor's environment is built over `schema` and `workload` (pure
+/// functions of the spec — fleet tenants are built without reserved slots,
+/// so the live workload *is* the spec's), moved in, under the fleet's
 /// cost-model convention (`CostParams::standard()`).
-pub fn restore_tenant(fleet: &mut Fleet, snap: TenantSnapshot) -> Result<(), StoreError> {
-    let tenant = snap.tenant as usize;
-    let to_store = |e: FleetError| StoreError::Incompatible(e.to_string());
+fn tenant_restore(
+    snap: TenantSnapshot,
+    schema: Schema,
+    workload: Workload,
+) -> Result<TenantRestore, StoreError> {
     let template = OfflineTemplate {
-        schema: fleet.tenant_schema(tenant).map_err(to_store)?.clone(),
-        workload: fleet.tenant_workload(tenant).map_err(to_store)?.clone(),
+        schema,
+        workload,
         model: NetworkCostModel::new(CostParams::standard()),
     };
     let (advisor, service) = restore_parts(snap.service, template)?;
-    fleet
-        .restore_tenant(
-            tenant,
-            advisor,
-            service,
-            snap.episode as usize,
-            snap.status,
-            snap.errors_since_rejoin,
-            snap.counters,
-        )
-        .map_err(to_store)
+    Ok(TenantRestore {
+        advisor,
+        service,
+        episode: snap.episode as usize,
+        status: snap.status,
+        errors_since_rejoin: snap.errors_since_rejoin,
+        counters: snap.counters,
+    })
+}
+
+/// Apply a tenant snapshot to an already-admitted tenant slot, all or
+/// nothing (see [`Fleet::restore_tenant`]).
+pub fn restore_tenant(fleet: &mut Fleet, snap: TenantSnapshot) -> Result<(), StoreError> {
+    let tenant = snap.tenant as usize;
+    let to_store = |e: FleetError| StoreError::Incompatible(e.to_string());
+    let schema = fleet.tenant_schema(tenant).map_err(to_store)?.clone();
+    let workload = fleet.tenant_workload(tenant).map_err(to_store)?.clone();
+    let restore = tenant_restore(snap, schema, workload)?;
+    fleet.restore_tenant(tenant, restore).map_err(to_store)
 }
 
 const SEGMENT_PREFIX: &str = "segment-";
@@ -96,29 +109,29 @@ const SEGMENT_PREFIX: &str = "segment-";
 /// the next [`MAGIC`], so damage costs only the tenant whose checkpoint it
 /// hits. A checkpoint is decoded only when `schema_of` knows its tenant
 /// (the payload's first `u64`, trusted once the CRC holds); others are
-/// verified and passed over. Returns the decoded snapshots in segment
-/// order and the number of checkpoints that failed. Never panics.
+/// verified and passed over. The walk and its CRC checks are serial; the
+/// checkpoints it keeps are decoded as tasks on `lpa-par`'s pool, and one
+/// that fails to decode counts as failed too. Returns the decoded
+/// snapshots in segment order and the number of checkpoints that failed.
+/// Never panics.
 pub fn read_segment<'s>(
-    bytes: &[u8],
+    bytes: &'s [u8],
     schema_of: impl Fn(u64) -> Option<&'s Schema>,
 ) -> (Vec<TenantSnapshot>, u64) {
-    let (mut snaps, mut corrupt, mut pos) = (Vec::new(), 0, 0);
+    let (mut wanted, mut corrupt, mut pos) = (Vec::new(), 0, 0);
     while pos < bytes.len() {
         let rest = bytes.get(pos..).unwrap_or_default();
         let frame = sealed_len(rest, 1).and_then(|len| rest.get(..len));
-        let read = |frame: &[u8]| -> Result<Option<TenantSnapshot>, StoreError> {
+        let open_frame = |frame: &'s [u8]| -> Result<(u8, ByteReader<'s>, u64), StoreError> {
             let (tag, r) = open(frame, &MAGIC, FORMAT_VERSION, 1)?;
-            let Some(schema) = schema_of(u64::take(&mut r.clone())?) else {
-                return Ok(None);
-            };
-            let mut r = r.with_schema(schema);
-            let ck = Checkpoint::decode_payload(tag.first().copied().unwrap_or(0), &mut r)?;
-            r.finish()?;
-            ck.into_tenant().map(Some)
+            let tenant = u64::take(&mut r.clone())?;
+            Ok((tag.first().copied().unwrap_or(0), r, tenant))
         };
-        match frame.map(|f| (f.len(), read(f))) {
-            Some((len, Ok(snap))) => {
-                snaps.extend(snap);
+        match frame.map(|f| (f.len(), open_frame(f))) {
+            Some((len, Ok((tag, r, tenant)))) => {
+                if let Some(schema) = schema_of(tenant) {
+                    wanted.push((tag, r.with_schema(schema)));
+                }
                 pos += len;
             }
             Some((_, Err(_))) | None => {
@@ -128,6 +141,19 @@ pub fn read_segment<'s>(
                     .and_then(|rest| rest.windows(MAGIC.len()).position(|w| w == MAGIC))
                     .map_or(bytes.len(), |at| pos + 1 + at);
             }
+        }
+    }
+    let decoded = Pool::current().par_map(&wanted, |_, (tag, r)| {
+        let mut r = r.clone();
+        let ck = Checkpoint::decode_payload(*tag, &mut r)?;
+        r.finish()?;
+        ck.into_tenant()
+    });
+    let mut snaps = Vec::with_capacity(decoded.len());
+    for snap in decoded {
+        match snap {
+            Ok(snap) => snaps.push(snap),
+            Err(_) => corrupt += 1,
         }
     }
     (snaps, corrupt)
@@ -296,12 +322,17 @@ impl CheckpointedFleet {
     /// segment on disk; an intact manifest of another version is
     /// `Incompatible`. Each segment is read at most once, newest first. A
     /// tenant missing or corrupt in the segment it expects falls back to an
-    /// older one; restore failures leave that tenant fresh and are recorded
-    /// as restore errors, so the quarantine policy contains the blast
-    /// radius to the tenant that lost state.
+    /// older one; a tenant with no readable checkpoint, or whose checkpoint
+    /// is refused, starts fresh with a restore error, so the quarantine
+    /// policy contains the blast radius to the tenant that lost state.
+    ///
+    /// Every tenant is built once: straight from its checkpoint, or fresh
+    /// when it has none ([`Fleet::admit_batch`]). Checkpoints are decoded,
+    /// and tenants built, as tasks on `lpa-par`'s pool; the segment walk,
+    /// the scheduler and the restore errors are serial, in tenant order.
     #[expect(
         clippy::indexing_slicing,
-        reason = "tenant indices are below the tenant count that sized found, want and last_good"
+        reason = "tenant indices are below the count that sized found and want"
     )]
     pub fn resume_or(
         cfg: FleetConfig,
@@ -310,15 +341,6 @@ impl CheckpointedFleet {
         every: u64,
     ) -> Result<Self, StoreError> {
         let mut me = Self::create(cfg, root, every)?;
-        for spec in specs {
-            match me.admit(spec) {
-                Ok(_) => {}
-                // Over-budget specs are rejected here exactly as they were
-                // in the original process; the counter is restored below.
-                Err(FleetError::AdmissionRejected { .. }) => {}
-                Err(e) => return Err(StoreError::Incompatible(e.to_string())),
-            }
-        }
         let (committed, manifest) = match load_manifest(&me.root) {
             Ok(m) => (m.as_ref().map(|m| m.round), m),
             Err(e @ StoreError::Incompatible(_)) => return Err(e),
@@ -330,10 +352,29 @@ impl CheckpointedFleet {
         let mut segments = numbered_files(&me.root, SEGMENT_PREFIX);
         segments.retain(|(seq, _)| committed.is_some_and(|c| *seq <= c));
         let newest = segments.last().map(|(seq, _)| *seq);
-        let n = me.fleet.tenant_count();
+        // Admission takes the specs in order up to the budget, so tenant
+        // `t` is spec `t`.
+        let n = specs.len().min(me.fleet.config().max_tenants);
         let want: Vec<Option<u64>> = (0..n as u64)
             .map(|t| manifest.as_ref().map_or(newest, |m| m.sequence_of(t)))
             .collect();
+        // A checkpoint decodes against its spec's schema, built once per
+        // distinct database; a spec without one fails its admission below.
+        let mut databases: Vec<(Benchmark, u64, Schema)> = Vec::new();
+        let mut database_of: Vec<Option<usize>> = Vec::with_capacity(n);
+        for spec in specs.iter().take(n) {
+            let key = (spec.benchmark, spec.scale.to_bits());
+            let known = databases.iter().position(|(b, s, _)| (*b, *s) == key);
+            database_of.push(known.or_else(|| {
+                let schema = spec.schema().ok()?;
+                databases.push((key.0, key.1, schema));
+                Some(databases.len() - 1)
+            }));
+        }
+        let schema_of = |t: usize| {
+            let d = database_of.get(t).copied().flatten()?;
+            databases.get(d).map(|(_, _, schema)| schema)
+        };
         // Phase 1: walk segments newest first, each only while some tenant
         // still looks for a checkpoint at or below it.
         let mut found: Vec<Option<(u64, TenantSnapshot)>> = (0..n).map(|_| None).collect();
@@ -347,8 +388,10 @@ impl CheckpointedFleet {
                 continue;
             };
             let (snaps, corrupt) = read_segment(&bytes, |t| {
-                let t = usize::try_from(t).ok().filter(|&t| t < n && looking(t))?;
-                me.fleet.tenant_schema(t).ok()
+                usize::try_from(t)
+                    .ok()
+                    .filter(|&t| t < n && looking(t))
+                    .and_then(schema_of)
             });
             me.store.corruptions_detected += corrupt;
             for snap in snaps {
@@ -356,21 +399,43 @@ impl CheckpointedFleet {
                 found[tenant] = Some((*seq, snap));
             }
         }
-        // Phase 2: position the scheduler *before* applying snapshots, so
-        // quarantine decisions made for restore failures are relative to
-        // the resumed round. Without a manifest the round degrades to the
-        // newest segment's.
+        // Phase 2: build every tenant once, from its snapshot if it has one.
+        let seqs: Vec<Option<u64>> = found.iter().map(|f| f.as_ref().map(|f| f.0)).collect();
+        let states = found
+            .into_iter()
+            .map(|f| f.map(|f| f.1))
+            .chain(std::iter::repeat_with(|| None));
+        let refused = me
+            .fleet
+            .admit_batch(
+                specs.into_iter().zip(states).collect(),
+                |_, snap, schema, workload| {
+                    tenant_restore(snap, schema, workload).map_err(|e| e.to_string())
+                },
+            )
+            .map_err(|e| StoreError::Incompatible(e.to_string()))?;
+        let mut refused_at = vec![false; n];
+        for e in refused {
+            if let FleetError::RestoreFailed { tenant, .. } = e {
+                refused_at[tenant] = true;
+            }
+        }
+        me.last_good = vec![None; me.fleet.tenant_count()];
+        // Phase 3: position the scheduler *before* recording restore
+        // errors, so their quarantine decisions are relative to the resumed
+        // round. Without a manifest the round degrades to the newest
+        // segment's.
         let resume_round = manifest.as_ref().map_or(newest.unwrap_or(0), |m| m.round);
         me.fleet.restore_scheduler(0, resume_round);
         if let Some(m) = &manifest {
             me.fleet.restore_rejected_admissions(m.rejected_admissions);
             me.fleet.restore_stage_rounds(m.stage_rounds.clone());
         }
-        for (tenant, (entry, want)) in found.into_iter().zip(want).enumerate() {
+        for (tenant, (seq, want)) in seqs.into_iter().zip(want).enumerate() {
             // No usable snapshot is an error only where one was expected —
             // a genuinely new tenant starts fresh silently.
             let mut failed = want.is_some();
-            if let Some((seq, snap)) = entry {
+            if let Some(seq) = seq {
                 me.store.restores += 1;
                 me.last_good[tenant] = Some(seq);
                 // Restoring an older boundary than expected means this
@@ -378,7 +443,7 @@ impl CheckpointedFleet {
                 // the fleet and must answer to the quarantine policy.
                 failed = want != Some(seq);
                 me.store.fallbacks += u64::from(failed);
-                failed |= restore_tenant(&mut me.fleet, snap).is_err();
+                failed |= refused_at[tenant];
             }
             if failed {
                 let _ = me

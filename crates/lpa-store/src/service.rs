@@ -2,7 +2,7 @@
 //! codec path for service state, standalone or as a fleet tenant
 //! ([`crate::fleet`] wraps it with the tenant's scheduling fields).
 
-use crate::session::{restore_offline, OfflineTemplate};
+use crate::session::{restore_offline_over, OfflineTemplate};
 use crate::snapshot::{ServiceSnapshot, SessionSnapshot};
 use crate::StoreError;
 use lpa_advisor::Advisor;
@@ -33,9 +33,9 @@ pub fn capture_service(
 
 /// Decode a snapshot into what a service is reassembled from. The advisor
 /// must be offline-backed (the service trains against the cost model
-/// between windows); its workload is the template's — the one the service
-/// was *built* with, reserved slots included — plus the absorbed queries,
-/// back in their slots.
+/// between windows); its schema and workload are the template's, moved in
+/// — the workload the service was *built* with, reserved slots included,
+/// plus the absorbed queries, back in their slots.
 pub(crate) fn restore_parts(
     snap: ServiceSnapshot,
     mut template: OfflineTemplate,
@@ -49,7 +49,12 @@ pub(crate) fn restore_parts(
             ))
         })?;
     }
-    let advisor = restore_offline(snap.session, &template)?;
+    let OfflineTemplate {
+        schema,
+        workload,
+        model,
+    } = template;
+    let advisor = restore_offline_over(snap.session, schema, workload, &model)?;
     let state = ServiceResumeState {
         cluster: snap.cluster,
         monitor_counts: snap.monitor_counts,
@@ -74,9 +79,5 @@ pub fn restore_service(
     cfg: ServiceConfig,
 ) -> Result<PartitioningService, StoreError> {
     let (advisor, state) = restore_parts(snap, template)?;
-    let mut service = PartitioningService::new(advisor, cluster, cfg);
-    service
-        .restore_resume_state(state)
-        .map_err(StoreError::Incompatible)?;
-    Ok(service)
+    PartitioningService::restored(advisor, cluster, cfg, state).map_err(StoreError::Incompatible)
 }

@@ -60,31 +60,42 @@ pub fn restore_offline(
     snap: SessionSnapshot,
     template: &OfflineTemplate,
 ) -> Result<Advisor, StoreError> {
-    restore_session(
+    restore_offline_over(
         snap,
         template.schema.clone(),
         template.workload.clone(),
-        |backend| {
-            let BackendState::Offline {
-                mode,
-                interner,
-                memo,
-                costs,
-                current,
-                stats,
-            } = backend
-            else {
-                return Err(StoreError::Incompatible(
-                    "snapshot holds an online backend; use restore_online".to_string(),
-                ));
-            };
-            // The inverted indexes are not persisted: `restore_state` clears
-            // them and they rebuild lazily on the next reward, identically.
-            let mut engine = DeltaCostEngine::new(template.model.clone(), mode);
-            engine.restore_state(interner, memo, costs, current, stats);
-            Ok(RewardBackend::CostModel(Box::new(engine)))
-        },
+        &template.model,
     )
+}
+
+/// [`restore_offline`] over a schema and workload the advisor takes as
+/// they are.
+pub(crate) fn restore_offline_over(
+    snap: SessionSnapshot,
+    schema: Schema,
+    workload: Workload,
+    model: &NetworkCostModel,
+) -> Result<Advisor, StoreError> {
+    restore_session(snap, schema, workload, |backend| {
+        let BackendState::Offline {
+            mode,
+            interner,
+            memo,
+            costs,
+            current,
+            stats,
+        } = backend
+        else {
+            return Err(StoreError::Incompatible(
+                "snapshot holds an online backend; use restore_online".to_string(),
+            ));
+        };
+        // The inverted indexes are not persisted: `restore_state` clears
+        // them and they rebuild lazily on the next reward, identically.
+        let mut engine = DeltaCostEngine::new(model.clone(), mode);
+        engine.restore_state(interner, memo, costs, current, stats);
+        Ok(RewardBackend::CostModel(Box::new(engine)))
+    })
 }
 
 /// Restore an online advisor session from a snapshot. `Incompatible` as

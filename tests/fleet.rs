@@ -1595,3 +1595,219 @@ fn mid_canary_resume_with_a_cold_memo_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir_ref);
     let _ = std::fs::remove_dir_all(&dir_kill);
 }
+
+// ---------------------------------------------------------------------------
+// Whole-fleet resume: the pinned golden through every path a resume has,
+// captured before resume built its tenants as pool tasks, and the two
+// properties a restore must keep — a refused one changes nothing, and a
+// resumed pool generates each database once and executes nothing.
+
+/// Checkpoint cadence and kill point of the pinned resume fleet: segments
+/// at rounds 2 and 4.
+const RESUME_EVERY: u64 = 2;
+const RESUME_KILL: u64 = 4;
+/// Tenant whose checkpoint is corrupt in the newest segment only.
+const RESUME_FALLBACK: usize = 0;
+/// Tenant whose checkpoint is corrupt in both segments.
+const RESUME_LOST: usize = 1;
+/// Tenant with poisoned advice, so a canary is open at the kill.
+const RESUME_CANARY: usize = 3;
+
+fn pinned_resume_cfg() -> FleetConfig {
+    FleetConfig {
+        seed: 0x2E5_0ED,
+        max_tenants: 5,
+        quarantine: QuarantinePolicy {
+            max_errors: 0,
+            cooldown_rounds: 0,
+        },
+        ..FleetConfig::default()
+    }
+}
+
+/// Micro and SSB tenants 0–3, tenant 4 admitted after the last cadence,
+/// and a sixth spec past the five-tenant budget.
+fn pinned_resume_specs() -> Vec<TenantSpec> {
+    (0..6)
+        .map(|i| {
+            let benchmark = if i % 2 == 0 {
+                Benchmark::Micro
+            } else {
+                Benchmark::Ssb
+            };
+            let scale = if benchmark == Benchmark::Micro {
+                0.01
+            } else {
+                0.001
+            };
+            TenantSpec {
+                episodes: 8,
+                ..TenantSpec::new(format!("resume-{i}"), benchmark, scale, 900 + i as u64)
+            }
+        })
+        .collect()
+}
+
+fn pinned_resume_hook() -> Box<SeededChaos> {
+    Box::new(SeededChaos::new(pinned_resume_cfg().seed).poison(RESUME_CANARY, 2))
+}
+
+/// Every tenant's weights, episode, status and counters, the store
+/// counters and the substrate pool's rows.
+fn render_resumed(fleet: &CheckpointedFleet, at: &str) -> String {
+    let report = fleet.report();
+    let mut out = format!(
+        "{at}: round {} rejected {} stage_rounds {:?}\n",
+        report.round,
+        report.rejected_admissions,
+        fleet.fleet().stage_rounds()
+    );
+    for t in &report.per_tenant {
+        out.push_str(&format!(
+            "tenant {} weights {:016x} episode {} status {:?} counters {:?}\n",
+            t.tenant, t.weight_fingerprint, t.episode, t.status, t.counters
+        ));
+    }
+    out.push_str(&format!("store {:?}\n", report.store));
+    for row in fleet.fleet().substrates() {
+        out.push_str(&format!(
+            "substrate {:?} {:016x} {:?}\n",
+            row.benchmark,
+            row.scale.to_bits(),
+            row.stats
+        ));
+    }
+    out
+}
+
+/// Run the pinned resume fleet to its kill point, damage its segments,
+/// resume it and run two more rounds; the rendered resume and rounds.
+fn pinned_resume_render() -> String {
+    let threads = lpa::par::Pool::current().threads();
+    let dir = test_dir("pinned-resume", threads);
+    let specs = pinned_resume_specs();
+    {
+        let mut fleet = CheckpointedFleet::create(pinned_resume_cfg(), &dir, RESUME_EVERY).unwrap();
+        fleet.fleet_mut().set_hook(pinned_resume_hook());
+        for spec in &specs[..4] {
+            fleet.admit(spec.clone()).unwrap();
+        }
+        fleet.run_rounds(RESUME_KILL);
+        assert!(
+            fleet
+                .fleet()
+                .tenant_service(RESUME_CANARY)
+                .unwrap()
+                .guardrail()
+                .canary_open(),
+            "no canary open at the kill"
+        );
+        // Admitted after the last cadence: no checkpoint names it.
+        fleet.admit(specs[4].clone()).unwrap();
+        fleet.run_round();
+    }
+    assert!(!load_manifest(&dir)
+        .unwrap()
+        .unwrap()
+        .stage_rounds
+        .is_empty());
+    corrupt_newest(&dir, RESUME_FALLBACK, 11);
+    for path in segments(&dir) {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let range = checkpoint_range(&bytes, RESUME_LOST);
+        bytes[(range.start + range.end) / 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    let mut resumed =
+        CheckpointedFleet::resume_or(pinned_resume_cfg(), specs, &dir, RESUME_EVERY).unwrap();
+    resumed.fleet_mut().set_hook(pinned_resume_hook());
+    let mut rendered = render_resumed(&resumed, "resumed");
+    resumed.run_rounds(2);
+    rendered.push_str(&render_resumed(&resumed, "after 2 rounds"));
+    let _ = std::fs::remove_dir_all(&dir);
+    rendered
+}
+
+/// The golden was captured once, before resume changed; nothing rewrites
+/// it.
+#[test]
+fn pinned_resume_matches_golden_at_1_and_8_threads() {
+    let golden = include_str!("golden/pinned_resume.txt");
+    for threads in THREAD_COUNTS {
+        let rendered = lpa::par::with_threads(threads, pinned_resume_render);
+        assert_eq!(rendered, golden, "resume drifted at {threads} threads");
+    }
+}
+
+/// A restore the service refuses — here a growth vector one entry too long
+/// — leaves the tenant exactly as it was: no weights of the snapshot over
+/// the tenant's own cluster, monitor and guardrail.
+#[test]
+fn a_refused_restore_leaves_the_tenant_untouched() {
+    let mut trained = shared_fleet(sharing_specs());
+    trained.run_rounds(4);
+    let mut snapshot = capture_tenant(&trained, 1, trained.round()).unwrap();
+    snapshot.service.cluster.growth.push(1.0);
+
+    let mut fleet = shared_fleet(sharing_specs());
+    let twin = shared_fleet(sharing_specs());
+    assert_ne!(
+        trained.tenant_weight_fingerprint(1).unwrap(),
+        twin.tenant_weight_fingerprint(1).unwrap(),
+        "the snapshot carries no weights of its own"
+    );
+    assert!(restore_tenant(&mut fleet, snapshot).is_err());
+    assert_eq!(fingerprints(&fleet), fingerprints(&twin));
+}
+
+/// A resumed fleet rebuilds its pool from the specs: one row per distinct
+/// database, every restored tenant's cluster attached to its row, and
+/// nothing executed, at any thread count.
+#[test]
+fn a_resume_generates_each_database_once_and_executes_nothing() {
+    let mut specs = sharing_specs();
+    specs.extend(solitary_specs().into_iter().skip(1).step_by(2));
+    for threads in THREAD_COUNTS {
+        let dir = test_dir("resume-pool", threads);
+        lpa::par::with_threads(threads, || {
+            let mut fleet = CheckpointedFleet::create(shared_cfg(), &dir, 1).unwrap();
+            for spec in specs.clone() {
+                fleet.admit(spec).unwrap();
+            }
+            fleet.run_rounds(2);
+            drop(fleet);
+            let resumed =
+                CheckpointedFleet::resume_or(shared_cfg(), specs.clone(), &dir, 1).unwrap();
+            assert_eq!(resumed.report().store.restores, specs.len() as u64);
+            let rows = resumed.fleet().substrates();
+            let databases: Vec<(Benchmark, f64)> =
+                rows.iter().map(|r| (r.benchmark, r.scale)).collect();
+            assert_eq!(
+                databases,
+                [
+                    (Benchmark::Ssb, 0.001),
+                    (Benchmark::TpcCh, 0.001),
+                    (Benchmark::Micro, 0.01)
+                ],
+                "threads={threads}"
+            );
+            let attached: Vec<usize> = rows.iter().map(|r| r.stats.clusters_attached).collect();
+            assert_eq!(attached, [4, 1, 1], "threads={threads}");
+            assert_eq!(
+                attached.iter().sum::<usize>(),
+                resumed.fleet().tenant_count()
+            );
+            for row in &rows {
+                assert_eq!(row.stats.memo_entries, 0, "threads={threads}");
+                assert_eq!(row.stats.memo_hits + row.stats.memo_misses, 0);
+            }
+            let pooled =
+                |t: usize| Arc::clone(resumed.fleet().tenant_cluster(t).unwrap().substrate());
+            for t in 1..4 {
+                assert!(Arc::ptr_eq(&pooled(0), &pooled(t)), "threads={threads}");
+            }
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
