@@ -14,7 +14,10 @@
 //! values are exact — and then commits what they staged and journaled
 //! serially, in slice order. A round the fleet-wide deploy budget could
 //! bind runs its slices one after another instead, each seeing the stages
-//! of the slices before it (see [`Fleet::run_round`]).
+//! of the slices before it (see [`Fleet::run_round`]). Crash recovery
+//! rebuilds a whole fleet with [`Fleet::admit_batch`]: admission settled
+//! serially in spec order, then each tenant built once on the pool,
+//! straight from its checkpoint when it has one.
 //!
 //! Robustness contract (the reason this module exists):
 //!

@@ -360,20 +360,21 @@ impl CheckpointedFleet {
             .collect();
         // A checkpoint decodes against its spec's schema, built once per
         // distinct database; a spec without one fails its admission below.
-        let mut databases: Vec<(Benchmark, u64, Schema)> = Vec::new();
-        let mut database_of: Vec<Option<usize>> = Vec::with_capacity(n);
+        let database = |spec: &TenantSpec| (spec.benchmark, spec.scale.to_bits());
+        let mut schemas: Vec<((Benchmark, u64), Schema)> = Vec::new();
         for spec in specs.iter().take(n) {
-            let key = (spec.benchmark, spec.scale.to_bits());
-            let known = databases.iter().position(|(b, s, _)| (*b, *s) == key);
-            database_of.push(known.or_else(|| {
-                let schema = spec.schema().ok()?;
-                databases.push((key.0, key.1, schema));
-                Some(databases.len() - 1)
-            }));
+            if schemas.iter().all(|(db, _)| *db != database(spec)) {
+                if let Ok(schema) = spec.schema() {
+                    schemas.push((database(spec), schema));
+                }
+            }
         }
         let schema_of = |t: usize| {
-            let d = database_of.get(t).copied().flatten()?;
-            databases.get(d).map(|(_, _, schema)| schema)
+            let db = database(specs.get(t)?);
+            schemas
+                .iter()
+                .find(|(d, _)| *d == db)
+                .map(|(_, schema)| schema)
         };
         // Phase 1: walk segments newest first, each only while some tenant
         // still looks for a checkpoint at or below it.
