@@ -8,6 +8,8 @@
 //! Repartitioning and how much time could be saved with a particular
 //! Timeout").
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 /// Simulated-seconds ledger of one online-training run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CostAccounting {

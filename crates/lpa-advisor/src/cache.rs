@@ -11,6 +11,8 @@
 //! is a `BTreeMap`, keeping iteration deterministic (lint L002) — the same
 //! key discipline the offline delta engine uses.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use lpa_partition::{InternedKey, KeyInterner, Partitioning};
 use lpa_schema::TableId;
 use std::collections::BTreeMap;

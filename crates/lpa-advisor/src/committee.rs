@@ -89,7 +89,6 @@ impl Committee {
     /// Prelude of [`Self::train`]: derive the references and build, per
     /// subspace, a fresh environment plus the deterministic mix pool its
     /// expert trains on.
-    #[allow(clippy::type_complexity)]
     fn expert_inputs(
         naive: &mut Advisor,
         expert_cfg: &DqnConfig,

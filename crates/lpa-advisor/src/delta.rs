@@ -24,6 +24,8 @@
 //! (every non-zero-frequency query per reward); the differential suite in
 //! `tests/incremental_equiv.rs` pins the two modes together bitwise.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use lpa_costmodel::NetworkCostModel;
 use lpa_partition::{Action, InternedKey, KeyInterner, Partitioning};
 use lpa_rl::EnvCounters;

@@ -1,5 +1,7 @@
 //! The partitioning problem as a DQN environment (Section 3.2).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::delta::{DeltaCostEngine, RecostMode};
 use crate::online::OnlineBackend;
 use lpa_costmodel::NetworkCostModel;
@@ -188,7 +190,6 @@ impl AdvisorEnv {
     /// side effect would perturb the cluster clock and caches that were
     /// just put back into their recorded state, so the captured scale and
     /// RNG words are installed directly instead.
-    #[allow(clippy::too_many_arguments)]
     pub fn for_restore(
         schema: Schema,
         workload: Workload,

@@ -23,7 +23,9 @@
         clippy::indexing_slicing,
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants,
-        clippy::disallowed_methods
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
     )
 )]
 

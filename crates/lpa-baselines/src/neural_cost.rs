@@ -52,7 +52,6 @@ pub struct NeuralCostAdvisor {
 impl NeuralCostAdvisor {
     /// Offline bootstrap on random (partitioning, mix) pairs labeled by
     /// the network-centric cost model.
-    #[allow(clippy::too_many_arguments)]
     pub fn bootstrap_offline(
         schema: Schema,
         workload: Workload,

@@ -110,6 +110,31 @@ pub struct ClusterResumeState {
 
 /// A simulated distributed database cluster: generated data (the shared,
 /// immutable [`Substrate`]) sharded by the currently deployed partitioning.
+///
+/// Only the guardrail module changes the deployed layout: `deploy` is
+/// private to this crate, so a direct deploy from outside it does not
+/// compile:
+///
+/// ```compile_fail
+/// use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+/// let schema = lpa_schema::microbench::schema(0.001).unwrap();
+/// let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+/// let mut cluster = Cluster::new(schema.clone(), config);
+/// let target = lpa_partition::Partitioning::initial(&schema);
+/// cluster.deploy(&target);
+/// ```
+///
+/// The doors are [`Guardrail::end_window`](crate::Guardrail::end_window)
+/// and the sanctioned bypass, which does:
+///
+/// ```
+/// use lpa_cluster::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+/// let schema = lpa_schema::microbench::schema(0.001).unwrap();
+/// let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+/// let mut cluster = Cluster::new(schema.clone(), config);
+/// let target = lpa_partition::Partitioning::initial(&schema);
+/// lpa_cluster::guardrail::direct_deploy(&mut cluster, &target);
+/// ```
 #[derive(Debug)]
 pub struct Cluster {
     /// Schema, config, rows, the clean-execution memo and the executor
@@ -266,11 +291,13 @@ impl Cluster {
 
     /// Deploy a new partitioning: repartition every table whose physical
     /// state changes, charging the movement time. Returns seconds spent.
+    /// Crate-private: outside `lpa-cluster` a layout changes only through
+    /// the guardrail or [`crate::guardrail::direct_deploy`].
     #[expect(
         clippy::indexing_slicing,
         reason = "layouts holds one slot per schema table; target shares the cluster's schema"
     )]
-    pub fn deploy(&mut self, target: &Partitioning) -> f64 {
+    pub(crate) fn deploy(&mut self, target: &Partitioning) -> f64 {
         let changed = self.deployed.diff_tables(target);
         let mut seconds = 0.0;
         for t in changed {

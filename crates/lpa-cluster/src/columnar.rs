@@ -54,9 +54,9 @@
 //! property/chaos suites) proves `execute` == `execute_naive` bit-for-bit
 //! across fault storms and thread counts.
 //!
-//! This file is hot-path scoped under lint rule L013: no `Vec::new` /
-//! `vec![]` / `collect()` outside `#[cfg(test)]` — steady-state execution
-//! must not allocate.
+//! Steady-state execution runs on the reused [`ExecScratch`] arenas;
+//! `tests/alloc_counts.rs` (rule L013) pins the allocations of a warm
+//! `execute_with`, callees included.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

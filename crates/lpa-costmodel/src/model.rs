@@ -327,7 +327,10 @@ impl NetworkCostModel {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the recursive plan search threads its partial plan state through every call"
+    )]
     #[expect(
         clippy::indexing_slicing,
         reason = "ji enumerates the query's joins; used holds one slot per join"
@@ -419,7 +422,10 @@ impl NetworkCostModel {
 
     /// Join `left` (intermediate or base) with base-table side `right`,
     /// choosing the cheapest distribution strategy.
-    #[allow(clippy::too_many_arguments)] // private planner helper; all args are hot-path plan state
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "private planner helper; every argument is hot-path plan state"
+    )]
     #[expect(
         clippy::indexing_slicing,
         reason = "a validated join has at least one key pair"

@@ -58,7 +58,10 @@ impl Adam {
     /// Per-layer moment vectors `(mw, vw, mb, vb)`, in layer order. Exposed
     /// for checkpointing: the optimizer cannot be resumed bit-identically
     /// without its moments.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the four moment slices of a layer, named in the doc; a struct would exist only for checkpoint capture"
+    )]
     pub fn layer_moments(&self) -> Vec<(&[f32], &[f32], &[f32], &[f32])> {
         self.state
             .iter()
@@ -76,7 +79,10 @@ impl Adam {
     /// Rebuild an optimizer from checkpointed state. `moments` holds one
     /// `(mw, vw, mb, vb)` tuple per layer, exactly as captured by
     /// [`Adam::layer_moments`]; `t` is [`Adam::step_count`].
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "the inverse of `layer_moments`: one owned (mw, vw, mb, vb) tuple per layer"
+    )]
     pub fn from_raw_state(
         lr: f32,
         beta1: f32,
@@ -139,7 +145,10 @@ impl Adam {
 /// drops the bounds checks and vectorizes; each element's operations are
 /// unchanged and elements never interact, so the bits are identical to
 /// the indexed loop for any chunking the autovectorizer picks.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a private kernel over four slices and the step's six scalars, called for weights and biases alike"
+)]
 fn update(
     params: &mut [f32],
     grads: &[f32],

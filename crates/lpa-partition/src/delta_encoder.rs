@@ -18,9 +18,9 @@
 //! [`with_full_encode`] forces the oracle path at runtime for full-training
 //! differentials.
 //!
-//! This file is hot-path scoped under lint rule L013: no `Vec::new` /
-//! `vec![]` / `collect()` outside `#[cfg(test)]` — steady-state calls must
-//! not allocate.
+//! Steady-state calls must not allocate: `tests/alloc_counts.rs` (rule
+//! L013) pins `state_prefix`, `encode_input` and `encode_batch` at zero
+//! allocations per warm call.
 
 use std::cell::Cell;
 

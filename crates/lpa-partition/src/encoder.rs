@@ -7,6 +7,8 @@
 //! one-hot action kind, table, attribute and edge. Q(s,a) is computed from
 //! the concatenation of both.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::action::Action;
 use crate::partitioning::{Partitioning, TableState};
 use lpa_schema::Schema;

@@ -14,6 +14,8 @@
 //! [`fingerprint64`] is a convenience digest for logs and bench reports
 //! only — never a cache key.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::action::Action;
 use crate::partitioning::{Partitioning, TableState};
 use lpa_schema::TableId;

@@ -19,9 +19,12 @@
         clippy::indexing_slicing,
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants,
-        clippy::disallowed_methods
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
     )
 )]
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod agent;
 pub mod buffer;

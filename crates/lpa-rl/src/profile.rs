@@ -5,7 +5,7 @@
 //! to four phases: state/action **encode**, **env** interaction (action
 //! enumeration), **replay** sampling, and **nn** forward/backward work.
 //! Accumulators are thread-local `u64` nanosecond counters — no floats
-//! (determinism lint L005 covers this crate) and no cross-thread state.
+//! and no cross-thread state.
 //! When disabled, instrumented sites pay a single thread-local boolean
 //! read and no clock calls, so training results and throughput are
 //! unaffected. Timers never feed back into training — they are pure

@@ -13,6 +13,8 @@
 //! are stored via their IEEE-754 bit patterns (`to_bits`/`from_bits`), so a
 //! round trip is bit-exact including negative zero and NaN payloads.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::StoreError;
 use lpa_schema::Schema;
 

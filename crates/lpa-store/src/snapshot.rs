@@ -34,6 +34,8 @@
 //! action-set cache (a memo that refills identically), and the state
 //! encoder (derived from schema + slot count).
 
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 use crate::codec::{ByteReader, ByteWriter, Wire, WireAs};
 use crate::{wire_enum, wire_record, StoreError};
 use lpa_advisor::online::OnlineResumeState;
@@ -684,7 +686,10 @@ wire_enum! {
 /// The online variant is much larger than the offline one; boxing it would
 /// buy nothing on a type constructed a handful of times per checkpoint.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "built a handful of times per checkpoint; boxing the online variant buys nothing"
+)]
 pub enum BackendState {
     Offline {
         mode: RecostMode,
@@ -900,7 +905,6 @@ wire_record! {
 
 /// Everything a checkpoint file can hold.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)] // one value per checkpoint file; boxing buys nothing
 pub enum Checkpoint {
     Session(SessionSnapshot),
     Service(ServiceSnapshot),

@@ -7,6 +7,7 @@
 //! cargo run --release --example cloud_warehouse
 //! ```
 
+use lpa::cluster::direct_deploy;
 use lpa::prelude::*;
 
 fn main() {
@@ -48,7 +49,7 @@ fn main() {
         ("Heuristic (b)", &hb),
         ("RL advisor", &p_rl),
     ] {
-        cluster.deploy(p);
+        direct_deploy(&mut cluster, p);
         let t = cluster.run_workload(&workload, &mix);
         println!("{label:<16} {t:>9.3}s");
     }

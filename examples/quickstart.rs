@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use lpa::cluster::direct_deploy;
 use lpa::prelude::*;
 
 fn main() {
@@ -46,9 +47,9 @@ fn main() {
         ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
     );
     let naive = Partitioning::initial(&schema);
-    cluster.deploy(&naive);
+    direct_deploy(&mut cluster, &naive);
     let t_naive = cluster.run_workload(&workload, &mix);
-    cluster.deploy(&suggestion.partitioning);
+    direct_deploy(&mut cluster, &suggestion.partitioning);
     let t_rl = cluster.run_workload(&workload, &mix);
     println!("measured workload runtime: naive {t_naive:.4}s → advisor {t_rl:.4}s");
     if t_rl < t_naive {

@@ -1,22 +1,23 @@
 #!/usr/bin/env bash
-# Negative control for the clippy half of the workspace lint rules.
+# Negative control for the clippy-enforced workspace lint rules.
 #
-# Runs clippy on crates/lpa-lint/tests/clippy_fixture, a crate outside the
-# workspace that carries the library deny line and reads the root
-# clippy.toml, and fails unless the set of (line, lint) findings equals the
-# set of lines marked `// FINDING <lint>` in its src/lib.rs. A lint that
-# stops firing (a clippy.toml entry dropped, a lint left out of the deny
-# line) and a finding on an unmarked line both fail.
+# Runs clippy on scripts/clippy_fixture, a crate outside the workspace that
+# carries the library deny line and reads the root clippy.toml, and fails
+# unless the set of (line, lint) findings equals the set marked
+# `// FINDING <lint> [<lint> ...]` in its src/lib.rs. A lint that stops
+# firing (a clippy.toml entry dropped, a lint left out of the deny line)
+# and a finding on an unmarked line both fail.
 #
 #   scripts/clippy_fixture.sh
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-fixture="$root/crates/lpa-lint/tests/clippy_fixture"
+fixture="$root/scripts/clippy_fixture"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$root/target/clippy_fixture}"
 
-expected="$(grep -n '// FINDING [a-z_]*$' "$fixture/src/lib.rs" |
-    sed 's|^\([0-9]*\):.*// FINDING \([a-z_]*\)$|\1 \2|' | sort -u)"
+expected="$(grep -n '// FINDING [a-z_ ]*$' "$fixture/src/lib.rs" |
+    sed 's|^\([0-9]*\):.*// FINDING \([a-z_ ]*\)$|\1 \2|' |
+    awk '{ for (i = 2; i <= NF; i++) print $1, $i }' | sort -u)"
 
 # Check from scratch every time, so no finding is replayed from a cache.
 cargo clean --quiet --manifest-path "$fixture/Cargo.toml" -p clippy-fixture

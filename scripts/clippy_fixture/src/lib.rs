@@ -1,7 +1,8 @@
-//! The cases lpa-lint's removed rules caught (L001, L003, L004, L006,
-//! L007's catch-all arms, L008, L009), as library code under the library
-//! deny line. Each line clippy must flag ends in a FINDING marker naming
-//! the lint; unmarked lines are near-misses clippy must leave alone.
+//! The workspace's clippy-enforced rules (L001, L002, L003, L004, L006,
+//! L007's catch-all arms, L008, L009 and L016's exemption rule), as library
+//! code under the library deny line. Each line clippy must flag ends in a
+//! FINDING marker naming its lints; unmarked lines are near-misses clippy
+//! must leave alone.
 
 #![cfg_attr(
     not(test),
@@ -13,7 +14,9 @@
         clippy::indexing_slicing,
         clippy::wildcard_enum_match_arm,
         clippy::match_wildcard_for_single_variants,
-        clippy::disallowed_methods
+        clippy::disallowed_methods,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
     )
 )]
 
@@ -319,4 +322,105 @@ pub mod raw_fs {
         let _ = fs::write("out.tmp", b"bytes");
         let _ = fs::rename("out.tmp", "out.bin");
     }
+}
+
+// ---- L002: hash collections in determinism-scoped code -----------------
+
+/// A scoped file carries the same line as `lpa-advisor/src/delta.rs`.
+pub mod scoped {
+    #![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
+    use std::collections::hash_map;
+    use std::collections::HashMap; // FINDING disallowed_types
+    use std::collections::HashSet; // FINDING disallowed_types
+
+    pub fn reward_by_table(costs: &HashMap<String, f64>) -> f64 { // FINDING disallowed_types
+        costs.values().sum()
+    }
+
+    pub fn touched(tables: &HashSet<u32>) -> usize { // FINDING disallowed_types
+        tables.len()
+    }
+
+    pub fn aliased(m: &hash_map::HashMap<u32, u32>) -> usize { // FINDING disallowed_types
+        m.len()
+    }
+
+    // `cfg(not(test))` is the code that ships, not a test region.
+    #[cfg(not(test))]
+    pub mod live {
+        pub fn shipped() -> usize {
+            std::collections::HashMap::<u32, u32>::new().len() // FINDING disallowed_types
+        }
+    }
+
+    /// Ordered maps are the sanctioned replacement.
+    pub fn ordered(m: &std::collections::BTreeMap<u32, u32>) -> usize {
+        m.len()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use std::collections::HashMap;
+
+        #[test]
+        fn hash_maps_are_fine_in_tests() {
+            let m: HashMap<u32, u32> = HashMap::new();
+            assert!(m.is_empty());
+        }
+    }
+}
+
+/// Outside the scoped crates and files a hash map is fine.
+pub mod unscoped {
+    use std::collections::HashMap;
+
+    pub fn memo(m: &HashMap<u32, u32>) -> usize {
+        m.len()
+    }
+}
+
+// ---- L016: exemptions are item-level `expect`s with a reason -----------
+
+#[allow(clippy::indexing_slicing)] // FINDING allow_attributes allow_attributes_without_reason
+pub fn allowed(v: &[u8]) -> u8 {
+    v[0]
+}
+
+#[allow(clippy::indexing_slicing, reason = "v is non-empty")] // FINDING allow_attributes
+pub fn allowed_with_reason(v: &[u8]) -> u8 {
+    v[0]
+}
+
+#[expect(clippy::indexing_slicing)] // FINDING allow_attributes_without_reason
+pub fn expected_without_reason(v: &[u8]) -> u8 {
+    v[0]
+}
+
+/// An `allow` of a lint nothing denies is still an `allow`: it cannot go
+/// stale loudly.
+#[allow(clippy::too_many_arguments)] // FINDING allow_attributes allow_attributes_without_reason
+pub fn many(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8, g: u8, h: u8) -> u8 {
+    a ^ b ^ c ^ d ^ e ^ f ^ g ^ h
+}
+
+#[allow(clippy::unreachable)] // FINDING allow_attributes allow_attributes_without_reason
+pub mod allowed_module {}
+
+/// `allow_attributes` checks outer attributes only; an inner `allow` is
+/// caught here for its missing reason, and one of a denied lint also by
+/// `tests/source_rules.rs` (module-level exemption).
+pub mod inner_allow {
+    #![allow(clippy::expect_used)] // FINDING allow_attributes_without_reason
+}
+
+/// The sanctioned form: no finding.
+#[expect(clippy::too_many_arguments, reason = "mirrors a wire layout")]
+pub fn many_expected(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8, g: u8, h: u8) -> u8 {
+    a ^ b ^ c ^ d ^ e ^ f ^ g ^ h
+}
+
+#[cfg(test)]
+mod test_allows {
+    #![allow(clippy::indexing_slicing)]
 }

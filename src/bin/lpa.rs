@@ -9,6 +9,7 @@
 //! ```
 
 use lpa::advisor::OnlineOptimizations;
+use lpa::cluster::direct_deploy;
 use lpa::prelude::*;
 use lpa::store::{atomic_write, capture_advisor, encode_checkpoint, Checkpoint};
 use std::collections::HashMap;
@@ -312,7 +313,7 @@ fn cmd_baselines(args: &[String]) -> Result<(), String> {
         label: &str,
         p: &Partitioning,
     ) {
-        cluster.deploy(p);
+        direct_deploy(cluster, p);
         let t = cluster.run_workload(workload, mix);
         println!("  {label:<22} {t:>10.4} s");
     }

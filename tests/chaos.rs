@@ -20,7 +20,7 @@
 //! default storm seed (`LPA_CHAOS_SEED` overrides it).
 
 use lpa::advisor::{shared_cache, shared_cluster, OnlineBackend, RetryPolicy, SharedCluster};
-use lpa::cluster::{FailReason, FaultPlan, QueryOutcome};
+use lpa::cluster::{direct_deploy, FailReason, FaultPlan, QueryOutcome};
 use lpa::prelude::*;
 use lpa::rl::AgentSnapshot;
 use lpa::schema::TableId;
@@ -69,7 +69,7 @@ fn runtime_bits(cluster: &mut Cluster, schema: &Schema, workload: &Workload) -> 
         .apply(schema, &Partitioning::initial(schema))
         .unwrap();
     for p in [Partitioning::initial(schema), replicate_b] {
-        cluster.deploy(&p);
+        direct_deploy(cluster, &p);
         for q in workload.queries() {
             match cluster.run_query(q, None) {
                 QueryOutcome::Completed {
@@ -183,7 +183,7 @@ fn failover_drill(storm_cluster: &SharedCluster, schema: &Schema, workload: &Wor
             .apply(schema, &all_replicated)
             .unwrap_or(all_replicated);
     }
-    cluster.deploy(&all_replicated);
+    direct_deploy(&mut cluster, &all_replicated);
     let window = cluster.fault_plan().window_seconds;
     let q = &workload.queries()[0];
     for _ in 0..256 {
@@ -251,7 +251,7 @@ fn storm_training_run(seed: u64) -> (AgentSnapshot, FaultAccounting, f64, f64) {
     let (_, _, mut judge_initial) = micro_cluster(0.02);
     let initial_cost = judge_initial.run_workload(&workload, &mix);
     let (_, _, mut judge_final) = micro_cluster(0.02);
-    judge_final.deploy(&p_final);
+    direct_deploy(&mut judge_final, &p_final);
     let final_cost = judge_final.run_workload(&workload, &mix);
     (advisor.snapshot(), fa, final_cost, initial_cost)
 }

@@ -4,7 +4,7 @@
 //! Formerly `proptest`-driven; now explicit seed-indexed loops over the
 //! vendored deterministic `StdRng` (same case counts as before).
 
-use lpa::cluster::QueryOutcome;
+use lpa::cluster::{direct_deploy, QueryOutcome};
 use lpa::partition::valid_actions;
 use lpa::prelude::*;
 use rand::rngs::StdRng;
@@ -55,7 +55,7 @@ fn join_results_are_placement_independent() {
             .collect();
         // Any reachable layout must produce identical results.
         let p = random_partitioning(&schema, &choices);
-        cluster.deploy(&p);
+        direct_deploy(&mut cluster, &p);
         for (q, want) in workload.queries().iter().zip(&reference) {
             let got = outcome_rows(cluster.run_query(q, None));
             assert_eq!(got, *want, "layout {}", p.describe(&schema));
@@ -102,7 +102,7 @@ fn tpcch_results_placement_independent_across_key_layouts() {
     let co = Action::ActivateEdge(e)
         .apply(&schema, &Partitioning::initial(&schema))
         .expect("edge activates");
-    cluster.deploy(&co);
+    direct_deploy(&mut cluster, &co);
     let co_rows: Vec<u64> = [q13, q18]
         .iter()
         .map(|q| match cluster.run_query(q, None) {
@@ -139,7 +139,7 @@ fn skewed_partitioning_is_measurably_slower_on_system_x() {
         states[c.table.0] = TableState::PartitionedBy(c.attr);
         states[o.table.0] = TableState::PartitionedBy(o.attr);
         let p = Partitioning::from_states(&schema, states);
-        cluster.deploy(&p);
+        direct_deploy(cluster, &p);
         cluster
             .run_query(q13, None)
             .completed()
@@ -432,13 +432,13 @@ fn memo_differential(
                 p = actions[rng.gen_range(0..actions.len())]
                     .apply(cluster.schema(), &p)
                     .expect("valid action applies");
-                let seconds = cluster.deploy(&p);
+                let seconds = direct_deploy(&mut cluster, &p);
                 oracle.deploy(&p, seconds);
             }
             2 => {
                 // Go back: the layouts the memo already knows come around.
                 p = Partitioning::initial(&schema);
-                let seconds = cluster.deploy(&p);
+                let seconds = direct_deploy(&mut cluster, &p);
                 oracle.deploy(&p, seconds);
             }
             3 => {
@@ -564,7 +564,7 @@ fn concurrent_clusters_on_one_substrate_execute_each_key_once() {
     let walk = |cluster: &mut Cluster, w: usize| -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         for k in 0..layouts.len() {
-            cluster.deploy(&layouts[(w + k) % layouts.len()]);
+            direct_deploy(cluster, &layouts[(w + k) % layouts.len()]);
             for _ in 0..PASSES {
                 for q in workload.queries() {
                     out.push(bits(cluster.run_query(q, None)));

@@ -8,7 +8,7 @@
 //! `LPA_THREADS`, safe to use from parallel test harnesses) and compares
 //! raw bit patterns, not approximate values.
 
-use lpa::cluster::QueryOutcome;
+use lpa::cluster::{direct_deploy, QueryOutcome};
 use lpa::nn::Mlp;
 use lpa::partition::valid_actions;
 use lpa::prelude::*;
@@ -53,7 +53,7 @@ fn executor_runtimes_are_bit_identical_across_thread_counts() {
                     ClusterConfig::new(engine, HardwareProfile::standard()),
                 );
                 let p = partitioning_from_choices(&schema, &[seed, seed * 7 + 1, seed * 13 + 2]);
-                cluster.deploy(&p);
+                direct_deploy(&mut cluster, &p);
                 for q in workload.queries() {
                     match cluster.run_query(q, None) {
                         QueryOutcome::Completed {

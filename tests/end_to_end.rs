@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from schema to
 //! suggestion, exercised through the public `lpa` API.
 
+use lpa::cluster::direct_deploy;
 use lpa::prelude::*;
 
 fn quick_cfg(episodes: usize, tmax: usize) -> DqnConfig {
@@ -76,7 +77,7 @@ fn online_pipeline_runs_and_accounts_time() {
     // the full cluster.
     let p_on = advisor.suggest(&mix).partitioning;
     p_on.check(&schema).unwrap();
-    full.deploy(&p_on);
+    direct_deploy(&mut full, &p_on);
     let t = full.run_workload(&workload, &mix);
     assert!(t > 0.0);
 }

@@ -5,6 +5,7 @@
 //! seed-indexed loop over `StdRng`-generated inputs. Coverage (number of
 //! cases per property) matches the old `ProptestConfig` settings.
 
+use lpa::cluster::direct_deploy;
 use lpa::prelude::*;
 use lpa::schema::{AttrId, EdgeId, TableId};
 use lpa::workload::FrequencyVector;
@@ -524,8 +525,8 @@ fn columnar_executor_matches_naive_across_fault_storms() {
                             .apply(&schema, &p)
                             .expect("valid action applies");
                     }
-                    let rf = fast.deploy(&p);
-                    let rn = lpa::cluster::with_naive_executor(|| naive.deploy(&p));
+                    let rf = direct_deploy(&mut fast, &p);
+                    let rn = lpa::cluster::with_naive_executor(|| direct_deploy(&mut naive, &p));
                     assert_eq!(rf.to_bits(), rn.to_bits(), "deploy seconds differ");
                     if round == 1 {
                         fast.bulk_update(0.3);
@@ -1053,4 +1054,97 @@ fn derive_stream3_salts_never_collide() {
             }
         }
     }
+}
+
+/// Query locality, which the runtime cache, the delta engine and the
+/// substrate memo all assume: a query's cost under the cost model, and its
+/// fault-free runtime on the simulator, depend only on the states of the
+/// tables it scans. For random layouts on micro, SSB and TPC-CH, changing
+/// the state of a table query `q` does not scan leaves both bit-identical.
+/// Each simulator side runs on its own fresh `Cluster::new`, so the
+/// substrate memo, which keys on exactly those tables, cannot answer.
+#[test]
+fn query_cost_and_runtime_ignore_tables_the_query_does_not_scan() {
+    use lpa::schema::AttrKind;
+
+    let benches = [
+        (
+            "micro",
+            lpa::schema::microbench::schema(0.001).expect("schema builds"),
+        ),
+        (
+            "ssb",
+            lpa::schema::ssb::schema(0.001).expect("schema builds"),
+        ),
+        ("tpcch", tpcch()),
+    ];
+    let model = NetworkCostModel::new(CostParams::standard());
+    let mut checked = 0;
+    for (name, schema) in &benches {
+        let workload = match *name {
+            "micro" => lpa::workload::microbench::workload(schema),
+            "ssb" => lpa::workload::ssb::workload(schema),
+            _ => lpa::workload::tpcch::workload(schema),
+        }
+        .expect("workload builds");
+        for case in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(0x10CA_0000 + case);
+            let engine = if case % 2 == 0 {
+                EngineProfile::system_x()
+            } else {
+                EngineProfile::pgxl()
+            };
+            // Every state a table can take on this engine.
+            let states = |t: TableId| -> Vec<TableState> {
+                let table = schema.table(t);
+                let keys = table.partitionable_attrs().filter(|&a| {
+                    engine.supports_compound_keys
+                        || matches!(table.attributes[a.0].kind, AttrKind::Physical)
+                });
+                std::iter::once(TableState::Replicated)
+                    .chain(keys.map(TableState::PartitionedBy))
+                    .collect()
+            };
+            let layout: Vec<TableState> = (0..schema.tables().len())
+                .map(|t| {
+                    let options = states(TableId(t));
+                    options[rng.gen_range(0..options.len())]
+                })
+                .collect();
+            let queries = workload.queries();
+            let q = &queries[rng.gen_range(0..queries.len())];
+            let unscanned: Vec<TableId> = (0..schema.tables().len())
+                .map(TableId)
+                .filter(|t| !q.tables.contains(t))
+                .collect();
+            let Some(&t) = unscanned.get(rng.gen_range(0..unscanned.len().max(1))) else {
+                continue; // the query scans every table
+            };
+            let mut changed = layout.clone();
+            let options: Vec<TableState> = states(t)
+                .into_iter()
+                .filter(|s| *s != layout[t.0])
+                .collect();
+            changed[t.0] = options[rng.gen_range(0..options.len())];
+            let p = Partitioning::from_states(schema, layout);
+            let p2 = Partitioning::from_states(schema, changed);
+            let at = format!("{name} case {case}: {} with table {} changed", q.name, t.0);
+            assert_eq!(
+                model.query_cost(schema, q, &p).to_bits(),
+                model.query_cost(schema, q, &p2).to_bits(),
+                "{at}: cost model"
+            );
+            let runtime = |p: &Partitioning| {
+                let mut cluster = Cluster::new(
+                    schema.clone(),
+                    ClusterConfig::new(engine, HardwareProfile::standard()),
+                );
+                direct_deploy(&mut cluster, p);
+                cluster.run_query(q, None).seconds().to_bits()
+            };
+            assert_eq!(runtime(&p), runtime(&p2), "{at}: simulator");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 15, "only {checked} cases had an unscanned table");
 }

@@ -13,7 +13,7 @@
 //! processes, not just within one.
 
 use lpa::advisor::{shared_cache, shared_cluster, Advisor, OnlineBackend};
-use lpa::cluster::FaultPlan;
+use lpa::cluster::{direct_deploy, FaultPlan};
 use lpa::prelude::*;
 use lpa::rl::QEnvironment;
 use lpa::store::{
@@ -505,7 +505,7 @@ fn composed_session(
         template.schema.clone(),
         ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
     );
-    cluster.deploy(&offline.advice);
+    direct_deploy(&mut cluster, &offline.advice);
     let mut runtimes = Vec::new();
     for q in template.workload.queries() {
         match cluster.run_query(q, None) {
