@@ -168,15 +168,27 @@ fn nn_training_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// `tests/golden/oracle_runs.txt`'s lines under `key`, newline-terminated.
+fn oracle_lines(key: &str) -> String {
+    include_str!("golden/oracle_runs.txt")
+        .lines()
+        .filter(|l| l.split(' ').next() == Some(key))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 /// The tentpole differential for the fast NN kernels: a **full offline
 /// training run** on the blocked/fused/batched fast path must produce
 /// bit-identical trained weights (Q and target nets, down to every f32
 /// bit) to the same run with all kernels forced onto the naive serial
-/// triple loop — at one and at eight threads. The fast kernels are only
-/// allowed to re-block and fuse *around* each output cell's fixed
-/// summation order, never inside it; this test is the proof.
+/// triple loop — at one and at eight threads. The naive run's fingerprint
+/// is the `fast_kernels_train` line of `tests/golden/oracle_runs.txt`.
+/// The fast kernels are only allowed to re-block and fuse *around* each
+/// output cell's fixed summation order, never inside it; this test is the
+/// proof.
 #[test]
 fn fast_kernels_train_bit_identical_to_naive_kernels() {
+    use lpa::nn::reference::mlp_fingerprint;
     let cfg = DqnConfig {
         episodes: 10,
         tmax: 6,
@@ -188,7 +200,7 @@ fn fast_kernels_train_bit_identical_to_naive_kernels() {
         ..DqnConfig::paper()
     }
     .with_seed(77);
-    let run = || -> (Vec<u32>, Vec<u32>, u64, Partitioning, u64) {
+    let run = || -> String {
         let schema = lpa::schema::microbench::schema(1.0).unwrap();
         let workload = lpa::workload::microbench::workload(&schema).unwrap();
         let mut advisor = Advisor::train_offline(
@@ -202,20 +214,22 @@ fn fast_kernels_train_bit_identical_to_naive_kernels() {
         let mix = workload.uniform_frequencies();
         let suggestion = advisor.suggest(&mix);
         let s = advisor.snapshot();
-        (
-            mlp_bits(&s.q),
-            mlp_bits(&s.target),
+        format!(
+            "fast_kernels_train q {:016x} target {:016x} epsilon {:016x} advice {:016x} reward {:016x}\n",
+            mlp_fingerprint(&s.q),
+            mlp_fingerprint(&s.target),
             s.epsilon.to_bits(),
-            suggestion.partitioning,
+            lpa::partition::fingerprint64(&suggestion.partitioning),
             suggestion.reward.to_bits(),
         )
     };
+    let golden = oracle_lines("fast_kernels_train");
     // Reference trajectory: every matmul forced onto the naive kernel.
-    let naive = lpa::nn::with_naive_kernels(run);
+    assert_eq!(lpa::nn::with_naive_kernels(run), golden, "naive kernels");
     for threads in [1usize, 8] {
         let fast = lpa::par::with_threads(threads, run);
         assert_eq!(
-            fast, naive,
+            fast, golden,
             "fast kernels diverged from naive at threads={threads}"
         );
     }

@@ -121,6 +121,45 @@ fn finish_and_fingerprint(
     }
 }
 
+/// FNV-1a over weight bits (little-endian bytes), as
+/// `lpa::nn::reference::mlp_fingerprint` hashes a network.
+fn bits_fingerprint(words: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `fp` as lines of `tests/golden/oracle_runs.txt` under `key`.
+fn render(key: &str, fp: &Fingerprint) -> String {
+    let rewards: Vec<String> = fp
+        .episode_rewards
+        .iter()
+        .map(|r| format!("{r:016x}"))
+        .collect();
+    format!(
+        "{key} q {:016x} target {:016x} epsilon {:016x} advice {:016x} reward {:016x}\n\
+         {key} episode_rewards {}\n",
+        bits_fingerprint(&fp.q),
+        bits_fingerprint(&fp.target),
+        fp.epsilon,
+        lpa::partition::fingerprint64(&fp.advice),
+        fp.advice_reward,
+        rewards.join(" "),
+    )
+}
+
+/// `tests/golden/oracle_runs.txt`'s lines under `key`, newline-terminated.
+fn oracle_lines(key: &str) -> String {
+    include_str!("golden/oracle_runs.txt")
+        .lines()
+        .filter(|l| l.split(' ').next() == Some(key))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 /// Offline differential: uninterrupted vs. killed-at-episode-k + restored.
 /// `corrupt_newest` additionally destroys the newest checkpoint before the
 /// restore, forcing the last-good fallback onto an earlier boundary.
@@ -415,12 +454,15 @@ fn handoff_checkpoint_from_chaos_leg_resumes_bitwise() {
 /// Fast-vs-naive differential **across a checkpoint/resume boundary**:
 /// a run on the naive serial kernels that is never interrupted must match,
 /// bit for bit, a fast-kernel run that is killed mid-training and restored
-/// from its checkpoint at eight threads. Ties the kernel determinism
-/// contract to the lpa-store resume contract in one assertion.
+/// from its checkpoint at one and at eight threads. The naive run's
+/// fingerprint is the `naive_kernels_resume` lines of
+/// `tests/golden/oracle_runs.txt`. Ties the kernel determinism contract to
+/// the lpa-store resume contract in one assertion.
 #[test]
 fn naive_kernels_match_fast_kernels_across_resume_boundary() {
     let template = offline_template(0.05);
     let mix = template.workload.uniform_frequencies();
+    let golden = oracle_lines("naive_kernels_resume");
 
     // Reference: naive kernels, uninterrupted (checkpointing stays on).
     let reference = lpa::nn::with_naive_kernels(|| {
@@ -430,33 +472,38 @@ fn naive_kernels_match_fast_kernels_across_resume_boundary() {
         let _ = std::fs::remove_dir_all(&dir);
         fp
     });
+    assert_eq!(render("naive_kernels_resume", &reference), golden);
 
-    // Fast kernels at 8 threads: killed at CRASH_AFTER, restored, finished.
-    let got = lpa::par::with_threads(8, || {
-        let dir = test_dir("fast-kill", 8);
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        let mut victim_rewards = Vec::new();
-        {
-            let mut victim = fresh_offline(&template);
-            train_checkpointed(&mut victim, &mut store, 0, CRASH_AFTER, EVERY, |s| {
-                victim_rewards.push(s.total_reward.to_bits());
-            });
-        } // <- crash
-        let mut store2 = CheckpointStore::open(&dir).unwrap();
-        let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
-        let resumed = restore_offline(ck.into_session().unwrap(), &template).unwrap();
-        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
-        let mut rewards = victim_rewards[..=seq as usize].to_vec();
-        rewards.append(&mut fp.episode_rewards);
-        fp.episode_rewards = rewards;
-        let _ = std::fs::remove_dir_all(&dir);
-        fp
-    });
-
-    assert_eq!(
-        got, reference,
-        "fast kernels + resume boundary diverged from uninterrupted naive kernels"
-    );
+    // Fast kernels: killed at CRASH_AFTER, restored, finished.
+    for &threads in &THREAD_COUNTS {
+        let got = lpa::par::with_threads(threads, || {
+            let dir = test_dir("fast-kill", threads);
+            let mut store = CheckpointStore::open(&dir).unwrap();
+            let mut victim_rewards = Vec::new();
+            {
+                let mut victim = fresh_offline(&template);
+                train_checkpointed(&mut victim, &mut store, 0, CRASH_AFTER, EVERY, |s| {
+                    victim_rewards.push(s.total_reward.to_bits());
+                });
+            } // <- crash
+            let mut store2 = CheckpointStore::open(&dir).unwrap();
+            let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
+            let resumed = restore_offline(ck.into_session().unwrap(), &template).unwrap();
+            let mut fp =
+                finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
+            let mut rewards = victim_rewards[..=seq as usize].to_vec();
+            rewards.append(&mut fp.episode_rewards);
+            fp.episode_rewards = rewards;
+            let _ = std::fs::remove_dir_all(&dir);
+            fp
+        });
+        assert_eq!(
+            render("naive_kernels_resume", &got),
+            golden,
+            "fast kernels + resume boundary diverged from uninterrupted naive kernels \
+             at threads={threads}"
+        );
+    }
 }
 
 /// Everything observable from a guarded end-to-end session: the offline
@@ -466,6 +513,17 @@ fn naive_kernels_match_fast_kernels_across_resume_boundary() {
 struct ComposedFingerprint {
     offline: Fingerprint,
     runtimes: Vec<(u64, u64)>,
+}
+
+impl ComposedFingerprint {
+    /// As lines of `tests/golden/oracle_runs.txt` under `key`.
+    fn render(&self, key: &str) -> String {
+        let mut out = render(key, &self.offline);
+        for (i, (seconds, rows)) in self.runtimes.iter().enumerate() {
+            out.push_str(&format!("{key} runtime {i} {seconds:016x} {rows}\n"));
+        }
+        out
+    }
 }
 
 /// Train (with checkpointing), optionally crash + restore, then deploy the
@@ -520,14 +578,16 @@ fn composed_session(
     ComposedFingerprint { offline, runtimes }
 }
 
-/// The capstone differential for this PR's three fast paths. Reference: all
+/// The capstone differential for the three fast paths. Reference: all
 /// three guards composed — naive NN kernels × full state re-encode × naive
 /// executor — over an uninterrupted training run plus a deployed-cluster
-/// query sweep, on one thread. Candidates: every fast path enabled, killed
-/// mid-training and restored from checkpoint, at one and eight threads, on
-/// SSB *and* TPC-CH. Bitwise equality of weights, rewards, advice, and
-/// simulated runtimes proves the fused/batched/incremental paths change
-/// nothing observable, even across a crash/resume boundary.
+/// query sweep, on one thread; its fingerprint is the `composed_ssb` and
+/// `composed_tpcch` lines of `tests/golden/oracle_runs.txt`. Candidates:
+/// every fast path enabled, killed mid-training and restored from
+/// checkpoint, at one and eight threads, on SSB *and* TPC-CH. Bitwise
+/// equality of weights, rewards, advice, and simulated runtimes proves the
+/// fused/batched/incremental paths change nothing observable, even across
+/// a crash/resume boundary.
 #[test]
 fn composed_guards_match_fast_paths_across_resume_boundary() {
     for bench in ["ssb", "tpcch"] {
@@ -549,6 +609,8 @@ fn composed_guards_match_fast_paths_across_resume_boundary() {
             model: NetworkCostModel::new(CostParams::standard()),
         };
         let mix = template.workload.uniform_frequencies();
+        let key = format!("composed_{bench}");
+        let golden = oracle_lines(&key);
         let reference = lpa::par::with_threads(1, || {
             lpa::nn::with_naive_kernels(|| {
                 lpa::partition::with_full_encode(|| {
@@ -558,12 +620,14 @@ fn composed_guards_match_fast_paths_across_resume_boundary() {
                 })
             })
         });
+        assert_eq!(reference.render(&key), golden, "{bench}: composed oracle");
         for &threads in &THREAD_COUNTS {
             let got = lpa::par::with_threads(threads, || {
                 composed_session(&template, &mix, &format!("fast-{bench}-{threads}"), true)
             });
             assert_eq!(
-                got, reference,
+                got.render(&key),
+                golden,
                 "{bench}: fast paths + resume diverged from composed oracle at threads={threads}"
             );
         }
