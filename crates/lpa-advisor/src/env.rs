@@ -2,7 +2,7 @@
 
 #![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
-use crate::delta::{DeltaCostEngine, RecostMode};
+use crate::delta::DeltaCostEngine;
 use crate::online::OnlineBackend;
 use lpa_costmodel::NetworkCostModel;
 use lpa_partition::{
@@ -35,17 +35,9 @@ pub enum RewardBackend {
 }
 
 impl RewardBackend {
-    /// Offline backend in delta mode (the default: steps re-cost only the
-    /// queries the action touched).
+    /// Offline backend: steps re-cost only the queries the action touched.
     pub fn cost_model(model: NetworkCostModel) -> Self {
-        Self::CostModel(Box::new(DeltaCostEngine::new(model, RecostMode::Delta)))
-    }
-
-    /// Offline backend that re-costs the full workload on every reward —
-    /// the seed behaviour, kept as the equivalence reference for the
-    /// differential suite and the before/after benchmark.
-    pub fn cost_model_full(model: NetworkCostModel) -> Self {
-        Self::CostModel(Box::new(DeltaCostEngine::new(model, RecostMode::Full)))
+        Self::CostModel(Box::new(DeltaCostEngine::new(model)))
     }
 
     /// Access the online backend, if this is one.
@@ -144,8 +136,7 @@ pub struct AdvisorEnv {
     /// `RefCell` for the same reason as `action_sets` —
     /// [`QEnvironment::encode`] takes `&self`. Bit-exactness versus the
     /// full rebuild is the [`DeltaEncoder`] contract, enforced by its
-    /// `with_full_encode` oracle guard and this crate's differential
-    /// tests.
+    /// differential tests against [`StateEncoder`] and this crate's.
     delta_enc: RefCell<DeltaEncoder>,
     /// [`Self::counters`] snapshot taken at the last `reset()`, so
     /// `episode_counters()` can report per-episode deltas while
@@ -542,57 +533,40 @@ mod tests {
     }
 
     #[test]
-    fn delta_env_matches_full_env_bitwise() {
-        let schema = lpa_schema::tpcch::schema(0.001).expect("schema builds");
-        let workload = lpa_workload::tpcch::workload(&schema).expect("workload builds");
-        let mk = |backend| {
-            AdvisorEnv::new(
-                schema.clone(),
-                workload.clone(),
-                backend,
-                MixSampler::uniform(&workload),
-                true,
-                7,
-            )
-        };
-        let mut delta = mk(RewardBackend::cost_model(NetworkCostModel::new(
-            CostParams::standard(),
-        )));
-        let mut full = mk(RewardBackend::cost_model_full(NetworkCostModel::new(
-            CostParams::standard(),
-        )));
+    fn delta_env_matches_reference_reward_bitwise() {
+        let model = NetworkCostModel::new(CostParams::standard());
+        let mut env = offline_env(true);
+        let s0 = env.initial_partitioning().clone();
+        let uniform = env.workload.uniform_frequencies();
+        let scale = crate::reference_reward(&model, &env.schema, &env.workload, &s0, &uniform);
         assert_eq!(
-            delta.reward_scale().to_bits(),
-            full.reward_scale().to_bits(),
-            "normalization identical across modes"
+            env.reward_scale().to_bits(),
+            scale.abs().to_bits(),
+            "normalization is the initial layout's reference cost"
         );
-        let mut sd = delta.reset();
-        let mut sf = full.reset();
-        assert_eq!(sd.freqs, sf.freqs, "same seed, same mixes");
+        let mut s = env.reset();
         for step in 0..30 {
-            let actions = delta.actions(&sd);
-            assert_eq!(actions, full.actions(&sf));
+            let actions = env.actions(&s);
             let a = actions[step % actions.len()];
-            let (nd, rd) = delta.step(&sd, &a);
-            let (nf, rf) = full.step(&sf, &a);
-            assert_eq!(rd.to_bits(), rf.to_bits(), "step {step} reward diverged");
-            assert_eq!(nd.partitioning, nf.partitioning);
-            if step % 11 == 10 {
-                sd = delta.reset();
-                sf = full.reset();
-            } else {
-                sd = nd;
-                sf = nf;
-            }
+            let (next, r) = env.step(&s, &a);
+            let want = crate::reference_reward(
+                &model,
+                &env.schema,
+                &env.workload,
+                &next.partitioning,
+                &s.freqs,
+            ) / env.reward_scale();
+            assert_eq!(r.to_bits(), want.to_bits(), "step {step} reward diverged");
+            s = if step % 11 == 10 { env.reset() } else { next };
         }
-        let c = delta.counters();
+        let c = env.counters();
         assert!(c.delta_recosts > 0, "delta path exercised");
         assert!(c.action_cache_hits > 0, "action sets memoized");
     }
 
     /// The env's incremental encoder must emit exactly the bytes the plain
     /// [`StateEncoder`] would, across a step/reset walk that exercises the
-    /// patch path, the first-call rebuild, and the forced-oracle guard.
+    /// patch path and the first-call rebuild.
     #[test]
     fn env_encode_matches_state_encoder_bitwise() {
         let mut env = offline_env(true);
@@ -633,18 +607,6 @@ mod tests {
         let (patches, rebuilds) = env.encoder_stats();
         assert!(patches > 0, "patch path exercised");
         assert!(rebuilds >= 1, "first call rebuilds");
-        // Under the oracle guard the env must still produce the same bytes.
-        lpa_partition::with_full_encode(|| {
-            let a = env.actions(&s)[0];
-            env.encode(&s, &a, &mut fast);
-            env.encoder
-                .encode_input(&s.partitioning, &s.freqs, &a, &mut full);
-            let same = fast
-                .iter()
-                .zip(&full)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "forced full encode diverged");
-        });
     }
 
     /// `episode_counters()` reports activity since the last `reset()`, not

@@ -47,7 +47,7 @@ pub use accounting::CostAccounting;
 pub use advisor::{Advisor, Suggestion};
 pub use cache::{shared_cache, CachedRuntime, RuntimeCache, SharedRuntimeCache};
 pub use committee::Committee;
-pub use delta::{DeltaCostEngine, RecostMode};
+pub use delta::{reference_reward, DeltaCostEngine};
 pub use env::{AdvisorEnv, EnvState, RewardBackend};
 pub use explain::{Explanation, QueryDelta};
 pub use online::{

@@ -1,7 +1,7 @@
 //! Columnar (struct-of-arrays) executor accounting — the allocation-free
 //! fast path behind [`Executor::execute`].
 //!
-//! [`Executor::execute_naive`] keeps the row-at-a-time reference semantics:
+//! [`crate::reference::execute`] keeps the row-at-a-time reference semantics:
 //! fresh `Vec`s for filtered rows, placements, buckets and per-group join
 //! outputs on every step, one provenance id per query table on every output
 //! row. This module charges the same quantities over the reusable columns of
@@ -45,14 +45,14 @@
 //! one constant per moved row, and that constant is integer-valued
 //! (`Table::row_bytes: u64` and sums of it), so every partial sum is an
 //! integer below 2^53 — exact, whatever order the rows are visited in. It
-//! is the premise `executor.rs` states for its own group-ordered merge. The
+//! is the premise `reference.rs` states for its own group-ordered merge. The
 //! hash table is never iterated, so its order cannot leak either.
 //!
 //! Bit-exactness contract (DESIGN.md §13): every `f64` accumulation below
-//! is the same expression, in the same order, as `execute_naive`; the
-//! differential harness ([`crate::with_naive_executor`], plus the
-//! property/chaos suites) proves `execute` == `execute_naive` bit-for-bit
-//! across fault storms and thread counts.
+//! is the same expression, in the same order, as `reference::execute`; the
+//! differential suites (this module's tests, `tests/property_based.rs`,
+//! `tests/join_truth.rs`) prove `execute` == `reference::execute`
+//! bit-for-bit across fault storms and thread counts.
 //!
 //! Steady-state execution runs on the reused [`ExecScratch`] arenas;
 //! `tests/alloc_counts.rs` (rule L013) pins the allocations of a warm
@@ -375,14 +375,14 @@ fn add_hit(into: &mut [u64], side: &StepCols, g: usize, entry: Build, weights: &
 }
 
 impl Executor<'_> {
-    /// The columnar fast path behind [`Executor::execute`]. Bit-identical
-    /// to [`Executor::execute_naive`] by construction (see module docs) and
-    /// by the differential suites.
+    /// [`Executor::execute`] with a caller-provided reusable scratch: the
+    /// columnar fast path. Bit-identical to [`crate::reference::execute`]
+    /// by construction (see module docs) and by the differential suites.
     #[expect(
         clippy::indexing_slicing,
         reason = "hot kernel: a validated query scans at least one table"
     )]
-    pub(crate) fn execute_columnar(
+    pub fn execute_with(
         &self,
         query: &Query,
         plan: &QueryPlan,
@@ -884,7 +884,7 @@ impl Executor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, ClusterConfig, EngineProfile, HardwareProfile};
+    use crate::{Cluster, ClusterConfig, EngineProfile, HardwareProfile, QueryOutcome};
     use lpa_schema::AttrId;
 
     const ARMS: [JoinStrategy; 7] = [
@@ -982,6 +982,37 @@ mod tests {
         let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
         let plan = optimizer.plan(&schema, &query, cluster.deployed(), 0);
         (schema, query, plan, cluster)
+    }
+
+    /// What `cluster.run_query(query, None)` must answer on a fault-free
+    /// cluster: [`crate::reference::execute`] on the cluster's data,
+    /// deployed layout and optimizer plan.
+    fn reference_outcome(cluster: &Cluster, query: &Query) -> QueryOutcome {
+        let config = cluster.config();
+        let optimizer = crate::OptimizerEstimator::new(config.engine, config.hardware);
+        let epoch = cluster.stats_epoch();
+        let plan = optimizer.plan(cluster.schema(), query, cluster.deployed(), epoch);
+        let layouts: Vec<Layout> = (0..cluster.schema().tables().len())
+            .map(|t| {
+                let state = cluster.deployed().table_state(TableId(t));
+                cluster.substrate().layout(TableId(t), state)
+            })
+            .collect();
+        let faults = cluster.fault_state();
+        let exec = Executor {
+            schema: cluster.schema(),
+            db: cluster.substrate().db(),
+            engine: &config.engine,
+            hw: &config.hardware,
+            layouts: &layouts,
+            faults: &faults,
+        };
+        let r = crate::reference::execute(&exec, query, &plan, None).expect("no budget");
+        QueryOutcome::Completed {
+            seconds: r.seconds,
+            output_rows: r.output_rows,
+            degraded: false,
+        }
     }
 
     #[test]
@@ -1093,8 +1124,7 @@ mod tests {
         let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
         let mut cluster = Cluster::new(schema.clone(), config);
         let got = cluster.run_query(&query, None);
-        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
-        assert_eq!(got, crate::with_naive_executor(naive));
+        assert_eq!(got, reference_outcome(&cluster, &query));
 
         assert_eq!(plan.steps.len(), 6);
         let head = suffix_head(&query, &plan, &[false; 6]);
@@ -1123,9 +1153,7 @@ mod tests {
         let (schema, query, plan, mut cluster) = tpcch_plan("ch_q07");
         let nation = schema.table_by_name("nation").expect("nation");
         let got = cluster.run_query(&query, None);
-        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
-        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
-        assert_eq!(got, crate::with_naive_executor(naive));
+        assert_eq!(got, reference_outcome(&cluster, &query));
 
         let empty = cluster
             .substrate()
@@ -1209,7 +1237,7 @@ mod tests {
 
             let mut scratch = ExecScratch::default();
             let got = exec.execute_with(query, plan, None, &mut scratch);
-            assert_eq!(got, exec.execute_naive(query, plan, None));
+            assert_eq!(got, crate::reference::execute(exec, query, plan, None));
             assert_eq!(scratch.empty, [false, false, true, false, false]);
             assert_eq!(suffix_head(query, plan, &scratch.empty), 0);
             let written = written_slots(query, plan, &scratch.empty);
@@ -1225,7 +1253,7 @@ mod tests {
             query.selectivity[orderline] = 0.0;
             let mut scratch = ExecScratch::default();
             let got = exec.execute_with(query, plan, None, &mut scratch);
-            assert_eq!(got, exec.execute_naive(query, plan, None));
+            assert_eq!(got, crate::reference::execute(exec, query, plan, None));
             let hashed: usize = scratch.steps.iter().map(|s| s.join_keys.capacity()).sum();
             assert_eq!((scratch.steps.len(), hashed), (5, 0));
         });
@@ -1267,7 +1295,7 @@ mod tests {
         with_executor(&schema, |exec| {
             let mut scratch = ExecScratch::default();
             let got = exec.execute_with(&query, &plan, None, &mut scratch);
-            assert_eq!(got, exec.execute_naive(&query, &plan, None));
+            assert_eq!(got, crate::reference::execute(exec, &query, &plan, None));
             let head = suffix_head(&query, &plan, &scratch.empty);
             assert_eq!(plan.steps[head].table, stock);
             let broadcast = JoinStrategy::Broadcast { table_side: false };
@@ -1289,9 +1317,7 @@ mod tests {
     fn a_stock_step_that_broadcasts_its_input_writes_no_row() {
         let (schema, query, plan, mut cluster) = tpcch_plan("ch_q09");
         let got = cluster.run_query(&query, None);
-        let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
-        let naive = || Cluster::new(schema.clone(), config).run_query(&query, None);
-        assert_eq!(got, crate::with_naive_executor(naive));
+        assert_eq!(got, reference_outcome(&cluster, &query));
 
         let tail: Vec<&str> = (plan.steps.iter().rev().take(3).rev())
             .map(|s| schema.table(s.table).name.as_str())

@@ -19,6 +19,8 @@
 //!   real broadcasts and shuffles over the generated keys — locality,
 //!   value skew and straggler effects *emerge* from the data instead of
 //!   being assumed;
+//!   [`reference`] is the same executor row at a time, the oracle the
+//!   fast path is tested against;
 //! * [`engine`] captures the differences between the two systems under
 //!   test (disk vs memory storage, shuffle overheads, hash function,
 //!   compound-key support, whether optimizer cost estimates are
@@ -60,13 +62,13 @@ pub mod faults;
 pub mod guardrail;
 pub mod hardware;
 pub mod optimizer;
+pub mod reference;
 pub mod substrate;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterResumeState, QueryOutcome};
 pub use columnar::ExecScratch;
 pub use datagen::{Database, TableData};
 pub use engine::{EngineKind, EngineProfile};
-pub use executor::with_naive_executor;
 pub use faults::{ClusterHealth, FailReason, FaultAccounting, FaultPlan, FaultState};
 pub use guardrail::{
     direct_deploy, observe_window, CanaryState, CanaryStep, CanaryVerdict, CandidateDeploy,

@@ -242,7 +242,8 @@ impl Substrate {
         &self.base_schema
     }
 
-    pub(crate) fn db(&self) -> &Database {
+    /// The generated rows every cluster on this substrate executes over.
+    pub fn db(&self) -> &Database {
         &self.db
     }
 

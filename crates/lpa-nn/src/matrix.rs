@@ -36,7 +36,6 @@
 //! lookup.
 
 use lpa_par::Pool;
-use std::cell::Cell;
 
 /// Dense row-major matrix. `Default` is the empty 0×0 matrix — the
 /// unwarmed state of scratch buffers.
@@ -165,59 +164,11 @@ pub fn route_pool(ambient: Pool, work: usize) -> Pool {
     }
 }
 
-/// The pool sized for `work` fused ops, resolving the ambient pool
-/// lazily — kept for entry points without a hoisted pool (the compat
-/// wrappers); hot paths use [`route_pool`] with a caller-resolved pool.
-pub(crate) fn pool_for(work: usize) -> Pool {
-    if work >= PAR_MIN_FLOPS {
-        Pool::current()
-    } else {
-        Pool::with_threads(1)
-    }
-}
-
-thread_local! {
-    /// Scoped switch forcing the serial naive kernels (unblocked triple
-    /// loop, unfused ReLU) instead of the blocked/fused fast path.
-    static FORCE_NAIVE: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` with every matmul in this thread forced onto the naive serial
-/// path (unblocked triple loop, ReLU as a separate pass). The differential
-/// harness runs whole training loops under both paths and compares trained
-/// weights down to the bits; the fast kernels keep the naive path's
-/// per-cell summation order, so the comparison must be exact.
-pub fn with_naive_kernels<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            FORCE_NAIVE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FORCE_NAIVE.with(|c| c.replace(true));
-    let _reset = Reset(prev);
-    f()
-}
-
-/// Whether [`with_naive_kernels`] is active on this thread.
-pub(crate) fn naive_kernels_forced() -> bool {
-    FORCE_NAIVE.with(Cell::get)
-}
-
 /// `out[b] = x[b] · w[o] + bias` for every batch row and output unit:
 /// `x` is batch×in, `w` is out×in (each row one unit's weights), the result
 /// is batch×out. Writing the inner loop over the shared `in` dimension
-/// keeps both operands sequential in memory.
-///
-/// Compat entry point that resolves the pool itself; hot paths use
-/// [`matmul_wt_pool`] with a caller-hoisted pool.
-pub fn matmul_wt(x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix) {
-    let pool = pool_for(x.rows() * w.rows() * w.cols().max(1));
-    matmul_driver(pool, x, w, bias, out, false);
-}
-
-/// [`matmul_wt`] with an explicit ambient pool (routed against the work
-/// size by [`route_pool`] internally).
+/// keeps both operands sequential in memory. `ambient` is the caller's
+/// hoisted pool, routed against the work size by [`route_pool`].
 pub fn matmul_wt_pool(ambient: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix) {
     let pool = route_pool(ambient, x.rows() * w.rows() * w.cols().max(1));
     matmul_driver(pool, x, w, bias, out, false);
@@ -234,9 +185,8 @@ pub fn matmul_wt_relu_pool(ambient: Pool, x: &Matrix, w: &Matrix, bias: &[f32], 
 }
 
 /// Shared driver: `ROW_BLOCK`-row bands over the pool, each band through
-/// [`matmul_band`]. Under [`with_naive_kernels`] it degrades to the serial
-/// unblocked triple loop (plus a separate ReLU pass when fused was asked
-/// for) — the oracle the fast path is differentially tested against.
+/// [`matmul_band`]. [`crate::reference::naive_matmul_wt`] is the oracle it
+/// is differentially tested against.
 fn matmul_driver(pool: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix, relu: bool) {
     assert_eq!(x.cols(), w.cols(), "inner dimensions");
     assert_eq!(w.rows(), bias.len());
@@ -244,17 +194,6 @@ fn matmul_driver(pool: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Mat
     assert_eq!(out.cols(), w.rows());
     let out_cols = out.cols();
     if out_cols == 0 || out.rows() == 0 {
-        return;
-    }
-    if naive_kernels_forced() {
-        for b in 0..x.rows() {
-            for (o, &bo) in bias.iter().enumerate() {
-                out.set(b, o, dot(x.row(b), w.row(o)) + bo);
-            }
-        }
-        if relu {
-            relu_inplace(out);
-        }
         return;
     }
     let band_len = ROW_BLOCK * out_cols;
@@ -508,7 +447,7 @@ mod tests {
         let w = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let bias = [0.5, 0.0, -1.0];
         let mut out = Matrix::zeros(2, 3);
-        matmul_wt(&x, &w, &bias, &mut out);
+        matmul_wt_pool(Pool::with_threads(1), &x, &w, &bias, &mut out);
         assert_eq!(out.row(0), &[1.5, 2.0, 2.0]);
         assert_eq!(out.row(1), &[3.5, 4.0, 6.0]);
     }
@@ -545,7 +484,7 @@ mod tests {
         let x = Matrix::zeros(1, 3);
         let w = Matrix::zeros(2, 2);
         let mut out = Matrix::zeros(1, 2);
-        matmul_wt(&x, &w, &[0.0, 0.0], &mut out);
+        matmul_wt_pool(Pool::with_threads(1), &x, &w, &[0.0, 0.0], &mut out);
     }
 
     fn random_matrix(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Matrix {
@@ -583,13 +522,24 @@ mod tests {
                 .map(|_| rng.gen_range(-1.0f64..1.0) as f32)
                 .collect();
             let expect = naive_matmul_wt(&x, &w, &bias);
-            let mut got = Matrix::zeros(rows, units);
-            matmul_wt(&x, &w, &bias, &mut got);
-            assert_eq!(got, expect, "shape {rows}x{inner}x{units}");
             let expect_relu = naive_matmul_wt_relu(&x, &w, &bias);
-            let mut got_relu = Matrix::zeros(rows, units);
-            matmul_wt_relu_pool(Pool::with_threads(1), &x, &w, &bias, &mut got_relu);
-            assert_eq!(got_relu, expect_relu, "relu shape {rows}x{inner}x{units}");
+            // The driver itself, so that shapes of more than one band run
+            // their bands on the pool whatever their size.
+            for threads in [1, 8] {
+                let pool = Pool::with_threads(threads);
+                let mut got = Matrix::zeros(rows, units);
+                matmul_driver(pool, &x, &w, &bias, &mut got, false);
+                assert_eq!(
+                    got, expect,
+                    "shape {rows}x{inner}x{units} threads {threads}"
+                );
+                let mut got_relu = Matrix::zeros(rows, units);
+                matmul_driver(pool, &x, &w, &bias, &mut got_relu, true);
+                assert_eq!(
+                    got_relu, expect_relu,
+                    "relu shape {rows}x{inner}x{units} threads {threads}"
+                );
+            }
         }
     }
 
@@ -785,11 +735,9 @@ mod tests {
         let w = random_matrix(&mut rng, 128, 128);
         let bias = vec![0.125f32; 128];
         let run = |threads: usize| {
-            lpa_par::with_threads(threads, || {
-                let mut out = Matrix::zeros(x.rows(), w.rows());
-                matmul_wt(&x, &w, &bias, &mut out);
-                out
-            })
+            let mut out = Matrix::zeros(x.rows(), w.rows());
+            matmul_wt_pool(Pool::with_threads(threads), &x, &w, &bias, &mut out);
+            out
         };
         let reference = run(1);
         for threads in [2, 8] {
@@ -821,7 +769,7 @@ mod tests {
         let mut fused = Matrix::zeros(1, 2);
         matmul_wt_relu_pool(Pool::with_threads(1), &x, &w, &bias, &mut fused);
         let mut unfused = Matrix::zeros(1, 2);
-        matmul_wt(&x, &w, &bias, &mut unfused);
+        matmul_wt_pool(Pool::with_threads(1), &x, &w, &bias, &mut unfused);
         relu_inplace(&mut unfused);
         for (f, u) in fused.data().iter().zip(unfused.data()) {
             assert_eq!(f.to_bits(), u.to_bits());
@@ -838,23 +786,5 @@ mod tests {
             assert_eq!(route_pool(ambient, 1 << 20).threads(), 1);
             assert_eq!(route_pool(ambient, 1 << 21).threads(), 8);
         });
-    }
-
-    #[test]
-    fn naive_kernel_scope_forces_and_restores() {
-        assert!(!naive_kernels_forced());
-        let x = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 0.25, 4.0, -1.0]);
-        let w = Matrix::from_vec(2, 3, vec![0.5, 1.0, -1.0, 2.0, 0.0, 1.0]);
-        let bias = [0.1f32, -0.2];
-        let mut fast = Matrix::zeros(2, 2);
-        matmul_wt(&x, &w, &bias, &mut fast);
-        let naive = with_naive_kernels(|| {
-            assert!(naive_kernels_forced());
-            let mut out = Matrix::zeros(2, 2);
-            matmul_wt(&x, &w, &bias, &mut out);
-            out
-        });
-        assert!(!naive_kernels_forced());
-        assert_eq!(fast, naive);
     }
 }

@@ -12,9 +12,7 @@
 
 use crate::adam::Adam;
 use crate::dense::{soft_update, Dense};
-use crate::matrix::{
-    matmul_shared_prefix, naive_kernels_forced, route_pool, transpose_into, Matrix, RowGroups,
-};
+use crate::matrix::{matmul_shared_prefix, route_pool, transpose_into, Matrix, RowGroups};
 use lpa_par::Pool;
 use rand::Rng;
 
@@ -120,9 +118,7 @@ impl Mlp {
 
     /// The forward pass. With `groups` (rows in runs sharing a prefix: an
     /// action set per state) the first layer runs [`matmul_shared_prefix`]
-    /// instead of the dense kernel — bit-identical for finite weights, and
-    /// under [`crate::with_naive_kernels`] every layer is the dense naive
-    /// triple loop regardless.
+    /// instead of the dense kernel — bit-identical for finite weights.
     #[expect(
         clippy::indexing_slicing,
         reason = "hot kernel: outs holds one matrix per layer"
@@ -140,7 +136,6 @@ impl Mlp {
             outs.resize_with(n, || Matrix::zeros(0, 0));
         }
         let last = n - 1;
-        let groups = groups.filter(|_| !naive_kernels_forced());
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = outs.split_at_mut(i);
             let Some(cur) = rest.first_mut() else { break };
@@ -449,33 +444,37 @@ mod tests {
     #[test]
     fn grouped_forward_matches_dense_forward_by_bits() {
         // With hidden layers (fused ReLU on the grouped layer) and without
-        // (the grouped layer is the linear head).
+        // (the grouped layer is the linear head); a prefix of 0 shares
+        // nothing, as for an environment without a state prefix.
         for dims in [&[11usize, 9, 4, 1][..], &[11, 1]] {
             let net = Mlp::new(dims, &mut StdRng::seed_from_u64(61));
-            let (x, ranges) = grouped_batch(&[3, 0, 1, 5], 6, 11);
-            let groups = RowGroups {
-                prefix: 6,
-                ranges: &ranges,
-            };
-            let pool = Pool::with_threads(1);
-            let mut grouped = Vec::new();
-            net.predict_grouped_into(pool, &x, groups, &mut MlpScratch::new(), &mut grouped);
-            let dense = crate::reference::naive_forward(&net, &x);
-            assert_eq!(grouped.len(), dense.data().len());
-            for (g, d) in grouped.iter().zip(dense.data()) {
-                assert_eq!(g.to_bits(), d.to_bits(), "dims {dims:?}");
+            for prefix in [0, 6] {
+                let (x, ranges) = grouped_batch(&[3, 0, 1, 5], prefix, 11);
+                let groups = RowGroups {
+                    prefix,
+                    ranges: &ranges,
+                };
+                let dense = crate::reference::naive_forward(&net, &x);
+                for threads in [1, 8] {
+                    let pool = Pool::with_threads(threads);
+                    let mut grouped = Vec::new();
+                    net.predict_grouped_into(
+                        pool,
+                        &x,
+                        groups,
+                        &mut MlpScratch::new(),
+                        &mut grouped,
+                    );
+                    assert_eq!(grouped.len(), dense.data().len());
+                    for (g, d) in grouped.iter().zip(dense.data()) {
+                        assert_eq!(
+                            g.to_bits(),
+                            d.to_bits(),
+                            "dims {dims:?} prefix {prefix} threads {threads}"
+                        );
+                    }
+                }
             }
-            // The naive scope takes the grouped entry point to the dense
-            // triple loop: a prefix the rows do not share goes unnoticed.
-            let lie = RowGroups {
-                prefix: 11,
-                ranges: &ranges,
-            };
-            let mut naive = Vec::new();
-            crate::with_naive_kernels(|| {
-                net.predict_grouped_into(pool, &x, lie, &mut MlpScratch::new(), &mut naive)
-            });
-            assert_eq!(naive, grouped);
         }
     }
 

@@ -14,43 +14,16 @@
 //! frequency slot), so the arena is byte-for-byte equal to a fresh
 //! [`StateEncoder::encode_state_into`] after every call. The full re-encode
 //! stays available as the oracle: property tests drive hundreds of random
-//! action sequences and compare byte-for-byte, and
-//! [`with_full_encode`] forces the oracle path at runtime for full-training
-//! differentials.
+//! action sequences and compare byte-for-byte.
 //!
 //! Steady-state calls must not allocate: `tests/alloc_counts.rs` (rule
 //! L013) pins `state_prefix`, `encode_input` and `encode_batch` at zero
 //! allocations per warm call.
 
-use std::cell::Cell;
-
 use crate::action::Action;
 use crate::encoder::{put, StateEncoder};
 use crate::partitioning::{Partitioning, TableState};
 use lpa_workload::FrequencyVector;
-
-thread_local! {
-    static FORCE_FULL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Run `f` with the delta encoder forced onto the full re-encode oracle
-/// path. Used by differential harnesses; composes with
-/// `lpa_nn::with_naive_kernels`.
-pub fn with_full_encode<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            FORCE_FULL.with(|c| c.set(self.0));
-        }
-    }
-    let _reset = Reset(FORCE_FULL.with(|c| c.replace(true)));
-    f()
-}
-
-/// True while inside [`with_full_encode`] on this thread.
-pub(crate) fn full_encode_forced() -> bool {
-    FORCE_FULL.with(|c| c.get())
-}
 
 /// The inputs the cached state prefix was encoded from.
 #[derive(Clone, Debug)]
@@ -96,7 +69,8 @@ impl DeltaEncoder {
         self.patches
     }
 
-    /// Calls answered by a full re-encode (first use, forced oracle).
+    /// Calls answered by a full re-encode (first use, or first after
+    /// [`Self::invalidate`]).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -120,8 +94,8 @@ impl DeltaEncoder {
             f.len(),
             self.enc.freq_slots
         );
-        match (&mut self.cached, full_encode_forced()) {
-            (Some(c), false) => {
+        match &mut self.cached {
+            Some(c) => {
                 self.patches += 1;
                 for (ti, new) in p.table_states().iter().enumerate() {
                     if c.tables[ti] == *new {
@@ -167,32 +141,20 @@ impl DeltaEncoder {
                 c.freqs.clear();
                 c.freqs.extend_from_slice(new_f);
             }
-            (cached, _) => {
+            None => {
                 self.rebuilds += 1;
                 self.enc.encode_state_into(p, f, &mut self.buf);
-                match cached {
-                    Some(c) => {
-                        c.tables.clear();
-                        c.tables.extend_from_slice(p.table_states());
-                        c.edges.clear();
-                        c.edges.extend_from_slice(p.edge_flags());
-                        c.freqs.clear();
-                        c.freqs.extend_from_slice(f.as_slice());
-                    }
-                    None => {
-                        let mut tables = Vec::with_capacity(p.table_states().len());
-                        tables.extend_from_slice(p.table_states());
-                        let mut edges = Vec::with_capacity(p.edge_flags().len());
-                        edges.extend_from_slice(p.edge_flags());
-                        let mut freqs = Vec::with_capacity(self.enc.freq_slots);
-                        freqs.extend_from_slice(f.as_slice());
-                        *cached = Some(CachedInputs {
-                            tables,
-                            edges,
-                            freqs,
-                        });
-                    }
-                }
+                let mut tables = Vec::with_capacity(p.table_states().len());
+                tables.extend_from_slice(p.table_states());
+                let mut edges = Vec::with_capacity(p.edge_flags().len());
+                edges.extend_from_slice(p.edge_flags());
+                let mut freqs = Vec::with_capacity(self.enc.freq_slots);
+                freqs.extend_from_slice(f.as_slice());
+                self.cached = Some(CachedInputs {
+                    tables,
+                    edges,
+                    freqs,
+                });
             }
         }
         &self.buf
@@ -317,24 +279,6 @@ mod tests {
         );
         // Empty action set is a no-op.
         delta.encode_batch(&p, &f, &[], &mut []);
-    }
-
-    #[test]
-    fn forced_full_encode_rebuilds_every_call() {
-        let (s, enc) = setup();
-        let mut delta = DeltaEncoder::new(enc.clone());
-        let p = Partitioning::initial(&s);
-        let f = FrequencyVector::uniform(13);
-        with_full_encode(|| {
-            assert_prefix_matches(&enc, &mut delta, &p, &f);
-            assert_prefix_matches(&enc, &mut delta, &p, &f);
-        });
-        assert_eq!(delta.rebuilds(), 2);
-        assert_eq!(delta.patches(), 0);
-        assert!(!full_encode_forced());
-        // Back outside the guard the cache resumes patching.
-        assert_prefix_matches(&enc, &mut delta, &p, &f);
-        assert_eq!(delta.patches(), 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod fingerprint;
 pub mod partitioning;
 
 pub use action::{valid_actions, Action, ActionError};
-pub use delta_encoder::{with_full_encode, DeltaEncoder};
+pub use delta_encoder::DeltaEncoder;
 pub use encoder::StateEncoder;
 pub use fingerprint::{fingerprint64, ActionSetCache, InternedKey, KeyInterner};
 pub use partitioning::{Partitioning, TableState};

@@ -78,7 +78,7 @@ pub(crate) fn restore_offline_over(
 ) -> Result<Advisor, StoreError> {
     restore_session(snap, schema, workload, |backend| {
         let BackendState::Offline {
-            mode,
+            mode: _,
             interner,
             memo,
             costs,
@@ -92,7 +92,7 @@ pub(crate) fn restore_offline_over(
         };
         // The inverted indexes are not persisted: `restore_state` clears
         // them and they rebuild lazily on the next reward, identically.
-        let mut engine = DeltaCostEngine::new(model.clone(), mode);
+        let mut engine = DeltaCostEngine::new(model.clone());
         engine.restore_state(interner, memo, costs, current, stats);
         Ok(RewardBackend::CostModel(Box::new(engine)))
     })

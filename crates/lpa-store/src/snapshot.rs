@@ -40,8 +40,8 @@ use crate::codec::{ByteReader, ByteWriter, Wire, WireAs};
 use crate::{wire_enum, wire_record, StoreError};
 use lpa_advisor::online::OnlineResumeState;
 use lpa_advisor::{
-    AdvisorEnv, CachedRuntime, CostAccounting, EnvState, OnlineOptimizations, RecostMode,
-    RetryPolicy, RewardBackend,
+    AdvisorEnv, CachedRuntime, CostAccounting, EnvState, OnlineOptimizations, RetryPolicy,
+    RewardBackend,
 };
 use lpa_cluster::{
     CanaryState, ClusterResumeState, FaultAccounting, FaultPlan, GuardrailAccounting,
@@ -673,9 +673,20 @@ wire_record! {
     }
 }
 
+mod recost {
+    /// The offline engine's recost mode, one byte of format v5 that only
+    /// ever holds `1`. Tag 0 named a full-recompute mode that no engine
+    /// has any more, so it decodes as `Corrupt`. Public only in name: no
+    /// path outside this crate reaches it.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Recost {
+        Delta,
+    }
+}
+use recost::Recost;
+
 wire_enum! {
-    RecostMode {
-        0 => Full,
+    Recost {
         1 => Delta,
     }
 }
@@ -692,7 +703,7 @@ wire_enum! {
 )]
 pub enum BackendState {
     Offline {
-        mode: RecostMode,
+        mode: Recost,
         interner: KeyInterner,
         memo: Vec<MemoEntry>,
         costs: Vec<f64>,
@@ -712,7 +723,7 @@ pub enum BackendState {
 wire_enum! {
     BackendState {
         0 => Offline {
-            mode: RecostMode,
+            mode: Recost,
             interner: KeyInterner,
             memo: Vec<MemoEntry>,
             costs: Vec<f64>,
@@ -735,7 +746,7 @@ impl BackendState {
     pub fn capture(backend: &RewardBackend) -> Self {
         match backend {
             RewardBackend::CostModel(engine) => Self::Offline {
-                mode: engine.mode(),
+                mode: Recost::Delta,
                 interner: engine.interner().clone(),
                 memo: engine.memo_entries(),
                 costs: engine.cost_vector().to_vec(),

@@ -9,8 +9,8 @@
 //! cost exactly the tenants whose checkpoints it touches) and of the
 //! deployment journal —, a torn rename (stray `*.tmp` left mid-write), a
 //! corrupt newest checkpoint with a healthy predecessor, checkpoints and
-//! manifests written by earlier format versions, and a CRC-valid
-//! checkpoint whose payload spells a malformed query.
+//! manifests written by earlier format versions, and CRC-valid checkpoints
+//! whose payload spells a malformed query or a retired recost mode.
 
 mod common;
 
@@ -549,5 +549,45 @@ fn a_cycling_sampler_without_vectors_is_corrupt() {
     assert!(
         matches!(decoded, Err(StoreError::Corrupt(_))),
         "{decoded:?}"
+    );
+}
+
+/// Format v5 gives an offline session's recost mode one byte. Its tag 0
+/// named a full-recompute mode that is gone: a CRC-valid file that spells
+/// it decodes as `Corrupt`, never as a snapshot an engine is built from.
+#[test]
+fn a_retired_recost_mode_byte_is_corrupt() {
+    use lpa_store::codec::{seal, ByteWriter, Wire};
+    use lpa_store::{FORMAT_VERSION, MAGIC};
+
+    let (schema, bytes, ck) = fixture();
+    let Checkpoint::Session(snap) = &ck else {
+        panic!("the fixture is a session checkpoint");
+    };
+    // The backend's bytes start with tag 0 (offline), then the mode byte.
+    let mut w = ByteWriter::new();
+    snap.backend.put(&mut w);
+    let backend = w.into_inner();
+    assert_eq!(backend[..2], [0, 1]);
+    // The payload sits between the 21-byte header and the 4-byte CRC.
+    let payload = &bytes[21..bytes.len() - 4];
+    let found = |w: &[u8]| w == backend.as_slice();
+    let at = payload.windows(backend.len()).position(found).unwrap();
+    assert_eq!(payload.windows(backend.len()).rposition(found), Some(at));
+    let reseal = |mode: u8| {
+        let mut payload = payload.to_vec();
+        payload[at + 1] = mode;
+        seal(&MAGIC, FORMAT_VERSION, &[1], &payload)
+    };
+    assert_eq!(
+        reseal(1),
+        bytes,
+        "resealing the payload unchanged is the file"
+    );
+    let decoded = decode_checkpoint(&reseal(0), &schema);
+    assert!(
+        matches!(decoded, Err(StoreError::Corrupt(_))),
+        "{:?}",
+        decoded.map(|ck| ck.kind_name())
     );
 }

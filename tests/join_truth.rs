@@ -1,6 +1,6 @@
 //! Truth oracle for the executors' row counts. A row-tuple join over the
 //! generated `Database`, written here from the documented semantics and
-//! sharing no code with `execute` or `execute_naive`, must report the same
+//! sharing no code with `execute` or `reference::execute`, must report the same
 //! `output_rows` as both for every prefix of the optimizer's plan of every
 //! SSB and TPC-CH query, on the initial and the all-replicated layout. The
 //! executors are otherwise checked only against each other.
@@ -122,7 +122,9 @@ fn check_benchmark(schema: Schema, workload: Workload) {
             let plan = optimizer.plan(&schema, query, &partitioning, 0);
             let rows = |plan: &QueryPlan| {
                 let fast = exec.execute(query, plan, None).unwrap().output_rows;
-                let naive = exec.execute_naive(query, plan, None).unwrap().output_rows;
+                let naive = lpa::cluster::reference::execute(&exec, query, plan, None)
+                    .unwrap()
+                    .output_rows;
                 (fast as usize, naive as usize)
             };
             if query.joins.is_empty() {

@@ -487,50 +487,42 @@ fn delta_encoder_matches_full_encode_byte_for_byte() {
     }
 }
 
-/// ISSUE 8: the columnar executor is bit-identical to the row-at-a-time
-/// `execute_naive` reference — same seconds, rows and shuffled bytes for
-/// every query — across random deployments, fault-storm plans, bulk
+/// The columnar executor is bit-identical to the row-at-a-time
+/// reference (`lpa::cluster::reference::execute`) — same seconds and rows
+/// for every query — across random deployments, fault-storm plans, bulk
 /// updates, timeout budgets and thread counts; then, plan by hand-forced
-/// plan, on every path of the join (see the function below).
+/// plan, on every path of the join (see the function below). The
+/// reference runs on an executor built from the cluster's public state
+/// just before each query: its grown schema and data, deployed layouts,
+/// fault state and statistics epoch.
 #[test]
 fn columnar_executor_matches_naive_across_fault_storms() {
-    use lpa::cluster::FaultPlan;
-
-    fn outcome_key(o: &lpa::cluster::QueryOutcome) -> (u64, String) {
-        (o.seconds().to_bits(), format!("{o:?}"))
-    }
+    use lpa::cluster::executor::{layout_table, Executor, Layout};
+    use lpa::cluster::{FaultPlan, OptimizerEstimator, QueryOutcome};
 
     for &threads in &[1usize, 8] {
+        let mut executed = 0;
         lpa::par::with_threads(threads, || {
             for case in 0..3u64 {
                 let schema = lpa::schema::ssb::schema(0.004).expect("schema builds");
                 let workload = lpa::workload::ssb::workload(&schema).expect("workload builds");
-                let mk = || {
-                    let mut c = Cluster::new(
-                        schema.clone(),
-                        ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard()),
-                    );
-                    c.set_fault_plan(FaultPlan::storm(0xFA_0000 + case));
-                    c
-                };
-                let mut fast = mk();
-                let mut naive = mk();
+                let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+                let optimizer = OptimizerEstimator::new(config.engine, config.hardware);
+                let mut fast = Cluster::new(schema.clone(), config);
+                fast.set_fault_plan(FaultPlan::storm(0xFA_0000 + case));
                 let mut rng = StdRng::seed_from_u64(0xC01 + case);
                 let mut p = Partitioning::initial(&schema);
                 for round in 0..3usize {
-                    // Mutate the deployment a few steps, deploy on both.
+                    // Mutate the deployment a few steps and deploy it.
                     for _ in 0..rng.gen_range(1..4usize) {
                         let actions = lpa::partition::valid_actions(&schema, &p);
                         p = actions[rng.gen_range(0..actions.len())]
                             .apply(&schema, &p)
                             .expect("valid action applies");
                     }
-                    let rf = direct_deploy(&mut fast, &p);
-                    let rn = lpa::cluster::with_naive_executor(|| direct_deploy(&mut naive, &p));
-                    assert_eq!(rf.to_bits(), rn.to_bits(), "deploy seconds differ");
+                    direct_deploy(&mut fast, &p);
                     if round == 1 {
                         fast.bulk_update(0.3);
-                        naive.bulk_update(0.3);
                     }
                     for (qi, q) in workload.queries().iter().enumerate() {
                         let budget = match qi % 3 {
@@ -538,18 +530,51 @@ fn columnar_executor_matches_naive_across_fault_storms() {
                             1 => Some(1e-4),
                             _ => Some(5.0),
                         };
-                        let a = fast.run_query(q, budget);
-                        let b = lpa::cluster::with_naive_executor(|| naive.run_query(q, budget));
-                        assert_eq!(
-                            outcome_key(&a),
-                            outcome_key(&b),
-                            "threads {threads} case {case} round {round} query {qi}"
-                        );
+                        let faults = fast.fault_state();
+                        let db = fast.substrate().db();
+                        let layouts: Vec<Layout> = (0..fast.schema().tables().len())
+                            .map(|t| {
+                                let state = fast.deployed().table_state(TableId(t));
+                                let nodes = config.hardware.nodes;
+                                layout_table(db, &config.engine, nodes, TableId(t), state)
+                            })
+                            .collect();
+                        let plan =
+                            optimizer.plan(fast.schema(), q, fast.deployed(), fast.stats_epoch());
+                        let exec = Executor {
+                            schema: fast.schema(),
+                            db,
+                            engine: &config.engine,
+                            hw: &config.hardware,
+                            layouts: &layouts,
+                            faults: &faults,
+                        };
+                        let want = lpa::cluster::reference::execute(&exec, q, &plan, budget);
+                        let at = format!("threads {threads} case {case} round {round} query {qi}");
+                        match (fast.run_query(q, budget), want) {
+                            (
+                                QueryOutcome::Completed {
+                                    seconds,
+                                    output_rows,
+                                    ..
+                                },
+                                Some(r),
+                            ) => {
+                                assert_eq!(seconds.to_bits(), r.seconds.to_bits(), "{at}");
+                                assert_eq!(output_rows, r.output_rows, "{at}");
+                                executed += 1;
+                            }
+                            (QueryOutcome::TimedOut { .. }, None) => executed += 1,
+                            // The fault layer refused the query before any
+                            // execution.
+                            (QueryOutcome::Failed { .. }, _) => {}
+                            (got, want) => panic!("{at}: {got:?} against {want:?}"),
+                        }
                     }
                 }
-                assert_eq!(fast.clock().to_bits(), naive.clock().to_bits());
             }
         });
+        assert!(executed > 0, "threads {threads}: every query failed");
     }
     columnar_executor_matches_naive_on_every_join_path();
 }
@@ -566,7 +591,7 @@ fn columnar_executor_matches_naive_across_fault_storms() {
 /// cut to end the plan, under each producer arm against each consumer arm,
 /// so that a count-only step folds into its producer wherever it can.
 /// `seconds`, `output_rows` and `bytes_shuffled` agree to the bit with
-/// `execute_naive`, and between 1 and 8 threads.
+/// `reference::execute`, and between 1 and 8 threads.
 fn columnar_executor_matches_naive_on_every_join_path() {
     use lpa::cluster::executor::{layout_table, ExecResult, Executor, Layout};
     use lpa::cluster::{Database, ExecScratch, FaultPlan, OptimizerEstimator};
@@ -702,7 +727,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                         );
                         assert_eq!(
                             bits(full),
-                            bits(exec.execute_naive(&query, &plan, None)),
+                            bits(lpa::cluster::reference::execute(&exec, &query, &plan, None)),
                             "{at}"
                         );
                         seen.push(bits(full));
@@ -714,7 +739,9 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                                 steps: plan.steps[..=BLOW_UP].to_vec(),
                                 ..plan.clone()
                             };
-                            let rows = exec.execute_naive(&query, &upto, None).unwrap().output_rows;
+                            let rows = lpa::cluster::reference::execute(&exec, &query, &upto, None)
+                                .unwrap()
+                                .output_rows;
                             let orderline = schema.table(plan.steps[BLOW_UP].table).rows;
                             assert!(
                                 rows > 4 * orderline,
@@ -738,7 +765,9 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                             let got = exec.execute_with(&query, &plan, budget, &mut scratch);
                             assert_eq!(
                                 bits(got),
-                                bits(exec.execute_naive(&query, &plan, budget)),
+                                bits(lpa::cluster::reference::execute(
+                                    &exec, &query, &plan, budget
+                                )),
                                 "{at} budget {tenth}/10"
                             );
                             assert_eq!(got.is_some(), tenth >= 10, "{at} budget {tenth}/10");
@@ -879,7 +908,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                         let mut scratch = ExecScratch::default();
                         let mut check = |query: &Query, plan: &QueryPlan, budget: Option<f64>| {
                             let got = exec.execute_with(query, plan, budget, &mut scratch);
-                            let want = exec.execute_naive(query, plan, budget);
+                            let want = lpa::cluster::reference::execute(&exec, query, plan, budget);
                             assert_eq!(bits(got), bits(want), "{at} budget {budget:?}");
                             seen.push(bits(got));
                             got
@@ -902,7 +931,9 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                             steps: plan.steps[..=k].to_vec(),
                             ..plan.clone()
                         };
-                        let budget = exec.execute_naive(query, &through, None).unwrap().seconds;
+                        let budget = lpa::cluster::reference::execute(&exec, query, &through, None)
+                            .unwrap()
+                            .seconds;
                         assert!(budget < total, "{at}");
                         assert!(check(query, &plan, Some(budget)).is_none(), "{at}");
                         between += 1;
@@ -980,7 +1011,7 @@ fn columnar_executor_matches_naive_on_every_join_path() {
                         let mut scratch = ExecScratch::default();
                         let mut check = |query: &Query| {
                             let got = exec.execute_with(query, &plan, None, &mut scratch);
-                            let want = exec.execute_naive(query, &plan, None);
+                            let want = lpa::cluster::reference::execute(&exec, query, &plan, None);
                             let at = format!("{} triple {k} arms {sm}x{sl}", query.name);
                             assert_eq!(bits(got), bits(want), "{at} replicated {replicated}");
                             seen.push(bits(got));

@@ -20,7 +20,7 @@ use lpa::store::{
     restore_offline, restore_online, train_checkpointed, CheckpointStore, OfflineTemplate,
     OnlineTemplate,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 const EPISODES: usize = 12;
@@ -452,50 +452,21 @@ fn handoff_checkpoint_from_chaos_leg_resumes_bitwise() {
 }
 
 /// Fast-vs-naive differential **across a checkpoint/resume boundary**:
-/// a run on the naive serial kernels that is never interrupted must match,
-/// bit for bit, a fast-kernel run that is killed mid-training and restored
-/// from its checkpoint at one and at eight threads. The naive run's
-/// fingerprint is the `naive_kernels_resume` lines of
-/// `tests/golden/oracle_runs.txt`. Ties the kernel determinism contract to
-/// the lpa-store resume contract in one assertion.
+/// a fast-kernel run that is killed mid-training and restored from its
+/// checkpoint must match, bit for bit, at one and at eight threads, the
+/// same run on the naive serial kernels, never interrupted — the
+/// `naive_kernels_resume` lines of `tests/golden/oracle_runs.txt`,
+/// rendered by that naive run before its arm was deleted. Ties the kernel
+/// determinism contract to the lpa-store resume contract in one assertion.
 #[test]
 fn naive_kernels_match_fast_kernels_across_resume_boundary() {
     let template = offline_template(0.05);
     let mix = template.workload.uniform_frequencies();
     let golden = oracle_lines("naive_kernels_resume");
 
-    // Reference: naive kernels, uninterrupted (checkpointing stays on).
-    let reference = lpa::nn::with_naive_kernels(|| {
-        let dir = test_dir("naive-ref", 0);
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        let fp = finish_and_fingerprint(fresh_offline(&template), &mut store, 0, EVERY, &mix);
-        let _ = std::fs::remove_dir_all(&dir);
-        fp
-    });
-    assert_eq!(render("naive_kernels_resume", &reference), golden);
-
-    // Fast kernels: killed at CRASH_AFTER, restored, finished.
     for &threads in &THREAD_COUNTS {
         let got = lpa::par::with_threads(threads, || {
-            let dir = test_dir("fast-kill", threads);
-            let mut store = CheckpointStore::open(&dir).unwrap();
-            let mut victim_rewards = Vec::new();
-            {
-                let mut victim = fresh_offline(&template);
-                train_checkpointed(&mut victim, &mut store, 0, CRASH_AFTER, EVERY, |s| {
-                    victim_rewards.push(s.total_reward.to_bits());
-                });
-            } // <- crash
-            let mut store2 = CheckpointStore::open(&dir).unwrap();
-            let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
-            let resumed = restore_offline(ck.into_session().unwrap(), &template).unwrap();
-            let mut fp =
-                finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, &mix);
-            let mut rewards = victim_rewards[..=seq as usize].to_vec();
-            rewards.append(&mut fp.episode_rewards);
-            fp.episode_rewards = rewards;
-            let _ = std::fs::remove_dir_all(&dir);
-            fp
+            killed_and_resumed(&template, &mix, &test_dir("fast-kill", threads))
         });
         assert_eq!(
             render("naive_kernels_resume", &got),
@@ -509,7 +480,6 @@ fn naive_kernels_match_fast_kernels_across_resume_boundary() {
 /// Everything observable from a guarded end-to-end session: the offline
 /// fingerprint plus the simulated runtimes of the advised layout deployed
 /// on a cluster (which exercises the columnar executor).
-#[derive(PartialEq, Debug)]
 struct ComposedFingerprint {
     offline: Fingerprint,
     runtimes: Vec<(u64, u64)>,
@@ -526,39 +496,42 @@ impl ComposedFingerprint {
     }
 }
 
-/// Train (with checkpointing), optionally crash + restore, then deploy the
-/// advice and run every workload query on a fresh cluster. The cluster leg
-/// routes through the columnar executor accounting, so the
-/// `with_naive_executor` guard is genuinely load-bearing here.
+/// Train with checkpointing, killed at `CRASH_AFTER` and restored from
+/// the newest checkpoint in `dir`, then finished: the fingerprint of the
+/// whole run, episode rewards from before the crash included.
+fn killed_and_resumed(
+    template: &OfflineTemplate,
+    mix: &FrequencyVector,
+    dir: &Path,
+) -> Fingerprint {
+    let mut store = CheckpointStore::open(dir).unwrap();
+    let mut victim_rewards = Vec::new();
+    {
+        let mut victim = fresh_offline(template);
+        train_checkpointed(&mut victim, &mut store, 0, CRASH_AFTER, EVERY, |s| {
+            victim_rewards.push(s.total_reward.to_bits());
+        });
+    } // <- crash
+    let mut store2 = CheckpointStore::open(dir).unwrap();
+    let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
+    let resumed = restore_offline(ck.into_session().unwrap(), template).unwrap();
+    let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, mix);
+    let mut rewards = victim_rewards[..=seq as usize].to_vec();
+    rewards.append(&mut fp.episode_rewards);
+    fp.episode_rewards = rewards;
+    let _ = std::fs::remove_dir_all(dir);
+    fp
+}
+
+/// [`killed_and_resumed`], then deploy the advice and run every workload
+/// query on a fresh cluster. The cluster leg routes through the columnar
+/// executor accounting.
 fn composed_session(
     template: &OfflineTemplate,
     mix: &FrequencyVector,
     dir_tag: &str,
-    crash: bool,
 ) -> ComposedFingerprint {
-    let dir = test_dir(dir_tag, 0);
-    let mut store = CheckpointStore::open(&dir).unwrap();
-    let offline = if crash {
-        let mut victim_rewards = Vec::new();
-        {
-            let mut victim = fresh_offline(template);
-            train_checkpointed(&mut victim, &mut store, 0, CRASH_AFTER, EVERY, |s| {
-                victim_rewards.push(s.total_reward.to_bits());
-            });
-        } // <- crash
-        let mut store2 = CheckpointStore::open(&dir).unwrap();
-        let (seq, ck) = store2.load_latest(&template.schema).unwrap().unwrap();
-        let resumed = restore_offline(ck.into_session().unwrap(), template).unwrap();
-        let mut fp = finish_and_fingerprint(resumed, &mut store2, seq as usize + 1, EVERY, mix);
-        let mut rewards = victim_rewards[..=seq as usize].to_vec();
-        rewards.append(&mut fp.episode_rewards);
-        fp.episode_rewards = rewards;
-        fp
-    } else {
-        finish_and_fingerprint(fresh_offline(template), &mut store, 0, EVERY, mix)
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-
+    let offline = killed_and_resumed(template, mix, &test_dir(dir_tag, 0));
     let mut cluster = Cluster::new(
         template.schema.clone(),
         ClusterConfig::new(EngineProfile::system_x(), HardwareProfile::standard()),
@@ -579,13 +552,14 @@ fn composed_session(
 }
 
 /// The capstone differential for the three fast paths. Reference: all
-/// three guards composed — naive NN kernels × full state re-encode × naive
-/// executor — over an uninterrupted training run plus a deployed-cluster
-/// query sweep, on one thread; its fingerprint is the `composed_ssb` and
-/// `composed_tpcch` lines of `tests/golden/oracle_runs.txt`. Candidates:
-/// every fast path enabled, killed mid-training and restored from
-/// checkpoint, at one and eight threads, on SSB *and* TPC-CH. Bitwise
-/// equality of weights, rewards, advice, and simulated runtimes proves the
+/// three oracles composed — naive NN kernels × full state re-encode ×
+/// row-at-a-time executor — over an uninterrupted training run plus a
+/// deployed-cluster query sweep, on one thread: the `composed_ssb` and
+/// `composed_tpcch` lines of `tests/golden/oracle_runs.txt`, rendered by
+/// that run before its arm was deleted. Candidates: every fast path
+/// enabled, killed mid-training and restored from checkpoint, at one and
+/// eight threads, on SSB *and* TPC-CH. Bitwise equality of weights,
+/// rewards, advice, and simulated runtimes proves the
 /// fused/batched/incremental paths change nothing observable, even across
 /// a crash/resume boundary.
 #[test]
@@ -611,19 +585,9 @@ fn composed_guards_match_fast_paths_across_resume_boundary() {
         let mix = template.workload.uniform_frequencies();
         let key = format!("composed_{bench}");
         let golden = oracle_lines(&key);
-        let reference = lpa::par::with_threads(1, || {
-            lpa::nn::with_naive_kernels(|| {
-                lpa::partition::with_full_encode(|| {
-                    lpa::cluster::with_naive_executor(|| {
-                        composed_session(&template, &mix, &format!("oracle-{bench}"), false)
-                    })
-                })
-            })
-        });
-        assert_eq!(reference.render(&key), golden, "{bench}: composed oracle");
         for &threads in &THREAD_COUNTS {
             let got = lpa::par::with_threads(threads, || {
-                composed_session(&template, &mix, &format!("fast-{bench}-{threads}"), true)
+                composed_session(&template, &mix, &format!("fast-{bench}-{threads}"))
             });
             assert_eq!(
                 got.render(&key),

@@ -12,6 +12,9 @@
 //!   `allow_attributes`);
 //! - inside `lpa-cluster`, which may call the crate-private
 //!   `Cluster::deploy`, only the guardrail module does (rule L015).
+//! - library code keeps per-thread state only in [`THREAD_LOCAL_FILES`]:
+//!   a thread-local switch is a second path through a hot loop, selected
+//!   from outside the arguments.
 //!
 //! That clippy fires under this configuration is `scripts/clippy_fixture.sh`.
 
@@ -48,6 +51,11 @@ fn denied_lints() -> Vec<&'static str> {
         .map(|rest| rest.trim_end_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_'))
         .collect()
 }
+
+/// The library files that may declare a `thread_local!`: the pool's
+/// thread-count override and worker flag, and the RL phase timers, which
+/// never change a result.
+const THREAD_LOCAL_FILES: [&str; 2] = ["crates/lpa-par/src/lib.rs", "crates/lpa-rl/src/profile.rs"];
 
 /// Wall-clock reads (L003), direct threads (L006), raw durable writes (L008).
 const BANNED_METHODS: [&str; 10] = [
@@ -324,4 +332,25 @@ fn deploy_is_called_only_from_the_guardrail_module() {
         .map(|(n, _)| n)
         .collect();
     assert_eq!(lines, vec![2]);
+}
+
+#[test]
+fn thread_locals_live_only_in_the_pool_and_the_profiler() {
+    let declares = |source: &str| {
+        source
+            .lines()
+            .any(|l| l.contains("thread_local!") && !l.trim_start().starts_with("//"))
+    };
+    let found: Vec<String> = library_files()
+        .into_iter()
+        .filter(|f| declares(&read(f)))
+        .collect();
+    assert_eq!(found, THREAD_LOCAL_FILES);
+    // Negative control: a declaration counts, a mention in a comment does not.
+    assert!(declares(
+        "thread_local! {\n    static ON: Cell<bool> = const { Cell::new(false) };\n}\n"
+    ));
+    assert!(!declares(
+        "/// Unlike a `thread_local!` switch.\nfn f() {}\n"
+    ));
 }
