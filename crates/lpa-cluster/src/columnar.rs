@@ -185,12 +185,16 @@ struct ColInter {
 }
 
 impl ColInter {
+    /// Empty the intermediate for a query of `width` tables. Slots past
+    /// the width stay (empty, with their capacity): a wider query later
+    /// reuses the arenas it grew instead of growing them again.
     fn reset(&mut self, width: usize) {
-        self.slots.truncate(width);
         for s in self.slots.iter_mut() {
             s.clear();
         }
-        self.slots.resize_with(width, Default::default);
+        if self.slots.len() < width {
+            self.slots.resize_with(width, Default::default);
+        }
         self.node.clear();
         self.hist.clear();
         self.replicated = false;

@@ -1,19 +1,15 @@
 //! One fully-connected layer with He-initialized weights.
 
-use crate::matrix::{matmul_wt_pool, matmul_wt_relu_pool, Matrix};
-use lpa_par::Pool;
+use crate::matrix::Matrix;
 use rand::Rng;
 
 /// Dense layer `y = x·Wᵀ + b`.
 ///
-/// The layer *owns* the transposed weight layout: `w` is stored out×in
-/// (unit-major — each row is one output unit's weight vector, i.e. `Wᵀ`
-/// relative to the math convention `y = xW + b`), which is exactly the
-/// order the matmul kernels stream it in. Hot paths go through
-/// [`Dense::forward_pool`] / [`Dense::forward_relu_pool`] so the layout
-/// contract stays in this one place; `w`/`b` remain `pub` for the
-/// optimizer, soft updates and the checkpoint codec, which all treat them
-/// as flat parameter storage.
+/// `w` is stored out×in (unit-major — each row is one output unit's
+/// weight vector, i.e. `Wᵀ` relative to the math convention `y = xW + b`):
+/// the parameters as the optimizer, soft updates, the backward pass and
+/// the checkpoint codec see them. The forward kernels read layouts derived
+/// from it, which [`crate::Mlp`] keeps beside its layers.
 #[derive(Clone, Debug)]
 pub struct Dense {
     pub w: Matrix,
@@ -45,21 +41,6 @@ impl Dense {
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
-    }
-
-    /// Forward through this layer: `out = x·Wᵀ + b`. `out` must already
-    /// be shaped batch×out; every cell is overwritten. The pool is the
-    /// caller's ambient pool (hoisted once per train step / committee
-    /// tick); the kernel routes small products to the serial path itself.
-    pub fn forward_pool(&self, pool: Pool, x: &Matrix, out: &mut Matrix) {
-        matmul_wt_pool(pool, x, &self.w, &self.b, out);
-    }
-
-    /// [`Dense::forward_pool`] with ReLU fused into the store — the hidden
-    /// -layer fast path. Bit-identical to the unfused matmul followed by a
-    /// separate clamp pass.
-    pub fn forward_relu_pool(&self, pool: Pool, x: &Matrix, out: &mut Matrix) {
-        matmul_wt_relu_pool(pool, x, &self.w, &self.b, out);
     }
 
     /// Soft update `θ ← (1-τ)·θ + τ·θ_src` (target-network tracking).
@@ -118,25 +99,6 @@ mod tests {
         for (t, s) in tgt.w.data().iter().zip(src.w.data()) {
             assert!((t - s).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn layer_forward_owns_the_transposed_layout() {
-        // forward_pool/forward_relu_pool must equal the raw kernels over
-        // the layer's own (out×in) storage — the layout contract in one
-        // place.
-        let mut rng = StdRng::seed_from_u64(23);
-        let d = Dense::new(5, 3, &mut rng);
-        let x = Matrix::from_rows(&[&[0.2, -0.4, 1.0, 0.7, -1.1], &[1.3, 0.0, -0.6, 0.1, 0.9]]);
-        let pool = Pool::with_threads(1);
-        let mut got = Matrix::zeros(2, 3);
-        d.forward_pool(pool, &x, &mut got);
-        let expect = crate::reference::naive_matmul_wt(&x, &d.w, &d.b);
-        assert_eq!(got, expect);
-        let mut got_relu = Matrix::zeros(2, 3);
-        d.forward_relu_pool(pool, &x, &mut got_relu);
-        let expect_relu = crate::reference::naive_matmul_wt_relu(&x, &d.w, &d.b);
-        assert_eq!(got_relu, expect_relu);
     }
 
     #[test]

@@ -1,34 +1,35 @@
 //! Row-major `f32` matrix with the handful of operations the network
-//! needs. Dot products are written as plain slice loops with fixed-width
-//! inner bodies so LLVM can auto-vectorize them.
+//! needs, and the two forward kernels.
 //!
-//! The matmul kernels are blocked into `ROW_BLOCK`-row bands with the
-//! ReLU clamp fused into the store (a const-generic flag, so the unfused
-//! instantiation carries no branch); each band cell is one [`dot`] plus
-//! bias. The bands run on the deterministic `lpa-par` pool when the
-//! product is big enough to amortize thread spawning — single-band and
-//! one-thread products skip the pool's task bookkeeping entirely. Every
-//! output cell is an independent `dot(...) + bias` — no cross-thread or
-//! cross-row accumulation — so the result is bit-identical for any
-//! `LPA_THREADS` value, any blocking factor, and identical to the
-//! unblocked serial loop (see [`crate::reference`] for the oracle and
-//! DESIGN.md §12 for the summation-order doctrine).
+//! Every output cell is `dot(x_row, w_row) + bias`, where `dot` is the
+//! frozen per-cell flop sequence [`crate::reference::naive_dot`] spells
+//! out: eight lanes over the 8-wide chunks, a sequential tail, the lanes
+//! folded left to right, then the tail (DESIGN.md §12). The kernels change
+//! how many cells advance together and where the weights sit, never the
+//! flops inside a cell, so their bits equal the naive serial triple loop
+//! for any `LPA_THREADS` value and any blocking factor.
 //!
-//! Register blocking (four batch rows per weight-row stream, a `dot4`
-//! kernel) and per-row output-unit banding were both built and measured
-//! during development: on the target (single core, SSE baseline and
-//! `target-cpu=native` alike) every 4-way variant ran 0.4–0.7x of the
-//! plain 8-lane [`dot`], which LLVM already auto-vectorizes cleanly —
-//! the multi-slice forms defeat bounds-check elision and vectorize
-//! across the wrong dimension — and unit banding only added loop
-//! overhead once the quad kernel was gone. See EXPERIMENTS.md; the band
-//! kernel therefore stays per-cell.
+//! [`matmul_wt_pool`] (and its ReLU-fused twin) is the dense kernel. It
+//! reads a layer's weights as [`Panels`] — in×[`PANEL`] slices, one per
+//! block of 16 output units (one unit wide for a one-unit layer) — and
+//! computes a row's 16 cells of a block at once: the nine accumulators of
+//! each cell become nine `[f32; 16]` arrays, which stay in vector
+//! registers across the whole input, and one input's term for all 16
+//! cells is one contiguous load. Bands of `ROW_BLOCK` rows run on the
+//! deterministic `lpa-par` pool when the product is big enough to amortize
+//! thread spawning. Blocking across *rows* lost (a `dot4` kernel, four
+//! batch rows per weight row, measured 0.4–0.7x of the per-cell `dot`);
+//! blocking across *units* in the transposed layout wins: the 128 → 64
+//! layer over half-zero rows, one thread, `target-cpu=native` on an
+//! AVX-512 Xeon, went from 619–729 to 298–351 ns a row. It skips nothing:
+//! a ReLU layer hands on about half zeros, and branching on them in the
+//! same kernel read 1 252–1 295 ns a row. See EXPERIMENTS.md.
 //!
-//! The first layer of an action-set batch has its own kernel,
-//! [`matmul_shared_prefix`]: rows that share a state prefix share the
-//! per-lane partial sums of that prefix, and exact-zero inputs are
-//! skipped — the same flops per cell in the same order, so still the same
-//! bits (DESIGN.md §12).
+//! The first layer has its own kernel, [`matmul_shared_prefix`]: rows
+//! that share a state prefix share the per-lane partial sums of that
+//! prefix, and exact-zero inputs are skipped — the same flops per cell in
+//! the same order, so still the same bits for finite weights (DESIGN.md
+//! §12).
 //!
 //! Callers on the hot path resolve the ambient pool once (per train step
 //! or committee tick) and pass it down; [`route_pool`] then only compares
@@ -147,6 +148,12 @@ impl Matrix {
 /// cell is computed independently, so any block size gives the same bits.
 pub const ROW_BLOCK: usize = 16;
 
+/// Output units per panel: [`matmul_wt_pool`] computes this many cells of
+/// a row at once, each with its own nine accumulators. A one-unit layer
+/// (the scalar head) packs into panels one unit wide instead — sixteen
+/// wide, fifteen of its cells would be padding.
+pub const PANEL: usize = 16;
+
 /// Fused multiply-adds below which spawning threads costs more than the
 /// matmul itself; smaller products run inline on the calling thread.
 const PAR_MIN_FLOPS: usize = 1 << 21;
@@ -164,14 +171,80 @@ pub fn route_pool(ambient: Pool, work: usize) -> Pool {
     }
 }
 
-/// `out[b] = x[b] · w[o] + bias` for every batch row and output unit:
-/// `x` is batch×in, `w` is out×in (each row one unit's weights), the result
-/// is batch×out. Writing the inner loop over the shared `in` dimension
-/// keeps both operands sequential in memory. `ambient` is the caller's
-/// hoisted pool, routed against the work size by [`route_pool`].
-pub fn matmul_wt_pool(ambient: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix) {
-    let pool = route_pool(ambient, x.rows() * w.rows() * w.cols().max(1));
-    matmul_driver(pool, x, w, bias, out, false);
+/// A dense layer's out×in weights packed for [`matmul_wt_pool`]: one
+/// in×`width` panel per block of `width` output units, in block order,
+/// where `width` is [`PANEL`] (1 for a one-unit layer). Row `j` of a panel
+/// holds input `j`'s weights for the block's units, so one input's term
+/// for all of them is one contiguous load; the last block is zero-padded.
+/// Derived state: packed from the weights, never serialised. `Default` is
+/// the packing of a 0×0 matrix.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct Panels {
+    units: usize,
+    in_dim: usize,
+    width: usize,
+    data: Vec<f32>,
+}
+
+impl Panels {
+    pub fn new(w: &Matrix) -> Self {
+        let mut panels = Self::default();
+        panels.pack(w);
+        panels
+    }
+
+    /// Repack from the out×in weights `w`, reusing the allocation.
+    pub fn pack(&mut self, w: &Matrix) {
+        let (units, in_dim) = (w.rows(), w.cols());
+        let width = if units == 1 { 1 } else { PANEL };
+        self.units = units;
+        self.in_dim = in_dim;
+        self.width = width;
+        self.data.clear();
+        self.data
+            .resize(units.div_ceil(width) * in_dim * width, 0.0);
+        if in_dim == 0 {
+            return;
+        }
+        let blocks = self.data.chunks_exact_mut(in_dim * width);
+        for (panel, wrows) in blocks.zip(w.data().chunks(width * in_dim)) {
+            // Sequential reads, writes strided by one panel row.
+            for (u, wrow) in wrows.chunks_exact(in_dim).enumerate() {
+                for (prow, &v) in panel.chunks_exact_mut(width).zip(wrow) {
+                    if let Some(slot) = prow.get_mut(u) {
+                        *slot = v;
+                    }
+                }
+            }
+        }
+    }
+
+    pub fn units(&self) -> usize {
+        self.units
+    }
+
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// The packed values, padding included — for elementwise updates that
+    /// commute with packing (a soft update maps the zero padding to zero).
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    pub fn data(&self) -> &[f32] {
+        &self.data
+    }
+}
+
+/// `out[b] = x[b] · w[o] + bias` for every batch row and output unit: `x`
+/// is batch×in, `w` the packed out×in weights, the result batch×out.
+/// `ambient` is the caller's hoisted pool, routed against the work size by
+/// [`route_pool`]. [`crate::reference::naive_matmul_wt`] is the oracle.
+pub fn matmul_wt_pool(ambient: Pool, x: &Matrix, w: &Panels, bias: &[f32], out: &mut Matrix) {
+    let pool = route_pool(ambient, x.rows() * w.units() * w.in_dim().max(1));
+    matmul_driver::<false>(pool, x, w, bias, out);
 }
 
 /// [`matmul_wt_pool`] with ReLU fused into the store: `out = max(0, x·wᵀ +
@@ -179,80 +252,122 @@ pub fn matmul_wt_pool(ambient: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: 
 /// [`relu_inplace`] — the clamp compares the exact same `dot + bias` value
 /// the unfused path would have stored (`-0.0` and NaN behave identically:
 /// neither satisfies `v < 0.0`, so both pass through unchanged).
-pub fn matmul_wt_relu_pool(ambient: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix) {
-    let pool = route_pool(ambient, x.rows() * w.rows() * w.cols().max(1));
-    matmul_driver(pool, x, w, bias, out, true);
+pub fn matmul_wt_relu_pool(ambient: Pool, x: &Matrix, w: &Panels, bias: &[f32], out: &mut Matrix) {
+    let pool = route_pool(ambient, x.rows() * w.units() * w.in_dim().max(1));
+    matmul_driver::<true>(pool, x, w, bias, out);
 }
 
-/// Shared driver: `ROW_BLOCK`-row bands over the pool, each band through
-/// [`matmul_band`]. [`crate::reference::naive_matmul_wt`] is the oracle it
-/// is differentially tested against.
-fn matmul_driver(pool: Pool, x: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix, relu: bool) {
-    assert_eq!(x.cols(), w.cols(), "inner dimensions");
-    assert_eq!(w.rows(), bias.len());
-    assert_eq!(out.rows(), x.rows());
-    assert_eq!(out.cols(), w.rows());
-    let out_cols = out.cols();
-    if out_cols == 0 || out.rows() == 0 {
+/// Shared driver: `ROW_BLOCK`-row bands over the pool (a one-thread pool
+/// walks them in order on the calling thread), each through
+/// [`panel_band`].
+fn matmul_driver<const RELU: bool>(
+    pool: Pool,
+    x: &Matrix,
+    w: &Panels,
+    bias: &[f32],
+    out: &mut Matrix,
+) {
+    assert_eq!(x.cols(), w.in_dim(), "inner dimensions");
+    assert_eq!(w.units(), bias.len());
+    assert_eq!((out.rows(), out.cols()), (x.rows(), w.units()));
+    let units = w.units();
+    if units == 0 || x.rows() == 0 {
         return;
     }
-    let band_len = ROW_BLOCK * out_cols;
-    if pool.threads() == 1 || out.rows() <= ROW_BLOCK {
-        // Serial fast path: same band walk in band order, without the
-        // pool's per-call task bookkeeping — most hot-path matmuls are a
-        // single band (replay minibatches, one state's action set).
-        for (band, band_data) in out.data_mut().chunks_mut(band_len).enumerate() {
-            if relu {
-                matmul_band::<true>(x, w, bias, band * ROW_BLOCK, band_data, out_cols);
-            } else {
-                matmul_band::<false>(x, w, bias, band * ROW_BLOCK, band_data, out_cols);
-            }
-        }
-        return;
-    }
-    pool.par_chunks_mut(out.data_mut(), band_len, |band, band_data| {
-        if relu {
-            matmul_band::<true>(x, w, bias, band * ROW_BLOCK, band_data, out_cols);
+    pool.par_chunks_mut(out.data_mut(), ROW_BLOCK * units, |band, band_data| {
+        let b0 = band * ROW_BLOCK;
+        if w.width == 1 {
+            panel_band::<RELU, 1>(x, w, bias, b0, band_data);
         } else {
-            matmul_band::<false>(x, w, bias, band * ROW_BLOCK, band_data, out_cols);
+            panel_band::<RELU, PANEL>(x, w, bias, b0, band_data);
         }
     });
 }
 
-/// One `ROW_BLOCK`-row band of the output: per row, store `dot + bias`
-/// for every output unit, with the ReLU clamp fused into the store when
-/// `RELU` (a compile-time flag, so the unfused instantiation carries no
-/// branch at all). Every cell's bits are identical to the naive triple
-/// loop, and the fused clamp compares the exact value the unfused path
-/// would have stored.
-fn matmul_band<const RELU: bool>(
+/// One `ROW_BLOCK`-row band of the output, panel by panel: the panel
+/// (in×`W` weights, `W` the packing's width) stays in L1 while the band's
+/// rows stream past it, and each row's `W` cells come out of
+/// [`panel_dots`] plus bias, with the ReLU clamp fused into the store
+/// when `RELU`.
+fn panel_band<const RELU: bool, const W: usize>(
     x: &Matrix,
-    w: &Matrix,
+    w: &Panels,
     bias: &[f32],
     b0: usize,
     band_data: &mut [f32],
-    out_cols: usize,
 ) {
-    let rows = band_data.len() / out_cols;
-    // Output units outer, band rows inner: the band's slice of `x` (at
-    // most `ROW_BLOCK` rows) stays L1-resident while each weight row is
-    // streamed exactly once per band instead of once per x-row. The
-    // interchange only reorders whole-cell computations — each cell is
-    // still one `dot + bias` — so the bits cannot move.
-    for (o, &bo) in bias.iter().enumerate() {
-        let wr = w.row(o);
-        for bi in 0..rows {
-            let y = dot(x.row(b0 + bi), wr) + bo;
-            // Checked store (library code denies `indexing_slicing`);
-            // one predictable branch amortized over a whole dot product.
-            if let Some(slot) = band_data.get_mut(bi * out_cols + o) {
-                *slot = if RELU && y < 0.0 { 0.0 } else { y };
+    let (units, panel_len) = (w.units(), w.in_dim() * W);
+    for (b, bias) in bias.chunks(W).enumerate() {
+        // Empty for a zero-width input: every cell is then `+0.0 + bias`.
+        let panel = w
+            .data()
+            .get(b * panel_len..(b + 1) * panel_len)
+            .unwrap_or(&[]);
+        let u0 = b * W;
+        for (r, out_row) in band_data.chunks_exact_mut(units).enumerate() {
+            let cells = panel_dots::<W>(x.row(b0 + r), panel);
+            for ((o, &c), &b) in out_row.iter_mut().skip(u0).zip(&cells).zip(bias) {
+                let y = c + b;
+                *o = if RELU && y < 0.0 { 0.0 } else { y };
             }
         }
     }
 }
 
-/// Accumulators per cell in [`dot`]: eight chunk lanes and the scalar tail.
+/// `dot(x, w_u)` for the `W` units `u` of one panel, without the bias —
+/// `dot`'s flops, `W` cells abreast. Lane `k` of every cell adds the
+/// terms `j ≡ k (mod 8)` of the full 8-wide chunks in increasing `j`, from
+/// `+0.0`; the tail adds the rest in increasing `j`; the cell is lanes
+/// 0..7 folded left to right, then the tail.
+///
+/// The eight lanes and the tail are nine separate `[f32; W]` locals, not
+/// one array of lanes: that way each is a value LLVM keeps in a vector
+/// register for the whole row. Held in an array, the lanes stayed in
+/// memory out of line, and LLVM vectorised across the chunk loop with
+/// gathers and scatters (20x slower).
+#[inline]
+fn panel_dots<const W: usize>(x: &[f32], panel: &[f32]) -> [f32; W] {
+    let zero = [0.0f32; W];
+    let (mut l0, mut l1, mut l2, mut l3) = (zero, zero, zero, zero);
+    let (mut l4, mut l5, mut l6, mut l7) = (zero, zero, zero, zero);
+    let mut tail = zero;
+    let (x8, x_tail) = x.as_chunks::<8>();
+    let (rows, _) = panel.as_chunks::<W>();
+    let (rows8, rows_tail) = rows.as_chunks::<8>();
+    for ([x0, x1, x2, x3, x4, x5, x6, x7], [w0, w1, w2, w3, w4, w5, w6, w7]) in x8.iter().zip(rows8)
+    {
+        axpy_cells(&mut l0, *x0, w0);
+        axpy_cells(&mut l1, *x1, w1);
+        axpy_cells(&mut l2, *x2, w2);
+        axpy_cells(&mut l3, *x3, w3);
+        axpy_cells(&mut l4, *x4, w4);
+        axpy_cells(&mut l5, *x5, w5);
+        axpy_cells(&mut l6, *x6, w6);
+        axpy_cells(&mut l7, *x7, w7);
+    }
+    for (&xj, wj) in x_tail.iter().zip(rows_tail) {
+        axpy_cells(&mut tail, xj, wj);
+    }
+    // `dot` sums its lanes from `Sum`'s identity, not from lane 0; a lane
+    // is never `-0.0` (DESIGN.md §12), so adding it to `±0.0` gives it back
+    // bit for bit and starting from lane 0 is the same fold.
+    for lane in [l1, l2, l3, l4, l5, l6, l7, tail] {
+        for (s, l) in l0.iter_mut().zip(lane) {
+            *s += l;
+        }
+    }
+    l0
+}
+
+/// `acc[u] += x * w[u]`: one term of `W` cells.
+#[inline(always)]
+fn axpy_cells<const W: usize>(acc: &mut [f32; W], x: f32, w: &[f32; W]) {
+    for (a, &wv) in acc.iter_mut().zip(w) {
+        *a += x * wv;
+    }
+}
+
+/// Accumulators per cell of `dot`: eight chunk lanes and the scalar tail.
 const LANES: usize = 9;
 
 /// Row groups of a batch whose members agree on their first `prefix`
@@ -286,7 +401,7 @@ pub fn transpose_into(w: &Matrix, wt: &mut Matrix) {
     }
 }
 
-/// `lane += x * w` across units — one term of every unit's [`dot`] at once.
+/// `lane += x * w` across units — one term of every unit's `dot` at once.
 #[inline]
 fn axpy(lane: &mut [f32], x: f32, w: &[f32]) {
     for (l, &wv) in lane.iter_mut().zip(w) {
@@ -400,31 +515,6 @@ pub fn matmul_shared_prefix<const RELU: bool>(
     }
 }
 
-/// Dot product with eight independent accumulators so LLVM can vectorize
-/// and pipeline despite floating-point non-associativity.
-#[inline]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "hot kernel: i * 8 + 8 <= len for the unrolled part; the tail runs below len"
-)]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; 8];
-    let chunks = a.len() / 8;
-    for i in 0..chunks {
-        let ai = &a[i * 8..i * 8 + 8];
-        let bi = &b[i * 8..i * 8 + 8];
-        for k in 0..8 {
-            acc[k] += ai[k] * bi[k];
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * 8..a.len() {
-        tail += a[i] * b[i];
-    }
-    acc.iter().sum::<f32>() + tail
-}
-
 /// ReLU in place; a mask of active units is not needed — backward uses the
 /// activation values themselves.
 pub fn relu_inplace(m: &mut Matrix) {
@@ -447,7 +537,7 @@ mod tests {
         let w = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         let bias = [0.5, 0.0, -1.0];
         let mut out = Matrix::zeros(2, 3);
-        matmul_wt_pool(Pool::with_threads(1), &x, &w, &bias, &mut out);
+        matmul_wt_pool(Pool::with_threads(1), &x, &Panels::new(&w), &bias, &mut out);
         assert_eq!(out.row(0), &[1.5, 2.0, 2.0]);
         assert_eq!(out.row(1), &[3.5, 4.0, 6.0]);
     }
@@ -484,7 +574,13 @@ mod tests {
         let x = Matrix::zeros(1, 3);
         let w = Matrix::zeros(2, 2);
         let mut out = Matrix::zeros(1, 2);
-        matmul_wt_pool(Pool::with_threads(1), &x, &w, &[0.0, 0.0], &mut out);
+        matmul_wt_pool(
+            Pool::with_threads(1),
+            &x,
+            &Panels::new(&w),
+            &[0.0, 0.0],
+            &mut out,
+        );
     }
 
     fn random_matrix(rng: &mut rand::rngs::StdRng, rows: usize, cols: usize) -> Matrix {
@@ -523,18 +619,19 @@ mod tests {
                 .collect();
             let expect = naive_matmul_wt(&x, &w, &bias);
             let expect_relu = naive_matmul_wt_relu(&x, &w, &bias);
+            let panels = Panels::new(&w);
             // The driver itself, so that shapes of more than one band run
             // their bands on the pool whatever their size.
             for threads in [1, 8] {
                 let pool = Pool::with_threads(threads);
                 let mut got = Matrix::zeros(rows, units);
-                matmul_driver(pool, &x, &w, &bias, &mut got, false);
+                matmul_driver::<false>(pool, &x, &panels, &bias, &mut got);
                 assert_eq!(
                     got, expect,
                     "shape {rows}x{inner}x{units} threads {threads}"
                 );
                 let mut got_relu = Matrix::zeros(rows, units);
-                matmul_driver(pool, &x, &w, &bias, &mut got_relu, true);
+                matmul_driver::<true>(pool, &x, &panels, &bias, &mut got_relu);
                 assert_eq!(
                     got_relu, expect_relu,
                     "relu shape {rows}x{inner}x{units} threads {threads}"
@@ -734,9 +831,10 @@ mod tests {
         let x = random_matrix(&mut rng, 160, 128);
         let w = random_matrix(&mut rng, 128, 128);
         let bias = vec![0.125f32; 128];
+        let panels = Panels::new(&w);
         let run = |threads: usize| {
             let mut out = Matrix::zeros(x.rows(), w.rows());
-            matmul_wt_pool(Pool::with_threads(threads), &x, &w, &bias, &mut out);
+            matmul_wt_pool(Pool::with_threads(threads), &x, &panels, &bias, &mut out);
             out
         };
         let reference = run(1);
@@ -745,16 +843,101 @@ mod tests {
         }
     }
 
+    /// The panel kernel against the naive triple loop, by bits: unit
+    /// counts below, at and across a panel, input widths below, at and
+    /// past an 8-wide chunk, row counts around a band, on one and on eight
+    /// threads. Weights carry `±inf` and NaN and inputs carry zeros of both
+    /// signs: the panel kernel skips nothing, so `0 · inf = NaN` and every
+    /// NaN propagate exactly as in `dot`. Which NaN comes out is the one
+    /// thing compared loosely: where two NaNs meet in an add, Rust leaves
+    /// the result's sign and payload open and LLVM may commute the
+    /// operands, so a NaN cell only has to be NaN.
     #[test]
-    fn dot_handles_empty_and_odd_length_slices() {
-        use crate::reference::naive_dot;
-        assert_eq!(dot(&[], &[]), 0.0);
-        // Lengths around the 8-lane unrolling boundary; the shared oracle
-        // spells out the lane structure (8 accumulators then tail) by hand.
-        for len in [1usize, 3, 7, 8, 9, 15, 17] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.3).sin()).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).cos()).collect();
-            assert_eq!(dot(&a, &b), naive_dot(&a, &b), "len={len}");
+    fn panel_kernel_equals_naive_matmul_by_bits() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let bits = |m: &Matrix| {
+            m.data()
+                .iter()
+                .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut case = 0u64;
+        for units in [1usize, 8, 16, 17, 64, 128] {
+            for in_dim in [1usize, 7, 8, 9, 139] {
+                for rows in [0usize, 1, ROW_BLOCK - 1, ROW_BLOCK + 1] {
+                    for non_finite in [false, true] {
+                        case += 1;
+                        let mut rng = StdRng::seed_from_u64(0x9A4E + case);
+                        let mut x = random_matrix(&mut rng, rows, in_dim);
+                        for v in x.data_mut() {
+                            match rng.gen_range(0..4) {
+                                0 => *v = 0.0,
+                                1 => *v = -0.0,
+                                _ => {}
+                            }
+                        }
+                        let mut w = random_matrix(&mut rng, units, in_dim);
+                        if non_finite {
+                            for v in w.data_mut() {
+                                match rng.gen_range(0..40) {
+                                    0 => *v = f32::INFINITY,
+                                    1 => *v = f32::NEG_INFINITY,
+                                    2 => *v = f32::NAN,
+                                    _ => {}
+                                }
+                            }
+                        }
+                        let bias: Vec<f32> =
+                            (0..units).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                        let panels = Panels::new(&w);
+                        let expect = bits(&naive_matmul_wt(&x, &w, &bias));
+                        let expect_relu = bits(&naive_matmul_wt_relu(&x, &w, &bias));
+                        for threads in [1, 8] {
+                            let pool = Pool::with_threads(threads);
+                            let at = format!(
+                                "{rows}x{in_dim} · {units}x{in_dim}, non-finite {non_finite}, \
+                                 threads {threads}"
+                            );
+                            // Dirty outputs: every cell must be written.
+                            let dirty = vec![f32::NAN; rows * units];
+                            let mut got = Matrix::from_vec(rows, units, dirty.clone());
+                            matmul_driver::<false>(pool, &x, &panels, &bias, &mut got);
+                            assert_eq!(bits(&got), expect, "{at}");
+                            let mut got = Matrix::from_vec(rows, units, dirty);
+                            matmul_driver::<true>(pool, &x, &panels, &bias, &mut got);
+                            assert_eq!(bits(&got), expect_relu, "relu {at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_pack_by_block_with_zero_padding() {
+        // Three units of two inputs in panels of PANEL: one block, units
+        // 3..PANEL zero.
+        let w = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let mut p = Panels::new(&w);
+        assert_eq!((p.units(), p.in_dim(), p.data().len()), (3, 2, 2 * PANEL));
+        assert_eq!(&p.data()[..4], &[1.0, 3.0, 5.0, 0.0]);
+        assert_eq!(&p.data()[PANEL..PANEL + 4], &[2.0, 4.0, 6.0, 0.0]);
+        assert!(p.data()[3..PANEL].iter().all(|v| v.to_bits() == 0));
+        // Repacking reuses the buffer and forgets the old shape.
+        let wide = Matrix::from_vec(PANEL + 1, 1, (0..=PANEL).map(|v| v as f32).collect());
+        p.pack(&wide);
+        assert_eq!(p, Panels::new(&wide));
+        assert_eq!(p.data().len(), 2 * PANEL);
+        assert_eq!(p.data()[PANEL], PANEL as f32);
+        // A one-unit layer is its own single panel, one unit wide.
+        let head = Matrix::from_vec(1, 3, vec![7.0, 8.0, 9.0]);
+        p.pack(&head);
+        assert_eq!(p.data(), head.data());
+        for (rows, cols) in [(0, 4), (4, 0), (0, 0)] {
+            p.pack(&Matrix::zeros(rows, cols));
+            assert_eq!((p.units(), p.in_dim()), (rows, cols));
+            assert!(p.data().is_empty());
         }
     }
 
@@ -766,6 +949,7 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![0.0, -0.0]);
         let w = Matrix::from_vec(2, 2, vec![-1.0, 0.5, 1.0, 1.0]);
         let bias = [0.0f32, -0.0];
+        let w = Panels::new(&w);
         let mut fused = Matrix::zeros(1, 2);
         matmul_wt_relu_pool(Pool::with_threads(1), &x, &w, &bias, &mut fused);
         let mut unfused = Matrix::zeros(1, 2);

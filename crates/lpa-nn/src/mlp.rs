@@ -9,10 +9,18 @@
 //! same kernels. Both paths produce bit-identical results — the scratch
 //! reuse and the fused matmul+ReLU forward keep the naive path's per-cell
 //! summation order exactly (DESIGN.md §12).
+//!
+//! Every forward runs the first layer through [`matmul_shared_prefix`]
+//! (an ungrouped batch is one group with an empty prefix) and every later
+//! layer through the panel kernel [`matmul_wt_pool`]. Both read layouts
+//! derived from the layers' weights, which the network keeps beside them.
 
 use crate::adam::Adam;
 use crate::dense::{soft_update, Dense};
-use crate::matrix::{matmul_shared_prefix, route_pool, transpose_into, Matrix, RowGroups};
+use crate::matrix::{
+    matmul_shared_prefix, matmul_wt_pool, matmul_wt_relu_pool, route_pool, transpose_into, Matrix,
+    Panels, RowGroups,
+};
 use lpa_par::Pool;
 use rand::Rng;
 
@@ -49,6 +57,9 @@ pub struct Mlp {
     /// -layer kernel streams. Derived state: rebuilt wherever layer 0's
     /// weights change, never serialised.
     w0_t: Matrix,
+    /// `panels[i]` is `layers[i + 1].w` packed for the panel kernel.
+    /// Derived state like `w0_t`, kept the same way.
+    panels: Vec<Panels>,
 }
 
 impl Mlp {
@@ -96,7 +107,12 @@ impl Mlp {
         }
         let mut w0_t = Matrix::default();
         transpose_into(&layers[0].w, &mut w0_t);
-        Self { layers, w0_t }
+        let panels = layers[1..].iter().map(|l| Panels::new(&l.w)).collect();
+        Self {
+            layers,
+            w0_t,
+            panels,
+        }
     }
 
     pub fn param_count(&self) -> usize {
@@ -104,9 +120,9 @@ impl Mlp {
     }
 
     /// Forward pass into the scratch's activation buffers; returns the
-    /// output matrix (borrowed from the scratch). Hidden layers run the
-    /// fused matmul+ReLU kernel; nothing is allocated after the scratch
-    /// has warmed up.
+    /// output matrix (borrowed from the scratch). Hidden layers fuse the
+    /// ReLU into the store; nothing is allocated after the scratch has
+    /// warmed up.
     pub fn forward_into<'s>(
         &self,
         pool: Pool,
@@ -116,12 +132,14 @@ impl Mlp {
         self.forward_layers(pool, x, None, scratch)
     }
 
-    /// The forward pass. With `groups` (rows in runs sharing a prefix: an
-    /// action set per state) the first layer runs [`matmul_shared_prefix`]
-    /// instead of the dense kernel — bit-identical for finite weights.
+    /// The forward pass. The first layer runs [`matmul_shared_prefix`]
+    /// over `groups` (rows in runs sharing a prefix: an action set per
+    /// state), or over the whole batch as one group with an empty prefix —
+    /// bit-identical to the dense cells for finite weights. The other
+    /// layers run the panel kernel.
     #[expect(
         clippy::indexing_slicing,
-        reason = "hot kernel: outs holds one matrix per layer"
+        reason = "hot kernel: outs holds one matrix per layer, panels one per layer after the first"
     )]
     fn forward_layers<'s>(
         &self,
@@ -136,20 +154,23 @@ impl Mlp {
             outs.resize_with(n, || Matrix::zeros(0, 0));
         }
         let last = n - 1;
+        let whole = [(0, x.rows())];
+        let groups = groups.unwrap_or(RowGroups {
+            prefix: 0,
+            ranges: &whole,
+        });
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = outs.split_at_mut(i);
             let Some(cur) = rest.first_mut() else { break };
             let input = done.last().unwrap_or(x);
             cur.resize_for_overwrite(input.rows(), layer.output_dim());
-            match groups {
-                Some(g) if i == 0 && i == last => {
-                    matmul_shared_prefix::<false>(x, g, &self.w0_t, &layer.b, lanes, cur)
+            match i {
+                0 if i == last => {
+                    matmul_shared_prefix::<false>(x, groups, &self.w0_t, &layer.b, lanes, cur)
                 }
-                Some(g) if i == 0 => {
-                    matmul_shared_prefix::<true>(x, g, &self.w0_t, &layer.b, lanes, cur)
-                }
-                _ if i == last => layer.forward_pool(pool, input, cur),
-                _ => layer.forward_relu_pool(pool, input, cur),
+                0 => matmul_shared_prefix::<true>(x, groups, &self.w0_t, &layer.b, lanes, cur),
+                _ if i == last => matmul_wt_pool(pool, input, &self.panels[i - 1], &layer.b, cur),
+                _ => matmul_wt_relu_pool(pool, input, &self.panels[i - 1], &layer.b, cur),
             }
         }
         &outs[last]
@@ -325,6 +346,7 @@ impl Mlp {
                     }
                 });
                 opt.step_layer(i, &mut self.layers[i], dw, db);
+                self.panels[i - 1].pack(&self.layers[i].w);
                 std::mem::swap(delta, prev_delta);
             } else {
                 opt.step_layer(i, &mut self.layers[i], dw, db);
@@ -340,10 +362,14 @@ impl Mlp {
         for (t, s) in self.layers.iter_mut().zip(&src.layers) {
             t.soft_update_from(s, tau);
         }
-        // The update is elementwise, so applying it to the transposed
-        // copies gives the transpose of the updated weights, bit for bit,
-        // at a tenth of the cost of transposing again.
+        // The update is elementwise, so applying it to the derived copies
+        // gives the copies of the updated weights, bit for bit, at a tenth
+        // of the cost of building them again (a panel's zero padding stays
+        // `+0.0`).
         soft_update(self.w0_t.data_mut(), src.w0_t.data(), tau);
+        for (t, s) in self.panels.iter_mut().zip(&src.panels) {
+            soft_update(t.data_mut(), s.data(), tau);
+        }
     }
 }
 
@@ -478,27 +504,41 @@ mod tests {
         }
     }
 
+    /// Every derived copy as packed afresh from the weights: the layer-0
+    /// transpose and every later layer's panels.
+    fn derived(net: &Mlp) -> (Matrix, Vec<Panels>) {
+        let mut wt = Matrix::default();
+        transpose_into(&net.layers[0].w, &mut wt);
+        let panels = net.layers[1..].iter().map(|l| Panels::new(&l.w)).collect();
+        (wt, panels)
+    }
+
+    fn kept(net: &Mlp) -> (Matrix, Vec<Panels>) {
+        (net.w0_t.clone(), net.panels.clone())
+    }
+
     #[test]
     fn transposed_first_layer_tracks_every_weight_change() {
-        let transposed = |net: &Mlp| {
-            let mut wt = Matrix::default();
-            transpose_into(&net.layers[0].w, &mut wt);
-            wt
-        };
+        // 6 → 5 → 17 → 1: a one-unit panel, one padded to two blocks and
+        // the head's.
+        let dims = [6, 5, 17, 1];
         let mut rng = StdRng::seed_from_u64(17);
-        let mut net = Mlp::new(&[6, 5, 1], &mut rng);
-        let mut target = Mlp::new(&[6, 5, 1], &mut rng);
-        assert_eq!(net.w0_t, transposed(&net));
+        let mut net = Mlp::new(&dims, &mut rng);
+        let mut target = Mlp::new(&dims, &mut rng);
+        assert_eq!(net.panels.len(), 2);
+        assert_eq!(kept(&net), derived(&net));
         let mut opt = Adam::new(1e-2, net.layers());
         let (x, _) = grouped_batch(&[4], 0, 6);
         for step in 0..3 {
+            let before = kept(&net);
             net.train_mse(&x, &[0.5, -1.0, 2.0, 0.0], &mut opt);
-            assert_eq!(net.w0_t, transposed(&net), "after train step {step}");
+            assert_ne!(kept(&net), before, "train step {step} moved no weight");
+            assert_eq!(kept(&net), derived(&net), "after train step {step}");
             target.soft_update_from(&net, 0.3);
-            assert_eq!(target.w0_t, transposed(&target), "after soft update {step}");
+            assert_eq!(kept(&target), derived(&target), "after soft update {step}");
         }
         let restored = Mlp::from_layers(net.layers().to_vec());
-        assert_eq!(restored.w0_t, net.w0_t);
+        assert_eq!(kept(&restored), kept(&net));
     }
 
     #[test]
@@ -556,7 +596,7 @@ mod tests {
     impl Mlp {
         fn layers_mut_for_test(&mut self, layer: usize, wi: usize, delta: f32) {
             self.layers[layer].w.data_mut()[wi] += delta;
-            transpose_into(&self.layers[0].w, &mut self.w0_t);
+            *self = Mlp::from_layers(self.layers.clone());
         }
     }
 

@@ -18,9 +18,9 @@
 use crate::matrix::{relu_inplace, Matrix};
 use crate::mlp::Mlp;
 
-/// Hand-spelled reference for [`crate::matrix::dot`]: eight accumulator
-/// lanes walked in index order, then the sequential tail, then the lane
-/// sum. This is the *definition* of the per-cell summation order.
+/// `dot`, spelled out: eight accumulator lanes walked in index order,
+/// then the sequential tail, then the lane sum. This is the *definition*
+/// of the per-cell summation order every kernel keeps.
 #[expect(
     clippy::indexing_slicing,
     reason = "c * 8 + k < len over the unrolled chunks; the tail runs below len"

@@ -285,6 +285,13 @@ impl Pool {
         f: impl Fn(usize, &mut [U]) + Sync,
     ) {
         let chunk_len = chunk_len.max(1);
+        if self.threads.min(data.len().div_ceil(chunk_len)) <= 1 {
+            // What `run` would do on one worker, without the chunk list.
+            for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
+                f(c, chunk);
+            }
+            return;
+        }
         let chunks: Vec<Mutex<&mut [U]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
         self.run(chunks.len(), |c| {
             f(

@@ -95,17 +95,22 @@ impl<S: Clone, A: Clone> ReplayBuffer<S, A> {
     }
 
     /// Slot indices of a uniform sample without replacement — the arena
-    /// form of [`Self::sample`]: identical RNG consumption (same
-    /// `index_sample` call behind the same full-buffer short-circuit), but
-    /// the caller's index buffer is reused instead of allocating a vector
-    /// of references per train step.
+    /// form of [`Self::sample`], drawn into the caller's index buffer so a
+    /// train step allocates nothing. Behind the same full-buffer
+    /// short-circuit it runs Robert Floyd's algorithm exactly as
+    /// `rand::seq::index::sample` does: the same draws in the same order,
+    /// so the same indices in the same order.
     pub fn sample_indices<R: Rng>(&self, rng: &mut R, batch: usize, out: &mut Vec<usize>) {
         out.clear();
-        if self.items.len() <= batch {
-            out.extend(0..self.items.len());
+        let len = self.items.len();
+        if len <= batch {
+            out.extend(0..len);
             return;
         }
-        out.extend(index_sample(rng, self.items.len(), batch));
+        for j in len - batch..len {
+            let t = rng.gen_range(0..=j);
+            out.push(if out.contains(&t) { j } else { t });
+        }
     }
 }
 
@@ -151,5 +156,31 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 8);
+    }
+
+    #[test]
+    fn sample_indices_draws_what_rand_index_sample_draws() {
+        let mut out = Vec::new();
+        for len in [1usize, 2, 5, 33, 64, 100, 1000] {
+            let mut b = ReplayBuffer::new(len);
+            for i in 0..len {
+                b.push(t(i as i32));
+            }
+            for batch in [0, 1, 7, 32, len - 1, len, len + 3] {
+                for seed in 0..40u64 {
+                    let mut ours = StdRng::seed_from_u64(seed);
+                    let mut theirs = ours.clone();
+                    b.sample_indices(&mut ours, batch, &mut out);
+                    let want: Vec<usize> = if len <= batch {
+                        (0..len).collect()
+                    } else {
+                        index_sample(&mut theirs, len, batch).into_vec()
+                    };
+                    assert_eq!(out, want, "len {len} batch {batch} seed {seed}");
+                    // Both generators end in the same state.
+                    assert_eq!(ours, theirs, "len {len} batch {batch} seed {seed}");
+                }
+            }
+        }
     }
 }

@@ -255,15 +255,15 @@ fn executor_matches_truth_join_cardinality() {
     let _ = TableId(c.0);
 }
 
-/// Fast NN kernels (banded, fused-ReLU, parallel, and the shared-prefix
-/// zero-skipping first-layer kernel) are bit-equal to the shared naive
+/// Fast NN kernels (the panel kernel, banded, fused-ReLU and parallel, and
+/// the shared-prefix zero-skipping first-layer kernel) are bit-equal to the shared naive
 /// reference on random shapes that straddle every blocking boundary — and
 /// never panic on degenerate geometry (empty matrices, single
 /// rows/columns, odd widths vs the fixed-width lanes).
 #[test]
 fn fast_matmul_kernels_match_naive_on_edge_geometry() {
     use lpa::nn::matrix::{
-        matmul_shared_prefix, matmul_wt_pool, matmul_wt_relu_pool, transpose_into, Matrix,
+        matmul_shared_prefix, matmul_wt_pool, matmul_wt_relu_pool, transpose_into, Matrix, Panels,
         RowGroups, ROW_BLOCK,
     };
     use lpa::nn::reference::{naive_matmul_wt, naive_matmul_wt_relu};
@@ -340,6 +340,7 @@ fn fast_matmul_kernels_match_naive_on_edge_geometry() {
         let expect_relu = naive_matmul_wt_relu(&x, &w, &bias);
         let mut wt = Matrix::default();
         transpose_into(&w, &mut wt);
+        let panels = Panels::new(&w);
         let mut lanes = Vec::new();
         for threads in [1usize, 8] {
             // The shared-prefix kernel takes no pool; an ambient one must
@@ -359,14 +360,14 @@ fn fast_matmul_kernels_match_naive_on_edge_geometry() {
             );
             let pool = Pool::with_threads(threads);
             let mut got = Matrix::zeros(rows, out_dim);
-            matmul_wt_pool(pool, &x, &w, &bias, &mut got);
+            matmul_wt_pool(pool, &x, &panels, &bias, &mut got);
             assert_eq!(
                 bits(&got),
                 bits(&expect),
                 "case {case} threads {threads}: {rows}x{inner} · {out_dim}x{inner}"
             );
             let mut got_relu = Matrix::zeros(rows, out_dim);
-            matmul_wt_relu_pool(pool, &x, &w, &bias, &mut got_relu);
+            matmul_wt_relu_pool(pool, &x, &panels, &bias, &mut got_relu);
             assert_eq!(
                 bits(&got_relu),
                 bits(&expect_relu),
@@ -494,87 +495,114 @@ fn delta_encoder_matches_full_encode_byte_for_byte() {
 /// plan, on every path of the join (see the function below). The
 /// reference runs on an executor built from the cluster's public state
 /// just before each query: its grown schema and data, deployed layouts,
-/// fault state and statistics epoch.
+/// fault state and statistics epoch. Two storms: the standard one, under
+/// which most queries fail before they reach the executor, and the same
+/// storm without crash windows, which puts stragglers and degraded links
+/// under nearly every query.
 #[test]
 fn columnar_executor_matches_naive_across_fault_storms() {
     use lpa::cluster::executor::{layout_table, Executor, Layout};
     use lpa::cluster::{FaultPlan, OptimizerEstimator, QueryOutcome};
 
-    for &threads in &[1usize, 8] {
-        let mut executed = 0;
-        lpa::par::with_threads(threads, || {
-            for case in 0..3u64 {
-                let schema = lpa::schema::ssb::schema(0.004).expect("schema builds");
-                let workload = lpa::workload::ssb::workload(&schema).expect("workload builds");
-                let config = ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
-                let optimizer = OptimizerEstimator::new(config.engine, config.hardware);
-                let mut fast = Cluster::new(schema.clone(), config);
-                fast.set_fault_plan(FaultPlan::storm(0xFA_0000 + case));
-                let mut rng = StdRng::seed_from_u64(0xC01 + case);
-                let mut p = Partitioning::initial(&schema);
-                for round in 0..3usize {
-                    // Mutate the deployment a few steps and deploy it.
-                    for _ in 0..rng.gen_range(1..4usize) {
-                        let actions = lpa::partition::valid_actions(&schema, &p);
-                        p = actions[rng.gen_range(0..actions.len())]
-                            .apply(&schema, &p)
-                            .expect("valid action applies");
-                    }
-                    direct_deploy(&mut fast, &p);
-                    if round == 1 {
-                        fast.bulk_update(0.3);
-                    }
-                    for (qi, q) in workload.queries().iter().enumerate() {
-                        let budget = match qi % 3 {
-                            0 => None,
-                            1 => Some(1e-4),
-                            _ => Some(5.0),
-                        };
-                        let faults = fast.fault_state();
-                        let db = fast.substrate().db();
-                        let layouts: Vec<Layout> = (0..fast.schema().tables().len())
-                            .map(|t| {
-                                let state = fast.deployed().table_state(TableId(t));
-                                let nodes = config.hardware.nodes;
-                                layout_table(db, &config.engine, nodes, TableId(t), state)
-                            })
-                            .collect();
-                        let plan =
-                            optimizer.plan(fast.schema(), q, fast.deployed(), fast.stats_epoch());
-                        let exec = Executor {
-                            schema: fast.schema(),
-                            db,
-                            engine: &config.engine,
-                            hw: &config.hardware,
-                            layouts: &layouts,
-                            faults: &faults,
-                        };
-                        let want = lpa::cluster::reference::execute(&exec, q, &plan, budget);
-                        let at = format!("threads {threads} case {case} round {round} query {qi}");
-                        match (fast.run_query(q, budget), want) {
-                            (
-                                QueryOutcome::Completed {
-                                    seconds,
-                                    output_rows,
-                                    ..
-                                },
-                                Some(r),
-                            ) => {
-                                assert_eq!(seconds.to_bits(), r.seconds.to_bits(), "{at}");
-                                assert_eq!(output_rows, r.output_rows, "{at}");
-                                executed += 1;
+    for (leg, crash_rate) in [("storm", None), ("crash-free storm", Some(0.0))] {
+        for &threads in &[1usize, 8] {
+            let mut executed = 0;
+            let mut queries = 0;
+            lpa::par::with_threads(threads, || {
+                for case in 0..3u64 {
+                    let schema = lpa::schema::ssb::schema(0.004).expect("schema builds");
+                    let workload = lpa::workload::ssb::workload(&schema).expect("workload builds");
+                    let config =
+                        ClusterConfig::new(EngineProfile::pgxl(), HardwareProfile::standard());
+                    let optimizer = OptimizerEstimator::new(config.engine, config.hardware);
+                    let mut fast = Cluster::new(schema.clone(), config);
+                    let storm = FaultPlan::storm(0xFA_0000 + case);
+                    fast.set_fault_plan(FaultPlan {
+                        crash_rate: crash_rate.unwrap_or(storm.crash_rate),
+                        ..storm
+                    });
+                    let mut rng = StdRng::seed_from_u64(0xC01 + case);
+                    let mut p = Partitioning::initial(&schema);
+                    for round in 0..3usize {
+                        // Mutate the deployment a few steps and deploy it.
+                        for _ in 0..rng.gen_range(1..4usize) {
+                            let actions = lpa::partition::valid_actions(&schema, &p);
+                            p = actions[rng.gen_range(0..actions.len())]
+                                .apply(&schema, &p)
+                                .expect("valid action applies");
+                        }
+                        direct_deploy(&mut fast, &p);
+                        if round == 1 {
+                            fast.bulk_update(0.3);
+                        }
+                        for (qi, q) in workload.queries().iter().enumerate() {
+                            let budget = match qi % 3 {
+                                0 => None,
+                                1 => Some(1e-4),
+                                _ => Some(5.0),
+                            };
+                            let faults = fast.fault_state();
+                            let db = fast.substrate().db();
+                            let layouts: Vec<Layout> = (0..fast.schema().tables().len())
+                                .map(|t| {
+                                    let state = fast.deployed().table_state(TableId(t));
+                                    let nodes = config.hardware.nodes;
+                                    layout_table(db, &config.engine, nodes, TableId(t), state)
+                                })
+                                .collect();
+                            let plan = optimizer.plan(
+                                fast.schema(),
+                                q,
+                                fast.deployed(),
+                                fast.stats_epoch(),
+                            );
+                            let exec = Executor {
+                                schema: fast.schema(),
+                                db,
+                                engine: &config.engine,
+                                hw: &config.hardware,
+                                layouts: &layouts,
+                                faults: &faults,
+                            };
+                            let want = lpa::cluster::reference::execute(&exec, q, &plan, budget);
+                            let at = format!(
+                                "{leg}: threads {threads} case {case} round {round} query {qi}"
+                            );
+                            queries += 1;
+                            match (fast.run_query(q, budget), want) {
+                                (
+                                    QueryOutcome::Completed {
+                                        seconds,
+                                        output_rows,
+                                        ..
+                                    },
+                                    Some(r),
+                                ) => {
+                                    assert_eq!(seconds.to_bits(), r.seconds.to_bits(), "{at}");
+                                    assert_eq!(output_rows, r.output_rows, "{at}");
+                                    executed += 1;
+                                }
+                                (QueryOutcome::TimedOut { .. }, None) => executed += 1,
+                                // The fault layer refused the query before any
+                                // execution.
+                                (QueryOutcome::Failed { .. }, _) => {}
+                                (got, want) => panic!("{at}: {got:?} against {want:?}"),
                             }
-                            (QueryOutcome::TimedOut { .. }, None) => executed += 1,
-                            // The fault layer refused the query before any
-                            // execution.
-                            (QueryOutcome::Failed { .. }, _) => {}
-                            (got, want) => panic!("{at}: {got:?} against {want:?}"),
                         }
                     }
                 }
+            });
+            assert!(executed > 0, "{leg}, threads {threads}: every query failed");
+            // Without crash windows only transient errors refuse a query
+            // (105 of 117 execute): the executor differential must not quietly
+            // turn back into a comparison of failure paths.
+            if crash_rate.is_some() {
+                assert!(
+                    executed * 100 >= queries * 85,
+                    "{leg}, threads {threads}: {executed} of {queries} queries executed"
+                );
             }
-        });
-        assert!(executed > 0, "threads {threads}: every query failed");
+        }
     }
     columnar_executor_matches_naive_on_every_join_path();
 }
