@@ -591,55 +591,6 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
-    #[test]
-    fn blocked_matmul_equals_naive_triple_loop_on_random_shapes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Shapes straddling the block sizes, including edge rows/cols that
-        // are not multiples of ROW_BLOCK or the 8-lane dot split, and
-        // degenerate dims.
-        let shapes = [
-            (1, 1, 1),
-            (3, 2, 5),
-            (ROW_BLOCK, 7, 64),
-            (ROW_BLOCK + 1, 9, 65),
-            (2 * ROW_BLOCK + 5, 33, 63),
-            (47, 13, 131),
-            (1, 40, 3),
-            (63, 1, 17),
-            (5, 8, 2),
-            (3, 17, 64),
-        ];
-        for (case, &(rows, inner, units)) in shapes.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(0xB10C + case as u64);
-            let x = random_matrix(&mut rng, rows, inner);
-            let w = random_matrix(&mut rng, units, inner);
-            let bias: Vec<f32> = (0..units)
-                .map(|_| rng.gen_range(-1.0f64..1.0) as f32)
-                .collect();
-            let expect = naive_matmul_wt(&x, &w, &bias);
-            let expect_relu = naive_matmul_wt_relu(&x, &w, &bias);
-            let panels = Panels::new(&w);
-            // The driver itself, so that shapes of more than one band run
-            // their bands on the pool whatever their size.
-            for threads in [1, 8] {
-                let pool = Pool::with_threads(threads);
-                let mut got = Matrix::zeros(rows, units);
-                matmul_driver::<false>(pool, &x, &panels, &bias, &mut got);
-                assert_eq!(
-                    got, expect,
-                    "shape {rows}x{inner}x{units} threads {threads}"
-                );
-                let mut got_relu = Matrix::zeros(rows, units);
-                matmul_driver::<true>(pool, &x, &panels, &bias, &mut got_relu);
-                assert_eq!(
-                    got_relu, expect_relu,
-                    "relu shape {rows}x{inner}x{units} threads {threads}"
-                );
-            }
-        }
-    }
-
     /// `dot`-by-definition reference for the grouped kernel: every cell one
     /// `naive_dot + bias`, clamped when `relu`.
     fn expect_bits(x: &Matrix, w: &Matrix, bias: &[f32], relu: bool) -> Vec<u32> {
@@ -845,8 +796,10 @@ mod tests {
 
     /// The panel kernel against the naive triple loop, by bits: unit
     /// counts below, at and across a panel, input widths below, at and
-    /// past an 8-wide chunk, row counts around a band, on one and on eight
-    /// threads. Weights carry `±inf` and NaN and inputs carry zeros of both
+    /// past an 8-wide chunk, row counts around a band and across three,
+    /// through the driver itself on one and on eight threads (so a batch
+    /// of more than one band runs its bands on the pool whatever its
+    /// size). Weights carry `±inf` and NaN and inputs carry zeros of both
     /// signs: the panel kernel skips nothing, so `0 · inf = NaN` and every
     /// NaN propagate exactly as in `dot`. Which NaN comes out is the one
     /// thing compared loosely: where two NaNs meet in an add, Rust leaves
@@ -865,7 +818,7 @@ mod tests {
         let mut case = 0u64;
         for units in [1usize, 8, 16, 17, 64, 128] {
             for in_dim in [1usize, 7, 8, 9, 139] {
-                for rows in [0usize, 1, ROW_BLOCK - 1, ROW_BLOCK + 1] {
+                for rows in [0usize, 1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 5] {
                     for non_finite in [false, true] {
                         case += 1;
                         let mut rng = StdRng::seed_from_u64(0x9A4E + case);

@@ -363,9 +363,8 @@ impl Mlp {
             t.soft_update_from(s, tau);
         }
         // The update is elementwise, so applying it to the derived copies
-        // gives the copies of the updated weights, bit for bit, at a tenth
-        // of the cost of building them again (a panel's zero padding stays
-        // `+0.0`).
+        // gives the copies of the updated weights, bit for bit, without
+        // building them again (a panel's zero padding stays `+0.0`).
         soft_update(self.w0_t.data_mut(), src.w0_t.data(), tau);
         for (t, s) in self.panels.iter_mut().zip(&src.panels) {
             soft_update(t.data_mut(), s.data(), tau);
