@@ -194,7 +194,7 @@ impl Panels {
     }
 
     /// Repack from the out×in weights `w`, reusing the allocation.
-    pub fn pack(&mut self, w: &Matrix) {
+    pub(crate) fn pack(&mut self, w: &Matrix) {
         let (units, in_dim) = (w.rows(), w.cols());
         let width = if units == 1 { 1 } else { PANEL };
         self.units = units;
@@ -219,11 +219,11 @@ impl Panels {
         }
     }
 
-    pub fn units(&self) -> usize {
+    pub(crate) fn units(&self) -> usize {
         self.units
     }
 
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.in_dim
     }
 
@@ -233,7 +233,7 @@ impl Panels {
         &mut self.data
     }
 
-    pub fn data(&self) -> &[f32] {
+    pub(crate) fn data(&self) -> &[f32] {
         &self.data
     }
 }

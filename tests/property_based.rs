@@ -256,8 +256,9 @@ fn executor_matches_truth_join_cardinality() {
 }
 
 /// Fast NN kernels (the panel kernel, banded, fused-ReLU and parallel, and
-/// the shared-prefix zero-skipping first-layer kernel) are bit-equal to the shared naive
-/// reference on random shapes that straddle every blocking boundary — and
+/// the shared-prefix zero-skipping first-layer kernel) are bit-equal to the
+/// shared naive reference on random shapes that straddle every blocking
+/// boundary — and
 /// never panic on degenerate geometry (empty matrices, single
 /// rows/columns, odd widths vs the fixed-width lanes).
 #[test]
