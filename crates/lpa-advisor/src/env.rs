@@ -56,14 +56,6 @@ impl RewardBackend {
         }
     }
 
-    /// Mutable access to the online backend (checkpoint restore).
-    pub fn as_online_mut(&mut self) -> Option<&mut OnlineBackend> {
-        match self {
-            Self::Cluster(b) => Some(b),
-            Self::CostModel { .. } => None,
-        }
-    }
-
     /// Mutable access to the offline delta engine (checkpoint restore).
     pub fn as_cost_model_mut(&mut self) -> Option<&mut DeltaCostEngine> {
         match self {
@@ -249,16 +241,6 @@ impl AdvisorEnv {
         old
     }
 
-    /// Install a backend together with a previously captured normalization
-    /// constant, bit-for-bit. Unlike [`Self::set_backend`] this does *not*
-    /// re-derive the scale — re-deriving would execute the workload against
-    /// the backend, perturbing cluster clocks and caches that a checkpoint
-    /// restore has just put back into their recorded state.
-    pub fn restore_backend(&mut self, backend: RewardBackend, reward_scale: f64) {
-        self.backend = backend;
-        self.reward_scale = reward_scale;
-    }
-
     /// The current mix sampler (checkpoint capture; includes cursor state
     /// for cycling samplers).
     pub fn sampler(&self) -> &MixSampler {
@@ -268,11 +250,6 @@ impl AdvisorEnv {
     /// Raw words of the environment's episode-mix RNG.
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
-    }
-
-    /// Restore the episode-mix RNG to previously captured raw words.
-    pub fn set_rng_state(&mut self, s: [u64; 4]) {
-        self.rng = StdRng::from_state(s);
     }
 
     pub fn backend(&self) -> &RewardBackend {

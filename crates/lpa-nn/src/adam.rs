@@ -2,6 +2,7 @@
 
 use crate::dense::Dense;
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 
 /// Per-layer first/second moment estimates.
 #[derive(Clone, Debug, Default)]
@@ -12,7 +13,13 @@ struct LayerState {
     vb: Vec<f32>,
 }
 
-/// Adam optimizer over a stack of [`Dense`] layers.
+/// Adam optimizer over the layers of an [`crate::Mlp`].
+///
+/// Each layer's moments are kept in the layout the network keeps that
+/// layer's weights in: in×out for layer 0, out×in after it. The update is
+/// elementwise, so the layout changes no bit. [`Adam::layer_moments`] and
+/// [`Adam::from_raw_state`] speak out×in for every layer, the checkpoint's
+/// order.
 #[derive(Clone, Debug)]
 pub struct Adam {
     pub lr: f32,
@@ -24,9 +31,11 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Paper setting: learning rate 5·10⁻⁴ (Table 1), default betas.
-    pub fn new(lr: f32, layers: &[Dense]) -> Self {
+    /// Paper setting: learning rate 5·10⁻⁴ (Table 1), default betas. Reads
+    /// only the layers' sizes.
+    pub fn new(lr: f32, layers: impl AsRef<[Dense]>) -> Self {
         let state = layers
+            .as_ref()
             .iter()
             .map(|l| LayerState {
                 mw: vec![0.0; l.w.data().len()],
@@ -55,23 +64,25 @@ impl Adam {
         self.t
     }
 
-    /// Per-layer moment vectors `(mw, vw, mb, vb)`, in layer order. Exposed
-    /// for checkpointing: the optimizer cannot be resumed bit-identically
-    /// without its moments.
+    /// Per-layer moment vectors `(mw, vw, mb, vb)`, in layer order, the
+    /// weight moments out×in (layer 0's are transposed back from the layout
+    /// they are kept in). Exposed for checkpointing: the optimizer cannot
+    /// be resumed bit-identically without its moments.
     #[expect(
         clippy::type_complexity,
         reason = "the four moment slices of a layer, named in the doc; a struct would exist only for checkpoint capture"
     )]
-    pub fn layer_moments(&self) -> Vec<(&[f32], &[f32], &[f32], &[f32])> {
+    pub fn layer_moments(&self) -> Vec<(Cow<'_, [f32]>, Cow<'_, [f32]>, &[f32], &[f32])> {
         self.state
             .iter()
-            .map(|s| {
-                (
-                    s.mw.as_slice(),
-                    s.vw.as_slice(),
-                    s.mb.as_slice(),
-                    s.vb.as_slice(),
-                )
+            .enumerate()
+            .map(|(i, s)| {
+                let units = s.mb.len();
+                let w = |m| match i {
+                    0 => Cow::Owned(transposed(m, units)),
+                    _ => Cow::Borrowed(m),
+                };
+                (w(&s.mw), w(&s.vw), s.mb.as_slice(), s.vb.as_slice())
             })
             .collect()
     }
@@ -93,7 +104,16 @@ impl Adam {
     ) -> Self {
         let state = moments
             .into_iter()
-            .map(|(mw, vw, mb, vb)| LayerState { mw, vw, mb, vb })
+            .enumerate()
+            .map(|(i, (mw, vw, mb, vb))| {
+                // Layer 0's weight moments are kept in×out.
+                let in_dim = mw.len().checked_div(mb.len()).unwrap_or(0);
+                let (mw, vw) = match i {
+                    0 => (transposed(&mw, in_dim), transposed(&vw, in_dim)),
+                    _ => (mw, vw),
+                };
+                LayerState { mw, vw, mb, vb }
+            })
             .collect();
         Self {
             lr,
@@ -105,8 +125,18 @@ impl Adam {
         }
     }
 
-    /// Apply gradients to one layer.
-    pub fn step_layer(&mut self, idx: usize, layer: &mut Dense, dw: &Matrix, db: &[f32]) {
+    /// Apply gradients to one layer, whose weights, `dw` and moments share
+    /// one layout. The weights are updated one row at a time, and
+    /// `on_row(r, row)` sees row `r` as soon as it holds its new values —
+    /// while it is still in cache, for a copy kept in another layout.
+    pub(crate) fn step_layer(
+        &mut self,
+        idx: usize,
+        layer: &mut Dense,
+        dw: &Matrix,
+        db: &[f32],
+        mut on_row: impl FnMut(usize, &[f32]),
+    ) {
         assert!(self.t > 0, "call begin_step first");
         debug_assert!(idx < self.state.len(), "unknown layer index");
         let Some(s) = self.state.get_mut(idx) else {
@@ -114,18 +144,20 @@ impl Adam {
         };
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        update(
-            layer.w.data_mut(),
-            dw.data(),
-            &mut s.mw,
-            &mut s.vw,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-            bc1,
-            bc2,
-        );
+        // Elementwise, so updating by rows changes no bit.
+        let cols = layer.w.cols().max(1);
+        let rows = layer
+            .w
+            .data_mut()
+            .chunks_mut(cols)
+            .zip(dw.data().chunks(cols))
+            .zip(s.mw.chunks_mut(cols).zip(s.vw.chunks_mut(cols)));
+        for (r, ((p, g), (m, v))) in rows.enumerate() {
+            update(
+                p, g, m, v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2,
+            );
+            on_row(r, p);
+        }
         update(
             &mut layer.b,
             db,
@@ -139,6 +171,17 @@ impl Adam {
             bc2,
         );
     }
+}
+
+/// The transpose of `m` read as a matrix of `cols` columns. A length that
+/// is not a whole number of rows is no layer's shape: it comes back as is,
+/// for the caller's shape check to reject.
+fn transposed(m: &[f32], cols: usize) -> Vec<f32> {
+    if cols == 0 || !m.len().is_multiple_of(cols) {
+        return m.to_vec();
+    }
+    let column = |c| m.iter().skip(c).step_by(cols);
+    (0..cols).flat_map(column).copied().collect()
 }
 
 /// Elementwise Adam update. Written as one zipped iterator chain so LLVM
@@ -192,7 +235,7 @@ mod tests {
             let grad = 2.0 * (w - 3.0);
             let dw = Matrix::from_vec(1, 1, vec![grad]);
             opt.begin_step();
-            opt.step_layer(0, &mut layer, &dw, &[0.0]);
+            opt.step_layer(0, &mut layer, &dw, &[0.0], |_, _| {});
         }
         assert!((layer.w.get(0, 0) - 3.0).abs() < 1e-3);
     }
@@ -204,6 +247,6 @@ mod tests {
         let mut layer = Dense::new(1, 1, &mut rng);
         let mut opt = Adam::new(0.05, std::slice::from_ref(&layer));
         let dw = Matrix::zeros(1, 1);
-        opt.step_layer(0, &mut layer, &dw, &[0.0]);
+        opt.step_layer(0, &mut layer, &dw, &[0.0], |_, _| {});
     }
 }

@@ -206,15 +206,22 @@ impl Panels {
         if in_dim == 0 {
             return;
         }
-        let blocks = self.data.chunks_exact_mut(in_dim * width);
-        for (panel, wrows) in blocks.zip(w.data().chunks(width * in_dim)) {
-            // Sequential reads, writes strided by one panel row.
-            for (u, wrow) in wrows.chunks_exact(in_dim).enumerate() {
-                for (prow, &v) in panel.chunks_exact_mut(width).zip(wrow) {
-                    if let Some(slot) = prow.get_mut(u) {
-                        *slot = v;
-                    }
-                }
+        for (u, wrow) in w.data().chunks_exact(in_dim).enumerate() {
+            self.put_row(u, wrow);
+        }
+    }
+
+    /// Store unit `u`'s weights `wrow` (one out×in row) in its panel:
+    /// sequential reads, writes strided by one panel row.
+    pub(crate) fn put_row(&mut self, u: usize, wrow: &[f32]) {
+        let (width, panel_len) = (self.width, self.in_dim * self.width);
+        let panel = u / width * panel_len;
+        let Some(panel) = self.data.get_mut(panel..panel + panel_len) else {
+            return;
+        };
+        for (prow, &v) in panel.chunks_exact_mut(width).zip(wrow) {
+            if let Some(slot) = prow.get_mut(u % width) {
+                *slot = v;
             }
         }
     }

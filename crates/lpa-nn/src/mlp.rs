@@ -12,8 +12,10 @@
 //!
 //! Every forward runs the first layer through [`matmul_shared_prefix`]
 //! (an ungrouped batch is one group with an empty prefix) and every later
-//! layer through the panel kernel [`matmul_wt_pool`]. Both read layouts
-//! derived from the layers' weights, which the network keeps beside them.
+//! layer through the panel kernel [`matmul_wt_pool`]. The first reads its
+//! weights in×out, the layout the network keeps that layer in; the panel
+//! kernel reads packed panels, which the network keeps beside the
+//! out×in weights of every later layer.
 
 use crate::adam::Adam;
 use crate::dense::{soft_update, Dense};
@@ -52,14 +54,54 @@ impl MlpScratch {
 /// 64, 1], rng)` — ReLU on hidden layers, linear scalar output (Table 1).
 #[derive(Clone, Debug)]
 pub struct Mlp {
+    /// The layers, every weight matrix out×in but layer 0's, which is held
+    /// in×out: the layout the grouped first-layer kernel streams, and the
+    /// only one that layer needs, since it computes no previous delta.
+    /// Its gradient and Adam moments are kept in×out too; [`Mlp::layers`]
+    /// and the checkpoint see it out×in.
     layers: Vec<Dense>,
-    /// In×out transpose of `layers[0].w`, the layout the grouped first
-    /// -layer kernel streams. Derived state: rebuilt wherever layer 0's
-    /// weights change, never serialised.
-    w0_t: Matrix,
     /// `panels[i]` is `layers[i + 1].w` packed for the panel kernel.
-    /// Derived state like `w0_t`, kept the same way.
+    /// Derived state: repacked wherever the weights change, never
+    /// serialised.
     panels: Vec<Panels>,
+}
+
+/// Transpose layer 0's weights in place — between out×in and the in×out
+/// layout [`Mlp`] keeps; its own inverse.
+fn transpose_first(layers: &mut [Dense]) {
+    if let Some(first) = layers.first_mut() {
+        let mut t = Matrix::default();
+        transpose_into(&first.w, &mut t);
+        first.w = t;
+    }
+}
+
+/// `f(k, v)` for each `(k, (keep, v))` of `items.enumerate()` with `keep`,
+/// in increasing `k`. The kept items are first gathered into a list on the
+/// stack, a block at a time, without a branch on `keep`: the backward's
+/// zero patterns change every step (ReLU zeroes about half its deltas),
+/// so a branch on each would often be mispredicted.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "n < LIST: the list is flushed the moment it fills"
+)]
+#[inline]
+fn for_each_kept<T: Copy + Default>(
+    items: impl Iterator<Item = (bool, T)>,
+    mut f: impl FnMut(usize, T),
+) {
+    const LIST: usize = 64;
+    let mut list = [(0usize, T::default()); LIST];
+    let mut n = 0;
+    for (k, (keep, v)) in items.enumerate() {
+        list[n] = (k, v);
+        n += usize::from(keep);
+        if n == LIST {
+            list.iter().for_each(|&(k, v)| f(k, v));
+            n = 0;
+        }
+    }
+    list[..n].iter().for_each(|&(k, v)| f(k, v));
 }
 
 impl Mlp {
@@ -77,26 +119,40 @@ impl Mlp {
         Self::from_layers(layers)
     }
 
-    #[expect(clippy::indexing_slicing, reason = "a network has at least one layer")]
+    /// `(input, output)` dims of layer `i`.
+    #[expect(clippy::indexing_slicing, reason = "callers pass i < layers.len()")]
+    fn dims(&self, i: usize) -> (usize, usize) {
+        let w = &self.layers[i].w;
+        match i {
+            0 => (w.rows(), w.cols()),
+            _ => (w.cols(), w.rows()),
+        }
+    }
+
     pub fn input_dim(&self) -> usize {
-        self.layers[0].input_dim()
+        self.dims(0).0
     }
 
     pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, Dense::output_dim)
+        self.dims(self.layers.len() - 1).1
     }
 
-    pub fn layers(&self) -> &[Dense] {
-        &self.layers
+    /// The layers, every weight matrix out×in (layer 0's transposed back
+    /// from the layout the network keeps it in). A copy: for checkpoints,
+    /// shape checks and oracles, not for hot paths.
+    pub fn layers(&self) -> Vec<Dense> {
+        let mut layers = self.layers.clone();
+        transpose_first(&mut layers);
+        layers
     }
 
-    /// Rebuild a network from checkpointed layers (weights restored
-    /// bit-exactly; consecutive layer dims must chain).
+    /// Rebuild a network from out×in layers, as [`Mlp::layers`] gives them
+    /// (weights restored bit-exactly; consecutive layer dims must chain).
     #[expect(
         clippy::indexing_slicing,
-        reason = "windows(2) yields two-element slices; a network has at least one layer"
+        reason = "windows(2) yields two-element slices"
     )]
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
+    pub fn from_layers(mut layers: Vec<Dense>) -> Self {
         assert!(!layers.is_empty(), "need at least one layer");
         for pair in layers.windows(2) {
             assert_eq!(
@@ -105,14 +161,9 @@ impl Mlp {
                 "layer dims must chain"
             );
         }
-        let mut w0_t = Matrix::default();
-        transpose_into(&layers[0].w, &mut w0_t);
-        let panels = layers[1..].iter().map(|l| Panels::new(&l.w)).collect();
-        Self {
-            layers,
-            w0_t,
-            panels,
-        }
+        let panels = layers.iter().skip(1).map(|l| Panels::new(&l.w)).collect();
+        transpose_first(&mut layers);
+        Self { layers, panels }
     }
 
     pub fn param_count(&self) -> usize {
@@ -163,12 +214,12 @@ impl Mlp {
             let (done, rest) = outs.split_at_mut(i);
             let Some(cur) = rest.first_mut() else { break };
             let input = done.last().unwrap_or(x);
-            cur.resize_for_overwrite(input.rows(), layer.output_dim());
+            cur.resize_for_overwrite(input.rows(), self.dims(i).1);
             match i {
                 0 if i == last => {
-                    matmul_shared_prefix::<false>(x, groups, &self.w0_t, &layer.b, lanes, cur)
+                    matmul_shared_prefix::<false>(x, groups, &layer.w, &layer.b, lanes, cur)
                 }
-                0 => matmul_shared_prefix::<true>(x, groups, &self.w0_t, &layer.b, lanes, cur),
+                0 => matmul_shared_prefix::<true>(x, groups, &layer.w, &layer.b, lanes, cur),
                 _ if i == last => matmul_wt_pool(pool, input, &self.panels[i - 1], &layer.b, cur),
                 _ => matmul_wt_relu_pool(pool, input, &self.panels[i - 1], &layer.b, cur),
             }
@@ -243,9 +294,17 @@ impl Mlp {
 
     /// [`Mlp::train_mse`] with a caller-hoisted pool and scratch — the
     /// allocation-free train-step path.
+    ///
+    /// The backward computes what [`crate::reference::naive_train_mse`]
+    /// spells out, bit for bit, without a branch on any data-dependent zero
+    /// (DESIGN.md §12). Each gradient cell accumulates over the batch, and
+    /// each previous-delta cell over the units, in index order on exactly
+    /// one thread, so distributing the outer loops over the lpa-par pool
+    /// cannot change the bits, and neither can reusing the gradient buffers
+    /// (they are re-zeroed each layer).
     #[expect(
         clippy::indexing_slicing,
-        reason = "hot kernel: i enumerates layers; outs holds one matrix per layer"
+        reason = "hot kernel: i enumerates layers; outs holds one matrix per layer, panels one per layer after the first"
     )]
     pub fn train_mse_with(
         &mut self,
@@ -286,73 +345,73 @@ impl Mlp {
         }
         loss /= batch as f32;
 
-        // Backward, reusing the forward activations in place. The gradient
-        // loops are written unit-outer (dW) and row-outer (previous delta)
-        // so each output cell accumulates over the batch in index order on
-        // exactly one thread — distributing the outer loop over the
-        // lpa-par pool cannot change the bits, and neither can reusing the
-        // gradient buffers (they are re-zeroed each layer).
         opt.begin_step();
-        for i in (0..n).rev() {
-            let out_dim = self.layers[i].output_dim();
-            let in_dim = self.layers[i].input_dim();
+        for i in (1..n).rev() {
+            let (in_dim, out_dim) = self.dims(i);
             let lpool = route_pool(pool, batch * out_dim * in_dim.max(1));
-            let a_prev: &Matrix = if i == 0 { x } else { &outs[i - 1] };
-            // dW = deltaᵀ · a_prev  (out×in); db = column sums of delta.
+            let a_prev = &outs[i - 1];
+            column_sums(delta, db);
+            // dW = deltaᵀ · a_prev (out×in): per unit, the rows whose delta
+            // is not zero.
             dw.resize_zeroed(out_dim, in_dim);
             if in_dim > 0 {
                 lpool.par_chunks_mut(dw.data_mut(), in_dim, |o, wrow| {
-                    for b in 0..batch {
-                        let d = delta.row(b)[o];
-                        if d == 0.0 {
-                            continue;
-                        }
+                    let column = delta.data().iter().skip(o).step_by(out_dim);
+                    for_each_kept(column.map(|&d| (d != 0.0, d)), |b, d| {
                         for (wi, a) in wrow.iter_mut().zip(a_prev.row(b)) {
                             *wi += d * a;
                         }
-                    }
+                    });
                 });
             }
-            db.clear();
-            db.resize(out_dim, 0.0);
-            for b in 0..batch {
-                for (o, d) in delta.row(b).iter().enumerate() {
-                    if *d == 0.0 {
-                        continue;
+            // The previous layer's delta (before the update): per row, the
+            // units whose delta is not zero; then ReLU's derivative, zero
+            // where the activation was clamped.
+            let layer_w = &self.layers[i].w;
+            prev_delta.resize_zeroed(batch, in_dim);
+            lpool.par_chunks_mut(prev_delta.data_mut(), in_dim.max(1), |b, prow| {
+                for_each_kept(delta.row(b).iter().map(|&d| (d != 0.0, d)), |o, d| {
+                    for (p, w) in prow.iter_mut().zip(layer_w.row(o)) {
+                        *p += d * w;
                     }
-                    db[o] += d;
+                });
+                for (p, a) in prow.iter_mut().zip(a_prev.row(b)) {
+                    if *a <= 0.0 {
+                        *p = 0.0;
+                    }
                 }
-            }
-            // delta for the previous layer (before applying the update).
-            if i > 0 {
-                let layer_w = &self.layers[i].w;
-                prev_delta.resize_zeroed(batch, in_dim);
-                lpool.par_chunks_mut(prev_delta.data_mut(), in_dim.max(1), |b, prow| {
-                    let drow = delta.row(b);
-                    for (o, d) in drow.iter().enumerate() {
-                        if *d == 0.0 {
-                            continue;
-                        }
-                        for (p, w) in prow.iter_mut().zip(layer_w.row(o)) {
-                            *p += d * w;
-                        }
-                    }
-                    // ReLU derivative: zero where the activation was
-                    // clamped.
-                    for (p, a) in prow.iter_mut().zip(outs[i - 1].row(b)) {
-                        if *a <= 0.0 {
-                            *p = 0.0;
-                        }
+            });
+            let panels = &mut self.panels[i - 1];
+            opt.step_layer(i, &mut self.layers[i], dw, db, |o, w| panels.put_row(o, w));
+            std::mem::swap(delta, prev_delta);
+        }
+
+        // Layer 0: dW in×out, the layout its weights and moments are kept
+        // in, one row of the batch at a time. A zero input adds `d · 0 =
+        // ±0.0` to every cell of a row whose deltas are all finite, which
+        // changes no sum, so only a row with a non-finite delta keeps its
+        // zero inputs. A zero delta's term is selected away, never
+        // multiplied by a mask. The inputs are split into one run per
+        // thread: one run, the whole matrix, on one thread.
+        let (in_dim, out_dim) = self.dims(0);
+        let lpool = route_pool(pool, batch * out_dim * in_dim.max(1));
+        column_sums(delta, db);
+        dw.resize_zeroed(in_dim, out_dim);
+        let run = in_dim.div_ceil(lpool.threads()).max(1);
+        lpool.par_chunks_mut(dw.data_mut(), run * out_dim, |c, rows| {
+            for b in 0..batch {
+                let drow = delta.row(b);
+                let finite = drow.iter().fold(true, |ok, d| ok & d.is_finite());
+                let inputs = x.row(b).iter().skip(c * run).take(run);
+                for_each_kept(inputs.map(|&a| (a != 0.0 || !finite, a)), |j, a| {
+                    for (wi, &d) in rows[j * out_dim..][..out_dim].iter_mut().zip(drow) {
+                        let t = d * a;
+                        *wi += if d == 0.0 { 0.0 } else { t };
                     }
                 });
-                opt.step_layer(i, &mut self.layers[i], dw, db);
-                self.panels[i - 1].pack(&self.layers[i].w);
-                std::mem::swap(delta, prev_delta);
-            } else {
-                opt.step_layer(i, &mut self.layers[i], dw, db);
-                transpose_into(&self.layers[0].w, &mut self.w0_t);
             }
-        }
+        });
+        opt.step_layer(0, &mut self.layers[0], dw, db, |_, _| {});
         loss
     }
 
@@ -362,12 +421,24 @@ impl Mlp {
         for (t, s) in self.layers.iter_mut().zip(&src.layers) {
             t.soft_update_from(s, tau);
         }
-        // The update is elementwise, so applying it to the derived copies
-        // gives the copies of the updated weights, bit for bit, without
-        // building them again (a panel's zero padding stays `+0.0`).
-        soft_update(self.w0_t.data_mut(), src.w0_t.data(), tau);
+        // The update is elementwise, so applying it to the panels gives the
+        // panels of the updated weights, bit for bit, without packing them
+        // again (the zero padding stays `+0.0`).
         for (t, s) in self.panels.iter_mut().zip(&src.panels) {
             soft_update(t.data_mut(), s.data(), tau);
+        }
+    }
+}
+
+/// `db` = the column sums of `delta`, each from `+0.0` in row order. No
+/// zero is skipped: a sum from `+0.0` is never `-0.0` (an add gives `-0.0`
+/// only from two of them), so adding `±0.0` leaves it as it was.
+fn column_sums(delta: &Matrix, db: &mut Vec<f32>) {
+    db.clear();
+    db.resize(delta.cols(), 0.0);
+    for b in 0..delta.rows() {
+        for (s, d) in db.iter_mut().zip(delta.row(b)) {
+            *s += d;
         }
     }
 }
@@ -503,21 +574,13 @@ mod tests {
         }
     }
 
-    /// Every derived copy as packed afresh from the weights: the layer-0
-    /// transpose and every later layer's panels.
-    fn derived(net: &Mlp) -> (Matrix, Vec<Panels>) {
-        let mut wt = Matrix::default();
-        transpose_into(&net.layers[0].w, &mut wt);
-        let panels = net.layers[1..].iter().map(|l| Panels::new(&l.w)).collect();
-        (wt, panels)
-    }
-
-    fn kept(net: &Mlp) -> (Matrix, Vec<Panels>) {
-        (net.w0_t.clone(), net.panels.clone())
+    /// Every later layer's panels, as packed afresh from its weights.
+    fn derived(net: &Mlp) -> Vec<Panels> {
+        net.layers[1..].iter().map(|l| Panels::new(&l.w)).collect()
     }
 
     #[test]
-    fn transposed_first_layer_tracks_every_weight_change() {
+    fn panels_track_every_weight_change() {
         // 6 → 5 → 17 → 1: a one-unit panel, one padded to two blocks and
         // the head's.
         let dims = [6, 5, 17, 1];
@@ -525,19 +588,144 @@ mod tests {
         let mut net = Mlp::new(&dims, &mut rng);
         let mut target = Mlp::new(&dims, &mut rng);
         assert_eq!(net.panels.len(), 2);
-        assert_eq!(kept(&net), derived(&net));
+        assert_eq!(net.panels, derived(&net));
         let mut opt = Adam::new(1e-2, net.layers());
         let (x, _) = grouped_batch(&[4], 0, 6);
         for step in 0..3 {
-            let before = kept(&net);
+            let before = net.panels.clone();
             net.train_mse(&x, &[0.5, -1.0, 2.0, 0.0], &mut opt);
-            assert_ne!(kept(&net), before, "train step {step} moved no weight");
-            assert_eq!(kept(&net), derived(&net), "after train step {step}");
+            assert_ne!(net.panels, before, "train step {step} moved no weight");
+            assert_eq!(net.panels, derived(&net), "after train step {step}");
             target.soft_update_from(&net, 0.3);
-            assert_eq!(kept(&target), derived(&target), "after soft update {step}");
+            assert_eq!(target.panels, derived(&target), "after soft update {step}");
         }
-        let restored = Mlp::from_layers(net.layers().to_vec());
-        assert_eq!(kept(&restored), kept(&net));
+        let restored = Mlp::from_layers(net.layers());
+        assert_eq!(restored.panels, net.panels);
+        assert_eq!(restored.layers[0].w, net.layers[0].w);
+    }
+
+    /// Bits of a network and its optimizer, every NaN one NaN: where two
+    /// NaNs meet in an add, which comes out is left open.
+    fn state_bits(net: &Mlp, opt: &Adam) -> Vec<u32> {
+        let mut bits: Vec<u32> = net
+            .layers()
+            .iter()
+            .flat_map(|l| l.w.data().iter().chain(&l.b).map(canon).collect::<Vec<_>>())
+            .collect();
+        for (mw, vw, mb, vb) in opt.layer_moments() {
+            for m in [&*mw, &*vw, mb, vb] {
+                bits.extend(m.iter().map(canon));
+            }
+        }
+        bits.push(opt.step_count() as u32);
+        bits
+    }
+
+    fn canon(v: &f32) -> u32 {
+        if v.is_nan() { f32::NAN } else { *v }.to_bits()
+    }
+
+    fn panel_bits(panels: &[Panels]) -> Vec<u32> {
+        panels
+            .iter()
+            .flat_map(|p| p.data().iter().map(canon))
+            .collect()
+    }
+
+    #[test]
+    fn train_step_matches_the_naive_oracle_by_bits() {
+        use rand::Rng;
+        /// An edit to a network's out×in layers.
+        type Bend<'a> = &'a dyn Fn(&mut [Dense]);
+        // Input widths off the 8- and 16-wide boundaries; a network that is
+        // only its one-unit head, a one-unit hidden layer, and two large
+        // enough for their first and their hidden layer to run on the pool.
+        let nets: [&[usize]; 6] = [
+            &[7, 1],
+            &[9, 1, 1],
+            &[17, 13, 1],
+            &[23, 33, 5, 1],
+            &[523, 130, 1],
+            &[20, 300, 250, 1],
+        ];
+        for (case, dims) in nets.into_iter().enumerate() {
+            for batch in [1usize, 31, 33] {
+                let mut rng = StdRng::seed_from_u64(0xBAC + case as u64 * 8 + batch as u64);
+                let mut x = Matrix::zeros(batch, dims[0]);
+                for v in x.data_mut() {
+                    *v = match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    };
+                }
+                let targets: Vec<f32> = (0..batch).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let start = Mlp::new(dims, &mut rng);
+                // Three non-finite last steps, each from the finite state.
+                // An infinite target: row 0's deltas are non-finite down to
+                // layer 0, where that row's zero inputs must not be skipped.
+                // An infinite input whose weights leave only unit 0 of layer
+                // 0 infinite (the others clamp to zero): behind it zero
+                // deltas meet infinite activations, and their terms must be
+                // left out of dW, not added as `0 · inf = NaN`. An infinite
+                // weight in layer 1: zero deltas meet it in the previous
+                // delta.
+                let mut inf_targets = targets.clone();
+                inf_targets[0] = f32::INFINITY;
+                let mut inf_x = x.clone();
+                inf_x.set(batch - 1, 0, f32::INFINITY);
+                let keep = |_: &mut [Dense]| {};
+                let lead_unit = |l: &mut [Dense]| {
+                    for (u, w) in l[0].w.data_mut().chunks_mut(dims[0]).enumerate() {
+                        w[0] = if u == 0 { w[0].abs() } else { -w[0].abs() };
+                    }
+                };
+                let inf_weight = |l: &mut [Dense]| {
+                    if let Some(d) = l.get_mut(1) {
+                        d.w.set(0, 0, f32::NEG_INFINITY);
+                    }
+                };
+                let last: [(&Matrix, &[f32], Bend); 3] = [
+                    (&x, &inf_targets, &keep),
+                    (&inf_x, &targets, &lead_unit),
+                    (&x, &targets, &inf_weight),
+                ];
+                let bend = |net: &Mlp, f: Bend| {
+                    let mut layers = net.layers();
+                    f(&mut layers);
+                    Mlp::from_layers(layers)
+                };
+                for threads in [1, 8] {
+                    let pool = Pool::with_threads(threads);
+                    let mut scratch = MlpScratch::new();
+                    let mut fast = (start.clone(), Adam::new(1e-2, start.layers()));
+                    let mut naive = fast.clone();
+                    let mut step = |fast: &mut (Mlp, Adam),
+                                    naive: &mut (Mlp, Adam),
+                                    x,
+                                    targets,
+                                    at| {
+                        let (net, opt) = fast;
+                        let loss = net.train_mse_with(pool, x, targets, opt, &mut scratch);
+                        let (want, n, o) =
+                            crate::reference::naive_train_mse(&naive.0, &naive.1, x, targets);
+                        *naive = (n, o);
+                        let at = format!("{dims:?} batch {batch} threads {threads} {at}");
+                        assert_eq!(canon(&loss), canon(&want), "loss, {at}");
+                        assert_eq!(state_bits(net, opt), state_bits(&naive.0, &naive.1), "{at}");
+                        assert_eq!(panel_bits(&net.panels), panel_bits(&derived(net)), "{at}");
+                    };
+                    for k in 0..3 {
+                        step(&mut fast, &mut naive, &x, &targets, format!("step {k}"));
+                    }
+                    for (k, (x, targets, f)) in last.into_iter().enumerate() {
+                        let mut fast = (bend(&fast.0, f), fast.1.clone());
+                        let mut naive = (bend(&naive.0, f), naive.1.clone());
+                        step(&mut fast, &mut naive, x, targets, format!("non-finite {k}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -594,8 +782,9 @@ mod tests {
 
     impl Mlp {
         fn layers_mut_for_test(&mut self, layer: usize, wi: usize, delta: f32) {
-            self.layers[layer].w.data_mut()[wi] += delta;
-            *self = Mlp::from_layers(self.layers.clone());
+            let mut layers = self.layers();
+            layers[layer].w.data_mut()[wi] += delta;
+            *self = Mlp::from_layers(layers);
         }
     }
 

@@ -15,6 +15,7 @@
 //! below, written as the plainest possible loops over that same per-cell
 //! kernel, must match the fast path bit-for-bit.
 
+use crate::adam::Adam;
 use crate::matrix::{relu_inplace, Matrix};
 use crate::mlp::Mlp;
 
@@ -80,6 +81,88 @@ pub fn naive_forward(mlp: &Mlp, x: &Matrix) -> Matrix {
         cur = next;
     }
     cur
+}
+
+/// One [`Mlp::train_mse`] step as plain loops on fresh copies: the naive
+/// forward keeping every activation, then the backward with a branch on
+/// every zero delta (a zero delta adds no term to dW, db or the previous
+/// delta), then Adam, element by element, every matrix out×in. Returns the
+/// loss and the stepped network and optimizer. The oracle for the
+/// branch-free backward on the kernels' layouts.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "acts holds one matrix per layer plus the input; moments one tuple per layer"
+)]
+pub fn naive_train_mse(mlp: &Mlp, opt: &Adam, x: &Matrix, targets: &[f32]) -> (f32, Mlp, Adam) {
+    let mut layers = mlp.layers();
+    let n = layers.len();
+    let batch = x.rows();
+    let mut acts = vec![x.clone()];
+    for (i, layer) in layers.iter().enumerate() {
+        let mut next = naive_matmul_wt(&acts[i], &layer.w, &layer.b);
+        if i + 1 != n {
+            relu_inplace(&mut next);
+        }
+        acts.push(next);
+    }
+    let mut loss = 0.0f32;
+    let mut delta = Matrix::zeros(batch, 1);
+    for (b, &target) in targets.iter().enumerate() {
+        let err = acts[n].get(b, 0) - target;
+        loss += err * err;
+        delta.set(b, 0, 2.0 * err / batch as f32);
+    }
+    loss /= batch as f32;
+
+    let t = opt.step_count() + 1;
+    let (lr, b1, b2, eps) = (opt.lr, opt.beta1, opt.beta2, opt.eps);
+    let (bc1, bc2) = (1.0 - b1.powi(t as i32), 1.0 - b2.powi(t as i32));
+    let adam = |p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32]| {
+        for k in 0..p.len() {
+            m[k] = b1 * m[k] + (1.0 - b1) * g[k];
+            v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k];
+            let mhat = m[k] / bc1;
+            let vhat = v[k] / bc2;
+            p[k] -= lr * mhat / (vhat.sqrt() + eps);
+        }
+    };
+    let mut moments: Vec<_> = opt
+        .layer_moments()
+        .into_iter()
+        .map(|(mw, vw, mb, vb)| (mw.into_owned(), vw.into_owned(), mb.to_vec(), vb.to_vec()))
+        .collect();
+    for i in (0..n).rev() {
+        let w = &layers[i].w;
+        let (out_dim, in_dim) = (w.rows(), w.cols());
+        let a_prev = &acts[i];
+        let mut dw = Matrix::zeros(out_dim, in_dim);
+        let mut db = vec![0.0f32; out_dim];
+        let mut prev = Matrix::zeros(batch, in_dim);
+        for b in 0..batch {
+            for (o, sum) in db.iter_mut().enumerate() {
+                let d = delta.get(b, o);
+                if d == 0.0 {
+                    continue;
+                }
+                *sum += d;
+                for j in 0..in_dim {
+                    dw.set(o, j, dw.get(o, j) + d * a_prev.get(b, j));
+                    prev.set(b, j, prev.get(b, j) + d * w.get(o, j));
+                }
+            }
+            for j in 0..in_dim {
+                if a_prev.get(b, j) <= 0.0 {
+                    prev.set(b, j, 0.0);
+                }
+            }
+        }
+        let (mw, vw, mb, vb) = &mut moments[i];
+        adam(layers[i].w.data_mut(), dw.data(), mw, vw);
+        adam(&mut layers[i].b, &db, mb, vb);
+        delta = prev;
+    }
+    let opt = Adam::from_raw_state(lr, b1, b2, eps, t, moments);
+    (loss, Mlp::from_layers(layers), opt)
 }
 
 /// Every parameter of the network as raw `f32` bit patterns, in layer

@@ -144,17 +144,6 @@ impl Partitioning {
         &self.tables
     }
 
-    /// Physical layout restricted to the given tables — the cache key for a
-    /// single query, which depends only on the states of the tables it
-    /// touches.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "table ids are minted by the schema this partitioning was built from"
-    )]
-    pub fn physical_key_of(&self, tables: &[TableId]) -> Vec<TableState> {
-        tables.iter().map(|t| self.tables[t.0]).collect()
-    }
-
     /// Tables whose physical state differs between `self` and `other`
     /// (drives lazy repartitioning).
     pub fn diff_tables(&self, other: &Self) -> Vec<TableId> {

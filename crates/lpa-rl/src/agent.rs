@@ -207,10 +207,6 @@ impl<E: QEnvironment> DqnAgent<E> {
         self.buffer = ReplayBuffer::new(REPLAY_CAPACITY);
     }
 
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// One minibatch update (Algorithm 1, lines 10–11) plus a target-network
     /// soft update (line 13). Returns the batch loss, or `None` if the
     /// buffer is still smaller than the batch size.

@@ -101,11 +101,6 @@ impl DqnConfig {
         self
     }
 
-    pub fn with_episodes(mut self, episodes: usize) -> Self {
-        self.episodes = episodes;
-        self
-    }
-
     /// The ε value after `n` episodes of decay (used to warm-start the
     /// online phase at the ε reached halfway through offline training,
     /// Section 4.2).

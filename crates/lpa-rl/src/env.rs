@@ -87,14 +87,6 @@ impl EnvCounters {
         }
     }
 
-    /// Any fault-layer activity in this (delta of) counters.
-    pub fn any_fault_activity(&self) -> bool {
-        self.queries_failed > 0
-            || self.fault_retries > 0
-            || self.fault_failovers > 0
-            || self.fault_fallbacks > 0
-    }
-
     /// Fraction of reward-cache lookups served from the cache.
     pub fn reward_cache_hit_rate(&self) -> f64 {
         let total = self.reward_cache_hits + self.reward_cache_misses;

@@ -165,8 +165,9 @@ impl Wire for Dense {
 impl Wire for Mlp {
     const MIN_BYTES: usize = 8;
 
+    /// Every layer out×in, as format v5 has always stored it.
     fn put(&self, w: &mut ByteWriter) {
-        w.put_slice(self.layers());
+        w.put_slice(&self.layers());
     }
 
     #[expect(
@@ -200,7 +201,7 @@ impl Wire for Adam {
         let moments = self.layer_moments();
         w.put_usize(moments.len());
         for (mw, vw, mb, vb) in moments {
-            for v in [mw, vw, mb, vb] {
+            for v in [&*mw, &*vw, mb, vb] {
                 w.put_slice(v);
             }
         }

@@ -85,8 +85,8 @@ fn adam_round_trips_bit_exactly() {
         adam.layer_moments().into_iter().zip(back.layer_moments())
     {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(mw), bits(mw2));
-        assert_eq!(bits(vw), bits(vw2));
+        assert_eq!(bits(&mw), bits(&mw2));
+        assert_eq!(bits(&vw), bits(&vw2));
         assert_eq!(bits(mb), bits(mb2));
         assert_eq!(bits(vb), bits(vb2));
     }
