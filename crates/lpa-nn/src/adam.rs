@@ -1,7 +1,7 @@
 //! The Adam optimizer (Kingma & Ba), per-layer moment state.
 
 use crate::dense::Dense;
-use crate::matrix::Matrix;
+use crate::matrix::{transpose_rows, Matrix};
 use std::borrow::Cow;
 
 /// Per-layer first/second moment estimates.
@@ -180,8 +180,9 @@ fn transposed(m: &[f32], cols: usize) -> Vec<f32> {
     if cols == 0 || !m.len().is_multiple_of(cols) {
         return m.to_vec();
     }
-    let column = |c| m.iter().skip(c).step_by(cols);
-    (0..cols).flat_map(column).copied().collect()
+    let mut t = vec![0.0; m.len()];
+    transpose_rows(m, cols, &mut t);
+    t
 }
 
 /// Elementwise Adam update. Written as one zipped iterator chain so LLVM

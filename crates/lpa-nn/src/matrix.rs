@@ -393,16 +393,22 @@ pub struct RowGroups<'a> {
 /// reusing its allocation — the layout [`matmul_shared_prefix`] streams,
 /// where one input's weights for every unit are contiguous.
 pub fn transpose_into(w: &Matrix, wt: &mut Matrix) {
-    let (units, in_dim) = (w.rows(), w.cols());
-    wt.resize_for_overwrite(in_dim, units);
-    if units == 0 {
+    wt.resize_for_overwrite(w.cols(), w.rows());
+    transpose_rows(w.data(), w.cols(), wt.data_mut());
+}
+
+/// Write into `t` the transpose of `m`, read as a row-major matrix of
+/// `cols` columns; `t` is as long as `m`.
+pub(crate) fn transpose_rows(m: &[f32], cols: usize, t: &mut [f32]) {
+    let rows = m.len() / cols.max(1);
+    if rows == 0 {
         return;
     }
     // Sequential writes, strided reads: the other way round the writes
-    // stride by `units` floats, a power of two for the usual widths, and
+    // stride by `rows` floats, a power of two for the usual widths, and
     // thrash a few cache sets (measured 3x slower at 128×139).
-    for (j, trow) in wt.data_mut().chunks_exact_mut(units).enumerate() {
-        for (slot, &v) in trow.iter_mut().zip(w.data().iter().skip(j).step_by(in_dim)) {
+    for (j, trow) in t.chunks_exact_mut(rows).enumerate() {
+        for (slot, &v) in trow.iter_mut().zip(m.iter().skip(j).step_by(cols)) {
             *slot = v;
         }
     }

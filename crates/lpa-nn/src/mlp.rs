@@ -141,9 +141,15 @@ impl Mlp {
     /// from the layout the network keeps it in). A copy: for checkpoints,
     /// shape checks and oracles, not for hot paths.
     pub fn layers(&self) -> Vec<Dense> {
-        let mut layers = self.layers.clone();
-        transpose_first(&mut layers);
-        layers
+        let out_by_in = |(i, l): (usize, &Dense)| match i {
+            0 => {
+                let mut w = Matrix::default();
+                transpose_into(&l.w, &mut w);
+                Dense { w, b: l.b.clone() }
+            }
+            _ => l.clone(),
+        };
+        self.layers.iter().enumerate().map(out_by_in).collect()
     }
 
     /// Rebuild a network from out×in layers, as [`Mlp::layers`] gives them

@@ -19,7 +19,7 @@ use lpa_advisor::{
 };
 use lpa_cluster::{Cluster, FaultPlan};
 use lpa_costmodel::NetworkCostModel;
-use lpa_nn::Mlp;
+use lpa_nn::Dense;
 use lpa_rl::{DqnAgent, EpisodeStats, QEnvironment};
 use lpa_schema::Schema;
 use lpa_workload::Workload;
@@ -197,13 +197,16 @@ fn restore_session(
         reward_scale,
         env_rng,
     );
-    let shape = |m: &Mlp| -> Vec<(usize, usize)> {
-        m.layers()
+    // `layers()` copies each network out×in; shapes and lengths are all
+    // this reads.
+    let shape = |layers: &[Dense]| -> Vec<(usize, usize)> {
+        layers
             .iter()
             .map(|l| (l.input_dim(), l.output_dim()))
             .collect()
     };
-    let q_shape = shape(&q);
+    let q_layers = q.layers();
+    let q_shape = shape(&q_layers);
     let reads = q_shape.first().map(|&(input, _)| input);
     if reads != Some(env.input_dim()) {
         return Err(StoreError::Incompatible(format!(
@@ -211,15 +214,15 @@ fn restore_session(
             env.input_dim()
         )));
     }
-    if shape(&target) != q_shape {
+    let target_shape = shape(&target.layers());
+    if target_shape != q_shape {
         return Err(StoreError::Incompatible(format!(
-            "target network layers {:?}, Q network layers {q_shape:?}",
-            shape(&target)
+            "target network layers {target_shape:?}, Q network layers {q_shape:?}"
         )));
     }
     let moments = opt.layer_moments();
-    let fits = moments.len() == q.layers().len()
-        && moments.iter().zip(q.layers()).all(|((mw, vw, mb, vb), l)| {
+    let fits = moments.len() == q_layers.len()
+        && moments.iter().zip(&q_layers).all(|((mw, vw, mb, vb), l)| {
             mw.len() == l.w.data().len()
                 && vw.len() == mw.len()
                 && mb.len() == l.b.len()
