@@ -66,16 +66,6 @@ pub struct Mlp {
     panels: Vec<Panels>,
 }
 
-/// Transpose layer 0's weights in place — between out×in and the in×out
-/// layout [`Mlp`] keeps; its own inverse.
-fn transpose_first(layers: &mut [Dense]) {
-    if let Some(first) = layers.first_mut() {
-        let mut t = Matrix::default();
-        transpose_into(&first.w, &mut t);
-        first.w = t;
-    }
-}
-
 /// `f(k, v)` for each `(k, (keep, v))` of `items.enumerate()` with `keep`,
 /// in increasing `k`. The kept items are first gathered into a list on the
 /// stack, a block at a time, without a branch on `keep`: the backward's
@@ -137,6 +127,12 @@ impl Mlp {
         self.dims(self.layers.len() - 1).1
     }
 
+    /// `(input, output)` dims of every layer: the shapes of
+    /// [`Mlp::layers`], without the copy.
+    pub fn layer_dims(&self) -> Vec<(usize, usize)> {
+        (0..self.layers.len()).map(|i| self.dims(i)).collect()
+    }
+
     /// The layers, every weight matrix out×in (layer 0's transposed back
     /// from the layout the network keeps it in). A copy: for checkpoints,
     /// shape checks and oracles, not for hot paths.
@@ -156,7 +152,7 @@ impl Mlp {
     /// (weights restored bit-exactly; consecutive layer dims must chain).
     #[expect(
         clippy::indexing_slicing,
-        reason = "windows(2) yields two-element slices"
+        reason = "windows(2) yields two-element slices; a network has at least one layer"
     )]
     pub fn from_layers(mut layers: Vec<Dense>) -> Self {
         assert!(!layers.is_empty(), "need at least one layer");
@@ -167,8 +163,10 @@ impl Mlp {
                 "layer dims must chain"
             );
         }
-        let panels = layers.iter().skip(1).map(|l| Panels::new(&l.w)).collect();
-        transpose_first(&mut layers);
+        let panels = layers[1..].iter().map(|l| Panels::new(&l.w)).collect();
+        let mut w0_t = Matrix::default();
+        transpose_into(&layers[0].w, &mut w0_t);
+        layers[0].w = w0_t;
         Self { layers, panels }
     }
 

@@ -19,7 +19,6 @@ use lpa_advisor::{
 };
 use lpa_cluster::{Cluster, FaultPlan};
 use lpa_costmodel::NetworkCostModel;
-use lpa_nn::Dense;
 use lpa_rl::{DqnAgent, EpisodeStats, QEnvironment};
 use lpa_schema::Schema;
 use lpa_workload::Workload;
@@ -197,16 +196,7 @@ fn restore_session(
         reward_scale,
         env_rng,
     );
-    // `layers()` copies each network out×in; shapes and lengths are all
-    // this reads.
-    let shape = |layers: &[Dense]| -> Vec<(usize, usize)> {
-        layers
-            .iter()
-            .map(|l| (l.input_dim(), l.output_dim()))
-            .collect()
-    };
-    let q_layers = q.layers();
-    let q_shape = shape(&q_layers);
+    let q_shape = q.layer_dims();
     let reads = q_shape.first().map(|&(input, _)| input);
     if reads != Some(env.input_dim()) {
         return Err(StoreError::Incompatible(format!(
@@ -214,20 +204,23 @@ fn restore_session(
             env.input_dim()
         )));
     }
-    let target_shape = shape(&target.layers());
+    let target_shape = target.layer_dims();
     if target_shape != q_shape {
         return Err(StoreError::Incompatible(format!(
             "target network layers {target_shape:?}, Q network layers {q_shape:?}"
         )));
     }
     let moments = opt.layer_moments();
-    let fits = moments.len() == q_layers.len()
-        && moments.iter().zip(&q_layers).all(|((mw, vw, mb, vb), l)| {
-            mw.len() == l.w.data().len()
-                && vw.len() == mw.len()
-                && mb.len() == l.b.len()
-                && vb.len() == mb.len()
-        });
+    let fits = moments.len() == q_shape.len()
+        && moments
+            .iter()
+            .zip(&q_shape)
+            .all(|((mw, vw, mb, vb), &(input, units))| {
+                mw.len() == input * units
+                    && vw.len() == mw.len()
+                    && mb.len() == units
+                    && vb.len() == mb.len()
+            });
     if !fits {
         return Err(StoreError::Incompatible(
             "optimizer moments do not match the Q network's layers".to_string(),
